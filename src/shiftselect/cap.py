@@ -9,6 +9,11 @@ the rate matrix M) and a quantifier's direct estimate qhat. The solver
 minimizes ||M theta - rho||^2 + weight * ||theta - qhat||^2 over the simplex,
 and the estimated contingency table c[i][j] = m[i][j] * theta_j then yields
 any accuracy measure; vanilla accuracy is its trace.
+
+:func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
+validation data, and :func:`cap_predict` runs the whole per-bag pipeline,
+returning a :class:`CapPrediction` that holds the accuracy together with the
+solved table, rho and qhat.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .dataspace import DataError, LabelledSet, as_prevalence
 from .classifiers import TrainedModel
-from .quantifiers import Quantifier, fit_cc, fit_kdey
+from .quantifiers import fit_quantifier
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
@@ -162,10 +167,11 @@ class CapPrediction:
 @dataclass(frozen=True)
 class CapPredictor:
     """Per-model accuracy estimator: rate matrix plus quantifier, both fitted
-    on the same validation data as the model's accuracy reference."""
+    on the same validation data as the model's accuracy reference. The
+    quantifier is any object with `estimate(bag, posteriors=None)`."""
 
     rates: RateMatrix
-    quantifier: Quantifier
+    quantifier: object
     model: TrainedModel
     weight: float = 1.0
     solver_tol: float = SOLVER_TOL
@@ -174,22 +180,17 @@ class CapPredictor:
 
 def fit_cap(model: TrainedModel, validation: LabelledSet,
             quantifier_kind: str = "KDEyML", bandwidth: float = 0.1,
-            smoothing: float = 0.0, weight: float = 1.0,
-            solver_tol: float = SOLVER_TOL,
-            solver_max_iter: int = SOLVER_MAX_ITER) -> CapPredictor:
+            smoothing: float = 0.0, weight: float = 1.0) -> CapPredictor:
     """Fit the rate matrix and the quantifier on the same validation set."""
     rates = estimate_rate_matrix(model, validation, smoothing=smoothing)
-    if quantifier_kind == "KDEyML":
-        quantifier = fit_kdey(model, validation, bandwidth=bandwidth)
-    elif quantifier_kind == "CC":
-        quantifier = fit_cc(model)
-    else:
-        raise ValueError(f"unknown quantifier kind {quantifier_kind!r}")
-    return CapPredictor(rates, quantifier, model, weight=weight,
-                        solver_tol=solver_tol, solver_max_iter=solver_max_iter)
+    quantifier = fit_quantifier(quantifier_kind, model, validation,
+                                bandwidth=bandwidth)
+    return CapPredictor(rates, quantifier, model, weight=weight)
 
 
-def cap_predict_detailed(psi: CapPredictor, bag, posteriors=None) -> CapPrediction:
+def cap_predict(psi: CapPredictor, bag, posteriors=None) -> CapPrediction:
+    """Predicted accuracy of psi's model on the (unlabelled) bag, with the
+    solved contingency table and the two prevalence views behind it."""
     if posteriors is None:
         posteriors = psi.model.predict_posteriors(bag.features)
     if posteriors.shape[0] == 0:
@@ -200,11 +201,6 @@ def cap_predict_detailed(psi: CapPredictor, bag, posteriors=None) -> CapPredicti
     table = leap_solve(psi.rates, rho, qhat, weight=psi.weight,
                        tol=psi.solver_tol, max_iter=psi.solver_max_iter)
     return CapPrediction(accuracy_from_table(table), table, rho, qhat)
-
-
-def cap_predict(psi: CapPredictor, bag, posteriors=None) -> float:
-    """Predicted accuracy of psi's model on the (unlabelled) bag."""
-    return cap_predict_detailed(psi, bag, posteriors=posteriors).accuracy
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

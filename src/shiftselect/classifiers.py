@@ -111,9 +111,6 @@ class HyperParams:
                 return v
         raise KeyError(key)
 
-    def as_dict(self) -> dict:
-        return dict(self.values)
-
     def label(self) -> str:
         parts = []
         for k, v in self.values:
@@ -447,19 +444,11 @@ def train(family: str, hp: HyperParams, train_set: LabelledSet, seed: int) -> Tr
     raise ValueError(f"unknown family {family!r}")
 
 
-def predict_posteriors(model: TrainedModel, X) -> np.ndarray:
-    return model.predict_posteriors(X)
-
-
-def predict_labels(model: TrainedModel, X) -> np.ndarray:
-    return model.predict_labels(X)
-
-
 # ---------------------------------------------------------------------------
 # Persistence: self-describing JSON records with base64 little-endian arrays
 # ---------------------------------------------------------------------------
 
-def _encode_array(a: np.ndarray) -> dict:
+def encode_array(a: np.ndarray) -> dict:
     kind = "<i8" if np.issubdtype(a.dtype, np.integer) else "<f8"
     data = np.ascontiguousarray(a, dtype=np.dtype(kind))
     return {
@@ -469,7 +458,7 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(rec: dict) -> np.ndarray:
+def decode_array(rec: dict) -> np.ndarray:
     raw = base64.b64decode(rec["data"])
     return np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
 
@@ -515,7 +504,7 @@ def model_to_record(model: TrainedModel) -> dict:
         arrays = {"X_train": model.X_train, "y_train": model.y_train}
     else:
         arrays = {"W1": model.W1, "b1": model.b1, "W2": model.W2, "b2": model.b2}
-    rec["arrays"] = {k: _encode_array(v) for k, v in arrays.items()}
+    rec["arrays"] = {k: encode_array(v) for k, v in arrays.items()}
     return rec
 
 
@@ -523,7 +512,7 @@ def model_from_record(rec: dict) -> TrainedModel:
     if rec["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported record version {rec['format_version']}")
     hp = hyperparams_from_dict(rec["hyperparams"])
-    arrays = {k: _decode_array(v) for k, v in rec["arrays"].items()}
+    arrays = {k: decode_array(v) for k, v in rec["arrays"].items()}
     family, n_classes, seed = rec["family"], rec["n_classes"], rec["seed"]
     meta = rec.get("meta", {})
     if family == "LR":

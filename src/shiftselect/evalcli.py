@@ -35,8 +35,10 @@ from .dataspace import (Dataset, apply_scaler, fit_scaler, load_csv,
 from .classifiers import FAMILIES, build_grid
 from .protocol import (ShiftRecord, app_generate, bin_by_shift, l1_shift,
                        reveal_labels, DEFAULT_SHIFT_BINS)
+from .quantifiers import QUANTIFIERS
 from .selection import (ModelRegistry, build_registry, default_select,
-                        ims_select, oracle_select, tms_select)
+                        fingerprint, ims_select, oracle_select, tms_select,
+                        write_manifest)
 
 ENV_SEED = "SHIFTSELECT_SEED"
 WILCOXON_EXACT_MAX = 12
@@ -105,7 +107,7 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
-        if self.quantifier not in ("KDEyML", "CC"):
+        if self.quantifier not in QUANTIFIERS:
             raise ConfigError(f"unknown quantifier {self.quantifier!r}")
         kind = self.dataset.get("kind")
         if kind not in ("synthetic", "csv"):
@@ -256,11 +258,6 @@ class ResultTable:
     def strategies(self):
         return sorted({row.strategy for row in self.rows})
 
-    def accuracy_series(self, strategy) -> np.ndarray:
-        rows = sorted((r for r in self.rows if r.strategy == strategy),
-                      key=lambda r: r.bag_id)
-        return np.array([r.true_acc for r in rows])
-
 
 def aggregate_rows(rows) -> dict:
     """Per-strategy (mean, population std, count) of true accuracy."""
@@ -327,15 +324,9 @@ def _run_id(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _fingerprint(ds: Dataset) -> str:
-    digest = hashlib.sha256()
-    digest.update(ds.features.tobytes())
-    digest.update(ds.labels.tobytes())
-    return digest.hexdigest()[:12]
-
-
-def _prepare(config: RunConfig):
-    """Load data, split, standardize, and assemble the manifest."""
+def _prepare(config: RunConfig, outdir=None):
+    """Load data, split, standardize, and assemble the manifest; with an
+    `outdir`, also write it there as manifest.json."""
     config.validate()
     seeds = _derived_seeds(config.seed)
     with _stage("dataset"):
@@ -361,7 +352,7 @@ def _prepare(config: RunConfig):
         "run_id": _run_id(config),
         "dataset": {
             "name": ds.name,
-            "fingerprint": _fingerprint(ds),
+            "fingerprint": fingerprint(ds.features, ds.labels),
             "n_instances": len(ds),
             "n_features": ds.n_features,
             "n_classes": ds.n_classes,
@@ -390,18 +381,31 @@ def _prepare(config: RunConfig):
         "standardize": config.standardize,
         "derived_seeds": seeds,
     }
+    if outdir is not None:
+        write_manifest(outdir, manifest)
     return ds, proper, validation, test, manifest
 
 
 def emit_manifest(config: RunConfig, outdir=None) -> dict:
     """Resolve the config onto the data (splits included) and write
     manifest.json; no training happens."""
-    *_, manifest = _prepare(config)
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-    return manifest
+    return _prepare(config, outdir)[-1]
+
+
+def _train_registry(config: RunConfig, proper, validation, manifest,
+                    out_dir=None) -> ModelRegistry:
+    """Build the config's registry; fails when no configuration trains."""
+    with _stage("registry"):
+        registry = build_registry(
+            config.families, proper, validation,
+            quantifier_kind=config.quantifier,
+            seed=manifest["derived_seeds"]["registry"],
+            bandwidth=config.bandwidth, cap_weight=config.cap_weight,
+            smoothing=config.smoothing, run_id=manifest["run_id"],
+            out_dir=out_dir)
+        if not registry.entries:
+            raise RuntimeError("every configuration failed to train")
+    return registry
 
 
 def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultTable:
@@ -411,25 +415,14 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     this when pointed at a persisted registry). Partial rows are flushed to
     results.csv if a later stage fails.
     """
-    ds, proper, validation, test, manifest = _prepare(config)
-    seeds = manifest["derived_seeds"]
     outdir = config.outdir
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-
+    ds, proper, validation, test, manifest = _prepare(config, outdir)
     if registry is None:
-        with _stage("registry"):
-            registry = build_registry(
-                config.families, proper, validation,
-                quantifier_kind=config.quantifier, seed=seeds["registry"],
-                bandwidth=config.bandwidth, cap_weight=config.cap_weight,
-                smoothing=config.smoothing, run_id=manifest["run_id"])
-            if not registry.entries:
-                raise RuntimeError("every configuration failed to train")
+        registry = _train_registry(config, proper, validation, manifest)
 
     with _stage("protocol"):
-        bags = app_generate(test, config.r, config.s, seeds["protocol"])
+        bags = app_generate(test, config.r, config.s,
+                            manifest["derived_seeds"]["protocol"])
 
     run_id = manifest["run_id"]
     rows = []
@@ -458,9 +451,10 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name):
                    for mid, P in posteriors_test.items()}
     train_prevalence = proper.prevalence()
 
+    plan = [(strat, *_parse_strategy(strat, config.families))
+            for strat in config.strategies]
     static = {}
-    for strat in config.strategies:
-        kind, scope = _parse_strategy(strat, config.families)
+    for strat, kind, scope in plan:
         if kind == "default":
             static[strat] = default_select(registry, scope)
         elif kind == "IMS":
@@ -473,8 +467,7 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name):
         def lookup(entry, idx=bag.indices):
             return posteriors_test[entry.model_id][idx]
 
-        for strat in config.strategies:
-            kind, scope = _parse_strategy(strat, config.families)
+        for strat, kind, scope in plan:
             if strat in static:
                 mid = static[strat]
                 acc = float((labels_test[mid][bag.indices] == truth).mean())
@@ -544,6 +537,9 @@ def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
     aggregates = table.aggregates or aggregate_rows(table.rows)
     strategies = sorted(aggregates)
     best = max(strategies, key=lambda s: (aggregates[s]["mean"], s), default=None)
+    series = {}   # strategy -> true accuracies in bag order
+    for row in sorted(table.rows, key=lambda r: r.bag_id):
+        series.setdefault(row.strategy, []).append(row.true_acc)
 
     summary_rows = []
     for strat in strategies:
@@ -551,10 +547,9 @@ def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
         if strat == best:
             flag_best, dagger, p_val = 1, 0, None
         else:
-            series = table.accuracy_series(strat)
-            best_series = table.accuracy_series(best)
             try:
-                res = wilcoxon_signed_rank(series, best_series, alpha=alpha)
+                res = wilcoxon_signed_rank(series[strat], series[best],
+                                           alpha=alpha)
                 dagger, p_val = int(not res.significant), res.p_value
             except ValueError:
                 # degenerate pairing (near-identical scores): not distinguishable
@@ -620,19 +615,10 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     if args.outdir:
         config.outdir = args.outdir
-    ds, proper, validation, test, manifest = _prepare(config)
-    seeds = manifest["derived_seeds"]
+    _, proper, validation, _, manifest = _prepare(config, config.outdir)
     registry_dir = os.path.join(config.outdir, "registry")
-    registry = build_registry(
-        config.families, proper, validation,
-        quantifier_kind=config.quantifier, seed=seeds["registry"],
-        bandwidth=config.bandwidth, cap_weight=config.cap_weight,
-        smoothing=config.smoothing, run_id=manifest["run_id"],
-        out_dir=registry_dir)
-    os.makedirs(config.outdir, exist_ok=True)
-    with open(os.path.join(config.outdir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    registry = _train_registry(config, proper, validation, manifest,
+                               out_dir=registry_dir)
     print(f"trained {len(registry)} models into {registry_dir}")
     for warning in registry.warnings:
         print(f"warning: {warning}", file=sys.stderr)

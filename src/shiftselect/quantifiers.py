@@ -1,11 +1,19 @@
 """Class-prevalence estimation on unlabelled bags.
 
-Two estimators over a trained classifier's posterior outputs:
+Two quantifier types, each bound to the trained classifier whose posterior
+outputs feed it and each answering ``estimate(bag, posteriors=None)``:
 
-* classify-and-count: the empirical distribution of predicted labels;
-* a kernel-density mixture: per-class Gaussian KDEs fitted on the posterior
-  vectors of validation instances, with mixture weights chosen to maximize the
-  likelihood of the bag's posteriors via EM (multiplicative updates).
+* :class:`CCQuantifier` (classify-and-count): the empirical distribution of
+  predicted labels;
+* :class:`KDEyMLQuantifier` (KDEy-ML): per-class Gaussian KDEs fitted on the
+  posterior vectors of validation instances, with mixture weights chosen to
+  maximize the likelihood of the bag's posteriors via EM (multiplicative
+  updates). :func:`kdey_ml_estimate` returns the prevalence; callers that want
+  the EM diagnostics call :func:`em_mixture_weights` on
+  ``q.densities.evaluate(posteriors)`` directly.
+
+:data:`QUANTIFIERS` maps each kind name to its type and is the only list of
+valid kinds; :func:`fit_quantifier` fits one by name.
 
 The EM objective L(a) = sum_x log sum_j a_j f_j(s(x)) is concave in the
 mixture weights, every EM iterate stays on the simplex, and the likelihood is
@@ -15,6 +23,7 @@ non-decreasing across iterations, so the updates reach the global optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,27 +69,43 @@ class ClassDensities:
 
 
 @dataclass(frozen=True)
-class Quantifier:
-    """A fitted prevalence estimator bound to the classifier that feeds it."""
+class CCQuantifier:
+    """Classify-and-count bound to the classifier that feeds it."""
 
-    kind: str                       # "CC" | "KDEyML"
     model: TrainedModel
-    densities: ClassDensities = None
-
-    def __post_init__(self):
-        if self.kind not in ("CC", "KDEyML"):
-            raise ValueError(f"unknown quantifier kind {self.kind!r}")
-        if (self.kind == "KDEyML") != (self.densities is not None):
-            raise ValueError("KDEyML carries densities, CC does not")
+    kind: ClassVar[str] = "CC"
 
     def estimate(self, bag, posteriors=None) -> np.ndarray:
-        if self.kind == "CC":
-            return classify_and_count(self.model, bag, posteriors=posteriors)
+        return classify_and_count(self.model, bag, posteriors=posteriors)
+
+
+@dataclass(frozen=True)
+class KDEyMLQuantifier:
+    """KDE mixture over the posteriors of the classifier that feeds it."""
+
+    model: TrainedModel
+    densities: ClassDensities
+    kind: ClassVar[str] = "KDEyML"
+
+    def estimate(self, bag, posteriors=None) -> np.ndarray:
         return kdey_ml_estimate(self, bag, posteriors=posteriors)
 
 
+QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
+
+
+def fit_quantifier(kind: str, model: TrainedModel, validation: LabelledSet,
+                   bandwidth: float):
+    """Fit the quantifier named `kind` (a key of QUANTIFIERS) for `model`."""
+    if kind == CCQuantifier.kind:
+        return fit_cc(model)
+    if kind == KDEyMLQuantifier.kind:
+        return fit_kdey(model, validation, bandwidth=bandwidth)
+    raise ValueError(f"unknown quantifier kind {kind!r}")
+
+
 def fit_kdey(model: TrainedModel, validation: LabelledSet,
-             bandwidth: float = DEFAULT_BANDWIDTH) -> Quantifier:
+             bandwidth: float = DEFAULT_BANDWIDTH) -> KDEyMLQuantifier:
     """Fit per-class KDEs over the model's posteriors on validation data."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -93,11 +118,11 @@ def fit_kdey(model: TrainedModel, validation: LabelledSet,
             raise DataError(f"class {j} missing from validation data")
         support.append(S)
     densities = ClassDensities(tuple(support), float(bandwidth), validation.n_classes)
-    return Quantifier("KDEyML", model, densities)
+    return KDEyMLQuantifier(model, densities)
 
 
-def fit_cc(model: TrainedModel) -> Quantifier:
-    return Quantifier("CC", model)
+def fit_cc(model: TrainedModel) -> CCQuantifier:
+    return CCQuantifier(model)
 
 
 def mixture_log_likelihood(F: np.ndarray, alpha: np.ndarray) -> float:
@@ -112,51 +137,44 @@ def em_mixture_weights(F: np.ndarray, tol: float = EM_TOL,
     `max_iter` iterations. Densities are floored at 1e-300 before use; a
     `floored` flag reports whether the floor was ever active.
 
-    Returns (alpha, info) with info holding the log-likelihood trace,
-    iteration count, and the floor flag.
+    Returns (alpha, info) with info holding the log-likelihood trace (one
+    value per iterate, the start included), iteration count, and the floor
+    flag.
     """
     F = np.asarray(F, dtype=float)
     floored = bool((F < DENSITY_FLOOR).any())
     F = np.maximum(F, DENSITY_FLOOR)
     m, n = F.shape
     alpha = np.full(n, 1.0 / n)
-    trace = [mixture_log_likelihood(F, alpha)]
+    trace = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
         mix = F @ alpha
+        trace.append(float(np.log(mix).sum()))
         resp = F * (alpha / mix[:, None])
         new_alpha = resp.mean(axis=0)
         new_alpha /= new_alpha.sum()
-        trace.append(mixture_log_likelihood(F, new_alpha))
         delta = np.abs(new_alpha - alpha).sum()
         alpha = new_alpha
         if delta < tol:
             break
+    trace.append(mixture_log_likelihood(F, alpha))
     info = {"iterations": iterations, "loglik": trace, "floored": floored}
     return as_prevalence(alpha), info
 
 
-def kdey_ml_estimate(q: Quantifier, bag, tol: float = EM_TOL,
-                     max_iter: int = EM_MAX_ITER, posteriors=None) -> np.ndarray:
+def kdey_ml_estimate(q: KDEyMLQuantifier, bag, posteriors=None) -> np.ndarray:
     """Maximum-likelihood prevalence of `bag` under the fitted KDE mixture.
 
     `posteriors` optionally supplies precomputed posterior rows for the bag's
     instances (they must come from the same model the quantifier holds).
     """
-    alpha, _ = kdey_ml_estimate_detailed(q, bag, tol, max_iter, posteriors)
-    return alpha
-
-
-def kdey_ml_estimate_detailed(q: Quantifier, bag, tol: float = EM_TOL,
-                              max_iter: int = EM_MAX_ITER, posteriors=None):
-    if q.kind != "KDEyML" or q.densities is None:
-        raise ValueError("quantifier is not a fitted KDE mixture")
     if posteriors is None:
         posteriors = q.model.predict_posteriors(bag.features)
     if posteriors.shape[0] == 0:
         raise DataError("empty bag")
-    F = q.densities.evaluate(posteriors)
-    return em_mixture_weights(F, tol=tol, max_iter=max_iter)
+    alpha, _ = em_mixture_weights(q.densities.evaluate(posteriors))
+    return alpha
 
 
 def classify_and_count(model: TrainedModel, bag, posteriors=None) -> np.ndarray:

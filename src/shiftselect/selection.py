@@ -13,7 +13,6 @@ every bag. Ties always break toward the lowest model id.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -23,10 +22,11 @@ import numpy as np
 
 from .dataspace import LabelledSet
 from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
-                          default_model, hyperparams_from_dict,
-                          hyperparams_to_dict, load_model, save_model, train)
-from .quantifiers import ClassDensities, Quantifier
-from .cap import (CapPredictor, RateMatrix, cap_predict_detailed, fit_cap)
+                          decode_array, default_model, encode_array,
+                          hyperparams_from_dict, hyperparams_to_dict,
+                          load_model, save_model, train)
+from .quantifiers import QUANTIFIERS, ClassDensities
+from .cap import CapPredictor, RateMatrix, cap_predict, fit_cap
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,11 @@ def _entry_seed(seed: int, model_id: int) -> int:
     return int(np.random.SeedSequence([seed, model_id]).generate_state(1)[0])
 
 
-def _split_fingerprint(Ltr: LabelledSet, Lva: LabelledSet) -> str:
+def fingerprint(*arrays) -> str:
+    """First 12 hex digits of the sha256 over the arrays' raw bytes."""
     digest = hashlib.sha256()
-    for part in (Ltr, Lva):
-        digest.update(part.X.tobytes())
-        digest.update(part.y.tobytes())
+    for a in arrays:
+        digest.update(a.tobytes())
     return digest.hexdigest()[:12]
 
 
@@ -119,7 +119,7 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         "bandwidth": bandwidth,
         "cap_weight": cap_weight,
         "n_classes": n_classes,
-        "data_fingerprint": _split_fingerprint(Ltr, Lva),
+        "data_fingerprint": fingerprint(Ltr.X, Ltr.y, Lva.X, Lva.y),
     }
     registry = ModelRegistry(entries, warnings, meta)
     if out_dir is not None:
@@ -159,7 +159,7 @@ def tms_select(registry: ModelRegistry, scope, bag,
     for e in entries:
         posteriors = posterior_fn(e) if posterior_fn is not None else \
             e.model.predict_posteriors(bag.features)
-        pred = cap_predict_detailed(e.cap, bag, posteriors=posteriors)
+        pred = cap_predict(e.cap, bag, posteriors=posteriors)
         if not pred.converged:
             warnings.append(f"model {e.model_id}: accuracy solver did not converge")
         if pred.accuracy > best_acc:
@@ -210,20 +210,16 @@ def default_select(registry: ModelRegistry, family: str) -> int:
 # per entry
 # ---------------------------------------------------------------------------
 
-def _encode_f8(a: np.ndarray) -> dict:
-    data = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(data.tobytes()).decode("ascii")}
-
-
-def _decode_f8(rec: dict) -> np.ndarray:
-    raw = base64.b64decode(rec["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(rec["shape"]).copy()
+def write_manifest(out_dir, manifest: dict) -> None:
+    """Write `manifest` as out_dir/manifest.json (sorted keys, one-space
+    indent), creating the directory if needed."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
 def save_registry(registry: ModelRegistry, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
+    write_manifest(out_dir, {
         "meta": registry.meta,
         "warnings": registry.warnings,
         "entries": [
@@ -235,23 +231,21 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
             }
             for e in registry.entries
         ],
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+    })
     for e in registry.entries:
         save_model(e.model, os.path.join(out_dir, f"model_{e.model_id:04d}.json"))
         cap = e.cap
         sidecar = {
-            "rate_matrix": _encode_f8(cap.rates.m),
+            "rate_matrix": encode_array(cap.rates.m),
             "quantifier_kind": cap.quantifier.kind,
             "weight": cap.weight,
             "solver_tol": cap.solver_tol,
             "solver_max_iter": cap.solver_max_iter,
         }
-        if cap.quantifier.kind == "KDEyML":
-            dens = cap.quantifier.densities
-            sidecar["bandwidth"] = dens.bandwidth
-            sidecar["support"] = [_encode_f8(S) for S in dens.support]
+        densities = getattr(cap.quantifier, "densities", None)
+        if densities is not None:
+            sidecar["bandwidth"] = densities.bandwidth
+            sidecar["support"] = [encode_array(S) for S in densities.support]
         with open(os.path.join(out_dir, f"cap_{e.model_id:04d}.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(sidecar, fh)
@@ -267,14 +261,15 @@ def load_registry(out_dir) -> ModelRegistry:
         with open(os.path.join(out_dir, f"cap_{model_id:04d}.json"),
                   encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        rates = RateMatrix(_decode_f8(sidecar["rate_matrix"]))
-        if sidecar["quantifier_kind"] == "KDEyML":
-            support = tuple(_decode_f8(S) for S in sidecar["support"])
+        rates = RateMatrix(decode_array(sidecar["rate_matrix"]))
+        make_quantifier = QUANTIFIERS[sidecar["quantifier_kind"]]
+        if "support" in sidecar:
+            support = tuple(decode_array(S) for S in sidecar["support"])
             densities = ClassDensities(support, sidecar["bandwidth"],
                                        model.n_classes)
-            quantifier = Quantifier("KDEyML", model, densities)
+            quantifier = make_quantifier(model, densities)
         else:
-            quantifier = Quantifier("CC", model)
+            quantifier = make_quantifier(model)
         cap = CapPredictor(rates, quantifier, model, weight=sidecar["weight"],
                            solver_tol=sidecar["solver_tol"],
                            solver_max_iter=sidecar["solver_max_iter"])

@@ -18,7 +18,7 @@ from shiftselect.evalcli import (RunConfig, emit_manifest, emit_report,
                                  run_experiment, shift_records,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
-from shiftselect.quantifiers import fit_kdey, kdey_ml_estimate_detailed
+from shiftselect.quantifiers import em_mixture_weights, fit_kdey
 
 
 def report(criterion, ok, detail):
@@ -102,7 +102,7 @@ def test_criterion_03_leap_oracle_exactness():
     bag = _FixedBag(features, [0.7, 0.3])
     psi = CapPredictor(RateMatrix(M), _OracleQuantifier(), _PassThrough(2),
                        solver_tol=1e-13, solver_max_iter=100_000)
-    estimate = cap_predict(psi, bag)
+    estimate = cap_predict(psi, bag).accuracy
     closed_form = tpr * q + tnr * (1 - q)
     err2 = abs(estimate - closed_form)
 
@@ -162,7 +162,9 @@ def test_criterion_05_kdey_recovery():
         errs = []
         for _ in range(50):
             bag = draw_bag(rest, [1.0 - q, q], 500, rng)
-            alpha, info = kdey_ml_estimate_detailed(quantifier, bag)
+            posteriors = model.predict_posteriors(bag.features)
+            alpha, info = em_mixture_weights(
+                quantifier.densities.evaluate(posteriors))
             errs.append(abs(alpha[1] - bag.realized_prevalence[1]))
             if (np.diff(info["loglik"]) < -1e-9).any():
                 monotone = False

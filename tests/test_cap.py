@@ -3,7 +3,7 @@ import pytest
 
 from shiftselect.cap import (CapPredictor, ContingencyTable, RateMatrix,
                              accuracy_from_table, cap_predict,
-                             cap_predict_detailed, estimate_rate_matrix,
+                             estimate_rate_matrix,
                              fit_cap, leap_solve, pps_accuracy_identity,
                              project_to_simplex)
 from shiftselect.classifiers import default_model, train
@@ -207,7 +207,7 @@ def test_cap_perfect_classifier_with_oracle_quantifier_gives_one():
     rates = estimate_rate_matrix(model, ds.all_instances())
     psi = CapPredictor(rates, OracleQuantifier(), model)
     bag = draw_bag(ds.all_instances(), [0.5, 0.5], 40, np.random.default_rng(0))
-    assert cap_predict(psi, bag) == pytest.approx(1.0, abs=1e-9)
+    assert cap_predict(psi, bag).accuracy == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +232,7 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
     for _ in range(n_bags):
         target = rng.dirichlet([1.0, 1.0])
         bag = draw_bag(test, target, s, rng)
-        estimate = cap_predict(psi, bag)
+        estimate = cap_predict(psi, bag).accuracy
         true_acc = (model.predict_labels(bag.features) == reveal_labels(bag)).mean()
         if abs(estimate - true_acc) <= bound:
             hits += 1
@@ -245,14 +245,14 @@ def test_cap_zero_shift_matches_validation_accuracy(overlapping_pipeline):
     val_acc = (model.predict_labels(validation.X) == validation.y).mean()
     rng = np.random.default_rng(8)
     bag = draw_bag(test, train_set.prevalence(), 500, rng)
-    assert abs(cap_predict(psi, bag) - val_acc) <= 0.05
+    assert abs(cap_predict(psi, bag).accuracy - val_acc) <= 0.05
 
 
 def test_cap_detailed_reports_solver_state(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     psi = fit_cap(model, validation)
     bag = draw_bag(test, [0.3, 0.7], 100, np.random.default_rng(9))
-    pred = cap_predict_detailed(psi, bag)
+    pred = cap_predict(psi, bag)
     assert 0.0 <= pred.accuracy <= 1.0
     assert pred.converged
     assert np.allclose(pred.table.c.sum(axis=0), pred.table.theta, atol=1e-9)
@@ -268,7 +268,7 @@ def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     psi = fit_cap(model, validation, quantifier_kind="CC")
     bag = draw_bag(test, [0.4, 0.6], 200, np.random.default_rng(10))
-    estimate = cap_predict(psi, bag)
+    estimate = cap_predict(psi, bag).accuracy
     assert 0.0 <= estimate <= 1.0
     true_acc = (model.predict_labels(bag.features) == reveal_labels(bag)).mean()
     assert abs(estimate - true_acc) <= 0.25   # coarse but sane ablation baseline

@@ -446,6 +446,16 @@ def test_cli_train_persists_registry(tmp_path):
     assert len(load_registry(regdir)) == 10
 
 
+def test_cli_train_and_run_write_identical_manifests(tmp_path):
+    config_path = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path),
+                 "--outdir", str(tmp_path / "train")]) == 0
+    assert main(["run", "--config", str(config_path),
+                 "--outdir", str(tmp_path / "run")]) == 0
+    trained = (tmp_path / "train" / "manifest.json").read_bytes()
+    assert trained == (tmp_path / "run" / "manifest.json").read_bytes()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"r": 0}), encoding="utf-8")

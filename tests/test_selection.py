@@ -67,8 +67,22 @@ def test_registry_round_trip(registry, splits, tmp_path):
         assert orig.hyperparams == redo.hyperparams
         assert np.array_equal(orig.model.predict_posteriors(bag.features),
                               redo.model.predict_posteriors(bag.features))
-        assert cap_predict(orig.cap, bag) == pytest.approx(
-            cap_predict(redo.cap, bag), abs=1e-12)
+        assert cap_predict(orig.cap, bag).accuracy == pytest.approx(
+            cap_predict(redo.cap, bag).accuracy, abs=1e-12)
+
+
+def test_registry_round_trip_counting_quantifier(splits, tmp_path):
+    proper, validation, test = splits
+    counting = build_registry(("KNN",), proper, validation,
+                              quantifier_kind="CC", seed=0)
+    save_registry(counting, tmp_path / "cc")
+    loaded = load_registry(tmp_path / "cc")
+    assert loaded.meta["quantifier"] == "CC"
+    bag = draw_bag(test, [0.3, 0.7], 50, np.random.default_rng(2))
+    for orig, redo in zip(counting.entries, loaded.entries, strict=True):
+        assert type(redo.cap.quantifier) is type(orig.cap.quantifier)
+        assert cap_predict(orig.cap, bag).accuracy == pytest.approx(
+            cap_predict(redo.cap, bag).accuracy, abs=1e-12)
 
 
 def test_registry_skips_failed_configs(splits, monkeypatch):
@@ -159,7 +173,7 @@ def test_tms_picks_the_higher_estimate(registry, splits):
     bag = draw_bag(test, [0.2, 0.8], 60, np.random.default_rng(3))
     two = ModelRegistry(registry.entries[:2])
     outcome = tms_select(two, "All", bag)
-    accs = [cap_predict(e.cap, bag) for e in two.entries]
+    accs = [cap_predict(e.cap, bag).accuracy for e in two.entries]
     assert outcome.model_id == two.entries[int(np.argmax(accs))].model_id
     assert outcome.estimated_accuracy == pytest.approx(max(accs))
 
