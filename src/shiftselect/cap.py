@@ -11,20 +11,26 @@ and the estimated contingency table c[i][j] = m[i][j] * theta_j then yields
 any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
-validation data, and :func:`cap_predict` runs the whole per-bag pipeline,
-returning a :class:`CapPrediction` that holds the accuracy together with the
-solved table, rho and qhat.
+validation data. :func:`predict_batch` predicts the accuracy of k predictors
+on one bag in one pass: label counts and quantifier estimates for all k, then
+one batched LEAP solve (:func:`leap_solve_batch`, projected gradient over a
+(k, n) stack of thetas, each leaving the active set once it converges). The
+single-predictor :func:`cap_predict` and single-problem :func:`leap_solve` are
+its k=1 cases, returning a :class:`CapPrediction` and a
+:class:`ContingencyTable`. A :class:`RateMatrix` computes M^T M and its top
+eigenvalue (the solver's step size) once, on its first solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataspace import DataError, LabelledSet, as_prevalence
 from .classifiers import TrainedModel
-from .quantifiers import fit_quantifier
+from .quantifiers import estimate_batch, fit_quantifier, label_shares
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
@@ -53,6 +59,20 @@ class RateMatrix:
     @property
     def n_classes(self) -> int:
         return self.m.shape[0]
+
+    # Computed on the first solve, not at construction: loading a registry
+    # builds one rate matrix per model and should not pay for them.
+    @cached_property
+    def mtm(self) -> np.ndarray:
+        """M^T M."""
+        MtM = self.m.T @ self.m
+        MtM.flags.writeable = False
+        return MtM
+
+    @cached_property
+    def mtm_top(self) -> float:
+        """Top eigenvalue of M^T M; it sets the solver's step size."""
+        return float(np.linalg.eigvalsh(self.mtm)[-1])
 
 
 @dataclass(frozen=True)
@@ -101,50 +121,93 @@ def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
     return RateMatrix(M)
 
 
+def project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of V onto the unit simplex
+    (sort-based)."""
+    k, n = V.shape
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    support = u + (1.0 - css) / np.arange(1, n + 1) > 0
+    rho = n - 1 - np.argmax(support[:, ::-1], axis=1)
+    tau = (css[np.arange(k), rho] - 1.0) / (rho + 1)
+    return np.maximum(V - tau[:, None], 0.0)
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, v.size + 1) > 0)[0][-1]
-    tau = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(v - tau, 0.0)
+    """Euclidean projection of the vector v onto the unit simplex."""
+    return project_rows_to_simplex(np.asarray(v, dtype=float)[None])[0]
+
+
+def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
+                     max_iter=SOLVER_MAX_ITER):
+    """Solve k LEAP problems at once, one per rate matrix in `rates`.
+
+    Problem i minimizes ||M_i theta - rho_i||^2 + weight_i * ||theta -
+    qhat_i||^2 over the simplex by projected gradient from theta = qhat_i,
+    with the step set from the Lipschitz bound, and stops when its
+    gradient-map norm drops below tol_i or after max_iter_i iterations.
+    `rho` and `qhat` are (k, n); `weight`, `tol` and `max_iter` are scalars or
+    one value per problem. A stopped problem leaves the active set, so every
+    problem gets the iterates a single-problem run would give.
+
+    Returns (theta (k, n), iterations (k,), converged (k,)).
+    """
+    k = len(rates)
+    weight = np.broadcast_to(np.asarray(weight, dtype=float), (k,))
+    if (weight <= 0).any():
+        raise ValueError("weight must be positive")
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
+    max_iter = np.broadcast_to(np.asarray(max_iter), (k,))
+    M = np.stack([r.m for r in rates])
+    MtM = np.stack([r.mtm for r in rates])
+    Mtrho = np.matmul(M.transpose(0, 2, 1), rho[:, :, None])[:, :, 0]
+    step = 1.0 / (2.0 * (np.array([r.mtm_top for r in rates]) + weight))
+
+    theta = np.array(qhat, dtype=float)
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    # the active problems' rows of every per-problem array, compacted
+    # whenever some problem stops
+    live = max_iter > 0
+    idx, t, A, b, w2, q, h, eps, cap = (
+        x[live] for x in (np.arange(k), theta, MtM, Mtrho, 2.0 * weight, qhat,
+                          step, tol, max_iter))
+    it = 0
+    while idx.size:
+        it += 1
+        grad = 2.0 * (np.matmul(A, t[:, :, None])[:, :, 0] - b) \
+            + w2[:, None] * (t - q)
+        new = project_rows_to_simplex(t - h[:, None] * grad)
+        d = t - new
+        gradient_map = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]) / h
+        t = new
+        done = gradient_map < eps
+        stop = done | (it >= cap)
+        if stop.any():
+            theta[idx[stop]] = t[stop]
+            iterations[idx[stop]] = it
+            converged[idx[stop]] = done[stop]
+            keep = ~stop
+            idx, t, A, b, w2, q, h, eps, cap = (
+                x[keep] for x in (idx, t, A, b, w2, q, h, eps, cap))
+    return theta, iterations, converged
 
 
 def leap_solve(m: RateMatrix, rho, qhat, weight: float = 1.0,
                tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> ContingencyTable:
-    """Estimate the bag's contingency table from the two equation blocks.
+    """Estimate the bag's contingency table from the two equation blocks: the
+    single-problem case of :func:`leap_solve_batch`.
 
-    Solves min_theta ||M theta - rho||^2 + weight * ||theta - qhat||^2 over
-    the simplex by projected gradient with the step set from the Lipschitz
-    bound, stopping when the gradient-map norm drops below `tol`. The table is
-    c[i][j] = m[i][j] * theta_j. Non-convergence returns the last iterate with
-    `converged=False`.
+    The table is c[i][j] = m[i][j] * theta_j. Non-convergence returns the last
+    iterate with `converged=False`.
     """
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    M = m.m
     rho = as_prevalence(rho, m.n_classes)
     qhat = as_prevalence(qhat, m.n_classes)
-
-    MtM = M.T @ M
-    Mtrho = M.T @ rho
-    lipschitz = 2.0 * (float(np.linalg.eigvalsh(MtM)[-1]) + weight)
-    step = 1.0 / lipschitz
-
-    theta = qhat.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad = 2.0 * (MtM @ theta - Mtrho) + 2.0 * weight * (theta - qhat)
-        new_theta = project_to_simplex(theta - step * grad)
-        gradient_map = np.linalg.norm(theta - new_theta) / step
-        theta = new_theta
-        if gradient_map < tol:
-            converged = True
-            break
-    table = M * theta[None, :]
-    return ContingencyTable(table, theta=theta, converged=converged,
-                            iterations=iterations)
+    theta, iterations, converged = leap_solve_batch(
+        [m], rho[None], qhat[None], weight=weight, tol=tol, max_iter=max_iter)
+    return ContingencyTable(m.m * theta[0][None, :], theta=theta[0],
+                            converged=bool(converged[0]),
+                            iterations=int(iterations[0]))
 
 
 def accuracy_from_table(table: ContingencyTable) -> float:
@@ -188,19 +251,58 @@ def fit_cap(model: TrainedModel, validation: LabelledSet,
     return CapPredictor(rates, quantifier, model, weight=weight)
 
 
+@dataclass(frozen=True)
+class CapBatch:
+    """Accuracy predictions of k predictors on one bag, one row per
+    predictor: estimated accuracy, solved theta, the two prevalence views, the
+    solver's iterations and convergence, and whether the quantifier hit its
+    density floor."""
+
+    accuracy: np.ndarray
+    theta: np.ndarray
+    rho: np.ndarray
+    qhat: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    floored: np.ndarray
+
+
+def predict_batch(caps, bag, posteriors: np.ndarray, rows=None) -> CapBatch:
+    """Predicted accuracy of each predictor's model on the (unlabelled) bag.
+
+    `posteriors` stacks each model's posterior rows for the bag, shape
+    (k, m, n); `rows` optionally stacks each quantifier's rows for them (see
+    :func:`quantifiers.estimate_batch`).
+    """
+    if posteriors.shape[1] == 0:
+        raise DataError("empty bag")
+    n = caps[0].rates.n_classes
+    rho = label_shares(np.argmax(posteriors, axis=2), n)
+    qhat, floored = estimate_batch([c.quantifier for c in caps], bag,
+                                   posteriors, rows)
+    qhat = as_prevalence(qhat, n, stacked=True)
+    rates = [c.rates for c in caps]
+    theta, iterations, converged = leap_solve_batch(
+        rates, rho, qhat, weight=[c.weight for c in caps],
+        tol=[c.solver_tol for c in caps],
+        max_iter=[c.solver_max_iter for c in caps])
+    # accuracy is the trace of each table c[i][j] = m[i][j] * theta_j
+    diagonal = np.stack([np.diagonal(r.m) for r in rates])
+    return CapBatch((diagonal * theta).sum(axis=1), theta, rho, qhat,
+                    iterations, converged, floored)
+
+
 def cap_predict(psi: CapPredictor, bag, posteriors=None) -> CapPrediction:
     """Predicted accuracy of psi's model on the (unlabelled) bag, with the
-    solved contingency table and the two prevalence views behind it."""
+    solved contingency table and the two prevalence views behind it: the
+    single-predictor case of :func:`predict_batch`."""
     if posteriors is None:
         posteriors = psi.model.predict_posteriors(bag.features)
-    if posteriors.shape[0] == 0:
-        raise DataError("empty bag")
-    pred = np.argmax(posteriors, axis=1)
-    rho = as_prevalence(np.bincount(pred, minlength=psi.rates.n_classes) / pred.size)
-    qhat = psi.quantifier.estimate(bag, posteriors=posteriors)
-    table = leap_solve(psi.rates, rho, qhat, weight=psi.weight,
-                       tol=psi.solver_tol, max_iter=psi.solver_max_iter)
-    return CapPrediction(accuracy_from_table(table), table, rho, qhat)
+    b = predict_batch([psi], bag, np.asarray(posteriors)[None])
+    table = ContingencyTable(psi.rates.m * b.theta[0][None, :],
+                             theta=b.theta[0], converged=bool(b.converged[0]),
+                             iterations=int(b.iterations[0]))
+    return CapPrediction(accuracy_from_table(table), table, b.rho[0], b.qhat[0])
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

@@ -31,22 +31,26 @@ class ParseError(DataError):
         self.column = column
 
 
-def as_prevalence(values, n_classes=None) -> np.ndarray:
-    """Validate `values` as a point on the unit simplex and return it read-only.
+def as_prevalence(values, n_classes=None, stacked=False) -> np.ndarray:
+    """Validate `values` as a point on the unit simplex (with `stacked`, as a
+    matrix of such points, one per row) and return it read-only.
 
     Entries must be finite, nonnegative, and sum to one within 1e-9.
     """
     v = np.array(values, dtype=float)
-    if v.ndim != 1:
-        raise DataError(f"prevalence must be a vector, got shape {v.shape}")
-    if n_classes is not None and v.size != n_classes:
-        raise DataError(f"prevalence has {v.size} entries, expected {n_classes}")
+    if v.ndim != 1 + stacked:
+        raise DataError(f"prevalence must be a {'matrix' if stacked else 'vector'}"
+                        f", got shape {v.shape}")
+    if n_classes is not None and v.shape[-1] != n_classes:
+        raise DataError(f"prevalence has {v.shape[-1]} entries, expected {n_classes}")
     if not np.isfinite(v).all():
         raise DataError("prevalence contains non-finite entries")
     if (v < 0).any():
         raise DataError(f"prevalence has negative entries: {v}")
-    if abs(v.sum() - 1.0) > PREVALENCE_ATOL:
-        raise DataError(f"prevalence sums to {v.sum()!r}, not 1")
+    sums = np.atleast_1d(v.sum(axis=-1))
+    off = np.abs(sums - 1.0) > PREVALENCE_ATOL
+    if off.any():
+        raise DataError(f"prevalence sums to {float(sums[off][0])!r}, not 1")
     v.flags.writeable = False
     return v
 

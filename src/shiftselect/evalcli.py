@@ -9,7 +9,8 @@ same config and seed, a run produces byte-identical output files:
 * ``results.csv``    one row per (strategy, bag);
 * ``summary.csv``    per-strategy mean/std plus significance vs the best;
 * ``shift_curve.csv``  per-shift-bin mean accuracy per strategy;
-* ``summary.txt``    human-readable digest.
+* ``summary.txt``    human-readable digest, with one warning line per model
+  whose accuracy solver stopped early or whose EM hit the density floor.
 
 The environment variable ``SHIFTSELECT_SEED`` overrides the config seed.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 
@@ -426,29 +428,40 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     run_id = manifest["run_id"]
     rows = []
+    diagnostics = {"nonconverged": Counter(), "floored": Counter()}
     try:
         with _stage("evaluate"):
             for row in _evaluate(config, registry, test, bags, proper, run_id,
-                                 ds.name):
+                                 ds.name, diagnostics):
                 rows.append(row)
     except StageError:
         _write_results_csv(rows, os.path.join(outdir, "results.csv"))
         raise
 
     meta = {"run_id": run_id, "dataset": ds.name, "n_bins": config.n_bins,
-            "alpha": config.alpha, "warnings": list(registry.warnings)}
+            "alpha": config.alpha,
+            "warnings": list(registry.warnings)
+            + _diagnostic_warnings(diagnostics, len(bags))}
     return ResultTable.from_rows(rows, meta)
 
 
-def _evaluate(config, registry, test, bags, proper, run_id, dataset_name):
+def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
+              diagnostics):
     """Yield one ResultRow per (bag, strategy); incremental so that partial
-    progress survives a mid-run failure."""
-    # Posteriors over the whole test set are computed once per model; a bag's
-    # posteriors are then row lookups, which keeps TMS and the oracle cheap.
-    posteriors_test = {e.model_id: e.model.predict_posteriors(test.X)
-                       for e in registry.entries}
-    labels_test = {mid: np.argmax(P, axis=1)
-                   for mid, P in posteriors_test.items()}
+    progress survives a mid-run failure.
+
+    `diagnostics` maps "nonconverged" and "floored" to Counters of model id,
+    counting the bags on which TMS saw that model's accuracy solver stop
+    before converging or its quantifier hit the density floor."""
+    # Posteriors and quantifier rows (the KDE densities) over the whole test
+    # set are computed once per model and stacked along registry.entries; a
+    # bag's rows are then slices, which keeps TMS and the oracle cheap.
+    posteriors_test = np.stack([e.model.predict_posteriors(test.X)
+                                for e in registry.entries])
+    densities_test = np.stack([e.cap.quantifier.rows(P) for e, P in
+                               zip(registry.entries, posteriors_test)])
+    labels_test = np.argmax(posteriors_test, axis=2)
+    position = {e.model_id: i for i, e in enumerate(registry.entries)}
     train_prevalence = proper.prevalence()
 
     plan = [(strat, *_parse_strategy(strat, config.families))
@@ -463,28 +476,42 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name):
     for bag_id, bag in enumerate(bags):
         truth = reveal_labels(bag)
         shift = l1_shift(train_prevalence, bag.realized_prevalence)
-
-        def lookup(entry, idx=bag.indices):
-            return posteriors_test[entry.model_id][idx]
+        P = posteriors_test[:, bag.indices]
+        F = densities_test[:, bag.indices]
+        flagged = {name: set() for name in diagnostics}
 
         for strat, kind, scope in plan:
             if strat in static:
                 mid = static[strat]
-                acc = float((labels_test[mid][bag.indices] == truth).mean())
+                acc = float((labels_test[position[mid], bag.indices] == truth).mean())
                 est = registry.entry(mid).val_accuracy
             elif kind == "TMS":
-                outcome = tms_select(registry, scope, bag, posterior_fn=lookup)
+                outcome = tms_select(registry, scope, bag, posteriors=P,
+                                     densities=F)
                 mid = outcome.model_id
                 acc = float((outcome.predicted_labels == truth).mean())
                 est = outcome.estimated_accuracy
+                flagged["nonconverged"].update(outcome.nonconverged)
+                flagged["floored"].update(outcome.floored)
             else:  # oracle
                 outcome = oracle_select(registry, "All", bag, truth,
-                                        posterior_fn=lookup)
+                                        posteriors=P)
                 mid = outcome.model_id
                 acc = outcome.true_accuracy
                 est = None
             yield ResultRow(run_id, dataset_name, strat, bag_id, shift,
                             acc, est, mid)
+        for name, ids in flagged.items():
+            diagnostics[name].update(ids)
+
+
+def _diagnostic_warnings(diagnostics: dict, n_bags: int) -> list:
+    """One summary line per model and kind of numerical trouble."""
+    what = {"nonconverged": "accuracy solver did not converge",
+            "floored": "KDE density floor active in EM"}
+    return [f"model {mid}: {what[name]} on {count} of {n_bags} bags"
+            for name in what
+            for mid, count in sorted(diagnostics[name].items())]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,17 @@ outputs feed it and each answering ``estimate(bag, posteriors=None)``:
   the EM diagnostics call :func:`em_mixture_weights` on
   ``q.densities.evaluate(posteriors)`` directly.
 
+Model selection estimates every model's prevalence on one bag at once, so each
+type also splits its estimate in two: ``rows(posteriors)`` gives the
+per-instance rows it reduces (the KDE class densities for KDEy-ML, the
+posteriors themselves for CC), and ``reduce(rows)`` turns a ``(k, m, n)``
+stack of them into ``k`` prevalences at once (batched EM, or label counts).
+Rows depend on the instances only, so a caller that labels many bags drawn
+from one test set evaluates them once per model over the whole set and slices
+out each bag. :func:`estimate_batch` runs this for a list of quantifiers;
+:func:`em_weights_batch` is the one EM implementation, and
+:func:`em_mixture_weights` its single-matrix wrapper.
+
 :data:`QUANTIFIERS` maps each kind name to its type and is the only list of
 valid kinds; :func:`fit_quantifier` fits one by name.
 
@@ -78,6 +89,15 @@ class CCQuantifier:
     def estimate(self, bag, posteriors=None) -> np.ndarray:
         return classify_and_count(self.model, bag, posteriors=posteriors)
 
+    def rows(self, posteriors: np.ndarray) -> np.ndarray:
+        return posteriors
+
+    @staticmethod
+    def reduce(rows: np.ndarray):
+        """(prevalences (k, n), floored (k,)) from a (k, m, n) posterior stack."""
+        return (label_shares(np.argmax(rows, axis=2), rows.shape[2]),
+                np.zeros(rows.shape[0], dtype=bool))
+
 
 @dataclass(frozen=True)
 class KDEyMLQuantifier:
@@ -89,6 +109,15 @@ class KDEyMLQuantifier:
 
     def estimate(self, bag, posteriors=None) -> np.ndarray:
         return kdey_ml_estimate(self, bag, posteriors=posteriors)
+
+    def rows(self, posteriors: np.ndarray) -> np.ndarray:
+        return self.densities.evaluate(posteriors)
+
+    @staticmethod
+    def reduce(rows: np.ndarray):
+        """(prevalences (k, n), floored (k,)) from a (k, m, n) density stack."""
+        alpha, _, floored, _ = em_weights_batch(rows)
+        return alpha, floored
 
 
 QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
@@ -129,38 +158,96 @@ def mixture_log_likelihood(F: np.ndarray, alpha: np.ndarray) -> float:
     return float(np.log(F @ alpha).sum())
 
 
-def em_mixture_weights(F: np.ndarray, tol: float = EM_TOL,
-                       max_iter: int = EM_MAX_ITER):
-    """Maximize sum_x log sum_j a_j F[x, j] over the simplex by EM.
+def em_weights_batch(F: np.ndarray, tol: float = EM_TOL,
+                     max_iter: int = EM_MAX_ITER, loglik: bool = False):
+    """Maximize sum_x log sum_j a_j F[i, x, j] over the simplex by EM, for
+    each of the k density matrices of the (k, m, n) stack F at once.
 
-    Starts uniform; stops when the L1 change falls below `tol` or after
-    `max_iter` iterations. Densities are floored at 1e-300 before use; a
-    `floored` flag reports whether the floor was ever active.
+    Each problem starts uniform and stops on its own when the L1 change of its
+    weights falls below `tol`, or after `max_iter` iterations; a stopped
+    problem leaves the active set, so the others run on without it and every
+    problem gets the iterates a single-matrix run would give. Densities are
+    floored at 1e-300 before use.
 
-    Returns (alpha, info) with info holding the log-likelihood trace (one
-    value per iterate, the start included), iteration count, and the floor
-    flag.
+    Returns (alpha (k, n), iterations (k,), floored (k,), trace): `floored`
+    says whether the floor was active for that problem, and `trace` is None
+    unless `loglik` is set, when it holds one log-likelihood list per problem
+    (one value per iterate, the start included).
     """
     F = np.asarray(F, dtype=float)
-    floored = bool((F < DENSITY_FLOOR).any())
+    floored = (F < DENSITY_FLOOR).any(axis=(1, 2))
     F = np.maximum(F, DENSITY_FLOOR)
-    m, n = F.shape
-    alpha = np.full(n, 1.0 / n)
-    trace = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mix = F @ alpha
-        trace.append(float(np.log(mix).sum()))
-        resp = F * (alpha / mix[:, None])
-        new_alpha = resp.mean(axis=0)
-        new_alpha /= new_alpha.sum()
-        delta = np.abs(new_alpha - alpha).sum()
-        alpha = new_alpha
-        if delta < tol:
-            break
-    trace.append(mixture_log_likelihood(F, alpha))
-    info = {"iterations": iterations, "loglik": trace, "floored": floored}
-    return as_prevalence(alpha), info
+    k, _, n = F.shape
+    alpha = np.full((k, n), 1.0 / n)
+    iterations = np.full(k, max(max_iter, 0))
+    trace = [[] for _ in range(k)] if loglik else None
+    active, Fa, a = np.arange(k), F, alpha.copy()
+    for it in range(1, max_iter + 1):
+        mix = np.matmul(Fa, a[:, :, None])[:, :, 0]
+        if loglik:
+            for i, value in zip(active, np.log(mix).sum(axis=1)):
+                trace[i].append(float(value))
+        new = (Fa * (a[:, None, :] / mix[:, :, None])).mean(axis=1)
+        new /= new.sum(axis=1, keepdims=True)
+        done = np.abs(new - a).sum(axis=1) < tol
+        a = new
+        if done.any():
+            alpha[active[done]] = a[done]
+            iterations[active[done]] = it
+            active, Fa, a = active[~done], Fa[~done], a[~done]
+            if not active.size:
+                break
+    alpha[active] = a
+    if loglik:
+        final = np.log(np.matmul(F, alpha[:, :, None])[:, :, 0]).sum(axis=1)
+        for i, value in enumerate(final):
+            trace[i].append(float(value))
+    return alpha, iterations, floored, trace
+
+
+def em_mixture_weights(F: np.ndarray, tol: float = EM_TOL,
+                       max_iter: int = EM_MAX_ITER):
+    """Maximize sum_x log sum_j a_j F[x, j] over the simplex by EM: the
+    single-matrix case of :func:`em_weights_batch`.
+
+    Returns (alpha, info) with info holding the log-likelihood trace (one
+    value per iterate, the start included), iteration count, and the flag
+    saying whether the 1e-300 density floor was ever active.
+    """
+    alpha, iterations, floored, trace = em_weights_batch(
+        np.asarray(F, dtype=float)[None], tol=tol, max_iter=max_iter,
+        loglik=True)
+    info = {"iterations": int(iterations[0]), "loglik": trace[0],
+            "floored": bool(floored[0])}
+    return as_prevalence(alpha[0]), info
+
+
+def estimate_batch(quantifiers, bag, posteriors: np.ndarray, rows=None):
+    """Prevalence estimates of k quantifiers on one bag, as (prevalences
+    (k, n), floored (k,)).
+
+    `posteriors` stacks each quantifier's model posteriors for the bag's
+    instances, shape (k, m, n). `rows` optionally stacks the matching
+    ``q.rows(...)`` (the caller may have sliced them from a test-set cache);
+    without it they are computed here. Quantifiers of one type are reduced
+    together; any other object with ``estimate(bag, posteriors=None)`` is
+    asked one at a time and reports no floor.
+    """
+    k, _, n = posteriors.shape
+    qhat = np.empty((k, n))
+    floored = np.zeros(k, dtype=bool)
+    groups = {}
+    for i, q in enumerate(quantifiers):
+        groups.setdefault(type(q), []).append(i)
+    for kind, idx in groups.items():
+        if not hasattr(kind, "reduce"):
+            for i in idx:
+                qhat[i] = quantifiers[i].estimate(bag, posteriors=posteriors[i])
+            continue
+        stack = rows[idx] if rows is not None else \
+            np.stack([quantifiers[i].rows(posteriors[i]) for i in idx])
+        qhat[idx], floored[idx] = kind.reduce(stack)
+    return qhat, floored
 
 
 def kdey_ml_estimate(q: KDEyMLQuantifier, bag, posteriors=None) -> np.ndarray:
@@ -185,5 +272,11 @@ def classify_and_count(model: TrainedModel, bag, posteriors=None) -> np.ndarray:
         labels = np.argmax(posteriors, axis=1)
     if labels.size == 0:
         raise DataError("empty bag")
-    counts = np.bincount(labels, minlength=model.n_classes)
-    return as_prevalence(counts / labels.size)
+    return as_prevalence(label_shares(labels, model.n_classes))
+
+
+def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Share of each class among the labels along the last axis; shape
+    (..., n_classes)."""
+    counts = (labels[..., None] == np.arange(n_classes)).sum(axis=-2)
+    return counts / labels.shape[-1]

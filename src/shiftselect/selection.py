@@ -8,7 +8,13 @@
 * defaults: the fixed default configuration of each family.
 
 IMS is bag-independent by construction; TMS may pick a different model for
-every bag. Ties always break toward the lowest model id.
+every bag. TMS predicts the accuracy of every in-scope model on the bag in one
+batched pass (:func:`cap.predict_batch`) and takes the argmax of that vector;
+the oracle takes the argmax of the true accuracies. Both accept the bag's
+per-model posteriors (and, for TMS, quantifier densities) precomputed,
+stacked along a model axis aligned with ``registry.entries``; without them
+they compute them from the bag's features. A NaN estimate never wins, and
+ties always break toward the lowest model id.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
                           hyperparams_from_dict, hyperparams_to_dict,
                           load_model, save_model, train)
 from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import CapPredictor, RateMatrix, cap_predict, fit_cap
+from .cap import CapPredictor, RateMatrix, fit_cap, predict_batch
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,12 @@ class ModelRegistry:
         raise KeyError(f"no model with id {model_id}")
 
     def in_scope(self, scope) -> list:
-        if scope is None or scope == "All":
-            return list(self.entries)
-        return [e for e in self.entries if e.family == scope]
+        return [self.entries[i] for i in self.scope_positions(scope)]
+
+    def scope_positions(self, scope) -> list:
+        """Positions in `entries` of the models in scope."""
+        return [i for i, e in enumerate(self.entries)
+                if scope in (None, "All") or e.family == scope]
 
 
 @dataclass
@@ -68,6 +77,8 @@ class SelectionOutcome:
     estimated_accuracy: float = None
     true_accuracy: float = None
     warnings: tuple = ()
+    nonconverged: tuple = ()   # ids of models whose accuracy solver stopped early
+    floored: tuple = ()        # ids of models whose quantifier hit its density floor
 
 
 def _entry_seed(seed: int, model_id: int) -> int:
@@ -127,73 +138,94 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     return registry
 
 
+def _best(values, entries, where: str) -> int:
+    """Position of the highest value; NaN never wins, ties go to the lowest
+    model id. `where` names the scope (and bag) for the error raised when
+    every value is NaN."""
+    values = np.asarray(values, dtype=float)
+    valid = ~np.isnan(values)
+    if not valid.any():
+        raise ValueError(f"every accuracy in {where} is NaN")
+    ties = np.flatnonzero(values == values[valid].max())
+    return min(ties, key=lambda i: entries[i].model_id)
+
+
+def _scope_name(scope) -> str:
+    return scope if scope not in (None, "All") else "All"
+
+
 def ims_select(registry: ModelRegistry, scope=None) -> int:
     """Id of the in-scope model with the best validation accuracy."""
     entries = registry.in_scope(scope)
     if not entries:
         raise ValueError(f"no models in scope {scope!r}")
-    best = entries[0]
-    for e in entries[1:]:
-        if e.val_accuracy > best.val_accuracy:
-            best = e
-    return best.model_id
+    best = _best([e.val_accuracy for e in entries], entries,
+                 f"scope {scope!r}")
+    return entries[best].model_id
 
 
-def tms_select(registry: ModelRegistry, scope, bag,
-               posterior_fn=None) -> SelectionOutcome:
-    """Pick the model with the highest predicted accuracy on this bag and
-    label the bag with it.
-
-    `posterior_fn(entry)` may supply precomputed posterior rows for the bag
-    under each entry's model (the evaluation harness uses this to reuse
-    test-set predictions across bags).
-    """
-    entries = registry.in_scope(scope)
-    if not entries:
+def _scope_rows(registry: ModelRegistry, scope, bag, posteriors):
+    """In-scope entries, their positions, and their posterior rows for the
+    bag, shape (k, m, n): sliced from `posteriors` (stacked over
+    registry.entries) or computed from the bag's features."""
+    positions = registry.scope_positions(scope)
+    if not positions:
         raise ValueError(f"no models in scope {scope!r}")
     if bag.size == 0:
         raise ValueError("empty bag")
+    entries = [registry.entries[i] for i in positions]
+    if posteriors is None:
+        X = bag.features
+        posteriors = np.stack([e.model.predict_posteriors(X) for e in entries])
+    else:
+        posteriors = np.asarray(posteriors)[positions]
+    return entries, positions, posteriors
 
-    warnings = []
-    best_entry, best_acc, best_posteriors = None, -np.inf, None
-    for e in entries:
-        posteriors = posterior_fn(e) if posterior_fn is not None else \
-            e.model.predict_posteriors(bag.features)
-        pred = cap_predict(e.cap, bag, posteriors=posteriors)
-        if not pred.converged:
-            warnings.append(f"model {e.model_id}: accuracy solver did not converge")
-        if pred.accuracy > best_acc:
-            best_entry, best_acc, best_posteriors = e, pred.accuracy, posteriors
-    labels = np.argmax(best_posteriors, axis=1)
-    scope_name = scope if scope not in (None, "All") else "All"
-    return SelectionOutcome(strategy=f"TMS-{scope_name}",
-                            model_id=best_entry.model_id,
-                            predicted_labels=labels,
-                            estimated_accuracy=float(best_acc),
-                            warnings=tuple(warnings))
+
+def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
+               densities=None) -> SelectionOutcome:
+    """Pick the model with the highest predicted accuracy on this bag and
+    label the bag with it.
+
+    `posteriors` may supply the bag's posterior rows under every registry
+    entry's model, shape (len(registry.entries), m, n), and `densities` the
+    matching quantifier rows (``q.rows(...)``: the KDE class densities for
+    KDEy-ML); the evaluation harness slices both from test-set caches.
+    """
+    entries, positions, P = _scope_rows(registry, scope, bag, posteriors)
+    rows = None if densities is None else np.asarray(densities)[positions]
+    batch = predict_batch([e.cap for e in entries], bag, P, rows)
+    best = _best(batch.accuracy, entries,
+                 f"scope {scope!r} on a bag of {bag.size} instances")
+    nonconverged = tuple(e.model_id for e, ok in zip(entries, batch.converged)
+                         if not ok)
+    return SelectionOutcome(
+        strategy=f"TMS-{_scope_name(scope)}",
+        model_id=entries[best].model_id,
+        predicted_labels=np.argmax(P[best], axis=1),
+        estimated_accuracy=float(batch.accuracy[best]),
+        warnings=tuple(f"model {mid}: accuracy solver did not converge"
+                       for mid in nonconverged),
+        nonconverged=nonconverged,
+        floored=tuple(e.model_id for e, hit in zip(entries, batch.floored)
+                      if hit))
 
 
 def oracle_select(registry: ModelRegistry, scope, bag, true_labels,
-                  posterior_fn=None) -> SelectionOutcome:
+                  posteriors=None) -> SelectionOutcome:
     """Pick the model with the highest *true* accuracy on the bag (requires
-    the evaluation-only label view)."""
-    entries = registry.in_scope(scope)
-    if not entries:
-        raise ValueError(f"no models in scope {scope!r}")
-    true_labels = np.asarray(true_labels)
-    best_entry, best_acc, best_labels = None, -np.inf, None
-    for e in entries:
-        posteriors = posterior_fn(e) if posterior_fn is not None else \
-            e.model.predict_posteriors(bag.features)
-        labels = np.argmax(posteriors, axis=1)
-        acc = float((labels == true_labels).mean())
-        if acc > best_acc:
-            best_entry, best_acc, best_labels = e, acc, labels
-    scope_name = scope if scope not in (None, "All") else "All"
+    the evaluation-only label view). `posteriors` is as for
+    :func:`tms_select`."""
+    entries, _, P = _scope_rows(registry, scope, bag, posteriors)
+    labels = np.argmax(P, axis=2)
+    accuracy = (labels == np.asarray(true_labels)).mean(axis=1)
+    best = _best(accuracy, entries,
+                 f"scope {scope!r} on a bag of {bag.size} instances")
+    scope_name = _scope_name(scope)
     return SelectionOutcome(strategy=f"oracle-{scope_name}" if scope_name != "All" else "oracle",
-                            model_id=best_entry.model_id,
-                            predicted_labels=best_labels,
-                            true_accuracy=best_acc)
+                            model_id=entries[best].model_id,
+                            predicted_labels=labels[best],
+                            true_accuracy=float(accuracy[best]))
 
 
 def default_select(registry: ModelRegistry, family: str) -> int:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftselect.cap import (CapPredictor, ContingencyTable, RateMatrix,
                              accuracy_from_table, cap_predict,
                              estimate_rate_matrix,
-                             fit_cap, leap_solve, pps_accuracy_identity,
+                             fit_cap, leap_solve, leap_solve_batch,
+                             pps_accuracy_identity, project_rows_to_simplex,
                              project_to_simplex)
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
@@ -177,6 +179,59 @@ def test_leap_nonconvergence_returns_best_iterate_with_flag():
     assert not table.converged
     assert table.iterations == 1
     assert table.c.sum() == pytest.approx(1.0, abs=1e-9)   # still a valid table
+
+
+# ---------------------------------------------------------------------------
+# batched solver and row-wise projection (property tests)
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+       n=st.integers(2, 5), tol=st.sampled_from([1e-8, 1e-11]),
+       max_iter=st.sampled_from([0, 1, 3, 40, 10_000, None]))
+def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
+    rng = np.random.default_rng(seed)
+    rates = [RateMatrix(rng.dirichlet(np.ones(n), size=n).T) for _ in range(k)]
+    rho = rng.dirichlet(np.ones(n), size=k)
+    qhat = rng.dirichlet(np.ones(n), size=k)
+    # row 0 starts at its optimum: identity rates, rho == qhat
+    rates[0] = RateMatrix(np.eye(n))
+    rho[0] = qhat[0]
+    weight = rng.uniform(0.05, 5.0, size=k)
+    # None: a different iteration cap per problem, some of them binding
+    caps = rng.choice([1, 2, 7, 10_000], size=k) if max_iter is None \
+        else np.full(k, max_iter)
+    theta, iterations, converged = leap_solve_batch(
+        rates, rho, qhat, weight=weight, tol=tol, max_iter=caps)
+    for i in range(k):
+        table = leap_solve(rates[i], rho[i], qhat[i], weight=weight[i],
+                           tol=tol, max_iter=int(caps[i]))
+        assert np.abs(theta[i] - table.theta).max() <= 1e-12
+        assert iterations[i] == table.iterations
+        assert converged[i] == table.converged
+    if caps[0] > 0:
+        assert converged[0] and iterations[0] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10),
+       n=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 50.0]))
+def test_row_projection_matches_vector_projection_and_is_idempotent(
+        seed, k, n, scale):
+    rng = np.random.default_rng(seed)
+    V = rng.normal(scale=scale, size=(k, n))
+    P = project_rows_to_simplex(V)
+    assert (P >= 0).all()
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+    assert np.abs(project_rows_to_simplex(P) - P).max() <= 1e-12
+    for v, p in zip(V, P):
+        assert np.array_equal(project_to_simplex(v), p)
+        # the projection is max(v - tau, 0) with sum 1: bisect for tau
+        lo, hi = v.min() - 1.0, v.max()
+        for _ in range(200):
+            tau = 0.5 * (lo + hi)
+            lo, hi = (tau, hi) if np.maximum(v - tau, 0.0).sum() > 1.0 else (lo, tau)
+        assert np.abs(p - np.maximum(v - 0.5 * (lo + hi), 0.0)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,18 @@ def test_prevalence_rejects_invalid(bad):
         as_prevalence(bad)
 
 
+def test_stacked_prevalence_checks_every_row():
+    rows = as_prevalence([[0.2, 0.8], [1.0, 0.0]], 2, stacked=True)
+    assert rows.shape == (2, 2)
+    assert not rows.flags.writeable
+    with pytest.raises(DataError, match="sums to 0.9"):
+        as_prevalence([[0.2, 0.8], [0.5, 0.4]], stacked=True)
+    with pytest.raises(DataError):
+        as_prevalence([0.2, 0.8], stacked=True)      # a vector, not rows
+    with pytest.raises(DataError):
+        as_prevalence([[0.2, 0.8]])                  # rows, not a vector
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
 def test_prevalence_rejects_unless_normalized(raw):
     total = sum(raw)

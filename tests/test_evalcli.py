@@ -310,6 +310,37 @@ def test_run_flushes_partial_rows_on_failure(tmp_path, monkeypatch):
     assert 0 < len(rows) < config.r * len(config.strategies)
 
 
+def test_run_reports_solver_nonconvergence_once_per_model(tmp_path):
+    from dataclasses import replace
+    from shiftselect.selection import ModelRegistry
+    config = small_config(tmp_path)
+    _, proper, validation, _, manifest = evalcli._prepare(config)
+    registry = evalcli._train_registry(config, proper, validation, manifest)
+    strangled = ModelRegistry(
+        [replace(e, cap=replace(e.cap, solver_max_iter=1))
+         if e.model_id in (2, 5) else e for e in registry.entries],
+        registry.warnings, registry.meta)
+    table = run_experiment(config, registry=strangled)
+    assert table.meta["warnings"] == [
+        f"model {mid}: accuracy solver did not converge on 10 of 10 bags"
+        for mid in (2, 5)]
+    emit_report(table, config.outdir)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary.count("did not converge") == 2
+    assert "warning: model 5: accuracy solver did not converge" in summary
+
+
+def test_run_reports_floored_em_once_per_model(tmp_path):
+    config = small_config(tmp_path, bandwidth=1e-3)
+    table = run_experiment(config)
+    floored = [w for w in table.meta["warnings"] if "density floor" in w]
+    assert floored
+    mids = [int(w.split()[1].rstrip(":")) for w in floored]
+    assert mids == sorted(set(mids))
+    for w in floored:
+        assert w.endswith(" of 10 bags")
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

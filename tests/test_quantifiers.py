@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (ClassDensities, classify_and_count,
-                                     em_mixture_weights, fit_cc, fit_kdey,
+                                     em_mixture_weights, em_weights_batch,
+                                     fit_cc, fit_kdey,
                                      kdey_ml_estimate,
                                      mixture_log_likelihood)
 
@@ -134,6 +136,33 @@ def test_em_floors_vanishing_densities():
     alpha, info = em_mixture_weights(F)
     assert info["floored"]
     assert np.isfinite(mixture_log_likelihood(np.maximum(F, 1e-300), alpha))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+       m=st.integers(1, 40), n=st.integers(2, 4),
+       tol=st.sampled_from([1e-6, 1e-10]),
+       max_iter=st.sampled_from([0, 1, 2, 5, 1000]))
+def test_em_batch_equals_scalar_calls(seed, k, m, n, tol, max_iter):
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(0.05, 3.0, size=(k, m, n))
+    # problem 0 starts at its fixed point: identical class densities
+    F[0] = F[0, :, :1]
+    if k > 1:
+        # problem 1 needs the density floor
+        F[1, 0] = 0.0
+    alpha, iterations, floored, trace = em_weights_batch(
+        F, tol=tol, max_iter=max_iter, loglik=True)
+    for i in range(k):
+        alpha_i, info = em_mixture_weights(F[i], tol=tol, max_iter=max_iter)
+        assert np.abs(alpha[i] - alpha_i).max() <= 1e-12
+        assert iterations[i] == info["iterations"]
+        assert floored[i] == info["floored"]
+        assert trace[i] == info["loglik"]
+    assert iterations[0] == min(max_iter, 1)
+    assert floored.tolist() == [i == 1 for i in range(k)]
+    _, _, _, no_trace = em_weights_batch(F, tol=tol, max_iter=max_iter)
+    assert no_trace is None
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,13 @@ def registry(splits):
 
 
 def bag_posteriors(registry, test):
-    cache = {e.model_id: e.model.predict_posteriors(test.X)
-             for e in registry.entries}
-    def fn_for(bag):
-        return lambda entry, idx=bag.indices: cache[entry.model_id][idx]
-    return fn_for
+    """bag -> the bag's posterior rows under every registry model, sliced from
+    one test-set cache and stacked along registry.entries."""
+    cache = np.stack([e.model.predict_posteriors(test.X)
+                      for e in registry.entries])
+    def rows_for(bag):
+        return cache[:, bag.indices]
+    return rows_for
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +209,87 @@ def test_tms_propagates_solver_warnings(registry, splits):
     assert "did not converge" in outcome.warnings[0]
 
 
+def test_tms_precomputed_test_set_rows_match_features(registry, splits):
+    _, _, test = splits
+    posteriors = np.stack([e.model.predict_posteriors(test.X)
+                           for e in registry.entries])
+    densities = np.stack([e.cap.quantifier.rows(P)
+                          for e, P in zip(registry.entries, posteriors)])
+    rng = np.random.default_rng(12)
+    for target in ([0.9, 0.1], [0.5, 0.5], [0.1, 0.9]):
+        bag = draw_bag(test, target, 60, rng)
+        for scope in ("All", "KNN"):
+            cached = tms_select(registry, scope, bag,
+                                posteriors=posteriors[:, bag.indices],
+                                densities=densities[:, bag.indices])
+            direct = tms_select(registry, scope, bag)
+            assert cached.model_id == direct.model_id
+            assert cached.estimated_accuracy == pytest.approx(
+                direct.estimated_accuracy, abs=1e-9)
+            assert np.array_equal(cached.predicted_labels,
+                                  direct.predicted_labels)
+
+
+def test_tms_and_oracle_exact_tie_goes_to_lowest_model_id(registry, splits):
+    from dataclasses import replace
+    _, _, test = splits
+    bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(13))
+    entry = registry.entries[0]
+    twins = ModelRegistry([replace(entry, model_id=7),
+                           replace(entry, model_id=3)])
+    assert tms_select(twins, "All", bag).model_id == 3
+    assert oracle_select(twins, "All", bag, reveal_labels(bag)).model_id == 3
+
+
+def _with_accuracies(monkeypatch, make):
+    """Route tms_select through predict_batch with its accuracy vector
+    replaced by make(accuracy)."""
+    from dataclasses import replace
+    real = selection.predict_batch
+
+    def patched(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        return replace(batch, accuracy=make(batch.accuracy.copy()))
+
+    monkeypatch.setattr(selection, "predict_batch", patched)
+
+
+def test_tms_nan_estimate_never_wins(registry, splits, monkeypatch):
+    _, _, test = splits
+    bag = draw_bag(test, [0.2, 0.8], 60, np.random.default_rng(3))
+    three = ModelRegistry(registry.entries[:3])
+    honest = tms_select(three, "All", bag)
+    accs = {}
+
+    def poison_winner(acc):
+        winner = [e.model_id for e in three.entries].index(honest.model_id)
+        acc[winner] = np.nan
+        accs["rest"] = acc
+        return acc
+
+    _with_accuracies(monkeypatch, poison_winner)
+    outcome = tms_select(three, "All", bag)
+    assert outcome.model_id != honest.model_id
+    assert outcome.estimated_accuracy == np.nanmax(accs["rest"])
+
+
+def test_tms_all_nan_scope_is_rejected(registry, splits, monkeypatch):
+    _, _, test = splits
+    bag = draw_bag(test, [0.5, 0.5], 40, np.random.default_rng(14))
+    _with_accuracies(monkeypatch, lambda acc: np.full_like(acc, np.nan))
+    with pytest.raises(ValueError, match=r"'KNN'.*40 instances"):
+        tms_select(registry, "KNN", bag)
+
+
 def test_tms_adapts_across_opposite_vertex_bags(registry, splits):
     _, _, test = splits
     rng = np.random.default_rng(5)
-    fn_for = bag_posteriors(registry, test)
+    rows_for = bag_posteriors(registry, test)
     chosen = set()
     for _ in range(30):
         for target in ([0.95, 0.05], [0.05, 0.95]):
             bag = draw_bag(test, target, 100, rng)
-            outcome = tms_select(registry, "All", bag, posterior_fn=fn_for(bag))
+            outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
             chosen.add(outcome.model_id)
     assert len(chosen) >= 2
 
@@ -232,12 +306,12 @@ def test_tms_beats_ims_under_extreme_shift(registry, splits):
     proper, _, test = splits
     rng = np.random.default_rng(6)
     ims_id = ims_select(registry, "All")
-    fn_for = bag_posteriors(registry, test)
+    rows_for = bag_posteriors(registry, test)
     tms_accs, ims_accs = [], []
     for _ in range(60):
         bag = draw_bag(test, [0.05, 0.95], 100, rng)
         truth = reveal_labels(bag)
-        outcome = tms_select(registry, "All", bag, posterior_fn=fn_for(bag))
+        outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_accs.append((outcome.predicted_labels == truth).mean())
         ims_labels = registry.entry(ims_id).model.predict_labels(bag.features)
         ims_accs.append((ims_labels == truth).mean())
@@ -248,12 +322,12 @@ def test_tms_matches_ims_under_zero_shift(registry, splits):
     proper, _, test = splits
     rng = np.random.default_rng(7)
     ims_id = ims_select(registry, "All")
-    fn_for = bag_posteriors(registry, test)
+    rows_for = bag_posteriors(registry, test)
     tms_accs, ims_accs = [], []
     for _ in range(30):
         bag = draw_bag(test, proper.prevalence(), 200, rng)
         truth = reveal_labels(bag)
-        outcome = tms_select(registry, "All", bag, posterior_fn=fn_for(bag))
+        outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_accs.append((outcome.predicted_labels == truth).mean())
         ims_labels = registry.entry(ims_id).model.predict_labels(bag.features)
         ims_accs.append((ims_labels == truth).mean())
@@ -268,12 +342,12 @@ def test_oracle_dominates_every_strategy(registry, splits):
     _, _, test = splits
     bags = app_generate(test, r=10, s=80, seed=8)
     ims_id = ims_select(registry, "All")
-    fn_for = bag_posteriors(registry, test)
+    rows_for = bag_posteriors(registry, test)
     for bag in bags:
         truth = reveal_labels(bag)
         oracle = oracle_select(registry, "All", bag, truth,
-                               posterior_fn=fn_for(bag))
-        tms = tms_select(registry, "All", bag, posterior_fn=fn_for(bag))
+                               posteriors=rows_for(bag))
+        tms = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_acc = (tms.predicted_labels == truth).mean()
         ims_acc = (registry.entry(ims_id).model.predict_labels(bag.features)
                    == truth).mean()
