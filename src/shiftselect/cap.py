@@ -48,10 +48,10 @@ class RateMatrix:
         M = np.asarray(self.m, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"rate matrix must be square, got {M.shape}")
-        if (M < 0).any():
-            raise ValueError("rate matrix has negative entries")
-        if not np.allclose(M.sum(axis=0), 1.0, atol=1e-9):
-            raise ValueError("rate matrix columns must sum to 1")
+        try:
+            as_prevalence(M.T, M.shape[0], stacked=True)
+        except DataError as exc:
+            raise DataError(f"rate matrix columns: {exc}") from exc
         M = M.copy()
         M.flags.writeable = False
         object.__setattr__(self, "m", M)
@@ -99,12 +99,14 @@ class ContingencyTable:
 
 
 def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
-                         smoothing: float = 0.0) -> RateMatrix:
+                         smoothing: float = 0.0, posteriors=None) -> RateMatrix:
     """Estimate the conditional rate matrix from validation predictions.
 
     m[i][j] = (count(pred=i, true=j) + smoothing) / (count(true=j) + n*smoothing).
     With smoothing 0, a class the model never predicts would leave an all-zero
     row (a rank-deficient matrix); in that case smoothing falls back to 1e-6.
+    `posteriors` optionally supplies the model's posterior rows for the
+    validation instances.
     """
     y = validation.y
     n = validation.n_classes
@@ -112,7 +114,9 @@ def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         raise DataError(f"classes {missing.tolist()} missing from validation data")
-    pred = model.predict_labels(validation.X)
+    if posteriors is None:
+        posteriors = model.predict_posteriors(validation.X)
+    pred = np.argmax(posteriors, axis=1)
     joint = np.zeros((n, n))
     np.add.at(joint, (pred, y), 1.0)
     if smoothing == 0.0 and (joint.sum(axis=1) == 0).any():
@@ -243,11 +247,19 @@ class CapPredictor:
 
 def fit_cap(model: TrainedModel, validation: LabelledSet,
             quantifier_kind: str = "KDEyML", bandwidth: float = 0.1,
-            smoothing: float = 0.0, weight: float = 1.0) -> CapPredictor:
-    """Fit the rate matrix and the quantifier on the same validation set."""
-    rates = estimate_rate_matrix(model, validation, smoothing=smoothing)
+            smoothing: float = 0.0, weight: float = 1.0,
+            posteriors=None) -> CapPredictor:
+    """Fit the rate matrix and the quantifier on the same validation set.
+
+    `posteriors` optionally supplies the model's posterior rows for the
+    validation instances, so that both fits share them.
+    """
+    if posteriors is None:
+        posteriors = model.predict_posteriors(validation.X)
+    rates = estimate_rate_matrix(model, validation, smoothing=smoothing,
+                                 posteriors=posteriors)
     quantifier = fit_quantifier(quantifier_kind, model, validation,
-                                bandwidth=bandwidth)
+                                bandwidth=bandwidth, posteriors=posteriors)
     return CapPredictor(rates, quantifier, model, weight=weight)
 
 

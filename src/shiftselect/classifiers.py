@@ -5,6 +5,8 @@ class-weight schemes) and model persistence.
 All three families are trained from scratch on numpy so that the training
 objective, the optimizer, and the analytic gradients are fully pinned down and
 testable against finite differences. Models are immutable after training.
+:func:`predict_posteriors_batch` asks many models for posteriors on the same
+rows; KNN models with equal training sets share one neighbour search there.
 """
 
 from __future__ import annotations
@@ -301,27 +303,42 @@ class KNNModel(TrainedModel):
         self.y_train = y_train
 
     def predict_posteriors(self, X):
-        X = self._check_features(X)
-        k = min(self.hyperparams["n_neighbors"], self.X_train.shape[0])
-        d2 = (
-            (X * X).sum(axis=1)[:, None]
-            + (self.X_train * self.X_train).sum(axis=1)[None, :]
-            - 2.0 * X @ self.X_train.T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        # stable argsort: equal distances resolve to the lowest training index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        neigh_labels = self.y_train[order]
-        if self.hyperparams["weights"] == "uniform":
+        return _knn_posteriors([self], self._check_features(X))[0]
+
+
+def _knn_posteriors(models, X) -> list:
+    """Posterior rows of KNN models that share one training set.
+
+    The squared distances and their stable order are computed once; each
+    model reads its own k-prefix of that order and applies its own labels and
+    vote weights, so every result equals a one-model call bit for bit.
+    """
+    X_train = models[0].X_train
+    n_train = X_train.shape[0]
+    d2 = (
+        (X * X).sum(axis=1)[:, None]
+        + (X_train * X_train).sum(axis=1)[None, :]
+        - 2.0 * X @ X_train.T
+    )
+    np.maximum(d2, 0.0, out=d2)
+    # stable argsort: equal distances resolve to the lowest training index
+    order = np.argsort(d2, axis=1, kind="stable")
+    out = []
+    for model in models:
+        k = min(model.hyperparams["n_neighbors"], n_train)
+        nearest = order[:, :k]
+        neigh_labels = model.y_train[nearest]
+        if model.hyperparams["weights"] == "uniform":
             w = np.ones_like(neigh_labels, dtype=float)
         else:
-            d = np.sqrt(np.take_along_axis(d2, order, axis=1))
+            d = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
             w = 1.0 / (d + KNN_DIST_EPS)
-        posteriors = np.zeros((X.shape[0], self.n_classes))
-        for j in range(self.n_classes):
+        posteriors = np.zeros((X.shape[0], model.n_classes))
+        for j in range(model.n_classes):
             posteriors[:, j] = np.where(neigh_labels == j, w, 0.0).sum(axis=1)
         posteriors /= posteriors.sum(axis=1, keepdims=True)
-        return posteriors
+        out.append(posteriors)
+    return out
 
 
 class MLPModel(TrainedModel):
@@ -335,6 +352,34 @@ class MLPModel(TrainedModel):
         X = self._check_features(X)
         H = np.tanh(X @ self.W1 + self.b1)
         return softmax(H @ self.W2 + self.b2)
+
+
+def predict_posteriors_batch(models, X) -> np.ndarray:
+    """Posterior rows of every model on the same rows X, shape (k, m, n).
+
+    KNN models whose training sets are equal in content (not merely the same
+    object: a loaded registry decodes one copy per model) share one neighbour
+    search; the other models answer their own `predict_posteriors`. Each slice
+    equals that model's `predict_posteriors(X)` bit for bit.
+    """
+    out = [None] * len(models)
+    groups = []  # positions of the KNN models sharing one training set
+    for i, model in enumerate(models):
+        if not isinstance(model, KNNModel):
+            out[i] = model.predict_posteriors(X)
+            continue
+        for members in groups:
+            if np.array_equal(models[members[0]].X_train, model.X_train):
+                members.append(i)
+                break
+        else:
+            groups.append([i])
+    for members in groups:
+        group = [models[i] for i in members]
+        rows = _knn_posteriors(group, group[0]._check_features(X))
+        for i, P in zip(members, rows):
+            out[i] = P
+    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from .dataspace import (Dataset, apply_scaler, fit_scaler, load_csv,
                         stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
-from .classifiers import FAMILIES, build_grid
+from .classifiers import FAMILIES, build_grid, predict_posteriors_batch
 from .protocol import (ShiftRecord, app_generate, bin_by_shift, l1_shift,
                        reveal_labels, DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
@@ -413,14 +413,24 @@ def _train_registry(config: RunConfig, proper, validation, manifest,
 def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultTable:
     """Execute the full pipeline and return one row per (strategy, bag).
 
-    Pass a prebuilt `registry` to skip training (the `run` subcommand does
-    this when pointed at a persisted registry). Partial rows are flushed to
-    results.csv if a later stage fails.
+    Pass a prebuilt `registry` (say, one `load_registry` read back from
+    `shiftselect train`) to skip training; it must have been trained on this
+    config's proper-train and validation data, or the "registry" stage fails.
+    Partial rows are flushed to results.csv if a later stage fails.
     """
     outdir = config.outdir
     ds, proper, validation, test, manifest = _prepare(config, outdir)
     if registry is None:
         registry = _train_registry(config, proper, validation, manifest)
+    else:
+        with _stage("registry"):
+            expected = fingerprint(proper.X, proper.y, validation.X, validation.y)
+            found = registry.meta.get("data_fingerprint")
+            if found != expected:
+                raise ValueError(
+                    f"registry data fingerprint {found} does not match this "
+                    f"config's training data ({expected}): it was trained on "
+                    "other data")
 
     with _stage("protocol"):
         bags = app_generate(test, config.r, config.s,
@@ -456,8 +466,8 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
     # Posteriors and quantifier rows (the KDE densities) over the whole test
     # set are computed once per model and stacked along registry.entries; a
     # bag's rows are then slices, which keeps TMS and the oracle cheap.
-    posteriors_test = np.stack([e.model.predict_posteriors(test.X)
-                                for e in registry.entries])
+    posteriors_test = predict_posteriors_batch(
+        [e.model for e in registry.entries], test.X)
     densities_test = np.stack([e.cap.quantifier.rows(P) for e, P in
                                zip(registry.entries, posteriors_test)])
     labels_test = np.argmax(posteriors_test, axis=2)

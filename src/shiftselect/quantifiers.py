@@ -124,21 +124,26 @@ QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
 
 
 def fit_quantifier(kind: str, model: TrainedModel, validation: LabelledSet,
-                   bandwidth: float):
-    """Fit the quantifier named `kind` (a key of QUANTIFIERS) for `model`."""
+                   bandwidth: float, posteriors=None):
+    """Fit the quantifier named `kind` (a key of QUANTIFIERS) for `model`;
+    `posteriors` is as for :func:`fit_kdey`."""
     if kind == CCQuantifier.kind:
         return fit_cc(model)
     if kind == KDEyMLQuantifier.kind:
-        return fit_kdey(model, validation, bandwidth=bandwidth)
+        return fit_kdey(model, validation, bandwidth=bandwidth,
+                        posteriors=posteriors)
     raise ValueError(f"unknown quantifier kind {kind!r}")
 
 
 def fit_kdey(model: TrainedModel, validation: LabelledSet,
-             bandwidth: float = DEFAULT_BANDWIDTH) -> KDEyMLQuantifier:
-    """Fit per-class KDEs over the model's posteriors on validation data."""
+             bandwidth: float = DEFAULT_BANDWIDTH,
+             posteriors=None) -> KDEyMLQuantifier:
+    """Fit per-class KDEs over the model's posteriors on validation data;
+    `posteriors` optionally supplies those rows precomputed."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    posteriors = model.predict_posteriors(validation.X)
+    if posteriors is None:
+        posteriors = model.predict_posteriors(validation.X)
     y = validation.y
     support = []
     for j in range(validation.n_classes):

@@ -30,7 +30,8 @@ from .dataspace import LabelledSet
 from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
                           decode_array, default_model, encode_array,
                           hyperparams_from_dict, hyperparams_to_dict,
-                          load_model, save_model, train)
+                          load_model, predict_posteriors_batch, save_model,
+                          train)
 from .quantifiers import QUANTIFIERS, ClassDensities
 from .cap import CapPredictor, RateMatrix, fit_cap, predict_batch
 
@@ -103,24 +104,32 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
 
     A failing configuration is recorded as a warning and skipped; the rest of
     the run continues. Model ids follow grid enumeration order and stay
-    stable even when entries fail. Pass `out_dir` to persist the registry.
+    stable even when entries fail. Every trained model's validation
+    posteriors are computed once, in one batch, and feed its validation
+    accuracy, rate matrix and quantifier. Pass `out_dir` to persist the
+    registry.
     """
     n_classes = Ltr.n_classes
-    entries, warnings = [], []
+    trained, warnings = [], []
     model_id = 0
     for family in families:
         for hp in build_grid(family, n_classes):
             try:
                 model = train(family, hp, Ltr, _entry_seed(seed, model_id))
-                val_acc = float((model.predict_labels(Lva.X) == Lva.y).mean())
-                cap = fit_cap(model, Lva, quantifier_kind=quantifier_kind,
-                              bandwidth=bandwidth, weight=cap_weight,
-                              smoothing=smoothing)
-                entries.append(RegistryEntry(model_id, family, hp, model,
-                                             val_acc, cap))
+                trained.append((model_id, family, hp, model))
             except TrainingError as exc:
                 warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
             model_id += 1
+    entries = []
+    if trained:
+        posteriors = predict_posteriors_batch([t[-1] for t in trained], Lva.X)
+        for (model_id, family, hp, model), P in zip(trained, posteriors):
+            val_acc = float((np.argmax(P, axis=1) == Lva.y).mean())
+            cap = fit_cap(model, Lva, quantifier_kind=quantifier_kind,
+                          bandwidth=bandwidth, weight=cap_weight,
+                          smoothing=smoothing, posteriors=P)
+            entries.append(RegistryEntry(model_id, family, hp, model,
+                                         val_acc, cap))
     meta = {
         "run_id": run_id,
         "seed": seed,
@@ -175,8 +184,8 @@ def _scope_rows(registry: ModelRegistry, scope, bag, posteriors):
         raise ValueError("empty bag")
     entries = [registry.entries[i] for i in positions]
     if posteriors is None:
-        X = bag.features
-        posteriors = np.stack([e.model.predict_posteriors(X) for e in entries])
+        posteriors = predict_posteriors_batch([e.model for e in entries],
+                                              bag.features)
     else:
         posteriors = np.asarray(posteriors)[positions]
     return entries, positions, posteriors

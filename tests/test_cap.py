@@ -93,6 +93,30 @@ def test_rate_matrix_auto_smooths_never_predicted_class():
     assert np.allclose(m.m.sum(axis=0), 1.0)
 
 
+def test_rate_matrix_rejects_columns_off_the_simplex():
+    off = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-6]])   # column 1 sums to 1 + 1e-6
+    with pytest.raises(DataError, match="rate matrix columns"):
+        RateMatrix(off)
+    with pytest.raises(ValueError):
+        RateMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        RateMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
+    RateMatrix(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-10]]))
+
+
+def test_fit_cap_with_precomputed_posteriors_matches_features():
+    ds = synth_gaussian_pps(3, 2, [0.5, 0.3, 0.2], 300, 2.0, seed=4)
+    proper, validation = stratified_split(ds.all_instances(), 0.5, seed=0)
+    model = train("KNN", default_model("KNN"), proper, seed=0)
+    fresh = fit_cap(model, validation)
+    shared = fit_cap(model, validation,
+                    posteriors=model.predict_posteriors(validation.X))
+    assert np.array_equal(fresh.rates.m, shared.rates.m)
+    for a, b in zip(fresh.quantifier.densities.support,
+                    shared.quantifier.densities.support, strict=True):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # simplex projection and the solver
 # ---------------------------------------------------------------------------

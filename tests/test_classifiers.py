@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftselect.classifiers import (ClassWeights, HyperParams, TrainingError,
-                                     build_grid, class_weight_candidates,
-                                     default_model, load_model, lr_loss_grad,
-                                     mlp_loss_grad, model_from_record,
-                                     model_to_record, save_model, train)
+from shiftselect.classifiers import (KNN_DIST_EPS, ClassWeights, HyperParams,
+                                     TrainingError, build_grid,
+                                     class_weight_candidates, default_model,
+                                     load_model, lr_loss_grad, mlp_loss_grad,
+                                     model_from_record, model_to_record,
+                                     predict_posteriors_batch, save_model,
+                                     train)
 from shiftselect.dataspace import Dataset
 
 
@@ -233,6 +236,65 @@ def test_knn_distance_weights_handle_duplicate_points():
     post = model.predict_posteriors(np.array([[0.0]]))   # exact duplicates
     assert np.isfinite(post).all()
     assert post[0, 0] > 0.99
+
+
+def _reference_knn_posteriors(model, X):
+    """One KNN model's posteriors, written out in full: the distance matrix,
+    its stable order and the vote of the first k neighbours."""
+    Xt = model.X_train
+    d2 = (X * X).sum(axis=1)[:, None] + (Xt * Xt).sum(axis=1)[None, :] \
+        - 2.0 * X @ Xt.T
+    np.maximum(d2, 0.0, out=d2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :model.hyperparams["n_neighbors"]]
+    if model.hyperparams["weights"] == "uniform":
+        w = np.ones(order.shape)
+    else:
+        w = 1.0 / (np.sqrt(np.take_along_axis(d2, order, axis=1)) + KNN_DIST_EPS)
+    labels = model.y_train[order]
+    P = np.zeros((X.shape[0], model.n_classes))
+    for j in range(model.n_classes):
+        P[:, j] = np.where(labels == j, w, 0.0).sum(axis=1)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def _lattice(rng, n):
+    """Integer points, so duplicates and equidistant neighbours are common;
+    alternating labels keep both classes present."""
+    X = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    return Dataset(X, np.arange(n) % 2, 2).all_instances()
+
+
+@pytest.fixture(scope="module")
+def smooth_models(two_blobs):
+    lset = two_blobs.all_instances()
+    return [train(fam, default_model(fam), lset, seed=5) for fam in ("LR", "MLP")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(2, 9),
+       n_b=st.integers(2, 9),
+       knn=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12),
+                              st.sampled_from(("uniform", "distance")),
+                              st.booleans()),
+                    min_size=1, max_size=6))
+def test_batch_posteriors_equal_per_model_calls(smooth_models, seed, n_a, n_b,
+                                                knn):
+    rng = np.random.default_rng(seed)
+    sets = (_lattice(rng, n_a), _lattice(rng, n_b))
+    models = list(smooth_models)
+    for which, k, weights, reload in knn:
+        hp = HyperParams.make("KNN", n_neighbors=k, weights=weights)
+        model = train("KNN", hp, sets[which], seed=0)
+        # a reloaded model holds its own copy of the training set
+        models.append(model_from_record(model_to_record(model)) if reload else model)
+    models = [models[i] for i in rng.permutation(len(models))]
+    X = np.vstack([rng.integers(-3, 4, size=(6, 2)).astype(float),
+                   sets[0].X[:2]])
+    batch = predict_posteriors_batch(models, X)
+    assert np.array_equal(batch, np.stack([m.predict_posteriors(X) for m in models]))
+    for m, P in zip(models, batch):
+        if m.family == "KNN":
+            assert np.array_equal(P, _reference_knn_posteriors(m, X))
 
 
 # ---------------------------------------------------------------------------

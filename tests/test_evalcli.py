@@ -330,6 +330,21 @@ def test_run_reports_solver_nonconvergence_once_per_model(tmp_path):
     assert "warning: model 5: accuracy solver did not converge" in summary
 
 
+def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
+    config = small_config(tmp_path)
+    other = small_config(tmp_path, seed=6)
+    _, proper, validation, _, manifest = evalcli._prepare(other)
+    foreign = evalcli._train_registry(other, proper, validation, manifest)
+    with pytest.raises(StageError) as err:
+        run_experiment(config, registry=foreign)
+    assert err.value.stage == "registry"
+    assert "other data" in str(err.value)
+    _, proper, validation, _, manifest = evalcli._prepare(config)
+    own = evalcli._train_registry(config, proper, validation, manifest)
+    assert len(run_experiment(config, registry=own).rows) == \
+        config.r * len(config.strategies)
+
+
 def test_run_reports_floored_em_once_per_model(tmp_path):
     config = small_config(tmp_path, bandwidth=1e-3)
     table = run_experiment(config)

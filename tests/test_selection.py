@@ -230,6 +230,51 @@ def test_tms_precomputed_test_set_rows_match_features(registry, splits):
                                   direct.predicted_labels)
 
 
+def test_loaded_registry_shares_one_neighbour_search_per_bag(registry, splits,
+                                                              tmp_path,
+                                                              monkeypatch):
+    from shiftselect import classifiers
+    _, _, test = splits
+    save_registry(registry, tmp_path / "reg")
+    loaded = load_registry(tmp_path / "reg")
+    models = [e.model for e in loaded.entries]
+    knn = [m for m in models if m.family == "KNN"]
+    assert len(knn) == 10 and knn[0].X_train is not knn[1].X_train
+    bags = [draw_bag(test, target, 40, np.random.default_rng(20))
+            for target in ([0.8, 0.2], [0.2, 0.8])]
+    assert np.array_equal(
+        classifiers.predict_posteriors_batch(models, bags[0].features),
+        np.stack([m.predict_posteriors(bags[0].features) for m in models]))
+    sizes = []
+    real = classifiers._knn_posteriors
+
+    def counting(group, X):
+        sizes.append(len(group))
+        return real(group, X)
+
+    monkeypatch.setattr(classifiers, "_knn_posteriors", counting)
+    for bag in bags:
+        tms_select(loaded, "All", bag)
+    assert sizes == [len(knn)] * len(bags)
+
+
+def test_registry_computes_validation_posteriors_once_per_model(splits,
+                                                                monkeypatch):
+    from shiftselect import classifiers
+    proper, validation, _ = splits
+    calls = []
+    for cls in (classifiers.LRModel, classifiers.MLPModel):
+        real = cls.predict_posteriors
+
+        def counting(self, X, real=real):
+            calls.append(id(self))
+            return real(self, X)
+
+        monkeypatch.setattr(cls, "predict_posteriors", counting)
+    reg = build_registry(("LR", "MLP"), proper, validation, seed=0)
+    assert sorted(calls) == sorted(id(e.model) for e in reg.entries)
+
+
 def test_tms_and_oracle_exact_tie_goes_to_lowest_model_id(registry, splits):
     from dataclasses import replace
     _, _, test = splits
