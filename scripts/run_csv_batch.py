@@ -14,8 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from shiftselect.evalcli import (RunConfig, config_from_dict, emit_report,
-                                 run_experiment)
+from shiftselect.evalcli import config_from_dict, emit_report, run_experiment
 
 
 def main(argv=None):

@@ -14,11 +14,10 @@ any accuracy measure; vanilla accuracy is its trace.
 validation data. :func:`predict_batch` predicts the accuracy of k predictors
 on one bag in one pass: label counts and quantifier estimates for all k, then
 one batched LEAP solve (:func:`leap_solve_batch`, projected gradient over a
-(k, n) stack of thetas, each leaving the active set once it converges). The
-single-predictor :func:`cap_predict` and single-problem :func:`leap_solve` are
-its k=1 cases, returning a :class:`CapPrediction` and a
-:class:`ContingencyTable`. A :class:`RateMatrix` computes M^T M and its top
-eigenvalue (the solver's step size) once, on its first solve.
+(k, n) stack of thetas, each leaving the active set once it converges). One
+predictor or one problem is the k=1 case of the same calls. A
+:class:`RateMatrix` computes M^T M and its top eigenvalue (the solver's step
+size) once, on its first solve.
 """
 
 from __future__ import annotations
@@ -75,29 +74,6 @@ class RateMatrix:
         return float(np.linalg.eigvalsh(self.mtm)[-1])
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Estimated joint distribution c[i][j] of (predicted, true) labels on a
-    bag; entries are nonnegative and sum to one."""
-
-    c: np.ndarray
-    theta: np.ndarray = None
-    converged: bool = True
-    iterations: int = 0
-
-    def __post_init__(self):
-        C = np.asarray(self.c, dtype=float)
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise ValueError(f"contingency table must be square, got {C.shape}")
-        if (C < -1e-12).any():
-            raise ValueError("contingency table has negative entries")
-        if abs(C.sum() - 1.0) > 1e-9:
-            raise ValueError(f"contingency table sums to {C.sum()!r}, not 1")
-        C = C.copy()
-        C.flags.writeable = False
-        object.__setattr__(self, "c", C)
-
-
 def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
                          smoothing: float = 0.0, posteriors=None) -> RateMatrix:
     """Estimate the conditional rate matrix from validation predictions.
@@ -135,11 +111,6 @@ def project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
     rho = n - 1 - np.argmax(support[:, ::-1], axis=1)
     tau = (css[np.arange(k), rho] - 1.0) / (rho + 1)
     return np.maximum(V - tau[:, None], 0.0)
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of the vector v onto the unit simplex."""
-    return project_rows_to_simplex(np.asarray(v, dtype=float)[None])[0]
 
 
 def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
@@ -197,49 +168,15 @@ def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
     return theta, iterations, converged
 
 
-def leap_solve(m: RateMatrix, rho, qhat, weight: float = 1.0,
-               tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> ContingencyTable:
-    """Estimate the bag's contingency table from the two equation blocks: the
-    single-problem case of :func:`leap_solve_batch`.
-
-    The table is c[i][j] = m[i][j] * theta_j. Non-convergence returns the last
-    iterate with `converged=False`.
-    """
-    rho = as_prevalence(rho, m.n_classes)
-    qhat = as_prevalence(qhat, m.n_classes)
-    theta, iterations, converged = leap_solve_batch(
-        [m], rho[None], qhat[None], weight=weight, tol=tol, max_iter=max_iter)
-    return ContingencyTable(m.m * theta[0][None, :], theta=theta[0],
-                            converged=bool(converged[0]),
-                            iterations=int(iterations[0]))
-
-
-def accuracy_from_table(table: ContingencyTable) -> float:
-    """Vanilla accuracy: the probability mass where prediction equals truth."""
-    return float(np.trace(table.c))
-
-
-@dataclass(frozen=True)
-class CapPrediction:
-    accuracy: float
-    table: ContingencyTable
-    rho: np.ndarray
-    qhat: np.ndarray
-
-    @property
-    def converged(self) -> bool:
-        return self.table.converged
-
-
 @dataclass(frozen=True)
 class CapPredictor:
     """Per-model accuracy estimator: rate matrix plus quantifier, both fitted
     on the same validation data as the model's accuracy reference. The
-    quantifier is any object with `estimate(bag, posteriors=None)`."""
+    quantifier is any object with `rows(posteriors)` and a `reduce(rows)` over
+    a stack of them (see :func:`quantifiers.estimate_batch`)."""
 
     rates: RateMatrix
     quantifier: object
-    model: TrainedModel
     weight: float = 1.0
     solver_tol: float = SOLVER_TOL
     solver_max_iter: int = SOLVER_MAX_ITER
@@ -260,7 +197,7 @@ def fit_cap(model: TrainedModel, validation: LabelledSet,
                                  posteriors=posteriors)
     quantifier = fit_quantifier(quantifier_kind, model, validation,
                                 bandwidth=bandwidth, posteriors=posteriors)
-    return CapPredictor(rates, quantifier, model, weight=weight)
+    return CapPredictor(rates, quantifier, weight=weight)
 
 
 @dataclass(frozen=True)
@@ -279,20 +216,18 @@ class CapBatch:
     floored: np.ndarray
 
 
-def predict_batch(caps, bag, posteriors: np.ndarray, rows=None) -> CapBatch:
-    """Predicted accuracy of each predictor's model on the (unlabelled) bag.
+def predict_batch(caps, posteriors: np.ndarray, rows=None) -> CapBatch:
+    """Predicted accuracy of each predictor's model on one (unlabelled) bag.
 
     `posteriors` stacks each model's posterior rows for the bag, shape
     (k, m, n); `rows` optionally stacks each quantifier's rows for them (see
-    :func:`quantifiers.estimate_batch`).
+    :func:`quantifiers.estimate_batch`, which rejects an empty bag).
     """
-    if posteriors.shape[1] == 0:
-        raise DataError("empty bag")
     n = caps[0].rates.n_classes
-    rho = label_shares(np.argmax(posteriors, axis=2), n)
-    qhat, floored = estimate_batch([c.quantifier for c in caps], bag,
-                                   posteriors, rows)
+    qhat, floored = estimate_batch([c.quantifier for c in caps], posteriors,
+                                   rows)
     qhat = as_prevalence(qhat, n, stacked=True)
+    rho = label_shares(np.argmax(posteriors, axis=2), n)
     rates = [c.rates for c in caps]
     theta, iterations, converged = leap_solve_batch(
         rates, rho, qhat, weight=[c.weight for c in caps],
@@ -302,19 +237,6 @@ def predict_batch(caps, bag, posteriors: np.ndarray, rows=None) -> CapBatch:
     diagonal = np.stack([np.diagonal(r.m) for r in rates])
     return CapBatch((diagonal * theta).sum(axis=1), theta, rho, qhat,
                     iterations, converged, floored)
-
-
-def cap_predict(psi: CapPredictor, bag, posteriors=None) -> CapPrediction:
-    """Predicted accuracy of psi's model on the (unlabelled) bag, with the
-    solved contingency table and the two prevalence views behind it: the
-    single-predictor case of :func:`predict_batch`."""
-    if posteriors is None:
-        posteriors = psi.model.predict_posteriors(bag.features)
-    b = predict_batch([psi], bag, np.asarray(posteriors)[None])
-    table = ContingencyTable(psi.rates.m * b.theta[0][None, :],
-                             theta=b.theta[0], converged=bool(b.converged[0]),
-                             iterations=int(b.iterations[0]))
-    return CapPrediction(accuracy_from_table(table), table, b.rho[0], b.qhat[0])
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError("bandwidth must be positive")
         if self.cap_weight <= 0:
             raise ConfigError("cap_weight must be positive")
+        if self.smoothing < 0:
+            raise ConfigError("smoothing must be nonnegative")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
@@ -114,6 +116,10 @@ class RunConfig:
         kind = self.dataset.get("kind")
         if kind not in ("synthetic", "csv"):
             raise ConfigError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
+        if kind == "csv":
+            for key in ("path", "label_column"):
+                if key not in self.dataset:
+                    raise ConfigError(f"csv dataset needs dataset.{key}")
         for strat in self.strategies:
             _parse_strategy(strat, self.families)
 
@@ -293,6 +299,7 @@ def _stage(name):
 def _load_dataset(config: RunConfig) -> Dataset:
     spec = config.dataset
     if spec["kind"] == "synthetic":
+        spec = {**DEFAULT_DATASET, **spec}
         n_classes = int(spec["n_classes"])
         prevalence = spec.get("prevalence")
         if prevalence is None:

@@ -1,27 +1,25 @@
 """Class-prevalence estimation on unlabelled bags.
 
-Two quantifier types, each bound to the trained classifier whose posterior
-outputs feed it and each answering ``estimate(bag, posteriors=None)``:
+Two quantifier types, each fed by the posterior outputs of one trained
+classifier:
 
 * :class:`CCQuantifier` (classify-and-count): the empirical distribution of
   predicted labels;
 * :class:`KDEyMLQuantifier` (KDEy-ML): per-class Gaussian KDEs fitted on the
   posterior vectors of validation instances, with mixture weights chosen to
   maximize the likelihood of the bag's posteriors via EM (multiplicative
-  updates). :func:`kdey_ml_estimate` returns the prevalence; callers that want
-  the EM diagnostics call :func:`em_mixture_weights` on
-  ``q.densities.evaluate(posteriors)`` directly.
+  updates).
 
 Model selection estimates every model's prevalence on one bag at once, so each
-type also splits its estimate in two: ``rows(posteriors)`` gives the
-per-instance rows it reduces (the KDE class densities for KDEy-ML, the
-posteriors themselves for CC), and ``reduce(rows)`` turns a ``(k, m, n)``
-stack of them into ``k`` prevalences at once (batched EM, or label counts).
-Rows depend on the instances only, so a caller that labels many bags drawn
-from one test set evaluates them once per model over the whole set and slices
-out each bag. :func:`estimate_batch` runs this for a list of quantifiers;
-:func:`em_weights_batch` is the one EM implementation, and
-:func:`em_mixture_weights` its single-matrix wrapper.
+type splits its estimate in two: ``rows(posteriors)`` gives the per-instance
+rows it reduces (the KDE class densities for KDEy-ML, the posteriors
+themselves for CC), and ``reduce(rows)`` turns a ``(k, m, n)`` stack of them
+into ``k`` prevalences at once (batched EM, or label counts). Rows depend on
+the instances only, so a caller that labels many bags drawn from one test set
+evaluates them once per model over the whole set and slices out each bag.
+:func:`estimate_batch` runs this for a list of quantifiers, and
+:func:`em_weights_batch` is the one EM implementation; one quantifier or one
+density matrix is the k=1 case of the same calls.
 
 :data:`QUANTIFIERS` maps each kind name to its type and is the only list of
 valid kinds; :func:`fit_quantifier` fits one by name.
@@ -38,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataspace import DataError, LabelledSet, as_prevalence
+from .dataspace import DataError, LabelledSet
 from .classifiers import TrainedModel
 
 DENSITY_FLOOR = 1e-300
@@ -81,13 +79,9 @@ class ClassDensities:
 
 @dataclass(frozen=True)
 class CCQuantifier:
-    """Classify-and-count bound to the classifier that feeds it."""
+    """Classify-and-count over the posteriors of the classifier that feeds it."""
 
-    model: TrainedModel
     kind: ClassVar[str] = "CC"
-
-    def estimate(self, bag, posteriors=None) -> np.ndarray:
-        return classify_and_count(self.model, bag, posteriors=posteriors)
 
     def rows(self, posteriors: np.ndarray) -> np.ndarray:
         return posteriors
@@ -103,12 +97,8 @@ class CCQuantifier:
 class KDEyMLQuantifier:
     """KDE mixture over the posteriors of the classifier that feeds it."""
 
-    model: TrainedModel
     densities: ClassDensities
     kind: ClassVar[str] = "KDEyML"
-
-    def estimate(self, bag, posteriors=None) -> np.ndarray:
-        return kdey_ml_estimate(self, bag, posteriors=posteriors)
 
     def rows(self, posteriors: np.ndarray) -> np.ndarray:
         return self.densities.evaluate(posteriors)
@@ -128,7 +118,7 @@ def fit_quantifier(kind: str, model: TrainedModel, validation: LabelledSet,
     """Fit the quantifier named `kind` (a key of QUANTIFIERS) for `model`;
     `posteriors` is as for :func:`fit_kdey`."""
     if kind == CCQuantifier.kind:
-        return fit_cc(model)
+        return CCQuantifier()
     if kind == KDEyMLQuantifier.kind:
         return fit_kdey(model, validation, bandwidth=bandwidth,
                         posteriors=posteriors)
@@ -152,15 +142,7 @@ def fit_kdey(model: TrainedModel, validation: LabelledSet,
             raise DataError(f"class {j} missing from validation data")
         support.append(S)
     densities = ClassDensities(tuple(support), float(bandwidth), validation.n_classes)
-    return KDEyMLQuantifier(model, densities)
-
-
-def fit_cc(model: TrainedModel) -> CCQuantifier:
-    return CCQuantifier(model)
-
-
-def mixture_log_likelihood(F: np.ndarray, alpha: np.ndarray) -> float:
-    return float(np.log(F @ alpha).sum())
+    return KDEyMLQuantifier(densities)
 
 
 def em_weights_batch(F: np.ndarray, tol: float = EM_TOL,
@@ -210,24 +192,7 @@ def em_weights_batch(F: np.ndarray, tol: float = EM_TOL,
     return alpha, iterations, floored, trace
 
 
-def em_mixture_weights(F: np.ndarray, tol: float = EM_TOL,
-                       max_iter: int = EM_MAX_ITER):
-    """Maximize sum_x log sum_j a_j F[x, j] over the simplex by EM: the
-    single-matrix case of :func:`em_weights_batch`.
-
-    Returns (alpha, info) with info holding the log-likelihood trace (one
-    value per iterate, the start included), iteration count, and the flag
-    saying whether the 1e-300 density floor was ever active.
-    """
-    alpha, iterations, floored, trace = em_weights_batch(
-        np.asarray(F, dtype=float)[None], tol=tol, max_iter=max_iter,
-        loglik=True)
-    info = {"iterations": int(iterations[0]), "loglik": trace[0],
-            "floored": bool(floored[0])}
-    return as_prevalence(alpha[0]), info
-
-
-def estimate_batch(quantifiers, bag, posteriors: np.ndarray, rows=None):
+def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
     """Prevalence estimates of k quantifiers on one bag, as (prevalences
     (k, n), floored (k,)).
 
@@ -235,49 +200,21 @@ def estimate_batch(quantifiers, bag, posteriors: np.ndarray, rows=None):
     instances, shape (k, m, n). `rows` optionally stacks the matching
     ``q.rows(...)`` (the caller may have sliced them from a test-set cache);
     without it they are computed here. Quantifiers of one type are reduced
-    together; any other object with ``estimate(bag, posteriors=None)`` is
-    asked one at a time and reports no floor.
+    together.
     """
-    k, _, n = posteriors.shape
+    k, m, n = posteriors.shape
+    if m == 0:
+        raise DataError("empty bag")
     qhat = np.empty((k, n))
     floored = np.zeros(k, dtype=bool)
     groups = {}
     for i, q in enumerate(quantifiers):
         groups.setdefault(type(q), []).append(i)
     for kind, idx in groups.items():
-        if not hasattr(kind, "reduce"):
-            for i in idx:
-                qhat[i] = quantifiers[i].estimate(bag, posteriors=posteriors[i])
-            continue
         stack = rows[idx] if rows is not None else \
             np.stack([quantifiers[i].rows(posteriors[i]) for i in idx])
         qhat[idx], floored[idx] = kind.reduce(stack)
     return qhat, floored
-
-
-def kdey_ml_estimate(q: KDEyMLQuantifier, bag, posteriors=None) -> np.ndarray:
-    """Maximum-likelihood prevalence of `bag` under the fitted KDE mixture.
-
-    `posteriors` optionally supplies precomputed posterior rows for the bag's
-    instances (they must come from the same model the quantifier holds).
-    """
-    if posteriors is None:
-        posteriors = q.model.predict_posteriors(bag.features)
-    if posteriors.shape[0] == 0:
-        raise DataError("empty bag")
-    alpha, _ = em_mixture_weights(q.densities.evaluate(posteriors))
-    return alpha
-
-
-def classify_and_count(model: TrainedModel, bag, posteriors=None) -> np.ndarray:
-    """Empirical distribution of the model's predicted labels over the bag."""
-    if posteriors is None:
-        labels = model.predict_labels(bag.features)
-    else:
-        labels = np.argmax(posteriors, axis=1)
-    if labels.size == 0:
-        raise DataError("empty bag")
-    return as_prevalence(label_shares(labels, model.n_classes))
 
 
 def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -11,10 +11,11 @@ IMS is bag-independent by construction; TMS may pick a different model for
 every bag. TMS predicts the accuracy of every in-scope model on the bag in one
 batched pass (:func:`cap.predict_batch`) and takes the argmax of that vector;
 the oracle takes the argmax of the true accuracies. Both accept the bag's
-per-model posteriors (and, for TMS, quantifier densities) precomputed,
-stacked along a model axis aligned with ``registry.entries``; without them
-they compute them from the bag's features. A NaN estimate never wins, and
-ties always break toward the lowest model id.
+per-model posteriors (and, for TMS, the quantifier rows that
+:func:`quantifiers.estimate_batch` reduces) precomputed, stacked along a model
+axis aligned with ``registry.entries``; without them they compute them from
+the bag's features. A NaN estimate never wins, and ties always break toward
+the lowest model id.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     """
     entries, positions, P = _scope_rows(registry, scope, bag, posteriors)
     rows = None if densities is None else np.asarray(densities)[positions]
-    batch = predict_batch([e.cap for e in entries], bag, P, rows)
+    batch = predict_batch([e.cap for e in entries], P, rows)
     best = _best(batch.accuracy, entries,
                  f"scope {scope!r} on a bag of {bag.size} instances")
     nonconverged = tuple(e.model_id for e, ok in zip(entries, batch.converged)
@@ -308,10 +309,10 @@ def load_registry(out_dir) -> ModelRegistry:
             support = tuple(decode_array(S) for S in sidecar["support"])
             densities = ClassDensities(support, sidecar["bandwidth"],
                                        model.n_classes)
-            quantifier = make_quantifier(model, densities)
+            quantifier = make_quantifier(densities)
         else:
-            quantifier = make_quantifier(model)
-        cap = CapPredictor(rates, quantifier, model, weight=sidecar["weight"],
+            quantifier = make_quantifier()
+        cap = CapPredictor(rates, quantifier, weight=sidecar["weight"],
                            solver_tol=sidecar["solver_tol"],
                            solver_max_iter=sidecar["solver_max_iter"])
         entries.append(RegistryEntry(

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import shiftselect.evalcli as evalcli_mod
-from shiftselect.cap import (CapPredictor, RateMatrix, accuracy_from_table,
-                             cap_predict, leap_solve, pps_accuracy_identity)
+from shiftselect.cap import (CapPredictor, RateMatrix, leap_solve_batch,
+                             pps_accuracy_identity, predict_batch)
 from shiftselect.classifiers import (default_model, lr_loss_grad,
                                      mlp_loss_grad, train)
 from shiftselect.dataspace import stratified_split, synth_gaussian_pps
@@ -18,7 +18,7 @@ from shiftselect.evalcli import (RunConfig, emit_manifest, emit_report,
                                  run_experiment, shift_records,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
-from shiftselect.quantifiers import em_mixture_weights, fit_kdey
+from shiftselect.quantifiers import em_weights_batch, fit_kdey
 
 
 def report(criterion, ok, detail):
@@ -80,8 +80,17 @@ class _PassThrough:
 
 
 class _OracleQuantifier:
-    def estimate(self, bag, posteriors=None):
-        return bag.realized_prevalence
+    """Every row is one bag's true prevalence; the reduction reads the first."""
+
+    def __init__(self, bag):
+        self.prevalence = bag.realized_prevalence
+
+    def rows(self, posteriors):
+        return np.tile(self.prevalence, (len(posteriors), 1))
+
+    @staticmethod
+    def reduce(rows):
+        return rows[:, 0], np.zeros(len(rows), dtype=bool)
 
 
 class _FixedBag:
@@ -100,9 +109,10 @@ def test_criterion_03_leap_oracle_exactness():
     pred1 = [[0.0, 1.0]]
     features = pred0 * 56 + pred1 * 14 + pred1 * 27 + pred0 * 3
     bag = _FixedBag(features, [0.7, 0.3])
-    psi = CapPredictor(RateMatrix(M), _OracleQuantifier(), _PassThrough(2),
+    psi = CapPredictor(RateMatrix(M), _OracleQuantifier(bag),
                        solver_tol=1e-13, solver_max_iter=100_000)
-    estimate = cap_predict(psi, bag).accuracy
+    posteriors = _PassThrough(2).predict_posteriors(bag.features)
+    estimate = predict_batch([psi], posteriors[None]).accuracy[0]
     closed_form = tpr * q + tnr * (1 - q)
     err2 = abs(estimate - closed_form)
 
@@ -112,9 +122,10 @@ def test_criterion_03_leap_oracle_exactness():
     for _ in range(20):
         M4 = rng.dirichlet(np.ones(4), size=4).T
         theta = rng.dirichlet(np.ones(4))
-        table = leap_solve(RateMatrix(M4), M4 @ theta, theta,
-                           tol=1e-13, max_iter=100_000)
-        err4 = max(err4, abs(accuracy_from_table(table)
+        solved, _, _ = leap_solve_batch([RateMatrix(M4)], (M4 @ theta)[None],
+                                        theta[None], tol=1e-13,
+                                        max_iter=100_000)
+        err4 = max(err4, abs(float(np.trace(M4 * solved[0][None, :]))
                              - float(np.trace(M4 * theta[None, :]))))
     elapsed = time.time() - start
     report(3, err2 <= 1e-9 and err4 <= 1e-9 and elapsed < 1.0,
@@ -135,11 +146,11 @@ def test_criterion_04_leap_vs_grid_search():
         M = rng.dirichlet(np.ones(2), size=2).T
         rho = rng.dirichlet(np.ones(2))
         qhat = rng.dirichlet(np.ones(2))
-        table = leap_solve(RateMatrix(M), rho, qhat)
+        solved, _, _ = leap_solve_batch([RateMatrix(M)], rho[None], qhat[None])
         objective = ((thetas @ M.T - rho) ** 2).sum(axis=1) \
             + ((thetas - qhat) ** 2).sum(axis=1)
         best = grid[np.argmin(objective)]
-        worst = max(worst, abs(table.theta[0] - best))
+        worst = max(worst, abs(solved[0, 0] - best))
     elapsed = time.time() - start
     report(4, worst <= 1e-3 and elapsed < 30.0,
            f"50 instances, worst gap {worst:.2e}, {elapsed:.1f}s")
@@ -163,10 +174,10 @@ def test_criterion_05_kdey_recovery():
         for _ in range(50):
             bag = draw_bag(rest, [1.0 - q, q], 500, rng)
             posteriors = model.predict_posteriors(bag.features)
-            alpha, info = em_mixture_weights(
-                quantifier.densities.evaluate(posteriors))
-            errs.append(abs(alpha[1] - bag.realized_prevalence[1]))
-            if (np.diff(info["loglik"]) < -1e-9).any():
+            alpha, _, _, loglik = em_weights_batch(
+                quantifier.densities.evaluate(posteriors)[None], loglik=True)
+            errs.append(abs(alpha[0, 1] - bag.realized_prevalence[1]))
+            if (np.diff(loglik[0]) < -1e-9).any():
                 monotone = False
         worst_mean_err = max(worst_mean_err, float(np.mean(errs)))
     elapsed = time.time() - start

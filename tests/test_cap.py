@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.cap import (CapPredictor, ContingencyTable, RateMatrix,
-                             accuracy_from_table, cap_predict,
-                             estimate_rate_matrix,
-                             fit_cap, leap_solve, leap_solve_batch,
-                             pps_accuracy_identity, project_rows_to_simplex,
-                             project_to_simplex)
+from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
+                             fit_cap, leap_solve_batch, predict_batch,
+                             pps_accuracy_identity, project_rows_to_simplex)
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
+from shiftselect.quantifiers import CCQuantifier, ClassDensities, KDEyMLQuantifier
 
 
 class PassThroughModel:
@@ -25,10 +23,33 @@ class PassThroughModel:
 
 
 class OracleQuantifier:
-    """Feeds the true bag prevalence to the solver (test harness only)."""
+    """Feeds one bag's true prevalence to the solver (test harness only):
+    every row is that prevalence, and the reduction reads the first."""
 
-    def estimate(self, bag, posteriors=None):
-        return bag.realized_prevalence
+    def __init__(self, bag):
+        self.prevalence = np.asarray(bag.realized_prevalence, dtype=float)
+
+    def rows(self, posteriors):
+        return np.tile(self.prevalence, (len(posteriors), 1))
+
+    @staticmethod
+    def reduce(rows):
+        return rows[:, 0], np.zeros(len(rows), dtype=bool)
+
+
+def solve_one(rates, rho, qhat, **kwargs):
+    """One LEAP problem through the batched core: (theta, table, iterations,
+    converged), with the table c[i][j] = m[i][j] * theta_j."""
+    theta, iterations, converged = leap_solve_batch(
+        [rates], np.asarray(rho, dtype=float)[None],
+        np.asarray(qhat, dtype=float)[None], **kwargs)
+    return (theta[0], rates.m * theta[0][None, :], int(iterations[0]),
+            bool(converged[0]))
+
+
+def predict_one(psi, model, bag):
+    """One predictor on one bag through the batched API."""
+    return predict_batch([psi], model.predict_posteriors(bag.features)[None])
 
 
 def posterior_dataset(posterior_rows, labels):
@@ -125,20 +146,20 @@ def test_simplex_projection_properties():
     rng = np.random.default_rng(1)
     for _ in range(200):
         v = rng.normal(scale=3.0, size=rng.integers(2, 6))
-        p = project_to_simplex(v)
+        p = project_rows_to_simplex(v[None])[0]
         assert (p >= 0).all()
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         # projection of a simplex point is itself
         q = rng.dirichlet(np.ones(v.size))
-        assert np.allclose(project_to_simplex(q), q, atol=1e-12)
+        assert np.allclose(project_rows_to_simplex(q[None])[0], q, atol=1e-12)
 
 
 def test_leap_consistent_system_identity():
     m = RateMatrix(np.eye(2))
-    table = leap_solve(m, [0.3, 0.7], [0.3, 0.7])
-    assert table.converged
-    assert np.allclose(table.theta, [0.3, 0.7], atol=1e-6)
-    assert np.allclose(table.c, np.diag([0.3, 0.7]), atol=1e-6)
+    theta, table, _, converged = solve_one(m, [0.3, 0.7], [0.3, 0.7])
+    assert converged
+    assert np.allclose(theta, [0.3, 0.7], atol=1e-6)
+    assert np.allclose(table, np.diag([0.3, 0.7]), atol=1e-6)
 
 
 def test_leap_consistent_two_class_accuracy():
@@ -146,9 +167,9 @@ def test_leap_consistent_two_class_accuracy():
     M = np.array([[tnr, 1 - tpr], [1 - tnr, tpr]])
     theta = np.array([0.7, 0.3])
     rho = M @ theta
-    table = leap_solve(RateMatrix(M), rho, theta)
-    assert accuracy_from_table(table) == pytest.approx(tnr * 0.7 + tpr * 0.3, abs=1e-6)
-    assert accuracy_from_table(table) == pytest.approx(0.83, abs=1e-6)
+    _, table, _, _ = solve_one(RateMatrix(M), rho, theta)
+    assert np.trace(table) == pytest.approx(tnr * 0.7 + tpr * 0.3, abs=1e-6)
+    assert np.trace(table) == pytest.approx(0.83, abs=1e-6)
 
 
 def test_leap_table_columns_sum_to_theta():
@@ -158,10 +179,10 @@ def test_leap_table_columns_sum_to_theta():
         M = RateMatrix(rng.dirichlet(np.ones(n), size=n).T)
         rho = rng.dirichlet(np.ones(n))
         qhat = rng.dirichlet(np.ones(n))
-        table = leap_solve(M, rho, qhat)
-        assert np.allclose(table.c.sum(axis=0), table.theta, atol=1e-9)
-        assert table.c.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (table.c >= 0).all()
+        theta, table, _, _ = solve_one(M, rho, qhat)
+        assert np.allclose(table.sum(axis=0), theta, atol=1e-9)
+        assert table.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (table >= 0).all()
 
 
 def test_leap_matches_grid_search_on_inconsistent_instances():
@@ -172,11 +193,11 @@ def test_leap_matches_grid_search_on_inconsistent_instances():
         M = rng.dirichlet(np.ones(2), size=2).T
         rho = rng.dirichlet(np.ones(2))
         qhat = rng.dirichlet(np.ones(2))
-        table = leap_solve(RateMatrix(M), rho, qhat)
+        theta, _, _, _ = solve_one(RateMatrix(M), rho, qhat)
         objective = ((thetas @ M.T - rho) ** 2).sum(axis=1) \
             + ((thetas - qhat) ** 2).sum(axis=1)
         best = grid[np.argmin(objective)]
-        assert abs(table.theta[0] - best) <= 1e-3
+        assert abs(theta[0] - best) <= 1e-3
 
 
 def test_leap_weight_limits():
@@ -185,24 +206,25 @@ def test_leap_weight_limits():
     rho = M @ theta0
     qhat = np.array([0.25, 0.75])
     # weight -> inf: the quantifier equation dominates, theta -> qhat
-    heavy = leap_solve(RateMatrix(M), rho, qhat, weight=1e6)
-    assert np.allclose(heavy.theta, qhat, atol=1e-4)
+    heavy, _, _, _ = solve_one(RateMatrix(M), rho, qhat, weight=1e6)
+    assert np.allclose(heavy, qhat, atol=1e-4)
     # weight -> 0: the classifier-count equations dominate, theta -> M^-1 rho
-    light = leap_solve(RateMatrix(M), rho, qhat, weight=1e-6)
-    assert np.allclose(light.theta, theta0, atol=1e-3)
+    light, _, _, _ = solve_one(RateMatrix(M), rho, qhat, weight=1e-6)
+    assert np.allclose(light, theta0, atol=1e-3)
 
 
 def test_leap_rejects_bad_weight():
     with pytest.raises(ValueError):
-        leap_solve(RateMatrix(np.eye(2)), [0.5, 0.5], [0.5, 0.5], weight=0.0)
+        solve_one(RateMatrix(np.eye(2)), [0.5, 0.5], [0.5, 0.5], weight=0.0)
 
 
 def test_leap_nonconvergence_returns_best_iterate_with_flag():
     M = RateMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]))
-    table = leap_solve(M, [0.9, 0.1], [0.1, 0.9], max_iter=1)
-    assert not table.converged
-    assert table.iterations == 1
-    assert table.c.sum() == pytest.approx(1.0, abs=1e-9)   # still a valid table
+    _, table, iterations, converged = solve_one(M, [0.9, 0.1], [0.1, 0.9],
+                                                max_iter=1)
+    assert not converged
+    assert iterations == 1
+    assert table.sum() == pytest.approx(1.0, abs=1e-9)   # still a valid table
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +250,12 @@ def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
     theta, iterations, converged = leap_solve_batch(
         rates, rho, qhat, weight=weight, tol=tol, max_iter=caps)
     for i in range(k):
-        table = leap_solve(rates[i], rho[i], qhat[i], weight=weight[i],
-                           tol=tol, max_iter=int(caps[i]))
-        assert np.abs(theta[i] - table.theta).max() <= 1e-12
-        assert iterations[i] == table.iterations
-        assert converged[i] == table.converged
+        theta_i, _, iterations_i, converged_i = solve_one(
+            rates[i], rho[i], qhat[i], weight=weight[i], tol=tol,
+            max_iter=int(caps[i]))
+        assert np.abs(theta[i] - theta_i).max() <= 1e-12
+        assert iterations[i] == iterations_i
+        assert converged[i] == converged_i
     if caps[0] > 0:
         assert converged[0] and iterations[0] == 1
 
@@ -249,7 +272,7 @@ def test_row_projection_matches_vector_projection_and_is_idempotent(
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert np.abs(project_rows_to_simplex(P) - P).max() <= 1e-12
     for v, p in zip(V, P):
-        assert np.array_equal(project_to_simplex(v), p)
+        assert np.array_equal(project_rows_to_simplex(v[None])[0], p)
         # the projection is max(v - tau, 0) with sum 1: bisect for tau
         lo, hi = v.min() - 1.0, v.max()
         for _ in range(200):
@@ -258,20 +281,58 @@ def test_row_projection_matches_vector_projection_and_is_idempotent(
         assert np.abs(p - np.maximum(v - 0.5 * (lo + hi), 0.0)).max() <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+       m=st.integers(1, 30), n=st.integers(2, 4),
+       bandwidth=st.sampled_from([0.01, 0.1, 0.5]))
+def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
+    rng = np.random.default_rng(seed)
+    caps = []
+    # CC and KDEy-ML predictors in shuffled order, each with its own solver
+    # settings
+    for kind in rng.permutation(["CC", "KDEyML"] * k)[:k]:
+        if kind == "CC":
+            quantifier = CCQuantifier()
+        else:
+            support = tuple(rng.dirichlet(np.ones(n), size=rng.integers(1, 6))
+                            for _ in range(n))
+            quantifier = KDEyMLQuantifier(ClassDensities(support, bandwidth, n))
+        caps.append(CapPredictor(
+            RateMatrix(rng.dirichlet(np.ones(n), size=n).T), quantifier,
+            weight=rng.uniform(0.05, 5.0),
+            solver_tol=rng.choice([1e-8, 1e-11]),
+            solver_max_iter=int(rng.choice([1, 3, 10_000]))))
+    posteriors = rng.dirichlet(np.ones(n), size=(k, m))
+    batch = predict_batch(caps, posteriors)
+    for i, psi in enumerate(caps):
+        one = predict_batch([psi], posteriors[i:i + 1])
+        for name in ("accuracy", "theta", "rho", "qhat", "iterations",
+                     "converged", "floored"):
+            assert np.array_equal(getattr(batch, name)[i],
+                                  getattr(one, name)[0]), name
+
+
+def test_predict_batch_rejects_an_empty_bag():
+    psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
+    with pytest.raises(DataError, match="empty bag"):
+        predict_batch([psi], np.zeros((1, 0, 2)))
+
+
 # ---------------------------------------------------------------------------
 # accuracy from a table
 # ---------------------------------------------------------------------------
 
 def test_accuracy_is_the_trace():
-    assert accuracy_from_table(ContingencyTable(np.diag([0.3, 0.7]))) == 1.0
-    assert accuracy_from_table(ContingencyTable(np.full((2, 2), 0.25))) == 0.5
-
-
-def test_contingency_table_validation():
-    with pytest.raises(ValueError):
-        ContingencyTable(np.array([[0.5, 0.2], [0.1, 0.1]]))  # sums to 0.9
-    with pytest.raises(ValueError):
-        ContingencyTable(np.array([[1.2, 0.0], [-0.2, 0.0]]))
+    # the oracle quantifier pins theta to (0.3, 0.7) on both predictors
+    rows = [[0.9, 0.1]] * 3 + [[0.2, 0.8]] * 7
+    bag = draw_bag(posterior_dataset(rows, [0] * 3 + [1] * 7).all_instances(),
+                   [0.3, 0.7], 10, np.random.default_rng(0))
+    caps = [CapPredictor(RateMatrix(M), OracleQuantifier(bag))
+            for M in (np.eye(2), np.full((2, 2), 0.5))]
+    batch = predict_batch(caps, np.stack([bag.features] * 2))
+    # tables diag(0.3, 0.7) and 0.5 * theta in every row: traces 1 and 0.5
+    assert batch.accuracy[0] == 1.0
+    assert batch.accuracy[1] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +345,9 @@ def test_cap_perfect_classifier_with_oracle_quantifier_gives_one():
     ds = posterior_dataset(rows, labels)
     model = PassThroughModel(2)
     rates = estimate_rate_matrix(model, ds.all_instances())
-    psi = CapPredictor(rates, OracleQuantifier(), model)
     bag = draw_bag(ds.all_instances(), [0.5, 0.5], 40, np.random.default_rng(0))
-    assert cap_predict(psi, bag).accuracy == pytest.approx(1.0, abs=1e-9)
+    psi = CapPredictor(rates, OracleQuantifier(bag))
+    assert predict_one(psi, model, bag).accuracy[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +363,6 @@ def overlapping_pipeline():
 def test_cap_monte_carlo_error_bound(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     rates = estimate_rate_matrix(model, validation)
-    psi = CapPredictor(rates, OracleQuantifier(), model)
     rng = np.random.default_rng(7)
     s = 100
     bound = 3.0 / np.sqrt(s)
@@ -311,7 +371,8 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
     for _ in range(n_bags):
         target = rng.dirichlet([1.0, 1.0])
         bag = draw_bag(test, target, s, rng)
-        estimate = cap_predict(psi, bag).accuracy
+        psi = CapPredictor(rates, OracleQuantifier(bag))
+        estimate = predict_one(psi, model, bag).accuracy[0]
         true_acc = (model.predict_labels(bag.features) == reveal_labels(bag)).mean()
         if abs(estimate - true_acc) <= bound:
             hits += 1
@@ -324,17 +385,18 @@ def test_cap_zero_shift_matches_validation_accuracy(overlapping_pipeline):
     val_acc = (model.predict_labels(validation.X) == validation.y).mean()
     rng = np.random.default_rng(8)
     bag = draw_bag(test, train_set.prevalence(), 500, rng)
-    assert abs(cap_predict(psi, bag).accuracy - val_acc) <= 0.05
+    assert abs(predict_one(psi, model, bag).accuracy[0] - val_acc) <= 0.05
 
 
 def test_cap_detailed_reports_solver_state(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     psi = fit_cap(model, validation)
     bag = draw_bag(test, [0.3, 0.7], 100, np.random.default_rng(9))
-    pred = cap_predict(psi, bag)
-    assert 0.0 <= pred.accuracy <= 1.0
-    assert pred.converged
-    assert np.allclose(pred.table.c.sum(axis=0), pred.table.theta, atol=1e-9)
+    pred = predict_one(psi, model, bag)
+    assert 0.0 <= pred.accuracy[0] <= 1.0
+    assert pred.converged[0]
+    table = psi.rates.m * pred.theta[0][None, :]
+    assert np.allclose(table.sum(axis=0), pred.theta[0], atol=1e-9)
 
 
 def test_fit_cap_rejects_unknown_quantifier(overlapping_pipeline):
@@ -347,7 +409,7 @@ def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     psi = fit_cap(model, validation, quantifier_kind="CC")
     bag = draw_bag(test, [0.4, 0.6], 200, np.random.default_rng(10))
-    estimate = cap_predict(psi, bag).accuracy
+    estimate = predict_one(psi, model, bag).accuracy[0]
     assert 0.0 <= estimate <= 1.0
     true_acc = (model.predict_labels(bag.features) == reveal_labels(bag)).mean()
     assert abs(estimate - true_acc) <= 0.25   # coarse but sane ablation baseline

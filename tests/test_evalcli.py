@@ -239,6 +239,14 @@ def test_default_manifest_constants(tmp_path):
     assert manifest["splits"]["proper_train"] == manifest["splits"]["validation"]
 
 
+def test_partial_synthetic_dataset_takes_default_keys(tmp_path):
+    config = config_from_dict({"dataset": {"kind": "synthetic", "n": 500},
+                               "outdir": str(tmp_path)})
+    manifest = emit_manifest(config)
+    assert manifest["dataset"]["n_instances"] == 500
+    assert manifest["dataset"]["n_classes"] == 3
+
+
 def test_run_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     table1 = run_experiment(small_config(out1, r=6))
@@ -508,6 +516,16 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == 1
     missing = tmp_path / "missing.json"
     assert main(["run", "--config", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("raw", [{"dataset": {"kind": "csv"}},
+                                 {"smoothing": -0.5}])
+def test_cli_config_error_before_any_stage(raw, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(path),
+                 "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
-from shiftselect.quantifiers import (ClassDensities, classify_and_count,
-                                     em_mixture_weights, em_weights_batch,
-                                     fit_cc, fit_kdey,
-                                     kdey_ml_estimate,
-                                     mixture_log_likelihood)
+from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
+                                     em_weights_batch, estimate_batch,
+                                     fit_kdey)
 
 
 class FakeBag:
@@ -31,6 +29,22 @@ class PassThroughModel:
 
     def predict_labels(self, X):
         return np.argmax(self.predict_posteriors(X), axis=1)
+
+
+def em_one(F, **kwargs):
+    """One density matrix through the batched EM core: (alpha, iterations,
+    floored, log-likelihood trace)."""
+    alpha, iterations, floored, trace = em_weights_batch(
+        np.asarray(F, dtype=float)[None], loglik=True, **kwargs)
+    return alpha[0], int(iterations[0]), bool(floored[0]), trace[0]
+
+
+def estimate_one(quantifier, model, bag, rows=None):
+    """One quantifier's prevalence estimate on one bag through the batched
+    API."""
+    posteriors = model.predict_posteriors(bag.features)[None]
+    qhat, _ = estimate_batch([quantifier], posteriors, rows)
+    return qhat[0]
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +108,8 @@ def test_em_monotone_loglik_on_random_fixtures():
     rng = np.random.default_rng(8)
     for _ in range(25):
         F = rng.uniform(0.05, 3.0, size=(rng.integers(5, 60), rng.integers(2, 5)))
-        _, info = em_mixture_weights(F)
-        trace = np.array(info["loglik"])
+        _, _, _, loglik = em_one(F)
+        trace = np.array(loglik)
         assert (np.diff(trace) >= -1e-9).all()
 
 
@@ -103,7 +117,7 @@ def test_em_iterates_stay_on_simplex():
     rng = np.random.default_rng(9)
     F = rng.uniform(0.05, 3.0, size=(40, 3))
     for k in (1, 2, 5, 20, 100):
-        alpha, _ = em_mixture_weights(F, max_iter=k)
+        alpha, _, _, _ = em_one(F, max_iter=k)
         assert (alpha >= 0).all()
         assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -112,9 +126,9 @@ def test_em_symmetric_densities_keep_uniform_weights():
     rng = np.random.default_rng(10)
     col = rng.uniform(0.1, 2.0, size=30)
     F = np.column_stack([col, col])    # identical class densities
-    alpha, info = em_mixture_weights(F)
+    alpha, iterations, _, _ = em_one(F)
     assert np.allclose(alpha, [0.5, 0.5], atol=1e-12)
-    assert info["iterations"] == 1     # uniform is already the fixed point
+    assert iterations == 1     # uniform is already the fixed point
 
 
 def test_em_matches_grid_search_two_classes(fitted_pipeline):
@@ -124,7 +138,7 @@ def test_em_matches_grid_search_two_classes(fitted_pipeline):
     posteriors = model.predict_posteriors(bag.features)
     F = np.maximum(quantifier.densities.evaluate(posteriors), 1e-300)
 
-    alpha, _ = em_mixture_weights(F)
+    alpha, _, _, _ = em_one(F)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     mixtures = np.outer(F[:, 0], grid) + np.outer(F[:, 1], 1.0 - grid)
     best = grid[np.argmax(np.log(mixtures).sum(axis=0))]
@@ -133,9 +147,9 @@ def test_em_matches_grid_search_two_classes(fitted_pipeline):
 
 def test_em_floors_vanishing_densities():
     F = np.array([[0.0, 0.0], [1.0, 2.0]])
-    alpha, info = em_mixture_weights(F)
-    assert info["floored"]
-    assert np.isfinite(mixture_log_likelihood(np.maximum(F, 1e-300), alpha))
+    alpha, _, floored, _ = em_one(F)
+    assert floored
+    assert np.isfinite(np.log(np.maximum(F, 1e-300) @ alpha).sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,11 +168,12 @@ def test_em_batch_equals_scalar_calls(seed, k, m, n, tol, max_iter):
     alpha, iterations, floored, trace = em_weights_batch(
         F, tol=tol, max_iter=max_iter, loglik=True)
     for i in range(k):
-        alpha_i, info = em_mixture_weights(F[i], tol=tol, max_iter=max_iter)
+        alpha_i, iterations_i, floored_i, trace_i = em_one(
+            F[i], tol=tol, max_iter=max_iter)
         assert np.abs(alpha[i] - alpha_i).max() <= 1e-12
-        assert iterations[i] == info["iterations"]
-        assert floored[i] == info["floored"]
-        assert trace[i] == info["loglik"]
+        assert iterations[i] == iterations_i
+        assert floored[i] == floored_i
+        assert trace[i] == trace_i
     assert iterations[0] == min(max_iter, 1)
     assert floored.tolist() == [i == 1 for i in range(k)]
     _, _, _, no_trace = em_weights_batch(F, tol=tol, max_iter=max_iter)
@@ -173,7 +188,7 @@ def test_kdey_pure_class_bag_recovers_vertex(fitted_pipeline):
     model, quantifier, rest = fitted_pipeline
     rng = np.random.default_rng(12)
     bag = draw_bag(rest, [1.0, 0.0], 200, rng)
-    alpha = kdey_ml_estimate(quantifier, bag)
+    alpha = estimate_one(quantifier, model, bag)
     assert np.abs(alpha - np.array([1.0, 0.0])).max() <= 0.05
 
 
@@ -182,7 +197,7 @@ def test_kdey_iid_bag_recovers_validation_prevalence(fitted_pipeline):
     rng = np.random.default_rng(13)
     target = rest.prevalence()
     bag = draw_bag(rest, target, 500, rng)
-    alpha = kdey_ml_estimate(quantifier, bag)
+    alpha = estimate_one(quantifier, model, bag)
     assert np.abs(alpha - target).sum() <= 0.1
 
 
@@ -190,16 +205,16 @@ def test_kdey_precomputed_posteriors_match(fitted_pipeline):
     model, quantifier, rest = fitted_pipeline
     rng = np.random.default_rng(14)
     bag = draw_bag(rest, [0.4, 0.6], 100, rng)
-    direct = kdey_ml_estimate(quantifier, bag)
-    cached = kdey_ml_estimate(quantifier, bag,
-                              posteriors=model.predict_posteriors(bag.features))
+    direct = estimate_one(quantifier, model, bag)
+    rows = quantifier.rows(model.predict_posteriors(bag.features))[None]
+    cached = estimate_one(quantifier, model, bag, rows=rows)
     assert np.array_equal(direct, cached)
 
 
 def test_kdey_rejects_empty_bag(fitted_pipeline):
     _, quantifier, _ = fitted_pipeline
     with pytest.raises(DataError):
-        kdey_ml_estimate(quantifier, FakeBag(np.zeros((0, 2))))
+        estimate_one(quantifier, PassThroughModel(2), FakeBag(np.zeros((0, 2))))
 
 
 def test_kdey_detailed_reports_monotone_trace(fitted_pipeline):
@@ -207,8 +222,8 @@ def test_kdey_detailed_reports_monotone_trace(fitted_pipeline):
     rng = np.random.default_rng(15)
     bag = draw_bag(rest, [0.2, 0.8], 150, rng)
     posteriors = model.predict_posteriors(bag.features)
-    _, info = em_mixture_weights(quantifier.densities.evaluate(posteriors))
-    assert (np.diff(info["loglik"]) >= -1e-9).all()
+    _, _, _, loglik = em_one(quantifier.densities.evaluate(posteriors))
+    assert (np.diff(loglik) >= -1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +233,7 @@ def test_kdey_detailed_reports_monotone_trace(fitted_pipeline):
 def test_cc_counts_predictions():
     model = PassThroughModel(2)
     features = np.repeat([[0.9, 0.1], [0.1, 0.9]], [40, 60], axis=0)
-    est = classify_and_count(model, FakeBag(features))
+    est = estimate_one(CCQuantifier(), model, FakeBag(features))
     assert np.allclose(est, [0.4, 0.6])
 
 
@@ -229,7 +244,7 @@ def test_cc_perfect_classifier_recovers_prevalence_exactly():
     assert (model.predict_labels(rest.X) == rest.y).mean() == 1.0
     rng = np.random.default_rng(5)
     bag = draw_bag(rest, [0.35, 0.65], 100, rng)
-    est = classify_and_count(model, bag)
+    est = estimate_one(CCQuantifier(), model, bag)
     assert np.allclose(est, bag.realized_prevalence)
 
 
@@ -237,7 +252,7 @@ def test_cc_equals_column_sums_of_prediction_cross_tab(fitted_pipeline):
     model, _, rest = fitted_pipeline
     rng = np.random.default_rng(16)
     bag = draw_bag(rest, [0.5, 0.5], 120, rng)
-    est = classify_and_count(model, bag)
+    est = estimate_one(CCQuantifier(), model, bag)
     pred = model.predict_labels(bag.features)
     truth = rest.y[np.searchsorted(np.arange(len(rest)), bag.indices)]
     cross = np.zeros((2, 2))
@@ -247,13 +262,16 @@ def test_cc_equals_column_sums_of_prediction_cross_tab(fitted_pipeline):
 
 def test_cc_rejects_empty_bag():
     with pytest.raises(DataError):
-        classify_and_count(PassThroughModel(2), FakeBag(np.zeros((0, 2))))
+        estimate_one(CCQuantifier(), PassThroughModel(2),
+                     FakeBag(np.zeros((0, 2))))
 
 
 def test_quantifier_estimate_dispatch(fitted_pipeline):
     model, quantifier, rest = fitted_pipeline
     rng = np.random.default_rng(17)
     bag = draw_bag(rest, [0.6, 0.4], 80, rng)
-    assert np.array_equal(quantifier.estimate(bag), kdey_ml_estimate(quantifier, bag))
-    cc = fit_cc(model)
-    assert np.array_equal(cc.estimate(bag), classify_and_count(model, bag))
+    # a mixed list: each quantifier is reduced by its own type
+    posteriors = np.stack([model.predict_posteriors(bag.features)] * 2)
+    qhat, _ = estimate_batch([quantifier, CCQuantifier()], posteriors)
+    assert np.array_equal(qhat[0], estimate_one(quantifier, model, bag))
+    assert np.array_equal(qhat[1], estimate_one(CCQuantifier(), model, bag))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftselect import selection
-from shiftselect.cap import cap_predict
+from shiftselect.cap import predict_batch
 from shiftselect.classifiers import TrainingError, default_model
 from shiftselect.dataspace import stratified_split, synth_gaussian_pps
 from shiftselect.protocol import app_generate, draw_bag, reveal_labels
@@ -23,6 +23,12 @@ def splits():
 def registry(splits):
     proper, validation, _ = splits
     return build_registry(("LR", "KNN", "MLP"), proper, validation, seed=3)
+
+
+def predicted_accuracy(entry, bag):
+    """The entry's predicted accuracy on the bag, through the batched API."""
+    posteriors = entry.model.predict_posteriors(bag.features)[None]
+    return predict_batch([entry.cap], posteriors).accuracy[0]
 
 
 def bag_posteriors(registry, test):
@@ -69,8 +75,8 @@ def test_registry_round_trip(registry, splits, tmp_path):
         assert orig.hyperparams == redo.hyperparams
         assert np.array_equal(orig.model.predict_posteriors(bag.features),
                               redo.model.predict_posteriors(bag.features))
-        assert cap_predict(orig.cap, bag).accuracy == pytest.approx(
-            cap_predict(redo.cap, bag).accuracy, abs=1e-12)
+        assert predicted_accuracy(orig, bag) == pytest.approx(
+            predicted_accuracy(redo, bag), abs=1e-12)
 
 
 def test_registry_round_trip_counting_quantifier(splits, tmp_path):
@@ -83,8 +89,8 @@ def test_registry_round_trip_counting_quantifier(splits, tmp_path):
     bag = draw_bag(test, [0.3, 0.7], 50, np.random.default_rng(2))
     for orig, redo in zip(counting.entries, loaded.entries, strict=True):
         assert type(redo.cap.quantifier) is type(orig.cap.quantifier)
-        assert cap_predict(orig.cap, bag).accuracy == pytest.approx(
-            cap_predict(redo.cap, bag).accuracy, abs=1e-12)
+        assert predicted_accuracy(orig, bag) == pytest.approx(
+            predicted_accuracy(redo, bag), abs=1e-12)
 
 
 def test_registry_skips_failed_configs(splits, monkeypatch):
@@ -175,7 +181,7 @@ def test_tms_picks_the_higher_estimate(registry, splits):
     bag = draw_bag(test, [0.2, 0.8], 60, np.random.default_rng(3))
     two = ModelRegistry(registry.entries[:2])
     outcome = tms_select(two, "All", bag)
-    accs = [cap_predict(e.cap, bag).accuracy for e in two.entries]
+    accs = [predicted_accuracy(e, bag) for e in two.entries]
     assert outcome.model_id == two.entries[int(np.argmax(accs))].model_id
     assert outcome.estimated_accuracy == pytest.approx(max(accs))
 
