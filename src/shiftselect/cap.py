@@ -204,8 +204,8 @@ def fit_cap(model: TrainedModel, validation: LabelledSet,
 class CapBatch:
     """Accuracy predictions of k predictors on one bag, one row per
     predictor: estimated accuracy, solved theta, the two prevalence views, the
-    solver's iterations and convergence, and whether the quantifier hit its
-    density floor."""
+    LEAP solver's iterations and convergence, and the same two counters of
+    the quantifier's mixture solver (0 and True for CC)."""
 
     accuracy: np.ndarray
     theta: np.ndarray
@@ -213,7 +213,8 @@ class CapBatch:
     qhat: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    floored: np.ndarray
+    em_iterations: np.ndarray
+    em_converged: np.ndarray
 
 
 def predict_batch(caps, posteriors: np.ndarray, rows=None) -> CapBatch:
@@ -224,8 +225,8 @@ def predict_batch(caps, posteriors: np.ndarray, rows=None) -> CapBatch:
     :func:`quantifiers.estimate_batch`, which rejects an empty bag).
     """
     n = caps[0].rates.n_classes
-    qhat, floored = estimate_batch([c.quantifier for c in caps], posteriors,
-                                   rows)
+    qhat, em_iterations, em_converged = estimate_batch(
+        [c.quantifier for c in caps], posteriors, rows)
     qhat = as_prevalence(qhat, n, stacked=True)
     rho = label_shares(np.argmax(posteriors, axis=2), n)
     rates = [c.rates for c in caps]
@@ -236,7 +237,7 @@ def predict_batch(caps, posteriors: np.ndarray, rows=None) -> CapBatch:
     # accuracy is the trace of each table c[i][j] = m[i][j] * theta_j
     diagonal = np.stack([np.diagonal(r.m) for r in rates])
     return CapBatch((diagonal * theta).sum(axis=1), theta, rho, qhat,
-                    iterations, converged, floored)
+                    iterations, converged, em_iterations, em_converged)
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

@@ -306,12 +306,34 @@ class KNNModel(TrainedModel):
         return _knn_posteriors([self], self._check_features(X))[0]
 
 
+def nearest_order(d2: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of the stable argsort of each row of d2: the k
+    nearest columns, equal distances resolved to the lowest index.
+
+    Only the candidates up to each row's k-th smallest distance, ties
+    included, are sorted, in index order so that a stable sort of their
+    distances keeps the full sort's tie order."""
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d2 <= kth)      # row by row, columns ascending
+    width = np.bincount(rows, minlength=d2.shape[0])
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)
+    candidates = np.zeros((d2.shape[0], width.max(initial=k)), dtype=np.intp)
+    distances = np.full(candidates.shape, np.inf)
+    candidates[rows, slot] = cols
+    distances[rows, slot] = d2[rows, cols]
+    first = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(candidates, first, axis=1)
+
+
 def _knn_posteriors(models, X) -> list:
     """Posterior rows of KNN models that share one training set.
 
-    The squared distances and their stable order are computed once; each
-    model reads its own k-prefix of that order and applies its own labels and
-    vote weights, so every result equals a one-model call bit for bit.
+    The squared distances and the stable order of the nearest neighbours are
+    computed once; each model reads its own k-prefix of that order and applies
+    its own labels and vote weights, so every result equals a one-model call
+    bit for bit.
     """
     X_train = models[0].X_train
     n_train = X_train.shape[0]
@@ -321,8 +343,8 @@ def _knn_posteriors(models, X) -> list:
         - 2.0 * X @ X_train.T
     )
     np.maximum(d2, 0.0, out=d2)
-    # stable argsort: equal distances resolve to the lowest training index
-    order = np.argsort(d2, axis=1, kind="stable")
+    order = nearest_order(
+        d2, max(min(m.hyperparams["n_neighbors"], n_train) for m in models))
     out = []
     for model in models:
         k = min(model.hyperparams["n_neighbors"], n_train)

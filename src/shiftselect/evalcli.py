@@ -10,7 +10,7 @@ same config and seed, a run produces byte-identical output files:
 * ``summary.csv``    per-strategy mean/std plus significance vs the best;
 * ``shift_curve.csv``  per-shift-bin mean accuracy per strategy;
 * ``summary.txt``    human-readable digest, with one warning line per model
-  whose accuracy solver stopped early or whose EM hit the density floor.
+  whose accuracy solver or KDEy-ML mixture solver stopped early.
 
 The environment variable ``SHIFTSELECT_SEED`` overrides the config seed.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
@@ -108,6 +108,7 @@ class RunConfig:
             raise ConfigError("cap_weight must be positive")
         if self.smoothing < 0:
             raise ConfigError("smoothing must be nonnegative")
+        check_alpha(self.alpha)
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
@@ -120,8 +121,17 @@ class RunConfig:
             for key in ("path", "label_column"):
                 if key not in self.dataset:
                     raise ConfigError(f"csv dataset needs dataset.{key}")
+        elif int({**DEFAULT_DATASET, **self.dataset}["n_classes"]) < 2:
+            raise ConfigError("a synthetic dataset needs at least two classes")
         for strat in self.strategies:
             _parse_strategy(strat, self.families)
+
+
+def check_alpha(alpha: float):
+    """The Wilcoxon significance level must lie in (0, 1); raises
+    ConfigError."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha {alpha} not in (0,1)")
 
 
 def _parse_strategy(name: str, families):
@@ -445,7 +455,7 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     run_id = manifest["run_id"]
     rows = []
-    diagnostics = {"nonconverged": Counter(), "floored": Counter()}
+    diagnostics = {"nonconverged": Counter(), "em_nonconverged": Counter()}
     try:
         with _stage("evaluate"):
             for row in _evaluate(config, registry, test, bags, proper, run_id,
@@ -467,12 +477,13 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
     """Yield one ResultRow per (bag, strategy); incremental so that partial
     progress survives a mid-run failure.
 
-    `diagnostics` maps "nonconverged" and "floored" to Counters of model id,
-    counting the bags on which TMS saw that model's accuracy solver stop
-    before converging or its quantifier hit the density floor."""
-    # Posteriors and quantifier rows (the KDE densities) over the whole test
-    # set are computed once per model and stacked along registry.entries; a
-    # bag's rows are then slices, which keeps TMS and the oracle cheap.
+    `diagnostics` maps "nonconverged" and "em_nonconverged" to Counters of
+    model id, counting the bags on which TMS saw that model's accuracy solver
+    or mixture solver stop before converging."""
+    # Posteriors and quantifier rows (the KDE log densities) over the whole
+    # test set are computed once per model and stacked along
+    # registry.entries; a bag's rows are then slices, which keeps TMS and the
+    # oracle cheap.
     posteriors_test = predict_posteriors_batch(
         [e.model for e in registry.entries], test.X)
     densities_test = np.stack([e.cap.quantifier.rows(P) for e, P in
@@ -509,7 +520,7 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
                 acc = float((outcome.predicted_labels == truth).mean())
                 est = outcome.estimated_accuracy
                 flagged["nonconverged"].update(outcome.nonconverged)
-                flagged["floored"].update(outcome.floored)
+                flagged["em_nonconverged"].update(outcome.em_nonconverged)
             else:  # oracle
                 outcome = oracle_select(registry, "All", bag, truth,
                                         posteriors=P)
@@ -525,7 +536,7 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
 def _diagnostic_warnings(diagnostics: dict, n_bags: int) -> list:
     """One summary line per model and kind of numerical trouble."""
     what = {"nonconverged": "accuracy solver did not converge",
-            "floored": "KDE density floor active in EM"}
+            "em_nonconverged": "mixture solver did not converge"}
     return [f"model {mid}: {what[name]} on {count} of {n_bags} bags"
             for name in what
             for mid, count in sorted(diagnostics[name].items())]
@@ -681,6 +692,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    check_alpha(args.alpha)
     table = read_results_csv(args.results)
     emit_report(table, args.outdir, n_bins=args.bins, alpha=args.alpha)
     print(f"re-emitted reports to {args.outdir}")

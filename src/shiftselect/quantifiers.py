@@ -7,26 +7,30 @@ classifier:
   predicted labels;
 * :class:`KDEyMLQuantifier` (KDEy-ML): per-class Gaussian KDEs fitted on the
   posterior vectors of validation instances, with mixture weights chosen to
-  maximize the likelihood of the bag's posteriors via EM (multiplicative
-  updates).
+  maximize the likelihood of the bag's posteriors.
 
 Model selection estimates every model's prevalence on one bag at once, so each
 type splits its estimate in two: ``rows(posteriors)`` gives the per-instance
-rows it reduces (the KDE class densities for KDEy-ML, the posteriors
+rows it reduces (the KDE class log densities for KDEy-ML, the posteriors
 themselves for CC), and ``reduce(rows)`` turns a ``(k, m, n)`` stack of them
-into ``k`` prevalences at once (batched EM, or label counts). Rows depend on
-the instances only, so a caller that labels many bags drawn from one test set
-evaluates them once per model over the whole set and slices out each bag.
-:func:`estimate_batch` runs this for a list of quantifiers, and
-:func:`em_weights_batch` is the one EM implementation; one quantifier or one
+into ``k`` prevalences at once (the batched mixture solver, or label counts).
+Rows depend on the instances only, so a caller that labels many bags drawn
+from one test set evaluates them once per model over the whole set and slices
+out each bag. :func:`estimate_batch` runs this for a list of quantifiers, and
+:func:`em_weights_batch` is the one mixture solver; one quantifier or one
 density matrix is the k=1 case of the same calls.
 
 :data:`QUANTIFIERS` maps each kind name to its type and is the only list of
 valid kinds; :func:`fit_quantifier` fits one by name.
 
-The EM objective L(a) = sum_x log sum_j a_j f_j(s(x)) is concave in the
-mixture weights, every EM iterate stays on the simplex, and the likelihood is
-non-decreasing across iterations, so the updates reach the global optimum.
+The objective L(a) = sum_x log sum_j a_j f_j(s(x)) is concave in the mixture
+weights, so its maximum over the simplex is global and is characterized by
+the KKT conditions: with g = grad L, g_j = m (the bag size) where a_j > 0 and
+g_j <= m where a_j = 0. The solver warm-starts with a few EM (multiplicative)
+updates, then takes damped Newton steps with an active set (projected Newton,
+Bertsekas 1982), which reach such a point, boundary optima included, in a
+handful of steps where EM converges sublinearly. Densities are handled as
+logs throughout, so small bandwidths lose nothing to underflow.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ import numpy as np
 from .dataspace import DataError, LabelledSet
 from .classifiers import TrainedModel
 
-DENSITY_FLOOR = 1e-300
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
 EM_MAX_ITER = 1000
+EM_WARM_STEPS = 3       # EM steps before the first Newton step
+NEWTON_RIDGE = 1e-12    # relative ridge on the Newton system
 
 
 @dataclass(frozen=True)
@@ -63,17 +68,28 @@ class ClassDensities:
                 raise ValueError(f"class {j} has invalid support shape {S.shape}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Density of each class's KDE at each query row; shape (m, n_classes)."""
+        """Log density of each class's KDE at each query row; shape
+        (m, n_classes).
+
+        With E = -|p - s|^2 / (2 h^2) over the support points s, the log
+        density is log norm + max E + log mean exp(E - max E), so it stays
+        finite however far a row lies from the support."""
         P = np.asarray(points, dtype=float)
         h2 = self.bandwidth ** 2
         d = self.n_classes
-        norm = (2.0 * np.pi * h2) ** (-d / 2.0)
+        log_norm = -0.5 * d * np.log(2.0 * np.pi * h2)
         out = np.empty((P.shape[0], d))
-        pp = (P * P).sum(axis=1)[:, None]
+        # E = (p.s - s.s / 2) / h^2 - p.p / (2 h^2); the last term is one
+        # constant per row, so it is added after the row maximum
+        Ph = P / h2
+        pp = 0.5 * (P * Ph).sum(axis=1)
         for j, S in enumerate(self.support):
-            d2 = pp + (S * S).sum(axis=1)[None, :] - 2.0 * P @ S.T
-            np.maximum(d2, 0.0, out=d2)
-            out[:, j] = norm * np.exp(-d2 / (2.0 * h2)).mean(axis=1)
+            E = Ph @ S.T
+            E -= (0.5 / h2) * (S * S).sum(axis=1)
+            top = E.max(axis=1)
+            E -= top[:, None]
+            np.exp(E, out=E)
+            out[:, j] = log_norm + (top - pp) + np.log(E.mean(axis=1))
         return out
 
 
@@ -88,9 +104,11 @@ class CCQuantifier:
 
     @staticmethod
     def reduce(rows: np.ndarray):
-        """(prevalences (k, n), floored (k,)) from a (k, m, n) posterior stack."""
+        """(prevalences (k, n), iterations (k,), converged (k,)) from a
+        (k, m, n) posterior stack; counting takes no iterations."""
+        k = rows.shape[0]
         return (label_shares(np.argmax(rows, axis=2), rows.shape[2]),
-                np.zeros(rows.shape[0], dtype=bool))
+                np.zeros(k, dtype=int), np.ones(k, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -105,9 +123,9 @@ class KDEyMLQuantifier:
 
     @staticmethod
     def reduce(rows: np.ndarray):
-        """(prevalences (k, n), floored (k,)) from a (k, m, n) density stack."""
-        alpha, _, floored, _ = em_weights_batch(rows)
-        return alpha, floored
+        """(prevalences (k, n), iterations (k,), converged (k,)) of the
+        mixture solver on a (k, m, n) log-density stack."""
+        return em_weights_batch(rows)[:3]
 
 
 QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
@@ -145,56 +163,150 @@ def fit_kdey(model: TrainedModel, validation: LabelledSet,
     return KDEyMLQuantifier(densities)
 
 
-def em_weights_batch(F: np.ndarray, tol: float = EM_TOL,
+def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
                      max_iter: int = EM_MAX_ITER, loglik: bool = False):
-    """Maximize sum_x log sum_j a_j F[i, x, j] over the simplex by EM, for
-    each of the k density matrices of the (k, m, n) stack F at once.
+    """Maximize L(a) = sum_x log sum_j a_j exp(logF[i, x, j]) over the
+    simplex, for each of the k log-density matrices of the (k, m, n) stack
+    logF at once.
 
-    Each problem starts uniform and stops on its own when the L1 change of its
-    weights falls below `tol`, or after `max_iter` iterations; a stopped
-    problem leaves the active set, so the others run on without it and every
-    problem gets the iterates a single-matrix run would give. Densities are
-    floored at 1e-300 before use.
+    Each row is first rescaled to F = exp(logF - rowmax), which moves L by a
+    constant and leaves the argmax alone, so no density under- or overflows.
+    Each problem starts uniform, takes EM_WARM_STEPS EM steps, then damped
+    Newton steps on the face of the simplex that its active set picks (see
+    :func:`_newton_direction` and :func:`_line_search`); no step lowers L. A
+    problem stops when the L1 norm of its step (the full Newton step, before
+    damping) falls below `tol` (converged), when no step along its Newton
+    direction keeps L from falling (not converged), or after `max_iter`
+    steps. A stopped problem leaves the active set, so the others run on
+    without it and every problem gets the iterates a single-matrix run would
+    give.
 
-    Returns (alpha (k, n), iterations (k,), floored (k,), trace): `floored`
-    says whether the floor was active for that problem, and `trace` is None
-    unless `loglik` is set, when it holds one log-likelihood list per problem
-    (one value per iterate, the start included).
+    Returns (alpha (k, n), iterations (k,), converged (k,), trace): `trace` is
+    None unless `loglik` is set, when it holds one list of L per problem (one
+    value per iterate, the start included).
     """
-    F = np.asarray(F, dtype=float)
-    floored = (F < DENSITY_FLOOR).any(axis=(1, 2))
-    F = np.maximum(F, DENSITY_FLOOR)
-    k, _, n = F.shape
+    logF = np.asarray(logF, dtype=float)
+    top = logF.max(axis=2, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("every row needs a finite log density for some class")
+    offset = top.sum(axis=(1, 2))
+    # (k, n, m): the class axis first makes every product below contiguous
+    FT = np.exp(logF - top).transpose(0, 2, 1).copy()
+    k, n, m = FT.shape
     alpha = np.full((k, n), 1.0 / n)
     iterations = np.full(k, max(max_iter, 0))
+    converged = np.zeros(k, dtype=bool)
     trace = [[] for _ in range(k)] if loglik else None
-    active, Fa, a = np.arange(k), F, alpha.copy()
+    active, Fa, a = np.arange(k), FT, alpha.copy()
     for it in range(1, max_iter + 1):
-        mix = np.matmul(Fa, a[:, :, None])[:, :, 0]
+        mix = np.matmul(a[:, None, :], Fa)[:, 0, :]
+        L = np.log(mix).sum(axis=1)
         if loglik:
-            for i, value in zip(active, np.log(mix).sum(axis=1)):
+            for i, value in zip(active, L + offset[active]):
                 trace[i].append(float(value))
-        new = (Fa * (a[:, None, :] / mix[:, :, None])).mean(axis=1)
-        new /= new.sum(axis=1, keepdims=True)
-        done = np.abs(new - a).sum(axis=1) < tol
+        w = 1.0 / mix
+        g = np.matmul(Fa, w[:, :, None])[:, :, 0]      # the gradient of L
+        if it <= EM_WARM_STEPS:
+            new = a * g
+            new /= new.sum(axis=1, keepdims=True)
+            done = stop = np.abs(new - a).sum(axis=1) < tol
+        else:
+            d = _newton_direction(Fa * w[:, None, :], g, a)
+            size = np.abs(d).sum(axis=1)
+            new, moved = _line_search(Fa, a, d, L, size, tol)
+            done = size < tol
+            stop = done | ~moved
         a = new
-        if done.any():
-            alpha[active[done]] = a[done]
-            iterations[active[done]] = it
-            active, Fa, a = active[~done], Fa[~done], a[~done]
+        if stop.any():
+            alpha[active[stop]] = a[stop]
+            iterations[active[stop]] = it
+            converged[active[stop]] = done[stop]
+            active, Fa, a = active[~stop], Fa[~stop], a[~stop]
             if not active.size:
                 break
     alpha[active] = a
     if loglik:
-        final = np.log(np.matmul(F, alpha[:, :, None])[:, :, 0]).sum(axis=1)
-        for i, value in enumerate(final):
+        for i, value in enumerate(_log_likelihood(FT, alpha) + offset):
             trace[i].append(float(value))
-    return alpha, iterations, floored, trace
+    return alpha, iterations, converged, trace
+
+
+def _log_likelihood(FT: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_x log (F a)_x per problem, from the (k, n, m) stack F^T; -inf
+    where a mixture density is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.matmul(a[:, None, :], FT)[:, 0, :]).sum(axis=1)
+
+
+def _newton_direction(GT: np.ndarray, g: np.ndarray, a: np.ndarray):
+    """Newton direction of L at each weight vector a (rows of a (k, n) stack),
+    restricted to the face of the simplex its active set picks.
+
+    `GT` is the (k, n, m) stack of G^T with G = F / mix, and `g` = sum_x G is
+    the gradient of L; the Hessian is -G^T G. Summing a_j g_j gives m, so m
+    is the KKT multiplier of sum(a) = 1 at every point of the simplex: a
+    weight at 0 is free to grow only if its g_j > m. On the free set the
+    direction solves G^T G d = g - mu with sum(d) = 0 (one solve, right-hand
+    sides g and 1); a weight at 0 whose direction points outward is dropped
+    from the free set and the direction solved again. A relative ridge of
+    NEWTON_RIDGE keeps G^T G invertible when its columns are dependent; it
+    does not move the fixed point.
+    """
+    k, n, m = GT.shape
+    Q = np.matmul(GT, GT.transpose(0, 2, 1))
+    free = (a > 0) | (g > m)
+    diagonal = np.eye(n, dtype=bool)
+    d = np.zeros((k, n))
+    todo = np.arange(k)
+    while todo.size:
+        f = free[todo]
+        A = np.where(f[:, :, None] & f[:, None, :], Q[todo], 0.0)
+        q = A[:, diagonal]
+        ridge = NEWTON_RIDGE * q.sum(axis=1) / f.sum(axis=1)
+        A[:, diagonal] = np.where(f, q + ridge[:, None], 1.0)
+        rhs = np.stack([np.where(f, g[todo], 0.0), f.astype(float)], axis=2)
+        u, v = np.moveaxis(np.linalg.solve(A, rhs), 2, 0)
+        d[todo] = u - (u.sum(axis=1) / v.sum(axis=1))[:, None] * v
+        outward = f & (a[todo] == 0) & (d[todo] < 0)
+        again = outward.any(axis=1)
+        free[todo[again]] &= ~outward[again]
+        todo = todo[again]
+    return d
+
+
+def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
+                 size: np.ndarray, tol: float):
+    """Damped step from each a along d (of L1 norm `size`): the first of t0,
+    t0/2, t0/4, ... whose log-likelihood is no lower than L, where t0 =
+    min(1, the step to the simplex boundary). A step of exactly t0 < 1 pins
+    the blocking weights to 0. Halving stops once a step's L1 norm is below
+    `tol`; a problem with no acceptable step by then keeps its weights.
+    Returns (new weights, moved)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(d < 0, a / -d, np.inf)
+    t = np.minimum(reach.min(axis=1), 1.0)
+    new = a.copy()
+    moved = np.zeros(len(a), dtype=bool)
+    todo = np.arange(len(a))
+    while todo.size:
+        step = t[todo, None]
+        trial = a[todo] + step * d[todo]
+        trial[reach[todo] <= step] = 0.0
+        np.maximum(trial, 0.0, out=trial)
+        trial /= trial.sum(axis=1, keepdims=True)
+        ok = _log_likelihood(FT[todo], trial) >= L[todo]
+        new[todo[ok]] = trial[ok]
+        moved[todo[ok]] = True
+        todo = todo[~ok]
+        t[todo] *= 0.5
+        todo = todo[t[todo] * size[todo] >= tol]
+    return new, moved
 
 
 def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
     """Prevalence estimates of k quantifiers on one bag, as (prevalences
-    (k, n), floored (k,)).
+    (k, n), iterations (k,), converged (k,)); the last two are the mixture
+    solver's counters (0 and True for CC).
 
     `posteriors` stacks each quantifier's model posteriors for the bag's
     instances, shape (k, m, n). `rows` optionally stacks the matching
@@ -206,15 +318,16 @@ def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
     if m == 0:
         raise DataError("empty bag")
     qhat = np.empty((k, n))
-    floored = np.zeros(k, dtype=bool)
+    iterations = np.empty(k, dtype=int)
+    converged = np.empty(k, dtype=bool)
     groups = {}
     for i, q in enumerate(quantifiers):
         groups.setdefault(type(q), []).append(i)
     for kind, idx in groups.items():
         stack = rows[idx] if rows is not None else \
             np.stack([quantifiers[i].rows(posteriors[i]) for i in idx])
-        qhat[idx], floored[idx] = kind.reduce(stack)
-    return qhat, floored
+        qhat[idx], iterations[idx], converged[idx] = kind.reduce(stack)
+    return qhat, iterations, converged
 
 
 def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:

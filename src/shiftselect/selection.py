@@ -79,8 +79,9 @@ class SelectionOutcome:
     estimated_accuracy: float = None
     true_accuracy: float = None
     warnings: tuple = ()
-    nonconverged: tuple = ()   # ids of models whose accuracy solver stopped early
-    floored: tuple = ()        # ids of models whose quantifier hit its density floor
+    # ids of models whose accuracy solver / mixture solver stopped early
+    nonconverged: tuple = ()
+    em_nonconverged: tuple = ()
 
 
 def _entry_seed(seed: int, model_id: int) -> int:
@@ -199,7 +200,7 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
 
     `posteriors` may supply the bag's posterior rows under every registry
     entry's model, shape (len(registry.entries), m, n), and `densities` the
-    matching quantifier rows (``q.rows(...)``: the KDE class densities for
+    matching quantifier rows (``q.rows(...)``: the KDE class log densities for
     KDEy-ML); the evaluation harness slices both from test-set caches.
     """
     entries, positions, P = _scope_rows(registry, scope, bag, posteriors)
@@ -207,18 +208,20 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     batch = predict_batch([e.cap for e in entries], P, rows)
     best = _best(batch.accuracy, entries,
                  f"scope {scope!r} on a bag of {bag.size} instances")
-    nonconverged = tuple(e.model_id for e, ok in zip(entries, batch.converged)
-                         if not ok)
+    nonconverged, em_nonconverged = (
+        tuple(e.model_id for e, ok in zip(entries, flags) if not ok)
+        for flags in (batch.converged, batch.em_converged))
     return SelectionOutcome(
         strategy=f"TMS-{_scope_name(scope)}",
         model_id=entries[best].model_id,
         predicted_labels=np.argmax(P[best], axis=1),
         estimated_accuracy=float(batch.accuracy[best]),
-        warnings=tuple(f"model {mid}: accuracy solver did not converge"
-                       for mid in nonconverged),
+        warnings=tuple(f"model {mid}: {what} did not converge"
+                       for what, ids in (("accuracy solver", nonconverged),
+                                         ("mixture solver", em_nonconverged))
+                       for mid in ids),
         nonconverged=nonconverged,
-        floored=tuple(e.model_id for e, hit in zip(entries, batch.floored)
-                      if hit))
+        em_nonconverged=em_nonconverged)
 
 
 def oracle_select(registry: ModelRegistry, scope, bag, true_labels,

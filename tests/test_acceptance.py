@@ -90,7 +90,8 @@ class _OracleQuantifier:
 
     @staticmethod
     def reduce(rows):
-        return rows[:, 0], np.zeros(len(rows), dtype=bool)
+        return (rows[:, 0], np.zeros(len(rows), dtype=int),
+                np.ones(len(rows), dtype=bool))
 
 
 class _FixedBag:

@@ -34,7 +34,8 @@ class OracleQuantifier:
 
     @staticmethod
     def reduce(rows):
-        return rows[:, 0], np.zeros(len(rows), dtype=bool)
+        return (rows[:, 0], np.zeros(len(rows), dtype=int),
+                np.ones(len(rows), dtype=bool))
 
 
 def solve_one(rates, rho, qhat, **kwargs):
@@ -307,7 +308,7 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
     for i, psi in enumerate(caps):
         one = predict_batch([psi], posteriors[i:i + 1])
         for name in ("accuracy", "theta", "rho", "qhat", "iterations",
-                     "converged", "floored"):
+                     "converged", "em_iterations", "em_converged"):
             assert np.array_equal(getattr(batch, name)[i],
                                   getattr(one, name)[0]), name
 

@@ -7,8 +7,8 @@ from shiftselect.classifiers import (KNN_DIST_EPS, ClassWeights, HyperParams,
                                      class_weight_candidates, default_model,
                                      load_model, lr_loss_grad, mlp_loss_grad,
                                      model_from_record, model_to_record,
-                                     predict_posteriors_batch, save_model,
-                                     train)
+                                     nearest_order, predict_posteriors_batch,
+                                     save_model, train)
 from shiftselect.dataspace import Dataset
 
 
@@ -262,6 +262,17 @@ def _lattice(rng, n):
     alternating labels keep both classes present."""
     X = rng.integers(-2, 3, size=(n, 2)).astype(float)
     return Dataset(X, np.arange(n) % 2, 2).all_instances()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 8),
+       n=st.integers(1, 60), k=st.integers(1, 70),
+       levels=st.sampled_from([1, 2, 5, 1000]))
+def test_nearest_order_is_the_stable_argsort_prefix(seed, m, n, k, levels):
+    # few distinct distances make long runs of ties, across the k-th one too
+    d2 = np.random.default_rng(seed).integers(0, levels, size=(m, n)) * 0.25
+    full = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(nearest_order(d2, k)[:, :k], full)
 
 
 @pytest.fixture(scope="module")

@@ -58,6 +58,8 @@ def test_config_rejects_unknown_keys():
     {"families": ("LR", "SVM")}, {"quantifier": "PACC"},
     {"strategies": ("IMS-SVM",)}, {"strategies": ("bogus",)},
     {"dataset": {"kind": "parquet"}},
+    {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 2.0}, {"alpha": -1},
+    {"dataset": {"kind": "synthetic", "n_classes": 1}},
 ])
 def test_config_validation_rejects(patch):
     raw = dict(patch)
@@ -353,15 +355,42 @@ def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
         config.r * len(config.strategies)
 
 
-def test_run_reports_floored_em_once_per_model(tmp_path):
+def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path):
+    from dataclasses import replace
+    from shiftselect.quantifiers import KDEyMLQuantifier, em_weights_batch
+    from shiftselect.selection import ModelRegistry
+
+    class TwoStepKDEy(KDEyMLQuantifier):
+        @staticmethod
+        def reduce(rows):
+            return em_weights_batch(rows, max_iter=2)[:3]
+
+    config = small_config(tmp_path)
+    _, proper, validation, _, manifest = evalcli._prepare(config)
+    registry = evalcli._train_registry(config, proper, validation, manifest)
+    strangled = ModelRegistry(
+        [replace(e, cap=replace(e.cap, quantifier=TwoStepKDEy(
+            e.cap.quantifier.densities)))
+         if e.model_id in (1, 4) else e for e in registry.entries],
+        registry.warnings, registry.meta)
+    table = run_experiment(config, registry=strangled)
+    assert table.meta["warnings"] == [
+        f"model {mid}: mixture solver did not converge on 10 of 10 bags"
+        for mid in (1, 4)]
+    emit_report(table, config.outdir)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary.count("did not converge") == 2
+    assert "warning: model 4: mixture solver did not converge" in summary
+
+
+def test_run_at_a_small_bandwidth_needs_no_warning(tmp_path):
+    # at bandwidth 1e-3 many KDE densities underflow as floats; as log
+    # densities every mixture problem still converges
     config = small_config(tmp_path, bandwidth=1e-3)
     table = run_experiment(config)
-    floored = [w for w in table.meta["warnings"] if "density floor" in w]
-    assert floored
-    mids = [int(w.split()[1].rstrip(":")) for w in floored]
-    assert mids == sorted(set(mids))
-    for w in floored:
-        assert w.endswith(" of 10 bags")
+    assert table.meta["warnings"] == []
+    assert all(0.0 <= r.est_acc <= 1.0 for r in table.rows
+               if r.est_acc is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +518,17 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert (tmp_path / "re" / "shift_curve.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", ["2.0", "-1", "0", "1"])
+def test_cli_report_rejects_alpha_outside_the_unit_interval(alpha, tmp_path,
+                                                            capsys):
+    results = tmp_path / "results.csv"
+    emit_report(ResultTable.from_rows([]), tmp_path)
+    assert main(["report", "--results", str(results), "--outdir",
+                 str(tmp_path / "re"), f"--alpha={alpha}"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "re").exists()
+
+
 def test_cli_train_persists_registry(tmp_path):
     config_path = write_config(tmp_path)
     assert main(["train", "--config", str(config_path)]) == 0
@@ -519,7 +559,9 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("raw", [{"dataset": {"kind": "csv"}},
-                                 {"smoothing": -0.5}])
+                                 {"smoothing": -0.5}, {"alpha": 2.0},
+                                 {"dataset": {"kind": "synthetic",
+                                              "n_classes": 1}}])
 def test_cli_config_error_before_any_stage(raw, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")

@@ -6,8 +6,8 @@ from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
-                                     em_weights_batch, estimate_batch,
-                                     fit_kdey)
+                                     _line_search, em_weights_batch,
+                                     estimate_batch, fit_kdey)
 
 
 class FakeBag:
@@ -31,19 +31,19 @@ class PassThroughModel:
         return np.argmax(self.predict_posteriors(X), axis=1)
 
 
-def em_one(F, **kwargs):
-    """One density matrix through the batched EM core: (alpha, iterations,
-    floored, log-likelihood trace)."""
-    alpha, iterations, floored, trace = em_weights_batch(
-        np.asarray(F, dtype=float)[None], loglik=True, **kwargs)
-    return alpha[0], int(iterations[0]), bool(floored[0]), trace[0]
+def em_one(logF, **kwargs):
+    """One log-density matrix through the batched mixture solver: (alpha,
+    iterations, converged, log-likelihood trace)."""
+    alpha, iterations, converged, trace = em_weights_batch(
+        np.asarray(logF, dtype=float)[None], loglik=True, **kwargs)
+    return alpha[0], int(iterations[0]), bool(converged[0]), trace[0]
 
 
 def estimate_one(quantifier, model, bag, rows=None):
     """One quantifier's prevalence estimate on one bag through the batched
     API."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    qhat, _ = estimate_batch([quantifier], posteriors, rows)
+    qhat, _, _ = estimate_batch([quantifier], posteriors, rows)
     return qhat[0]
 
 
@@ -66,11 +66,11 @@ def test_singleton_kde_is_a_bump_at_the_support_point():
     dens = ClassDensities((center, np.array([[0.2, 0.8]])), bandwidth=0.1,
                           n_classes=2)
     h = 0.1
-    peak = dens.evaluate(center)[0, 0]
+    peak = np.exp(dens.evaluate(center)[0, 0])
     assert peak == pytest.approx((2 * np.pi * h * h) ** -1, rel=1e-12)
     # local dominance: the density at its own support point beats a point 10h away
     far = center + np.array([[10 * h, -10 * h]]) / np.sqrt(2)
-    assert dens.evaluate(far)[0, 0] < peak * 1e-5
+    assert np.exp(dens.evaluate(far)[0, 0]) < peak * 1e-5
 
 
 def test_kde_segment_mass_matches_quadrature():
@@ -81,7 +81,7 @@ def test_kde_segment_mass_matches_quadrature():
     dens = ClassDensities((support, support.copy()), bandwidth=h, n_classes=2)
     t = np.linspace(0.0, 1.0, 10001)
     points = np.column_stack([t, 1.0 - t])
-    f = dens.evaluate(points)[:, 0]
+    f = np.exp(dens.evaluate(points)[:, 0])
     integral = np.trapezoid(f, t) * np.sqrt(2.0)   # ds = sqrt(2) dt
     expected = 1.0 / (np.sqrt(2.0 * np.pi) * h)
     assert integral == pytest.approx(expected, rel=1e-3)
@@ -108,7 +108,7 @@ def test_em_monotone_loglik_on_random_fixtures():
     rng = np.random.default_rng(8)
     for _ in range(25):
         F = rng.uniform(0.05, 3.0, size=(rng.integers(5, 60), rng.integers(2, 5)))
-        _, _, _, loglik = em_one(F)
+        _, _, _, loglik = em_one(np.log(F))
         trace = np.array(loglik)
         assert (np.diff(trace) >= -1e-9).all()
 
@@ -117,7 +117,7 @@ def test_em_iterates_stay_on_simplex():
     rng = np.random.default_rng(9)
     F = rng.uniform(0.05, 3.0, size=(40, 3))
     for k in (1, 2, 5, 20, 100):
-        alpha, _, _, _ = em_one(F, max_iter=k)
+        alpha, _, _, _ = em_one(np.log(F), max_iter=k)
         assert (alpha >= 0).all()
         assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -126,9 +126,10 @@ def test_em_symmetric_densities_keep_uniform_weights():
     rng = np.random.default_rng(10)
     col = rng.uniform(0.1, 2.0, size=30)
     F = np.column_stack([col, col])    # identical class densities
-    alpha, iterations, _, _ = em_one(F)
+    alpha, iterations, converged, _ = em_one(np.log(F))
     assert np.allclose(alpha, [0.5, 0.5], atol=1e-12)
     assert iterations == 1     # uniform is already the fixed point
+    assert converged
 
 
 def test_em_matches_grid_search_two_classes(fitted_pipeline):
@@ -136,20 +137,95 @@ def test_em_matches_grid_search_two_classes(fitted_pipeline):
     rng = np.random.default_rng(11)
     bag = draw_bag(rest, [0.3, 0.7], 200, rng)
     posteriors = model.predict_posteriors(bag.features)
-    F = np.maximum(quantifier.densities.evaluate(posteriors), 1e-300)
+    logF = quantifier.densities.evaluate(posteriors)
+    F = np.exp(logF - logF.max(axis=1, keepdims=True))
 
-    alpha, _, _, _ = em_one(F)
+    alpha, _, _, _ = em_one(logF)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     mixtures = np.outer(F[:, 0], grid) + np.outer(F[:, 1], 1.0 - grid)
     best = grid[np.argmax(np.log(mixtures).sum(axis=0))]
     assert abs(alpha[0] - best) <= 2e-3
 
 
-def test_em_floors_vanishing_densities():
-    F = np.array([[0.0, 0.0], [1.0, 2.0]])
-    alpha, _, floored, _ = em_one(F)
-    assert floored
-    assert np.isfinite(np.log(np.maximum(F, 1e-300) @ alpha).sum())
+def test_em_log_domain_handles_vanishing_densities():
+    # every density here underflows to 0 as a float; shifting a row's log
+    # densities by a constant moves L by that constant and not the weights
+    rng = np.random.default_rng(18)
+    logF = np.log(rng.uniform(0.05, 3.0, size=(30, 3)))
+    shift = rng.uniform(-2000.0, -800.0, size=(30, 1))
+    assert (np.exp(logF + shift) == 0.0).all()
+    alpha, _, converged, trace = em_one(logF)
+    alpha_shifted, _, converged_shifted, trace_shifted = em_one(logF + shift)
+    assert converged and converged_shifted
+    assert np.abs(alpha - alpha_shifted).max() <= 1e-9
+    assert trace_shifted[-1] == pytest.approx(trace[-1] + shift.sum(),
+                                              rel=1e-12)
+    # a row where every class density is 0 has no maximum: it fails loudly
+    logF[0] = -np.inf
+    with pytest.raises(ValueError, match="finite log density"):
+        em_one(logF)
+
+
+def test_kde_log_density_stays_finite_far_from_support():
+    h = 1e-3
+    support = np.array([[0.9, 0.1]])
+    dens = ClassDensities((support, support.copy()), bandwidth=h, n_classes=2)
+    point = np.array([[0.1, 0.9]])
+    d2 = ((point - support) ** 2).sum()
+    expected = -np.log(2 * np.pi * h * h) - d2 / (2 * h * h)
+    assert np.exp(expected) == 0.0      # the density itself underflows
+    assert dens.evaluate(point)[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_line_search_halves_a_step_that_would_lower_the_likelihood():
+    # F = I: L(a) = log a_0 + log a_1 peaks at (0.5, 0.5); the full step
+    # from (0.2, 0.8) overshoots to (0.95, 0.05), the half step does not
+    FT = np.eye(2)[None]
+    a = np.array([[0.2, 0.8]])
+    d = np.array([[0.75, -0.75]])
+    L = np.log(a).sum(axis=1)
+    new, moved = _line_search(FT, a, d, L, np.abs(d).sum(axis=1), 1e-6)
+    assert moved[0]
+    assert np.allclose(new, [[0.575, 0.425]], atol=1e-15)
+    # a direction along which L only falls is refused outright
+    new, moved = _line_search(FT, a, -d, L, np.abs(d).sum(axis=1), 1e-6)
+    assert not moved[0] and np.array_equal(new, a)
+
+
+def em_tight(logF, tol=1e-14, max_iter=100_000):
+    """Reference optimum: plain EM run to a tight tolerance."""
+    F = np.exp(logF - logF.max(axis=1, keepdims=True))
+    a = np.full(F.shape[1], 1.0 / F.shape[1])
+    for _ in range(max_iter):
+        new = (F * (a / (F @ a)[:, None])).mean(axis=0)
+        new /= new.sum()
+        if np.abs(new - a).sum() < tol:
+            return new
+        a = new
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60),
+       n=st.integers(2, 5), faint=st.integers(0, 2))
+def test_solver_meets_kkt_and_beats_tight_em(seed, m, n, faint):
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(0.05, 3.0, size=(m, n))
+    # faint classes push the optimum onto the simplex boundary
+    F[:, :faint] *= rng.uniform(0.0, 0.3, size=faint)
+    logF = np.log(F)
+    alpha, _, converged, trace = em_one(logF)
+    assert converged
+    assert (alpha >= 0).all() and alpha.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (np.diff(trace) >= -1e-9).all()
+    # KKT: the gradient equals m on the support and is at most m off it
+    g = (F / (F @ alpha)[:, None]).sum(axis=0)
+    support = alpha > 0
+    assert np.allclose(g[support], m, rtol=1e-6)
+    assert (g[~support] <= m * (1 + 1e-9)).all()
+    reference = em_tight(logF)
+    assert np.log(F @ alpha).sum() >= np.log(F @ reference).sum() - 1e-9
+    assert np.abs(alpha - reference).max() <= 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,20 +239,26 @@ def test_em_batch_equals_scalar_calls(seed, k, m, n, tol, max_iter):
     # problem 0 starts at its fixed point: identical class densities
     F[0] = F[0, :, :1]
     if k > 1:
-        # problem 1 needs the density floor
-        F[1, 0] = 0.0
-    alpha, iterations, floored, trace = em_weights_batch(
-        F, tol=tol, max_iter=max_iter, loglik=True)
+        # problem 1 has a density of exactly 0 (log density -inf)
+        F[1, 0, 0] = 0.0
+    if k > 2:
+        # problem 2 has a faint class, so a boundary optimum
+        F[2, :, -1] *= 1e-3
+    with np.errstate(divide="ignore"):
+        logF = np.log(F)
+    alpha, iterations, converged, trace = em_weights_batch(
+        logF, tol=tol, max_iter=max_iter, loglik=True)
     for i in range(k):
-        alpha_i, iterations_i, floored_i, trace_i = em_one(
-            F[i], tol=tol, max_iter=max_iter)
+        alpha_i, iterations_i, converged_i, trace_i = em_one(
+            logF[i], tol=tol, max_iter=max_iter)
         assert np.abs(alpha[i] - alpha_i).max() <= 1e-12
         assert iterations[i] == iterations_i
-        assert floored[i] == floored_i
+        assert converged[i] == converged_i
         assert trace[i] == trace_i
+        assert len(trace_i) == iterations_i + 1
     assert iterations[0] == min(max_iter, 1)
-    assert floored.tolist() == [i == 1 for i in range(k)]
-    _, _, _, no_trace = em_weights_batch(F, tol=tol, max_iter=max_iter)
+    assert converged[0] == (max_iter >= 1)
+    _, _, _, no_trace = em_weights_batch(logF, tol=tol, max_iter=max_iter)
     assert no_trace is None
 
 
@@ -201,6 +283,50 @@ def test_kdey_iid_bag_recovers_validation_prevalence(fitted_pipeline):
     assert np.abs(alpha - target).sum() <= 0.1
 
 
+def test_kdey_absent_class_gets_exactly_zero_weight():
+    ds = synth_gaussian_pps(3, 2, [1 / 3] * 3, 1200, 4.0, seed=21)
+    train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
+    model = train("LR", default_model("LR"), train_set, seed=0)
+    quantifier = fit_kdey(model, rest, bandwidth=0.1)
+    rng = np.random.default_rng(3)
+    for prevalence, absent in (([0.5, 0.5, 0.0], [2]),
+                               ([0.0, 0.2, 0.8], [0]),
+                               ([1.0, 0.0, 0.0], [1, 2])):
+        bag = draw_bag(rest, prevalence, 200, rng)
+        logF = quantifier.rows(model.predict_posteriors(bag.features))
+        alpha, _, converged, _ = em_one(logF)
+        assert converged
+        assert (alpha[absent] == 0.0).all()
+        assert np.abs(alpha - bag.realized_prevalence).max() <= 1e-3
+
+
+def test_small_bandwidth_estimate_tends_to_nearest_support_share():
+    # 4 classes, a class-3 share of 0.80, and a bag held out from the KDE's
+    # support: as the bandwidth shrinks, each row's likelihood is carried by
+    # its nearest support point, so the estimate tends to the share of rows
+    # whose nearest support point has class j, even where every density
+    # underflows as a float
+    ds = synth_gaussian_pps(4, 5, [0.25] * 4, 1000, 1.0, seed=3)
+    train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
+    validation, test = stratified_split(rest, 0.5, seed=1)
+    model = train("LR", default_model("LR"), train_set, seed=0)
+    bag = draw_bag(test, [0.2 / 3] * 3 + [0.8], 100, np.random.default_rng(1))
+    P = model.predict_posteriors(bag.features)
+    V = model.predict_posteriors(validation.X)
+    nearest = validation.y[np.argmin(((P[:, None] - V[None]) ** 2).sum(axis=2),
+                                     axis=1)]
+    share = np.bincount(nearest, minlength=4) / len(nearest)
+    estimates = {}
+    for bandwidth in (0.1, 0.01, 1e-3, 1e-4):
+        quantifier = fit_kdey(model, validation, bandwidth=bandwidth)
+        estimates[bandwidth] = estimate_one(quantifier, model, bag)
+    assert np.abs(estimates[0.01] - share).max() <= 0.02
+    for bandwidth in (1e-3, 1e-4):
+        assert np.abs(estimates[bandwidth] - share).max() <= 1e-3
+    assert np.exp(fit_kdey(model, validation, bandwidth=1e-4).rows(P)).max() \
+        == 0.0
+
+
 def test_kdey_precomputed_posteriors_match(fitted_pipeline):
     model, quantifier, rest = fitted_pipeline
     rng = np.random.default_rng(14)
@@ -222,7 +348,8 @@ def test_kdey_detailed_reports_monotone_trace(fitted_pipeline):
     rng = np.random.default_rng(15)
     bag = draw_bag(rest, [0.2, 0.8], 150, rng)
     posteriors = model.predict_posteriors(bag.features)
-    _, _, _, loglik = em_one(quantifier.densities.evaluate(posteriors))
+    _, _, converged, loglik = em_one(quantifier.densities.evaluate(posteriors))
+    assert converged
     assert (np.diff(loglik) >= -1e-9).all()
 
 
@@ -272,6 +399,9 @@ def test_quantifier_estimate_dispatch(fitted_pipeline):
     bag = draw_bag(rest, [0.6, 0.4], 80, rng)
     # a mixed list: each quantifier is reduced by its own type
     posteriors = np.stack([model.predict_posteriors(bag.features)] * 2)
-    qhat, _ = estimate_batch([quantifier, CCQuantifier()], posteriors)
+    qhat, iterations, converged = estimate_batch(
+        [quantifier, CCQuantifier()], posteriors)
     assert np.array_equal(qhat[0], estimate_one(quantifier, model, bag))
     assert np.array_equal(qhat[1], estimate_one(CCQuantifier(), model, bag))
+    assert iterations[0] > 0 and iterations[1] == 0
+    assert converged.all()
