@@ -13,23 +13,22 @@ any accuracy measure; vanilla accuracy is its trace.
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
 validation data. :func:`predict_batch` predicts the accuracy of k predictors
 on one bag in one pass: label counts and quantifier estimates for all k, then
-one batched LEAP solve (:func:`leap_solve_batch`, projected gradient over a
-(k, n) stack of thetas, each leaving the active set once it converges). One
-predictor or one problem is the k=1 case of the same calls. A
-:class:`RateMatrix` computes M^T M and its top eigenvalue (the solver's step
-size) once, on its first solve.
+one batched LEAP solve (:func:`leap_solve_batch`, the active-set Newton
+steps of the KDEy-ML mixture solver over a (k, n) stack of thetas, each
+leaving the batch once it converges). One predictor or one problem is the
+k=1 case of the same calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .dataspace import DataError, LabelledSet, as_prevalence
 from .classifiers import TrainedModel
-from .quantifiers import estimate_batch, fit_quantifier, label_shares
+from .quantifiers import (_newton_direction, _simplex_step, estimate_batch,
+                          fit_quantifier, label_shares)
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
@@ -59,20 +58,6 @@ class RateMatrix:
     def n_classes(self) -> int:
         return self.m.shape[0]
 
-    # Computed on the first solve, not at construction: loading a registry
-    # builds one rate matrix per model and should not pay for them.
-    @cached_property
-    def mtm(self) -> np.ndarray:
-        """M^T M."""
-        MtM = self.m.T @ self.m
-        MtM.flags.writeable = False
-        return MtM
-
-    @cached_property
-    def mtm_top(self) -> float:
-        """Top eigenvalue of M^T M; it sets the solver's step size."""
-        return float(np.linalg.eigvalsh(self.mtm)[-1])
-
 
 def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
                          smoothing: float = 0.0, posteriors=None) -> RateMatrix:
@@ -101,28 +86,19 @@ def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
     return RateMatrix(M)
 
 
-def project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of V onto the unit simplex
-    (sort-based)."""
-    k, n = V.shape
-    u = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    support = u + (1.0 - css) / np.arange(1, n + 1) > 0
-    rho = n - 1 - np.argmax(support[:, ::-1], axis=1)
-    tau = (css[np.arange(k), rho] - 1.0) / (rho + 1)
-    return np.maximum(V - tau[:, None], 0.0)
-
-
 def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
                      max_iter=SOLVER_MAX_ITER):
     """Solve k LEAP problems at once, one per rate matrix in `rates`.
 
     Problem i minimizes ||M_i theta - rho_i||^2 + weight_i * ||theta -
-    qhat_i||^2 over the simplex by projected gradient from theta = qhat_i,
-    with the step set from the Lipschitz bound, and stops when its
-    gradient-map norm drops below tol_i or after max_iter_i iterations.
-    `rho` and `qhat` are (k, n); `weight`, `tol` and `max_iter` are scalars or
-    one value per problem. A stopped problem leaves the active set, so every
+    qhat_i||^2 over the simplex, a strictly convex quadratic with Hessian 2Q,
+    Q = M^T M + w I. From theta = qhat_i, each iteration takes the Newton
+    direction d on the active face (see quantifiers._newton_direction) and
+    steps to its end or to the simplex boundary, pinning the blocking
+    weight to 0, so the method ends at the exact optimum. A problem stops
+    when ||d||_1 < tol_i (converged) or after max_iter_i iterations. `rho`
+    and `qhat` are (k, n); `weight`, `tol` and `max_iter` are scalars or one
+    value per problem. A stopped problem leaves the active set, so every
     problem gets the iterates a single-problem run would give.
 
     Returns (theta (k, n), iterations (k,), converged (k,)).
@@ -134,9 +110,9 @@ def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     max_iter = np.broadcast_to(np.asarray(max_iter), (k,))
     M = np.stack([r.m for r in rates])
-    MtM = np.stack([r.mtm for r in rates])
-    Mtrho = np.matmul(M.transpose(0, 2, 1), rho[:, :, None])[:, :, 0]
-    step = 1.0 / (2.0 * (np.array([r.mtm_top for r in rates]) + weight))
+    Q = np.matmul(M.transpose(0, 2, 1), M) \
+        + weight[:, None, None] * np.eye(M.shape[1])
+    b = np.matmul(rho[:, None, :], M)[:, 0, :] + weight[:, None] * qhat
 
     theta = np.array(qhat, dtype=float)
     iterations = np.zeros(k, dtype=int)
@@ -144,27 +120,23 @@ def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
     # the active problems' rows of every per-problem array, compacted
     # whenever some problem stops
     live = max_iter > 0
-    idx, t, A, b, w2, q, h, eps, cap = (
-        x[live] for x in (np.arange(k), theta, MtM, Mtrho, 2.0 * weight, qhat,
-                          step, tol, max_iter))
+    idx, x, A, c, eps, cap = (
+        v[live] for v in (np.arange(k), theta, Q, b, tol, max_iter))
     it = 0
     while idx.size:
         it += 1
-        grad = 2.0 * (np.matmul(A, t[:, :, None])[:, :, 0] - b) \
-            + w2[:, None] * (t - q)
-        new = project_rows_to_simplex(t - h[:, None] * grad)
-        d = t - new
-        gradient_map = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]) / h
-        t = new
-        done = gradient_map < eps
+        # half the negative gradient; theta . g is the KKT multiplier
+        g = c - np.matmul(A, x[:, :, None])[:, :, 0]
+        d = _newton_direction(A, g, x, (x * g).sum(axis=1, keepdims=True))
+        x, _ = _simplex_step(x, d)
+        done = np.abs(d).sum(axis=1) < eps
         stop = done | (it >= cap)
         if stop.any():
-            theta[idx[stop]] = t[stop]
+            theta[idx[stop]] = x[stop]
             iterations[idx[stop]] = it
             converged[idx[stop]] = done[stop]
-            keep = ~stop
-            idx, t, A, b, w2, q, h, eps, cap = (
-                x[keep] for x in (idx, t, A, b, w2, q, h, eps, cap))
+            idx, x, A, c, eps, cap = (
+                v[~stop] for v in (idx, x, A, c, eps, cap))
     return theta, iterations, converged
 
 

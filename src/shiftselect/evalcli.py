@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from collections import Counter
@@ -74,6 +75,10 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+NUMERIC_FIELD_KINDS = {"int": ("an integer", numbers.Integral),
+                       "float": ("a finite number", numbers.Real)}
+
+
 @dataclass
 class RunConfig:
     dataset: dict = field(default_factory=lambda: dict(DEFAULT_DATASET))
@@ -94,6 +99,13 @@ class RunConfig:
     outdir: str = "runs/out"
 
     def validate(self):
+        # a field annotated int or float holds a finite number of that kind
+        for f in fields(self):
+            what, kind = NUMERIC_FIELD_KINDS.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)
+                         or not -math.inf < value < math.inf):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction {self.train_fraction} not in (0,1)")
         if not (0.0 < self.proper_fraction < 1.0):
@@ -125,6 +137,10 @@ class RunConfig:
             raise ConfigError("a synthetic dataset needs at least two classes")
         for strat in self.strategies:
             _parse_strategy(strat, self.families)
+        for key in ("families", "strategies"):
+            repeated = [x for x, c in Counter(getattr(self, key)).items() if c > 1]
+            if repeated:
+                raise ConfigError(f"duplicate {key}: {repeated}")
 
 
 def check_alpha(alpha: float):

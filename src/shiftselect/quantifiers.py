@@ -30,7 +30,8 @@ g_j <= m where a_j = 0. The solver warm-starts with a few EM (multiplicative)
 updates, then takes damped Newton steps with an active set (projected Newton,
 Bertsekas 1982), which reach such a point, boundary optima included, in a
 handful of steps where EM converges sublinearly. Densities are handled as
-logs throughout, so small bandwidths lose nothing to underflow.
+logs throughout, so small bandwidths lose nothing to underflow. The LEAP
+solver in :mod:`cap` shares the Newton direction and the boundary step.
 """
 
 from __future__ import annotations
@@ -211,7 +212,10 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
             new /= new.sum(axis=1, keepdims=True)
             done = stop = np.abs(new - a).sum(axis=1) < tol
         else:
-            d = _newton_direction(Fa * w[:, None, :], g, a)
+            # the Hessian of L is -G^T G with G = F / mix; a . g = m
+            GT = Fa * w[:, None, :]
+            Q = np.matmul(GT, GT.transpose(0, 2, 1))
+            d = _newton_direction(Q, g, a, m)
             size = np.abs(d).sum(axis=1)
             new, moved = _line_search(Fa, a, d, L, size, tol)
             done = size < tol
@@ -238,23 +242,23 @@ def _log_likelihood(FT: np.ndarray, a: np.ndarray) -> np.ndarray:
         return np.log(np.matmul(a[:, None, :], FT)[:, 0, :]).sum(axis=1)
 
 
-def _newton_direction(GT: np.ndarray, g: np.ndarray, a: np.ndarray):
-    """Newton direction of L at each weight vector a (rows of a (k, n) stack),
-    restricted to the face of the simplex its active set picks.
+def _newton_direction(Q: np.ndarray, g: np.ndarray, a: np.ndarray, mu):
+    """Newton direction of a concave objective at each point a (rows of a
+    (k, n) stack), restricted to the face of the simplex its active set
+    picks.
 
-    `GT` is the (k, n, m) stack of G^T with G = F / mix, and `g` = sum_x G is
-    the gradient of L; the Hessian is -G^T G. Summing a_j g_j gives m, so m
-    is the KKT multiplier of sum(a) = 1 at every point of the simplex: a
-    weight at 0 is free to grow only if its g_j > m. On the free set the
-    direction solves G^T G d = g - mu with sum(d) = 0 (one solve, right-hand
+    `g` is the objective's gradient at a and -Q its Hessian, a (k, n, n)
+    stack. `mu` is the KKT multiplier of sum(a) = 1 (scalar or (k, 1)): at
+    the optimum g_j = mu where a_j > 0 and g_j <= mu where a_j = 0, so a
+    weight at 0 is free to grow only if its g_j > mu. On the free set the
+    direction solves Q d = g - mu with sum(d) = 0 (one solve, right-hand
     sides g and 1); a weight at 0 whose direction points outward is dropped
     from the free set and the direction solved again. A relative ridge of
-    NEWTON_RIDGE keeps G^T G invertible when its columns are dependent; it
-    does not move the fixed point.
+    NEWTON_RIDGE keeps Q invertible when it is singular; it does not move
+    the fixed point.
     """
-    k, n, m = GT.shape
-    Q = np.matmul(GT, GT.transpose(0, 2, 1))
-    free = (a > 0) | (g > m)
+    k, n = g.shape
+    free = (a > 0) | (g > mu)
     diagonal = np.eye(n, dtype=bool)
     d = np.zeros((k, n))
     todo = np.arange(k)
@@ -274,32 +278,39 @@ def _newton_direction(GT: np.ndarray, g: np.ndarray, a: np.ndarray):
     return d
 
 
+def _simplex_step(a: np.ndarray, d: np.ndarray, scale=1.0):
+    """Step scale * t0 from each a along d (sum(d) = 0), where t0 = min(1,
+    the step to the simplex boundary); the weights that step reaches are
+    pinned to exactly 0. Returns (new points, steps)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(d < 0, a / -d, np.inf)
+    t = np.minimum(reach.min(axis=1), 1.0) * scale
+    new = a + t[:, None] * d
+    new[reach <= t[:, None]] = 0.0
+    np.maximum(new, 0.0, out=new)
+    new /= new.sum(axis=1, keepdims=True)
+    return new, t
+
+
 def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
                  size: np.ndarray, tol: float):
     """Damped step from each a along d (of L1 norm `size`): the first of t0,
-    t0/2, t0/4, ... whose log-likelihood is no lower than L, where t0 =
-    min(1, the step to the simplex boundary). A step of exactly t0 < 1 pins
-    the blocking weights to 0. Halving stops once a step's L1 norm is below
-    `tol`; a problem with no acceptable step by then keeps its weights.
-    Returns (new weights, moved)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.where(d < 0, a / -d, np.inf)
-    t = np.minimum(reach.min(axis=1), 1.0)
+    t0/2, t0/4, ... (see :func:`_simplex_step`) whose log-likelihood is no
+    lower than L. Halving stops once a step's L1 norm is below `tol`; a
+    problem with no acceptable step by then keeps its weights. Returns (new
+    weights, moved)."""
     new = a.copy()
     moved = np.zeros(len(a), dtype=bool)
+    scale = np.ones(len(a))
     todo = np.arange(len(a))
     while todo.size:
-        step = t[todo, None]
-        trial = a[todo] + step * d[todo]
-        trial[reach[todo] <= step] = 0.0
-        np.maximum(trial, 0.0, out=trial)
-        trial /= trial.sum(axis=1, keepdims=True)
+        trial, t = _simplex_step(a[todo], d[todo], scale[todo])
         ok = _log_likelihood(FT[todo], trial) >= L[todo]
         new[todo[ok]] = trial[ok]
         moved[todo[ok]] = True
-        todo = todo[~ok]
-        t[todo] *= 0.5
-        todo = todo[t[todo] * size[todo] >= tol]
+        todo, t = todo[~ok], t[~ok]
+        scale[todo] *= 0.5
+        todo = todo[0.5 * t * size[todo] >= tol]
     return new, moved
 
 

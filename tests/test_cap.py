@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
                              fit_cap, leap_solve_batch, predict_batch,
-                             pps_accuracy_identity, project_rows_to_simplex)
+                             pps_accuracy_identity)
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
@@ -140,20 +140,8 @@ def test_fit_cap_with_precomputed_posteriors_matches_features():
 
 
 # ---------------------------------------------------------------------------
-# simplex projection and the solver
+# the solver
 # ---------------------------------------------------------------------------
-
-def test_simplex_projection_properties():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        v = rng.normal(scale=3.0, size=rng.integers(2, 6))
-        p = project_rows_to_simplex(v[None])[0]
-        assert (p >= 0).all()
-        assert p.sum() == pytest.approx(1.0, abs=1e-9)
-        # projection of a simplex point is itself
-        q = rng.dirichlet(np.ones(v.size))
-        assert np.allclose(project_rows_to_simplex(q[None])[0], q, atol=1e-12)
-
 
 def test_leap_consistent_system_identity():
     m = RateMatrix(np.eye(2))
@@ -229,7 +217,7 @@ def test_leap_nonconvergence_returns_best_iterate_with_flag():
 
 
 # ---------------------------------------------------------------------------
-# batched solver and row-wise projection (property tests)
+# batched and exact solver (property tests)
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -261,25 +249,58 @@ def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
         assert converged[0] and iterations[0] == 1
 
 
+def brute_force_leap(M, rho, qhat, weight):
+    """Exact LEAP optimum: the equality-constrained minimum on every nonempty
+    support, keeping the best one that is feasible (nonnegative)."""
+    n = len(rho)
+    Q = M.T @ M + weight * np.eye(n)
+    b = M.T @ rho + weight * qhat
+    best, best_value = None, np.inf
+    for mask in range(1, 2 ** n):
+        S = [j for j in range(n) if mask >> j & 1]
+        kkt = np.zeros((len(S) + 1, len(S) + 1))
+        kkt[:-1, :-1] = Q[np.ix_(S, S)]
+        kkt[:-1, -1] = kkt[-1, :-1] = 1.0
+        solution = np.linalg.solve(kkt, np.append(b[S], 1.0))[:-1]
+        if (solution < 0).any():
+            continue
+        theta = np.zeros(n)
+        theta[S] = solution
+        value = 0.5 * theta @ Q @ theta - b @ theta
+        if value < best_value:
+            best, best_value = theta, value
+    return best
+
+
+def sparse_simplex_rows(rng, k, n):
+    """k points of the simplex with about a third of their entries zero."""
+    P = rng.dirichlet(np.ones(n), size=k) * (rng.random((k, n)) > 0.35)
+    P[P.sum(axis=1) == 0, rng.integers(0, n)] = 1.0
+    return P / P.sum(axis=1, keepdims=True)
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10),
-       n=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 50.0]))
-def test_row_projection_matches_vector_projection_and_is_idempotent(
-        seed, k, n, scale):
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+       n=st.integers(2, 5))
+def test_leap_matches_brute_force_on_every_support(seed, k, n):
     rng = np.random.default_rng(seed)
-    V = rng.normal(scale=scale, size=(k, n))
-    P = project_rows_to_simplex(V)
-    assert (P >= 0).all()
-    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
-    assert np.abs(project_rows_to_simplex(P) - P).max() <= 1e-12
-    for v, p in zip(V, P):
-        assert np.array_equal(project_rows_to_simplex(v[None])[0], p)
-        # the projection is max(v - tau, 0) with sum 1: bisect for tau
-        lo, hi = v.min() - 1.0, v.max()
-        for _ in range(200):
-            tau = 0.5 * (lo + hi)
-            lo, hi = (tau, hi) if np.maximum(v - tau, 0.0).sum() > 1.0 else (lo, tau)
-        assert np.abs(p - np.maximum(v - 0.5 * (lo + hi), 0.0)).max() <= 1e-9
+    Ms = [rng.dirichlet(np.full(n, 0.5), size=n).T for _ in range(k)]
+    rho = sparse_simplex_rows(rng, k, n)
+    qhat = sparse_simplex_rows(rng, k, n)
+    weight = rng.uniform(0.05, 5.0, size=k)
+    theta, _, converged = leap_solve_batch([RateMatrix(M) for M in Ms], rho,
+                                           qhat, weight=weight)
+    assert converged.all()
+    for i, M in enumerate(Ms):
+        assert np.abs(theta[i] - brute_force_leap(
+            M, rho[i], qhat[i], weight[i])).max() <= 1e-12
+        # KKT: g_j = mu on the support, g_j <= mu off it
+        g = M.T @ rho[i] + weight[i] * qhat[i] \
+            - (M.T @ M + weight[i] * np.eye(n)) @ theta[i]
+        mu = theta[i] @ g
+        support = theta[i] > 0
+        assert np.abs(g[support] - mu).max() <= 1e-12
+        assert (g[~support] <= mu + 1e-12).all()
 
 
 @settings(max_examples=60, deadline=None)

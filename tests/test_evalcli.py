@@ -67,6 +67,40 @@ def test_config_validation_rejects(patch):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("patch", [
+    {"r": 2.5}, {"r": "5"}, {"r": True}, {"s": 100.0}, {"seed": "0"},
+    {"seed": None}, {"n_bins": 2.5}, {"n_bins": False},
+    {"train_fraction": "0.7"}, {"proper_fraction": None},
+    {"bandwidth": "0.1"}, {"bandwidth": True}, {"bandwidth": float("nan")},
+    {"cap_weight": [1.0]}, {"cap_weight": float("inf")},
+    {"smoothing": "0"}, {"alpha": "0.05"},
+])
+def test_config_rejects_mistyped_numbers(patch, tmp_path, monkeypatch):
+    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+    name = next(iter(patch))
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        config_from_dict(patch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(patch), encoding="utf-8")
+    code = main(["run", "--config", str(path), "--outdir", str(tmp_path)])
+    assert code == 1
+
+
+@pytest.mark.parametrize("patch", [
+    {"strategies": ["IMS-All", "TMS-All", "TMS-All", "oracle"]},
+    {"families": ["KNN", "KNN"], "strategies": ["TMS-All"]},
+])
+def test_config_rejects_duplicate_names(patch):
+    key = "strategies" if len(patch) == 1 else "families"
+    with pytest.raises(ConfigError, match=f"duplicate {key}"):
+        config_from_dict(patch)
+
+
+def test_config_accepts_numpy_numbers():
+    config_from_dict({"r": np.int64(10), "bandwidth": np.float64(0.2),
+                      "alpha": 0.05, "smoothing": 0})
+
+
 def test_config_env_seed_override(monkeypatch, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 3}), encoding="utf-8")
