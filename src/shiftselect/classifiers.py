@@ -5,6 +5,10 @@ class-weight schemes) and model persistence.
 All three families are trained from scratch on numpy so that the training
 objective, the optimizer, and the analytic gradients are fully pinned down and
 testable against finite differences. Models are immutable after training.
+:func:`train_grid` fits the grid points of one family on one training set and
+returns a model or a `TrainingError` per point; the MLP points train together
+as one stack, with one stacked minibatch step per batch, and each equals the
+point trained alone (:func:`train`, the one-point case) bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
 """
@@ -200,8 +204,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def lr_loss_grad(W, b, X, y, sample_weight, C):
@@ -228,26 +232,56 @@ def mlp_loss_grad(params, X, y, n_classes, alpha):
 
     Loss = mean cross-entropy over the rows of X plus alpha/2 times the
     squared norm of both weight matrices (biases unpenalized).
-    params = (W1, b1, W2, b2); returns (loss, (gW1, gb1, gW2, gb2)).
+    params = (W1, b1, W2, b2); returns (loss, (gW1, gb1, gW2, gb2)). The
+    gradients are the one-network case of the stacked training step.
+    """
+    grads = _mlp_stack_grads([np.asarray(p)[None] for p in params],
+                             X[None], np.asarray(y)[None], np.array([alpha]))
+    return _mlp_loss(params, X, y, alpha), tuple(g[0] for g in grads)
+
+
+def _mlp_loss(params, X, y, alpha, H=None):
+    """The loss of :func:`mlp_loss_grad` alone. `H` is an optional
+    (rows, hidden) buffer for the hidden activations, overwritten."""
+    W1, b1, W2, b2 = params
+    H = np.matmul(X, W1, out=H)
+    H += b1
+    np.tanh(H, out=H)
+    logp = _log_softmax(H @ W2 + b2)
+    ce = -logp[np.arange(X.shape[0]), y].mean()
+    return ce + 0.5 * alpha * ((W1 * W1).sum() + (W2 * W2).sum())
+
+
+def _mlp_stack_grads(params, X, y, alpha, H=None, D=None):
+    """Gradients of :func:`mlp_loss_grad` for a stack of k networks, each on
+    its own m rows, without the loss.
+
+    params = (W1 (k, d, h), b1 (k, h), W2 (k, h, n), b2 (k, n)); X is
+    (k, m, d), y (k, m) and alpha (k,). H and D are optional (k, m, h)
+    buffers, overwritten. Slice i equals the one-network computation for
+    network i bit for bit: every stacked product is one 2-D product per
+    slice, and the elementwise steps and row sums are those of one network.
     """
     W1, b1, W2, b2 = params
-    m = X.shape[0]
-    H = np.tanh(X @ W1 + b1)
-    logits = H @ W2 + b2
-    logp = _log_softmax(logits)
-    rows = np.arange(m)
-    ce = -logp[rows, y].mean()
-    loss = ce + 0.5 * alpha * ((W1 * W1).sum() + (W2 * W2).sum())
-
-    delta2 = np.exp(logp)
-    delta2[rows, y] -= 1.0
+    k, m = y.shape
+    H = np.matmul(X, W1, out=H)
+    H += b1[:, None]
+    np.tanh(H, out=H)
+    logits = H @ W2
+    logits += b2[:, None]
+    delta2 = np.exp(_log_softmax(logits))
+    delta2[np.arange(k)[:, None], np.arange(m), y] -= 1.0
     delta2 /= m
-    gW2 = H.T @ delta2 + alpha * W2
-    gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ W2.T) * (1.0 - H * H)
-    gW1 = X.T @ delta1 + alpha * W1
-    gb1 = delta1.sum(axis=0)
-    return loss, (gW1, gb1, gW2, gb2)
+    gW2 = H.transpose(0, 2, 1) @ delta2
+    gW2 += alpha[:, None, None] * W2
+    gb2 = delta2.sum(axis=1)
+    np.multiply(H, H, out=H)
+    np.subtract(1.0, H, out=H)                      # 1 - tanh², in place
+    D = np.matmul(delta2, W2.transpose(0, 2, 1), out=D)
+    D *= H
+    gW1 = X.transpose(0, 2, 1) @ D
+    gW1 += alpha[:, None, None] * W1
+    return gW1, D.sum(axis=1), gW2, gb2
 
 
 # ---------------------------------------------------------------------------
@@ -456,59 +490,128 @@ def _init_mlp(rng, n_features, n_classes):
     return [W1, b1, W2, b2]
 
 
-def _train_mlp(hp, train: LabelledSet, seed: int) -> MLPModel:
+def _train_mlp(hps, train: LabelledSet, seeds) -> list:
+    """Minibatch SGD for every MLP grid point at once, as one stack.
+
+    Each network draws its initial weights and each epoch's permutation from
+    its own `default_rng(seed)`, and keeps its own step size, adaptive
+    halving and stop. All networks share the minibatch boundaries (one
+    training set), so each batch is one stacked step over the networks still
+    training; a network leaves the stack when it stops or diverges, and every
+    result equals that network trained alone bit for bit. The epoch loss is
+    evaluated per network, over the full set, in one reused buffer.
+    """
     X, y = train.X, train.y
     n, n_classes = len(train), train.n_classes
-    alpha = float(hp["alpha"])
-    adaptive = hp["learning_rate"] == "adaptive"
+    k = len(hps)
+    alpha = np.array([float(hp["alpha"]) for hp in hps])
+    adaptive = [hp["learning_rate"] == "adaptive" for hp in hps]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    params = [np.stack(p) for p in
+              zip(*(_init_mlp(rng, X.shape[1], n_classes) for rng in rngs))]
+    step = np.full(k, MLP_BASE_STEP)
+    prev_epoch_loss = np.full(k, np.inf)
+    epoch_loss = np.full(k, np.nan)
+    H = np.empty((k, MLP_BATCH_SIZE, MLP_HIDDEN_UNITS))
+    D = np.empty_like(H)
+    H_full = np.empty((n, MLP_HIDDEN_UNITS))
+    active = np.arange(k)       # grid positions of the stacked networks
+    out = [None] * k
 
-    rng = np.random.default_rng(seed)
-    params = _init_mlp(rng, X.shape[1], n_classes)
-    step = MLP_BASE_STEP
-    prev_epoch_loss = np.inf
-    epochs_run = 0
-    epoch_loss = mlp_loss_grad(params, X, y, n_classes, alpha)[0]
+    def finish(position, epochs):
+        i = active[position]
+        meta = {"epochs": epochs, "final_loss": float(epoch_loss[i]),
+                "final_step": float(step[i])}
+        out[i] = MLPModel(hps[i], [p[position].copy() for p in params],
+                          n_classes, seeds[i], meta)
+
+    def keep(mask):
+        nonlocal active, params
+        active, params = active[mask], [p[mask] for p in params]
 
     # divergence shows up as inf/nan and is trapped at epoch boundaries
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, MLP_MAX_EPOCHS + 1):
-            if step < MLP_MIN_STEP:
+            stopped = step[active] < MLP_MIN_STEP
+            for position in np.flatnonzero(stopped):
+                finish(position, epoch - 1)
+            keep(~stopped)
+            if active.size == 0:
                 break
             last_finite = [p.copy() for p in params]
-            order = rng.permutation(n)
+            orders = np.stack([rngs[i].permutation(n) for i in active])
+            rate = step[active]
             for start in range(0, n, MLP_BATCH_SIZE):
-                batch = order[start:start + MLP_BATCH_SIZE]
-                _, grads = mlp_loss_grad(params, X[batch], y[batch], n_classes, alpha)
+                batch = orders[:, start:start + MLP_BATCH_SIZE]
+                rows = batch.shape[1]
+                grads = _mlp_stack_grads(params, X[batch], y[batch],
+                                         alpha[active], H[:active.size, :rows],
+                                         D[:active.size, :rows])
                 for p, g in zip(params, grads):
-                    p -= step * g
-            epochs_run = epoch
-            epoch_loss = mlp_loss_grad(params, X, y, n_classes, alpha)[0]
-            if not np.isfinite(epoch_loss):
-                raise TrainingError("non-finite loss during MLP training",
-                                    last_state={"params": last_finite, "epoch": epoch})
-            if adaptive and prev_epoch_loss - epoch_loss < MLP_IMPROVE_TOL:
-                step *= 0.5
-            prev_epoch_loss = epoch_loss
+                    g *= rate.reshape((-1,) + (1,) * (g.ndim - 1))
+                    p -= g
+            finite = np.ones(active.size, dtype=bool)
+            for position, i in enumerate(active):
+                loss = _mlp_loss([p[position] for p in params], X, y,
+                                 alpha[i], H_full)
+                if not np.isfinite(loss):
+                    finite[position] = False
+                    out[i] = TrainingError(
+                        "non-finite loss during MLP training",
+                        last_state={"params": [p[position] for p in last_finite],
+                                    "epoch": epoch})
+                    continue
+                if adaptive[i] and prev_epoch_loss[i] - loss < MLP_IMPROVE_TOL:
+                    step[i] *= 0.5
+                prev_epoch_loss[i] = epoch_loss[i] = loss
+            keep(finite)
+        for position in range(active.size):
+            finish(position, MLP_MAX_EPOCHS)
+    return out
 
-    meta = {"epochs": epochs_run, "final_loss": float(epoch_loss), "final_step": step}
-    return MLPModel(hp, params, n_classes, seed, meta)
 
+def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
+    """Fit grid points of one family on `train_set`, grid point i with
+    `seeds[i]`. Deterministic given the seeds.
 
-def train(family: str, hp: HyperParams, train_set: LabelledSet, seed: int) -> TrainedModel:
-    """Fit one grid point on `train_set`. Deterministic given `seed`."""
-    if hp.family != family:
-        raise ValueError(f"hyperparams are for {hp.family}, not {family}")
+    Returns one :class:`TrainedModel` or one :class:`TrainingError` per grid
+    point, in grid order, so a failing point does not stop the others. LR
+    and KNN fit each point on its own; MLP points train together as one
+    stack, and each result equals that point trained alone bit for bit.
+    """
+    if len(hps) != len(seeds):
+        raise ValueError(f"{len(hps)} grid points but {len(seeds)} seeds")
+    for hp in hps:
+        if hp.family != family:
+            raise ValueError(f"hyperparams are for {hp.family}, not {family}")
     if len(train_set) == 0:
         raise ValueError("empty training set")
     if np.unique(train_set.y).size != train_set.n_classes:
         raise ValueError("training set must contain every class")
     if family == "LR":
-        return _train_lr(hp, train_set, seed)
+        out = []
+        for hp, seed in zip(hps, seeds):
+            try:
+                out.append(_train_lr(hp, train_set, seed))
+            except TrainingError as exc:
+                out.append(exc)
+        return out
     if family == "KNN":
-        return KNNModel(hp, train_set.X, train_set.y, train_set.n_classes, seed)
+        return [KNNModel(hp, train_set.X, train_set.y, train_set.n_classes, seed)
+                for hp, seed in zip(hps, seeds)]
     if family == "MLP":
-        return _train_mlp(hp, train_set, seed)
+        return _train_mlp(hps, train_set, seeds)
     raise ValueError(f"unknown family {family!r}")
+
+
+def train(family: str, hp: HyperParams, train_set: LabelledSet, seed: int) -> TrainedModel:
+    """Fit one grid point on `train_set`: the one-point case of
+    :func:`train_grid`. Deterministic given `seed`; raises the point's
+    :class:`TrainingError` if it fails."""
+    result = train_grid(family, [hp], train_set, [seed])[0]
+    if isinstance(result, TrainingError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,25 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-NUMERIC_FIELD_KINDS = {"int": ("an integer", numbers.Integral),
-                       "float": ("a finite number", numbers.Real)}
+FIELD_KINDS = {"int": ("an integer", numbers.Integral),
+               "float": ("a finite number", numbers.Real),
+               "bool": ("true or false", bool),
+               "str": ("a string", str),
+               "dict": ("an object", dict),
+               "tuple": ("a list of strings", tuple)}
+
+
+def _of_kind(value, kind: str) -> bool:
+    """Whether `value` suits a config field annotated `kind`: an int or float
+    field holds a finite number that is not a bool, a tuple field only
+    strings."""
+    if not isinstance(value, FIELD_KINDS[kind][1]):
+        return False
+    if kind in ("int", "float"):
+        return not isinstance(value, bool) and -math.inf < value < math.inf
+    if kind == "tuple":
+        return all(isinstance(x, str) for x in value)
+    return True
 
 
 @dataclass
@@ -99,13 +116,11 @@ class RunConfig:
     outdir: str = "runs/out"
 
     def validate(self):
-        # a field annotated int or float holds a finite number of that kind
         for f in fields(self):
-            what, kind = NUMERIC_FIELD_KINDS.get(f.type, (None, None))
             value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)
-                         or not -math.inf < value < math.inf):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            if not _of_kind(value, f.type):
+                raise ConfigError(
+                    f"{f.name} must be {FIELD_KINDS[f.type][0]}, got {value!r}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction {self.train_fraction} not in (0,1)")
         if not (0.0 < self.proper_fraction < 1.0):
@@ -182,7 +197,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)
     for key in ("families", "strategies"):
-        if key in kwargs:
+        if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
     config = RunConfig(**kwargs)
     env_seed = os.environ.get(ENV_SEED)

@@ -32,7 +32,7 @@ from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
                           decode_array, default_model, encode_array,
                           hyperparams_from_dict, hyperparams_to_dict,
                           load_model, predict_posteriors_batch, save_model,
-                          train)
+                          train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
 from .cap import CapPredictor, RateMatrix, fit_cap, predict_batch
 
@@ -104,8 +104,10 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     """Train every grid point of every family, score it on validation data,
     and fit its accuracy predictor on the same validation data.
 
-    A failing configuration is recorded as a warning and skipped; the rest of
-    the run continues. Model ids follow grid enumeration order and stay
+    Each family's grid is trained by one :func:`classifiers.train_grid` call
+    (the MLP grid as one stack). A configuration that fails with a
+    `TrainingError` is recorded as a warning and skipped; the rest of the run
+    continues. Model ids follow grid enumeration order and stay
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
     accuracy, rate matrix and quantifier. Pass `out_dir` to persist the
@@ -115,13 +117,16 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     trained, warnings = [], []
     model_id = 0
     for family in families:
-        for hp in build_grid(family, n_classes):
-            try:
-                model = train(family, hp, Ltr, _entry_seed(seed, model_id))
-                trained.append((model_id, family, hp, model))
-            except TrainingError as exc:
-                warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
-            model_id += 1
+        grid = build_grid(family, n_classes)
+        ids = range(model_id, model_id + len(grid))
+        results = train_grid(family, grid, Ltr,
+                             [_entry_seed(seed, i) for i in ids])
+        for i, hp, result in zip(ids, grid, results):
+            if isinstance(result, TrainingError):
+                warnings.append(f"model {i} ({hp.label()}) failed: {result}")
+            else:
+                trained.append((i, family, hp, result))
+        model_id += len(grid)
     entries = []
     if trained:
         posteriors = predict_posteriors_batch([t[-1] for t in trained], Lva.X)

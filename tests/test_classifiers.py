@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.classifiers import (KNN_DIST_EPS, ClassWeights, HyperParams,
+from shiftselect.classifiers import (KNN_DIST_EPS, MLP_MAX_EPOCHS,
+                                     MLP_MIN_STEP, ClassWeights, HyperParams,
                                      TrainingError, build_grid,
                                      class_weight_candidates, default_model,
                                      load_model, lr_loss_grad, mlp_loss_grad,
                                      model_from_record, model_to_record,
                                      nearest_order, predict_posteriors_batch,
-                                     save_model, train)
+                                     save_model, train, train_grid)
 from shiftselect.dataspace import Dataset
 
 
@@ -369,6 +370,126 @@ def test_mlp_diverges_with_huge_penalty_raises(two_blobs):
     with pytest.raises(TrainingError) as err:
         train("MLP", hp, two_blobs.all_instances(), seed=0)
     assert err.value.last_state is not None
+
+
+def _assert_same_mlp(a, b):
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.meta == b.meta
+    assert (a.hyperparams, a.seed) == (b.hyperparams, b.seed)
+
+
+@pytest.mark.parametrize("case", ["full grid", "shuffled subset", "one point",
+                                  "n < 32", "adaptive stop"])
+def test_mlp_stack_equals_solo_training(case, two_blobs):
+    lset = two_blobs.all_instances()        # 80 rows: a partial last batch
+    grid = build_grid("MLP", 2)
+    seeds = list(range(100, 100 + len(grid)))
+    if case == "shuffled subset":
+        pick = np.random.default_rng(7).permutation(len(grid))[:5]
+        grid, seeds = [grid[i] for i in pick], [seeds[i] for i in pick]
+    elif case == "one point":
+        grid, seeds = grid[3:4], seeds[3:4]
+    elif case == "n < 32":                  # one partial batch per epoch
+        lset = blob_dataset([10, 10], [(0.0, 0.0), (1.0, 1.0)], spread=1.0,
+                            seed=2).all_instances()
+    elif case == "adaptive stop":           # overlapping classes plateau early
+        lset = blob_dataset([30, 30], [(0.0, 0.0), (0.5, 0.5)], spread=1.0,
+                            seed=1).all_instances()
+    stacked = train_grid("MLP", grid, lset, seeds)
+    for hp, seed, model in zip(grid, seeds, stacked, strict=True):
+        _assert_same_mlp(model, train("MLP", hp, lset, seed))
+    if case == "adaptive stop":
+        stopped = [m for m in stacked if m.meta["epochs"] < MLP_MAX_EPOCHS]
+        assert stopped and all(m.meta["final_step"] < MLP_MIN_STEP
+                               and m.hyperparams["learning_rate"] == "adaptive"
+                               for m in stopped)
+        assert any(m.meta["epochs"] == MLP_MAX_EPOCHS for m in stacked)
+
+
+def _reference_mlp(hp, lset, seed):
+    """One network trained by the scalar loop with 2-D gradients: the
+    reference the stack must reproduce bit for bit."""
+    X, y = lset.X, lset.y
+    alpha, adaptive = hp["alpha"], hp["learning_rate"] == "adaptive"
+    rng = np.random.default_rng(seed)
+    W1 = rng.standard_normal((X.shape[1], 100)) / np.sqrt(X.shape[1])
+    W2 = rng.standard_normal((100, lset.n_classes)) / np.sqrt(100)
+    params = [W1, np.zeros(100), W2, np.zeros(lset.n_classes)]
+    step, prev, epochs = 1e-2, np.inf, 0
+    for epoch in range(1, MLP_MAX_EPOCHS + 1):
+        if step < MLP_MIN_STEP:
+            break
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), 32):
+            rows = order[start:start + 32]
+            W1, b1, W2, b2 = params
+            H = np.tanh(X[rows] @ W1 + b1)
+            logits = H @ W2 + b2
+            z = logits - logits.max(axis=1, keepdims=True)
+            delta2 = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+            delta2[np.arange(len(rows)), y[rows]] -= 1.0
+            delta2 /= len(rows)
+            delta1 = (delta2 @ W2.T) * (1.0 - H * H)
+            grads = (X[rows].T @ delta1 + alpha * W1, delta1.sum(axis=0),
+                     H.T @ delta2 + alpha * W2, delta2.sum(axis=0))
+            for p, g in zip(params, grads):
+                p -= step * g
+        epochs = epoch
+        loss = mlp_loss_grad(params, X, y, lset.n_classes, alpha)[0]
+        if adaptive and prev - loss < 1e-4:
+            step *= 0.5
+        prev = loss
+    return params, {"epochs": epochs, "final_loss": float(loss),
+                    "final_step": step}
+
+
+def test_mlp_stack_equals_reference_loop():
+    # overlapping classes: the adaptive points stop early; 60 rows end each
+    # epoch on a partial batch
+    lset = blob_dataset([30, 30], [(0.0, 0.0), (0.5, 0.5)], spread=1.0,
+                        seed=1).all_instances()
+    grid = build_grid("MLP", 2)
+    for i, model in enumerate(train_grid("MLP", grid, lset, range(10))):
+        params, meta = _reference_mlp(grid[i], lset, i)
+        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
+            assert np.array_equal(got, want)
+        assert model.meta == meta
+
+
+def test_mlp_divergence_stays_in_its_entry(two_blobs, monkeypatch):
+    from shiftselect import selection
+    lset = two_blobs.all_instances()
+    grid = [HyperParams.make("MLP", alpha=1e-4, learning_rate="constant"),
+            HyperParams.make("MLP", alpha=1e8, learning_rate="constant"),
+            HyperParams.make("MLP", alpha=1e-2, learning_rate="adaptive")]
+    seeds = [0, 1, 2]
+    results = train_grid("MLP", grid, lset, seeds)
+    assert [isinstance(r, TrainingError) for r in results] == [False, True, False]
+    with pytest.raises(TrainingError) as solo:
+        train("MLP", grid[1], lset, seeds[1])
+    for got, want in zip(results[1].last_state["params"],
+                         solo.value.last_state["params"], strict=True):
+        assert np.array_equal(got, want)
+    assert results[1].last_state["epoch"] == solo.value.last_state["epoch"]
+    for i in (0, 2):
+        _assert_same_mlp(results[i], train("MLP", grid[i], lset, seeds[i]))
+
+    monkeypatch.setattr(selection, "build_grid",
+                        lambda family, n_classes: grid)
+    reg = selection.build_registry(("MLP",), lset, lset, seed=0)
+    assert [e.model_id for e in reg.entries] == [0, 2]
+    assert len(reg.warnings) == 1
+    assert reg.warnings[0].startswith("model 1 (MLP[alpha=100000000.0")
+
+
+def test_train_grid_rejects_mismatched_inputs(two_blobs):
+    lset = two_blobs.all_instances()
+    grid = build_grid("MLP", 2)[:2]
+    with pytest.raises(ValueError):
+        train_grid("MLP", grid, lset, [0])
+    with pytest.raises(ValueError):
+        train_grid("LR", grid, lset, [0, 1])
 
 
 def test_train_requires_all_classes(two_blobs):

@@ -74,6 +74,10 @@ def test_config_validation_rejects(patch):
     {"bandwidth": "0.1"}, {"bandwidth": True}, {"bandwidth": float("nan")},
     {"cap_weight": [1.0]}, {"cap_weight": float("inf")},
     {"smoothing": "0"}, {"alpha": "0.05"},
+    {"standardize": "no"}, {"standardize": 1}, {"standardize": None},
+    {"outdir": 5}, {"quantifier": ["CC"]}, {"dataset": "synthetic"},
+    {"dataset": None}, {"strategies": [5]}, {"strategies": "oracle"},
+    {"families": ["LR", None]}, {"families": 3},
 ])
 def test_config_rejects_mistyped_numbers(patch, tmp_path, monkeypatch):
     monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)

@@ -96,14 +96,15 @@ def test_registry_round_trip_counting_quantifier(splits, tmp_path):
 def test_registry_skips_failed_configs(splits, monkeypatch):
     proper, validation, _ = splits
     from shiftselect import classifiers as cl
-    real_train = cl.train
+    real_train_grid = cl.train_grid
 
-    def flaky_train(family, hp, train_set, seed):
-        if family == "MLP" and hp["alpha"] == 1e-3:
-            raise TrainingError("synthetic failure")
-        return real_train(family, hp, train_set, seed)
+    def flaky_train_grid(family, hps, train_set, seeds):
+        results = real_train_grid(family, hps, train_set, seeds)
+        return [TrainingError("synthetic failure")
+                if family == "MLP" and hp["alpha"] == 1e-3 else result
+                for hp, result in zip(hps, results)]
 
-    monkeypatch.setattr(selection, "train", flaky_train)
+    monkeypatch.setattr(selection, "train_grid", flaky_train_grid)
     reg = build_registry(("MLP",), proper, validation, seed=0)
     assert len(reg) == 8           # two learning-rate modes at alpha=1e-3 fail
     assert len(reg.warnings) == 2
