@@ -11,6 +11,8 @@ as one stack, with one stacked minibatch step per batch, and each equals the
 point trained alone (:func:`train`, the one-point case) bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
+Each posterior row is bit-identical whatever other rows it is predicted with
+(see :func:`panel_rows`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ LR_GRAD_TOL = 1e-5
 LR_MAX_ITER = 1000
 
 KNN_DIST_EPS = 1e-9
+
+BLAS_PANEL = 8      # rows per BLAS panel (see panel_rows)
 
 FORMAT_VERSION = 1
 
@@ -197,6 +201,21 @@ def default_model(family: str) -> HyperParams:
 # Numerics shared by LR and MLP
 # ---------------------------------------------------------------------------
 
+def panel_rows(X: np.ndarray) -> np.ndarray:
+    """X zero-padded to a whole number of BLAS_PANEL rows (X itself when it
+    has one). BLAS sums a product's rows in another order when they fall in
+    a ragged last panel, or when there is one row (a matrix-vector product),
+    so each row of ``panel_rows(X) @ W`` is bit-identical whatever other rows
+    X holds: a bag labelled on its own gets the posteriors that the test-set
+    caches hold for its rows. Slice the product back to len(X) rows."""
+    padded = -(-len(X) // BLAS_PANEL) * BLAS_PANEL
+    if padded == len(X):
+        return X
+    out = np.zeros((padded,) + X.shape[1:])
+    out[:len(X)] = X
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -325,7 +344,7 @@ class LRModel(TrainedModel):
 
     def predict_posteriors(self, X):
         X = self._check_features(X)
-        return softmax(X @ self.W + self.b)
+        return softmax((panel_rows(X) @ self.W)[:len(X)] + self.b)
 
 
 class KNNModel(TrainedModel):
@@ -374,7 +393,7 @@ def _knn_posteriors(models, X) -> list:
     d2 = (
         (X * X).sum(axis=1)[:, None]
         + (X_train * X_train).sum(axis=1)[None, :]
-        - 2.0 * X @ X_train.T
+        - (panel_rows(2.0 * X) @ X_train.T)[:len(X)]
     )
     np.maximum(d2, 0.0, out=d2)
     order = nearest_order(
@@ -406,8 +425,8 @@ class MLPModel(TrainedModel):
 
     def predict_posteriors(self, X):
         X = self._check_features(X)
-        H = np.tanh(X @ self.W1 + self.b1)
-        return softmax(H @ self.W2 + self.b2)
+        H = np.tanh(panel_rows(X) @ self.W1 + self.b1)
+        return softmax((H @ self.W2)[:len(X)] + self.b2)
 
 
 def predict_posteriors_batch(models, X) -> np.ndarray:

@@ -96,6 +96,19 @@ def _of_kind(value, kind: str) -> bool:
     return True
 
 
+# the kinds (keys of FIELD_KINDS) each field of a dataset spec may take; a
+# synthetic field left out takes DEFAULT_DATASET's value, and of the fields
+# with no default only these two may be left out: the synthetic `seed` (the
+# run seed is used) and the csv `header` (true)
+DATASET_FIELDS = {
+    "synthetic": {"n_classes": ("int",), "dims": ("int",), "n": ("int",),
+                  "class_separation": ("float",), "seed": ("int",)},
+    "csv": {"path": ("str",), "label_column": ("str", "int"),
+            "header": ("bool",)},
+}
+OPTIONAL_DATASET_FIELDS = ("seed", "header")
+
+
 @dataclass
 class RunConfig:
     dataset: dict = field(default_factory=lambda: dict(DEFAULT_DATASET))
@@ -142,13 +155,21 @@ class RunConfig:
         if self.quantifier not in QUANTIFIERS:
             raise ConfigError(f"unknown quantifier {self.quantifier!r}")
         kind = self.dataset.get("kind")
-        if kind not in ("synthetic", "csv"):
+        if kind not in DATASET_FIELDS:
             raise ConfigError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
-        if kind == "csv":
-            for key in ("path", "label_column"):
-                if key not in self.dataset:
-                    raise ConfigError(f"csv dataset needs dataset.{key}")
-        elif int({**DEFAULT_DATASET, **self.dataset}["n_classes"]) < 2:
+        spec = {**DEFAULT_DATASET, **self.dataset} if kind == "synthetic" \
+            else self.dataset
+        for key, kinds in DATASET_FIELDS[kind].items():
+            if key not in spec:
+                if key in OPTIONAL_DATASET_FIELDS:
+                    continue
+                raise ConfigError(f"csv dataset needs dataset.{key}")
+            if not any(_of_kind(spec[key], k) for k in kinds):
+                raise ConfigError(
+                    f"dataset.{key} must be "
+                    f"{' or '.join(FIELD_KINDS[k][0] for k in kinds)}, "
+                    f"got {spec[key]!r}")
+        if kind == "synthetic" and spec["n_classes"] < 2:
             raise ConfigError("a synthetic dataset needs at least two classes")
         for strat in self.strategies:
             _parse_strategy(strat, self.families)

@@ -16,9 +16,16 @@ themselves for CC), and ``reduce(rows)`` turns a ``(k, m, n)`` stack of them
 into ``k`` prevalences at once (the batched mixture solver, or label counts).
 Rows depend on the instances only, so a caller that labels many bags drawn
 from one test set evaluates them once per model over the whole set and slices
-out each bag. :func:`estimate_batch` runs this for a list of quantifiers, and
+out each bag; a row's value does not depend on the rows evaluated with it, so
+the slice equals the bag evaluated on its own, bit for bit.
+:func:`estimate_batch` runs this for a list of quantifiers, and
 :func:`em_weights_batch` is the one mixture solver; one quantifier or one
 density matrix is the k=1 case of the same calls.
+
+A model's KDE rows are two GEMMs over the stacked supports of all classes,
+with the log-sum-exp shift folded into the second, and the query points along
+the columns in chunks under a fixed element budget (see
+:meth:`ClassDensities.evaluate`).
 
 :data:`QUANTIFIERS` maps each kind name to its type and is the only list of
 valid kinds; :func:`fit_quantifier` fits one by name.
@@ -37,18 +44,20 @@ solver in :mod:`cap` shares the Newton direction and the boundary step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .dataspace import DataError, LabelledSet
-from .classifiers import TrainedModel
+from .classifiers import BLAS_PANEL, TrainedModel, panel_rows
 
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
 EM_MAX_ITER = 1000
 EM_WARM_STEPS = 3       # EM steps before the first Newton step
 NEWTON_RIDGE = 1e-12    # relative ridge on the Newton system
+KDE_CHUNK_ELEMENTS = 1 << 17   # kernel values per chunk of query points (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -68,29 +77,73 @@ class ClassDensities:
             if S.ndim != 2 or S.shape[0] == 0 or S.shape[1] != self.n_classes:
                 raise ValueError(f"class {j} has invalid support shape {S.shape}")
 
+    @cached_property
+    def _stacked(self):
+        """(At, blocks): the supports of all classes stacked into one matrix
+        At = [S, -|s|^2 / (2 h^2), one-hot(class)] of shape (N, 2n + 1), and
+        each class's block of rows as a slice. Built on the first
+        :meth:`evaluate`, so loading a registry does no work for it."""
+        S = np.concatenate(self.support)
+        n = self.n_classes
+        sizes = [len(Sj) for Sj in self.support]
+        At = np.zeros((len(S), 2 * n + 1))
+        At[:, :n] = S
+        At[:, n] = (-0.5 / self.bandwidth ** 2) * (S * S).sum(axis=1)
+        At[np.arange(len(S)), n + 1 + np.repeat(np.arange(n), sizes)] = 1.0
+        stops = np.cumsum(sizes)
+        return At, [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Log density of each class's KDE at each query row; shape
         (m, n_classes).
 
-        With E = -|p - s|^2 / (2 h^2) over the support points s, the log
-        density is log norm + max E + log mean exp(E - max E), so it stays
-        finite however far a row lies from the support."""
+        With E = -|p - s|^2 / (2 h^2) over the support points s of class j,
+        the log density is log norm + top_j + log mean exp(E - top_j), with
+        top_j = max E, so it stays finite however far a row lies from the
+        support. All classes are evaluated by two GEMMs over the stacked
+        support At (see :attr:`_stacked`), with the points along the columns
+        of Pa^T = [P^T / h^2; 1; -top]: ``At[:, :n+1] @ Pa^T[:n+1]`` gives
+        E + |p|^2 / (2 h^2), whose maximum over class j's rows is top_j (up
+        to that constant); with -top written into Pa^T, ``At @ Pa^T`` gives
+        the shifted exponents themselves, so the shift costs no pass of its
+        own. The constant |p|^2 / (2 h^2) of each point is added at the end.
+
+        A row's result is bit-identical whatever rows it is evaluated with,
+        so a bag's rows equal the matching rows of a test-set evaluation:
+        with the points along the columns, each class's maximum and sum run
+        down its block of rows, every column in the same order, and the
+        points are padded to whole BLAS panels (see
+        :func:`classifiers.panel_rows`). The points are taken in chunks of at
+        most KDE_CHUNK_ELEMENTS kernel values, which bounds the memory and,
+        by the same invariance, leaves the result unchanged."""
         P = np.asarray(points, dtype=float)
+        At, blocks = self._stacked
+        m, n = P.shape[0], self.n_classes
         h2 = self.bandwidth ** 2
-        d = self.n_classes
-        log_norm = -0.5 * d * np.log(2.0 * np.pi * h2)
-        out = np.empty((P.shape[0], d))
-        # E = (p.s - s.s / 2) / h^2 - p.p / (2 h^2); the last term is one
-        # constant per row, so it is added after the row maximum
+        log_norm = -0.5 * n * np.log(2.0 * np.pi * h2)
+        sizes = np.array([b.stop - b.start for b in blocks], dtype=float)
         Ph = P / h2
         pp = 0.5 * (P * Ph).sum(axis=1)
-        for j, S in enumerate(self.support):
-            E = Ph @ S.T
-            E -= (0.5 / h2) * (S * S).sum(axis=1)
-            top = E.max(axis=1)
-            E -= top[:, None]
-            np.exp(E, out=E)
-            out[:, j] = log_norm + (top - pp) + np.log(E.mean(axis=1))
+        out = np.empty((m, n))
+        width = max(KDE_CHUNK_ELEMENTS // len(At) // BLAS_PANEL, 1) * BLAS_PANEL
+        for lo in range(0, m, width):
+            chunk = panel_rows(Ph[lo:lo + width])
+            c = min(width, m - lo)
+            PaT = np.empty((2 * n + 1, len(chunk)))
+            PaT[:n] = chunk.T
+            PaT[n] = 1.0
+            ET = At[:, :n + 1] @ PaT[:n + 1]
+            top = np.empty((n, len(chunk)))
+            for j, b in enumerate(blocks):
+                ET[b].max(axis=0, out=top[j])
+            np.negative(top, out=PaT[n + 1:])
+            np.matmul(At, PaT, out=ET)
+            np.exp(ET, out=ET)
+            sums = np.empty_like(top)
+            for j, b in enumerate(blocks):
+                ET[b].sum(axis=0, out=sums[j])
+            out[lo:lo + c] = (log_norm + (top[:, :c].T - pp[lo:lo + c, None])
+                              + np.log(sums[:, :c].T / sizes))
         return out
 
 

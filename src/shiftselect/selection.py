@@ -106,7 +106,9 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
 
     Each family's grid is trained by one :func:`classifiers.train_grid` call
     (the MLP grid as one stack). A configuration that fails with a
-    `TrainingError` is recorded as a warning and skipped; the rest of the run
+    `TrainingError`, or whose accuracy predictor cannot be fitted (a
+    `ValueError`, such as a `DataError` from the rate estimate or a
+    `LinAlgError`), is recorded as a warning and skipped; the rest of the run
     continues. Model ids follow grid enumeration order and stay
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
@@ -132,9 +134,13 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         posteriors = predict_posteriors_batch([t[-1] for t in trained], Lva.X)
         for (model_id, family, hp, model), P in zip(trained, posteriors):
             val_acc = float((np.argmax(P, axis=1) == Lva.y).mean())
-            cap = fit_cap(model, Lva, quantifier_kind=quantifier_kind,
-                          bandwidth=bandwidth, weight=cap_weight,
-                          smoothing=smoothing, posteriors=P)
+            try:
+                cap = fit_cap(model, Lva, quantifier_kind=quantifier_kind,
+                              bandwidth=bandwidth, weight=cap_weight,
+                              smoothing=smoothing, posteriors=P)
+            except ValueError as exc:   # DataError and LinAlgError among them
+                warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
+                continue
             entries.append(RegistryEntry(model_id, family, hp, model,
                                          val_acc, cap))
     meta = {

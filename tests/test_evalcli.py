@@ -90,6 +90,37 @@ def test_config_rejects_mistyped_numbers(patch, tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_classes", "x"), ("n_classes", "3"), ("n_classes", True),
+    ("dims", "two"), ("dims", 2.0), ("n", 2.5), ("n", None), ("seed", "1"),
+    ("class_separation", "2"), ("class_separation", float("nan")),
+    ("class_separation", False),
+    ("path", 5), ("path", None), ("label_column", ["y"]),
+    ("label_column", True), ("header", "no"),
+])
+def test_config_rejects_mistyped_dataset_fields(name, value, tmp_path,
+                                                monkeypatch):
+    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+    if name in ("path", "label_column", "header"):
+        dataset = {"kind": "csv", "path": "data.csv", "label_column": "y"}
+    else:
+        dataset = {"kind": "synthetic"}
+    dataset[name] = value
+    with pytest.raises(ConfigError, match=rf"^dataset\.{name} must be"):
+        config_from_dict({"dataset": dataset})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": dataset}), encoding="utf-8")
+    for command in ("train", "run"):
+        code = main([command, "--config", str(path), "--outdir", str(tmp_path)])
+        assert code == 1
+
+
+def test_config_accepts_a_csv_label_column_index():
+    config = config_from_dict({"dataset": {"kind": "csv", "path": "data.csv",
+                                           "label_column": 0}})
+    assert config.dataset["label_column"] == 0
+
+
 @pytest.mark.parametrize("patch", [
     {"strategies": ["IMS-All", "TMS-All", "TMS-All", "oracle"]},
     {"families": ["KNN", "KNN"], "strategies": ["TMS-All"]},

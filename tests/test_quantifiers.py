@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
+from shiftselect import quantifiers
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
@@ -85,6 +89,66 @@ def test_kde_segment_mass_matches_quadrature():
     integral = np.trapezoid(f, t) * np.sqrt(2.0)   # ds = sqrt(2) dt
     expected = 1.0 / (np.sqrt(2.0 * np.pi) * h)
     assert integral == pytest.approx(expected, rel=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       bandwidth=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+       chunks=st.integers(1, 5), ragged=st.integers(1, 7),
+       singleton=st.booleans())
+def test_kde_matches_logsumexp_and_is_invariant_per_row(seed, n, bandwidth,
+                                                        chunks, ragged,
+                                                        singleton):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 50, size=n)
+    if singleton:
+        sizes[rng.integers(n)] = 1
+    support = tuple(rng.dirichlet(np.full(n, 0.5), size=s) for s in sizes)
+    dens = ClassDensities(support, bandwidth, n)
+    # m is not a multiple of the 8-column chunks below: a ragged last chunk
+    m = 8 * chunks + ragged
+    P = rng.dirichlet(np.full(n, 0.5), size=m)
+    # far-off rows: each coordinate at least 1 from every support point's
+    far = rng.choice(m, size=max(1, m // 5), replace=False)
+    P[far] += rng.choice([-2.0, 2.0], size=(len(far), n))
+    got = dens.evaluate(P)
+    h2 = bandwidth ** 2
+    log_norm = -0.5 * n * np.log(2 * np.pi * h2)
+    for j, S in enumerate(support):
+        E = -((P[:, None, :] - S[None, :, :]) ** 2).sum(axis=2) / (2 * h2)
+        reference = logsumexp(E, axis=1) - np.log(len(S)) + log_norm
+        # expanding |p - s|^2 = |p|^2 - 2 p.s + |s|^2 rounds at the scale of
+        # the terms it cancels, so the error is relative to that scale
+        scale = 1 + ((P * P).sum(axis=1) + (S * S).sum(axis=1).max()) / (2 * h2)
+        assert (np.abs(got[:, j] - reference) <= 1e-12 * scale).all()
+    if bandwidth == 0.005:
+        # at every support point exp(E) itself underflows for the far rows
+        E = -((P[far, None, :] - np.concatenate(support)[None]) ** 2).sum(axis=2)
+        assert (np.exp(E / (2 * h2)) == 0).all()
+    # each row's result is bit-identical whatever rows it is evaluated with
+    for k in (1, 2, 9, m + 5):
+        idx = rng.integers(0, m, size=k)
+        assert np.array_equal(dens.evaluate(P[idx]), got[idx])
+    N = int(sizes.sum())
+    for budget in (1, 16 * N):     # chunks of 8 and 16 columns
+        with mock.patch.object(quantifiers, "KDE_CHUNK_ELEMENTS", budget):
+            assert np.array_equal(dens.evaluate(P), got)
+
+
+def test_kde_rows_are_bit_identical_in_large_evaluations():
+    # large enough that BLAS leaves its small-matrix path, where the columns
+    # of a ragged last panel are summed in another order
+    rng = np.random.default_rng(14)
+    n = 5
+    support = tuple(rng.dirichlet(np.ones(n), size=s) for s in (700, 1, 500, 650, 90))
+    dens = ClassDensities(support, 0.05, n)
+    P = rng.dirichlet(np.ones(n), size=1003)
+    got = dens.evaluate(P)
+    for k in (1, 3, 100, 997):
+        idx = rng.integers(0, len(P), size=k)
+        assert np.array_equal(dens.evaluate(P[idx]), got[idx])
+    with mock.patch.object(quantifiers, "KDE_CHUNK_ELEMENTS", 1 << 30):
+        assert np.array_equal(dens.evaluate(P), got)    # one chunk
 
 
 def test_fit_kdey_requires_every_class(fitted_pipeline):

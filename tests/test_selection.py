@@ -3,8 +3,9 @@ import pytest
 
 from shiftselect import selection
 from shiftselect.cap import predict_batch
-from shiftselect.classifiers import TrainingError, default_model
-from shiftselect.dataspace import stratified_split, synth_gaussian_pps
+from shiftselect.classifiers import (TrainingError, build_grid, default_model,
+                                    predict_posteriors_batch)
+from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import app_generate, draw_bag, reveal_labels
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
                                    default_select, ims_select, load_registry,
@@ -66,6 +67,9 @@ def test_registry_round_trip(registry, splits, tmp_path):
     _, _, test = splits
     save_registry(registry, tmp_path / "reg")
     loaded = load_registry(tmp_path / "reg")
+    # loading builds no stacked KDE support: the first evaluation does
+    assert not any("_stacked" in vars(e.cap.quantifier.densities)
+                   for e in loaded.entries)
     assert loaded.meta == registry.meta
     assert [e.model_id for e in loaded.entries] == [e.model_id for e in registry.entries]
     assert [e.val_accuracy for e in loaded.entries] == \
@@ -112,6 +116,38 @@ def test_registry_skips_failed_configs(splits, monkeypatch):
     ids = [e.model_id for e in reg.entries]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("error", [DataError("class 1 missing"),
+                                   np.linalg.LinAlgError("singular"),
+                                   ValueError("bad bandwidth")])
+def test_registry_skips_failed_accuracy_predictors(splits, monkeypatch, error):
+    proper, validation, _ = splits
+    real_fit_cap = selection.fit_cap
+    calls = []
+
+    def flaky_fit_cap(model, *args, **kwargs):
+        calls.append(model)
+        if len(calls) == 4:         # the fourth grid point, model id 3
+            raise error
+        return real_fit_cap(model, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_cap", flaky_fit_cap)
+    reg = build_registry(("KNN",), proper, validation, seed=0)
+    assert [e.model_id for e in reg.entries] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
+    label = build_grid("KNN", 2)[3].label()
+    assert reg.warnings == [f"model 3 ({label}) failed: {error}"]
+
+
+def test_registry_propagates_other_predictor_errors(splits, monkeypatch):
+    proper, validation, _ = splits
+
+    def broken_fit_cap(*args, **kwargs):
+        raise RuntimeError("a defect, not a data problem")
+
+    monkeypatch.setattr(selection, "fit_cap", broken_fit_cap)
+    with pytest.raises(RuntimeError, match="a defect"):
+        build_registry(("KNN",), proper, validation, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +271,27 @@ def test_tms_precomputed_test_set_rows_match_features(registry, splits):
                 direct.estimated_accuracy, abs=1e-9)
             assert np.array_equal(cached.predicted_labels,
                                   direct.predicted_labels)
+
+
+def test_predictions_from_features_equal_sliced_test_set_caches(registry,
+                                                               splits):
+    # labelling a bag online must give exactly what the experiment gets from
+    # its test-set caches
+    _, _, test = splits
+    caps = [e.cap for e in registry.entries]
+    models = [e.model for e in registry.entries]
+    posteriors = predict_posteriors_batch(models, test.X)
+    rows = np.stack([c.quantifier.rows(P) for c, P in zip(caps, posteriors)])
+    rng = np.random.default_rng(31)
+    for target, size in (([0.9, 0.1], 60), ([0.5, 0.5], 100), ([0.2, 0.8], 33),
+                         ([0.0, 1.0], 8), ([0.6, 0.4], 1)):
+        bag = draw_bag(test, target, size, rng)
+        cached = predict_batch(caps, posteriors[:, bag.indices],
+                               rows[:, bag.indices])
+        direct = predict_batch(caps, predict_posteriors_batch(models,
+                                                              bag.features))
+        for name in ("accuracy", "iterations", "em_iterations"):
+            assert np.array_equal(getattr(cached, name), getattr(direct, name))
 
 
 def test_loaded_registry_shares_one_neighbour_search_per_bag(registry, splits,
