@@ -1,6 +1,6 @@
 """Classifier zoo: multinomial logistic regression, k-nearest neighbours and a
 one-hidden-layer MLP, plus hyperparameter grid construction (including the
-class-weight schemes) and model persistence.
+class-weight schemes) and JSON model records.
 
 All three families are trained from scratch on numpy so that the training
 objective, the optimizer, and the analytic gradients are fully pinned down and
@@ -18,7 +18,6 @@ Each posterior row is bit-identical whatever other rows it is predicted with
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,7 @@ LR_MAX_ITER = 1000
 KNN_DIST_EPS = 1e-9
 
 BLAS_PANEL = 8      # rows per BLAS panel (see panel_rows)
+KNN_CHUNK_ELEMENTS = 1 << 20   # distances per chunk of query rows (8 MiB)
 
 FORMAT_VERSION = 1
 
@@ -386,33 +386,35 @@ def _knn_posteriors(models, X) -> list:
     The squared distances and the stable order of the nearest neighbours are
     computed once; each model reads its own k-prefix of that order and applies
     its own labels and vote weights, so every result equals a one-model call
-    bit for bit.
+    bit for bit. The query rows are taken in chunks of whole BLAS panels, at
+    most KNN_CHUNK_ELEMENTS distances each, which bounds the memory and, since
+    each row of the distance product is bit-identical whatever rows it is
+    computed with (see :func:`panel_rows`), leaves the result unchanged.
     """
     X_train = models[0].X_train
     n_train = X_train.shape[0]
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        + (X_train * X_train).sum(axis=1)[None, :]
-        - (panel_rows(2.0 * X) @ X_train.T)[:len(X)]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    order = nearest_order(
-        d2, max(min(m.hyperparams["n_neighbors"], n_train) for m in models))
-    out = []
-    for model in models:
-        k = min(model.hyperparams["n_neighbors"], n_train)
-        nearest = order[:, :k]
-        neigh_labels = model.y_train[nearest]
-        if model.hyperparams["weights"] == "uniform":
-            w = np.ones_like(neigh_labels, dtype=float)
-        else:
-            d = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
-            w = 1.0 / (d + KNN_DIST_EPS)
-        posteriors = np.zeros((X.shape[0], model.n_classes))
-        for j in range(model.n_classes):
-            posteriors[:, j] = np.where(neigh_labels == j, w, 0.0).sum(axis=1)
-        posteriors /= posteriors.sum(axis=1, keepdims=True)
-        out.append(posteriors)
+    train_sq = (X_train * X_train).sum(axis=1)[None, :]
+    ks = [min(m.hyperparams["n_neighbors"], n_train) for m in models]
+    out = [np.zeros((X.shape[0], m.n_classes)) for m in models]
+    width = max(KNN_CHUNK_ELEMENTS // n_train // BLAS_PANEL, 1) * BLAS_PANEL
+    for lo in range(0, X.shape[0], width):
+        Xc = X[lo:lo + width]
+        d2 = ((Xc * Xc).sum(axis=1)[:, None] + train_sq
+              - (panel_rows(2.0 * Xc) @ X_train.T)[:len(Xc)])
+        np.maximum(d2, 0.0, out=d2)
+        order = nearest_order(d2, max(ks))
+        for model, k, posteriors in zip(models, ks, out):
+            nearest = order[:, :k]
+            neigh_labels = model.y_train[nearest]
+            if model.hyperparams["weights"] == "uniform":
+                w = np.ones_like(neigh_labels, dtype=float)
+            else:
+                d = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
+                w = 1.0 / (d + KNN_DIST_EPS)
+            chunk = posteriors[lo:lo + len(Xc)]
+            for j in range(model.n_classes):
+                chunk[:, j] = np.where(neigh_labels == j, w, 0.0).sum(axis=1)
+            chunk /= chunk.sum(axis=1, keepdims=True)
     return out
 
 
@@ -713,12 +715,3 @@ def model_from_record(rec: dict) -> TrainedModel:
         return MLPModel(hp, params, n_classes, seed, meta)
     raise ValueError(f"unknown family {family!r}")
 
-
-def save_model(model: TrainedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_record(model), fh)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_record(json.load(fh))

@@ -12,6 +12,13 @@ same config and seed, a run produces byte-identical output files:
 * ``summary.txt``    human-readable digest, with one warning line per model
   whose accuracy solver or KDEy-ML mixture solver stopped early.
 
+Selection never sees labels. The harness computes every model's true
+accuracy on a bag once, from the test-set label cache, and each strategy's
+``true_acc`` is one entry of that vector; the oracle, an evaluation upper
+bound, is its argmax. ``shiftselect train`` writes the run's manifest.json
+and ``registry/manifest.json``, the whole registry in one document (see
+:func:`selection.save_registry`).
+
 The environment variable ``SHIFTSELECT_SEED`` overrides the config seed.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -39,8 +46,8 @@ from .classifiers import FAMILIES, build_grid, predict_posteriors_batch
 from .protocol import (ShiftRecord, app_generate, bin_by_shift, l1_shift,
                        reveal_labels, DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
-from .selection import (ModelRegistry, build_registry, default_select,
-                        fingerprint, ims_select, oracle_select, tms_select,
+from .selection import (ModelRegistry, best_position, build_registry,
+                        default_select, fingerprint, ims_select, tms_select,
                         write_manifest)
 
 ENV_SEED = "SHIFTSELECT_SEED"
@@ -325,9 +332,6 @@ class ResultTable:
     def from_rows(cls, rows, meta=None):
         return cls(list(rows), aggregate_rows(rows), dict(meta or {}))
 
-    def strategies(self):
-        return sorted({row.strategy for row in self.rows})
-
 
 def aggregate_rows(rows) -> dict:
     """Per-strategy (mean, population std, count) of true accuracy."""
@@ -529,13 +533,18 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
     """Yield one ResultRow per (bag, strategy); incremental so that partial
     progress survives a mid-run failure.
 
+    Every model's true accuracy on a bag is computed once, from the test-set
+    label cache, and each row's `true_acc` is one entry of that vector: the
+    fixed model of a default or IMS strategy, the model TMS picks, or, for
+    the oracle, the argmax of the vector itself (the evaluation upper bound,
+    under the same NaN and lowest-model-id tie rule as TMS).
+
     `diagnostics` maps "nonconverged" and "em_nonconverged" to Counters of
     model id, counting the bags on which TMS saw that model's accuracy solver
     or mixture solver stop before converging."""
     # Posteriors and quantifier rows (the KDE log densities) over the whole
     # test set are computed once per model and stacked along
-    # registry.entries; a bag's rows are then slices, which keeps TMS and the
-    # oracle cheap.
+    # registry.entries; a bag's rows are then slices, which keeps TMS cheap.
     posteriors_test = predict_posteriors_batch(
         [e.model for e in registry.entries], test.X)
     densities_test = np.stack([e.cap.quantifier.rows(P) for e, P in
@@ -554,7 +563,8 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
             static[strat] = ims_select(registry, scope)
 
     for bag_id, bag in enumerate(bags):
-        truth = reveal_labels(bag)
+        true_acc = (labels_test[:, bag.indices]
+                    == reveal_labels(bag)).mean(axis=1)
         shift = l1_shift(train_prevalence, bag.realized_prevalence)
         P = posteriors_test[:, bag.indices]
         F = densities_test[:, bag.indices]
@@ -563,24 +573,21 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
         for strat, kind, scope in plan:
             if strat in static:
                 mid = static[strat]
-                acc = float((labels_test[position[mid], bag.indices] == truth).mean())
                 est = registry.entry(mid).val_accuracy
             elif kind == "TMS":
                 outcome = tms_select(registry, scope, bag, posteriors=P,
                                      densities=F)
                 mid = outcome.model_id
-                acc = float((outcome.predicted_labels == truth).mean())
                 est = outcome.estimated_accuracy
                 flagged["nonconverged"].update(outcome.nonconverged)
                 flagged["em_nonconverged"].update(outcome.em_nonconverged)
             else:  # oracle
-                outcome = oracle_select(registry, "All", bag, truth,
-                                        posteriors=P)
-                mid = outcome.model_id
-                acc = outcome.true_accuracy
+                mid = registry.entries[best_position(
+                    true_acc, registry.entries,
+                    f"the oracle on a bag of {bag.size} instances")].model_id
                 est = None
             yield ResultRow(run_id, dataset_name, strat, bag_id, shift,
-                            acc, est, mid)
+                            float(true_acc[position[mid]]), est, mid)
         for name, ids in flagged.items():
             diagnostics[name].update(ids)
 

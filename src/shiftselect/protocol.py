@@ -3,8 +3,9 @@ at target prevalences (with replacement), shift measurement, and shift
 binning.
 
 Bags expose features but keep their true labels behind :func:`reveal_labels`,
-which only the evaluation harness should call; selection code never sees
-labels.
+which only the evaluation harness (:mod:`evalcli`) calls: it scores every
+strategy, the oracle included, against them. No function in :mod:`selection`
+takes labels.
 """
 
 from __future__ import annotations

@@ -4,18 +4,23 @@
   validation data, once, and apply it to every bag;
 * transductive (TMS): per bag, pick the model whose *predicted* accuracy on
   that specific bag is highest, and return its labels for the bag;
-* oracle: per bag, the model with the highest true accuracy (upper bound);
 * defaults: the fixed default configuration of each family.
 
 IMS is bag-independent by construction; TMS may pick a different model for
 every bag. TMS predicts the accuracy of every in-scope model on the bag in one
-batched pass (:func:`cap.predict_batch`) and takes the argmax of that vector;
-the oracle takes the argmax of the true accuracies. Both accept the bag's
-per-model posteriors (and, for TMS, the quantifier rows that
-:func:`quantifiers.estimate_batch` reduces) precomputed, stacked along a model
-axis aligned with ``registry.entries``; without them they compute them from
-the bag's features. A NaN estimate never wins, and ties always break toward
-the lowest model id.
+batched pass (:func:`cap.predict_batch`) and takes the argmax of that vector
+(:func:`best_position`: a NaN estimate never wins, and ties always break
+toward the lowest model id). It accepts the bag's per-model posteriors and
+the quantifier rows that :func:`quantifiers.estimate_batch` reduces
+precomputed, stacked along a model axis aligned with ``registry.entries``;
+without them it computes them from the bag's features. No function here
+takes labels: the oracle, which reads a bag's true labels, is an evaluation
+upper bound and lives in the harness (:mod:`evalcli`).
+
+A registry is saved as one document, ``manifest.json``: its meta, its
+training warnings, and per entry the model id, the validation accuracy, the
+model record (:func:`classifiers.model_to_record`) and the accuracy-predictor
+record.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ import numpy as np
 from .dataspace import LabelledSet
 from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
                           decode_array, default_model, encode_array,
-                          hyperparams_from_dict, hyperparams_to_dict,
-                          load_model, predict_posteriors_batch, save_model,
-                          train_grid)
+                          model_from_record, model_to_record,
+                          predict_posteriors_batch, train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
 from .cap import CapPredictor, RateMatrix, fit_cap, predict_batch
 
@@ -62,9 +66,6 @@ class ModelRegistry:
                 return e
         raise KeyError(f"no model with id {model_id}")
 
-    def in_scope(self, scope) -> list:
-        return [self.entries[i] for i in self.scope_positions(scope)]
-
     def scope_positions(self, scope) -> list:
         """Positions in `entries` of the models in scope."""
         return [i for i, e in enumerate(self.entries)
@@ -75,13 +76,20 @@ class ModelRegistry:
 class SelectionOutcome:
     strategy: str
     model_id: int
-    predicted_labels: np.ndarray = None
-    estimated_accuracy: float = None
-    true_accuracy: float = None
-    warnings: tuple = ()
+    predicted_labels: np.ndarray
+    estimated_accuracy: float
     # ids of models whose accuracy solver / mixture solver stopped early
     nonconverged: tuple = ()
     em_nonconverged: tuple = ()
+
+    @property
+    def warnings(self) -> tuple:
+        """One line per model whose accuracy solver or mixture solver
+        stopped early on this bag."""
+        return tuple(f"model {mid}: {what} did not converge"
+                     for what, ids in (("accuracy solver", self.nonconverged),
+                                       ("mixture solver", self.em_nonconverged))
+                     for mid in ids)
 
 
 def _entry_seed(seed: int, model_id: int) -> int:
@@ -160,7 +168,7 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     return registry
 
 
-def _best(values, entries, where: str) -> int:
+def best_position(values, entries, where: str) -> int:
     """Position of the highest value; NaN never wins, ties go to the lowest
     model id. `where` names the scope (and bag) for the error raised when
     every value is NaN."""
@@ -172,36 +180,14 @@ def _best(values, entries, where: str) -> int:
     return min(ties, key=lambda i: entries[i].model_id)
 
 
-def _scope_name(scope) -> str:
-    return scope if scope not in (None, "All") else "All"
-
-
 def ims_select(registry: ModelRegistry, scope=None) -> int:
     """Id of the in-scope model with the best validation accuracy."""
-    entries = registry.in_scope(scope)
+    entries = [registry.entries[i] for i in registry.scope_positions(scope)]
     if not entries:
         raise ValueError(f"no models in scope {scope!r}")
-    best = _best([e.val_accuracy for e in entries], entries,
-                 f"scope {scope!r}")
+    best = best_position([e.val_accuracy for e in entries], entries,
+                         f"scope {scope!r}")
     return entries[best].model_id
-
-
-def _scope_rows(registry: ModelRegistry, scope, bag, posteriors):
-    """In-scope entries, their positions, and their posterior rows for the
-    bag, shape (k, m, n): sliced from `posteriors` (stacked over
-    registry.entries) or computed from the bag's features."""
-    positions = registry.scope_positions(scope)
-    if not positions:
-        raise ValueError(f"no models in scope {scope!r}")
-    if bag.size == 0:
-        raise ValueError("empty bag")
-    entries = [registry.entries[i] for i in positions]
-    if posteriors is None:
-        posteriors = predict_posteriors_batch([e.model for e in entries],
-                                              bag.features)
-    else:
-        posteriors = np.asarray(posteriors)[positions]
-    return entries, positions, posteriors
 
 
 def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
@@ -213,43 +199,33 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     entry's model, shape (len(registry.entries), m, n), and `densities` the
     matching quantifier rows (``q.rows(...)``: the KDE class log densities for
     KDEy-ML); the evaluation harness slices both from test-set caches.
+    Without them the in-scope models' posteriors are computed from the bag's
+    features.
     """
-    entries, positions, P = _scope_rows(registry, scope, bag, posteriors)
+    positions = registry.scope_positions(scope)
+    if not positions:
+        raise ValueError(f"no models in scope {scope!r}")
+    if bag.size == 0:
+        raise ValueError("empty bag")
+    entries = [registry.entries[i] for i in positions]
+    if posteriors is None:
+        P = predict_posteriors_batch([e.model for e in entries], bag.features)
+    else:
+        P = np.asarray(posteriors)[positions]
     rows = None if densities is None else np.asarray(densities)[positions]
     batch = predict_batch([e.cap for e in entries], P, rows)
-    best = _best(batch.accuracy, entries,
-                 f"scope {scope!r} on a bag of {bag.size} instances")
+    best = best_position(batch.accuracy, entries,
+                         f"scope {scope!r} on a bag of {bag.size} instances")
     nonconverged, em_nonconverged = (
         tuple(e.model_id for e, ok in zip(entries, flags) if not ok)
         for flags in (batch.converged, batch.em_converged))
     return SelectionOutcome(
-        strategy=f"TMS-{_scope_name(scope)}",
+        strategy=f"TMS-{scope or 'All'}",
         model_id=entries[best].model_id,
         predicted_labels=np.argmax(P[best], axis=1),
         estimated_accuracy=float(batch.accuracy[best]),
-        warnings=tuple(f"model {mid}: {what} did not converge"
-                       for what, ids in (("accuracy solver", nonconverged),
-                                         ("mixture solver", em_nonconverged))
-                       for mid in ids),
         nonconverged=nonconverged,
         em_nonconverged=em_nonconverged)
-
-
-def oracle_select(registry: ModelRegistry, scope, bag, true_labels,
-                  posteriors=None) -> SelectionOutcome:
-    """Pick the model with the highest *true* accuracy on the bag (requires
-    the evaluation-only label view). `posteriors` is as for
-    :func:`tms_select`."""
-    entries, _, P = _scope_rows(registry, scope, bag, posteriors)
-    labels = np.argmax(P, axis=2)
-    accuracy = (labels == np.asarray(true_labels)).mean(axis=1)
-    best = _best(accuracy, entries,
-                 f"scope {scope!r} on a bag of {bag.size} instances")
-    scope_name = _scope_name(scope)
-    return SelectionOutcome(strategy=f"oracle-{scope_name}" if scope_name != "All" else "oracle",
-                            model_id=entries[best].model_id,
-                            predicted_labels=labels[best],
-                            true_accuracy=float(accuracy[best]))
 
 
 def default_select(registry: ModelRegistry, family: str) -> int:
@@ -262,8 +238,7 @@ def default_select(registry: ModelRegistry, family: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: manifest + one model record + one accuracy-predictor sidecar
-# per entry
+# Persistence: one manifest holds the whole registry
 # ---------------------------------------------------------------------------
 
 def write_manifest(out_dir, manifest: dict) -> None:
@@ -275,62 +250,54 @@ def write_manifest(out_dir, manifest: dict) -> None:
 
 
 def save_registry(registry: ModelRegistry, out_dir) -> None:
-    write_manifest(out_dir, {
-        "meta": registry.meta,
-        "warnings": registry.warnings,
-        "entries": [
-            {
-                "model_id": e.model_id,
-                "family": e.family,
-                "hyperparams": hyperparams_to_dict(e.hyperparams),
-                "val_accuracy": e.val_accuracy,
-            }
-            for e in registry.entries
-        ],
-    })
+    """Write the registry as out_dir/manifest.json, its only file."""
+    entries = []
     for e in registry.entries:
-        save_model(e.model, os.path.join(out_dir, f"model_{e.model_id:04d}.json"))
-        cap = e.cap
-        sidecar = {
-            "rate_matrix": encode_array(cap.rates.m),
-            "quantifier_kind": cap.quantifier.kind,
-            "weight": cap.weight,
-            "solver_tol": cap.solver_tol,
-            "solver_max_iter": cap.solver_max_iter,
+        cap = {
+            "rate_matrix": encode_array(e.cap.rates.m),
+            "quantifier_kind": e.cap.quantifier.kind,
+            "weight": e.cap.weight,
+            "solver_tol": e.cap.solver_tol,
+            "solver_max_iter": e.cap.solver_max_iter,
         }
-        densities = getattr(cap.quantifier, "densities", None)
+        densities = getattr(e.cap.quantifier, "densities", None)
         if densities is not None:
-            sidecar["bandwidth"] = densities.bandwidth
-            sidecar["support"] = [encode_array(S) for S in densities.support]
-        with open(os.path.join(out_dir, f"cap_{e.model_id:04d}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(sidecar, fh)
+            cap["bandwidth"] = densities.bandwidth
+            cap["support"] = [encode_array(S) for S in densities.support]
+        entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
+                        "model": model_to_record(e.model), "cap": cap})
+    write_manifest(out_dir, {"meta": registry.meta,
+                             "warnings": registry.warnings,
+                             "entries": entries})
 
 
 def load_registry(out_dir) -> ModelRegistry:
+    """Read a registry that :func:`save_registry` wrote. A registry in an
+    older layout, or one with missing keys, raises a ValueError that says to
+    retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    entries = []
-    for rec in manifest["entries"]:
-        model_id = rec["model_id"]
-        model = load_model(os.path.join(out_dir, f"model_{model_id:04d}.json"))
-        with open(os.path.join(out_dir, f"cap_{model_id:04d}.json"),
-                  encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        rates = RateMatrix(decode_array(sidecar["rate_matrix"]))
-        make_quantifier = QUANTIFIERS[sidecar["quantifier_kind"]]
-        if "support" in sidecar:
-            support = tuple(decode_array(S) for S in sidecar["support"])
-            densities = ClassDensities(support, sidecar["bandwidth"],
-                                       model.n_classes)
-            quantifier = make_quantifier(densities)
-        else:
-            quantifier = make_quantifier()
-        cap = CapPredictor(rates, quantifier, weight=sidecar["weight"],
-                           solver_tol=sidecar["solver_tol"],
-                           solver_max_iter=sidecar["solver_max_iter"])
-        entries.append(RegistryEntry(
-            model_id, rec["family"], hyperparams_from_dict(rec["hyperparams"]),
-            model, rec["val_accuracy"], cap))
-    return ModelRegistry(entries, manifest.get("warnings", []),
-                         manifest.get("meta", {}))
+    try:
+        entries = []
+        for rec in manifest["entries"]:
+            model, cap = model_from_record(rec["model"]), rec["cap"]
+            make_quantifier = QUANTIFIERS[cap["quantifier_kind"]]
+            if "support" in cap:
+                support = tuple(decode_array(S) for S in cap["support"])
+                quantifier = make_quantifier(
+                    ClassDensities(support, cap["bandwidth"], model.n_classes))
+            else:
+                quantifier = make_quantifier()
+            predictor = CapPredictor(
+                RateMatrix(decode_array(cap["rate_matrix"])), quantifier,
+                weight=cap["weight"], solver_tol=cap["solver_tol"],
+                solver_max_iter=cap["solver_max_iter"])
+            entries.append(RegistryEntry(
+                rec["model_id"], model.family, model.hyperparams, model,
+                rec["val_accuracy"], predictor))
+        return ModelRegistry(entries, manifest["warnings"], manifest["meta"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(
+            f"{out_dir} does not hold a registry in the current format "
+            f"({type(exc).__name__}: {exc}); retrain it with `shiftselect "
+            "train`") from exc

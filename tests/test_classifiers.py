@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.classifiers import (KNN_DIST_EPS, MLP_MAX_EPOCHS,
+from shiftselect import classifiers
+from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, MLP_MAX_EPOCHS,
                                      MLP_MIN_STEP, ClassWeights, HyperParams,
                                      TrainingError, build_grid,
                                      class_weight_candidates, default_model,
-                                     load_model, lr_loss_grad, mlp_loss_grad,
+                                     lr_loss_grad, mlp_loss_grad,
                                      model_from_record, model_to_record,
                                      nearest_order, predict_posteriors_batch,
-                                     save_model, train, train_grid)
+                                     train, train_grid)
 from shiftselect.dataspace import Dataset
 
 
@@ -309,6 +312,23 @@ def test_batch_posteriors_equal_per_model_calls(smooth_models, seed, n_a, n_b,
             assert np.array_equal(P, _reference_knn_posteriors(m, X))
 
 
+@pytest.mark.parametrize("panels", [1, 7])
+@pytest.mark.parametrize("m", [1, 9, 600])
+def test_knn_chunks_equal_one_pass(two_blobs, monkeypatch, m, panels):
+    # chunks of `panels` BLAS panels: 9 rows leave a ragged last chunk at one
+    # panel, 600 rows at seven
+    lset = two_blobs.all_instances()
+    models = [train("KNN", HyperParams.make("KNN", n_neighbors=k, weights=w),
+                    lset, seed=0)
+              for k in (5, 13) for w in ("uniform", "distance")]
+    X = np.random.default_rng(m).normal(2.0, 2.0, size=(m, 2))
+    monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS", 1 << 40)
+    whole = predict_posteriors_batch(models, X)
+    monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS",
+                        panels * BLAS_PANEL * len(lset))
+    assert np.array_equal(predict_posteriors_batch(models, X), whole)
+
+
 # ---------------------------------------------------------------------------
 # shared prediction contracts
 # ---------------------------------------------------------------------------
@@ -504,15 +524,13 @@ def test_train_requires_all_classes(two_blobs):
 # persistence
 # ---------------------------------------------------------------------------
 
-def test_model_records_round_trip_bit_exact(two_blobs, tmp_path):
+def test_model_records_round_trip_bit_exact(two_blobs):
     lset = two_blobs.all_instances()
     rng = np.random.default_rng(13)
     queries = rng.normal(size=(20, 2))
     for family in ("LR", "KNN", "MLP"):
         model = train(family, default_model(family), lset, seed=99)
-        path = tmp_path / f"{family}.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = model_from_record(json.loads(json.dumps(model_to_record(model))))
         assert loaded.family == model.family
         assert loaded.hyperparams == model.hyperparams
         assert loaded.n_classes == model.n_classes

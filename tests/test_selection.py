@@ -1,7 +1,11 @@
+import json
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from shiftselect import selection
+from shiftselect import evalcli, selection
 from shiftselect.cap import predict_batch
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
                                     predict_posteriors_batch)
@@ -9,7 +13,7 @@ from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pp
 from shiftselect.protocol import app_generate, draw_bag, reveal_labels
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
                                    default_select, ims_select, load_registry,
-                                   oracle_select, save_registry, tms_select)
+                                   save_registry, tms_select)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,15 @@ def bag_posteriors(registry, test):
     def rows_for(bag):
         return cache[:, bag.indices]
     return rows_for
+
+
+def oracle_rows(registry, splits, bags):
+    """The evaluation harness's oracle row for each bag, in bag order."""
+    proper, _, test = splits
+    config = evalcli.RunConfig(strategies=("oracle",))
+    diagnostics = {"nonconverged": Counter(), "em_nonconverged": Counter()}
+    return list(evalcli._evaluate(config, registry, test, bags, proper,
+                                  "run", "data", diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +94,43 @@ def test_registry_round_trip(registry, splits, tmp_path):
                               redo.model.predict_posteriors(bag.features))
         assert predicted_accuracy(orig, bag) == pytest.approx(
             predicted_accuracy(redo, bag), abs=1e-12)
+    # the manifest is the whole registry, and it restores every entry exactly
+    assert os.listdir(tmp_path / "reg") == ["manifest.json"]
+    assert loaded.warnings == registry.warnings
+    for orig, redo in zip(registry.entries, loaded.entries, strict=True):
+        assert (redo.family, redo.hyperparams) == (orig.family, orig.hyperparams)
+        assert np.array_equal(orig.cap.rates.m, redo.cap.rates.m)
+        for S, T in zip(orig.cap.quantifier.densities.support,
+                        redo.cap.quantifier.densities.support, strict=True):
+            assert np.array_equal(S, T)
+    rows_for = bag_posteriors(registry, test)
+    assert np.array_equal(rows_for(bag), bag_posteriors(loaded, test)(bag))
+    assert np.array_equal(
+        predict_batch([e.cap for e in registry.entries], rows_for(bag)).accuracy,
+        predict_batch([e.cap for e in loaded.entries], rows_for(bag)).accuracy)
+
+
+@pytest.mark.parametrize("damage", ["old layout", "missing key"])
+def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
+    regdir = tmp_path / "reg"
+    save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
+                  regdir)
+    manifest = json.loads((regdir / "manifest.json").read_text())
+    if damage == "old layout":
+        # one manifest entry per model, with its model and accuracy predictor
+        # in per-entry files beside it
+        for rec in manifest["entries"]:
+            model = rec.pop("model")
+            rec["family"], rec["hyperparams"] = model["family"], model["hyperparams"]
+            for name, part in (("model", model), ("cap", rec.pop("cap"))):
+                (regdir / f"{name}_{rec['model_id']:04d}.json").write_text(
+                    json.dumps(part))
+    else:
+        del manifest["warnings"]
+    (regdir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="retrain") as err:
+        load_registry(regdir)
+    assert str(regdir) in str(err.value)
 
 
 def test_registry_round_trip_counting_quantifier(splits, tmp_path):
@@ -347,7 +397,7 @@ def test_tms_and_oracle_exact_tie_goes_to_lowest_model_id(registry, splits):
     twins = ModelRegistry([replace(entry, model_id=7),
                            replace(entry, model_id=3)])
     assert tms_select(twins, "All", bag).model_id == 3
-    assert oracle_select(twins, "All", bag, reveal_labels(bag)).model_id == 3
+    assert oracle_rows(twins, splits, [bag])[0].model_id == 3
 
 
 def _with_accuracies(monkeypatch, make):
@@ -452,28 +502,27 @@ def test_oracle_dominates_every_strategy(registry, splits):
     bags = app_generate(test, r=10, s=80, seed=8)
     ims_id = ims_select(registry, "All")
     rows_for = bag_posteriors(registry, test)
-    for bag in bags:
+    for bag, oracle in zip(bags, oracle_rows(registry, splits, bags),
+                           strict=True):
         truth = reveal_labels(bag)
-        oracle = oracle_select(registry, "All", bag, truth,
-                               posteriors=rows_for(bag))
         tms = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_acc = (tms.predicted_labels == truth).mean()
         ims_acc = (registry.entry(ims_id).model.predict_labels(bag.features)
                    == truth).mean()
-        assert oracle.true_accuracy >= tms_acc - 1e-12
-        assert oracle.true_accuracy >= ims_acc - 1e-12
+        assert oracle.true_acc >= tms_acc - 1e-12
+        assert oracle.true_acc >= ims_acc - 1e-12
         for family in ("LR", "KNN", "MLP"):
             did = default_select(registry, family)
             dacc = (registry.entry(did).model.predict_labels(bag.features)
                     == truth).mean()
-            assert oracle.true_accuracy >= dacc - 1e-12
+            assert oracle.true_acc >= dacc - 1e-12
 
 
 def test_oracle_matches_exhaustive_scan(registry, splits):
     _, _, test = splits
     bag = draw_bag(test, [0.4, 0.6], 70, np.random.default_rng(9))
     truth = reveal_labels(bag)
-    outcome = oracle_select(registry, "All", bag, truth)
+    outcome = oracle_rows(registry, splits, [bag])[0]
     best = max(
         registry.entries,
         key=lambda e: ((e.model.predict_labels(bag.features) == truth).mean(),
