@@ -11,8 +11,8 @@ as one stack, with one stacked minibatch step per batch, and each equals the
 point trained alone (:func:`train`, the one-point case) bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
-Each posterior row is bit-identical whatever other rows it is predicted with
-(see :func:`panel_rows`).
+A posterior row is bit-identical whatever other rows it is predicted with,
+for the MLP on narrow data only (see :func:`panel_rows`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ MLP_MIN_STEP = 1e-6
 MLP_IMPROVE_TOL = 1e-4
 
 LR_GRAD_TOL = 1e-5
-LR_MAX_ITER = 1000
+LR_MAX_ITER = 50        # Newton steps
+LR_MAX_HALVINGS = 40    # of the Newton step, in its line search
 
 KNN_DIST_EPS = 1e-9
 
@@ -203,11 +204,18 @@ def default_model(family: str) -> HyperParams:
 
 def panel_rows(X: np.ndarray) -> np.ndarray:
     """X zero-padded to a whole number of BLAS_PANEL rows (X itself when it
-    has one). BLAS sums a product's rows in another order when they fall in
-    a ragged last panel, or when there is one row (a matrix-vector product),
-    so each row of ``panel_rows(X) @ W`` is bit-identical whatever other rows
-    X holds: a bag labelled on its own gets the posteriors that the test-set
-    caches hold for its rows. Slice the product back to len(X) rows."""
+    has one). Slice the product back to len(X) rows (or columns).
+
+    BLAS sums a product's rows in another order when they fall in a ragged
+    last panel, or when there is one row (a matrix-vector product). With the
+    padding, a bag labelled on its own gets the posteriors and KDE rows that
+    the test-set caches hold for its rows wherever the kernel's order of
+    summation depends on nothing else. Checked on OpenBLAS (Haswell kernels):
+    each column of ``A @ panel_rows(X).T`` (the KNN distances, the KDE) at
+    2-512 features and 300-1,001 rows of A, and each row of
+    ``panel_rows(X) @ W`` for the LR weights and, at 2 features, the MLP's
+    first layer. The row layout is not exact against the MLP's 100 hidden
+    units at 20 or more features."""
     padded = -(-len(X) // BLAS_PANEL) * BLAS_PANEL
     if padded == len(X):
         return X
@@ -244,6 +252,23 @@ def lr_loss_grad(W, b, X, y, sample_weight, C):
     grad_W = X.T @ R + W / C
     grad_b = R.sum(axis=0)
     return loss, grad_W, grad_b
+
+
+def lr_hessian_vector(P, X, sample_weight, C, V, v):
+    """Product of the Hessian of :func:`lr_loss_grad`'s loss with the
+    direction (V, v) of (W, b), at the point whose posteriors are
+    P = softmax(X @ W + b).
+
+    The direction moves row i's logits by z_i = x_i V + v, and the softmax
+    Jacobian diag(p_i) - p_i p_i^T turns that into u_i = p_i * z_i -
+    p_i (p_i . z_i). Returns (X^T (w * U) + V / C, sum_i w_i u_i): two GEMMs
+    with X, as many as the gradient.
+    """
+    U = X @ V + v
+    U *= P
+    U -= P * U.sum(axis=1, keepdims=True)
+    U *= sample_weight[:, None]
+    return X.T @ U + V / C, U.sum(axis=0)
 
 
 def mlp_loss_grad(params, X, y, n_classes, alpha):
@@ -386,10 +411,14 @@ def _knn_posteriors(models, X) -> list:
     The squared distances and the stable order of the nearest neighbours are
     computed once; each model reads its own k-prefix of that order and applies
     its own labels and vote weights, so every result equals a one-model call
-    bit for bit. The query rows are taken in chunks of whole BLAS panels, at
-    most KNN_CHUNK_ELEMENTS distances each, which bounds the memory and, since
-    each row of the distance product is bit-identical whatever rows it is
-    computed with (see :func:`panel_rows`), leaves the result unchanged.
+    bit for bit. The distance product has the queries along its columns,
+    ``X_train @ panel_rows(2 Xc).T``, as in
+    :meth:`quantifiers.ClassDensities.evaluate`: each query's column then sums
+    the features in the same order whatever other queries it is computed
+    with (see :func:`panel_rows`), where the row layout summed the ragged
+    tail of training columns differently per query count. The query rows are
+    taken in chunks of whole BLAS panels, at most KNN_CHUNK_ELEMENTS distances
+    each, which bounds the memory and so leaves the result unchanged.
     """
     X_train = models[0].X_train
     n_train = X_train.shape[0]
@@ -400,7 +429,7 @@ def _knn_posteriors(models, X) -> list:
     for lo in range(0, X.shape[0], width):
         Xc = X[lo:lo + width]
         d2 = ((Xc * Xc).sum(axis=1)[:, None] + train_sq
-              - (panel_rows(2.0 * Xc) @ X_train.T)[:len(Xc)])
+              - (X_train @ panel_rows(2.0 * Xc).T)[:, :len(Xc)].T)
         np.maximum(d2, 0.0, out=d2)
         order = nearest_order(d2, max(ks))
         for model, k, posteriors in zip(models, ks, out):
@@ -463,44 +492,80 @@ def predict_posteriors_batch(models, X) -> np.ndarray:
 # Training
 # ---------------------------------------------------------------------------
 
+def _conjugate_gradient(hvp, g, tol, max_iter):
+    """Approximate solution d of H d = -g by conjugate gradient, stopped once
+    the residual norm falls to `tol` or after `max_iter` products `hvp(p)` =
+    H p. Returns (d, number of products)."""
+    d = np.zeros_like(g)
+    r = -g
+    p = r.copy()
+    rr = (r * r).sum()
+    for k in range(max_iter):
+        if rr <= tol * tol:
+            return d, k
+        Hp = hvp(p)
+        alpha = rr / (p * Hp).sum()
+        d += alpha * p
+        r -= alpha * Hp
+        rr, rr_old = (r * r).sum(), rr
+        p = r + (rr / rr_old) * p
+    return d, max_iter
+
+
 def _train_lr(hp, train: LabelledSet, seed: int) -> LRModel:
+    """Truncated Newton (Newton-CG; Lin, Weng & Keerthi, JMLR 2008) on the
+    loss of :func:`lr_loss_grad`, from zero weights.
+
+    Each step solves H d = -g by conjugate gradient on Hessian-vector
+    products (:func:`lr_hessian_vector`, two GEMMs with X each; no Hessian is
+    formed), to a residual of min(0.5, sqrt|g|) |g|, then backtracks from the
+    full step until the Armijo condition holds. It stops when |g|_inf <
+    LR_GRAD_TOL (`meta["converged"]`), or unconverged after LR_MAX_ITER steps
+    or when no step decreases the loss. The softmax ignores a shift of every
+    class's weights by one vector, so from zero the gradient and every CG
+    iterate keep each feature's weights and the biases summing to zero over
+    the classes; each step is centred over the classes too, since nothing
+    pulls the biases back from rounding drift along that shift."""
     X, y = train.X, train.y
-    n, n_classes = len(train), train.n_classes
+    n_classes = train.n_classes
     C = float(hp["C"])
     sample_weight = hp["class_weight"].instance_weights(y, n_classes)
-
-    W = np.zeros((X.shape[1], n_classes))
-    b = np.zeros(n_classes)
-    loss, gW, gb = lr_loss_grad(W, b, X, y, sample_weight, C)
-    step = 1.0
-    iterations = 0
-    for iterations in range(1, LR_MAX_ITER + 1):
-        if not (np.isfinite(loss) and np.isfinite(gW).all() and np.isfinite(gb).all()):
+    theta = np.zeros((X.shape[1] + 1, n_classes))    # [W; b]
+    loss, gW, gb = lr_loss_grad(theta[:-1], theta[-1], X, y, sample_weight, C)
+    g = np.vstack([gW, gb])
+    steps = cg_steps = 0
+    while True:
+        if not (np.isfinite(loss) and np.isfinite(g).all()):
             raise TrainingError("non-finite loss during LR training",
-                                last_state={"W": W, "b": b})
-        gnorm_inf = max(np.abs(gW).max(), np.abs(gb).max())
-        if gnorm_inf < LR_GRAD_TOL:
-            iterations -= 1
+                                last_state={"W": theta[:-1], "b": theta[-1]})
+        converged = np.abs(g).max() < LR_GRAD_TOL
+        if converged or steps == LR_MAX_ITER:
             break
-        g2 = (gW * gW).sum() + (gb * gb).sum()
-        # backtracking line search (Armijo), warm-started from the last step
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        for _ in range(80):
-            W_new = W - step * gW
-            b_new = b - step * gb
-            loss_new, gW_new, gb_new = lr_loss_grad(W_new, b_new, X, y, sample_weight, C)
-            if np.isfinite(loss_new) and loss_new <= loss - 1e-4 * step * g2:
-                accepted = True
+        P = softmax(X @ theta[:-1] + theta[-1])
+        gnorm = np.sqrt((g * g).sum())
+        d, products = _conjugate_gradient(
+            lambda V: np.vstack(lr_hessian_vector(P, X, sample_weight, C,
+                                                  V[:-1], V[-1])),
+            g, min(0.5, np.sqrt(gnorm)) * gnorm, g.size)
+        cg_steps += products
+        d -= d.mean(axis=1, keepdims=True)  # drops rounding drift off the subspace
+        slope = (g * d).sum()
+        step = 1.0
+        for _ in range(LR_MAX_HALVINGS + 1):
+            trial = theta + step * d
+            loss_new, gW, gb = lr_loss_grad(trial[:-1], trial[-1], X, y,
+                                            sample_weight, C)
+            if np.isfinite(loss_new) and loss_new <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
-            # no representable decrease left: numerically converged
-            iterations -= 1
-            break
-        W, b, loss, gW, gb = W_new, b_new, loss_new, gW_new, gb_new
-    meta = {"iterations": iterations, "final_loss": float(loss)}
-    return LRModel(hp, W, b, n_classes, seed, meta)
+        else:
+            break       # no representable decrease left
+        theta, loss, g = trial, loss_new, np.vstack([gW, gb])
+        steps += 1
+    meta = {"iterations": steps, "cg_iterations": cg_steps,
+            "converged": bool(converged), "final_loss": float(loss)}
+    return LRModel(hp, theta[:-1].copy(), theta[-1].copy(), n_classes, seed,
+                   meta)
 
 
 def _init_mlp(rng, n_features, n_classes):

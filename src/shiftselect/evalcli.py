@@ -17,7 +17,11 @@ accuracy on a bag once, from the test-set label cache, and each strategy's
 ``true_acc`` is one entry of that vector; the oracle, an evaluation upper
 bound, is its argmax. ``shiftselect train`` writes the run's manifest.json
 and ``registry/manifest.json``, the whole registry in one document (see
-:func:`selection.save_registry`).
+:func:`selection.save_registry`). Both ``train`` and ``run`` also write
+``timings.json`` next to manifest.json: wall times per stage and per
+family's training, and the LR solver's step counts (see :func:`_timings`).
+It is the one output that differs between reruns. ``train`` prints a
+warning line for each LR model whose training stopped unconverged.
 
 The environment variable ``SHIFTSELECT_SEED`` overrides the config seed.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
@@ -33,6 +37,7 @@ import math
 import numbers
 import os
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
@@ -353,13 +358,18 @@ def aggregate_rows(rows) -> dict:
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def _stage(name):
+def _stage(name, seconds=None):
+    """Run one pipeline stage: a failure becomes a StageError that names it,
+    and with a `seconds` dict its wall time is recorded there under `name`."""
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    if seconds is not None:
+        seconds[name] = time.perf_counter() - start
 
 
 def _load_dataset(config: RunConfig) -> Dataset:
@@ -399,15 +409,16 @@ def _run_id(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _prepare(config: RunConfig, outdir=None):
+def _prepare(config: RunConfig, outdir=None, seconds=None):
     """Load data, split, standardize, and assemble the manifest; with an
-    `outdir`, also write it there as manifest.json."""
+    `outdir`, also write it there as manifest.json. `seconds` collects the
+    stages' wall times (see :func:`_stage`)."""
     config.validate()
     seeds = _derived_seeds(config.seed)
-    with _stage("dataset"):
+    with _stage("dataset", seconds):
         ds = _load_dataset(config)
     scaler = None
-    with _stage("split"):
+    with _stage("split", seconds):
         everything = ds.all_instances()
         labelled, test = stratified_split(everything, config.train_fraction,
                                           seeds["split_outer"])
@@ -468,9 +479,9 @@ def emit_manifest(config: RunConfig, outdir=None) -> dict:
 
 
 def _train_registry(config: RunConfig, proper, validation, manifest,
-                    out_dir=None) -> ModelRegistry:
+                    out_dir=None, seconds=None) -> ModelRegistry:
     """Build the config's registry; fails when no configuration trains."""
-    with _stage("registry"):
+    with _stage("registry", seconds):
         registry = build_registry(
             config.families, proper, validation,
             quantifier_kind=config.quantifier,
@@ -489,14 +500,17 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     Pass a prebuilt `registry` (say, one `load_registry` read back from
     `shiftselect train`) to skip training; it must have been trained on this
     config's proper-train and validation data, or the "registry" stage fails.
-    Partial rows are flushed to results.csv if a later stage fails.
+    Partial rows are flushed to results.csv if a later stage fails. The
+    table's meta holds the run's timings (see :func:`_timings`).
     """
     outdir = config.outdir
-    ds, proper, validation, test, manifest = _prepare(config, outdir)
+    seconds = {}
+    ds, proper, validation, test, manifest = _prepare(config, outdir, seconds)
     if registry is None:
-        registry = _train_registry(config, proper, validation, manifest)
+        registry = _train_registry(config, proper, validation, manifest,
+                                   seconds=seconds)
     else:
-        with _stage("registry"):
+        with _stage("registry", seconds):
             expected = fingerprint(proper.X, proper.y, validation.X, validation.y)
             found = registry.meta.get("data_fingerprint")
             if found != expected:
@@ -505,7 +519,7 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
                     f"config's training data ({expected}): it was trained on "
                     "other data")
 
-    with _stage("protocol"):
+    with _stage("protocol", seconds):
         bags = app_generate(test, config.r, config.s,
                             manifest["derived_seeds"]["protocol"])
 
@@ -513,7 +527,7 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     rows = []
     diagnostics = {"nonconverged": Counter(), "em_nonconverged": Counter()}
     try:
-        with _stage("evaluate"):
+        with _stage("evaluate", seconds):
             for row in _evaluate(config, registry, test, bags, proper, run_id,
                                  ds.name, diagnostics):
                 rows.append(row)
@@ -524,8 +538,28 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     meta = {"run_id": run_id, "dataset": ds.name, "n_bins": config.n_bins,
             "alpha": config.alpha,
             "warnings": list(registry.warnings)
-            + _diagnostic_warnings(diagnostics, len(bags))}
+            + _diagnostic_warnings(diagnostics, len(bags)),
+            "timings": _timings(seconds, registry)}
     return ResultTable.from_rows(rows, meta)
+
+
+def _timings(seconds: dict, registry: ModelRegistry) -> dict:
+    """What timings.json holds: the wall seconds of each pipeline stage and
+    of each family's train_grid call (none for a prebuilt registry), and
+    the LR models' Newton steps and conjugate-gradient steps (Hessian-vector
+    products) summed from their meta."""
+    lr = [e.model.meta for e in registry.entries if e.family == "LR"]
+    return {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
+            "lr": {"models": len(lr),
+                   "newton_steps": sum(m.get("iterations", 0) for m in lr),
+                   "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
+                   "unconverged": sum(not m.get("converged", True)
+                                      for m in lr)}}
+
+
+def _write_timings(outdir, timings: dict) -> None:
+    with open(os.path.join(outdir, "timings.json"), "w", encoding="utf-8") as fh:
+        json.dump(timings, fh, indent=1, sort_keys=True)
 
 
 def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
@@ -729,13 +763,21 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     if args.outdir:
         config.outdir = args.outdir
-    _, proper, validation, _, manifest = _prepare(config, config.outdir)
+    seconds = {}
+    _, proper, validation, _, manifest = _prepare(config, config.outdir,
+                                                  seconds)
     registry_dir = os.path.join(config.outdir, "registry")
     registry = _train_registry(config, proper, validation, manifest,
-                               out_dir=registry_dir)
+                               out_dir=registry_dir, seconds=seconds)
+    _write_timings(config.outdir, _timings(seconds, registry))
     print(f"trained {len(registry)} models into {registry_dir}")
     for warning in registry.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    for e in registry.entries:
+        if e.family == "LR" and not e.model.meta["converged"]:
+            print(f"warning: model {e.model_id} ({e.hyperparams.label()}): "
+                  f"LR training stopped unconverged after "
+                  f"{e.model.meta['iterations']} Newton steps", file=sys.stderr)
     return 0
 
 
@@ -744,7 +786,10 @@ def _cmd_run(args) -> int:
     if args.outdir:
         config.outdir = args.outdir
     table = run_experiment(config)
-    emit_report(table, config.outdir)
+    timings = table.meta["timings"]
+    with _stage("report", timings["stage_s"]):
+        emit_report(table, config.outdir)
+    _write_timings(config.outdir, timings)
     print(f"wrote results for {len(table.rows)} (strategy, bag) pairs "
           f"to {config.outdir}")
     return 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,8 @@ class ModelRegistry:
     entries: list
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # wall seconds of each family's train_grid call; not saved
+    train_s: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.entries)
@@ -121,16 +124,18 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
     accuracy, rate matrix and quantifier. Pass `out_dir` to persist the
-    registry.
+    registry. Each family's training time is kept in `train_s`.
     """
     n_classes = Ltr.n_classes
-    trained, warnings = [], []
+    trained, warnings, train_s = [], [], {}
     model_id = 0
     for family in families:
         grid = build_grid(family, n_classes)
         ids = range(model_id, model_id + len(grid))
+        start = time.perf_counter()
         results = train_grid(family, grid, Ltr,
                              [_entry_seed(seed, i) for i in ids])
+        train_s[family] = time.perf_counter() - start
         for i, hp, result in zip(ids, grid, results):
             if isinstance(result, TrainingError):
                 warnings.append(f"model {i} ({hp.label()}) failed: {result}")
@@ -162,7 +167,7 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         "n_classes": n_classes,
         "data_fingerprint": fingerprint(Ltr.X, Ltr.y, Lva.X, Lva.y),
     }
-    registry = ModelRegistry(entries, warnings, meta)
+    registry = ModelRegistry(entries, warnings, meta, train_s)
     if out_dir is not None:
         save_registry(registry, out_dir)
     return registry

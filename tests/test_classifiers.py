@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftselect import classifiers
-from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, MLP_MAX_EPOCHS,
-                                     MLP_MIN_STEP, ClassWeights, HyperParams,
+from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, LR_GRAD_TOL,
+                                     MLP_MAX_EPOCHS, MLP_MIN_STEP,
+                                     ClassWeights, HyperParams,
                                      TrainingError, build_grid,
                                      class_weight_candidates, default_model,
-                                     lr_loss_grad, mlp_loss_grad,
+                                     lr_hessian_vector, lr_loss_grad,
+                                     mlp_loss_grad,
                                      model_from_record, model_to_record,
                                      nearest_order, predict_posteriors_batch,
-                                     train, train_grid)
+                                     softmax, train, train_grid)
 from shiftselect.dataspace import Dataset
 
 
@@ -197,6 +199,52 @@ def test_lr_gradient_matches_finite_differences():
         assert _relative_error(gb, fdb) < 1e-4
 
 
+def test_lr_hessian_vector_matches_finite_differences():
+    # central differences of the analytic gradient along the direction
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 4))
+    y = rng.integers(0, 3, size=30)
+    w = rng.uniform(0.5, 2.0, size=30)
+    eps = 1e-5
+    for _ in range(10):
+        W, V = rng.normal(size=(2, 4, 3))
+        b, v = rng.normal(size=(2, 3))
+        HW, Hb = lr_hessian_vector(softmax(X @ W + b), X, w, 0.7, V, v)
+        _, gW_hi, gb_hi = lr_loss_grad(W + eps * V, b + eps * v, X, y, w, C=0.7)
+        _, gW_lo, gb_lo = lr_loss_grad(W - eps * V, b - eps * v, X, y, w, C=0.7)
+        assert _relative_error(HW, (gW_hi - gW_lo) / (2 * eps)) < 1e-4
+        assert _relative_error(Hb, (gb_hi - gb_lo) / (2 * eps)) < 1e-4
+
+
+def test_lr_training_meets_the_gradient_tolerance_in_the_class_subspace():
+    # three overlapping classes plus a one-hot pair of columns, every grid
+    # point (C from 0.01 to 100, every class-weight scheme)
+    ds = blob_dataset([60, 30, 45], [(0.0, 0.0), (1.5, 0.0), (0.5, 1.5)],
+                      spread=1.0, seed=3)
+    hot = (ds.features[:, 0] > 0.5).astype(float)
+    X = np.column_stack([ds.features, hot, 1.0 - hot])
+    lset = Dataset(X, ds.labels, 3).all_instances()
+    grid = build_grid("LR", 3)
+    for hp, model in zip(grid, train_grid("LR", grid, lset, range(len(grid)))):
+        sw = hp["class_weight"].instance_weights(lset.y, 3)
+        _, gW, gb = lr_loss_grad(model.W, model.b, X, lset.y, sw, hp["C"])
+        assert max(np.abs(gW).max(), np.abs(gb).max()) < LR_GRAD_TOL
+        assert model.meta["converged"]
+        assert 0 < model.meta["iterations"] < classifiers.LR_MAX_ITER
+        assert model.meta["cg_iterations"] >= model.meta["iterations"]
+        # the softmax ignores a shift shared by the classes, and from zero
+        # the weights never take one
+        assert np.abs(model.W.sum(axis=1)).max() < 1e-12
+        assert abs(model.b.sum()) < 1e-12
+
+
+def test_lr_stopped_at_the_step_cap_is_flagged(two_blobs, monkeypatch):
+    monkeypatch.setattr(classifiers, "LR_MAX_ITER", 1)
+    model = train("LR", default_model("LR"), two_blobs.all_instances(), seed=0)
+    assert model.meta["iterations"] == 1
+    assert model.meta["converged"] is False
+
+
 def test_mlp_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(12, 3))
@@ -310,6 +358,24 @@ def test_batch_posteriors_equal_per_model_calls(smooth_models, seed, n_a, n_b,
     for m, P in zip(models, batch):
         if m.family == "KNN":
             assert np.array_equal(P, _reference_knn_posteriors(m, X))
+
+
+def test_knn_rows_on_wide_data_equal_one_batch():
+    # 20 features, 300 training rows: with the queries along the rows of the
+    # distance product, BLAS sums the ragged tail of training columns
+    # differently per query count; queries next to the last training rows
+    # make that tail the nearest neighbours, whose distances set the votes
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(300, 20))
+    lset = Dataset(X, np.arange(300) % 3, 3).all_instances()
+    models = [train("KNN", HyperParams.make("KNN", n_neighbors=k,
+                                            weights="distance"), lset, seed=0)
+              for k in (5, 13)]
+    Q = X[-40:] + rng.normal(scale=0.01, size=(40, 20))
+    whole = predict_posteriors_batch(models, Q)
+    for i in range(len(Q)):
+        assert np.array_equal(predict_posteriors_batch(models, Q[i:i + 1]),
+                              whole[:, i:i + 1]), i
 
 
 @pytest.mark.parametrize("panels", [1, 7])

@@ -608,6 +608,48 @@ def test_cli_train_persists_registry(tmp_path):
     assert len(load_registry(regdir)) == 10
 
 
+def test_cli_train_warns_of_each_lr_model_stopped_at_the_cap(tmp_path, capsys,
+                                                             monkeypatch):
+    from shiftselect import classifiers
+    monkeypatch.setattr(classifiers, "LR_MAX_ITER", 1)
+    config_path = write_config(
+        tmp_path, families=["LR"],
+        strategies=["default-LR", "IMS-LR", "TMS-All", "oracle"])
+    assert main(["train", "--config", str(config_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "registry" / "manifest.json")
+                          .read_text(encoding="utf-8"))
+    stopped = [e["model_id"] for e in manifest["entries"]
+               if not e["model"]["meta"]["converged"]]
+    assert len(stopped) == len(manifest["entries"]) == 30
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning: ")]
+    assert warned == [line for line in warned if "after 1 Newton steps" in line]
+    assert [int(line.split()[2]) for line in warned] == stopped
+    # the registry's warnings are the entries that failed and were skipped
+    assert manifest["warnings"] == []
+
+
+def test_cli_train_and_run_write_timings(tmp_path):
+    config_path = write_config(
+        tmp_path, families=["LR", "KNN"],
+        strategies=["IMS-LR", "IMS-KNN", "TMS-All", "oracle"])
+    for command in ("train", "run"):
+        outdir = tmp_path / command
+        assert main([command, "--config", str(config_path),
+                     "--outdir", str(outdir)]) == 0
+        timings = json.loads((outdir / "timings.json").read_text(encoding="utf-8"))
+        assert set(timings["train_grid_s"]) == {"LR", "KNN"}
+        lr = timings["lr"]
+        assert lr["models"] == 30 and lr["unconverged"] == 0
+        assert lr["cg_steps"] >= lr["newton_steps"] >= 30
+        stages = {"dataset", "split", "registry"}
+        if command == "run":
+            stages |= {"protocol", "evaluate", "report"}
+        assert set(timings["stage_s"]) == stages
+        assert all(t >= 0 for t in timings["stage_s"].values())
+    assert not (tmp_path / "train" / "registry" / "timings.json").exists()
+
+
 def test_cli_train_and_run_write_identical_manifests(tmp_path):
     config_path = write_config(tmp_path)
     assert main(["train", "--config", str(config_path),
