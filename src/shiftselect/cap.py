@@ -11,12 +11,13 @@ and the estimated contingency table c[i][j] = m[i][j] * theta_j then yields
 any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
-validation data. :func:`predict_batch` predicts the accuracy of k predictors
-on one bag in one pass: label counts and quantifier estimates for all k, then
-one batched LEAP solve (:func:`leap_solve_batch`, the active-set Newton
-steps of the KDEy-ML mixture solver over a (k, n) stack of thetas, each
-leaving the batch once it converges). One predictor or one problem is the
-k=1 case of the same calls.
+validation data. :func:`stack_caps` stacks k predictors into a
+:class:`CapStack` once, and :func:`predict_batch` then predicts the accuracy
+of all k on one bag in one pass: label counts and quantifier estimates for
+all k, then one batched LEAP solve (:func:`leap_solve_batch`, the
+active-set Newton steps of the KDEy-ML mixture solver over a (k, n) stack of
+thetas, each leaving the batch once it converges). One predictor or one
+problem is the k=1 case of the same calls.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .dataspace import DataError, LabelledSet, as_prevalence
 from .classifiers import TrainedModel
 from .quantifiers import (_newton_direction, _simplex_step, estimate_batch,
-                          fit_quantifier, label_shares)
+                          fit_quantifier, label_shares, quantifier_groups)
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
@@ -86,9 +87,8 @@ def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
     return RateMatrix(M)
 
 
-def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
-                     max_iter=SOLVER_MAX_ITER):
-    """Solve k LEAP problems at once, one per rate matrix in `rates`.
+def leap_solve_batch(stack, rho, qhat):
+    """Solve the k LEAP problems of a :class:`CapStack` at once.
 
     Problem i minimizes ||M_i theta - rho_i||^2 + weight_i * ||theta -
     qhat_i||^2 over the simplex, a strictly convex quadratic with Hessian 2Q,
@@ -97,31 +97,24 @@ def leap_solve_batch(rates, rho, qhat, weight=1.0, tol=SOLVER_TOL,
     steps to its end or to the simplex boundary, pinning the blocking
     weight to 0, so the method ends at the exact optimum. A problem stops
     when ||d||_1 < tol_i (converged) or after max_iter_i iterations. `rho`
-    and `qhat` are (k, n); `weight`, `tol` and `max_iter` are scalars or one
-    value per problem. A stopped problem leaves the active set, so every
+    and `qhat` are (k, n). A stopped problem leaves the active set, so every
     problem gets the iterates a single-problem run would give.
 
     Returns (theta (k, n), iterations (k,), converged (k,)).
     """
-    k = len(rates)
-    weight = np.broadcast_to(np.asarray(weight, dtype=float), (k,))
-    if (weight <= 0).any():
-        raise ValueError("weight must be positive")
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
-    max_iter = np.broadcast_to(np.asarray(max_iter), (k,))
-    M = np.stack([r.m for r in rates])
-    Q = np.matmul(M.transpose(0, 2, 1), M) \
-        + weight[:, None, None] * np.eye(M.shape[1])
-    b = np.matmul(rho[:, None, :], M)[:, 0, :] + weight[:, None] * qhat
-
+    k = len(stack)
+    b = np.matmul(rho[:, None, :], stack.M)[:, 0, :] \
+        + stack.weight[:, None] * qhat
     theta = np.array(qhat, dtype=float)
     iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     # the active problems' rows of every per-problem array, compacted
     # whenever some problem stops
-    live = max_iter > 0
-    idx, x, A, c, eps, cap = (
-        v[live] for v in (np.arange(k), theta, Q, b, tol, max_iter))
+    idx, x, A, c, eps, cap = (np.arange(k), theta, stack.Q, b, stack.tol,
+                              stack.max_iter)
+    live = cap > 0
+    if not live.all():
+        idx, x, A, c, eps, cap = (v[live] for v in (idx, x, A, c, eps, cap))
     it = 0
     while idx.size:
         it += 1
@@ -172,6 +165,43 @@ def fit_cap(model: TrainedModel, validation: LabelledSet,
     return CapPredictor(rates, quantifier, weight=weight)
 
 
+@dataclass(frozen=True, eq=False)
+class CapStack:
+    """The solver inputs of k predictors, stacked once by :func:`stack_caps`
+    and shared by every bag they predict: the quantifiers grouped by type
+    (:func:`quantifiers.quantifier_groups`), the rate matrices M (k, n, n),
+    Q = M^T M + w I, the diagonals of M (k, n), and each predictor's solver
+    weight, tolerance and iteration cap (k,)."""
+
+    groups: tuple
+    M: np.ndarray
+    Q: np.ndarray
+    diagonal: np.ndarray
+    weight: np.ndarray
+    tol: np.ndarray
+    max_iter: np.ndarray
+
+    def __len__(self):
+        return len(self.M)
+
+
+def stack_caps(caps) -> CapStack:
+    """Stack the accuracy predictors `caps` for :func:`predict_batch` and
+    :func:`leap_solve_batch`; every solver weight must be positive."""
+    weight = np.array([c.weight for c in caps], dtype=float)
+    if (weight <= 0).any():
+        raise ValueError("weight must be positive")
+    M = np.stack([c.rates.m for c in caps])
+    Q = np.matmul(M.transpose(0, 2, 1), M) \
+        + weight[:, None, None] * np.eye(M.shape[1])
+    arrays = (M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight,
+              np.array([c.solver_tol for c in caps], dtype=float),
+              np.array([c.solver_max_iter for c in caps]))
+    for a in arrays:
+        a.flags.writeable = False
+    return CapStack(quantifier_groups([c.quantifier for c in caps]), *arrays)
+
+
 @dataclass(frozen=True)
 class CapBatch:
     """Accuracy predictions of k predictors on one bag, one row per
@@ -189,26 +219,26 @@ class CapBatch:
     em_converged: np.ndarray
 
 
-def predict_batch(caps, posteriors: np.ndarray, rows=None) -> CapBatch:
-    """Predicted accuracy of each predictor's model on one (unlabelled) bag.
+def predict_batch(stack: CapStack, posteriors: np.ndarray,
+                  rows=None) -> CapBatch:
+    """Predicted accuracy of each stacked predictor's model on one
+    (unlabelled) bag.
 
     `posteriors` stacks each model's posterior rows for the bag, shape
     (k, m, n); `rows` optionally stacks each quantifier's rows for them (see
     :func:`quantifiers.estimate_batch`, which rejects an empty bag).
     """
-    n = caps[0].rates.n_classes
+    if len(posteriors) != len(stack):
+        raise ValueError(f"posteriors for {len(posteriors)} models, "
+                         f"{len(stack)} predictors")
+    n = stack.M.shape[1]
     qhat, em_iterations, em_converged = estimate_batch(
-        [c.quantifier for c in caps], posteriors, rows)
+        stack.groups, posteriors, rows)
     qhat = as_prevalence(qhat, n, stacked=True)
     rho = label_shares(np.argmax(posteriors, axis=2), n)
-    rates = [c.rates for c in caps]
-    theta, iterations, converged = leap_solve_batch(
-        rates, rho, qhat, weight=[c.weight for c in caps],
-        tol=[c.solver_tol for c in caps],
-        max_iter=[c.solver_max_iter for c in caps])
+    theta, iterations, converged = leap_solve_batch(stack, rho, qhat)
     # accuracy is the trace of each table c[i][j] = m[i][j] * theta_j
-    diagonal = np.stack([np.diagonal(r.m) for r in rates])
-    return CapBatch((diagonal * theta).sum(axis=1), theta, rho, qhat,
+    return CapBatch((stack.diagonal * theta).sum(axis=1), theta, rho, qhat,
                     iterations, converged, em_iterations, em_converged)
 
 

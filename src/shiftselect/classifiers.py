@@ -11,8 +11,8 @@ as one stack, with one stacked minibatch step per batch, and each equals the
 point trained alone (:func:`train`, the one-point case) bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
-A posterior row is bit-identical whatever other rows it is predicted with,
-for the MLP on narrow data only (see :func:`panel_rows`).
+A posterior row is bit-identical whatever other rows it is predicted with
+(see :func:`panel_rows`).
 """
 
 from __future__ import annotations
@@ -211,11 +211,12 @@ def panel_rows(X: np.ndarray) -> np.ndarray:
     padding, a bag labelled on its own gets the posteriors and KDE rows that
     the test-set caches hold for its rows wherever the kernel's order of
     summation depends on nothing else. Checked on OpenBLAS (Haswell kernels):
-    each column of ``A @ panel_rows(X).T`` (the KNN distances, the KDE) at
-    2-512 features and 300-1,001 rows of A, and each row of
-    ``panel_rows(X) @ W`` for the LR weights and, at 2 features, the MLP's
-    first layer. The row layout is not exact against the MLP's 100 hidden
-    units at 20 or more features."""
+    each column of ``A @ panel_rows(X).T`` (the KNN distances, the KDE and
+    the MLP's first layer, ``W1.T @ panel_rows(X).T``) at 2-512 features and
+    300-1,001 rows of A (2-64 features against the MLP's 100 hidden units),
+    and each row of ``panel_rows(X) @ W`` for the LR weights and the MLP's
+    output layer. The row layout ``panel_rows(X) @ W1`` is not exact against
+    the 100 hidden units at 20 or more features."""
     padded = -(-len(X) // BLAS_PANEL) * BLAS_PANEL
     if padded == len(X):
         return X
@@ -456,7 +457,12 @@ class MLPModel(TrainedModel):
 
     def predict_posteriors(self, X):
         X = self._check_features(X)
-        H = np.tanh(panel_rows(X) @ self.W1 + self.b1)
+        # the first layer with the rows along the columns keeps each row's
+        # hidden units independent of the other rows on wide data; the
+        # output layer takes them C-contiguous, since a transposed H would
+        # change its GEMM and move the posteriors by ulps
+        Z = np.ascontiguousarray((self.W1.T @ panel_rows(X).T).T)
+        H = np.tanh(Z + self.b1)
         return softmax((H @ self.W2)[:len(X)] + self.b2)
 
 

@@ -19,7 +19,9 @@ bound, is its argmax. ``shiftselect train`` writes the run's manifest.json
 and ``registry/manifest.json``, the whole registry in one document (see
 :func:`selection.save_registry`). Both ``train`` and ``run`` also write
 ``timings.json`` next to manifest.json: wall times per stage and per
-family's training, and the LR solver's step counts (see :func:`_timings`).
+family's training (for ``run``, also inside evaluate: test-set posteriors,
+quantifier rows and the bag loop), and the LR solver's step counts (see
+:func:`_timings`).
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
 
@@ -526,10 +528,11 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     run_id = manifest["run_id"]
     rows = []
     diagnostics = {"nonconverged": Counter(), "em_nonconverged": Counter()}
+    evaluate_s = {}
     try:
         with _stage("evaluate", seconds):
             for row in _evaluate(config, registry, test, bags, proper, run_id,
-                                 ds.name, diagnostics):
+                                 ds.name, diagnostics, evaluate_s):
                 rows.append(row)
     except StageError:
         _write_results_csv(rows, os.path.join(outdir, "results.csv"))
@@ -539,22 +542,27 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
             "alpha": config.alpha,
             "warnings": list(registry.warnings)
             + _diagnostic_warnings(diagnostics, len(bags)),
-            "timings": _timings(seconds, registry)}
+            "timings": _timings(seconds, registry, evaluate_s)}
     return ResultTable.from_rows(rows, meta)
 
 
-def _timings(seconds: dict, registry: ModelRegistry) -> dict:
+def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
     """What timings.json holds: the wall seconds of each pipeline stage and
     of each family's train_grid call (none for a prebuilt registry), and
     the LR models' Newton steps and conjugate-gradient steps (Hessian-vector
-    products) summed from their meta."""
+    products) summed from their meta. After an evaluate stage, `evaluate_s`
+    splits its seconds into the test-set posteriors, the quantifier rows and
+    the bag loop (see :func:`_evaluate`)."""
     lr = [e.model.meta for e in registry.entries if e.family == "LR"]
-    return {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
-            "lr": {"models": len(lr),
-                   "newton_steps": sum(m.get("iterations", 0) for m in lr),
-                   "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
-                   "unconverged": sum(not m.get("converged", True)
-                                      for m in lr)}}
+    timings = {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
+               "lr": {"models": len(lr),
+                      "newton_steps": sum(m.get("iterations", 0) for m in lr),
+                      "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
+                      "unconverged": sum(not m.get("converged", True)
+                                         for m in lr)}}
+    if evaluate_s is not None:
+        timings["evaluate_s"] = evaluate_s
+    return timings
 
 
 def _write_timings(outdir, timings: dict) -> None:
@@ -563,7 +571,7 @@ def _write_timings(outdir, timings: dict) -> None:
 
 
 def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
-              diagnostics):
+              diagnostics, seconds=None):
     """Yield one ResultRow per (bag, strategy); incremental so that partial
     progress survives a mid-run failure.
 
@@ -575,27 +583,41 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
 
     `diagnostics` maps "nonconverged" and "em_nonconverged" to Counters of
     model id, counting the bags on which TMS saw that model's accuracy solver
-    or mixture solver stop before converging."""
+    or mixture solver stop before converging. A `seconds` dict receives the
+    wall seconds of the test-set posteriors, the quantifier rows and the bag
+    loop, under "test_posteriors", "quantifier_rows" and "bags"."""
+    seconds = {} if seconds is None else seconds
     # Posteriors and quantifier rows (the KDE log densities) over the whole
     # test set are computed once per model and stacked along
     # registry.entries; a bag's rows are then slices, which keeps TMS cheap.
+    start = time.perf_counter()
     posteriors_test = predict_posteriors_batch(
         [e.model for e in registry.entries], test.X)
+    seconds["test_posteriors"] = time.perf_counter() - start
+    start = time.perf_counter()
     densities_test = np.stack([e.cap.quantifier.rows(P) for e, P in
                                zip(registry.entries, posteriors_test)])
+    seconds["quantifier_rows"] = time.perf_counter() - start
     labels_test = np.argmax(posteriors_test, axis=2)
     position = {e.model_id: i for i, e in enumerate(registry.entries)}
     train_prevalence = proper.prevalence()
 
     plan = [(strat, *_parse_strategy(strat, config.families))
             for strat in config.strategies]
+    # a default or IMS strategy's model, as (model id, position, validation
+    # accuracy), resolved once for every bag
     static = {}
     for strat, kind, scope in plan:
         if kind == "default":
-            static[strat] = default_select(registry, scope)
+            mid = default_select(registry, scope)
         elif kind == "IMS":
-            static[strat] = ims_select(registry, scope)
+            mid = ims_select(registry, scope)
+        else:
+            continue
+        static[strat] = (mid, position[mid],
+                         registry.entries[position[mid]].val_accuracy)
 
+    start = time.perf_counter()
     for bag_id, bag in enumerate(bags):
         true_acc = (labels_test[:, bag.indices]
                     == reveal_labels(bag)).mean(axis=1)
@@ -606,24 +628,26 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
 
         for strat, kind, scope in plan:
             if strat in static:
-                mid = static[strat]
-                est = registry.entry(mid).val_accuracy
+                mid, at, est = static[strat]
             elif kind == "TMS":
                 outcome = tms_select(registry, scope, bag, posteriors=P,
                                      densities=F)
                 mid = outcome.model_id
+                at = position[mid]
                 est = outcome.estimated_accuracy
                 flagged["nonconverged"].update(outcome.nonconverged)
                 flagged["em_nonconverged"].update(outcome.em_nonconverged)
             else:  # oracle
-                mid = registry.entries[best_position(
+                at = best_position(
                     true_acc, registry.entries,
-                    f"the oracle on a bag of {bag.size} instances")].model_id
+                    f"the oracle on a bag of {bag.size} instances")
+                mid = registry.entries[at].model_id
                 est = None
             yield ResultRow(run_id, dataset_name, strat, bag_id, shift,
-                            float(true_acc[position[mid]]), est, mid)
+                            float(true_acc[at]), est, mid)
         for name, ids in flagged.items():
             diagnostics[name].update(ids)
+    seconds["bags"] = time.perf_counter() - start
 
 
 def _diagnostic_warnings(diagnostics: dict, n_bags: int) -> list:

@@ -18,7 +18,8 @@ Rows depend on the instances only, so a caller that labels many bags drawn
 from one test set evaluates them once per model over the whole set and slices
 out each bag; a row's value does not depend on the rows evaluated with it, so
 the slice equals the bag evaluated on its own, bit for bit.
-:func:`estimate_batch` runs this for a list of quantifiers, and
+:func:`estimate_batch` runs this for a list of quantifiers grouped by type
+(:func:`quantifier_groups`), and
 :func:`em_weights_batch` is the one mixture solver; one quantifier or one
 density matrix is the k=1 case of the same calls.
 
@@ -240,7 +241,7 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
     value per iterate, the start included).
     """
     logF = np.asarray(logF, dtype=float)
-    top = logF.max(axis=2, keepdims=True)
+    top = _max_rows(logF)
     if not np.isfinite(top).all():
         raise ValueError("every row needs a finite log density for some class")
     offset = top.sum(axis=(1, 2))
@@ -310,25 +311,36 @@ def _newton_direction(Q: np.ndarray, g: np.ndarray, a: np.ndarray, mu):
     NEWTON_RIDGE keeps Q invertible when it is singular; it does not move
     the fixed point.
     """
-    k, n = g.shape
     free = (a > 0) | (g > mu)
-    diagonal = np.eye(n, dtype=bool)
-    d = np.zeros((k, n))
-    todo = np.arange(k)
+    d = _free_direction(Q, g, free)
+    # only the problems with a weight at 0 pointing outward are solved again
+    outward = free & (a == 0) & (d < 0)
+    again = outward.any(axis=1)
+    todo, outward = np.flatnonzero(again), outward[again]
     while todo.size:
-        f = free[todo]
-        A = np.where(f[:, :, None] & f[:, None, :], Q[todo], 0.0)
-        q = A[:, diagonal]
-        ridge = NEWTON_RIDGE * q.sum(axis=1) / f.sum(axis=1)
-        A[:, diagonal] = np.where(f, q + ridge[:, None], 1.0)
-        rhs = np.stack([np.where(f, g[todo], 0.0), f.astype(float)], axis=2)
-        u, v = np.moveaxis(np.linalg.solve(A, rhs), 2, 0)
-        d[todo] = u - (u.sum(axis=1) / v.sum(axis=1))[:, None] * v
+        f = free[todo] & ~outward
+        free[todo] = f
+        d[todo] = _free_direction(Q[todo], g[todo], f)
         outward = f & (a[todo] == 0) & (d[todo] < 0)
         again = outward.any(axis=1)
-        free[todo[again]] &= ~outward[again]
-        todo = todo[again]
+        todo, outward = todo[again], outward[again]
     return d
+
+
+def _free_direction(Q: np.ndarray, g: np.ndarray, f: np.ndarray):
+    """The direction of :func:`_newton_direction` on the free sets `f`
+    (a (k, n) mask), for every problem of the stack."""
+    k, n = g.shape
+    A = np.where(f[:, :, None] & f[:, None, :], Q, 0.0)
+    q = A.reshape(k, n * n)[:, ::n + 1]     # a view of the diagonals
+    ridge = NEWTON_RIDGE * q.sum(axis=1) / f.sum(axis=1)
+    q[...] = np.where(f, q + ridge[:, None], 1.0)
+    rhs = np.zeros((k, n, 2))
+    np.copyto(rhs[:, :, 0], g, where=f)
+    rhs[:, :, 1] = f
+    uv = np.linalg.solve(A, rhs)
+    u, v = uv[:, :, 0], uv[:, :, 1]
+    return u - (u.sum(axis=1) / v.sum(axis=1))[:, None] * v
 
 
 def _simplex_step(a: np.ndarray, d: np.ndarray, scale=1.0):
@@ -352,31 +364,48 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
     lower than L. Halving stops once a step's L1 norm is below `tol`; a
     problem with no acceptable step by then keeps its weights. Returns (new
     weights, moved)."""
-    new = a.copy()
-    moved = np.zeros(len(a), dtype=bool)
-    scale = np.ones(len(a))
-    todo = np.arange(len(a))
-    while todo.size:
-        trial, t = _simplex_step(a[todo], d[todo], scale[todo])
+    new, t = _simplex_step(a, d)
+    moved = _log_likelihood(FT, new) >= L
+    # the problems whose full step failed halve it, all at the same scale
+    todo = np.flatnonzero(~moved)
+    new[todo] = a[todo]
+    t, scale = t[todo], 1.0
+    while True:
+        todo = todo[0.5 * t * size[todo] >= tol]
+        if not todo.size:
+            return new, moved
+        scale *= 0.5
+        trial, t = _simplex_step(a[todo], d[todo], scale)
         ok = _log_likelihood(FT[todo], trial) >= L[todo]
         new[todo[ok]] = trial[ok]
         moved[todo[ok]] = True
         todo, t = todo[~ok], t[~ok]
-        scale[todo] *= 0.5
-        todo = todo[0.5 * t * size[todo] >= tol]
-    return new, moved
 
 
-def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
+def quantifier_groups(quantifiers) -> tuple:
+    """The quantifiers grouped by type, in order of first appearance, as
+    (type, positions, members): positions index the list, as a slice when
+    one type covers it all (so a stack of rows is reduced without a copy)."""
+    groups = {}
+    for i, q in enumerate(quantifiers):
+        groups.setdefault(type(q), []).append(i)
+    if len(groups) == 1:
+        (kind, idx), = groups.items()
+        return ((kind, slice(None), tuple(quantifiers)),)
+    return tuple((kind, np.array(idx), tuple(quantifiers[i] for i in idx))
+                 for kind, idx in groups.items())
+
+
+def estimate_batch(groups, posteriors: np.ndarray, rows=None):
     """Prevalence estimates of k quantifiers on one bag, as (prevalences
     (k, n), iterations (k,), converged (k,)); the last two are the mixture
     solver's counters (0 and True for CC).
 
-    `posteriors` stacks each quantifier's model posteriors for the bag's
-    instances, shape (k, m, n). `rows` optionally stacks the matching
-    ``q.rows(...)`` (the caller may have sliced them from a test-set cache);
-    without it they are computed here. Quantifiers of one type are reduced
-    together.
+    `groups` is :func:`quantifier_groups` of the k quantifiers; each type is
+    reduced in one call. `posteriors` stacks each quantifier's model
+    posteriors for the bag's instances, shape (k, m, n). `rows` optionally
+    stacks the matching ``q.rows(...)`` (the caller may have sliced them from
+    a test-set cache); without it they are computed here.
     """
     k, m, n = posteriors.shape
     if m == 0:
@@ -384,18 +413,26 @@ def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
     qhat = np.empty((k, n))
     iterations = np.empty(k, dtype=int)
     converged = np.empty(k, dtype=bool)
-    groups = {}
-    for i, q in enumerate(quantifiers):
-        groups.setdefault(type(q), []).append(i)
-    for kind, idx in groups.items():
-        stack = rows[idx] if rows is not None else \
-            np.stack([quantifiers[i].rows(posteriors[i]) for i in idx])
+    for kind, idx, members in groups:
+        stack = rows[idx] if rows is not None else np.stack(
+            [q.rows(P) for q, P in zip(members, posteriors[idx])])
         qhat[idx], iterations[idx], converged[idx] = kind.reduce(stack)
     return qhat, iterations, converged
 
 
 def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Share of each class among the labels along the last axis; shape
-    (..., n_classes)."""
-    counts = (labels[..., None] == np.arange(n_classes)).sum(axis=-2)
-    return counts / labels.shape[-1]
+    """Share of each class in each row of a (k, m) matrix of labels in
+    range(n_classes); shape (k, n_classes). One bincount over all rows."""
+    k, m = labels.shape
+    flat = (labels + n_classes * np.arange(k)[:, None]).ravel()
+    return np.bincount(flat, minlength=k * n_classes).reshape(k, n_classes) / m
+
+
+def _max_rows(X: np.ndarray) -> np.ndarray:
+    """X.max(axis=-1, keepdims=True), as one np.maximum per column: numpy
+    reduces a short last axis with one inner loop per row, which costs more
+    than the arithmetic. A NaN propagates, as in X.max."""
+    top = X[..., :1]
+    for j in range(1, X.shape[-1]):
+        top = np.maximum(top, X[..., j:j + 1])
+    return top

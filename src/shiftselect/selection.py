@@ -8,7 +8,9 @@
 
 IMS is bag-independent by construction; TMS may pick a different model for
 every bag. TMS predicts the accuracy of every in-scope model on the bag in one
-batched pass (:func:`cap.predict_batch`) and takes the argmax of that vector
+batched pass (:func:`cap.predict_batch`) over the scope's predictors, stacked
+once per scope and kept on the registry (:meth:`ModelRegistry.scope_stack`),
+and takes the argmax of that vector
 (:func:`best_position`: a NaN estimate never wins, and ties always break
 toward the lowest model id). It accepts the bag's per-model posteriors and
 the quantifier rows that :func:`quantifiers.estimate_batch` reduces
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,7 +42,8 @@ from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
                           model_from_record, model_to_record,
                           predict_posteriors_batch, train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import CapPredictor, RateMatrix, fit_cap, predict_batch
+from .cap import (CapPredictor, CapStack, RateMatrix, fit_cap, predict_batch,
+                  stack_caps)
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,19 @@ class RegistryEntry:
     cap: CapPredictor
 
 
+@dataclass(frozen=True, eq=False)
+class ScopeStack:
+    """The entries of one scope, their positions in the registry's entries
+    and their accuracy predictors stacked (see
+    :meth:`ModelRegistry.scope_stack`); `built_from` holds the registry's
+    entries when it was built."""
+
+    built_from: tuple
+    positions: np.ndarray
+    entries: tuple
+    caps: CapStack
+
+
 @dataclass
 class ModelRegistry:
     entries: list
@@ -59,6 +76,8 @@ class ModelRegistry:
     meta: dict = field(default_factory=dict)
     # wall seconds of each family's train_grid call; not saved
     train_s: dict = field(default_factory=dict)
+    # scope -> ScopeStack, built by the scope's first tms_select; not saved
+    scope_stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.entries)
@@ -73,6 +92,24 @@ class ModelRegistry:
         """Positions in `entries` of the models in scope."""
         return [i for i, e in enumerate(self.entries)
                 if scope in (None, "All") or e.family == scope]
+
+    def scope_stack(self, scope) -> ScopeStack:
+        """The models in scope with their accuracy predictors stacked
+        (:func:`cap.stack_caps`). Built on first use and kept for the
+        scope's later bags; rebuilt once `entries` no longer holds the
+        entries it was built from."""
+        stack = self.scope_stacks.get(scope)
+        if stack is not None and len(stack.built_from) == len(self.entries) \
+                and all(map(operator.is_, stack.built_from, self.entries)):
+            return stack
+        positions = self.scope_positions(scope)
+        if not positions:
+            raise ValueError(f"no models in scope {scope!r}")
+        entries = tuple(self.entries[i] for i in positions)
+        stack = ScopeStack(tuple(self.entries), np.array(positions), entries,
+                           stack_caps([e.cap for e in entries]))
+        self.scope_stacks[scope] = stack
+        return stack
 
 
 @dataclass
@@ -205,24 +242,24 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     matching quantifier rows (``q.rows(...)``: the KDE class log densities for
     KDEy-ML); the evaluation harness slices both from test-set caches.
     Without them the in-scope models' posteriors are computed from the bag's
-    features.
+    features. The scope's stacked predictors are built by its first call
+    (see :meth:`ModelRegistry.scope_stack`).
     """
-    positions = registry.scope_positions(scope)
-    if not positions:
-        raise ValueError(f"no models in scope {scope!r}")
+    scoped = registry.scope_stack(scope)
     if bag.size == 0:
         raise ValueError("empty bag")
-    entries = [registry.entries[i] for i in positions]
+    entries = scoped.entries
     if posteriors is None:
         P = predict_posteriors_batch([e.model for e in entries], bag.features)
     else:
-        P = np.asarray(posteriors)[positions]
-    rows = None if densities is None else np.asarray(densities)[positions]
-    batch = predict_batch([e.cap for e in entries], P, rows)
+        P = np.asarray(posteriors)[scoped.positions]
+    rows = None if densities is None else \
+        np.asarray(densities)[scoped.positions]
+    batch = predict_batch(scoped.caps, P, rows)
     best = best_position(batch.accuracy, entries,
                          f"scope {scope!r} on a bag of {bag.size} instances")
     nonconverged, em_nonconverged = (
-        tuple(e.model_id for e, ok in zip(entries, flags) if not ok)
+        tuple(entries[i].model_id for i in np.flatnonzero(~flags))
         for flags in (batch.converged, batch.em_converged))
     return SelectionOutcome(
         strategy=f"TMS-{scope or 'All'}",

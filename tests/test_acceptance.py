@@ -10,7 +10,7 @@ import pytest
 
 import shiftselect.evalcli as evalcli_mod
 from shiftselect.cap import (CapPredictor, RateMatrix, leap_solve_batch,
-                             pps_accuracy_identity, predict_batch)
+                             pps_accuracy_identity, predict_batch, stack_caps)
 from shiftselect.classifiers import (default_model, lr_loss_grad,
                                      mlp_loss_grad, train)
 from shiftselect.dataspace import stratified_split, synth_gaussian_pps
@@ -18,7 +18,7 @@ from shiftselect.evalcli import (RunConfig, emit_manifest, emit_report,
                                  run_experiment, shift_records,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
-from shiftselect.quantifiers import em_weights_batch, fit_kdey
+from shiftselect.quantifiers import CCQuantifier, em_weights_batch, fit_kdey
 
 
 def report(criterion, ok, detail):
@@ -113,7 +113,7 @@ def test_criterion_03_leap_oracle_exactness():
     psi = CapPredictor(RateMatrix(M), _OracleQuantifier(bag),
                        solver_tol=1e-13, solver_max_iter=100_000)
     posteriors = _PassThrough(2).predict_posteriors(bag.features)
-    estimate = predict_batch([psi], posteriors[None]).accuracy[0]
+    estimate = predict_batch(stack_caps([psi]), posteriors[None]).accuracy[0]
     closed_form = tpr * q + tnr * (1 - q)
     err2 = abs(estimate - closed_form)
 
@@ -123,9 +123,10 @@ def test_criterion_03_leap_oracle_exactness():
     for _ in range(20):
         M4 = rng.dirichlet(np.ones(4), size=4).T
         theta = rng.dirichlet(np.ones(4))
-        solved, _, _ = leap_solve_batch([RateMatrix(M4)], (M4 @ theta)[None],
-                                        theta[None], tol=1e-13,
-                                        max_iter=100_000)
+        leap = stack_caps([CapPredictor(RateMatrix(M4), CCQuantifier(),
+                                        solver_tol=1e-13,
+                                        solver_max_iter=100_000)])
+        solved, _, _ = leap_solve_batch(leap, (M4 @ theta)[None], theta[None])
         err4 = max(err4, abs(float(np.trace(M4 * solved[0][None, :]))
                              - float(np.trace(M4 * theta[None, :]))))
     elapsed = time.time() - start
@@ -147,7 +148,8 @@ def test_criterion_04_leap_vs_grid_search():
         M = rng.dirichlet(np.ones(2), size=2).T
         rho = rng.dirichlet(np.ones(2))
         qhat = rng.dirichlet(np.ones(2))
-        solved, _, _ = leap_solve_batch([RateMatrix(M)], rho[None], qhat[None])
+        leap = stack_caps([CapPredictor(RateMatrix(M), CCQuantifier())])
+        solved, _, _ = leap_solve_batch(leap, rho[None], qhat[None])
         objective = ((thetas @ M.T - rho) ** 2).sum(axis=1) \
             + ((thetas - qhat) ** 2).sum(axis=1)
         best = grid[np.argmin(objective)]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
-                             fit_cap, leap_solve_batch, predict_batch,
-                             pps_accuracy_identity)
+from shiftselect.cap import (SOLVER_MAX_ITER, SOLVER_TOL, CapPredictor,
+                             RateMatrix, estimate_rate_matrix, fit_cap,
+                             leap_solve_batch, predict_batch,
+                             pps_accuracy_identity, stack_caps)
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
@@ -38,19 +39,31 @@ class OracleQuantifier:
                 np.ones(len(rows), dtype=bool))
 
 
+def leap_stack(rates, weight=1.0, tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER):
+    """LEAP problems with these rate matrices, stacked by stack_caps;
+    `weight`, `tol` and `max_iter` are scalars or one value per problem."""
+    k = len(rates)
+    return stack_caps([
+        CapPredictor(r, CCQuantifier(), weight=float(w), solver_tol=float(t),
+                     solver_max_iter=int(i))
+        for r, w, t, i in zip(rates, *(np.broadcast_to(v, (k,))
+                                       for v in (weight, tol, max_iter)))])
+
+
 def solve_one(rates, rho, qhat, **kwargs):
     """One LEAP problem through the batched core: (theta, table, iterations,
     converged), with the table c[i][j] = m[i][j] * theta_j."""
     theta, iterations, converged = leap_solve_batch(
-        [rates], np.asarray(rho, dtype=float)[None],
-        np.asarray(qhat, dtype=float)[None], **kwargs)
+        leap_stack([rates], **kwargs), np.asarray(rho, dtype=float)[None],
+        np.asarray(qhat, dtype=float)[None])
     return (theta[0], rates.m * theta[0][None, :], int(iterations[0]),
             bool(converged[0]))
 
 
 def predict_one(psi, model, bag):
     """One predictor on one bag through the batched API."""
-    return predict_batch([psi], model.predict_posteriors(bag.features)[None])
+    return predict_batch(stack_caps([psi]),
+                         model.predict_posteriors(bag.features)[None])
 
 
 def posterior_dataset(posterior_rows, labels):
@@ -237,7 +250,7 @@ def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
     caps = rng.choice([1, 2, 7, 10_000], size=k) if max_iter is None \
         else np.full(k, max_iter)
     theta, iterations, converged = leap_solve_batch(
-        rates, rho, qhat, weight=weight, tol=tol, max_iter=caps)
+        leap_stack(rates, weight=weight, tol=tol, max_iter=caps), rho, qhat)
     for i in range(k):
         theta_i, _, iterations_i, converged_i = solve_one(
             rates[i], rho[i], qhat[i], weight=weight[i], tol=tol,
@@ -288,8 +301,8 @@ def test_leap_matches_brute_force_on_every_support(seed, k, n):
     rho = sparse_simplex_rows(rng, k, n)
     qhat = sparse_simplex_rows(rng, k, n)
     weight = rng.uniform(0.05, 5.0, size=k)
-    theta, _, converged = leap_solve_batch([RateMatrix(M) for M in Ms], rho,
-                                           qhat, weight=weight)
+    theta, _, converged = leap_solve_batch(
+        leap_stack([RateMatrix(M) for M in Ms], weight=weight), rho, qhat)
     assert converged.all()
     for i, M in enumerate(Ms):
         assert np.abs(theta[i] - brute_force_leap(
@@ -325,9 +338,9 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
             solver_tol=rng.choice([1e-8, 1e-11]),
             solver_max_iter=int(rng.choice([1, 3, 10_000]))))
     posteriors = rng.dirichlet(np.ones(n), size=(k, m))
-    batch = predict_batch(caps, posteriors)
+    batch = predict_batch(stack_caps(caps), posteriors)
     for i, psi in enumerate(caps):
-        one = predict_batch([psi], posteriors[i:i + 1])
+        one = predict_batch(stack_caps([psi]), posteriors[i:i + 1])
         for name in ("accuracy", "theta", "rho", "qhat", "iterations",
                      "converged", "em_iterations", "em_converged"):
             assert np.array_equal(getattr(batch, name)[i],
@@ -337,7 +350,13 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
 def test_predict_batch_rejects_an_empty_bag():
     psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
     with pytest.raises(DataError, match="empty bag"):
-        predict_batch([psi], np.zeros((1, 0, 2)))
+        predict_batch(stack_caps([psi]), np.zeros((1, 0, 2)))
+
+
+def test_predict_batch_rejects_posteriors_of_other_models():
+    psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
+    with pytest.raises(ValueError, match="posteriors for 2 models"):
+        predict_batch(stack_caps([psi]), np.full((2, 3, 2), 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +370,7 @@ def test_accuracy_is_the_trace():
                    [0.3, 0.7], 10, np.random.default_rng(0))
     caps = [CapPredictor(RateMatrix(M), OracleQuantifier(bag))
             for M in (np.eye(2), np.full((2, 2), 0.5))]
-    batch = predict_batch(caps, np.stack([bag.features] * 2))
+    batch = predict_batch(stack_caps(caps), np.stack([bag.features] * 2))
     # tables diag(0.3, 0.7) and 0.5 * theta in every row: traces 1 and 0.5
     assert batch.accuracy[0] == 1.0
     assert batch.accuracy[1] == 0.5

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from shiftselect import classifiers
 from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, LR_GRAD_TOL,
-                                     MLP_MAX_EPOCHS, MLP_MIN_STEP,
-                                     ClassWeights, HyperParams,
+                                     MLP_HIDDEN_UNITS, MLP_MAX_EPOCHS,
+                                     MLP_MIN_STEP, ClassWeights, HyperParams,
+                                     MLPModel,
                                      TrainingError, build_grid,
                                      class_weight_candidates, default_model,
                                      lr_hessian_vector, lr_loss_grad,
@@ -376,6 +377,27 @@ def test_knn_rows_on_wide_data_equal_one_batch():
     for i in range(len(Q)):
         assert np.array_equal(predict_posteriors_batch(models, Q[i:i + 1]),
                               whole[:, i:i + 1]), i
+
+
+@pytest.mark.parametrize("n_features", [2, 20, 64])
+def test_mlp_rows_on_wide_data_equal_one_batch(n_features):
+    # with the rows along the rows of the first-layer product, BLAS sums each
+    # row against the 100 hidden units differently per row count from 20
+    # features on; a bag of 100 rows and single rows must equal their rows
+    # of a 600-row batch
+    rng = np.random.default_rng(n_features)
+    params = [rng.normal(size=(n_features, MLP_HIDDEN_UNITS)),
+              rng.normal(size=MLP_HIDDEN_UNITS),
+              rng.normal(size=(MLP_HIDDEN_UNITS, 3)), rng.normal(size=3)]
+    model = MLPModel(default_model("MLP"), params, 3, seed=0)
+    X = rng.normal(size=(600, n_features))
+    whole = model.predict_posteriors(X)
+    for lo in (0, 100, 437):
+        assert np.array_equal(model.predict_posteriors(X[lo:lo + 100]),
+                              whole[lo:lo + 100]), lo
+    for i in range(0, 600, 37):
+        assert np.array_equal(model.predict_posteriors(X[i:i + 1]),
+                              whole[i:i + 1]), i
 
 
 @pytest.mark.parametrize("panels", [1, 7])

@@ -647,6 +647,13 @@ def test_cli_train_and_run_write_timings(tmp_path):
             stages |= {"protocol", "evaluate", "report"}
         assert set(timings["stage_s"]) == stages
         assert all(t >= 0 for t in timings["stage_s"].values())
+        if command == "run":
+            inside = timings["evaluate_s"]
+            assert set(inside) == {"test_posteriors", "quantifier_rows", "bags"}
+            assert all(t >= 0 for t in inside.values())
+            assert sum(inside.values()) <= timings["stage_s"]["evaluate"]
+        else:
+            assert "evaluate_s" not in timings
     assert not (tmp_path / "train" / "registry" / "timings.json").exists()
 
 

@@ -11,7 +11,8 @@ from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synt
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
                                      _line_search, em_weights_batch,
-                                     estimate_batch, fit_kdey)
+                                     estimate_batch, fit_kdey,
+                                     quantifier_groups)
 
 
 class FakeBag:
@@ -47,7 +48,8 @@ def estimate_one(quantifier, model, bag, rows=None):
     """One quantifier's prevalence estimate on one bag through the batched
     API."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    qhat, _, _ = estimate_batch([quantifier], posteriors, rows)
+    qhat, _, _ = estimate_batch(quantifier_groups([quantifier]), posteriors,
+                                rows)
     return qhat[0]
 
 
@@ -254,6 +256,88 @@ def test_line_search_halves_a_step_that_would_lower_the_likelihood():
     # a direction along which L only falls is refused outright
     new, moved = _line_search(FT, a, -d, L, np.abs(d).sum(axis=1), 1e-6)
     assert not moved[0] and np.array_equal(new, a)
+
+
+def reference_newton_direction(Q, g, a, mu):
+    """The active-face Newton direction as first written: every pass,
+    the first included, gathers its problems by index."""
+    k, n = g.shape
+    free = (a > 0) | (g > mu)
+    diagonal = np.eye(n, dtype=bool)
+    d = np.zeros((k, n))
+    todo = np.arange(k)
+    while todo.size:
+        f = free[todo]
+        A = np.where(f[:, :, None] & f[:, None, :], Q[todo], 0.0)
+        q = A[:, diagonal]
+        ridge = quantifiers.NEWTON_RIDGE * q.sum(axis=1) / f.sum(axis=1)
+        A[:, diagonal] = np.where(f, q + ridge[:, None], 1.0)
+        rhs = np.stack([np.where(f, g[todo], 0.0), f.astype(float)], axis=2)
+        u, v = np.moveaxis(np.linalg.solve(A, rhs), 2, 0)
+        d[todo] = u - (u.sum(axis=1) / v.sum(axis=1))[:, None] * v
+        outward = f & (a[todo] == 0) & (d[todo] < 0)
+        again = outward.any(axis=1)
+        free[todo[again]] &= ~outward[again]
+        todo = todo[again]
+    return d
+
+
+def reference_line_search(FT, a, d, L, size, tol):
+    """The damped step as first written: one scale per problem, and every
+    trial, the first included, gathers its problems by index."""
+    new = a.copy()
+    moved = np.zeros(len(a), dtype=bool)
+    scale = np.ones(len(a))
+    todo = np.arange(len(a))
+    while todo.size:
+        trial, t = quantifiers._simplex_step(a[todo], d[todo], scale[todo])
+        ok = quantifiers._log_likelihood(FT[todo], trial) >= L[todo]
+        new[todo[ok]] = trial[ok]
+        moved[todo[ok]] = True
+        todo, t = todo[~ok], t[~ok]
+        scale[todo] *= 0.5
+        todo = todo[0.5 * t * size[todo] >= tol]
+    return new, moved
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+       n=st.integers(2, 10), m=st.integers(1, 40))
+def test_solver_steps_equal_their_reference(seed, k, n, m):
+    # points with zero weights make outward directions and re-solves; a
+    # likelihood bar above the start makes steps halve and some fail
+    rng = np.random.default_rng(seed)
+    a = rng.dirichlet(np.ones(n), size=k) * (rng.random((k, n)) > 0.4)
+    a[a.sum(axis=1) == 0, 0] = 1.0
+    a /= a.sum(axis=1, keepdims=True)
+    # rank below n makes Q singular, and the ridge acts
+    G = rng.normal(size=(k, n, rng.integers(1, n + 2)))
+    Q = np.matmul(G, G.transpose(0, 2, 1))
+    g = rng.normal(size=(k, n))
+    mu = (a * g).sum(axis=1, keepdims=True)
+    d = quantifiers._newton_direction(Q, g, a, mu)
+    assert np.array_equal(d, reference_newton_direction(Q, g, a, mu))
+    FT = rng.random((k, n, m)) + 1e-3
+    L = quantifiers._log_likelihood(FT, a) + rng.choice([-1.0, 0.0, 1e-3], k)
+    size = np.abs(d).sum(axis=1)
+    for tol in (1e-6, 1e-2):
+        new, moved = _line_search(FT, a, d, L, size, tol)
+        ref_new, ref_moved = reference_line_search(FT, a, d, L, size, tol)
+        assert np.array_equal(new, ref_new) and np.array_equal(moved, ref_moved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+       m=st.integers(1, 50), n=st.integers(1, 6))
+def test_row_max_and_label_shares_equal_numpy(seed, k, m, n):
+    rng = np.random.default_rng(seed)
+    X = rng.choice([-np.inf, -1.0, 0.0, 0.5, np.nan], size=(k, m, n),
+                   p=[0.05, 0.3, 0.3, 0.3, 0.05])
+    assert np.array_equal(quantifiers._max_rows(X), X.max(axis=2, keepdims=True),
+                          equal_nan=True)
+    labels = np.argmax(X, axis=2)
+    counts = (labels[..., None] == np.arange(n)).sum(axis=1)
+    assert np.array_equal(quantifiers.label_shares(labels, n), counts / m)
 
 
 def em_on_every_support(F, tol=1e-14, max_iter=10_000):
@@ -486,7 +570,7 @@ def test_quantifier_estimate_dispatch(fitted_pipeline):
     # a mixed list: each quantifier is reduced by its own type
     posteriors = np.stack([model.predict_posteriors(bag.features)] * 2)
     qhat, iterations, converged = estimate_batch(
-        [quantifier, CCQuantifier()], posteriors)
+        quantifier_groups([quantifier, CCQuantifier()]), posteriors)
     assert np.array_equal(qhat[0], estimate_one(quantifier, model, bag))
     assert np.array_equal(qhat[1], estimate_one(CCQuantifier(), model, bag))
     assert iterations[0] > 0 and iterations[1] == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftselect import evalcli, selection
-from shiftselect.cap import predict_batch
+from shiftselect.cap import predict_batch, stack_caps
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
                                     predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
@@ -33,7 +33,7 @@ def registry(splits):
 def predicted_accuracy(entry, bag):
     """The entry's predicted accuracy on the bag, through the batched API."""
     posteriors = entry.model.predict_posteriors(bag.features)[None]
-    return predict_batch([entry.cap], posteriors).accuracy[0]
+    return predict_batch(stack_caps([entry.cap]), posteriors).accuracy[0]
 
 
 def bag_posteriors(registry, test):
@@ -80,9 +80,11 @@ def test_registry_round_trip(registry, splits, tmp_path):
     _, _, test = splits
     save_registry(registry, tmp_path / "reg")
     loaded = load_registry(tmp_path / "reg")
-    # loading builds no stacked KDE support: the first evaluation does
+    # loading builds no stacked KDE support and no scope's stacked
+    # predictors: the first evaluation and the first tms_select do
     assert not any("_stacked" in vars(e.cap.quantifier.densities)
                    for e in loaded.entries)
+    assert not loaded.scope_stacks
     assert loaded.meta == registry.meta
     assert [e.model_id for e in loaded.entries] == [e.model_id for e in registry.entries]
     assert [e.val_accuracy for e in loaded.entries] == \
@@ -106,8 +108,10 @@ def test_registry_round_trip(registry, splits, tmp_path):
     rows_for = bag_posteriors(registry, test)
     assert np.array_equal(rows_for(bag), bag_posteriors(loaded, test)(bag))
     assert np.array_equal(
-        predict_batch([e.cap for e in registry.entries], rows_for(bag)).accuracy,
-        predict_batch([e.cap for e in loaded.entries], rows_for(bag)).accuracy)
+        predict_batch(stack_caps([e.cap for e in registry.entries]),
+                      rows_for(bag)).accuracy,
+        predict_batch(stack_caps([e.cap for e in loaded.entries]),
+                      rows_for(bag)).accuracy)
 
 
 @pytest.mark.parametrize("damage", ["old layout", "missing key"])
@@ -323,6 +327,84 @@ def test_tms_precomputed_test_set_rows_match_features(registry, splits):
                                   direct.predicted_labels)
 
 
+def test_warm_scope_stacks_equal_a_fresh_registry_and_one_model_calls(
+        registry, splits):
+    _, _, test = splits
+    posteriors = predict_posteriors_batch([e.model for e in registry.entries],
+                                          test.X)
+    densities = np.stack([e.cap.quantifier.rows(P)
+                          for e, P in zip(registry.entries, posteriors)])
+    warm = ModelRegistry(list(registry.entries))
+    rng = np.random.default_rng(40)
+    bags = [draw_bag(test, target, 50, rng)
+            for target in ([0.9, 0.1], [0.5, 0.5], [0.2, 0.8])]
+    scopes = ("All", "LR", "KNN", "MLP")
+    for scope in scopes:
+        tms_select(warm, scope, bags[0])
+    built = {scope: warm.scope_stack(scope) for scope in scopes}
+    fields = ("accuracy", "theta", "rho", "qhat", "iterations", "converged",
+              "em_iterations", "em_converged")
+    for bag in bags:
+        P, F = posteriors[:, bag.indices], densities[:, bag.indices]
+        for scope in scopes:
+            got = tms_select(warm, scope, bag, posteriors=P, densities=F)
+            fresh = tms_select(ModelRegistry(list(registry.entries)), scope,
+                               bag, posteriors=P, densities=F)
+            assert warm.scope_stack(scope) is built[scope]
+            assert (got.model_id, got.estimated_accuracy, got.nonconverged,
+                    got.em_nonconverged) == (
+                fresh.model_id, fresh.estimated_accuracy, fresh.nonconverged,
+                fresh.em_nonconverged)
+            assert np.array_equal(got.predicted_labels, fresh.predicted_labels)
+            # the stacked batch is the models' k=1 predictions, bit for bit,
+            # and TMS takes its argmax
+            stack = built[scope]
+            assert [e.model_id for e in stack.entries] == [
+                registry.entries[i].model_id
+                for i in registry.scope_positions(scope)]
+            batch = predict_batch(stack.caps, P[stack.positions],
+                                  F[stack.positions])
+            for j, i in enumerate(stack.positions):
+                one = predict_batch(stack_caps([registry.entries[i].cap]),
+                                    P[i:i + 1], F[i:i + 1])
+                for name in fields:
+                    assert np.array_equal(getattr(batch, name)[j],
+                                          getattr(one, name)[0]), name
+            best = int(np.argmax(batch.accuracy))
+            assert got.estimated_accuracy == batch.accuracy[best]
+            assert got.model_id == stack.entries[best].model_id
+
+
+def test_a_changed_entries_list_never_reuses_an_old_stack(registry, splits):
+    _, _, test = splits
+    bag = draw_bag(test, [0.3, 0.7], 50, np.random.default_rng(41))
+    entries = list(registry.entries)
+    changing = ModelRegistry(list(entries))
+
+    def check():
+        # each outcome equals a fresh registry's over the current entries
+        got = tms_select(changing, "All", bag)
+        fresh = tms_select(ModelRegistry(list(changing.entries)), "All", bag)
+        assert (got.model_id, got.estimated_accuracy) == \
+            (fresh.model_id, fresh.estimated_accuracy)
+        stack = changing.scope_stack("All")
+        assert list(stack.entries) == changing.entries
+        return stack
+
+    first = check()
+    assert check() is first
+    changing.entries.pop()                                   # shortened
+    shortened = check()
+    assert shortened is not first and len(shortened.entries) == len(entries) - 1
+    changing.entries[0] = entries[-1]                        # one replaced
+    assert check() is not shortened
+    changing.entries = entries[:3]                           # list replaced
+    assert len(check().entries) == 3
+    changing.entries = list(reversed(entries[:3]))           # same, reordered
+    assert [e.model_id for e in check().entries] == \
+        [e.model_id for e in reversed(entries[:3])]
+
+
 def test_predictions_from_features_equal_sliced_test_set_caches(registry,
                                                                splits):
     # labelling a bag online must give exactly what the experiment gets from
@@ -332,6 +414,7 @@ def test_predictions_from_features_equal_sliced_test_set_caches(registry,
     models = [e.model for e in registry.entries]
     posteriors = predict_posteriors_batch(models, test.X)
     rows = np.stack([c.quantifier.rows(P) for c, P in zip(caps, posteriors)])
+    caps = stack_caps(caps)
     rng = np.random.default_rng(31)
     for target, size in (([0.9, 0.1], 60), ([0.5, 0.5], 100), ([0.2, 0.8], 33),
                          ([0.0, 1.0], 8), ([0.6, 0.4], 1)):
