@@ -11,13 +11,15 @@ and the estimated contingency table c[i][j] = m[i][j] * theta_j then yields
 any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
-validation data. :func:`stack_caps` stacks k predictors into a
-:class:`CapStack` once, and :func:`predict_batch` then predicts the accuracy
-of all k on one bag in one pass: label counts and quantifier estimates for
-all k, then one batched LEAP solve (:func:`leap_solve_batch`, the
-active-set Newton steps of the KDEy-ML mixture solver over a (k, n) stack of
-thetas, each leaving the batch once it converges). One predictor or one
-problem is the k=1 case of the same calls.
+a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
+quantifiers share one type into a :class:`CapStack` once, and
+:func:`predict_batch` then predicts the accuracy of all k on one bag in one
+pass: label counts and quantifier estimates for all k, then one batched LEAP
+solve (:func:`leap_solve_batch`, the active-set Newton steps of the KDEy-ML
+mixture solver over a (k, n) stack of thetas, each leaving the batch once it
+converges). Every problem has the same tolerance and iteration cap,
+SOLVER_TOL and SOLVER_MAX_ITER. One predictor or one problem is the k=1 case
+of the same calls.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import DataError, LabelledSet, as_prevalence
-from .classifiers import TrainedModel
 from .quantifiers import (_newton_direction, _simplex_step, estimate_batch,
-                          fit_quantifier, label_shares, quantifier_groups)
+                          fit_quantifier, label_shares)
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
@@ -60,15 +61,14 @@ class RateMatrix:
         return self.m.shape[0]
 
 
-def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
-                         smoothing: float = 0.0, posteriors=None) -> RateMatrix:
-    """Estimate the conditional rate matrix from validation predictions.
+def estimate_rate_matrix(posteriors: np.ndarray, validation: LabelledSet,
+                         smoothing: float = 0.0) -> RateMatrix:
+    """Estimate the conditional rate matrix from a model's posterior rows
+    `posteriors` for the validation instances.
 
     m[i][j] = (count(pred=i, true=j) + smoothing) / (count(true=j) + n*smoothing).
     With smoothing 0, a class the model never predicts would leave an all-zero
     row (a rank-deficient matrix); in that case smoothing falls back to 1e-6.
-    `posteriors` optionally supplies the model's posterior rows for the
-    validation instances.
     """
     y = validation.y
     n = validation.n_classes
@@ -76,8 +76,6 @@ def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         raise DataError(f"classes {missing.tolist()} missing from validation data")
-    if posteriors is None:
-        posteriors = model.predict_posteriors(validation.X)
     pred = np.argmax(posteriors, axis=1)
     joint = np.zeros((n, n))
     np.add.at(joint, (pred, y), 1.0)
@@ -87,7 +85,8 @@ def estimate_rate_matrix(model: TrainedModel, validation: LabelledSet,
     return RateMatrix(M)
 
 
-def leap_solve_batch(stack, rho, qhat):
+def leap_solve_batch(stack, rho, qhat, tol: float = SOLVER_TOL,
+                     max_iter: int = SOLVER_MAX_ITER):
     """Solve the k LEAP problems of a :class:`CapStack` at once.
 
     Problem i minimizes ||M_i theta - rho_i||^2 + weight_i * ||theta -
@@ -96,9 +95,10 @@ def leap_solve_batch(stack, rho, qhat):
     direction d on the active face (see quantifiers._newton_direction) and
     steps to its end or to the simplex boundary, pinning the blocking
     weight to 0, so the method ends at the exact optimum. A problem stops
-    when ||d||_1 < tol_i (converged) or after max_iter_i iterations. `rho`
-    and `qhat` are (k, n). A stopped problem leaves the active set, so every
-    problem gets the iterates a single-problem run would give.
+    when ||d||_1 < tol (converged) or after max_iter iterations; with
+    max_iter 0 every problem returns qhat unconverged. `rho` and `qhat` are
+    (k, n). A stopped problem leaves the active set, so every problem gets
+    the iterates a single-problem run would give.
 
     Returns (theta (k, n), iterations (k,), converged (k,)).
     """
@@ -110,26 +110,21 @@ def leap_solve_batch(stack, rho, qhat):
     converged = np.zeros(k, dtype=bool)
     # the active problems' rows of every per-problem array, compacted
     # whenever some problem stops
-    idx, x, A, c, eps, cap = (np.arange(k), theta, stack.Q, b, stack.tol,
-                              stack.max_iter)
-    live = cap > 0
-    if not live.all():
-        idx, x, A, c, eps, cap = (v[live] for v in (idx, x, A, c, eps, cap))
-    it = 0
-    while idx.size:
-        it += 1
+    idx, x, A, c = np.arange(k), theta, stack.Q, b
+    for it in range(1, max_iter + 1):
         # half the negative gradient; theta . g is the KKT multiplier
         g = c - np.matmul(A, x[:, :, None])[:, :, 0]
         d = _newton_direction(A, g, x, (x * g).sum(axis=1, keepdims=True))
         x, _ = _simplex_step(x, d)
-        done = np.abs(d).sum(axis=1) < eps
-        stop = done | (it >= cap)
+        done = np.abs(d).sum(axis=1) < tol
+        stop = done | (it >= max_iter)
         if stop.any():
             theta[idx[stop]] = x[stop]
             iterations[idx[stop]] = it
             converged[idx[stop]] = done[stop]
-            idx, x, A, c, eps, cap = (
-                v[~stop] for v in (idx, x, A, c, eps, cap))
+            idx, x, A, c = idx[~stop], x[~stop], A[~stop], c[~stop]
+            if not idx.size:
+                break
     return theta, iterations, converged
 
 
@@ -143,43 +138,31 @@ class CapPredictor:
     rates: RateMatrix
     quantifier: object
     weight: float = 1.0
-    solver_tol: float = SOLVER_TOL
-    solver_max_iter: int = SOLVER_MAX_ITER
 
 
-def fit_cap(model: TrainedModel, validation: LabelledSet,
+def fit_cap(posteriors: np.ndarray, validation: LabelledSet,
             quantifier_kind: str = "KDEyML", bandwidth: float = 0.1,
-            smoothing: float = 0.0, weight: float = 1.0,
-            posteriors=None) -> CapPredictor:
-    """Fit the rate matrix and the quantifier on the same validation set.
-
-    `posteriors` optionally supplies the model's posterior rows for the
-    validation instances, so that both fits share them.
-    """
-    if posteriors is None:
-        posteriors = model.predict_posteriors(validation.X)
-    rates = estimate_rate_matrix(model, validation, smoothing=smoothing,
-                                 posteriors=posteriors)
-    quantifier = fit_quantifier(quantifier_kind, model, validation,
-                                bandwidth=bandwidth, posteriors=posteriors)
+            smoothing: float = 0.0, weight: float = 1.0) -> CapPredictor:
+    """Fit the rate matrix and the quantifier on the same validation set,
+    from a model's posterior rows `posteriors` for its instances."""
+    rates = estimate_rate_matrix(posteriors, validation, smoothing=smoothing)
+    quantifier = fit_quantifier(quantifier_kind, posteriors, validation,
+                                bandwidth=bandwidth)
     return CapPredictor(rates, quantifier, weight=weight)
 
 
 @dataclass(frozen=True, eq=False)
 class CapStack:
     """The solver inputs of k predictors, stacked once by :func:`stack_caps`
-    and shared by every bag they predict: the quantifiers grouped by type
-    (:func:`quantifiers.quantifier_groups`), the rate matrices M (k, n, n),
-    Q = M^T M + w I, the diagonals of M (k, n), and each predictor's solver
-    weight, tolerance and iteration cap (k,)."""
+    and shared by every bag they predict: the quantifiers (all of one type),
+    the rate matrices M (k, n, n), Q = M^T M + w I, the diagonals of M
+    (k, n), and each predictor's solver weight (k,)."""
 
-    groups: tuple
+    quantifiers: tuple
     M: np.ndarray
     Q: np.ndarray
     diagonal: np.ndarray
     weight: np.ndarray
-    tol: np.ndarray
-    max_iter: np.ndarray
 
     def __len__(self):
         return len(self.M)
@@ -187,19 +170,23 @@ class CapStack:
 
 def stack_caps(caps) -> CapStack:
     """Stack the accuracy predictors `caps` for :func:`predict_batch` and
-    :func:`leap_solve_batch`; every solver weight must be positive."""
+    :func:`leap_solve_batch`. There must be at least one, their quantifiers
+    must share one type, and every solver weight must be positive."""
+    quantifiers = tuple(c.quantifier for c in caps)
+    types = {type(q) for q in quantifiers}
+    if len(types) != 1:
+        raise ValueError("need predictors whose quantifiers share one type, "
+                         f"got types {sorted(t.__name__ for t in types)}")
     weight = np.array([c.weight for c in caps], dtype=float)
     if (weight <= 0).any():
         raise ValueError("weight must be positive")
     M = np.stack([c.rates.m for c in caps])
     Q = np.matmul(M.transpose(0, 2, 1), M) \
         + weight[:, None, None] * np.eye(M.shape[1])
-    arrays = (M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight,
-              np.array([c.solver_tol for c in caps], dtype=float),
-              np.array([c.solver_max_iter for c in caps]))
+    arrays = (M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight)
     for a in arrays:
         a.flags.writeable = False
-    return CapStack(quantifier_groups([c.quantifier for c in caps]), *arrays)
+    return CapStack(quantifiers, *arrays)
 
 
 @dataclass(frozen=True)
@@ -233,7 +220,7 @@ def predict_batch(stack: CapStack, posteriors: np.ndarray,
                          f"{len(stack)} predictors")
     n = stack.M.shape[1]
     qhat, em_iterations, em_converged = estimate_batch(
-        stack.groups, posteriors, rows)
+        stack.quantifiers, posteriors, rows)
     qhat = as_prevalence(qhat, n, stacked=True)
     rho = label_shares(np.argmax(posteriors, axis=2), n)
     theta, iterations, converged = leap_solve_batch(stack, rho, qhat)

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .dataspace import (Dataset, apply_scaler, fit_scaler, load_csv,
-                        stratified_split, synth_gaussian_pps,
+from .dataspace import (Dataset, apply_scaler, as_prevalence, fit_scaler,
+                        load_csv, stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
 from .classifiers import FAMILIES, build_grid, predict_posteriors_batch
 from .protocol import (ShiftRecord, app_generate, bin_by_shift, l1_shift,
@@ -171,6 +171,10 @@ class RunConfig:
         kind = self.dataset.get("kind")
         if kind not in DATASET_FIELDS:
             raise ConfigError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
+        unknown = set(self.dataset) - {"kind", "name", *DATASET_FIELDS[kind]} \
+            - ({"prevalence"} if kind == "synthetic" else set())
+        if unknown:
+            raise ConfigError(f"unknown keys for a {kind} dataset: {sorted(unknown)}")
         spec = {**DEFAULT_DATASET, **self.dataset} if kind == "synthetic" \
             else self.dataset
         for key, kinds in DATASET_FIELDS[kind].items():
@@ -185,6 +189,11 @@ class RunConfig:
                     f"got {spec[key]!r}")
         if kind == "synthetic" and spec["n_classes"] < 2:
             raise ConfigError("a synthetic dataset needs at least two classes")
+        if kind == "synthetic" and spec["prevalence"] is not None:
+            try:
+                as_prevalence(spec["prevalence"], spec["n_classes"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"dataset.prevalence: {exc}") from exc
         for strat in self.strategies:
             _parse_strategy(strat, self.families)
         for key in ("families", "strategies"):
@@ -821,6 +830,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     check_alpha(args.alpha)
+    if args.bins < 1:
+        raise ConfigError(f"--bins {args.bins} must be at least 1")
     table = read_results_csv(args.results)
     emit_report(table, args.outdir, n_bins=args.bins, alpha=args.alpha)
     print(f"re-emitted reports to {args.outdir}")

@@ -18,8 +18,7 @@ Rows depend on the instances only, so a caller that labels many bags drawn
 from one test set evaluates them once per model over the whole set and slices
 out each bag; a row's value does not depend on the rows evaluated with it, so
 the slice equals the bag evaluated on its own, bit for bit.
-:func:`estimate_batch` runs this for a list of quantifiers grouped by type
-(:func:`quantifier_groups`), and
+:func:`estimate_batch` runs this for a tuple of quantifiers of one type, and
 :func:`em_weights_batch` is the one mixture solver; one quantifier or one
 density matrix is the k=1 case of the same calls.
 
@@ -51,7 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dataspace import DataError, LabelledSet
-from .classifiers import BLAS_PANEL, TrainedModel, panel_rows
+from .classifiers import BLAS_PANEL, panel_rows
 
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
@@ -186,27 +185,23 @@ class KDEyMLQuantifier:
 QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
 
 
-def fit_quantifier(kind: str, model: TrainedModel, validation: LabelledSet,
-                   bandwidth: float, posteriors=None):
-    """Fit the quantifier named `kind` (a key of QUANTIFIERS) for `model`;
-    `posteriors` is as for :func:`fit_kdey`."""
+def fit_quantifier(kind: str, posteriors: np.ndarray, validation: LabelledSet,
+                   bandwidth: float):
+    """Fit the quantifier named `kind` (a key of QUANTIFIERS) on a model's
+    validation posterior rows `posteriors`."""
     if kind == CCQuantifier.kind:
         return CCQuantifier()
     if kind == KDEyMLQuantifier.kind:
-        return fit_kdey(model, validation, bandwidth=bandwidth,
-                        posteriors=posteriors)
+        return fit_kdey(posteriors, validation, bandwidth=bandwidth)
     raise ValueError(f"unknown quantifier kind {kind!r}")
 
 
-def fit_kdey(model: TrainedModel, validation: LabelledSet,
-             bandwidth: float = DEFAULT_BANDWIDTH,
-             posteriors=None) -> KDEyMLQuantifier:
-    """Fit per-class KDEs over the model's posteriors on validation data;
-    `posteriors` optionally supplies those rows precomputed."""
+def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
+             bandwidth: float = DEFAULT_BANDWIDTH) -> KDEyMLQuantifier:
+    """Fit per-class KDEs over a model's posterior rows `posteriors` for the
+    validation instances."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if posteriors is None:
-        posteriors = model.predict_posteriors(validation.X)
     y = validation.y
     support = []
     for j in range(validation.n_classes):
@@ -382,42 +377,21 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
         todo, t = todo[~ok], t[~ok]
 
 
-def quantifier_groups(quantifiers) -> tuple:
-    """The quantifiers grouped by type, in order of first appearance, as
-    (type, positions, members): positions index the list, as a slice when
-    one type covers it all (so a stack of rows is reduced without a copy)."""
-    groups = {}
-    for i, q in enumerate(quantifiers):
-        groups.setdefault(type(q), []).append(i)
-    if len(groups) == 1:
-        (kind, idx), = groups.items()
-        return ((kind, slice(None), tuple(quantifiers)),)
-    return tuple((kind, np.array(idx), tuple(quantifiers[i] for i in idx))
-                 for kind, idx in groups.items())
+def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
+    """Prevalence estimates of k quantifiers of one type on one bag, as
+    (prevalences (k, n), iterations (k,), converged (k,)); the last two are
+    the mixture solver's counters (0 and True for CC).
 
-
-def estimate_batch(groups, posteriors: np.ndarray, rows=None):
-    """Prevalence estimates of k quantifiers on one bag, as (prevalences
-    (k, n), iterations (k,), converged (k,)); the last two are the mixture
-    solver's counters (0 and True for CC).
-
-    `groups` is :func:`quantifier_groups` of the k quantifiers; each type is
-    reduced in one call. `posteriors` stacks each quantifier's model
-    posteriors for the bag's instances, shape (k, m, n). `rows` optionally
-    stacks the matching ``q.rows(...)`` (the caller may have sliced them from
-    a test-set cache); without it they are computed here.
+    `posteriors` stacks each quantifier's model posteriors for the bag's
+    instances, shape (k, m, n). `rows` optionally stacks the matching
+    ``q.rows(...)`` (the caller may have sliced them from a test-set cache);
+    without it they are computed here. The stack is reduced in one call.
     """
-    k, m, n = posteriors.shape
-    if m == 0:
+    if posteriors.shape[1] == 0:
         raise DataError("empty bag")
-    qhat = np.empty((k, n))
-    iterations = np.empty(k, dtype=int)
-    converged = np.empty(k, dtype=bool)
-    for kind, idx, members in groups:
-        stack = rows[idx] if rows is not None else np.stack(
-            [q.rows(P) for q, P in zip(members, posteriors[idx])])
-        qhat[idx], iterations[idx], converged[idx] = kind.reduce(stack)
-    return qhat, iterations, converged
+    if rows is None:
+        rows = np.stack([q.rows(P) for q, P in zip(quantifiers, posteriors)])
+    return type(quantifiers[0]).reduce(rows)
 
 
 def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:

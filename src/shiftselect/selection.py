@@ -9,8 +9,9 @@
 IMS is bag-independent by construction; TMS may pick a different model for
 every bag. TMS predicts the accuracy of every in-scope model on the bag in one
 batched pass (:func:`cap.predict_batch`) over the scope's predictors, stacked
-once per scope and kept on the registry (:meth:`ModelRegistry.scope_stack`),
-and takes the argmax of that vector
+once per scope and kept on the registry (:meth:`ModelRegistry.scope_stack`;
+a registry is immutable, so a stack never goes stale), and takes the argmax
+of that vector
 (:func:`best_position`: a NaN estimate never wins, and ties always break
 toward the lowest model id). It accepts the bag's per-model posteriors and
 the quantifier rows that :func:`quantifiers.estimate_batch` reduces
@@ -22,14 +23,13 @@ upper bound and lives in the harness (:mod:`evalcli`).
 A registry is saved as one document, ``manifest.json``: its meta, its
 training warnings, and per entry the model id, the validation accuracy, the
 model record (:func:`classifiers.model_to_record`) and the accuracy-predictor
-record.
+record (rate matrix, quantifier and solver weight).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -60,24 +60,25 @@ class RegistryEntry:
 class ScopeStack:
     """The entries of one scope, their positions in the registry's entries
     and their accuracy predictors stacked (see
-    :meth:`ModelRegistry.scope_stack`); `built_from` holds the registry's
-    entries when it was built."""
+    :meth:`ModelRegistry.scope_stack`)."""
 
-    built_from: tuple
     positions: np.ndarray
     entries: tuple
     caps: CapStack
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelRegistry:
-    entries: list
+    entries: tuple
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     # wall seconds of each family's train_grid call; not saved
     train_s: dict = field(default_factory=dict)
     # scope -> ScopeStack, built by the scope's first tms_select; not saved
     scope_stacks: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     def __len__(self):
         return len(self.entries)
@@ -96,17 +97,15 @@ class ModelRegistry:
     def scope_stack(self, scope) -> ScopeStack:
         """The models in scope with their accuracy predictors stacked
         (:func:`cap.stack_caps`). Built on first use and kept for the
-        scope's later bags; rebuilt once `entries` no longer holds the
-        entries it was built from."""
+        scope's later bags."""
         stack = self.scope_stacks.get(scope)
-        if stack is not None and len(stack.built_from) == len(self.entries) \
-                and all(map(operator.is_, stack.built_from, self.entries)):
+        if stack is not None:
             return stack
         positions = self.scope_positions(scope)
         if not positions:
             raise ValueError(f"no models in scope {scope!r}")
         entries = tuple(self.entries[i] for i in positions)
-        stack = ScopeStack(tuple(self.entries), np.array(positions), entries,
+        stack = ScopeStack(np.array(positions), entries,
                            stack_caps([e.cap for e in entries]))
         self.scope_stacks[scope] = stack
         return stack
@@ -185,9 +184,9 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         for (model_id, family, hp, model), P in zip(trained, posteriors):
             val_acc = float((np.argmax(P, axis=1) == Lva.y).mean())
             try:
-                cap = fit_cap(model, Lva, quantifier_kind=quantifier_kind,
+                cap = fit_cap(P, Lva, quantifier_kind=quantifier_kind,
                               bandwidth=bandwidth, weight=cap_weight,
-                              smoothing=smoothing, posteriors=P)
+                              smoothing=smoothing)
             except ValueError as exc:   # DataError and LinAlgError among them
                 warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
                 continue
@@ -299,8 +298,6 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
             "rate_matrix": encode_array(e.cap.rates.m),
             "quantifier_kind": e.cap.quantifier.kind,
             "weight": e.cap.weight,
-            "solver_tol": e.cap.solver_tol,
-            "solver_max_iter": e.cap.solver_max_iter,
         }
         densities = getattr(e.cap.quantifier, "densities", None)
         if densities is not None:
@@ -314,12 +311,13 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
 
 
 def load_registry(out_dir) -> ModelRegistry:
-    """Read a registry that :func:`save_registry` wrote. A registry in an
-    older layout, or one with missing keys, raises a ValueError that says to
-    retrain it."""
+    """Read a registry that :func:`save_registry` wrote. A manifest in an
+    older layout, with missing or mistyped keys, or that is not JSON, raises
+    a ValueError that says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        text = fh.read()
     try:
+        manifest = json.loads(text)   # a JSONDecodeError is a ValueError
         entries = []
         for rec in manifest["entries"]:
             model, cap = model_from_record(rec["model"]), rec["cap"]
@@ -332,13 +330,12 @@ def load_registry(out_dir) -> ModelRegistry:
                 quantifier = make_quantifier()
             predictor = CapPredictor(
                 RateMatrix(decode_array(cap["rate_matrix"])), quantifier,
-                weight=cap["weight"], solver_tol=cap["solver_tol"],
-                solver_max_iter=cap["solver_max_iter"])
+                weight=cap["weight"])
             entries.append(RegistryEntry(
                 rec["model_id"], model.family, model.hyperparams, model,
                 rec["val_accuracy"], predictor))
         return ModelRegistry(entries, manifest["warnings"], manifest["meta"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{out_dir} does not hold a registry in the current format "
             f"({type(exc).__name__}: {exc}); retrain it with `shiftselect "

@@ -101,6 +101,9 @@ class _FixedBag:
         self.realized_prevalence = np.asarray(realized, dtype=float)
 
 
+TIGHT = {"tol": 1e-13, "max_iter": 100_000}
+
+
 def test_criterion_03_leap_oracle_exactness():
     start = time.time()
     # n=2: exact-count bag realizing tnr=0.8, tpr=0.9 at q = P(Y=1) = 0.3
@@ -110,10 +113,12 @@ def test_criterion_03_leap_oracle_exactness():
     pred1 = [[0.0, 1.0]]
     features = pred0 * 56 + pred1 * 14 + pred1 * 27 + pred0 * 3
     bag = _FixedBag(features, [0.7, 0.3])
-    psi = CapPredictor(RateMatrix(M), _OracleQuantifier(bag),
-                       solver_tol=1e-13, solver_max_iter=100_000)
+    stack = stack_caps([CapPredictor(RateMatrix(M), _OracleQuantifier(bag))])
     posteriors = _PassThrough(2).predict_posteriors(bag.features)
-    estimate = predict_batch(stack_caps([psi]), posteriors[None]).accuracy[0]
+    # predict_batch's label shares and oracle prevalence, solved to 1e-13
+    batch = predict_batch(stack, posteriors[None])
+    theta, _, _ = leap_solve_batch(stack, batch.rho, batch.qhat, **TIGHT)
+    estimate = float((stack.diagonal * theta).sum())
     closed_form = tpr * q + tnr * (1 - q)
     err2 = abs(estimate - closed_form)
 
@@ -123,10 +128,9 @@ def test_criterion_03_leap_oracle_exactness():
     for _ in range(20):
         M4 = rng.dirichlet(np.ones(4), size=4).T
         theta = rng.dirichlet(np.ones(4))
-        leap = stack_caps([CapPredictor(RateMatrix(M4), CCQuantifier(),
-                                        solver_tol=1e-13,
-                                        solver_max_iter=100_000)])
-        solved, _, _ = leap_solve_batch(leap, (M4 @ theta)[None], theta[None])
+        leap = stack_caps([CapPredictor(RateMatrix(M4), CCQuantifier())])
+        solved, _, _ = leap_solve_batch(leap, (M4 @ theta)[None], theta[None],
+                                        **TIGHT)
         err4 = max(err4, abs(float(np.trace(M4 * solved[0][None, :]))
                              - float(np.trace(M4 * theta[None, :]))))
     elapsed = time.time() - start
@@ -168,7 +172,8 @@ def test_criterion_05_kdey_recovery():
     ds = synth_gaussian_pps(2, 2, [0.5, 0.5], 3000, 4.0, seed=77)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
     model = train("LR", default_model("LR"), train_set, seed=0)
-    quantifier = fit_kdey(model, rest, bandwidth=0.1)
+    quantifier = fit_kdey(model.predict_posteriors(rest.X), rest,
+                          bandwidth=0.1)
     rng = np.random.default_rng(5)
     worst_mean_err = 0.0
     monotone = True

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.cap import (SOLVER_MAX_ITER, SOLVER_TOL, CapPredictor,
-                             RateMatrix, estimate_rate_matrix, fit_cap,
-                             leap_solve_batch, predict_batch,
+from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
+                             fit_cap, leap_solve_batch, predict_batch,
                              pps_accuracy_identity, stack_caps)
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
-from shiftselect.quantifiers import CCQuantifier, ClassDensities, KDEyMLQuantifier
+from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
+                                     KDEyMLQuantifier, fit_kdey)
 
 
 class PassThroughModel:
@@ -39,23 +39,21 @@ class OracleQuantifier:
                 np.ones(len(rows), dtype=bool))
 
 
-def leap_stack(rates, weight=1.0, tol=SOLVER_TOL, max_iter=SOLVER_MAX_ITER):
+def leap_stack(rates, weight=1.0):
     """LEAP problems with these rate matrices, stacked by stack_caps;
-    `weight`, `tol` and `max_iter` are scalars or one value per problem."""
-    k = len(rates)
+    `weight` is a scalar or one value per problem."""
     return stack_caps([
-        CapPredictor(r, CCQuantifier(), weight=float(w), solver_tol=float(t),
-                     solver_max_iter=int(i))
-        for r, w, t, i in zip(rates, *(np.broadcast_to(v, (k,))
-                                       for v in (weight, tol, max_iter)))])
+        CapPredictor(r, CCQuantifier(), weight=float(w))
+        for r, w in zip(rates, np.broadcast_to(weight, (len(rates),)))])
 
 
-def solve_one(rates, rho, qhat, **kwargs):
+def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
     """One LEAP problem through the batched core: (theta, table, iterations,
-    converged), with the table c[i][j] = m[i][j] * theta_j."""
+    converged), with the table c[i][j] = m[i][j] * theta_j; `kwargs` are the
+    solver's `tol` and `max_iter`."""
     theta, iterations, converged = leap_solve_batch(
-        leap_stack([rates], **kwargs), np.asarray(rho, dtype=float)[None],
-        np.asarray(qhat, dtype=float)[None])
+        leap_stack([rates], weight), np.asarray(rho, dtype=float)[None],
+        np.asarray(qhat, dtype=float)[None], **kwargs)
     return (theta[0], rates.m * theta[0][None, :], int(iterations[0]),
             bool(converged[0]))
 
@@ -81,7 +79,7 @@ def test_rate_matrix_perfect_classifier_is_identity():
     rows = [[0.9, 0.1]] * 5 + [[0.2, 0.8]] * 7
     labels = [0] * 5 + [1] * 7
     ds = posterior_dataset(rows, labels)
-    m = estimate_rate_matrix(PassThroughModel(2), ds.all_instances())
+    m = estimate_rate_matrix(ds.features, ds.all_instances())
     assert np.array_equal(m.m, np.eye(2))
 
 
@@ -90,7 +88,7 @@ def test_rate_matrix_counts_tpr():
     rows = [[0.1, 0.9]] * 9 + [[0.9, 0.1]] * 1 + [[0.8, 0.2]] * 5
     labels = [1] * 10 + [0] * 5
     ds = posterior_dataset(rows, labels)
-    m = estimate_rate_matrix(PassThroughModel(2), ds.all_instances())
+    m = estimate_rate_matrix(ds.features, ds.all_instances())
     assert m.m[1, 1] == pytest.approx(0.9)
     assert m.m[0, 1] == pytest.approx(0.1)
     assert m.m[0, 0] == pytest.approx(1.0)
@@ -104,7 +102,7 @@ def test_rate_matrix_columns_sum_to_one_random_fixtures():
         labels = np.concatenate([np.arange(n), rng.integers(0, n, size - n)])
         rows = rng.dirichlet(np.ones(n), size=size)
         ds = posterior_dataset(rows, labels)
-        m = estimate_rate_matrix(PassThroughModel(n), ds.all_instances())
+        m = estimate_rate_matrix(ds.features, ds.all_instances())
         assert np.allclose(m.m.sum(axis=0), 1.0, atol=1e-12)
         assert (m.m >= 0).all()
 
@@ -114,7 +112,7 @@ def test_rate_matrix_missing_class_rejected():
     ds = Dataset(np.asarray(rows), np.zeros(5, dtype=int), n_classes=2,
                  require_all_classes=False)
     with pytest.raises(DataError):
-        estimate_rate_matrix(PassThroughModel(2), ds.all_instances())
+        estimate_rate_matrix(ds.features, ds.all_instances())
 
 
 def test_rate_matrix_auto_smooths_never_predicted_class():
@@ -123,7 +121,7 @@ def test_rate_matrix_auto_smooths_never_predicted_class():
     rows = [[0.9, 0.1]] * 4 + [[0.8, 0.2]] * 4
     labels = [0] * 4 + [1] * 4
     ds = posterior_dataset(rows, labels)
-    m = estimate_rate_matrix(PassThroughModel(2), ds.all_instances())
+    m = estimate_rate_matrix(ds.features, ds.all_instances())
     assert (m.m > 0).all()
     assert np.allclose(m.m.sum(axis=0), 1.0)
 
@@ -143,11 +141,14 @@ def test_fit_cap_with_precomputed_posteriors_matches_features():
     ds = synth_gaussian_pps(3, 2, [0.5, 0.3, 0.2], 300, 2.0, seed=4)
     proper, validation = stratified_split(ds.all_instances(), 0.5, seed=0)
     model = train("KNN", default_model("KNN"), proper, seed=0)
-    fresh = fit_cap(model, validation)
-    shared = fit_cap(model, validation,
-                    posteriors=model.predict_posteriors(validation.X))
-    assert np.array_equal(fresh.rates.m, shared.rates.m)
-    for a, b in zip(fresh.quantifier.densities.support,
+    # both fits of fit_cap share the posteriors it is given, and equal the
+    # rate and KDE fits on the posteriors computed from the features
+    P = model.predict_posteriors(validation.X)
+    shared = fit_cap(P, validation)
+    fresh_rates = estimate_rate_matrix(P, validation)
+    fresh_quantifier = fit_kdey(P, validation)
+    assert np.array_equal(fresh_rates.m, shared.rates.m)
+    for a, b in zip(fresh_quantifier.densities.support,
                     shared.quantifier.densities.support, strict=True):
         assert np.array_equal(a, b)
 
@@ -236,7 +237,7 @@ def test_leap_nonconvergence_returns_best_iterate_with_flag():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
        n=st.integers(2, 5), tol=st.sampled_from([1e-8, 1e-11]),
-       max_iter=st.sampled_from([0, 1, 3, 40, 10_000, None]))
+       max_iter=st.sampled_from([0, 1, 3, 40, 10_000]))
 def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
     rng = np.random.default_rng(seed)
     rates = [RateMatrix(rng.dirichlet(np.ones(n), size=n).T) for _ in range(k)]
@@ -246,20 +247,22 @@ def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
     rates[0] = RateMatrix(np.eye(n))
     rho[0] = qhat[0]
     weight = rng.uniform(0.05, 5.0, size=k)
-    # None: a different iteration cap per problem, some of them binding
-    caps = rng.choice([1, 2, 7, 10_000], size=k) if max_iter is None \
-        else np.full(k, max_iter)
     theta, iterations, converged = leap_solve_batch(
-        leap_stack(rates, weight=weight, tol=tol, max_iter=caps), rho, qhat)
+        leap_stack(rates, weight=weight), rho, qhat, tol=tol,
+        max_iter=max_iter)
     for i in range(k):
         theta_i, _, iterations_i, converged_i = solve_one(
             rates[i], rho[i], qhat[i], weight=weight[i], tol=tol,
-            max_iter=int(caps[i]))
+            max_iter=max_iter)
         assert np.abs(theta[i] - theta_i).max() <= 1e-12
         assert iterations[i] == iterations_i
         assert converged[i] == converged_i
-    if caps[0] > 0:
+    if max_iter > 0:
         assert converged[0] and iterations[0] == 1
+    else:
+        # no iteration: every problem returns qhat, not converged
+        assert np.array_equal(theta, qhat)
+        assert (iterations == 0).all() and not converged.any()
 
 
 def brute_force_leap(M, rho, qhat, weight):
@@ -319,13 +322,14 @@ def test_leap_matches_brute_force_on_every_support(seed, k, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
        m=st.integers(1, 30), n=st.integers(2, 4),
-       bandwidth=st.sampled_from([0.01, 0.1, 0.5]))
-def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
+       bandwidth=st.sampled_from([0.01, 0.1, 0.5]),
+       kind=st.sampled_from(["CC", "KDEyML"]))
+def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
+                                                kind):
     rng = np.random.default_rng(seed)
     caps = []
-    # CC and KDEy-ML predictors in shuffled order, each with its own solver
-    # settings
-    for kind in rng.permutation(["CC", "KDEyML"] * k)[:k]:
+    # predictors of one quantifier kind, each with its own solver weight
+    for _ in range(k):
         if kind == "CC":
             quantifier = CCQuantifier()
         else:
@@ -334,9 +338,7 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
             quantifier = KDEyMLQuantifier(ClassDensities(support, bandwidth, n))
         caps.append(CapPredictor(
             RateMatrix(rng.dirichlet(np.ones(n), size=n).T), quantifier,
-            weight=rng.uniform(0.05, 5.0),
-            solver_tol=rng.choice([1e-8, 1e-11]),
-            solver_max_iter=int(rng.choice([1, 3, 10_000]))))
+            weight=rng.uniform(0.05, 5.0)))
     posteriors = rng.dirichlet(np.ones(n), size=(k, m))
     batch = predict_batch(stack_caps(caps), posteriors)
     for i, psi in enumerate(caps):
@@ -345,6 +347,16 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth):
                      "converged", "em_iterations", "em_converged"):
             assert np.array_equal(getattr(batch, name)[i],
                                   getattr(one, name)[0]), name
+
+
+def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
+    density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1, 2)
+    mixed = [CapPredictor(RateMatrix(np.eye(2)), CCQuantifier()),
+             CapPredictor(RateMatrix(np.eye(2)), KDEyMLQuantifier(density))]
+    with pytest.raises(ValueError, match="share one type"):
+        stack_caps(mixed)
+    with pytest.raises(ValueError, match="share one type"):
+        stack_caps([])
 
 
 def test_predict_batch_rejects_an_empty_bag():
@@ -385,7 +397,7 @@ def test_cap_perfect_classifier_with_oracle_quantifier_gives_one():
     labels = [0] * 6 + [1] * 6
     ds = posterior_dataset(rows, labels)
     model = PassThroughModel(2)
-    rates = estimate_rate_matrix(model, ds.all_instances())
+    rates = estimate_rate_matrix(ds.features, ds.all_instances())
     bag = draw_bag(ds.all_instances(), [0.5, 0.5], 40, np.random.default_rng(0))
     psi = CapPredictor(rates, OracleQuantifier(bag))
     assert predict_one(psi, model, bag).accuracy[0] == pytest.approx(1.0, abs=1e-9)
@@ -403,7 +415,8 @@ def overlapping_pipeline():
 
 def test_cap_monte_carlo_error_bound(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
-    rates = estimate_rate_matrix(model, validation)
+    rates = estimate_rate_matrix(model.predict_posteriors(validation.X),
+                                 validation)
     rng = np.random.default_rng(7)
     s = 100
     bound = 3.0 / np.sqrt(s)
@@ -422,7 +435,7 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
 
 def test_cap_zero_shift_matches_validation_accuracy(overlapping_pipeline):
     model, train_set, validation, test = overlapping_pipeline
-    psi = fit_cap(model, validation)
+    psi = fit_cap(model.predict_posteriors(validation.X), validation)
     val_acc = (model.predict_labels(validation.X) == validation.y).mean()
     rng = np.random.default_rng(8)
     bag = draw_bag(test, train_set.prevalence(), 500, rng)
@@ -431,7 +444,7 @@ def test_cap_zero_shift_matches_validation_accuracy(overlapping_pipeline):
 
 def test_cap_detailed_reports_solver_state(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
-    psi = fit_cap(model, validation)
+    psi = fit_cap(model.predict_posteriors(validation.X), validation)
     bag = draw_bag(test, [0.3, 0.7], 100, np.random.default_rng(9))
     pred = predict_one(psi, model, bag)
     assert 0.0 <= pred.accuracy[0] <= 1.0
@@ -443,12 +456,14 @@ def test_cap_detailed_reports_solver_state(overlapping_pipeline):
 def test_fit_cap_rejects_unknown_quantifier(overlapping_pipeline):
     model, _, validation, _ = overlapping_pipeline
     with pytest.raises(ValueError):
-        fit_cap(model, validation, quantifier_kind="EMQ")
+        fit_cap(model.predict_posteriors(validation.X), validation,
+                quantifier_kind="EMQ")
 
 
 def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
-    psi = fit_cap(model, validation, quantifier_kind="CC")
+    psi = fit_cap(model.predict_posteriors(validation.X), validation,
+                  quantifier_kind="CC")
     bag = draw_bag(test, [0.4, 0.6], 200, np.random.default_rng(10))
     estimate = predict_one(psi, model, bag).accuracy[0]
     assert 0.0 <= estimate <= 1.0

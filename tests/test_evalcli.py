@@ -17,6 +17,7 @@ from shiftselect.protocol import bin_by_shift
 
 SMALL_DATASET = {"kind": "synthetic", "n_classes": 2, "dims": 2, "n": 400,
                  "class_separation": 2.5, "prevalence": [0.6, 0.4]}
+CSV_SPEC = {"kind": "csv", "path": "data.csv", "label_column": "y"}
 
 
 def small_config(outdir, **overrides):
@@ -113,6 +114,42 @@ def test_config_rejects_mistyped_dataset_fields(name, value, tmp_path,
     for command in ("train", "run"):
         code = main([command, "--config", str(path), "--outdir", str(tmp_path)])
         assert code == 1
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({"kind": "synthetic", "n_clases": 5},
+     r"unknown keys for a synthetic dataset: \['n_clases'\]"),
+    ({**CSV_SPEC, "hedaer": False},
+     r"unknown keys for a csv dataset: \['hedaer'\]"),
+    ({**CSV_SPEC, "prevalence": [0.5, 0.5]},
+     r"unknown keys for a csv dataset: \['prevalence'\]"),
+    ({"kind": "synthetic", "prevalence": [0.5, 0.5]},
+     "dataset.prevalence: prevalence has 2 entries, expected 3"),
+    ({"kind": "synthetic", "n_classes": 2, "prevalence": [0.5, 0.6]},
+     "dataset.prevalence: prevalence sums to"),
+    ({"kind": "synthetic", "prevalence": ["a", "b", "c"]},
+     "dataset.prevalence: could not convert"),
+], ids=["misspelt synthetic key", "misspelt csv key", "csv prevalence",
+        "prevalence length", "prevalence sum", "prevalence entries"])
+def test_config_rejects_unknown_dataset_keys_and_a_misfit_prevalence(
+        dataset, message, tmp_path, monkeypatch):
+    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"dataset": dataset})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": dataset}), encoding="utf-8")
+    for command in ("train", "run"):
+        code = main([command, "--config", str(path), "--outdir",
+                     str(tmp_path / command)])
+        assert code == 1
+        assert not (tmp_path / command).exists()
+
+
+def test_config_accepts_a_name_and_a_fitting_prevalence():
+    config = config_from_dict({"dataset": {
+        "kind": "synthetic", "name": "toy", "prevalence": [0.2, 0.3, 0.5]}})
+    assert config.dataset["name"] == "toy"
+    config_from_dict({"dataset": {**CSV_SPEC, "name": "toy", "header": True}})
 
 
 def test_config_accepts_a_csv_label_column_index():
@@ -389,17 +426,16 @@ def test_run_flushes_partial_rows_on_failure(tmp_path, monkeypatch):
     assert 0 < len(rows) < config.r * len(config.strategies)
 
 
-def test_run_reports_solver_nonconvergence_once_per_model(tmp_path):
-    from dataclasses import replace
-    from shiftselect.selection import ModelRegistry
+def test_run_reports_solver_nonconvergence_once_per_model(tmp_path,
+                                                          strangle):
+    from shiftselect import cap
     config = small_config(tmp_path)
     _, proper, validation, _, manifest = evalcli._prepare(config)
     registry = evalcli._train_registry(config, proper, validation, manifest)
-    strangled = ModelRegistry(
-        [replace(e, cap=replace(e.cap, solver_max_iter=1))
-         if e.model_id in (2, 5) else e for e in registry.entries],
-        registry.warnings, registry.meta)
-    table = run_experiment(config, registry=strangled)
+    # TMS-All solves one batch over every entry: stop models 2 and 5 early
+    strangle(cap, "leap_solve_batch", [i for i, e in enumerate(
+        registry.entries) if e.model_id in (2, 5)], max_iter=1)
+    table = run_experiment(config, registry=registry)
     assert table.meta["warnings"] == [
         f"model {mid}: accuracy solver did not converge on 10 of 10 bags"
         for mid in (2, 5)]
@@ -424,25 +460,16 @@ def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
         config.r * len(config.strategies)
 
 
-def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path):
-    from dataclasses import replace
-    from shiftselect.quantifiers import KDEyMLQuantifier, em_weights_batch
-    from shiftselect.selection import ModelRegistry
-
-    class TwoStepKDEy(KDEyMLQuantifier):
-        @staticmethod
-        def reduce(rows):
-            return em_weights_batch(rows, max_iter=2)[:3]
-
+def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
+                                                           strangle):
+    from shiftselect import quantifiers
     config = small_config(tmp_path)
     _, proper, validation, _, manifest = evalcli._prepare(config)
     registry = evalcli._train_registry(config, proper, validation, manifest)
-    strangled = ModelRegistry(
-        [replace(e, cap=replace(e.cap, quantifier=TwoStepKDEy(
-            e.cap.quantifier.densities)))
-         if e.model_id in (1, 4) else e for e in registry.entries],
-        registry.warnings, registry.meta)
-    table = run_experiment(config, registry=strangled)
+    # TMS-All reduces one stack over every entry: stop models 1 and 4 early
+    strangle(quantifiers, "em_weights_batch", [i for i, e in enumerate(
+        registry.entries) if e.model_id in (1, 4)], max_iter=2)
+    table = run_experiment(config, registry=registry)
     assert table.meta["warnings"] == [
         f"model {mid}: mixture solver did not converge on 10 of 10 bags"
         for mid in (1, 4)]
@@ -598,6 +625,17 @@ def test_cli_report_rejects_alpha_outside_the_unit_interval(alpha, tmp_path,
     assert not (tmp_path / "re").exists()
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_cli_report_rejects_fewer_than_one_bin_before_writing(bins, tmp_path,
+                                                              capsys):
+    results = tmp_path / "results.csv"
+    emit_report(ResultTable.from_rows([]), tmp_path)
+    assert main(["report", "--results", str(results), "--outdir",
+                 str(tmp_path / "re"), f"--bins={bins}"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "re").exists()
+
+
 def test_cli_train_persists_registry(tmp_path):
     config_path = write_config(tmp_path)
     assert main(["train", "--config", str(config_path)]) == 0
@@ -678,7 +716,14 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("raw", [{"dataset": {"kind": "csv"}},
                                  {"smoothing": -0.5}, {"alpha": 2.0},
                                  {"dataset": {"kind": "synthetic",
-                                              "n_classes": 1}}])
+                                              "n_classes": 1}},
+                                 {"dataset": {"kind": "synthetic",
+                                              "n_clases": 5}},
+                                 {"dataset": {**CSV_SPEC, "hedaer": False}},
+                                 {"dataset": {**CSV_SPEC,
+                                              "prevalence": [0.5, 0.5]}},
+                                 {"dataset": {"kind": "synthetic",
+                                              "prevalence": [0.5, 0.5]}}])
 def test_cli_config_error_before_any_stage(raw, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")

@@ -11,8 +11,7 @@ from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synt
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
                                      _line_search, em_weights_batch,
-                                     estimate_batch, fit_kdey,
-                                     quantifier_groups)
+                                     estimate_batch, fit_kdey)
 
 
 class FakeBag:
@@ -48,8 +47,7 @@ def estimate_one(quantifier, model, bag, rows=None):
     """One quantifier's prevalence estimate on one bag through the batched
     API."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    qhat, _, _ = estimate_batch(quantifier_groups([quantifier]), posteriors,
-                                rows)
+    qhat, _, _ = estimate_batch((quantifier,), posteriors, rows)
     return qhat[0]
 
 
@@ -59,7 +57,7 @@ def fitted_pipeline():
     ds = synth_gaussian_pps(2, 2, [0.5, 0.5], 1200, 4.0, seed=21)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
     model = train("LR", default_model("LR"), train_set, seed=0)
-    quantifier = fit_kdey(model, rest, bandwidth=0.1)
+    quantifier = fit_kdey(model.predict_posteriors(rest.X), rest, bandwidth=0.1)
     return model, quantifier, rest
 
 
@@ -155,15 +153,15 @@ def test_kde_rows_are_bit_identical_in_large_evaluations():
 
 def test_fit_kdey_requires_every_class(fitted_pipeline):
     model, _, rest = fitted_pipeline
-    only_zero = rest.indices[rest.y == 0]
+    only_zero = LabelledSet(rest.dataset, rest.indices[rest.y == 0])
     with pytest.raises(DataError):
-        fit_kdey(model, LabelledSet(rest.dataset, only_zero))
+        fit_kdey(model.predict_posteriors(only_zero.X), only_zero)
 
 
 def test_fit_kdey_rejects_bad_bandwidth(fitted_pipeline):
     model, _, rest = fitted_pipeline
     with pytest.raises(ValueError):
-        fit_kdey(model, rest, bandwidth=0.0)
+        fit_kdey(model.predict_posteriors(rest.X), rest, bandwidth=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +455,7 @@ def test_kdey_absent_class_gets_exactly_zero_weight():
     ds = synth_gaussian_pps(3, 2, [1 / 3] * 3, 1200, 4.0, seed=21)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
     model = train("LR", default_model("LR"), train_set, seed=0)
-    quantifier = fit_kdey(model, rest, bandwidth=0.1)
+    quantifier = fit_kdey(model.predict_posteriors(rest.X), rest, bandwidth=0.1)
     rng = np.random.default_rng(3)
     for prevalence, absent in (([0.5, 0.5, 0.0], [2]),
                                ([0.0, 0.2, 0.8], [0]),
@@ -488,12 +486,12 @@ def test_small_bandwidth_estimate_tends_to_nearest_support_share():
     share = np.bincount(nearest, minlength=4) / len(nearest)
     estimates = {}
     for bandwidth in (0.1, 0.01, 1e-3, 1e-4):
-        quantifier = fit_kdey(model, validation, bandwidth=bandwidth)
+        quantifier = fit_kdey(V, validation, bandwidth=bandwidth)
         estimates[bandwidth] = estimate_one(quantifier, model, bag)
     assert np.abs(estimates[0.01] - share).max() <= 0.02
     for bandwidth in (1e-3, 1e-4):
         assert np.abs(estimates[bandwidth] - share).max() <= 1e-3
-    assert np.exp(fit_kdey(model, validation, bandwidth=1e-4).rows(P)).max() \
+    assert np.exp(fit_kdey(V, validation, bandwidth=1e-4).rows(P)).max() \
         == 0.0
 
 
@@ -564,14 +562,16 @@ def test_cc_rejects_empty_bag():
 
 
 def test_quantifier_estimate_dispatch(fitted_pipeline):
-    model, quantifier, rest = fitted_pipeline
+    model, kdey, rest = fitted_pipeline
     rng = np.random.default_rng(17)
     bag = draw_bag(rest, [0.6, 0.4], 80, rng)
-    # a mixed list: each quantifier is reduced by its own type
     posteriors = np.stack([model.predict_posteriors(bag.features)] * 2)
-    qhat, iterations, converged = estimate_batch(
-        quantifier_groups([quantifier, CCQuantifier()]), posteriors)
-    assert np.array_equal(qhat[0], estimate_one(quantifier, model, bag))
-    assert np.array_equal(qhat[1], estimate_one(CCQuantifier(), model, bag))
-    assert iterations[0] > 0 and iterations[1] == 0
-    assert converged.all()
+    # a stack of one type is reduced by that type: the mixture solver for
+    # KDEy-ML, label counts for CC
+    for quantifier, solves in ((kdey, True), (CCQuantifier(), False)):
+        qhat, iterations, converged = estimate_batch((quantifier,) * 2,
+                                                     posteriors)
+        for row in qhat:
+            assert np.array_equal(row, estimate_one(quantifier, model, bag))
+        assert ((iterations > 0) if solves else (iterations == 0)).all()
+        assert converged.all()

@@ -1,6 +1,7 @@
 import json
 import os
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -114,7 +115,9 @@ def test_registry_round_trip(registry, splits, tmp_path):
                       rows_for(bag)).accuracy)
 
 
-@pytest.mark.parametrize("damage", ["old layout", "missing key"])
+@pytest.mark.parametrize("damage", ["old layout", "missing key", "truncated",
+                                    "entries an object",
+                                    "an entry not an object"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -129,12 +132,38 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
             for name, part in (("model", model), ("cap", rec.pop("cap"))):
                 (regdir / f"{name}_{rec['model_id']:04d}.json").write_text(
                     json.dumps(part))
-    else:
+    elif damage == "missing key":
         del manifest["warnings"]
-    (regdir / "manifest.json").write_text(json.dumps(manifest))
+    elif damage == "entries an object":
+        manifest["entries"] = {str(rec["model_id"]): rec
+                               for rec in manifest["entries"]}
+    elif damage == "an entry not an object":
+        manifest["entries"][1] = [manifest["entries"][1]]
+    text = json.dumps(manifest)
+    if damage == "truncated":
+        text = text[:len(text) // 2]
+    (regdir / "manifest.json").write_text(text)
     with pytest.raises(ValueError, match="retrain") as err:
         load_registry(regdir)
     assert str(regdir) in str(err.value)
+
+
+def test_load_registry_ignores_per_entry_solver_settings(registry, tmp_path):
+    # manifests once held each predictor's solver tolerance and iteration
+    # cap; the solver now always uses SOLVER_TOL and SOLVER_MAX_ITER
+    regdir = tmp_path / "reg"
+    save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
+                  regdir)
+    manifest = json.loads((regdir / "manifest.json").read_text())
+    assert not {"solver_tol", "solver_max_iter"} & set(
+        manifest["entries"][0]["cap"])
+    for rec in manifest["entries"]:
+        rec["cap"].update(solver_tol=1e-8, solver_max_iter=10_000)
+    (regdir / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_registry(regdir)
+    for orig, redo in zip(registry.entries[:2], loaded.entries, strict=True):
+        assert redo.cap.weight == orig.cap.weight
+        assert np.array_equal(redo.cap.rates.m, orig.cap.rates.m)
 
 
 def test_registry_round_trip_counting_quantifier(splits, tmp_path):
@@ -180,11 +209,11 @@ def test_registry_skips_failed_accuracy_predictors(splits, monkeypatch, error):
     real_fit_cap = selection.fit_cap
     calls = []
 
-    def flaky_fit_cap(model, *args, **kwargs):
-        calls.append(model)
+    def flaky_fit_cap(posteriors, *args, **kwargs):
+        calls.append(posteriors)
         if len(calls) == 4:         # the fourth grid point, model id 3
             raise error
-        return real_fit_cap(model, *args, **kwargs)
+        return real_fit_cap(posteriors, *args, **kwargs)
 
     monkeypatch.setattr(selection, "fit_cap", flaky_fit_cap)
     reg = build_registry(("KNN",), proper, validation, seed=0)
@@ -292,15 +321,12 @@ def test_tms_family_scope_restricts_candidates(registry, splits):
     assert registry.entry(outcome.model_id).family == "KNN"
 
 
-def test_tms_propagates_solver_warnings(registry, splits):
-    from dataclasses import replace
+def test_tms_propagates_solver_warnings(registry, splits, strangle):
+    from shiftselect import cap
     _, _, test = splits
     bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(11))
-    entry = registry.entries[0]
-    strangled = replace(entry.cap, solver_max_iter=1)
-    solo = ModelRegistry([RegistryEntry(entry.model_id, entry.family,
-                                        entry.hyperparams, entry.model,
-                                        entry.val_accuracy, strangled)])
+    solo = ModelRegistry([registry.entries[0]])
+    strangle(cap, "leap_solve_batch", [0], max_iter=1)
     outcome = tms_select(solo, "All", bag)
     assert outcome.warnings
     assert "did not converge" in outcome.warnings[0]
@@ -375,34 +401,32 @@ def test_warm_scope_stacks_equal_a_fresh_registry_and_one_model_calls(
             assert got.model_id == stack.entries[best].model_id
 
 
-def test_a_changed_entries_list_never_reuses_an_old_stack(registry, splits):
+def test_registry_entries_cannot_change_so_a_stack_is_kept(registry, splits):
     _, _, test = splits
     bag = draw_bag(test, [0.3, 0.7], 50, np.random.default_rng(41))
     entries = list(registry.entries)
-    changing = ModelRegistry(list(entries))
+    kept = ModelRegistry(list(entries))      # a list is taken as a tuple
 
     def check():
-        # each outcome equals a fresh registry's over the current entries
-        got = tms_select(changing, "All", bag)
-        fresh = tms_select(ModelRegistry(list(changing.entries)), "All", bag)
+        # each outcome equals a fresh registry's over the same entries
+        got = tms_select(kept, "All", bag)
+        fresh = tms_select(ModelRegistry(list(kept.entries)), "All", bag)
         assert (got.model_id, got.estimated_accuracy) == \
             (fresh.model_id, fresh.estimated_accuracy)
-        stack = changing.scope_stack("All")
-        assert list(stack.entries) == changing.entries
+        stack = kept.scope_stack("All")
+        assert stack.entries == kept.entries
         return stack
 
     first = check()
     assert check() is first
-    changing.entries.pop()                                   # shortened
-    shortened = check()
-    assert shortened is not first and len(shortened.entries) == len(entries) - 1
-    changing.entries[0] = entries[-1]                        # one replaced
-    assert check() is not shortened
-    changing.entries = entries[:3]                           # list replaced
-    assert len(check().entries) == 3
-    changing.entries = list(reversed(entries[:3]))           # same, reordered
-    assert [e.model_id for e in check().entries] == \
-        [e.model_id for e in reversed(entries[:3])]
+    assert kept.entries == tuple(entries)
+    with pytest.raises(AttributeError):
+        kept.entries.pop()                                   # shortened
+    with pytest.raises(TypeError):
+        kept.entries[0] = entries[-1]                        # one replaced
+    with pytest.raises(FrozenInstanceError):
+        kept.entries = entries[:3]                           # list replaced
+    assert check() is first and kept.entries == tuple(entries)
 
 
 def test_predictions_from_features_equal_sliced_test_set_caches(registry,
