@@ -14,12 +14,12 @@ any accuracy measure; vanilla accuracy is its trace.
 a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
 quantifiers share one type into a :class:`CapStack` once, and
 :func:`predict_batch` then predicts the accuracy of all k on one bag in one
-pass: label counts and quantifier estimates for all k, then one batched LEAP
-solve (:func:`leap_solve_batch`, the active-set Newton steps of the KDEy-ML
-mixture solver over a (k, n) stack of thetas, each leaving the batch once it
-converges). Every problem has the same tolerance and iteration cap,
-SOLVER_TOL and SOLVER_MAX_ITER. One predictor or one problem is the k=1 case
-of the same calls.
+pass: label counts, one ``reduce`` of the quantifiers' stacked rows, then one
+batched LEAP solve (:func:`leap_solve_batch`, the active-set Newton steps of
+the KDEy-ML mixture solver over a (k, n) stack of thetas, each leaving the
+batch once it converges). Every problem has the same tolerance and iteration
+cap, SOLVER_TOL and SOLVER_MAX_ITER. One predictor or one problem is the k=1
+case of the same calls.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import DataError, LabelledSet, as_prevalence
-from .quantifiers import (_newton_direction, _simplex_step, estimate_batch,
-                          fit_quantifier, label_shares)
+from .quantifiers import (_newton_direction, _simplex_step, fit_quantifier,
+                          label_shares)
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
@@ -133,7 +133,7 @@ class CapPredictor:
     """Per-model accuracy estimator: rate matrix plus quantifier, both fitted
     on the same validation data as the model's accuracy reference. The
     quantifier is any object with `rows(posteriors)` and a `reduce(rows)` over
-    a stack of them (see :func:`quantifiers.estimate_batch`)."""
+    a stack of them (see :func:`predict_batch`)."""
 
     rates: RateMatrix
     quantifier: object
@@ -212,15 +212,19 @@ def predict_batch(stack: CapStack, posteriors: np.ndarray,
     (unlabelled) bag.
 
     `posteriors` stacks each model's posterior rows for the bag, shape
-    (k, m, n); `rows` optionally stacks each quantifier's rows for them (see
-    :func:`quantifiers.estimate_batch`, which rejects an empty bag).
+    (k, m, n), and m = 0 raises DataError; `rows` optionally stacks each
+    quantifier's ``q.rows(...)`` for them, which are computed here without it.
     """
     if len(posteriors) != len(stack):
         raise ValueError(f"posteriors for {len(posteriors)} models, "
                          f"{len(stack)} predictors")
+    if posteriors.shape[1] == 0:
+        raise DataError("empty bag")
+    if rows is None:
+        rows = np.stack([q.rows(P)
+                         for q, P in zip(stack.quantifiers, posteriors)])
     n = stack.M.shape[1]
-    qhat, em_iterations, em_converged = estimate_batch(
-        stack.quantifiers, posteriors, rows)
+    qhat, em_iterations, em_converged = type(stack.quantifiers[0]).reduce(rows)
     qhat = as_prevalence(qhat, n, stacked=True)
     rho = label_shares(np.argmax(posteriors, axis=2), n)
     theta, iterations, converged = leap_solve_batch(stack, rho, qhat)

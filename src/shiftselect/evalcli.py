@@ -163,6 +163,8 @@ class RunConfig:
         if self.smoothing < 0:
             raise ConfigError("smoothing must be nonnegative")
         check_alpha(self.alpha)
+        if not self.families:
+            raise ConfigError("families must name at least one family")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
@@ -235,6 +237,8 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {raw!r}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:

@@ -17,8 +17,6 @@ import numpy as np
 from .dataspace import (DataError, LabelledSet, as_prevalence,
                         largest_remainder_counts)
 
-DEFAULT_BAGS = 1000
-DEFAULT_BAG_SIZE = 100
 DEFAULT_SHIFT_BINS = 10
 
 

@@ -18,9 +18,9 @@ Rows depend on the instances only, so a caller that labels many bags drawn
 from one test set evaluates them once per model over the whole set and slices
 out each bag; a row's value does not depend on the rows evaluated with it, so
 the slice equals the bag evaluated on its own, bit for bit.
-:func:`estimate_batch` runs this for a tuple of quantifiers of one type, and
-:func:`em_weights_batch` is the one mixture solver; one quantifier or one
-density matrix is the k=1 case of the same calls.
+:func:`cap.predict_batch` runs this for the quantifiers of one type on one
+bag, and :func:`em_weights_batch` is the one mixture solver; one quantifier
+or one density matrix is the k=1 case of the same calls.
 
 A model's KDE rows are two GEMMs over the stacked supports of all classes,
 with the log-sum-exp shift folded into the second, and the query points along
@@ -179,7 +179,7 @@ class KDEyMLQuantifier:
     def reduce(rows: np.ndarray):
         """(prevalences (k, n), iterations (k,), converged (k,)) of the
         mixture solver on a (k, m, n) log-density stack."""
-        return em_weights_batch(rows)[:3]
+        return em_weights_batch(rows)
 
 
 QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
@@ -214,7 +214,7 @@ def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
 
 
 def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
-                     max_iter: int = EM_MAX_ITER, loglik: bool = False):
+                     max_iter: int = EM_MAX_ITER):
     """Maximize L(a) = sum_x log sum_j a_j exp(logF[i, x, j]) over the
     simplex, for each of the k log-density matrices of the (k, m, n) stack
     logF at once.
@@ -229,31 +229,25 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
     direction keeps L from falling (not converged), or after `max_iter`
     steps. A stopped problem leaves the active set, so the others run on
     without it and every problem gets the iterates a single-matrix run would
-    give.
+    give. `max_iter` only bounds the loop, so the iterate after t steps is
+    the result of a run with max_iter=t.
 
-    Returns (alpha (k, n), iterations (k,), converged (k,), trace): `trace` is
-    None unless `loglik` is set, when it holds one list of L per problem (one
-    value per iterate, the start included).
+    Returns (alpha (k, n), iterations (k,), converged (k,)).
     """
     logF = np.asarray(logF, dtype=float)
     top = _max_rows(logF)
     if not np.isfinite(top).all():
         raise ValueError("every row needs a finite log density for some class")
-    offset = top.sum(axis=(1, 2))
     # (k, n, m): the class axis first makes every product below contiguous
     FT = np.exp(logF - top).transpose(0, 2, 1).copy()
     k, n, m = FT.shape
     alpha = np.full((k, n), 1.0 / n)
     iterations = np.full(k, max(max_iter, 0))
     converged = np.zeros(k, dtype=bool)
-    trace = [[] for _ in range(k)] if loglik else None
     active, Fa, a = np.arange(k), FT, alpha.copy()
     for it in range(1, max_iter + 1):
         mix = np.matmul(a[:, None, :], Fa)[:, 0, :]
         L = np.log(mix).sum(axis=1)
-        if loglik:
-            for i, value in zip(active, L + offset[active]):
-                trace[i].append(float(value))
         w = 1.0 / mix
         g = np.matmul(Fa, w[:, :, None])[:, :, 0]      # the gradient of L
         if it <= EM_WARM_STEPS:
@@ -278,10 +272,7 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
             if not active.size:
                 break
     alpha[active] = a
-    if loglik:
-        for i, value in enumerate(_log_likelihood(FT, alpha) + offset):
-            trace[i].append(float(value))
-    return alpha, iterations, converged, trace
+    return alpha, iterations, converged
 
 
 def _log_likelihood(FT: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -375,23 +366,6 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
         new[todo[ok]] = trial[ok]
         moved[todo[ok]] = True
         todo, t = todo[~ok], t[~ok]
-
-
-def estimate_batch(quantifiers, posteriors: np.ndarray, rows=None):
-    """Prevalence estimates of k quantifiers of one type on one bag, as
-    (prevalences (k, n), iterations (k,), converged (k,)); the last two are
-    the mixture solver's counters (0 and True for CC).
-
-    `posteriors` stacks each quantifier's model posteriors for the bag's
-    instances, shape (k, m, n). `rows` optionally stacks the matching
-    ``q.rows(...)`` (the caller may have sliced them from a test-set cache);
-    without it they are computed here. The stack is reduced in one call.
-    """
-    if posteriors.shape[1] == 0:
-        raise DataError("empty bag")
-    if rows is None:
-        rows = np.stack([q.rows(P) for q, P in zip(quantifiers, posteriors)])
-    return type(quantifiers[0]).reduce(rows)
 
 
 def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -11,14 +11,14 @@ every bag. TMS predicts the accuracy of every in-scope model on the bag in one
 batched pass (:func:`cap.predict_batch`) over the scope's predictors, stacked
 once per scope and kept on the registry (:meth:`ModelRegistry.scope_stack`;
 a registry is immutable, so a stack never goes stale), and takes the argmax
-of that vector
-(:func:`best_position`: a NaN estimate never wins, and ties always break
-toward the lowest model id). It accepts the bag's per-model posteriors and
-the quantifier rows that :func:`quantifiers.estimate_batch` reduces
-precomputed, stacked along a model axis aligned with ``registry.entries``;
-without them it computes them from the bag's features. No function here
-takes labels: the oracle, which reads a bag's true labels, is an evaluation
-upper bound and lives in the harness (:mod:`evalcli`).
+of that vector (:func:`best_position`: a NaN estimate never wins, and ties
+always break toward the lowest model id). It accepts the bag's per-model
+posteriors and quantifier rows precomputed, stacked along a model axis
+aligned with ``registry.entries``; without them it computes the posteriors
+from the bag's features and leaves the rows, and the empty-bag check, to
+:func:`cap.predict_batch`. A scope is a family name or ``"All"``. No function
+here takes labels: the oracle, which reads a bag's true labels, is an
+evaluation upper bound and lives in the harness (:mod:`evalcli`).
 
 A registry is saved as one document, ``manifest.json``: its meta, its
 training warnings, and per entry the model id, the validation accuracy, the
@@ -92,7 +92,7 @@ class ModelRegistry:
     def scope_positions(self, scope) -> list:
         """Positions in `entries` of the models in scope."""
         return [i for i, e in enumerate(self.entries)
-                if scope in (None, "All") or e.family == scope]
+                if scope == "All" or e.family == scope]
 
     def scope_stack(self, scope) -> ScopeStack:
         """The models in scope with their accuracy predictors stacked
@@ -221,7 +221,7 @@ def best_position(values, entries, where: str) -> int:
     return min(ties, key=lambda i: entries[i].model_id)
 
 
-def ims_select(registry: ModelRegistry, scope=None) -> int:
+def ims_select(registry: ModelRegistry, scope) -> int:
     """Id of the in-scope model with the best validation accuracy."""
     entries = [registry.entries[i] for i in registry.scope_positions(scope)]
     if not entries:
@@ -241,12 +241,10 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     matching quantifier rows (``q.rows(...)``: the KDE class log densities for
     KDEy-ML); the evaluation harness slices both from test-set caches.
     Without them the in-scope models' posteriors are computed from the bag's
-    features. The scope's stacked predictors are built by its first call
-    (see :meth:`ModelRegistry.scope_stack`).
+    features; an empty bag raises DataError. The scope's stacked predictors
+    are built by its first call (see :meth:`ModelRegistry.scope_stack`).
     """
     scoped = registry.scope_stack(scope)
-    if bag.size == 0:
-        raise ValueError("empty bag")
     entries = scoped.entries
     if posteriors is None:
         P = predict_posteriors_batch([e.model for e in entries], bag.features)
@@ -261,7 +259,7 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
         tuple(entries[i].model_id for i in np.flatnonzero(~flags))
         for flags in (batch.converged, batch.em_converged))
     return SelectionOutcome(
-        strategy=f"TMS-{scope or 'All'}",
+        strategy=f"TMS-{scope}",
         model_id=entries[best].model_id,
         predicted_labels=np.argmax(P[best], axis=1),
         estimated_accuracy=float(batch.accuracy[best]),
@@ -312,8 +310,9 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
 
 def load_registry(out_dir) -> ModelRegistry:
     """Read a registry that :func:`save_registry` wrote. A manifest in an
-    older layout, with missing or mistyped keys, or that is not JSON, raises
-    a ValueError that says to retrain it."""
+    older layout, with missing or mistyped keys, whose entries mix quantifier
+    kinds, or that is not JSON, raises a ValueError that says to retrain
+    it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -334,6 +333,9 @@ def load_registry(out_dir) -> ModelRegistry:
             entries.append(RegistryEntry(
                 rec["model_id"], model.family, model.hyperparams, model,
                 rec["val_accuracy"], predictor))
+        kinds = {e.cap.quantifier.kind for e in entries}
+        if len(kinds) > 1:
+            raise ValueError(f"entries mix quantifier kinds {sorted(kinds)}")
         return ModelRegistry(entries, manifest["warnings"], manifest["meta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from shiftselect import quantifiers
+
 
 @pytest.fixture
 def strangle(monkeypatch):
@@ -24,3 +26,24 @@ def strangle(monkeypatch):
             return full
         monkeypatch.setattr(module, name, wrapped)
     return apply
+
+
+@pytest.fixture(scope="session")
+def em_trace():
+    """em_trace(logF, tol=EM_TOL, max_iter=EM_MAX_ITER): the log-likelihood
+    L(a) = sum_x log sum_j a_j exp(logF[x, j]) of every iterate of the
+    mixture solver on one (m, n) log-density matrix, the start included.
+    The solver keeps no trace; `max_iter` only bounds its loop, so the
+    iterate after t steps is the result of a run with max_iter=t. That costs
+    one solve per iterate, so only the tests that read the trace call it."""
+    def trace(logF, tol=quantifiers.EM_TOL, max_iter=quantifiers.EM_MAX_ITER):
+        logF = np.asarray(logF, dtype=float)[None]
+        _, iterations, _ = quantifiers.em_weights_batch(logF, tol, max_iter)
+        top = logF.max(axis=2, keepdims=True)
+        F = np.exp(logF - top)[0]
+        values = []
+        for t in range(int(iterations[0]) + 1):
+            alpha = quantifiers.em_weights_batch(logF, tol, t)[0][0]
+            values.append(float(np.log(F @ alpha).sum() + top.sum()))
+        return values
+    return trace

@@ -1,4 +1,5 @@
 import csv
+import filecmp
 import json
 import os
 
@@ -612,6 +613,10 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert main(["report", "--results", str(outdir / "results.csv"),
                  "--outdir", str(tmp_path / "re")]) == 0
     assert (tmp_path / "re" / "shift_curve.csv").exists()
+    # a report from the run's results re-emits its tables byte for byte
+    for name in ("results.csv", "summary.csv", "shift_curve.csv"):
+        assert filecmp.cmp(outdir / name, tmp_path / "re" / name,
+                           shallow=False), name
 
 
 @pytest.mark.parametrize("alpha", ["2.0", "-1", "0", "1"])
@@ -723,13 +728,17 @@ def test_cli_config_error_exit_code(tmp_path):
                                  {"dataset": {**CSV_SPEC,
                                               "prevalence": [0.5, 0.5]}},
                                  {"dataset": {"kind": "synthetic",
-                                              "prevalence": [0.5, 0.5]}}])
+                                              "prevalence": [0.5, 0.5]}},
+                                 {"families": [], "strategies": ["oracle"]},
+                                 # not a JSON object
+                                 5, None, [{"r": 1}], "abc"])
 def test_cli_config_error_before_any_stage(raw, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["run", "--config", str(path),
                  "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from shiftselect import quantifiers
+from shiftselect.cap import CapPredictor, RateMatrix, predict_batch, stack_caps
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
-                                     _line_search, em_weights_batch,
-                                     estimate_batch, fit_kdey)
+                                     _line_search, em_weights_batch, fit_kdey)
 
 
 class FakeBag:
@@ -37,18 +37,20 @@ class PassThroughModel:
 
 def em_one(logF, **kwargs):
     """One log-density matrix through the batched mixture solver: (alpha,
-    iterations, converged, log-likelihood trace)."""
-    alpha, iterations, converged, trace = em_weights_batch(
-        np.asarray(logF, dtype=float)[None], loglik=True, **kwargs)
-    return alpha[0], int(iterations[0]), bool(converged[0]), trace[0]
+    iterations, converged)."""
+    alpha, iterations, converged = em_weights_batch(
+        np.asarray(logF, dtype=float)[None], **kwargs)
+    return alpha[0], int(iterations[0]), bool(converged[0])
 
 
 def estimate_one(quantifier, model, bag, rows=None):
-    """One quantifier's prevalence estimate on one bag through the batched
-    API."""
+    """One quantifier's prevalence estimate on one bag through
+    cap.predict_batch; the rate matrix, here the identity, does not enter
+    the estimate."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    qhat, _, _ = estimate_batch((quantifier,), posteriors, rows)
-    return qhat[0]
+    n = posteriors.shape[2]
+    stack = stack_caps([CapPredictor(RateMatrix(np.eye(n)), quantifier)])
+    return predict_batch(stack, posteriors, rows).qhat[0]
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +170,11 @@ def test_fit_kdey_rejects_bad_bandwidth(fitted_pipeline):
 # EM mixture weights
 # ---------------------------------------------------------------------------
 
-def test_em_monotone_loglik_on_random_fixtures():
+def test_em_monotone_loglik_on_random_fixtures(em_trace):
     rng = np.random.default_rng(8)
     for _ in range(25):
         F = rng.uniform(0.05, 3.0, size=(rng.integers(5, 60), rng.integers(2, 5)))
-        _, _, _, loglik = em_one(np.log(F))
-        trace = np.array(loglik)
+        trace = np.array(em_trace(np.log(F)))
         assert (np.diff(trace) >= -1e-9).all()
 
 
@@ -181,7 +182,7 @@ def test_em_iterates_stay_on_simplex():
     rng = np.random.default_rng(9)
     F = rng.uniform(0.05, 3.0, size=(40, 3))
     for k in (1, 2, 5, 20, 100):
-        alpha, _, _, _ = em_one(np.log(F), max_iter=k)
+        alpha, _, _ = em_one(np.log(F), max_iter=k)
         assert (alpha >= 0).all()
         assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -190,7 +191,7 @@ def test_em_symmetric_densities_keep_uniform_weights():
     rng = np.random.default_rng(10)
     col = rng.uniform(0.1, 2.0, size=30)
     F = np.column_stack([col, col])    # identical class densities
-    alpha, iterations, converged, _ = em_one(np.log(F))
+    alpha, iterations, converged = em_one(np.log(F))
     assert np.allclose(alpha, [0.5, 0.5], atol=1e-12)
     assert iterations == 1     # uniform is already the fixed point
     assert converged
@@ -204,22 +205,23 @@ def test_em_matches_grid_search_two_classes(fitted_pipeline):
     logF = quantifier.densities.evaluate(posteriors)
     F = np.exp(logF - logF.max(axis=1, keepdims=True))
 
-    alpha, _, _, _ = em_one(logF)
+    alpha, _, _ = em_one(logF)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     mixtures = np.outer(F[:, 0], grid) + np.outer(F[:, 1], 1.0 - grid)
     best = grid[np.argmax(np.log(mixtures).sum(axis=0))]
     assert abs(alpha[0] - best) <= 2e-3
 
 
-def test_em_log_domain_handles_vanishing_densities():
+def test_em_log_domain_handles_vanishing_densities(em_trace):
     # every density here underflows to 0 as a float; shifting a row's log
     # densities by a constant moves L by that constant and not the weights
     rng = np.random.default_rng(18)
     logF = np.log(rng.uniform(0.05, 3.0, size=(30, 3)))
     shift = rng.uniform(-2000.0, -800.0, size=(30, 1))
     assert (np.exp(logF + shift) == 0.0).all()
-    alpha, _, converged, trace = em_one(logF)
-    alpha_shifted, _, converged_shifted, trace_shifted = em_one(logF + shift)
+    alpha, _, converged = em_one(logF)
+    alpha_shifted, _, converged_shifted = em_one(logF + shift)
+    trace, trace_shifted = em_trace(logF), em_trace(logF + shift)
     assert converged and converged_shifted
     assert np.abs(alpha - alpha_shifted).max() <= 1e-9
     assert trace_shifted[-1] == pytest.approx(trace[-1] + shift.sum(),
@@ -376,16 +378,16 @@ def em_on_every_support(F, tol=1e-14, max_iter=10_000):
        n=st.integers(2, 5), faint=st.integers(0, 2))
 # the optimum has a zero weight that plain EM approaches only to 1e-5
 @example(seed=144, m=15, n=3, faint=0)
-def test_solver_meets_kkt_and_beats_tight_em(seed, m, n, faint):
+def test_solver_meets_kkt_and_beats_tight_em(seed, m, n, faint, em_trace):
     rng = np.random.default_rng(seed)
     F = rng.uniform(0.05, 3.0, size=(m, n))
     # faint classes push the optimum onto the simplex boundary
     F[:, :faint] *= rng.uniform(0.0, 0.3, size=faint)
     logF = np.log(F)
-    alpha, _, converged, trace = em_one(logF)
+    alpha, _, converged = em_one(logF)
     assert converged
     assert (alpha >= 0).all() and alpha.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (np.diff(trace) >= -1e-9).all()
+    assert (np.diff(em_trace(logF)) >= -1e-9).all()
     # KKT: the gradient equals m on the support and is at most m off it
     g = (F / (F @ alpha)[:, None]).sum(axis=0)
     support = alpha > 0
@@ -414,20 +416,29 @@ def test_em_batch_equals_scalar_calls(seed, k, m, n, tol, max_iter):
         F[2, :, -1] *= 1e-3
     with np.errstate(divide="ignore"):
         logF = np.log(F)
-    alpha, iterations, converged, trace = em_weights_batch(
-        logF, tol=tol, max_iter=max_iter, loglik=True)
+    alpha, iterations, converged = em_weights_batch(logF, tol=tol,
+                                                    max_iter=max_iter)
     for i in range(k):
-        alpha_i, iterations_i, converged_i, trace_i = em_one(
-            logF[i], tol=tol, max_iter=max_iter)
+        alpha_i, iterations_i, converged_i = em_one(logF[i], tol=tol,
+                                                    max_iter=max_iter)
         assert np.abs(alpha[i] - alpha_i).max() <= 1e-12
         assert iterations[i] == iterations_i
         assert converged[i] == converged_i
-        assert trace[i] == trace_i
-        assert len(trace_i) == iterations_i + 1
+        # the run took exactly its reported iterations: cut there, it
+        # returns the same result
+        cut_alpha, cut_iterations, cut_converged = em_one(
+            logF[i], tol=tol, max_iter=iterations_i)
+        assert np.array_equal(cut_alpha, alpha_i)
+        assert (cut_iterations, cut_converged) == (iterations_i, converged_i)
+    # every iterate, not only the last: the batch and single-problem runs
+    # cut after t steps agree bit for bit
+    for t in range(int(iterations.max()) + 1):
+        cut = em_weights_batch(logF, tol=tol, max_iter=t)[0]
+        for i in range(k):
+            assert np.array_equal(cut[i], em_one(logF[i], tol=tol,
+                                                 max_iter=t)[0])
     assert iterations[0] == min(max_iter, 1)
     assert converged[0] == (max_iter >= 1)
-    _, _, _, no_trace = em_weights_batch(logF, tol=tol, max_iter=max_iter)
-    assert no_trace is None
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +473,7 @@ def test_kdey_absent_class_gets_exactly_zero_weight():
                                ([1.0, 0.0, 0.0], [1, 2])):
         bag = draw_bag(rest, prevalence, 200, rng)
         logF = quantifier.rows(model.predict_posteriors(bag.features))
-        alpha, _, converged, _ = em_one(logF)
+        alpha, _, converged = em_one(logF)
         assert converged
         assert (alpha[absent] == 0.0).all()
         assert np.abs(alpha - bag.realized_prevalence).max() <= 1e-3
@@ -511,14 +522,15 @@ def test_kdey_rejects_empty_bag(fitted_pipeline):
         estimate_one(quantifier, PassThroughModel(2), FakeBag(np.zeros((0, 2))))
 
 
-def test_kdey_detailed_reports_monotone_trace(fitted_pipeline):
+def test_kdey_detailed_reports_monotone_trace(fitted_pipeline, em_trace):
     model, quantifier, rest = fitted_pipeline
     rng = np.random.default_rng(15)
     bag = draw_bag(rest, [0.2, 0.8], 150, rng)
     posteriors = model.predict_posteriors(bag.features)
-    _, _, converged, loglik = em_one(quantifier.densities.evaluate(posteriors))
+    logF = quantifier.densities.evaluate(posteriors)
+    _, _, converged = em_one(logF)
     assert converged
-    assert (np.diff(loglik) >= -1e-9).all()
+    assert (np.diff(em_trace(logF)) >= -1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +581,8 @@ def test_quantifier_estimate_dispatch(fitted_pipeline):
     # a stack of one type is reduced by that type: the mixture solver for
     # KDEy-ML, label counts for CC
     for quantifier, solves in ((kdey, True), (CCQuantifier(), False)):
-        qhat, iterations, converged = estimate_batch((quantifier,) * 2,
-                                                     posteriors)
+        rows = np.stack([quantifier.rows(P) for P in posteriors])
+        qhat, iterations, converged = type(quantifier).reduce(rows)
         for row in qhat:
             assert np.array_equal(row, estimate_one(quantifier, model, bag))
         assert ((iterations > 0) if solves else (iterations == 0)).all()

@@ -11,7 +11,7 @@ from shiftselect.cap import predict_batch, stack_caps
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
                                     predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
-from shiftselect.protocol import app_generate, draw_bag, reveal_labels
+from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
                                    default_select, ims_select, load_registry,
                                    save_registry, tms_select)
@@ -117,7 +117,8 @@ def test_registry_round_trip(registry, splits, tmp_path):
 
 @pytest.mark.parametrize("damage", ["old layout", "missing key", "truncated",
                                     "entries an object",
-                                    "an entry not an object"])
+                                    "an entry not an object",
+                                    "mixed quantifier kinds"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -139,6 +140,11 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
                                for rec in manifest["entries"]}
     elif damage == "an entry not an object":
         manifest["entries"][1] = [manifest["entries"][1]]
+    elif damage == "mixed quantifier kinds":
+        # each entry is a valid record, but TMS stacks predictors of one kind
+        cap = manifest["entries"][1]["cap"]
+        cap["quantifier_kind"] = "CC"
+        del cap["support"], cap["bandwidth"]
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
@@ -294,6 +300,20 @@ def test_tms_single_model_registry_labels_the_bag(registry, splits):
     assert outcome.predicted_labels.shape == (40,)
     expected = registry.entries[0].model.predict_labels(bag.features)
     assert np.array_equal(outcome.predicted_labels, expected)
+
+
+def test_tms_rejects_an_empty_bag(registry, splits):
+    _, _, test = splits
+    prevalence = np.array([0.5, 0.5])
+    bag = Bag(np.array([], dtype=int), prevalence, prevalence, test)
+    P = predict_posteriors_batch([e.model for e in registry.entries], test.X)
+    F = np.stack([e.cap.quantifier.rows(p)
+                  for e, p in zip(registry.entries, P)])
+    # from the bag's features, and from slices of test-set caches
+    for cached in ({}, {"posteriors": P[:, bag.indices],
+                        "densities": F[:, bag.indices]}):
+        with pytest.raises(DataError, match="empty bag"):
+            tms_select(registry, "All", bag, **cached)
 
 
 def test_tms_picks_the_higher_estimate(registry, splits):
