@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from shiftselect.evalcli import config_from_dict, emit_report, run_experiment
+from shiftselect.evalcli import (ConfigError, accuracy_matrix, config_from_dict,
+                                 emit_report, run_experiment, summarize)
 
 
 def main(argv=None):
@@ -26,37 +27,43 @@ def main(argv=None):
                         help="base config JSON; its dataset/outdir are ignored")
     args = parser.parse_args(argv)
 
+    base = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
-        base.pop("dataset", None)
-        base.pop("outdir", None)
-    else:
-        base = {}
 
     csv_paths = sorted(Path(args.data_dir).glob("*.csv"))
     if not csv_paths:
         print(f"no CSV files under {args.data_dir}", file=sys.stderr)
         return 1
 
+    # every dataset's config is checked before any dataset runs
+    try:
+        if not isinstance(base, dict):
+            raise ConfigError(f"a config must be a JSON object, got {base!r}")
+        configs = [(path.stem, config_from_dict({
+            **base,
+            "dataset": {"kind": "csv", "path": str(path),
+                        "label_column": args.label_column, "name": path.stem},
+            "outdir": str(Path(args.outdir) / path.stem)}))
+            for path in csv_paths]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+
     failures = 0
-    for path in csv_paths:
-        raw = dict(base)
-        raw["dataset"] = {"kind": "csv", "path": str(path),
-                          "label_column": args.label_column,
-                          "name": path.stem}
-        raw["outdir"] = str(Path(args.outdir) / path.stem)
-        config = config_from_dict(raw)
-        print(f"=== {path.stem} ===")
+    for name, config in configs:
+        print(f"=== {name} ===")
         try:
             table = run_experiment(config)
             emit_report(table, config.outdir)
         except Exception as exc:   # keep going: one bad dataset must not kill the batch
-            print(f"{path.stem} failed: {exc}", file=sys.stderr)
+            print(f"{name} failed: {exc}", file=sys.stderr)
             failures += 1
             continue
-        for name, agg in table.aggregates.items():
-            print(f"  {name:<14} {agg['mean']:.4f} +- {agg['std']:.4f}")
+        strategies, _, acc = accuracy_matrix(table.rows)
+        for strat, _, mean, std, *_ in summarize(strategies, acc, config.alpha):
+            print(f"  {strat:<14} {mean:.4f} +- {std:.4f}")
     return 2 if failures else 0
 
 

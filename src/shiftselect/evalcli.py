@@ -7,10 +7,13 @@ same config and seed, a run produces byte-identical output files:
 
 * ``manifest.json``  resolved configuration, split sizes, grid sizes;
 * ``results.csv``    one row per (strategy, bag);
-* ``summary.csv``    per-strategy mean/std plus significance vs the best;
+* ``summary.csv``    per-strategy mean/std plus significance vs the best,
+  paired by bag;
 * ``shift_curve.csv``  per-shift-bin mean accuracy per strategy;
 * ``summary.txt``    human-readable digest, with one warning line per model
   whose accuracy solver or KDEy-ML mixture solver stopped early.
+
+The last three reduce one strategies × bags :func:`accuracy_matrix`.
 
 Selection never sees labels. The harness computes every model's true
 accuracy on a bag once, from the test-set label cache, and each strategy's
@@ -50,8 +53,8 @@ from .dataspace import (Dataset, apply_scaler, as_prevalence, fit_scaler,
                         load_csv, stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
 from .classifiers import FAMILIES, build_grid, predict_posteriors_batch
-from .protocol import (ShiftRecord, app_generate, bin_by_shift, l1_shift,
-                       reveal_labels, DEFAULT_SHIFT_BINS)
+from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
+                       DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
 from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
@@ -272,17 +275,10 @@ class WilcoxonResult:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `x`; tied values share the mean of their ranks, which
+    for a group ending at rank `last` is `last - (count - 1) / 2`."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def wilcoxon_signed_rank(a, b, alpha: float = 0.01) -> WilcoxonResult:
@@ -345,27 +341,7 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: list
-    aggregates: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_rows(cls, rows, meta=None):
-        return cls(list(rows), aggregate_rows(rows), dict(meta or {}))
-
-
-def aggregate_rows(rows) -> dict:
-    """Per-strategy (mean, population std, count) of true accuracy."""
-    by_strategy = {}
-    for row in rows:
-        by_strategy.setdefault(row.strategy, []).append(row.true_acc)
-    return {
-        name: {
-            "mean": float(np.mean(vals)),
-            "std": float(np.std(vals)),
-            "n": len(vals),
-        }
-        for name, vals in sorted(by_strategy.items())
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +532,7 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
             "warnings": list(registry.warnings)
             + _diagnostic_warnings(diagnostics, len(bags)),
             "timings": _timings(seconds, registry, evaluate_s)}
-    return ResultTable.from_rows(rows, meta)
+    return ResultTable(rows, meta)
 
 
 def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
@@ -676,20 +652,13 @@ def _diagnostic_warnings(diagnostics: dict, n_bags: int) -> list:
 # Reports
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
+    """csv.writer writes None as an empty field and a float, numpy's too, as
+    its shortest round-trip repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_results_csv(rows, path):
@@ -701,58 +670,78 @@ def _write_results_csv(rows, path):
                  r.true_acc, r.est_acc, r.model_id) for r in ordered])
 
 
-def shift_records(table: ResultTable):
-    """Regroup result rows into one shift record per bag."""
-    by_bag = {}
-    for row in table.rows:
-        rec = by_bag.setdefault(row.bag_id, {"l1": row.l1_shift, "acc": {}})
-        rec["acc"][row.strategy] = row.true_acc
-    return [ShiftRecord(bag_id=bid, l1=rec["l1"], accuracies=rec["acc"])
-            for bid, rec in sorted(by_bag.items())]
+def accuracy_matrix(rows):
+    """The one view of a run that the reports reduce: the strategies,
+    sorted; each bag's L1 shift, in bag-id order; and a (strategies, bags)
+    matrix of true accuracies, NaN where a strategy has no row for a bag.
+    A second row for one (strategy, bag) raises ValueError."""
+    repeated = [key for key, c in Counter((r.strategy, r.bag_id)
+                                          for r in rows).items() if c > 1]
+    if repeated:
+        raise ValueError(f"more than one row for (strategy, bag) {repeated[0]}")
+    strategies, i = np.unique([r.strategy for r in rows], return_inverse=True)
+    bag_ids, first, j = np.unique([r.bag_id for r in rows], return_index=True,
+                                  return_inverse=True)
+    acc = np.full((strategies.size, bag_ids.size), np.nan)
+    acc[i, j] = [r.true_acc for r in rows]
+    return strategies.tolist(), np.array([rows[k].l1_shift for k in first]), acc
 
 
-def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
-    """Write results.csv, summary.csv, shift_curve.csv, and summary.txt."""
-    os.makedirs(outdir, exist_ok=True)
-    n_bins = n_bins if n_bins is not None else table.meta.get("n_bins", DEFAULT_SHIFT_BINS)
-    alpha = alpha if alpha is not None else table.meta.get("alpha", 0.01)
-
-    _write_results_csv(table.rows, os.path.join(outdir, "results.csv"))
-
-    aggregates = table.aggregates or aggregate_rows(table.rows)
-    strategies = sorted(aggregates)
-    best = max(strategies, key=lambda s: (aggregates[s]["mean"], s), default=None)
-    series = {}   # strategy -> true accuracies in bag order
-    for row in sorted(table.rows, key=lambda r: r.bag_id):
-        series.setdefault(row.strategy, []).append(row.true_acc)
-
+def summarize(strategies, acc, alpha: float = 0.01) -> list:
+    """summary.csv's rows from :func:`accuracy_matrix`'s strategies and
+    matrix: per strategy, the count, mean and population std of its
+    accuracies over the bags it has, and a two-sided Wilcoxon signed-rank
+    test against the best (the max of (mean, name)), paired on the bags both
+    strategies have."""
+    has = ~np.isnan(acc)
+    own = [a[h] for a, h in zip(acc, has)]
+    means = [float(np.mean(a)) for a in own]
+    best = max(range(len(strategies)), key=lambda i: (means[i], strategies[i]),
+               default=None)
     summary_rows = []
-    for strat in strategies:
-        agg = aggregates[strat]
-        if strat == best:
-            flag_best, dagger, p_val = 1, 0, None
-        else:
+    for i, strat in enumerate(strategies):
+        dagger, p_val = 0, None
+        if i != best:
+            both = has[i] & has[best]
             try:
-                res = wilcoxon_signed_rank(series[strat], series[best],
+                res = wilcoxon_signed_rank(acc[i, both], acc[best, both],
                                            alpha=alpha)
                 dagger, p_val = int(not res.significant), res.p_value
             except ValueError:
                 # degenerate pairing (near-identical scores): not distinguishable
-                dagger, p_val = 1, None
-            flag_best = 0
-        summary_rows.append((strat, agg["n"], agg["mean"], agg["std"],
-                             flag_best, dagger, p_val))
+                dagger = 1
+        summary_rows.append((strat, own[i].size, means[i], float(np.std(own[i])),
+                             int(i == best), dagger, p_val))
+    return summary_rows
+
+
+def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
+    """Write results.csv, summary.csv, shift_curve.csv, and summary.txt.
+
+    The last three reduce one :func:`accuracy_matrix`, built before any file
+    is written; a shift curve row is a strategy's mean over the bags it has
+    in one populated shift bin (see :func:`protocol.bin_by_shift`).
+    """
+    n_bins = n_bins if n_bins is not None else table.meta.get("n_bins", DEFAULT_SHIFT_BINS)
+    alpha = alpha if alpha is not None else table.meta.get("alpha", 0.01)
+    strategies, shifts, acc = accuracy_matrix(table.rows)
+    summary_rows = summarize(strategies, acc, alpha)
+    bins, width = bin_by_shift(shifts, n_bins)
+    curve_rows = []
+    for b in sorted(set(bins.tolist())):
+        in_bin = acc[:, bins == b]
+        for strat, accs in zip(strategies, in_bin):
+            accs = accs[~np.isnan(accs)]
+            if accs.size:
+                curve_rows.append((b, b * width, (b + 1) * width,
+                                   in_bin.shape[1], strat, float(np.mean(accs))))
+
+    os.makedirs(outdir, exist_ok=True)
+    _write_results_csv(table.rows, os.path.join(outdir, "results.csv"))
     _write_csv(os.path.join(outdir, "summary.csv"),
                ["strategy", "n_bags", "mean_true_acc", "std_true_acc",
                 "best", "not_sig_diff_from_best", "p_vs_best"],
                summary_rows)
-
-    bins = bin_by_shift(shift_records(table), n_bins=n_bins)
-    curve_rows = []
-    for b in bins:
-        for strat in sorted(b.mean_accuracy):
-            curve_rows.append((b.index, b.lo, b.hi, b.count, strat,
-                               b.mean_accuracy[strat]))
     _write_csv(os.path.join(outdir, "shift_curve.csv"),
                ["bin_index", "bin_lo", "bin_hi", "n_bags", "strategy",
                 "mean_true_acc"],
@@ -789,7 +778,7 @@ def read_results_csv(path) -> ResultTable:
                 model_id=int(rec["model_id"]),
             ))
     meta = {"run_id": rows[0].run_id, "dataset": rows[0].dataset} if rows else {}
-    return ResultTable.from_rows(rows, meta)
+    return ResultTable(rows, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Artificial prevalence protocol: uniform simplex sampling, bag extraction
 at target prevalences (with replacement), shift measurement, and shift
-binning.
+binning, a function of the vector of per-bag shifts (:func:`bin_by_shift`).
 
 Bags expose features but keep their true labels behind :func:`reveal_labels`,
 which only the evaluation harness (:mod:`evalcli`) calls: it scores every
@@ -111,49 +111,17 @@ def l1_shift(a, b) -> float:
     return float(np.abs(a - b).sum())
 
 
-@dataclass(frozen=True)
-class ShiftRecord:
-    """One bag's shift amount plus the true accuracy each strategy achieved."""
+def bin_by_shift(shifts, n_bins: int = DEFAULT_SHIFT_BINS):
+    """Equal-width bins over [0, max shift] for a vector of per-bag shifts.
 
-    bag_id: int
-    l1: float
-    accuracies: dict
-
-
-@dataclass(frozen=True)
-class ShiftBin:
-    index: int
-    lo: float
-    hi: float
-    count: int
-    mean_accuracy: dict   # strategy -> mean true accuracy over the bin
-
-
-def bin_by_shift(records, n_bins: int = DEFAULT_SHIFT_BINS):
-    """Equal-width bins over [0, max observed shift]; empty bins are omitted.
-
-    Returns a list of :class:`ShiftBin`, one per populated bin, in bin order.
+    Returns each bag's bin index, ``min(int(l1 / width), n_bins - 1)``, and
+    the bin width ``max shift / n_bins`` as a float; with no positive shift
+    the width is 0 and every bag lands in bin 0.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
-    records = list(records)
-    if not records:
-        return []
-    max_shift = max(rec.l1 for rec in records)
-    width = max_shift / n_bins if max_shift > 0 else 0.0
-
-    groups = {}
-    for rec in records:
-        idx = min(int(rec.l1 / width), n_bins - 1) if width > 0 else 0
-        groups.setdefault(idx, []).append(rec)
-
-    bins = []
-    for idx in sorted(groups):
-        members = groups[idx]
-        strategies = sorted({name for rec in members for name in rec.accuracies})
-        means = {name: float(np.mean([rec.accuracies[name] for rec in members
-                                      if name in rec.accuracies]))
-                 for name in strategies}
-        bins.append(ShiftBin(index=idx, lo=idx * width, hi=(idx + 1) * width,
-                             count=len(members), mean_accuracy=means))
-    return bins
+    shifts = np.asarray(shifts, dtype=float)
+    width = float(shifts.max()) / n_bins if shifts.size else 0.0
+    if not width > 0:
+        return np.zeros(shifts.size, dtype=int), 0.0
+    return np.minimum((shifts / width).astype(int), n_bins - 1), width

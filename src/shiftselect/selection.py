@@ -311,12 +311,14 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
 def load_registry(out_dir) -> ModelRegistry:
     """Read a registry that :func:`save_registry` wrote. A manifest in an
     older layout, with missing or mistyped keys, whose entries mix quantifier
-    kinds, or that is not JSON, raises a ValueError that says to retrain
+    kinds or hold a model or rate matrix of another class count than the
+    registry's, or that is not JSON, raises a ValueError that says to retrain
     it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
         manifest = json.loads(text)   # a JSONDecodeError is a ValueError
+        n_classes = manifest["meta"]["n_classes"]
         entries = []
         for rec in manifest["entries"]:
             model, cap = model_from_record(rec["model"]), rec["cap"]
@@ -330,6 +332,10 @@ def load_registry(out_dir) -> ModelRegistry:
             predictor = CapPredictor(
                 RateMatrix(decode_array(cap["rate_matrix"])), quantifier,
                 weight=cap["weight"])
+            if not model.n_classes == predictor.rates.n_classes == n_classes:
+                raise ValueError(f"model {rec['model_id']} or its rate matrix "
+                                 f"does not have the registry's {n_classes} "
+                                 "classes")
             entries.append(RegistryEntry(
                 rec["model_id"], model.family, model.hyperparams, model,
                 rec["val_accuracy"], predictor))

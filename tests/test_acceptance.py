@@ -14,8 +14,8 @@ from shiftselect.cap import (CapPredictor, RateMatrix, leap_solve_batch,
 from shiftselect.classifiers import (default_model, lr_loss_grad,
                                      mlp_loss_grad, train)
 from shiftselect.dataspace import stratified_split, synth_gaussian_pps
-from shiftselect.evalcli import (RunConfig, emit_manifest, emit_report,
-                                 run_experiment, shift_records,
+from shiftselect.evalcli import (RunConfig, accuracy_matrix, emit_manifest,
+                                 emit_report, run_experiment,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
 from shiftselect.quantifiers import CCQuantifier, em_weights_batch, fit_kdey
@@ -216,34 +216,42 @@ def shift_curve_run(tmp_path_factory):
 def test_criterion_06_tms_advantage_under_shift(shift_curve_run):
     start = time.time()
     table = shift_curve_run
-    records = shift_records(table)
+    strategies, shifts, acc = accuracy_matrix(table.rows)
+    assert not np.isnan(acc).any()   # every strategy has every bag
+    tms, ims, orc = (acc[strategies.index(name)]
+                     for name in ("TMS-All", "IMS-All", "oracle"))
 
-    low = [r for r in records if r.l1 < 0.2]
-    high = [r for r in records if r.l1 > 1.0]
-    low_tms = np.mean([r.accuracies["TMS-All"] for r in low])
-    low_ims = np.mean([r.accuracies["IMS-All"] for r in low])
-    high_tms = np.mean([r.accuracies["TMS-All"] for r in high])
-    high_ims = np.mean([r.accuracies["IMS-All"] for r in high])
-    high_orc = np.mean([r.accuracies["oracle"] for r in high])
+    low = shifts < 0.2
+    high = shifts > 1.0
+    low_tms = np.mean(tms[low])
+    low_ims = np.mean(ims[low])
+    high_tms = np.mean(tms[high])
+    high_ims = np.mean(ims[high])
+    high_orc = np.mean(orc[high])
 
     ok_a = abs(low_tms - low_ims) <= 0.05
     ok_b = high_tms >= high_ims + 0.03
 
-    bins = bin_by_shift(records, n_bins=10)
-    ok_c = all(b.mean_accuracy["oracle"] >= acc - 1e-12
-               for b in bins for acc in b.mean_accuracy.values())
+    # per populated shift bin: its lower edge, bag count and each
+    # strategy's mean accuracy
+    bins, width = bin_by_shift(shifts, n_bins=10)
+    curve = [(b * width, np.count_nonzero(bins == b),
+              dict(zip(strategies, acc[:, bins == b].mean(axis=1))))
+             for b in sorted(set(bins.tolist()))]
+    ok_c = all(means["oracle"] >= m - 1e-12
+               for _, _, means in curve for m in means.values())
 
     # high-shift gap to the oracle: pooled over the >1.0 region and per
     # populated high bin
     ok_d = (high_orc - high_tms) <= (high_orc - high_ims)
-    for b in bins:
-        if b.lo >= 1.0 and b.count >= 10:
-            gap_tms = b.mean_accuracy["oracle"] - b.mean_accuracy["TMS-All"]
-            gap_ims = b.mean_accuracy["oracle"] - b.mean_accuracy["IMS-All"]
+    for lo, count, means in curve:
+        if lo >= 1.0 and count >= 10:
+            gap_tms = means["oracle"] - means["TMS-All"]
+            gap_ims = means["oracle"] - means["IMS-All"]
             ok_d = ok_d and gap_tms <= gap_ims
 
-    detail = (f"(a) low |TMS-IMS|={abs(low_tms - low_ims):.4f} n={len(low)}; "
-              f"(b) high TMS-IMS={high_tms - high_ims:+.4f} n={len(high)}; "
+    detail = (f"(a) low |TMS-IMS|={abs(low_tms - low_ims):.4f} n={low.sum()}; "
+              f"(b) high TMS-IMS={high_tms - high_ims:+.4f} n={high.sum()}; "
               f"(c) oracle dominates bins={ok_c}; (d) gap order={ok_d}")
     report(6, ok_a and ok_b and ok_c and ok_d, detail)
     assert time.time() - start < 60  # analysis itself is cheap

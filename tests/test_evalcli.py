@@ -1,7 +1,10 @@
 import csv
 import filecmp
+import importlib.util
 import json
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +12,14 @@ import scipy.stats
 
 from shiftselect import evalcli
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
-                                 StageError, aggregate_rows, config_from_dict,
+                                 StageError, accuracy_matrix, config_from_dict,
                                  emit_manifest, emit_report, load_config,
-                                 read_results_csv, run_experiment,
-                                 shift_records, wilcoxon_signed_rank, main)
+                                 read_results_csv, run_experiment, summarize,
+                                 wilcoxon_signed_rank, main)
 from shiftselect.protocol import bin_by_shift
 
 
+REPO = Path(__file__).resolve().parents[1]
 SMALL_DATASET = {"kind": "synthetic", "n_classes": 2, "dims": 2, "n": 400,
                  "class_separation": 2.5, "prevalence": [0.6, 0.4]}
 CSV_SPEC = {"kind": "csv", "path": "data.csv", "label_column": "y"}
@@ -46,6 +50,14 @@ def test_defaults_match_protocol_constants():
     assert config.n_bins == 10
     assert config.quantifier == "KDEyML"
     config.validate()
+
+
+def test_readme_config_example_names_every_field():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    after = readme.split("A config is a JSON object; every key has a default:")[1]
+    example = json.loads(after.split("```json")[1].split("```")[0])
+    assert set(example) == {f.name for f in fields(RunConfig)}
+    config_from_dict(example)
 
 
 def test_config_rejects_unknown_keys():
@@ -271,6 +283,14 @@ def test_wilcoxon_drops_zeros_then_requires_five():
         wilcoxon_signed_rank(a, b)
 
 
+def test_average_ranks_equal_scipy_rankdata_under_ties():
+    rng = np.random.default_rng(5)
+    for decimals in (1, 2, 3, 17):
+        x = np.round(rng.random(500), decimals)
+        assert np.array_equal(evalcli._average_ranks(x),
+                              scipy.stats.rankdata(x))
+
+
 def test_wilcoxon_significance_flag():
     a = np.arange(1.0, 21.0)
     res = wilcoxon_signed_rank(a, a - 1.0, alpha=0.01)
@@ -300,19 +320,17 @@ def test_run_row_counts(small_run):
         assert sum(1 for r in table.rows if r.strategy == strat) == config.r
 
 
+def summary_means(table):
+    """Each strategy's mean true accuracy, from summary.csv's rows."""
+    strategies, _, acc = accuracy_matrix(table.rows)
+    return {strat: mean for strat, _, mean, *_ in summarize(strategies, acc)}
+
+
 def test_run_oracle_dominates_aggregate(small_run):
     _, table = small_run
-    oracle_mean = table.aggregates["oracle"]["mean"]
-    for name, agg in table.aggregates.items():
-        assert oracle_mean >= agg["mean"] - 1e-12
-
-
-def test_run_aggregates_match_recomputation(small_run):
-    _, table = small_run
-    recomputed = aggregate_rows(table.rows)
-    for name, agg in table.aggregates.items():
-        assert agg["mean"] == pytest.approx(recomputed[name]["mean"], abs=1e-12)
-        assert agg["std"] == pytest.approx(recomputed[name]["std"], abs=1e-12)
+    means = summary_means(table)
+    for name, mean in means.items():
+        assert means["oracle"] >= mean - 1e-12
 
 
 def test_run_estimates_present_where_expected(small_run):
@@ -372,7 +390,8 @@ def test_run_with_counting_quantifier(tmp_path):
     config = small_config(tmp_path, quantifier="CC", r=4)
     table = run_experiment(config)
     assert len(table.rows) == 4 * len(config.strategies)
-    assert table.aggregates["oracle"]["mean"] >= table.aggregates["TMS-All"]["mean"] - 1e-12
+    means = summary_means(table)
+    assert means["oracle"] >= means["TMS-All"] - 1e-12
 
 
 def test_run_from_csv_dataset(tmp_path):
@@ -495,7 +514,7 @@ def test_run_at_a_small_bandwidth_needs_no_warning(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_reports_headers_only_for_empty_table(tmp_path):
-    emit_report(ResultTable.from_rows([]), tmp_path)
+    emit_report(ResultTable([]), tmp_path)
     for name, header in (
         ("results.csv", "run_id,dataset,strategy,bag_id,l1_shift,true_acc,est_acc,model_id"),
         ("summary.csv", "strategy,n_bags,mean_true_acc,std_true_acc,best,not_sig_diff_from_best,p_vs_best"),
@@ -543,7 +562,7 @@ def test_summary_dagger_semantics(tmp_path):
         rows.append(ResultRow("rid", "ds", "weak", bag_id, 0.1, strong - 0.2, None, 1))
         wobble = 0.01 if bag_id % 2 == 0 else -0.01
         rows.append(ResultRow("rid", "ds", "close", bag_id, 0.1, strong + wobble, None, 2))
-    emit_report(ResultTable.from_rows(rows), tmp_path)
+    emit_report(ResultTable(rows), tmp_path)
     with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
         recs = {r["strategy"]: r for r in csv.DictReader(fh)}
     assert recs["strong"]["best"] == "1"
@@ -556,18 +575,58 @@ def test_summary_dagger_semantics(tmp_path):
 def test_shift_curve_matches_bin_by_shift(small_run, tmp_path):
     config, table = small_run
     emit_report(table, tmp_path)
-    bins = bin_by_shift(shift_records(table), n_bins=config.n_bins)
-    expected = {}
-    for b in bins:
-        for strat, mean in b.mean_accuracy.items():
-            expected[(b.index, strat)] = (b.count, mean)
+    _, shifts, _ = accuracy_matrix(table.rows)
+    bins, width = bin_by_shift(shifts, n_bins=config.n_bins)
+    # brute-force group-by of the rows on their bag's bin
+    bin_of = dict(zip(sorted({r.bag_id for r in table.rows}), bins.tolist()))
+    groups = {}
+    for row in table.rows:
+        groups.setdefault((bin_of[row.bag_id], row.strategy), []).append(
+            row.true_acc)
+    expected = {key: (np.count_nonzero(bins == key[0]), np.mean(accs))
+                for key, accs in groups.items()}
     with open(tmp_path / "shift_curve.csv", encoding="utf-8") as fh:
         recs = list(csv.DictReader(fh))
     assert len(recs) == len(expected)
     for rec in recs:
-        count, mean = expected[(int(rec["bin_index"]), rec["strategy"])]
+        index = int(rec["bin_index"])
+        count, mean = expected[(index, rec["strategy"])]
         assert int(rec["n_bags"]) == count
         assert float(rec["mean_true_acc"]) == pytest.approx(mean, abs=1e-12)
+        assert (float(rec["bin_lo"]), float(rec["bin_hi"])) == (
+            index * width, (index + 1) * width)
+
+
+def test_summary_and_curve_pair_ragged_results_by_bag(tmp_path):
+    # an incomplete run: "best" lacks bag 0 and "other" lacks bag 29; on the
+    # 28 bags both have, "other" is 0.01 below "best", which a test pairing
+    # by position (bag k of one against bag k + 1 of the other) misses
+    rng = np.random.default_rng(3)
+    acc = rng.uniform(0.6, 0.9, size=30)
+    acc[0], acc[29] = 0.6, 0.9
+    rows = [ResultRow("rid", "ds", "best", bag_id, 0.1, acc[bag_id], None, 0)
+            for bag_id in range(1, 30)]
+    rows += [ResultRow("rid", "ds", "other", bag_id, 0.1, acc[bag_id] - 0.01,
+                       None, 1) for bag_id in range(29)]
+    strategies, shifts, matrix = accuracy_matrix(rows)
+    assert strategies == ["best", "other"]
+    assert shifts.tolist() == [0.1] * 30
+    assert np.isnan(matrix[0, 0]) and np.isnan(matrix[1, 29])
+    emit_report(ResultTable(rows), tmp_path)
+    with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
+        recs = {r["strategy"]: r for r in csv.DictReader(fh)}
+    assert recs["best"]["best"] == "1"
+    assert recs["other"]["n_bags"] == "29"
+    paired = wilcoxon_signed_rank(acc[1:29] - 0.01, acc[1:29])
+    assert paired.significant
+    assert float(recs["other"]["p_vs_best"]) == paired.p_value
+    assert recs["other"]["not_sig_diff_from_best"] == "0"
+    # one shift bin; each strategy's mean is over the bags it has
+    with open(tmp_path / "shift_curve.csv", encoding="utf-8") as fh:
+        curve = {r["strategy"]: r for r in csv.DictReader(fh)}
+    assert [r["n_bags"] for r in curve.values()] == ["30", "30"]
+    assert float(curve["best"]["mean_true_acc"]) == np.mean(acc[1:])
+    assert float(curve["other"]["mean_true_acc"]) == np.mean(acc[:29] - 0.01)
 
 
 def test_results_csv_round_trip(small_run, tmp_path):
@@ -623,10 +682,24 @@ def test_cli_run_and_report(tmp_path, capsys):
 def test_cli_report_rejects_alpha_outside_the_unit_interval(alpha, tmp_path,
                                                             capsys):
     results = tmp_path / "results.csv"
-    emit_report(ResultTable.from_rows([]), tmp_path)
+    emit_report(ResultTable([]), tmp_path)
     assert main(["report", "--results", str(results), "--outdir",
                  str(tmp_path / "re"), f"--alpha={alpha}"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "re").exists()
+
+
+def test_cli_report_rejects_a_repeated_strategy_bag_row(small_run, tmp_path,
+                                                      capsys):
+    _, table = small_run
+    emit_report(table, tmp_path)
+    lines = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    results = tmp_path / "repeated.csv"
+    results.write_text("".join(lines + [lines[1]]), encoding="utf-8")
+    assert main(["report", "--results", str(results), "--outdir",
+                 str(tmp_path / "re")]) == 2
+    assert "more than one row" in capsys.readouterr().err
     assert not (tmp_path / "re").exists()
 
 
@@ -634,7 +707,7 @@ def test_cli_report_rejects_alpha_outside_the_unit_interval(alpha, tmp_path,
 def test_cli_report_rejects_fewer_than_one_bin_before_writing(bins, tmp_path,
                                                               capsys):
     results = tmp_path / "results.csv"
-    emit_report(ResultTable.from_rows([]), tmp_path)
+    emit_report(ResultTable([]), tmp_path)
     assert main(["report", "--results", str(results), "--outdir",
                  str(tmp_path / "re"), f"--bins={bins}"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
@@ -746,3 +819,23 @@ def test_cli_runtime_error_exit_code(tmp_path):
         tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "nope.csv"),
                            "label_column": "y"})
     assert main(["run", "--config", str(config_path)]) == 2
+
+
+@pytest.mark.parametrize("base", [5, {"r": 0}])
+def test_csv_batch_rejects_a_bad_base_config_before_any_dataset(base, tmp_path,
+                                                               capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_csv_batch", REPO / "scripts" / "run_csv_batch.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "one.csv").write_text("x,label\n0.5,a\n", encoding="utf-8")
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps(base), encoding="utf-8")
+    assert script.main(["--data-dir", str(data), "--label-column", "label",
+                        "--outdir", str(tmp_path / "out"),
+                        "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from shiftselect.dataspace import DataError, Dataset
-from shiftselect.protocol import (ShiftRecord, app_generate, bin_by_shift,
-                                  draw_bag, kraemer_sample, l1_shift,
-                                  reveal_labels)
+from shiftselect.protocol import (app_generate, bin_by_shift, draw_bag,
+                                  kraemer_sample, l1_shift, reveal_labels)
 
 
 class QueuedRng:
@@ -172,52 +171,40 @@ def test_l1_shift_rejects_mismatched_lengths():
 
 
 def test_bin_single_record():
-    bins = bin_by_shift([ShiftRecord(0, 0.4, {"a": 0.9})], n_bins=10)
-    assert len(bins) == 1
-    assert bins[0].count == 1
-    assert bins[0].mean_accuracy == {"a": 0.9}
+    bins, width = bin_by_shift([0.4], n_bins=10)
+    assert bins.tolist() == [9]
+    assert width == pytest.approx(0.04)
 
 
 def test_bin_extremes_land_in_first_and_last():
-    records = [ShiftRecord(0, 0.1, {"a": 1.0}), ShiftRecord(1, 1.9, {"a": 0.5})]
-    bins = bin_by_shift(records, n_bins=2)
-    assert [b.index for b in bins] == [0, 1]
-    assert [b.count for b in bins] == [1, 1]
+    bins, _ = bin_by_shift([0.1, 1.9], n_bins=2)
+    assert bins.tolist() == [0, 1]
 
 
 def test_bin_empty_bins_are_absent():
-    records = [ShiftRecord(0, 0.05, {"a": 1.0}), ShiftRecord(1, 1.0, {"a": 0.5})]
-    bins = bin_by_shift(records, n_bins=10)
-    assert [b.index for b in bins] == [0, 9]
+    bins, _ = bin_by_shift([0.05, 1.0], n_bins=10)
+    assert sorted(set(bins.tolist())) == [0, 9]
 
 
 def test_bin_means_match_brute_force_group_by():
     rng = np.random.default_rng(12)
-    records = [ShiftRecord(i, float(rng.uniform(0, 2)),
-                           {"x": float(rng.random()), "y": float(rng.random())})
-               for i in range(300)]
+    shifts = rng.uniform(0, 2, size=300)
     n_bins = 7
-    bins = bin_by_shift(records, n_bins=n_bins)
-    max_shift = max(r.l1 for r in records)
-    width = max_shift / n_bins
+    bins, width = bin_by_shift(shifts, n_bins=n_bins)
+    assert width == shifts.max() / n_bins
+    assert isinstance(width, float)
     # brute force group-by
-    for b in bins:
-        members = [r for r in records
-                   if min(int(r.l1 / width), n_bins - 1) == b.index]
-        assert b.count == len(members)
-        for key in ("x", "y"):
-            assert b.mean_accuracy[key] == pytest.approx(
-                np.mean([r.accuracies[key] for r in members]))
-    assert sum(b.count for b in bins) == 300
+    expected = [min(int(l1 / width), n_bins - 1) for l1 in shifts.tolist()]
+    assert bins.tolist() == expected
+    assert np.bincount(bins, minlength=n_bins).sum() == 300
 
 
 def test_bin_rejects_nonpositive_bin_count():
     with pytest.raises(ValueError):
-        bin_by_shift([ShiftRecord(0, 0.1, {"a": 1.0})], n_bins=0)
+        bin_by_shift([0.1], n_bins=0)
 
 
 def test_bin_all_zero_shifts_collapse_to_first_bin():
-    records = [ShiftRecord(i, 0.0, {"a": 0.5}) for i in range(4)]
-    bins = bin_by_shift(records, n_bins=10)
-    assert len(bins) == 1
-    assert bins[0].index == 0 and bins[0].count == 4
+    bins, width = bin_by_shift(np.zeros(4), n_bins=10)
+    assert bins.tolist() == [0, 0, 0, 0]
+    assert width == 0.0

@@ -9,7 +9,7 @@ import pytest
 from shiftselect import evalcli, selection
 from shiftselect.cap import predict_batch, stack_caps
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
-                                    predict_posteriors_batch)
+                                    encode_array, predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
@@ -118,7 +118,8 @@ def test_registry_round_trip(registry, splits, tmp_path):
 @pytest.mark.parametrize("damage", ["old layout", "missing key", "truncated",
                                     "entries an object",
                                     "an entry not an object",
-                                    "mixed quantifier kinds"])
+                                    "mixed quantifier kinds",
+                                    "rate matrix of another size"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -145,6 +146,11 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         cap = manifest["entries"][1]["cap"]
         cap["quantifier_kind"] = "CC"
         del cap["support"], cap["bandwidth"]
+    elif damage == "rate matrix of another size":
+        # a valid rate matrix, but TMS stacks them and each model's
+        # posteriors have the registry's class count
+        manifest["entries"][1]["cap"]["rate_matrix"] = encode_array(
+            np.eye(manifest["meta"]["n_classes"] + 1))
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
