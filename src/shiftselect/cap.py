@@ -12,9 +12,11 @@ any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
 a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
-quantifiers share one type into a :class:`CapStack` once, and
-:func:`predict_batch` then predicts the accuracy of all k on one bag in one
-pass: label counts, one ``reduce`` of the quantifiers' stacked rows, then one
+quantifiers share one type into a :class:`CapStack` once; :meth:`CapStack.take`
+picks a sub-stack by position without stacking again, and
+:meth:`CapStack.rows` turns the k models' posteriors into the quantifiers'
+stacked rows. :func:`predict_batch` then predicts the accuracy of all k on
+one bag in one pass: label counts, one ``reduce`` of the rows, then one
 batched LEAP solve (:func:`leap_solve_batch`, the active-set Newton steps of
 the KDEy-ML mixture solver over a (k, n) stack of thetas, each leaving the
 batch once it converges). Every problem has the same tolerance and iteration
@@ -154,11 +156,12 @@ def fit_cap(posteriors: np.ndarray, validation: LabelledSet,
 @dataclass(frozen=True, eq=False)
 class CapStack:
     """The solver inputs of k predictors, stacked once by :func:`stack_caps`
-    and shared by every bag they predict: the quantifiers (all of one type),
-    the rate matrices M (k, n, n), Q = M^T M + w I, the diagonals of M
-    (k, n), and each predictor's solver weight (k,)."""
+    and shared by every bag they predict: the quantifiers (an object array,
+    all of one type), the rate matrices M (k, n, n), Q = M^T M + w I, the
+    diagonals of M (k, n), and each predictor's solver weight (k,). Every
+    array is read-only."""
 
-    quantifiers: tuple
+    quantifiers: np.ndarray
     M: np.ndarray
     Q: np.ndarray
     diagonal: np.ndarray
@@ -167,12 +170,30 @@ class CapStack:
     def __len__(self):
         return len(self.M)
 
+    def take(self, positions) -> "CapStack":
+        """The sub-stack of the predictors at `positions`, an int array: the
+        rows of every field are copied, none is computed again."""
+        return CapStack(*(_read_only(a.take(positions, axis=0))
+                          for a in (self.quantifiers, self.M, self.Q,
+                                    self.diagonal, self.weight)))
+
+    def rows(self, posteriors: np.ndarray) -> np.ndarray:
+        """Each quantifier's ``q.rows(...)`` of its model's posterior rows,
+        from a (k, m, n) stack of them; shape (k, m, n)."""
+        return np.stack([q.rows(P)
+                         for q, P in zip(self.quantifiers, posteriors)])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def stack_caps(caps) -> CapStack:
     """Stack the accuracy predictors `caps` for :func:`predict_batch` and
     :func:`leap_solve_batch`. There must be at least one, their quantifiers
     must share one type, and every solver weight must be positive."""
-    quantifiers = tuple(c.quantifier for c in caps)
+    quantifiers = np.fromiter((c.quantifier for c in caps), dtype=object)
     types = {type(q) for q in quantifiers}
     if len(types) != 1:
         raise ValueError("need predictors whose quantifiers share one type, "
@@ -183,10 +204,8 @@ def stack_caps(caps) -> CapStack:
     M = np.stack([c.rates.m for c in caps])
     Q = np.matmul(M.transpose(0, 2, 1), M) \
         + weight[:, None, None] * np.eye(M.shape[1])
-    arrays = (M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight)
-    for a in arrays:
-        a.flags.writeable = False
-    return CapStack(quantifiers, *arrays)
+    return CapStack(*map(_read_only, (
+        quantifiers, M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight)))
 
 
 @dataclass(frozen=True)
@@ -207,22 +226,19 @@ class CapBatch:
 
 
 def predict_batch(stack: CapStack, posteriors: np.ndarray,
-                  rows=None) -> CapBatch:
+                  rows: np.ndarray) -> CapBatch:
     """Predicted accuracy of each stacked predictor's model on one
     (unlabelled) bag.
 
     `posteriors` stacks each model's posterior rows for the bag, shape
-    (k, m, n), and m = 0 raises DataError; `rows` optionally stacks each
-    quantifier's ``q.rows(...)`` for them, which are computed here without it.
+    (k, m, n), and m = 0 raises DataError; `rows` stacks each quantifier's
+    rows for them (:meth:`CapStack.rows`).
     """
     if len(posteriors) != len(stack):
         raise ValueError(f"posteriors for {len(posteriors)} models, "
                          f"{len(stack)} predictors")
     if posteriors.shape[1] == 0:
         raise DataError("empty bag")
-    if rows is None:
-        rows = np.stack([q.rows(P)
-                         for q, P in zip(stack.quantifiers, posteriors)])
     n = stack.M.shape[1]
     qhat, em_iterations, em_converged = type(stack.quantifiers[0]).reduce(rows)
     qhat = as_prevalence(qhat, n, stacked=True)

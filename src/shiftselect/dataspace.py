@@ -386,7 +386,3 @@ def fit_scaler(train: LabelledSet) -> Scaler:
 
 def apply_scaler(scaler: Scaler, features: np.ndarray) -> np.ndarray:
     return (np.asarray(features, dtype=float) - scaler.mean_) / scaler.std_
-
-
-def invert_scaler(scaler: Scaler, features: np.ndarray) -> np.ndarray:
-    return np.asarray(features, dtype=float) * scaler.std_ + scaler.mean_

@@ -155,6 +155,8 @@ class RunConfig:
             raise ConfigError(f"train_fraction {self.train_fraction} not in (0,1)")
         if not (0.0 < self.proper_fraction < 1.0):
             raise ConfigError(f"proper_fraction {self.proper_fraction} not in (0,1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.r < 1 or self.s < 1:
             raise ConfigError("r and s must be at least 1")
         if self.n_bins < 1:
@@ -192,6 +194,9 @@ class RunConfig:
                     f"dataset.{key} must be "
                     f"{' or '.join(FIELD_KINDS[k][0] for k in kinds)}, "
                     f"got {spec[key]!r}")
+        if kind == "synthetic" and spec.get("seed", 0) < 0:
+            raise ConfigError(
+                f"dataset.seed must be non-negative, got {spec['seed']}")
         if kind == "synthetic" and spec["n_classes"] < 2:
             raise ConfigError("a synthetic dataset needs at least two classes")
         if kind == "synthetic" and spec["prevalence"] is not None:
@@ -315,7 +320,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.01) -> WilcoxonResult:
         _, tie_counts = np.unique(ranks, return_counts=True)
         var -= (tie_counts ** 3 - tie_counts).sum() / 48.0
         z = (w - mean + 0.5) / math.sqrt(var)
-        p = 2.0 * 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        p = math.erfc(-z / math.sqrt(2.0))
         method = "normal"
     p = min(p, 1.0)
     return WilcoxonResult(statistic=w, p_value=p, significant=p < alpha,
@@ -584,8 +589,7 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
         [e.model for e in registry.entries], test.X)
     seconds["test_posteriors"] = time.perf_counter() - start
     start = time.perf_counter()
-    densities_test = np.stack([e.cap.quantifier.rows(P) for e, P in
-                               zip(registry.entries, posteriors_test)])
+    rows_test = registry.caps.rows(posteriors_test)
     seconds["quantifier_rows"] = time.perf_counter() - start
     labels_test = np.argmax(posteriors_test, axis=2)
     position = {e.model_id: i for i, e in enumerate(registry.entries)}
@@ -612,7 +616,7 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
                     == reveal_labels(bag)).mean(axis=1)
         shift = l1_shift(train_prevalence, bag.realized_prevalence)
         P = posteriors_test[:, bag.indices]
-        F = densities_test[:, bag.indices]
+        F = rows_test[:, bag.indices]
         flagged = {name: set() for name in diagnostics}
 
         for strat, kind, scope in plan:
@@ -620,7 +624,7 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
                 mid, at, est = static[strat]
             elif kind == "TMS":
                 outcome = tms_select(registry, scope, bag, posteriors=P,
-                                     densities=F)
+                                     rows=F)
                 mid = outcome.model_id
                 at = position[mid]
                 est = outcome.estimated_accuracy

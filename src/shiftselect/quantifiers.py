@@ -5,7 +5,7 @@ classifier:
 
 * :class:`CCQuantifier` (classify-and-count): the empirical distribution of
   predicted labels;
-* :class:`KDEyMLQuantifier` (KDEy-ML): per-class Gaussian KDEs fitted on the
+* :class:`ClassDensities` (KDEy-ML): per-class Gaussian KDEs fitted on the
   posterior vectors of validation instances, with mixture weights chosen to
   maximize the likelihood of the bag's posteriors.
 
@@ -18,9 +18,10 @@ Rows depend on the instances only, so a caller that labels many bags drawn
 from one test set evaluates them once per model over the whole set and slices
 out each bag; a row's value does not depend on the rows evaluated with it, so
 the slice equals the bag evaluated on its own, bit for bit.
-:func:`cap.predict_batch` runs this for the quantifiers of one type on one
-bag, and :func:`em_weights_batch` is the one mixture solver; one quantifier
-or one density matrix is the k=1 case of the same calls.
+:meth:`cap.CapStack.rows` stacks the rows of the quantifiers of one type,
+:func:`cap.predict_batch` reduces them for one bag, and
+:func:`em_weights_batch` is the one mixture solver; one quantifier or one
+density matrix is the k=1 case of the same calls.
 
 A model's KDE rows are two GEMMs over the stacked supports of all classes,
 with the log-sum-exp shift folded into the second, and the query points along
@@ -62,11 +63,14 @@ KDE_CHUNK_ELEMENTS = 1 << 17   # kernel values per chunk of query points (1 MiB)
 
 @dataclass(frozen=True)
 class ClassDensities:
-    """Per-class KDE support points (posterior rows) and a shared bandwidth."""
+    """The KDEy-ML quantifier: per-class KDE support points (posterior rows)
+    and a shared bandwidth. Its rows are the class log densities
+    (:meth:`evaluate`), which the mixture solver reduces."""
 
     support: tuple          # one (m_j, n_classes) array per class
     bandwidth: float
     n_classes: int
+    kind: ClassVar[str] = "KDEyML"
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -146,6 +150,15 @@ class ClassDensities:
                               + np.log(sums[:, :c].T / sizes))
         return out
 
+    def rows(self, posteriors: np.ndarray) -> np.ndarray:
+        return self.evaluate(posteriors)
+
+    @staticmethod
+    def reduce(rows: np.ndarray):
+        """(prevalences (k, n), iterations (k,), converged (k,)) of the
+        mixture solver on a (k, m, n) log-density stack."""
+        return em_weights_batch(rows)
+
 
 @dataclass(frozen=True)
 class CCQuantifier:
@@ -165,24 +178,7 @@ class CCQuantifier:
                 np.zeros(k, dtype=int), np.ones(k, dtype=bool))
 
 
-@dataclass(frozen=True)
-class KDEyMLQuantifier:
-    """KDE mixture over the posteriors of the classifier that feeds it."""
-
-    densities: ClassDensities
-    kind: ClassVar[str] = "KDEyML"
-
-    def rows(self, posteriors: np.ndarray) -> np.ndarray:
-        return self.densities.evaluate(posteriors)
-
-    @staticmethod
-    def reduce(rows: np.ndarray):
-        """(prevalences (k, n), iterations (k,), converged (k,)) of the
-        mixture solver on a (k, m, n) log-density stack."""
-        return em_weights_batch(rows)
-
-
-QUANTIFIERS = {q.kind: q for q in (KDEyMLQuantifier, CCQuantifier)}
+QUANTIFIERS = {q.kind: q for q in (ClassDensities, CCQuantifier)}
 
 
 def fit_quantifier(kind: str, posteriors: np.ndarray, validation: LabelledSet,
@@ -191,13 +187,13 @@ def fit_quantifier(kind: str, posteriors: np.ndarray, validation: LabelledSet,
     validation posterior rows `posteriors`."""
     if kind == CCQuantifier.kind:
         return CCQuantifier()
-    if kind == KDEyMLQuantifier.kind:
+    if kind == ClassDensities.kind:
         return fit_kdey(posteriors, validation, bandwidth=bandwidth)
     raise ValueError(f"unknown quantifier kind {kind!r}")
 
 
 def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
-             bandwidth: float = DEFAULT_BANDWIDTH) -> KDEyMLQuantifier:
+             bandwidth: float = DEFAULT_BANDWIDTH) -> ClassDensities:
     """Fit per-class KDEs over a model's posterior rows `posteriors` for the
     validation instances."""
     if bandwidth <= 0:
@@ -209,8 +205,7 @@ def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
         if S.shape[0] == 0:
             raise DataError(f"class {j} missing from validation data")
         support.append(S)
-    densities = ClassDensities(tuple(support), float(bandwidth), validation.n_classes)
-    return KDEyMLQuantifier(densities)
+    return ClassDensities(tuple(support), float(bandwidth), validation.n_classes)
 
 
 def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,

@@ -7,18 +7,20 @@
 * defaults: the fixed default configuration of each family.
 
 IMS is bag-independent by construction; TMS may pick a different model for
-every bag. TMS predicts the accuracy of every in-scope model on the bag in one
-batched pass (:func:`cap.predict_batch`) over the scope's predictors, stacked
-once per scope and kept on the registry (:meth:`ModelRegistry.scope_stack`;
-a registry is immutable, so a stack never goes stale), and takes the argmax
-of that vector (:func:`best_position`: a NaN estimate never wins, and ties
-always break toward the lowest model id). It accepts the bag's per-model
-posteriors and quantifier rows precomputed, stacked along a model axis
-aligned with ``registry.entries``; without them it computes the posteriors
-from the bag's features and leaves the rows, and the empty-bag check, to
-:func:`cap.predict_batch`. A scope is a family name or ``"All"``. No function
-here takes labels: the oracle, which reads a bag's true labels, is an
-evaluation upper bound and lives in the harness (:mod:`evalcli`).
+every bag. A scope is a family name or ``"All"``, and the models in it are
+the positions :meth:`ModelRegistry.scope_positions` gives in the registry's
+entries. The registry stacks every entry's accuracy predictor once
+(:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
+goes stale), and a scope's predictors are the rows at its positions
+(:meth:`cap.CapStack.take`). TMS predicts the accuracy of every in-scope
+model on the bag in one batched pass (:func:`cap.predict_batch`) and takes
+the argmax of that vector (:func:`best_position`: a NaN estimate never wins,
+and ties always break toward the lowest model id). It accepts the bag's
+per-model posteriors and quantifier rows precomputed, stacked along a model
+axis aligned with ``registry.entries``; without them it computes both from
+the bag's features. No function here takes labels: the oracle, which reads a
+bag's true labels, is an evaluation upper bound and lives in the harness
+(:mod:`evalcli`).
 
 A registry is saved as one document, ``manifest.json``: its meta, its
 training warnings, and per entry the model id, the validation accuracy, the
@@ -33,6 +35,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,17 +59,6 @@ class RegistryEntry:
     cap: CapPredictor
 
 
-@dataclass(frozen=True, eq=False)
-class ScopeStack:
-    """The entries of one scope, their positions in the registry's entries
-    and their accuracy predictors stacked (see
-    :meth:`ModelRegistry.scope_stack`)."""
-
-    positions: np.ndarray
-    entries: tuple
-    caps: CapStack
-
-
 @dataclass(frozen=True)
 class ModelRegistry:
     entries: tuple
@@ -74,8 +66,6 @@ class ModelRegistry:
     meta: dict = field(default_factory=dict)
     # wall seconds of each family's train_grid call; not saved
     train_s: dict = field(default_factory=dict)
-    # scope -> ScopeStack, built by the scope's first tms_select; not saved
-    scope_stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -89,26 +79,21 @@ class ModelRegistry:
                 return e
         raise KeyError(f"no model with id {model_id}")
 
-    def scope_positions(self, scope) -> list:
-        """Positions in `entries` of the models in scope."""
-        return [i for i, e in enumerate(self.entries)
-                if scope == "All" or e.family == scope]
-
-    def scope_stack(self, scope) -> ScopeStack:
-        """The models in scope with their accuracy predictors stacked
-        (:func:`cap.stack_caps`). Built on first use and kept for the
-        scope's later bags."""
-        stack = self.scope_stacks.get(scope)
-        if stack is not None:
-            return stack
-        positions = self.scope_positions(scope)
-        if not positions:
+    def scope_positions(self, scope) -> np.ndarray:
+        """Positions in `entries` of the models in scope, as an int array;
+        a scope without models raises ValueError."""
+        positions = np.array([i for i, e in enumerate(self.entries)
+                              if scope == "All" or e.family == scope],
+                             dtype=int)
+        if not positions.size:
             raise ValueError(f"no models in scope {scope!r}")
-        entries = tuple(self.entries[i] for i in positions)
-        stack = ScopeStack(np.array(positions), entries,
-                           stack_caps([e.cap for e in entries]))
-        self.scope_stacks[scope] = stack
-        return stack
+        return positions
+
+    @cached_property
+    def caps(self) -> CapStack:
+        """Every entry's accuracy predictor, stacked (:func:`cap.stack_caps`)
+        on first use; neither saved nor compared."""
+        return stack_caps([e.cap for e in self.entries])
 
 
 @dataclass
@@ -224,35 +209,32 @@ def best_position(values, entries, where: str) -> int:
 def ims_select(registry: ModelRegistry, scope) -> int:
     """Id of the in-scope model with the best validation accuracy."""
     entries = [registry.entries[i] for i in registry.scope_positions(scope)]
-    if not entries:
-        raise ValueError(f"no models in scope {scope!r}")
     best = best_position([e.val_accuracy for e in entries], entries,
                          f"scope {scope!r}")
     return entries[best].model_id
 
 
 def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
-               densities=None) -> SelectionOutcome:
+               rows=None) -> SelectionOutcome:
     """Pick the model with the highest predicted accuracy on this bag and
     label the bag with it.
 
     `posteriors` may supply the bag's posterior rows under every registry
-    entry's model, shape (len(registry.entries), m, n), and `densities` the
-    matching quantifier rows (``q.rows(...)``: the KDE class log densities for
-    KDEy-ML); the evaluation harness slices both from test-set caches.
-    Without them the in-scope models' posteriors are computed from the bag's
-    features; an empty bag raises DataError. The scope's stacked predictors
-    are built by its first call (see :meth:`ModelRegistry.scope_stack`).
+    entry's model, shape (len(registry.entries), m, n), and `rows` the
+    matching quantifier rows (:meth:`cap.CapStack.rows` of
+    ``registry.caps``); the evaluation harness slices both from test-set
+    caches. Without them the in-scope models' posteriors and rows are
+    computed from the bag's features; an empty bag raises DataError.
     """
-    scoped = registry.scope_stack(scope)
-    entries = scoped.entries
+    positions = registry.scope_positions(scope)
+    entries = [registry.entries[i] for i in positions]
+    caps = registry.caps.take(positions)
     if posteriors is None:
         P = predict_posteriors_batch([e.model for e in entries], bag.features)
     else:
-        P = np.asarray(posteriors)[scoped.positions]
-    rows = None if densities is None else \
-        np.asarray(densities)[scoped.positions]
-    batch = predict_batch(scoped.caps, P, rows)
+        P = np.asarray(posteriors)[positions]
+    rows = caps.rows(P) if rows is None else np.asarray(rows)[positions]
+    batch = predict_batch(caps, P, rows)
     best = best_position(batch.accuracy, entries,
                          f"scope {scope!r} on a bag of {bag.size} instances")
     nonconverged, em_nonconverged = (
@@ -297,10 +279,10 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
             "quantifier_kind": e.cap.quantifier.kind,
             "weight": e.cap.weight,
         }
-        densities = getattr(e.cap.quantifier, "densities", None)
-        if densities is not None:
-            cap["bandwidth"] = densities.bandwidth
-            cap["support"] = [encode_array(S) for S in densities.support]
+        q = e.cap.quantifier
+        if isinstance(q, ClassDensities):
+            cap["bandwidth"] = q.bandwidth
+            cap["support"] = [encode_array(S) for S in q.support]
         entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
                         "model": model_to_record(e.model), "cap": cap})
     write_manifest(out_dir, {"meta": registry.meta,
@@ -322,15 +304,13 @@ def load_registry(out_dir) -> ModelRegistry:
         entries = []
         for rec in manifest["entries"]:
             model, cap = model_from_record(rec["model"]), rec["cap"]
-            make_quantifier = QUANTIFIERS[cap["quantifier_kind"]]
-            if "support" in cap:
-                support = tuple(decode_array(S) for S in cap["support"])
-                quantifier = make_quantifier(
-                    ClassDensities(support, cap["bandwidth"], model.n_classes))
-            else:
-                quantifier = make_quantifier()
+            # a KDEy-ML record's densities; a CC quantifier takes no fields
+            kde = {"support": tuple(decode_array(S) for S in cap["support"]),
+                   "bandwidth": cap["bandwidth"],
+                   "n_classes": model.n_classes} if "support" in cap else {}
             predictor = CapPredictor(
-                RateMatrix(decode_array(cap["rate_matrix"])), quantifier,
+                RateMatrix(decode_array(cap["rate_matrix"])),
+                QUANTIFIERS[cap["quantifier_kind"]](**kde),
                 weight=cap["weight"])
             if not model.n_classes == predictor.rates.n_classes == n_classes:
                 raise ValueError(f"model {rec['model_id']} or its rate matrix "

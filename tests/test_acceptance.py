@@ -116,7 +116,8 @@ def test_criterion_03_leap_oracle_exactness():
     stack = stack_caps([CapPredictor(RateMatrix(M), _OracleQuantifier(bag))])
     posteriors = _PassThrough(2).predict_posteriors(bag.features)
     # predict_batch's label shares and oracle prevalence, solved to 1e-13
-    batch = predict_batch(stack, posteriors[None])
+    batch = predict_batch(stack, posteriors[None],
+                          stack.rows(posteriors[None]))
     theta, _, _ = leap_solve_batch(stack, batch.rho, batch.qhat, **TIGHT)
     estimate = float((stack.diagonal * theta).sum())
     closed_form = tpr * q + tnr * (1 - q)
@@ -182,7 +183,7 @@ def test_criterion_05_kdey_recovery(em_trace):
         for _ in range(50):
             bag = draw_bag(rest, [1.0 - q, q], 500, rng)
             posteriors = model.predict_posteriors(bag.features)
-            logF = quantifier.densities.evaluate(posteriors)
+            logF = quantifier.evaluate(posteriors)
             alpha, _, _ = em_weights_batch(logF[None])
             errs.append(abs(alpha[0, 1] - bag.realized_prevalence[1]))
             if (np.diff(em_trace(logF)) < -1e-9).any():

@@ -8,8 +8,7 @@ from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
 from shiftselect.classifiers import default_model, train
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
-from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
-                                     KDEyMLQuantifier, fit_kdey)
+from shiftselect.quantifiers import CCQuantifier, ClassDensities, fit_kdey
 
 
 class PassThroughModel:
@@ -60,8 +59,9 @@ def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
 
 def predict_one(psi, model, bag):
     """One predictor on one bag through the batched API."""
-    return predict_batch(stack_caps([psi]),
-                         model.predict_posteriors(bag.features)[None])
+    stack = stack_caps([psi])
+    posteriors = model.predict_posteriors(bag.features)[None]
+    return predict_batch(stack, posteriors, stack.rows(posteriors))
 
 
 def posterior_dataset(posterior_rows, labels):
@@ -148,8 +148,8 @@ def test_fit_cap_with_precomputed_posteriors_matches_features():
     fresh_rates = estimate_rate_matrix(P, validation)
     fresh_quantifier = fit_kdey(P, validation)
     assert np.array_equal(fresh_rates.m, shared.rates.m)
-    for a, b in zip(fresh_quantifier.densities.support,
-                    shared.quantifier.densities.support, strict=True):
+    for a, b in zip(fresh_quantifier.support, shared.quantifier.support,
+                    strict=True):
         assert np.array_equal(a, b)
 
 
@@ -335,14 +335,17 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
         else:
             support = tuple(rng.dirichlet(np.ones(n), size=rng.integers(1, 6))
                             for _ in range(n))
-            quantifier = KDEyMLQuantifier(ClassDensities(support, bandwidth, n))
+            quantifier = ClassDensities(support, bandwidth, n)
         caps.append(CapPredictor(
             RateMatrix(rng.dirichlet(np.ones(n), size=n).T), quantifier,
             weight=rng.uniform(0.05, 5.0)))
     posteriors = rng.dirichlet(np.ones(n), size=(k, m))
-    batch = predict_batch(stack_caps(caps), posteriors)
+    stack = stack_caps(caps)
+    batch = predict_batch(stack, posteriors, stack.rows(posteriors))
     for i, psi in enumerate(caps):
-        one = predict_batch(stack_caps([psi]), posteriors[i:i + 1])
+        one_stack = stack_caps([psi])
+        one = predict_batch(one_stack, posteriors[i:i + 1],
+                            one_stack.rows(posteriors[i:i + 1]))
         for name in ("accuracy", "theta", "rho", "qhat", "iterations",
                      "converged", "em_iterations", "em_converged"):
             assert np.array_equal(getattr(batch, name)[i],
@@ -352,7 +355,7 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
 def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
     density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1, 2)
     mixed = [CapPredictor(RateMatrix(np.eye(2)), CCQuantifier()),
-             CapPredictor(RateMatrix(np.eye(2)), KDEyMLQuantifier(density))]
+             CapPredictor(RateMatrix(np.eye(2)), density)]
     with pytest.raises(ValueError, match="share one type"):
         stack_caps(mixed)
     with pytest.raises(ValueError, match="share one type"):
@@ -361,14 +364,16 @@ def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
 
 def test_predict_batch_rejects_an_empty_bag():
     psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
+    empty = np.zeros((1, 0, 2))
     with pytest.raises(DataError, match="empty bag"):
-        predict_batch(stack_caps([psi]), np.zeros((1, 0, 2)))
+        predict_batch(stack_caps([psi]), empty, empty)
 
 
 def test_predict_batch_rejects_posteriors_of_other_models():
     psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
+    posteriors = np.full((2, 3, 2), 0.5)
     with pytest.raises(ValueError, match="posteriors for 2 models"):
-        predict_batch(stack_caps([psi]), np.full((2, 3, 2), 0.5))
+        predict_batch(stack_caps([psi]), posteriors, posteriors)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,9 @@ def test_accuracy_is_the_trace():
                    [0.3, 0.7], 10, np.random.default_rng(0))
     caps = [CapPredictor(RateMatrix(M), OracleQuantifier(bag))
             for M in (np.eye(2), np.full((2, 2), 0.5))]
-    batch = predict_batch(stack_caps(caps), np.stack([bag.features] * 2))
+    stack = stack_caps(caps)
+    posteriors = np.stack([bag.features] * 2)
+    batch = predict_batch(stack, posteriors, stack.rows(posteriors))
     # tables diag(0.3, 0.7) and 0.5 * theta in every row: traces 1 and 0.5
     assert batch.accuracy[0] == 1.0
     assert batch.accuracy[1] == 0.5

@@ -74,11 +74,22 @@ def test_config_rejects_unknown_keys():
     {"dataset": {"kind": "parquet"}},
     {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 2.0}, {"alpha": -1},
     {"dataset": {"kind": "synthetic", "n_classes": 1}},
+    {"seed": -1}, {"dataset": {"kind": "synthetic", "seed": -3}},
 ])
 def test_config_validation_rejects(patch):
     raw = dict(patch)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("patch, name", [
+    ({"seed": -1}, "seed"),
+    ({"dataset": {"kind": "synthetic", "seed": -3}}, "dataset.seed"),
+])
+def test_config_negative_seed_names_its_field(patch, name, monkeypatch):
+    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+    with pytest.raises(ConfigError, match=f"^{name} must be non-negative"):
+        config_from_dict(patch)
 
 
 @pytest.mark.parametrize("patch", [
@@ -201,6 +212,9 @@ def test_config_env_seed_must_be_integer(monkeypatch, tmp_path):
     monkeypatch.setenv("SHIFTSELECT_SEED", "not-a-number")
     with pytest.raises(ConfigError):
         load_config(path)
+    monkeypatch.setenv("SHIFTSELECT_SEED", "-1")
+    with pytest.raises(ConfigError, match="^seed must be non-negative"):
+        load_config(path)
 
 
 def test_strategy_parsing():
@@ -253,6 +267,12 @@ def test_wilcoxon_normal_matches_scipy():
         assert ours.method == "normal"
         ref = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+    # far in the tail, where 1 + erf(z / sqrt 2) would cancel to 0.0
+    a, b = np.zeros(100), np.arange(1, 101) * 0.01
+    ours = wilcoxon_signed_rank(a, b)
+    ref = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
+    assert 0.0 < ours.p_value < 1e-17
+    assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9)
 
 
 def test_wilcoxon_exact_close_to_normal_at_boundary():

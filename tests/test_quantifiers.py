@@ -43,13 +43,19 @@ def em_one(logF, **kwargs):
     return alpha[0], int(iterations[0]), bool(converged[0])
 
 
+def one_stack(quantifier, n, k=1):
+    """k copies of `quantifier` with identity rate matrices, stacked; the
+    rate matrix does not enter a prevalence estimate."""
+    return stack_caps([CapPredictor(RateMatrix(np.eye(n)), quantifier)] * k)
+
+
 def estimate_one(quantifier, model, bag, rows=None):
     """One quantifier's prevalence estimate on one bag through
-    cap.predict_batch; the rate matrix, here the identity, does not enter
-    the estimate."""
+    cap.predict_batch, from the stack's own rows unless `rows` is given."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    n = posteriors.shape[2]
-    stack = stack_caps([CapPredictor(RateMatrix(np.eye(n)), quantifier)])
+    stack = one_stack(quantifier, posteriors.shape[2])
+    if rows is None:
+        rows = stack.rows(posteriors)
     return predict_batch(stack, posteriors, rows).qhat[0]
 
 
@@ -202,7 +208,7 @@ def test_em_matches_grid_search_two_classes(fitted_pipeline):
     rng = np.random.default_rng(11)
     bag = draw_bag(rest, [0.3, 0.7], 200, rng)
     posteriors = model.predict_posteriors(bag.features)
-    logF = quantifier.densities.evaluate(posteriors)
+    logF = quantifier.evaluate(posteriors)
     F = np.exp(logF - logF.max(axis=1, keepdims=True))
 
     alpha, _, _ = em_one(logF)
@@ -527,7 +533,7 @@ def test_kdey_detailed_reports_monotone_trace(fitted_pipeline, em_trace):
     rng = np.random.default_rng(15)
     bag = draw_bag(rest, [0.2, 0.8], 150, rng)
     posteriors = model.predict_posteriors(bag.features)
-    logF = quantifier.densities.evaluate(posteriors)
+    logF = quantifier.evaluate(posteriors)
     _, _, converged = em_one(logF)
     assert converged
     assert (np.diff(em_trace(logF)) >= -1e-9).all()
@@ -581,7 +587,8 @@ def test_quantifier_estimate_dispatch(fitted_pipeline):
     # a stack of one type is reduced by that type: the mixture solver for
     # KDEy-ML, label counts for CC
     for quantifier, solves in ((kdey, True), (CCQuantifier(), False)):
-        rows = np.stack([quantifier.rows(P) for P in posteriors])
+        rows = one_stack(quantifier, 2, k=2).rows(posteriors)
+        assert np.array_equal(rows[1], quantifier.rows(posteriors[1]))
         qhat, iterations, converged = type(quantifier).reduce(rows)
         for row in qhat:
             assert np.array_equal(row, estimate_one(quantifier, model, bag))

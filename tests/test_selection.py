@@ -34,7 +34,9 @@ def registry(splits):
 def predicted_accuracy(entry, bag):
     """The entry's predicted accuracy on the bag, through the batched API."""
     posteriors = entry.model.predict_posteriors(bag.features)[None]
-    return predict_batch(stack_caps([entry.cap]), posteriors).accuracy[0]
+    stack = stack_caps([entry.cap])
+    return predict_batch(stack, posteriors,
+                         stack.rows(posteriors)).accuracy[0]
 
 
 def bag_posteriors(registry, test):
@@ -81,11 +83,11 @@ def test_registry_round_trip(registry, splits, tmp_path):
     _, _, test = splits
     save_registry(registry, tmp_path / "reg")
     loaded = load_registry(tmp_path / "reg")
-    # loading builds no stacked KDE support and no scope's stacked
-    # predictors: the first evaluation and the first tms_select do
-    assert not any("_stacked" in vars(e.cap.quantifier.densities)
+    # loading builds no stacked KDE support and no stacked predictors: the
+    # first evaluation and the first tms_select do
+    assert not any("_stacked" in vars(e.cap.quantifier)
                    for e in loaded.entries)
-    assert not loaded.scope_stacks
+    assert "caps" not in vars(loaded)
     assert loaded.meta == registry.meta
     assert [e.model_id for e in loaded.entries] == [e.model_id for e in registry.entries]
     assert [e.val_accuracy for e in loaded.entries] == \
@@ -103,23 +105,24 @@ def test_registry_round_trip(registry, splits, tmp_path):
     for orig, redo in zip(registry.entries, loaded.entries, strict=True):
         assert (redo.family, redo.hyperparams) == (orig.family, orig.hyperparams)
         assert np.array_equal(orig.cap.rates.m, redo.cap.rates.m)
-        for S, T in zip(orig.cap.quantifier.densities.support,
-                        redo.cap.quantifier.densities.support, strict=True):
+        for S, T in zip(orig.cap.quantifier.support,
+                        redo.cap.quantifier.support, strict=True):
             assert np.array_equal(S, T)
     rows_for = bag_posteriors(registry, test)
-    assert np.array_equal(rows_for(bag), bag_posteriors(loaded, test)(bag))
+    P = rows_for(bag)
+    assert np.array_equal(P, bag_posteriors(loaded, test)(bag))
     assert np.array_equal(
-        predict_batch(stack_caps([e.cap for e in registry.entries]),
-                      rows_for(bag)).accuracy,
-        predict_batch(stack_caps([e.cap for e in loaded.entries]),
-                      rows_for(bag)).accuracy)
+        predict_batch(registry.caps, P, registry.caps.rows(P)).accuracy,
+        predict_batch(loaded.caps, P, loaded.caps.rows(P)).accuracy)
 
 
 @pytest.mark.parametrize("damage", ["old layout", "missing key", "truncated",
                                     "entries an object",
                                     "an entry not an object",
                                     "mixed quantifier kinds",
-                                    "rate matrix of another size"])
+                                    "rate matrix of another size",
+                                    "KDEyML without support",
+                                    "CC with support"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -151,6 +154,12 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         # posteriors have the registry's class count
         manifest["entries"][1]["cap"]["rate_matrix"] = encode_array(
             np.eye(manifest["meta"]["n_classes"] + 1))
+    elif damage == "KDEyML without support":
+        del manifest["entries"][0]["cap"]["support"]
+    elif damage == "CC with support":
+        # every entry counts, so no kinds mix, but each keeps its densities
+        for rec in manifest["entries"]:
+            rec["cap"]["quantifier_kind"] = "CC"
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
@@ -313,11 +322,10 @@ def test_tms_rejects_an_empty_bag(registry, splits):
     prevalence = np.array([0.5, 0.5])
     bag = Bag(np.array([], dtype=int), prevalence, prevalence, test)
     P = predict_posteriors_batch([e.model for e in registry.entries], test.X)
-    F = np.stack([e.cap.quantifier.rows(p)
-                  for e, p in zip(registry.entries, P)])
+    F = registry.caps.rows(P)
     # from the bag's features, and from slices of test-set caches
     for cached in ({}, {"posteriors": P[:, bag.indices],
-                        "densities": F[:, bag.indices]}):
+                        "rows": F[:, bag.indices]}):
         with pytest.raises(DataError, match="empty bag"):
             tms_select(registry, "All", bag, **cached)
 
@@ -362,15 +370,14 @@ def test_tms_precomputed_test_set_rows_match_features(registry, splits):
     _, _, test = splits
     posteriors = np.stack([e.model.predict_posteriors(test.X)
                            for e in registry.entries])
-    densities = np.stack([e.cap.quantifier.rows(P)
-                          for e, P in zip(registry.entries, posteriors)])
+    rows = registry.caps.rows(posteriors)
     rng = np.random.default_rng(12)
     for target in ([0.9, 0.1], [0.5, 0.5], [0.1, 0.9]):
         bag = draw_bag(test, target, 60, rng)
         for scope in ("All", "KNN"):
             cached = tms_select(registry, scope, bag,
                                 posteriors=posteriors[:, bag.indices],
-                                densities=densities[:, bag.indices])
+                                rows=rows[:, bag.indices])
             direct = tms_select(registry, scope, bag)
             assert cached.model_id == direct.model_id
             assert cached.estimated_accuracy == pytest.approx(
@@ -379,44 +386,53 @@ def test_tms_precomputed_test_set_rows_match_features(registry, splits):
                                   direct.predicted_labels)
 
 
-def test_warm_scope_stacks_equal_a_fresh_registry_and_one_model_calls(
-        registry, splits):
+def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
+        registry, splits, monkeypatch):
     _, _, test = splits
     posteriors = predict_posteriors_batch([e.model for e in registry.entries],
                                           test.X)
-    densities = np.stack([e.cap.quantifier.rows(P)
-                          for e, P in zip(registry.entries, posteriors)])
+    rows = registry.caps.rows(posteriors)
     warm = ModelRegistry(list(registry.entries))
     rng = np.random.default_rng(40)
     bags = [draw_bag(test, target, 50, rng)
             for target in ([0.9, 0.1], [0.5, 0.5], [0.2, 0.8])]
     scopes = ("All", "LR", "KNN", "MLP")
+    stacked = []
+    real_stack_caps = selection.stack_caps
+
+    def counting(caps):
+        stacked.append(len(caps))
+        return real_stack_caps(caps)
+
+    monkeypatch.setattr(selection, "stack_caps", counting)
     for scope in scopes:
         tms_select(warm, scope, bags[0])
-    built = {scope: warm.scope_stack(scope) for scope in scopes}
+    # every scope's first call shares one stack over all entries
+    assert stacked == [len(registry.entries)]
+    built = warm.caps
     fields = ("accuracy", "theta", "rho", "qhat", "iterations", "converged",
               "em_iterations", "em_converged")
     for bag in bags:
-        P, F = posteriors[:, bag.indices], densities[:, bag.indices]
+        P, F = posteriors[:, bag.indices], rows[:, bag.indices]
         for scope in scopes:
-            got = tms_select(warm, scope, bag, posteriors=P, densities=F)
+            got = tms_select(warm, scope, bag, posteriors=P, rows=F)
             fresh = tms_select(ModelRegistry(list(registry.entries)), scope,
-                               bag, posteriors=P, densities=F)
-            assert warm.scope_stack(scope) is built[scope]
+                               bag, posteriors=P, rows=F)
+            assert warm.caps is built
             assert (got.model_id, got.estimated_accuracy, got.nonconverged,
                     got.em_nonconverged) == (
                 fresh.model_id, fresh.estimated_accuracy, fresh.nonconverged,
                 fresh.em_nonconverged)
             assert np.array_equal(got.predicted_labels, fresh.predicted_labels)
-            # the stacked batch is the models' k=1 predictions, bit for bit,
-            # and TMS takes its argmax
-            stack = built[scope]
-            assert [e.model_id for e in stack.entries] == [
-                registry.entries[i].model_id
-                for i in registry.scope_positions(scope)]
-            batch = predict_batch(stack.caps, P[stack.positions],
-                                  F[stack.positions])
-            for j, i in enumerate(stack.positions):
+            # the scope's sub-stack is the models' k=1 predictions, bit for
+            # bit, and TMS takes its argmax
+            positions = warm.scope_positions(scope)
+            assert [registry.entries[i].model_id for i in positions] == [
+                e.model_id for e in registry.entries
+                if scope == "All" or e.family == scope]
+            batch = predict_batch(built.take(positions), P[positions],
+                                  F[positions])
+            for j, i in enumerate(positions):
                 one = predict_batch(stack_caps([registry.entries[i].cap]),
                                     P[i:i + 1], F[i:i + 1])
                 for name in fields:
@@ -424,7 +440,36 @@ def test_warm_scope_stacks_equal_a_fresh_registry_and_one_model_calls(
                                           getattr(one, name)[0]), name
             best = int(np.argmax(batch.accuracy))
             assert got.estimated_accuracy == batch.accuracy[best]
-            assert got.model_id == stack.entries[best].model_id
+            assert got.model_id == registry.entries[positions[best]].model_id
+    assert len(stacked) == 1 + len(bags) * len(scopes)   # one per fresh
+
+
+def test_taken_scope_stack_equals_stacking_the_scope(registry):
+    for scope in ("All", "LR", "KNN", "MLP"):
+        positions = registry.scope_positions(scope)
+        taken = registry.caps.take(positions)
+        stacked = stack_caps([registry.entries[i].cap for i in positions])
+        for name in ("M", "Q", "diagonal", "weight"):
+            a, b = getattr(taken, name), getattr(stacked, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable, name
+        assert len(taken.quantifiers) == len(stacked.quantifiers)
+        assert all(q is r for q, r in zip(taken.quantifiers,
+                                          stacked.quantifiers))
+        assert not taken.quantifiers.flags.writeable
+    one = registry.caps.take(np.array([3]))
+    assert one.quantifiers.tolist() == [registry.entries[3].cap.quantifier]
+
+
+def test_empty_scope_rejected(registry):
+    for scope in ("All", "LR"):
+        with pytest.raises(ValueError, match="no models in scope"):
+            ModelRegistry([]).scope_positions(scope)
+    knn_only = ModelRegistry([e for e in registry.entries
+                              if e.family == "KNN"])
+    with pytest.raises(ValueError, match="no models in scope 'LR'"):
+        tms_select(knn_only, "LR", None)
 
 
 def test_registry_entries_cannot_change_so_a_stack_is_kept(registry, splits):
@@ -439,8 +484,11 @@ def test_registry_entries_cannot_change_so_a_stack_is_kept(registry, splits):
         fresh = tms_select(ModelRegistry(list(kept.entries)), "All", bag)
         assert (got.model_id, got.estimated_accuracy) == \
             (fresh.model_id, fresh.estimated_accuracy)
-        stack = kept.scope_stack("All")
-        assert stack.entries == kept.entries
+        stack = kept.caps
+        assert len(stack) == len(kept.entries)
+        assert all(q is e.cap.quantifier and np.array_equal(M, e.cap.rates.m)
+                   for q, M, e in zip(stack.quantifiers, stack.M,
+                                      kept.entries))
         return stack
 
     first = check()
@@ -463,16 +511,16 @@ def test_predictions_from_features_equal_sliced_test_set_caches(registry,
     caps = [e.cap for e in registry.entries]
     models = [e.model for e in registry.entries]
     posteriors = predict_posteriors_batch(models, test.X)
-    rows = np.stack([c.quantifier.rows(P) for c, P in zip(caps, posteriors)])
     caps = stack_caps(caps)
+    rows = caps.rows(posteriors)
     rng = np.random.default_rng(31)
     for target, size in (([0.9, 0.1], 60), ([0.5, 0.5], 100), ([0.2, 0.8], 33),
                          ([0.0, 1.0], 8), ([0.6, 0.4], 1)):
         bag = draw_bag(test, target, size, rng)
         cached = predict_batch(caps, posteriors[:, bag.indices],
                                rows[:, bag.indices])
-        direct = predict_batch(caps, predict_posteriors_batch(models,
-                                                              bag.features))
+        P = predict_posteriors_batch(models, bag.features)
+        direct = predict_batch(caps, P, caps.rows(P))
         for name in ("accuracy", "iterations", "em_iterations"):
             assert np.array_equal(getattr(cached, name), getattr(direct, name))
 
