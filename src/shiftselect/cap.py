@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataspace import DataError, LabelledSet, as_prevalence
+from .dataspace import DataError, LabelledSet, _frozen, as_prevalence
 from .quantifiers import (_newton_direction, _simplex_step, fit_quantifier,
                           label_shares)
 
@@ -54,9 +54,7 @@ class RateMatrix:
             as_prevalence(M.T, M.shape[0], stacked=True)
         except DataError as exc:
             raise DataError(f"rate matrix columns: {exc}") from exc
-        M = M.copy()
-        M.flags.writeable = False
-        object.__setattr__(self, "m", M)
+        object.__setattr__(self, "m", _frozen(M.copy()))
 
     @property
     def n_classes(self) -> int:
@@ -173,7 +171,7 @@ class CapStack:
     def take(self, positions) -> "CapStack":
         """The sub-stack of the predictors at `positions`, an int array: the
         rows of every field are copied, none is computed again."""
-        return CapStack(*(_read_only(a.take(positions, axis=0))
+        return CapStack(*(_frozen(a.take(positions, axis=0))
                           for a in (self.quantifiers, self.M, self.Q,
                                     self.diagonal, self.weight)))
 
@@ -182,11 +180,6 @@ class CapStack:
         from a (k, m, n) stack of them; shape (k, m, n)."""
         return np.stack([q.rows(P)
                          for q, P in zip(self.quantifiers, posteriors)])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def stack_caps(caps) -> CapStack:
@@ -204,7 +197,7 @@ def stack_caps(caps) -> CapStack:
     M = np.stack([c.rates.m for c in caps])
     Q = np.matmul(M.transpose(0, 2, 1), M) \
         + weight[:, None, None] * np.eye(M.shape[1])
-    return CapStack(*map(_read_only, (
+    return CapStack(*map(_frozen, (
         quantifiers, M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight)))
 
 

@@ -8,17 +8,18 @@ testable against finite differences. Models are immutable after training.
 :func:`train_grid` fits the grid points of one family on one training set and
 returns a model or a `TrainingError` per point; the MLP points train together
 as one stack, with one stacked minibatch step per batch, and each equals the
-point trained alone (:func:`train`, the one-point case) bit for bit.
+point trained alone (a one-point grid) bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
 A posterior row is bit-identical whatever other rows it is predicted with
-(see :func:`panel_rows`).
+(see :func:`panel_rows`). A model record names its family, and
+:data:`MODEL_TYPES` maps that to the class whose `arrays` it saves.
 """
 
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -334,9 +335,11 @@ def _mlp_stack_grads(params, X, y, alpha, H=None, D=None):
 # ---------------------------------------------------------------------------
 
 class TrainedModel:
-    """Immutable fitted classifier exposing hard labels and posterior rows."""
+    """Immutable fitted classifier exposing posterior rows. `arrays` names
+    the fitted arrays, in constructor order, that a model record saves."""
 
     family: str
+    arrays: tuple
 
     def __init__(self, hyperparams, n_classes, n_features, seed, meta=None):
         self.hyperparams = hyperparams
@@ -355,13 +358,10 @@ class TrainedModel:
     def predict_posteriors(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_labels(self, X) -> np.ndarray:
-        # argmax takes the first maximum: ties break toward the lowest class id
-        return np.argmax(self.predict_posteriors(X), axis=1)
-
 
 class LRModel(TrainedModel):
     family = "LR"
+    arrays = ("W", "b")
 
     def __init__(self, hyperparams, W, b, n_classes, seed, meta=None):
         super().__init__(hyperparams, n_classes, W.shape[0], seed, meta)
@@ -375,6 +375,7 @@ class LRModel(TrainedModel):
 
 class KNNModel(TrainedModel):
     family = "KNN"
+    arrays = ("X_train", "y_train")
 
     def __init__(self, hyperparams, X_train, y_train, n_classes, seed, meta=None):
         super().__init__(hyperparams, n_classes, X_train.shape[1], seed, meta)
@@ -450,10 +451,11 @@ def _knn_posteriors(models, X) -> list:
 
 class MLPModel(TrainedModel):
     family = "MLP"
+    arrays = ("W1", "b1", "W2", "b2")
 
-    def __init__(self, hyperparams, params, n_classes, seed, meta=None):
-        super().__init__(hyperparams, n_classes, params[0].shape[0], seed, meta)
-        self.W1, self.b1, self.W2, self.b2 = params
+    def __init__(self, hyperparams, W1, b1, W2, b2, n_classes, seed, meta=None):
+        super().__init__(hyperparams, n_classes, W1.shape[0], seed, meta)
+        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
 
     def predict_posteriors(self, X):
         X = self._check_features(X)
@@ -614,7 +616,7 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
         i = active[position]
         meta = {"epochs": epochs, "final_loss": float(epoch_loss[i]),
                 "final_step": float(step[i])}
-        out[i] = MLPModel(hps[i], [p[position].copy() for p in params],
+        out[i] = MLPModel(hps[i], *(p[position].copy() for p in params),
                           n_classes, seeds[i], meta)
 
     def keep(mask):
@@ -696,16 +698,6 @@ def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
     raise ValueError(f"unknown family {family!r}")
 
 
-def train(family: str, hp: HyperParams, train_set: LabelledSet, seed: int) -> TrainedModel:
-    """Fit one grid point on `train_set`: the one-point case of
-    :func:`train_grid`. Deterministic given `seed`; raises the point's
-    :class:`TrainingError` if it fails."""
-    result = train_grid(family, [hp], train_set, [seed])[0]
-    if isinstance(result, TrainingError):
-        raise result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Persistence: self-describing JSON records with base64 little-endian arrays
 # ---------------------------------------------------------------------------
@@ -725,64 +717,39 @@ def decode_array(rec: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
 
 
-def _encode_class_weights(cw: ClassWeights) -> dict:
-    return {"mode": cw.mode, "explicit": list(cw.explicit) if cw.explicit else None}
-
-
-def _decode_class_weights(rec: dict) -> ClassWeights:
-    explicit = tuple(rec["explicit"]) if rec["explicit"] is not None else None
-    return ClassWeights(rec["mode"], explicit)
-
-
 def hyperparams_to_dict(hp: HyperParams) -> dict:
-    out = {}
-    for k, v in hp.values:
-        out[k] = _encode_class_weights(v) if isinstance(v, ClassWeights) else v
-    return {"family": hp.family, "params": out}
+    return {"family": hp.family,
+            "params": {k: asdict(v) if isinstance(v, ClassWeights) else v
+                       for k, v in hp.values}}
 
 
 def hyperparams_from_dict(rec: dict) -> HyperParams:
-    params = {}
-    for k, v in rec["params"].items():
-        if k == "class_weight":
-            v = _decode_class_weights(v)
-        params[k] = v
-    return HyperParams.make(rec["family"], **params)
+    return HyperParams.make(rec["family"], **{
+        k: ClassWeights(**v) if k == "class_weight" else v
+        for k, v in rec["params"].items()})
+
+
+MODEL_TYPES = {cls.family: cls for cls in (LRModel, KNNModel, MLPModel)}
 
 
 def model_to_record(model: TrainedModel) -> dict:
-    rec = {
+    return {
         "format_version": FORMAT_VERSION,
         "family": model.family,
         "hyperparams": hyperparams_to_dict(model.hyperparams),
         "n_classes": model.n_classes,
         "seed": model.seed,
         "meta": model.meta,
-        "arrays": {},
+        "arrays": {k: encode_array(getattr(model, k)) for k in model.arrays},
     }
-    if model.family == "LR":
-        arrays = {"W": model.W, "b": model.b}
-    elif model.family == "KNN":
-        arrays = {"X_train": model.X_train, "y_train": model.y_train}
-    else:
-        arrays = {"W1": model.W1, "b1": model.b1, "W2": model.W2, "b2": model.b2}
-    rec["arrays"] = {k: encode_array(v) for k, v in arrays.items()}
-    return rec
 
 
 def model_from_record(rec: dict) -> TrainedModel:
+    """The model :func:`model_to_record` saved; an unknown family or a
+    missing array raises KeyError."""
     if rec["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported record version {rec['format_version']}")
-    hp = hyperparams_from_dict(rec["hyperparams"])
-    arrays = {k: decode_array(v) for k, v in rec["arrays"].items()}
-    family, n_classes, seed = rec["family"], rec["n_classes"], rec["seed"]
-    meta = rec.get("meta", {})
-    if family == "LR":
-        return LRModel(hp, arrays["W"], arrays["b"], n_classes, seed, meta)
-    if family == "KNN":
-        return KNNModel(hp, arrays["X_train"], arrays["y_train"], n_classes, seed, meta)
-    if family == "MLP":
-        params = (arrays["W1"], arrays["b1"], arrays["W2"], arrays["b2"])
-        return MLPModel(hp, params, n_classes, seed, meta)
-    raise ValueError(f"unknown family {family!r}")
-
+    cls = MODEL_TYPES[rec["family"]]
+    return cls(hyperparams_from_dict(rec["hyperparams"]),
+               *(decode_array(rec["arrays"][k]) for k in cls.arrays),
+               rec["n_classes"], rec["seed"], rec.get("meta", {}))

@@ -51,8 +51,7 @@ def as_prevalence(values, n_classes=None, stacked=False) -> np.ndarray:
     off = np.abs(sums - 1.0) > PREVALENCE_ATOL
     if off.any():
         raise DataError(f"prevalence sums to {float(sums[off][0])!r}, not 1")
-    v.flags.writeable = False
-    return v
+    return _frozen(v)
 
 
 def uniform_prevalence(n_classes: int) -> np.ndarray:

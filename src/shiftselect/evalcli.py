@@ -58,7 +58,7 @@ from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
 from .quantifiers import QUANTIFIERS
 from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
-                        write_manifest)
+                        write_json)
 
 ENV_SEED = "SHIFTSELECT_SEED"
 WILCOXON_EXACT_MAX = 12
@@ -115,15 +115,17 @@ def _of_kind(value, kind: str) -> bool:
 
 # the kinds (keys of FIELD_KINDS) each field of a dataset spec may take; a
 # synthetic field left out takes DEFAULT_DATASET's value, and of the fields
-# with no default only these two may be left out: the synthetic `seed` (the
-# run seed is used) and the csv `header` (true)
+# with no default only these may be left out: the `name` (the generator's or
+# the file's), the synthetic `seed` (the run seed is used) and the csv
+# `header` (true)
 DATASET_FIELDS = {
     "synthetic": {"n_classes": ("int",), "dims": ("int",), "n": ("int",),
-                  "class_separation": ("float",), "seed": ("int",)},
+                  "class_separation": ("float",), "seed": ("int",),
+                  "name": ("str",)},
     "csv": {"path": ("str",), "label_column": ("str", "int"),
-            "header": ("bool",)},
+            "header": ("bool",), "name": ("str",)},
 }
-OPTIONAL_DATASET_FIELDS = ("seed", "header")
+OPTIONAL_DATASET_FIELDS = ("name", "seed", "header")
 
 
 @dataclass
@@ -168,8 +170,9 @@ class RunConfig:
         if self.smoothing < 0:
             raise ConfigError("smoothing must be nonnegative")
         check_alpha(self.alpha)
-        if not self.families:
-            raise ConfigError("families must name at least one family")
+        for key, item in (("families", "family"), ("strategies", "strategy")):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must name at least one {item}")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
@@ -178,7 +181,7 @@ class RunConfig:
         kind = self.dataset.get("kind")
         if kind not in DATASET_FIELDS:
             raise ConfigError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
-        unknown = set(self.dataset) - {"kind", "name", *DATASET_FIELDS[kind]} \
+        unknown = set(self.dataset) - {"kind", *DATASET_FIELDS[kind]} \
             - ({"prevalence"} if kind == "synthetic" else set())
         if unknown:
             raise ConfigError(f"unknown keys for a {kind} dataset: {sorted(unknown)}")
@@ -194,16 +197,20 @@ class RunConfig:
                     f"dataset.{key} must be "
                     f"{' or '.join(FIELD_KINDS[k][0] for k in kinds)}, "
                     f"got {spec[key]!r}")
-        if kind == "synthetic" and spec.get("seed", 0) < 0:
-            raise ConfigError(
-                f"dataset.seed must be non-negative, got {spec['seed']}")
-        if kind == "synthetic" and spec["n_classes"] < 2:
-            raise ConfigError("a synthetic dataset needs at least two classes")
-        if kind == "synthetic" and spec["prevalence"] is not None:
-            try:
-                as_prevalence(spec["prevalence"], spec["n_classes"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"dataset.prevalence: {exc}") from exc
+        if kind == "synthetic":
+            if spec.get("seed", 0) < 0:
+                raise ConfigError(
+                    f"dataset.seed must be non-negative, got {spec['seed']}")
+            for key, least in (("n_classes", 2), ("dims", 1),
+                               ("n", spec["n_classes"])):
+                if spec[key] < least:
+                    raise ConfigError(f"dataset.{key} must be at least "
+                                      f"{least}, got {spec[key]}")
+            if spec["prevalence"] is not None:
+                try:
+                    as_prevalence(spec["prevalence"], spec["n_classes"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"dataset.prevalence: {exc}") from exc
         for strat in self.strategies:
             _parse_strategy(strat, self.families)
         for key in ("families", "strategies"):
@@ -464,14 +471,8 @@ def _prepare(config: RunConfig, outdir=None, seconds=None):
         "derived_seeds": seeds,
     }
     if outdir is not None:
-        write_manifest(outdir, manifest)
+        write_json(outdir, "manifest.json", manifest)
     return ds, proper, validation, test, manifest
-
-
-def emit_manifest(config: RunConfig, outdir=None) -> dict:
-    """Resolve the config onto the data (splits included) and write
-    manifest.json; no training happens."""
-    return _prepare(config, outdir)[-1]
 
 
 def _train_registry(config: RunConfig, proper, validation, manifest,
@@ -557,11 +558,6 @@ def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
     if evaluate_s is not None:
         timings["evaluate_s"] = evaluate_s
     return timings
-
-
-def _write_timings(outdir, timings: dict) -> None:
-    with open(os.path.join(outdir, "timings.json"), "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=1, sort_keys=True)
 
 
 def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
@@ -799,7 +795,7 @@ def _cmd_train(args) -> int:
     registry_dir = os.path.join(config.outdir, "registry")
     registry = _train_registry(config, proper, validation, manifest,
                                out_dir=registry_dir, seconds=seconds)
-    _write_timings(config.outdir, _timings(seconds, registry))
+    write_json(config.outdir, "timings.json", _timings(seconds, registry))
     print(f"trained {len(registry)} models into {registry_dir}")
     for warning in registry.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -819,7 +815,7 @@ def _cmd_run(args) -> int:
     timings = table.meta["timings"]
     with _stage("report", timings["stage_s"]):
         emit_report(table, config.outdir)
-    _write_timings(config.outdir, timings)
+    write_json(config.outdir, "timings.json", timings)
     print(f"wrote results for {len(table.rows)} (strategy, bag) pairs "
           f"to {config.outdir}")
     return 0

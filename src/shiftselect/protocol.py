@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataspace import (DataError, LabelledSet, as_prevalence,
+from .dataspace import (DataError, LabelledSet, _frozen, as_prevalence,
                         largest_remainder_counts)
 
 DEFAULT_SHIFT_BINS = 10
@@ -80,10 +80,8 @@ def draw_bag(test: LabelledSet, target, s: int, rng) -> Bag:
             raise DataError(f"class {j} required by the target prevalence "
                             f"is absent from the test set")
         chosen.append(rng.choice(pool, size=counts[j], replace=True))
-    indices = np.concatenate(chosen)
-    indices.flags.writeable = False
     realized = as_prevalence(counts / s)
-    return Bag(indices=indices,
+    return Bag(indices=_frozen(np.concatenate(chosen)),
                target_prevalence=target,
                realized_prevalence=realized,
                _source=test)

@@ -196,8 +196,6 @@ def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
              bandwidth: float = DEFAULT_BANDWIDTH) -> ClassDensities:
     """Fit per-class KDEs over a model's posterior rows `posteriors` for the
     validation instances."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
     y = validation.y
     support = []
     for j in range(validation.n_classes):

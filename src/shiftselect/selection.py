@@ -262,12 +262,12 @@ def default_select(registry: ModelRegistry, family: str) -> int:
 # Persistence: one manifest holds the whole registry
 # ---------------------------------------------------------------------------
 
-def write_manifest(out_dir, manifest: dict) -> None:
-    """Write `manifest` as out_dir/manifest.json (sorted keys, one-space
-    indent), creating the directory if needed."""
+def write_json(out_dir, name: str, doc: dict) -> None:
+    """Write `doc` as out_dir/name (sorted keys, one-space indent), creating
+    the directory if needed. Every JSON file of a run goes through here."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def save_registry(registry: ModelRegistry, out_dir) -> None:
@@ -285,9 +285,9 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
             cap["support"] = [encode_array(S) for S in q.support]
         entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
                         "model": model_to_record(e.model), "cap": cap})
-    write_manifest(out_dir, {"meta": registry.meta,
-                             "warnings": registry.warnings,
-                             "entries": entries})
+    write_json(out_dir, "manifest.json", {"meta": registry.meta,
+                                          "warnings": registry.warnings,
+                                          "entries": entries})
 
 
 def load_registry(out_dir) -> ModelRegistry:

@@ -12,9 +12,9 @@ import shiftselect.evalcli as evalcli_mod
 from shiftselect.cap import (CapPredictor, RateMatrix, leap_solve_batch,
                              pps_accuracy_identity, predict_batch, stack_caps)
 from shiftselect.classifiers import (default_model, lr_loss_grad,
-                                     mlp_loss_grad, train)
+                                     mlp_loss_grad, train_grid)
 from shiftselect.dataspace import stratified_split, synth_gaussian_pps
-from shiftselect.evalcli import (RunConfig, accuracy_matrix, emit_manifest,
+from shiftselect.evalcli import (RunConfig, _prepare, accuracy_matrix,
                                  emit_report, run_experiment,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
@@ -74,9 +74,6 @@ class _PassThrough:
 
     def predict_posteriors(self, X):
         return np.asarray(X, dtype=float)
-
-    def predict_labels(self, X):
-        return np.argmax(X, axis=1)
 
 
 class _OracleQuantifier:
@@ -172,7 +169,7 @@ def test_criterion_05_kdey_recovery(em_trace):
     start = time.time()
     ds = synth_gaussian_pps(2, 2, [0.5, 0.5], 3000, 4.0, seed=77)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
-    model = train("LR", default_model("LR"), train_set, seed=0)
+    model = train_grid("LR", [default_model("LR")], train_set, [0])[0]
     quantifier = fit_kdey(model.predict_posteriors(rest.X), rest,
                           bandwidth=0.1)
     rng = np.random.default_rng(5)
@@ -373,7 +370,7 @@ def test_criterion_09_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_protocol_constants(tmp_path):
-    manifest = emit_manifest(RunConfig(outdir=str(tmp_path)), outdir=tmp_path)
+    manifest = _prepare(RunConfig(outdir=str(tmp_path)), tmp_path)[-1]
     ok = (manifest["protocol"]["r"] == 1000
           and manifest["protocol"]["s"] == 100
           and manifest["splits"]["train_fraction"] == 0.7

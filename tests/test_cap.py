@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
                              fit_cap, leap_solve_batch, predict_batch,
                              pps_accuracy_identity, stack_caps)
-from shiftselect.classifiers import default_model, train
+from shiftselect.classifiers import default_model, train_grid
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
 from shiftselect.quantifiers import CCQuantifier, ClassDensities, fit_kdey
@@ -17,9 +17,6 @@ class PassThroughModel:
 
     def predict_posteriors(self, X):
         return np.asarray(X, dtype=float)
-
-    def predict_labels(self, X):
-        return np.argmax(self.predict_posteriors(X), axis=1)
 
 
 class OracleQuantifier:
@@ -140,7 +137,7 @@ def test_rate_matrix_rejects_columns_off_the_simplex():
 def test_fit_cap_with_precomputed_posteriors_matches_features():
     ds = synth_gaussian_pps(3, 2, [0.5, 0.3, 0.2], 300, 2.0, seed=4)
     proper, validation = stratified_split(ds.all_instances(), 0.5, seed=0)
-    model = train("KNN", default_model("KNN"), proper, seed=0)
+    model = train_grid("KNN", [default_model("KNN")], proper, [0])[0]
     # both fits of fit_cap share the posteriors it is given, and equal the
     # rate and KDE fits on the posteriors computed from the features
     P = model.predict_posteriors(validation.X)
@@ -416,7 +413,7 @@ def overlapping_pipeline():
     ds = synth_gaussian_pps(2, 2, [0.6, 0.4], 4000, 2.0, seed=51)
     train_set, rest = stratified_split(ds.all_instances(), 0.35, seed=0)
     validation, test = stratified_split(rest, 0.5, seed=1)
-    model = train("LR", default_model("LR"), train_set, seed=0)
+    model = train_grid("LR", [default_model("LR")], train_set, [0])[0]
     return model, train_set, validation, test
 
 
@@ -434,7 +431,8 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
         bag = draw_bag(test, target, s, rng)
         psi = CapPredictor(rates, OracleQuantifier(bag))
         estimate = predict_one(psi, model, bag).accuracy[0]
-        true_acc = (model.predict_labels(bag.features) == reveal_labels(bag)).mean()
+        true_acc = (np.argmax(model.predict_posteriors(bag.features), axis=1)
+                    == reveal_labels(bag)).mean()
         if abs(estimate - true_acc) <= bound:
             hits += 1
     assert hits / n_bags >= 0.95
@@ -443,7 +441,8 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
 def test_cap_zero_shift_matches_validation_accuracy(overlapping_pipeline):
     model, train_set, validation, test = overlapping_pipeline
     psi = fit_cap(model.predict_posteriors(validation.X), validation)
-    val_acc = (model.predict_labels(validation.X) == validation.y).mean()
+    val_acc = (np.argmax(model.predict_posteriors(validation.X), axis=1)
+               == validation.y).mean()
     rng = np.random.default_rng(8)
     bag = draw_bag(test, train_set.prevalence(), 500, rng)
     assert abs(predict_one(psi, model, bag).accuracy[0] - val_acc) <= 0.05
@@ -474,7 +473,8 @@ def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     bag = draw_bag(test, [0.4, 0.6], 200, np.random.default_rng(10))
     estimate = predict_one(psi, model, bag).accuracy[0]
     assert 0.0 <= estimate <= 1.0
-    true_acc = (model.predict_labels(bag.features) == reveal_labels(bag)).mean()
+    true_acc = (np.argmax(model.predict_posteriors(bag.features), axis=1)
+                == reveal_labels(bag)).mean()
     assert abs(estimate - true_acc) <= 0.25   # coarse but sane ablation baseline
 
 

@@ -15,7 +15,7 @@ from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, LR_GRAD_TOL,
                                      mlp_loss_grad,
                                      model_from_record, model_to_record,
                                      nearest_order, predict_posteriors_batch,
-                                     softmax, train, train_grid)
+                                     softmax, train_grid)
 from shiftselect.dataspace import Dataset
 
 
@@ -129,8 +129,9 @@ def test_instance_weights_uniform_explicit_equals_none():
 
 def test_lr_separable_blob_reaches_perfect_training_accuracy(two_blobs):
     lset = two_blobs.all_instances()
-    model = train("LR", default_model("LR"), lset, seed=0)
-    assert (model.predict_labels(lset.X) == lset.y).mean() == 1.0
+    model = train_grid("LR", [default_model("LR")], lset, [0])[0]
+    assert (np.argmax(model.predict_posteriors(lset.X), axis=1)
+            == lset.y).mean() == 1.0
 
 
 def test_lr_zero_weights_give_uniform_posterior():
@@ -160,8 +161,8 @@ def test_lr_uniform_explicit_matches_none_on_balanced_data(two_blobs):
     hp_none = HyperParams.make("LR", C=1.0, class_weight=ClassWeights("none"))
     hp_unif = HyperParams.make("LR", C=1.0,
                                class_weight=ClassWeights("explicit", (0.5, 0.5)))
-    m1 = train("LR", hp_none, lset, seed=0)
-    m2 = train("LR", hp_unif, lset, seed=0)
+    m1 = train_grid("LR", [hp_none], lset, [0])[0]
+    m2 = train_grid("LR", [hp_unif], lset, [0])[0]
     assert np.allclose(m1.W, m2.W, atol=1e-12)
     assert np.allclose(m1.b, m2.b, atol=1e-12)
 
@@ -241,7 +242,8 @@ def test_lr_training_meets_the_gradient_tolerance_in_the_class_subspace():
 
 def test_lr_stopped_at_the_step_cap_is_flagged(two_blobs, monkeypatch):
     monkeypatch.setattr(classifiers, "LR_MAX_ITER", 1)
-    model = train("LR", default_model("LR"), two_blobs.all_instances(), seed=0)
+    model = train_grid("LR", [default_model("LR")], two_blobs.all_instances(),
+                       [0])[0]
     assert model.meta["iterations"] == 1
     assert model.meta["converged"] is False
 
@@ -266,7 +268,8 @@ def test_mlp_gradient_matches_finite_differences():
 
 def test_knn_unanimous_vote():
     ds = blob_dataset([10, 10], [(0.0,), (100.0,)], spread=0.1, seed=1)
-    model = train("KNN", default_model("KNN"), ds.all_instances(), seed=0)
+    model = train_grid("KNN", [default_model("KNN")], ds.all_instances(),
+                       [0])[0]
     post = model.predict_posteriors(np.array([[100.0]]))
     assert np.allclose(post, [[0.0, 1.0]])
 
@@ -274,8 +277,9 @@ def test_knn_unanimous_vote():
 def test_knn_training_accuracy_beats_majority_baseline():
     ds = blob_dataset([30, 15], [(0.0, 0.0), (2.5, 2.5)], spread=0.8, seed=2)
     lset = ds.all_instances()
-    model = train("KNN", default_model("KNN"), lset, seed=0)
-    acc = (model.predict_labels(lset.X) == lset.y).mean()
+    model = train_grid("KNN", [default_model("KNN")], lset, [0])[0]
+    acc = (np.argmax(model.predict_posteriors(lset.X), axis=1)
+           == lset.y).mean()
     majority = max(np.bincount(lset.y)) / len(lset)
     assert acc >= majority
 
@@ -285,7 +289,7 @@ def test_knn_distance_weights_handle_duplicate_points():
     X = np.array([[0.0], [0.0], [5.0], [6.0]])
     y = np.array([0, 0, 1, 1])
     ds = Dataset(X, y, 2)
-    model = train("KNN", hp, ds.all_instances(), seed=0)
+    model = train_grid("KNN", [hp], ds.all_instances(), [0])[0]
     post = model.predict_posteriors(np.array([[0.0]]))   # exact duplicates
     assert np.isfinite(post).all()
     assert post[0, 0] > 0.99
@@ -331,7 +335,8 @@ def test_nearest_order_is_the_stable_argsort_prefix(seed, m, n, k, levels):
 @pytest.fixture(scope="module")
 def smooth_models(two_blobs):
     lset = two_blobs.all_instances()
-    return [train(fam, default_model(fam), lset, seed=5) for fam in ("LR", "MLP")]
+    return [train_grid(fam, [default_model(fam)], lset, [5])[0]
+            for fam in ("LR", "MLP")]
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +353,7 @@ def test_batch_posteriors_equal_per_model_calls(smooth_models, seed, n_a, n_b,
     models = list(smooth_models)
     for which, k, weights, reload in knn:
         hp = HyperParams.make("KNN", n_neighbors=k, weights=weights)
-        model = train("KNN", hp, sets[which], seed=0)
+        model = train_grid("KNN", [hp], sets[which], [0])[0]
         # a reloaded model holds its own copy of the training set
         models.append(model_from_record(model_to_record(model)) if reload else model)
     models = [models[i] for i in rng.permutation(len(models))]
@@ -369,8 +374,9 @@ def test_knn_rows_on_wide_data_equal_one_batch():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(300, 20))
     lset = Dataset(X, np.arange(300) % 3, 3).all_instances()
-    models = [train("KNN", HyperParams.make("KNN", n_neighbors=k,
-                                            weights="distance"), lset, seed=0)
+    models = [train_grid("KNN", [HyperParams.make("KNN", n_neighbors=k,
+                                                  weights="distance")],
+                         lset, [0])[0]
               for k in (5, 13)]
     Q = X[-40:] + rng.normal(scale=0.01, size=(40, 20))
     whole = predict_posteriors_batch(models, Q)
@@ -389,7 +395,7 @@ def test_mlp_rows_on_wide_data_equal_one_batch(n_features):
     params = [rng.normal(size=(n_features, MLP_HIDDEN_UNITS)),
               rng.normal(size=MLP_HIDDEN_UNITS),
               rng.normal(size=(MLP_HIDDEN_UNITS, 3)), rng.normal(size=3)]
-    model = MLPModel(default_model("MLP"), params, 3, seed=0)
+    model = MLPModel(default_model("MLP"), *params, 3, seed=0)
     X = rng.normal(size=(600, n_features))
     whole = model.predict_posteriors(X)
     for lo in (0, 100, 437):
@@ -406,8 +412,8 @@ def test_knn_chunks_equal_one_pass(two_blobs, monkeypatch, m, panels):
     # chunks of `panels` BLAS panels: 9 rows leave a ragged last chunk at one
     # panel, 600 rows at seven
     lset = two_blobs.all_instances()
-    models = [train("KNN", HyperParams.make("KNN", n_neighbors=k, weights=w),
-                    lset, seed=0)
+    models = [train_grid("KNN", [HyperParams.make("KNN", n_neighbors=k,
+                                                  weights=w)], lset, [0])[0]
               for k in (5, 13) for w in ("uniform", "distance")]
     X = np.random.default_rng(m).normal(2.0, 2.0, size=(m, 2))
     monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS", 1 << 40)
@@ -423,7 +429,7 @@ def test_knn_chunks_equal_one_pass(two_blobs, monkeypatch, m, panels):
 
 def _trained_models(dataset):
     lset = dataset.all_instances()
-    return [train(fam, default_model(fam), lset, seed=5)
+    return [train_grid(fam, [default_model(fam)], lset, [5])[0]
             for fam in ("LR", "KNN", "MLP")]
 
 
@@ -442,8 +448,9 @@ def test_labels_equal_argmax_of_posteriors(two_blobs):
     queries = rng.normal(scale=3.0, size=(100, 2))
     for model in _trained_models(two_blobs):
         post = model.predict_posteriors(queries)
-        assert np.array_equal(model.predict_labels(queries),
-                              np.argmax(post, axis=1))
+        assert np.array_equal(
+            np.argmax(model.predict_posteriors(queries), axis=1),
+            np.argmax(post, axis=1))
 
 
 def test_argmax_tie_breaks_to_lowest_index():
@@ -452,7 +459,8 @@ def test_argmax_tie_breaks_to_lowest_index():
     from shiftselect.classifiers import LRModel
     model = LRModel(default_model("LR"), np.zeros((2, 2)), np.zeros(2),
                     n_classes=2, seed=0)
-    labels = model.predict_labels(np.ones((4, 2)))   # uniform posteriors
+    # uniform posteriors
+    labels = np.argmax(model.predict_posteriors(np.ones((4, 2))), axis=1)
     assert (labels == 0).all()
 
 
@@ -465,8 +473,8 @@ def test_dimension_mismatch_rejected(two_blobs):
 def test_training_determinism(two_blobs):
     lset = two_blobs.all_instances()
     for family in ("LR", "MLP"):
-        m1 = train(family, default_model(family), lset, seed=123)
-        m2 = train(family, default_model(family), lset, seed=123)
+        m1 = train_grid(family, [default_model(family)], lset, [123])[0]
+        m2 = train_grid(family, [default_model(family)], lset, [123])[0]
         if family == "LR":
             assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.b, m2.b)
         else:
@@ -475,9 +483,9 @@ def test_training_determinism(two_blobs):
 
 def test_mlp_diverges_with_huge_penalty_raises(two_blobs):
     hp = HyperParams.make("MLP", alpha=1e8, learning_rate="constant")
-    with pytest.raises(TrainingError) as err:
-        train("MLP", hp, two_blobs.all_instances(), seed=0)
-    assert err.value.last_state is not None
+    err = train_grid("MLP", [hp], two_blobs.all_instances(), [0])[0]
+    assert isinstance(err, TrainingError)
+    assert err.last_state is not None
 
 
 def _assert_same_mlp(a, b):
@@ -506,7 +514,7 @@ def test_mlp_stack_equals_solo_training(case, two_blobs):
                             seed=1).all_instances()
     stacked = train_grid("MLP", grid, lset, seeds)
     for hp, seed, model in zip(grid, seeds, stacked, strict=True):
-        _assert_same_mlp(model, train("MLP", hp, lset, seed))
+        _assert_same_mlp(model, train_grid("MLP", [hp], lset, [seed])[0])
     if case == "adaptive stop":
         stopped = [m for m in stacked if m.meta["epochs"] < MLP_MAX_EPOCHS]
         assert stopped and all(m.meta["final_step"] < MLP_MIN_STEP
@@ -574,14 +582,15 @@ def test_mlp_divergence_stays_in_its_entry(two_blobs, monkeypatch):
     seeds = [0, 1, 2]
     results = train_grid("MLP", grid, lset, seeds)
     assert [isinstance(r, TrainingError) for r in results] == [False, True, False]
-    with pytest.raises(TrainingError) as solo:
-        train("MLP", grid[1], lset, seeds[1])
+    solo = train_grid("MLP", [grid[1]], lset, [seeds[1]])[0]
+    assert isinstance(solo, TrainingError)
     for got, want in zip(results[1].last_state["params"],
-                         solo.value.last_state["params"], strict=True):
+                         solo.last_state["params"], strict=True):
         assert np.array_equal(got, want)
-    assert results[1].last_state["epoch"] == solo.value.last_state["epoch"]
+    assert results[1].last_state["epoch"] == solo.last_state["epoch"]
     for i in (0, 2):
-        _assert_same_mlp(results[i], train("MLP", grid[i], lset, seeds[i]))
+        _assert_same_mlp(results[i],
+                         train_grid("MLP", [grid[i]], lset, [seeds[i]])[0])
 
     monkeypatch.setattr(selection, "build_grid",
                         lambda family, n_classes: grid)
@@ -605,7 +614,7 @@ def test_train_requires_all_classes(two_blobs):
     only_zero = np.nonzero(two_blobs.labels == 0)[0]
     lset = LabelledSet(two_blobs, only_zero)
     with pytest.raises(ValueError):
-        train("LR", default_model("LR"), lset, seed=0)
+        train_grid("LR", [default_model("LR")], lset, [0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +626,7 @@ def test_model_records_round_trip_bit_exact(two_blobs):
     rng = np.random.default_rng(13)
     queries = rng.normal(size=(20, 2))
     for family in ("LR", "KNN", "MLP"):
-        model = train(family, default_model(family), lset, seed=99)
+        model = train_grid(family, [default_model(family)], lset, [99])[0]
         loaded = model_from_record(json.loads(json.dumps(model_to_record(model))))
         assert loaded.family == model.family
         assert loaded.hyperparams == model.hyperparams
@@ -628,7 +637,8 @@ def test_model_records_round_trip_bit_exact(two_blobs):
 
 
 def test_record_arrays_are_little_endian_floats(two_blobs):
-    model = train("LR", default_model("LR"), two_blobs.all_instances(), seed=0)
+    model = train_grid("LR", [default_model("LR")], two_blobs.all_instances(),
+                       [0])[0]
     rec = model_to_record(model)
     assert rec["format_version"] == 1
     assert rec["arrays"]["W"]["dtype"] == "<f8"

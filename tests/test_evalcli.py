@@ -13,7 +13,7 @@ import scipy.stats
 from shiftselect import evalcli
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  StageError, accuracy_matrix, config_from_dict,
-                                 emit_manifest, emit_report, load_config,
+                                 _prepare, emit_report, load_config,
                                  read_results_csv, run_experiment, summarize,
                                  wilcoxon_signed_rank, main)
 from shiftselect.protocol import bin_by_shift
@@ -75,6 +75,9 @@ def test_config_rejects_unknown_keys():
     {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 2.0}, {"alpha": -1},
     {"dataset": {"kind": "synthetic", "n_classes": 1}},
     {"seed": -1}, {"dataset": {"kind": "synthetic", "seed": -3}},
+    {"strategies": []}, {"dataset": {"kind": "synthetic", "name": {"a": 1}}},
+    {"dataset": {"kind": "synthetic", "dims": 0}},
+    {"dataset": {"kind": "synthetic", "n": -5}},
 ])
 def test_config_validation_rejects(patch):
     raw = dict(patch)
@@ -90,6 +93,19 @@ def test_config_negative_seed_names_its_field(patch, name, monkeypatch):
     monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
     with pytest.raises(ConfigError, match=f"^{name} must be non-negative"):
         config_from_dict(patch)
+
+
+@pytest.mark.parametrize("key, value", [("dims", 0), ("n", -5), ("n", 2)])
+def test_config_synthetic_sizes_name_their_field(key, value, tmp_path,
+                                                 monkeypatch):
+    # n must cover the default three classes
+    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+    dataset = {"kind": "synthetic", key: value}
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key} must be at least"):
+        config_from_dict({"dataset": dataset})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": dataset}), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("patch", [
@@ -121,7 +137,7 @@ def test_config_rejects_mistyped_numbers(patch, tmp_path, monkeypatch):
     ("class_separation", "2"), ("class_separation", float("nan")),
     ("class_separation", False),
     ("path", 5), ("path", None), ("label_column", ["y"]),
-    ("label_column", True), ("header", "no"),
+    ("label_column", True), ("header", "no"), ("name", {"a": 1}),
 ])
 def test_config_rejects_mistyped_dataset_fields(name, value, tmp_path,
                                                 monkeypatch):
@@ -376,7 +392,7 @@ def test_run_writes_manifest(small_run):
 
 
 def test_default_manifest_constants(tmp_path):
-    manifest = emit_manifest(RunConfig(outdir=str(tmp_path)))
+    manifest = _prepare(RunConfig(outdir=str(tmp_path)))[-1]
     assert manifest["protocol"]["r"] == 1000
     assert manifest["protocol"]["s"] == 100
     assert manifest["splits"]["train_fraction"] == 0.7
@@ -389,7 +405,7 @@ def test_default_manifest_constants(tmp_path):
 def test_partial_synthetic_dataset_takes_default_keys(tmp_path):
     config = config_from_dict({"dataset": {"kind": "synthetic", "n": 500},
                                "outdir": str(tmp_path)})
-    manifest = emit_manifest(config)
+    manifest = _prepare(config)[-1]
     assert manifest["dataset"]["n_instances"] == 500
     assert manifest["dataset"]["n_classes"] == 3
 

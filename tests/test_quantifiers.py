@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from shiftselect import quantifiers
 from shiftselect.cap import CapPredictor, RateMatrix, predict_batch, stack_caps
-from shiftselect.classifiers import default_model, train
+from shiftselect.classifiers import default_model, train_grid
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
@@ -30,9 +30,6 @@ class PassThroughModel:
 
     def predict_posteriors(self, X):
         return np.asarray(X, dtype=float)
-
-    def predict_labels(self, X):
-        return np.argmax(self.predict_posteriors(X), axis=1)
 
 
 def em_one(logF, **kwargs):
@@ -64,7 +61,7 @@ def fitted_pipeline():
     """LR + KDE quantifier on a well-separated 2-class synthetic problem."""
     ds = synth_gaussian_pps(2, 2, [0.5, 0.5], 1200, 4.0, seed=21)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
-    model = train("LR", default_model("LR"), train_set, seed=0)
+    model = train_grid("LR", [default_model("LR")], train_set, [0])[0]
     quantifier = fit_kdey(model.predict_posteriors(rest.X), rest, bandwidth=0.1)
     return model, quantifier, rest
 
@@ -471,7 +468,7 @@ def test_kdey_iid_bag_recovers_validation_prevalence(fitted_pipeline):
 def test_kdey_absent_class_gets_exactly_zero_weight():
     ds = synth_gaussian_pps(3, 2, [1 / 3] * 3, 1200, 4.0, seed=21)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
-    model = train("LR", default_model("LR"), train_set, seed=0)
+    model = train_grid("LR", [default_model("LR")], train_set, [0])[0]
     quantifier = fit_kdey(model.predict_posteriors(rest.X), rest, bandwidth=0.1)
     rng = np.random.default_rng(3)
     for prevalence, absent in (([0.5, 0.5, 0.0], [2]),
@@ -494,7 +491,7 @@ def test_small_bandwidth_estimate_tends_to_nearest_support_share():
     ds = synth_gaussian_pps(4, 5, [0.25] * 4, 1000, 1.0, seed=3)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
     validation, test = stratified_split(rest, 0.5, seed=1)
-    model = train("LR", default_model("LR"), train_set, seed=0)
+    model = train_grid("LR", [default_model("LR")], train_set, [0])[0]
     bag = draw_bag(test, [0.2 / 3] * 3 + [0.8], 100, np.random.default_rng(1))
     P = model.predict_posteriors(bag.features)
     V = model.predict_posteriors(validation.X)
@@ -553,8 +550,9 @@ def test_cc_counts_predictions():
 def test_cc_perfect_classifier_recovers_prevalence_exactly():
     ds = synth_gaussian_pps(2, 2, [0.5, 0.5], 600, 8.0, seed=33)
     train_set, rest = stratified_split(ds.all_instances(), 0.5, seed=0)
-    model = train("LR", default_model("LR"), train_set, seed=0)
-    assert (model.predict_labels(rest.X) == rest.y).mean() == 1.0
+    model = train_grid("LR", [default_model("LR")], train_set, [0])[0]
+    assert (np.argmax(model.predict_posteriors(rest.X), axis=1)
+            == rest.y).mean() == 1.0
     rng = np.random.default_rng(5)
     bag = draw_bag(rest, [0.35, 0.65], 100, rng)
     est = estimate_one(CCQuantifier(), model, bag)
@@ -566,7 +564,7 @@ def test_cc_equals_column_sums_of_prediction_cross_tab(fitted_pipeline):
     rng = np.random.default_rng(16)
     bag = draw_bag(rest, [0.5, 0.5], 120, rng)
     est = estimate_one(CCQuantifier(), model, bag)
-    pred = model.predict_labels(bag.features)
+    pred = np.argmax(model.predict_posteriors(bag.features), axis=1)
     truth = rest.y[np.searchsorted(np.arange(len(rest)), bag.indices)]
     cross = np.zeros((2, 2))
     np.add.at(cross, (pred, truth), 1.0)

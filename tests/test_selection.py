@@ -122,7 +122,9 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "mixed quantifier kinds",
                                     "rate matrix of another size",
                                     "KDEyML without support",
-                                    "CC with support"])
+                                    "CC with support",
+                                    "unknown model family",
+                                    "model array missing"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -160,6 +162,10 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         # every entry counts, so no kinds mix, but each keeps its densities
         for rec in manifest["entries"]:
             rec["cap"]["quantifier_kind"] = "CC"
+    elif damage == "unknown model family":
+        manifest["entries"][1]["model"]["family"] = "SVM"
+    elif damage == "model array missing":
+        del manifest["entries"][0]["model"]["arrays"]["b"]
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
@@ -313,7 +319,8 @@ def test_tms_single_model_registry_labels_the_bag(registry, splits):
     outcome = tms_select(solo, "All", bag)
     assert outcome.model_id == registry.entries[0].model_id
     assert outcome.predicted_labels.shape == (40,)
-    expected = registry.entries[0].model.predict_labels(bag.features)
+    expected = np.argmax(
+        registry.entries[0].model.predict_posteriors(bag.features), axis=1)
     assert np.array_equal(outcome.predicted_labels, expected)
 
 
@@ -653,7 +660,9 @@ def test_tms_beats_ims_under_extreme_shift(registry, splits):
         truth = reveal_labels(bag)
         outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_accs.append((outcome.predicted_labels == truth).mean())
-        ims_labels = registry.entry(ims_id).model.predict_labels(bag.features)
+        ims_labels = np.argmax(
+            registry.entry(ims_id).model.predict_posteriors(bag.features),
+            axis=1)
         ims_accs.append((ims_labels == truth).mean())
     assert np.mean(tms_accs) >= np.mean(ims_accs)
 
@@ -669,7 +678,9 @@ def test_tms_matches_ims_under_zero_shift(registry, splits):
         truth = reveal_labels(bag)
         outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_accs.append((outcome.predicted_labels == truth).mean())
-        ims_labels = registry.entry(ims_id).model.predict_labels(bag.features)
+        ims_labels = np.argmax(
+            registry.entry(ims_id).model.predict_posteriors(bag.features),
+            axis=1)
         ims_accs.append((ims_labels == truth).mean())
     assert abs(np.mean(tms_accs) - np.mean(ims_accs)) <= 0.05
 
@@ -688,14 +699,14 @@ def test_oracle_dominates_every_strategy(registry, splits):
         truth = reveal_labels(bag)
         tms = tms_select(registry, "All", bag, posteriors=rows_for(bag))
         tms_acc = (tms.predicted_labels == truth).mean()
-        ims_acc = (registry.entry(ims_id).model.predict_labels(bag.features)
-                   == truth).mean()
+        ims_acc = (np.argmax(registry.entry(ims_id).model.predict_posteriors(
+            bag.features), axis=1) == truth).mean()
         assert oracle.true_acc >= tms_acc - 1e-12
         assert oracle.true_acc >= ims_acc - 1e-12
         for family in ("LR", "KNN", "MLP"):
             did = default_select(registry, family)
-            dacc = (registry.entry(did).model.predict_labels(bag.features)
-                    == truth).mean()
+            dacc = (np.argmax(registry.entry(did).model.predict_posteriors(
+                bag.features), axis=1) == truth).mean()
             assert oracle.true_acc >= dacc - 1e-12
 
 
@@ -706,7 +717,8 @@ def test_oracle_matches_exhaustive_scan(registry, splits):
     outcome = oracle_rows(registry, splits, [bag])[0]
     best = max(
         registry.entries,
-        key=lambda e: ((e.model.predict_labels(bag.features) == truth).mean(),
+        key=lambda e: ((np.argmax(e.model.predict_posteriors(bag.features),
+                                  axis=1) == truth).mean(),
                        -e.model_id))
     assert outcome.model_id == best.model_id
 
