@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import argmax_rows
 from .dataspace import DataError, LabelledSet, _frozen, as_prevalence
 from .quantifiers import (_newton_direction, _simplex_step, fit_quantifier,
                           label_shares)
@@ -235,7 +236,7 @@ def predict_batch(stack: CapStack, posteriors: np.ndarray,
     n = stack.M.shape[1]
     qhat, em_iterations, em_converged = type(stack.quantifiers[0]).reduce(rows)
     qhat = as_prevalence(qhat, n, stacked=True)
-    rho = label_shares(np.argmax(posteriors, axis=2), n)
+    rho = label_shares(argmax_rows(posteriors), n)
     theta, iterations, converged = leap_solve_batch(stack, rho, qhat)
     # accuracy is the trace of each table c[i][j] = m[i][j] * theta_j
     return CapBatch((stack.diagonal * theta).sum(axis=1), theta, rho, qhat,

@@ -39,6 +39,7 @@ MLP_BASE_STEP = 1e-2
 MLP_MAX_EPOCHS = 200
 MLP_MIN_STEP = 1e-6
 MLP_IMPROVE_TOL = 1e-4
+MLP_LOSS_CEILING = 1e300    # see _mlp_loss_surely_finite
 
 LR_GRAD_TOL = 1e-5
 LR_MAX_ITER = 50        # Newton steps
@@ -200,8 +201,33 @@ def default_model(family: str) -> HyperParams:
 
 
 # ---------------------------------------------------------------------------
-# Numerics shared by LR and MLP
+# Numerics shared by the models and the quantifiers
 # ---------------------------------------------------------------------------
+
+def max_rows(X: np.ndarray) -> np.ndarray:
+    """X.max(axis=-1, keepdims=True), as one np.maximum per column: numpy
+    reduces a short last axis with one inner loop per row, which costs more
+    than the arithmetic. A max is exact: the result equals X.max, a NaN
+    propagating, though a max of zeros of both signs may take either sign."""
+    top = X[..., :1]
+    for j in range(1, X.shape[-1]):
+        top = np.maximum(top, X[..., j:j + 1])
+    return top
+
+
+def argmax_rows(X: np.ndarray) -> np.ndarray:
+    """np.argmax(X, axis=-1), folded over the columns like :func:`max_rows`:
+    the lowest column equal to the row's max. A row holding a NaN takes
+    np.argmax itself, which points at its first NaN."""
+    top = max_rows(X)[..., 0]
+    labels = np.full(top.shape, X.shape[-1] - 1)
+    for j in range(X.shape[-1] - 2, -1, -1):
+        labels = np.where(X[..., j] == top, j, labels)
+    nan = np.isnan(top)
+    if nan.any():
+        labels[nan] = np.argmax(X[nan], axis=-1)
+    return labels
+
 
 def panel_rows(X: np.ndarray) -> np.ndarray:
     """X zero-padded to a whole number of BLAS_PANEL rows (X itself when it
@@ -227,13 +253,13 @@ def panel_rows(X: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - max_rows(logits)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - max_rows(logits)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
@@ -296,6 +322,26 @@ def _mlp_loss(params, X, y, alpha, H=None):
     logp = _log_softmax(H @ W2 + b2)
     ce = -logp[np.arange(X.shape[0]), y].mean()
     return ce + 0.5 * alpha * ((W1 * W1).sum() + (W2 * W2).sum())
+
+
+def _mlp_loss_surely_finite(params, alpha, x_norm) -> np.ndarray:
+    """For a stack of k networks (as in :func:`_mlp_stack_grads`), whether a
+    bound on the parameters alone proves :func:`_mlp_loss` finite on rows of
+    norm at most `x_norm`; shape (k,).
+
+    A hidden unit's input is at most x_norm |W1|_F + max|b1| in size
+    (Cauchy-Schwarz), so no inf - inf makes it NaN; tanh keeps the unit in
+    [-1, 1], so a logit is at most L = sum|W2| + max|b2| in size and the
+    cross-entropy at most 2L + log(n). The bound asks every term to stay
+    below MLP_LOSS_CEILING, so far inside the float range that rounding
+    cannot carry the bound or the loss past it. A NaN or inf fails it."""
+    W1, b1, W2, b2 = params
+    w1 = (W1 * W1).sum(axis=(1, 2))
+    penalty = 0.5 * alpha * (w1 + (W2 * W2).sum(axis=(1, 2)))
+    hidden = x_norm * np.sqrt(w1) + np.abs(b1).max(axis=1)
+    logits = np.abs(W2).sum(axis=(1, 2)) + np.abs(b2).max(axis=1)
+    return ((hidden < MLP_LOSS_CEILING)
+            & (2 * logits + penalty < MLP_LOSS_CEILING))
 
 
 def _mlp_stack_grads(params, X, y, alpha, H=None, D=None):
@@ -592,14 +638,21 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     halving and stop. All networks share the minibatch boundaries (one
     training set), so each batch is one stacked step over the networks still
     training; a network leaves the stack when it stops or diverges, and every
-    result equals that network trained alone bit for bit. The epoch loss is
-    evaluated per network, over the full set, in one reused buffer.
+    result equals that network trained alone bit for bit.
+
+    The epoch loss is evaluated per network, over the full set, in one
+    reused buffer. An adaptive network computes it after every epoch, since
+    it halves its step on it. A constant-rate network reads it only to trap
+    divergence and, after its last epoch, for `meta["final_loss"]`: before
+    that epoch it computes the loss only when :func:`_mlp_loss_surely_finite`
+    fails to prove it finite. A diverging network is so caught at the same
+    epoch, with the same last state, as when every epoch computes its loss.
     """
     X, y = train.X, train.y
     n, n_classes = len(train), train.n_classes
     k = len(hps)
     alpha = np.array([float(hp["alpha"]) for hp in hps])
-    adaptive = [hp["learning_rate"] == "adaptive" for hp in hps]
+    adaptive = np.array([hp["learning_rate"] == "adaptive" for hp in hps])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = [np.stack(p) for p in
               zip(*(_init_mlp(rng, X.shape[1], n_classes) for rng in rngs))]
@@ -609,6 +662,7 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     H = np.empty((k, MLP_BATCH_SIZE, MLP_HIDDEN_UNITS))
     D = np.empty_like(H)
     H_full = np.empty((n, MLP_HIDDEN_UNITS))
+    x_norm = np.sqrt((X * X).sum(axis=1).max())
     active = np.arange(k)       # grid positions of the stacked networks
     out = [None] * k
 
@@ -645,7 +699,12 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
                     g *= rate.reshape((-1,) + (1,) * (g.ndim - 1))
                     p -= g
             finite = np.ones(active.size, dtype=bool)
-            for position, i in enumerate(active):
+            compute = np.ones(active.size, dtype=bool)
+            if epoch < MLP_MAX_EPOCHS:
+                compute = adaptive[active] | ~_mlp_loss_surely_finite(
+                    params, alpha[active], x_norm)
+            for position in np.flatnonzero(compute):
+                i = active[position]
                 loss = _mlp_loss([p[position] for p in params], X, y,
                                  alpha[i], H_full)
                 if not np.isfinite(loss):

@@ -23,8 +23,8 @@ and ``registry/manifest.json``, the whole registry in one document (see
 :func:`selection.save_registry`). Both ``train`` and ``run`` also write
 ``timings.json`` next to manifest.json: wall times per stage and per
 family's training (for ``run``, also inside evaluate: test-set posteriors,
-quantifier rows and the bag loop), and the LR solver's step counts (see
-:func:`_timings`).
+quantifier rows and the bag loop), the LR solver's step counts and the MLP
+epochs (see :func:`_timings`).
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
 
@@ -52,7 +52,8 @@ import numpy as np
 from .dataspace import (Dataset, apply_scaler, as_prevalence, fit_scaler,
                         load_csv, stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
-from .classifiers import FAMILIES, build_grid, predict_posteriors_batch
+from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, build_grid,
+                          predict_posteriors_batch)
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
@@ -543,18 +544,24 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
 def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
     """What timings.json holds: the wall seconds of each pipeline stage and
-    of each family's train_grid call (none for a prebuilt registry), and
-    the LR models' Newton steps and conjugate-gradient steps (Hessian-vector
-    products) summed from their meta. After an evaluate stage, `evaluate_s`
-    splits its seconds into the test-set posteriors, the quantifier rows and
-    the bag loop (see :func:`_evaluate`)."""
+    of each family's train_grid call (none for a prebuilt registry), the LR
+    models' Newton steps and conjugate-gradient steps (Hessian-vector
+    products), and the MLP models' epochs and how many stopped before
+    MLP_MAX_EPOCHS, all read from the models' meta. After an evaluate stage,
+    `evaluate_s` splits its seconds into the test-set posteriors, the
+    quantifier rows and the bag loop (see :func:`_evaluate`)."""
     lr = [e.model.meta for e in registry.entries if e.family == "LR"]
+    epochs = [e.model.meta["epochs"] for e in registry.entries
+              if e.family == "MLP"]
     timings = {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
                "lr": {"models": len(lr),
                       "newton_steps": sum(m.get("iterations", 0) for m in lr),
                       "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
                       "unconverged": sum(not m.get("converged", True)
-                                         for m in lr)}}
+                                         for m in lr)},
+               "mlp": {"models": len(epochs), "epochs": sum(epochs),
+                       "stopped_early": sum(n < MLP_MAX_EPOCHS
+                                            for n in epochs)}}
     if evaluate_s is not None:
         timings["evaluate_s"] = evaluate_s
     return timings

@@ -51,7 +51,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dataspace import DataError, LabelledSet
-from .classifiers import BLAS_PANEL, panel_rows
+from .classifiers import BLAS_PANEL, argmax_rows, max_rows, panel_rows
 
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
@@ -174,7 +174,7 @@ class CCQuantifier:
         """(prevalences (k, n), iterations (k,), converged (k,)) from a
         (k, m, n) posterior stack; counting takes no iterations."""
         k = rows.shape[0]
-        return (label_shares(np.argmax(rows, axis=2), rows.shape[2]),
+        return (label_shares(argmax_rows(rows), rows.shape[2]),
                 np.zeros(k, dtype=int), np.ones(k, dtype=bool))
 
 
@@ -228,7 +228,7 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
     Returns (alpha (k, n), iterations (k,), converged (k,)).
     """
     logF = np.asarray(logF, dtype=float)
-    top = _max_rows(logF)
+    top = max_rows(logF)
     if not np.isfinite(top).all():
         raise ValueError("every row needs a finite log density for some class")
     # (k, n, m): the class axis first makes every product below contiguous
@@ -367,13 +367,3 @@ def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:
     k, m = labels.shape
     flat = (labels + n_classes * np.arange(k)[:, None]).ravel()
     return np.bincount(flat, minlength=k * n_classes).reshape(k, n_classes) / m
-
-
-def _max_rows(X: np.ndarray) -> np.ndarray:
-    """X.max(axis=-1, keepdims=True), as one np.maximum per column: numpy
-    reduces a short last axis with one inner loop per row, which costs more
-    than the arithmetic. A NaN propagates, as in X.max."""
-    top = X[..., :1]
-    for j in range(1, X.shape[-1]):
-        top = np.maximum(top, X[..., j:j + 1])
-    return top

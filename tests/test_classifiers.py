@@ -464,6 +464,17 @@ def test_argmax_tie_breaks_to_lowest_index():
     assert (labels == 0).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_argmax_rows_equals_numpy_on_stacks_and_exact_ties(n):
+    rng = np.random.default_rng(n)
+    stacks = [rng.dirichlet(np.ones(n), size=(45, 100)),
+              rng.integers(0, 3, size=(6, 40, n)) / 2.0,   # ties in most rows
+              np.full((2, 3, n), 1.0 / n)]                 # every column tied
+    for P in stacks:
+        assert np.array_equal(classifiers.argmax_rows(P), np.argmax(P, axis=2))
+    assert (classifiers.argmax_rows(stacks[-1]) == 0).all()
+
+
 def test_dimension_mismatch_rejected(two_blobs):
     for model in _trained_models(two_blobs):
         with pytest.raises(ValueError):
@@ -598,6 +609,73 @@ def test_mlp_divergence_stays_in_its_entry(two_blobs, monkeypatch):
     assert [e.model_id for e in reg.entries] == [0, 2]
     assert len(reg.warnings) == 1
     assert reg.warnings[0].startswith("model 1 (MLP[alpha=100000000.0")
+
+
+def _no_bound(params, alpha, x_norm):
+    return np.zeros(len(alpha), dtype=bool)
+
+
+def test_mlp_loss_skip_is_exact(two_blobs, monkeypatch):
+    # the default grid, and a constant-rate network that diverges, train bit
+    # for bit as when every epoch computes its loss
+    lset = two_blobs.all_instances()
+    grid = build_grid("MLP", 2) + [
+        HyperParams.make("MLP", alpha=1e8, learning_rate="constant")]
+    seeds = list(range(len(grid)))
+    skipped = train_grid("MLP", grid, lset, seeds)
+    assert isinstance(skipped[-1], TrainingError)
+    monkeypatch.setattr(classifiers, "_mlp_loss_surely_finite", _no_bound)
+    every_epoch = train_grid("MLP", grid, lset, seeds)
+    for a, b in zip(skipped[:-1], every_epoch[:-1], strict=True):
+        _assert_same_mlp(a, b)
+    a, b = skipped[-1].last_state, every_epoch[-1].last_state
+    assert a["epoch"] == b["epoch"]
+    for p, q in zip(a["params"], b["params"], strict=True):
+        assert np.array_equal(p, q)
+
+
+def test_mlp_loss_skips_only_where_the_bound_holds(two_blobs, monkeypatch):
+    lset = two_blobs.all_instances()
+    constant = HyperParams.make("MLP", alpha=1e-4, learning_rate="constant")
+    calls = []
+    real_loss = classifiers._mlp_loss
+    monkeypatch.setattr(classifiers, "_mlp_loss",
+                        lambda *a: calls.append(1) or real_loss(*a))
+    train_grid("MLP", [constant], lset, [0])
+    assert len(calls) == 1                  # after the last epoch alone
+
+    # output biases of +-1e306: logits and loss finite, yet past the bound
+    real_init = classifiers._init_mlp
+
+    def large_init(rng, n_features, n_classes):
+        W1, b1, W2, b2 = real_init(rng, n_features, n_classes)
+        return [W1, b1, W2, np.array([1e306, -1e306])]
+    monkeypatch.setattr(classifiers, "_init_mlp", large_init)
+    calls.clear()
+    model = train_grid("MLP", [constant], lset, [0])[0]
+    assert len(calls) == MLP_MAX_EPOCHS
+    assert 1e300 < model.meta["final_loss"] < np.inf
+    monkeypatch.setattr(classifiers, "_mlp_loss_surely_finite", _no_bound)
+    _assert_same_mlp(model, train_grid("MLP", [constant], lset, [0])[0])
+
+
+def test_mlp_loss_bound_rejects_large_and_non_finite_weights():
+    rng = np.random.default_rng(0)
+    params = [rng.normal(size=(1, 2, MLP_HIDDEN_UNITS)),
+              rng.normal(size=(1, MLP_HIDDEN_UNITS)),
+              rng.normal(size=(1, MLP_HIDDEN_UNITS, 3)), rng.normal(size=(1, 3))]
+    alpha = np.array([1e-4])
+    bound = classifiers._mlp_loss_surely_finite
+    assert bound(params, alpha, 3.0).all()
+    # too large for the hidden units, the logits or the penalty; not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, value in ((0, 1e160), (1, 1e301), (3, 6e299), (2, 1e160),
+                         (3, np.inf), (0, np.nan), (2, -np.inf)):
+            bad = [q.copy() for q in params]
+            bad[p].flat[0] = value
+            assert not bound(bad, alpha, 3.0).any(), (p, value)
+        assert not bound(params, alpha, np.inf).any()
+        assert not bound(params, np.array([1e300]), 3.0).any()
 
 
 def test_train_grid_rejects_mismatched_inputs(two_blobs):

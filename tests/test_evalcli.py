@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 
 from shiftselect import evalcli
+from shiftselect.classifiers import MLP_MAX_EPOCHS
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  StageError, accuracy_matrix, config_from_dict,
                                  _prepare, emit_report, load_config,
@@ -783,17 +784,26 @@ def test_cli_train_warns_of_each_lr_model_stopped_at_the_cap(tmp_path, capsys,
 
 def test_cli_train_and_run_write_timings(tmp_path):
     config_path = write_config(
-        tmp_path, families=["LR", "KNN"],
+        tmp_path, families=["LR", "KNN", "MLP"],
         strategies=["IMS-LR", "IMS-KNN", "TMS-All", "oracle"])
     for command in ("train", "run"):
         outdir = tmp_path / command
         assert main([command, "--config", str(config_path),
                      "--outdir", str(outdir)]) == 0
         timings = json.loads((outdir / "timings.json").read_text(encoding="utf-8"))
-        assert set(timings["train_grid_s"]) == {"LR", "KNN"}
+        assert set(timings["train_grid_s"]) == {"LR", "KNN", "MLP"}
         lr = timings["lr"]
         assert lr["models"] == 30 and lr["unconverged"] == 0
         assert lr["cg_steps"] >= lr["newton_steps"] >= 30
+        # the MLP block sums the epochs that the registry's meta records
+        registry = json.loads((tmp_path / "train" / "registry" / "manifest.json")
+                              .read_text(encoding="utf-8"))
+        epochs = [e["model"]["meta"]["epochs"] for e in registry["entries"]
+                  if e["model"]["family"] == "MLP"]
+        assert timings["mlp"] == {
+            "models": len(epochs), "epochs": sum(epochs),
+            "stopped_early": sum(e < MLP_MAX_EPOCHS for e in epochs)}
+        assert len(epochs) == 10
         stages = {"dataset", "split", "registry"}
         if command == "run":
             stages |= {"protocol", "evaluate", "report"}

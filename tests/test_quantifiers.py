@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from shiftselect import quantifiers
 from shiftselect.cap import CapPredictor, RateMatrix, predict_batch, stack_caps
-from shiftselect.classifiers import default_model, train_grid
+from shiftselect.classifiers import argmax_rows, default_model, max_rows, train_grid
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
 from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
@@ -336,8 +336,18 @@ def test_row_max_and_label_shares_equal_numpy(seed, k, m, n):
     rng = np.random.default_rng(seed)
     X = rng.choice([-np.inf, -1.0, 0.0, 0.5, np.nan], size=(k, m, n),
                    p=[0.05, 0.3, 0.3, 0.3, 0.05])
-    assert np.array_equal(quantifiers._max_rows(X), X.max(axis=2, keepdims=True),
-                          equal_nan=True)
+    # rows of -inf alone, of NaN alone, and a NaN after and before a max
+    X[0, 0] = -np.inf
+    X[-1, -1] = np.nan
+    if n > 1:
+        X[0, -1] = np.linspace(1.0, 0.0, n)
+        X[0, -1, -1] = np.nan
+        X[-1, 0] = np.linspace(0.0, -1.0, n)
+        X[-1, 0, 0] = np.nan
+    for rows in (X, X[0, 0], X[0, 0, :1]):  # (k, m, n), (n,) and (1,) too
+        assert np.array_equal(max_rows(rows), rows.max(axis=-1, keepdims=True),
+                              equal_nan=True)
+        assert np.array_equal(argmax_rows(rows), np.argmax(rows, axis=-1))
     labels = np.argmax(X, axis=2)
     counts = (labels[..., None] == np.arange(n)).sum(axis=1)
     assert np.array_equal(quantifiers.label_shares(labels, n), counts / m)
