@@ -6,9 +6,9 @@ All three families are trained from scratch on numpy so that the training
 objective, the optimizer, and the analytic gradients are fully pinned down and
 testable against finite differences. Models are immutable after training.
 :func:`train_grid` fits the grid points of one family on one training set and
-returns a model or a `TrainingError` per point; the MLP points train together
-as one stack, with one stacked minibatch step per batch, and each equals the
-point trained alone (a one-point grid) bit for bit.
+returns a model or a `TrainingError` per point; the MLP points train as one
+stack per usable CPU, with one stacked minibatch step per batch, and each
+equals the point trained alone (a one-point grid) bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
 A posterior row is bit-identical whatever other rows it is predicted with
@@ -19,6 +19,9 @@ A posterior row is bit-identical whatever other rows it is predicted with
 from __future__ import annotations
 
 import base64
+import multiprocessing
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,6 +52,7 @@ KNN_DIST_EPS = 1e-9
 
 BLAS_PANEL = 8      # rows per BLAS panel (see panel_rows)
 KNN_CHUNK_ELEMENTS = 1 << 20   # distances per chunk of query rows (8 MiB)
+MLP_CHUNK_ELEMENTS = 1 << 20   # gathered rows' values per chunk of an MLP epoch
 
 FORMAT_VERSION = 1
 
@@ -307,8 +311,8 @@ def mlp_loss_grad(params, X, y, n_classes, alpha):
     params = (W1, b1, W2, b2); returns (loss, (gW1, gb1, gW2, gb2)). The
     gradients are the one-network case of the stacked training step.
     """
-    grads = _mlp_stack_grads([np.asarray(p)[None] for p in params],
-                             X[None], np.asarray(y)[None], np.array([alpha]))
+    grads = _mlp_stack_grads([np.asarray(p)[None] for p in params], X[None],
+                             np.eye(n_classes)[y][None], np.array([alpha]))
     return _mlp_loss(params, X, y, alpha), tuple(g[0] for g in grads)
 
 
@@ -344,25 +348,27 @@ def _mlp_loss_surely_finite(params, alpha, x_norm) -> np.ndarray:
             & (2 * logits + penalty < MLP_LOSS_CEILING))
 
 
-def _mlp_stack_grads(params, X, y, alpha, H=None, D=None):
+def _mlp_stack_grads(params, X, Y, alpha, H=None, D=None):
     """Gradients of :func:`mlp_loss_grad` for a stack of k networks, each on
     its own m rows, without the loss.
 
     params = (W1 (k, d, h), b1 (k, h), W2 (k, h, n), b2 (k, n)); X is
-    (k, m, d), y (k, m) and alpha (k,). H and D are optional (k, m, h)
-    buffers, overwritten. Slice i equals the one-network computation for
-    network i bit for bit: every stacked product is one 2-D product per
-    slice, and the elementwise steps and row sums are those of one network.
+    (k, m, d), Y the one-hot labels (k, m, n) and alpha (k,). H and D are
+    optional (k, m, h) buffers, overwritten. Slice i equals the one-network
+    computation for network i bit for bit: every stacked product is one 2-D
+    product per slice, and the elementwise steps and row sums are those of
+    one network (subtracting the one-hot subtracts 1 at the label and
+    leaves the other entries as they are).
     """
     W1, b1, W2, b2 = params
-    k, m = y.shape
+    m = Y.shape[1]
     H = np.matmul(X, W1, out=H)
     H += b1[:, None]
     np.tanh(H, out=H)
     logits = H @ W2
     logits += b2[:, None]
     delta2 = np.exp(_log_softmax(logits))
-    delta2[np.arange(k)[:, None], np.arange(m), y] -= 1.0
+    delta2 -= Y
     delta2 /= m
     gW2 = H.transpose(0, 2, 1) @ delta2
     gW2 += alpha[:, None, None] * W2
@@ -631,14 +637,17 @@ def _init_mlp(rng, n_features, n_classes):
 
 
 def _train_mlp(hps, train: LabelledSet, seeds) -> list:
-    """Minibatch SGD for every MLP grid point at once, as one stack.
+    """Minibatch SGD for MLP grid points at once, as one stack.
 
     Each network draws its initial weights and each epoch's permutation from
     its own `default_rng(seed)`, and keeps its own step size, adaptive
     halving and stop. All networks share the minibatch boundaries (one
     training set), so each batch is one stacked step over the networks still
     training; a network leaves the stack when it stops or diverges, and every
-    result equals that network trained alone bit for bit.
+    result equals that network trained alone bit for bit. Each epoch gathers
+    every network's permuted rows of X and of the one-hot labels once, in
+    chunks of whole batches of at most MLP_CHUNK_ELEMENTS gathered values,
+    and each batch is a view of its chunk.
 
     The epoch loss is evaluated per network, over the full set, in one
     reused buffer. An adaptive network computes it after every epoch, since
@@ -663,6 +672,9 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     D = np.empty_like(H)
     H_full = np.empty((n, MLP_HIDDEN_UNITS))
     x_norm = np.sqrt((X * X).sum(axis=1).max())
+    onehot = np.eye(n_classes)[y]
+    chunk = max(MLP_CHUNK_ELEMENTS // (k * (X.shape[1] + n_classes))
+                // MLP_BATCH_SIZE, 1) * MLP_BATCH_SIZE
     active = np.arange(k)       # grid positions of the stacked networks
     out = [None] * k
 
@@ -688,21 +700,26 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
                 break
             last_finite = [p.copy() for p in params]
             orders = np.stack([rngs[i].permutation(n) for i in active])
-            rate = step[active]
-            for start in range(0, n, MLP_BATCH_SIZE):
-                batch = orders[:, start:start + MLP_BATCH_SIZE]
-                rows = batch.shape[1]
-                grads = _mlp_stack_grads(params, X[batch], y[batch],
-                                         alpha[active], H[:active.size, :rows],
-                                         D[:active.size, :rows])
-                for p, g in zip(params, grads):
-                    g *= rate.reshape((-1,) + (1,) * (g.ndim - 1))
-                    p -= g
+            rates = [step[active].reshape((-1,) + (1,) * (p.ndim - 1))
+                     for p in params]
+            alphas, h, d = alpha[active], H[:active.size], D[:active.size]
+            for lo in range(0, n, chunk):
+                rows = orders[:, lo:lo + chunk]
+                Xc, Yc = X[rows], onehot[rows]
+                for start in range(0, rows.shape[1], MLP_BATCH_SIZE):
+                    Xb = Xc[:, start:start + MLP_BATCH_SIZE]
+                    Yb = Yc[:, start:start + MLP_BATCH_SIZE]
+                    m = Xb.shape[1]
+                    grads = _mlp_stack_grads(params, Xb, Yb, alphas,
+                                             h[:, :m], d[:, :m])
+                    for p, g, rate in zip(params, grads, rates):
+                        g *= rate
+                        p -= g
             finite = np.ones(active.size, dtype=bool)
             compute = np.ones(active.size, dtype=bool)
             if epoch < MLP_MAX_EPOCHS:
                 compute = adaptive[active] | ~_mlp_loss_surely_finite(
-                    params, alpha[active], x_norm)
+                    params, alphas, x_norm)
             for position in np.flatnonzero(compute):
                 i = active[position]
                 loss = _mlp_loss([p[position] for p in params], X, y,
@@ -723,14 +740,95 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     return out
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (1 where the platform
+    cannot tell)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def mlp_workers(k: int) -> int:
+    """How many sub-stacks :func:`train_grid` trains an MLP grid of k points
+    as: one per usable CPU, at most k. It is 1 where this process should
+    not fork: without the `fork` start method, in a daemonic process, which
+    multiprocessing allows no children, and beside other Python threads,
+    one of which may hold a lock that the worker would inherit held."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(_usable_cpus(), k))
+
+
+def _train_mlp_stacks(hps, train: LabelledSet, seeds) -> list:
+    """:func:`_train_mlp` over contiguous sub-stacks of the grid, one per
+    :func:`mlp_workers`: the first in this process, each other one in a
+    forked worker that sends its results back by pickle. The results are
+    concatenated in grid order; since each network trains alone bit for bit
+    in any stack, they equal one stack's. Every worker is joined before
+    this returns or raises: a worker's exception is raised here, a worker
+    that dies is a RuntimeError, and when this process's own sub-stack
+    raises, the workers are terminated."""
+    parts = np.array_split(np.arange(len(hps)), mlp_workers(len(hps)))
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for part in parts[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            with sender:        # closed here: the worker's exit ends the pipe
+                worker = context.Process(
+                    target=_mlp_worker, daemon=True,
+                    args=(sender, [hps[i] for i in part], train,
+                          [seeds[i] for i in part]))
+                worker.start()  # flushes sys.stdout and sys.stderr first
+            workers.append((worker, receiver))
+        out = _train_mlp([hps[i] for i in parts[0]], train,
+                         [seeds[i] for i in parts[0]])
+        for worker, receiver in workers:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"an MLP training worker exited with code "
+                    f"{worker.exitcode} before sending its models") from None
+            if isinstance(result, BaseException):
+                raise result
+            out += result
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+    return out
+
+
+def _mlp_worker(sender, hps, train, seeds):
+    """A forked worker's body: trains its sub-stack and sends back the
+    results, or the exception that training raised."""
+    try:
+        result = _train_mlp(hps, train, seeds)
+    except BaseException as exc:
+        result = exc
+    sender.send(result)
+
+
 def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
     """Fit grid points of one family on `train_set`, grid point i with
     `seeds[i]`. Deterministic given the seeds.
 
     Returns one :class:`TrainedModel` or one :class:`TrainingError` per grid
     point, in grid order, so a failing point does not stop the others. LR
-    and KNN fit each point on its own; MLP points train together as one
-    stack, and each result equals that point trained alone bit for bit.
+    and KNN fit each point on its own. MLP points train as contiguous
+    sub-stacks, one per usable CPU (:func:`mlp_workers`): the first in this
+    process, the others in forked workers, all joined before this returns.
+    Each result equals that point trained alone bit for bit, so the models
+    do not depend on the number of CPUs.
     """
     if len(hps) != len(seeds):
         raise ValueError(f"{len(hps)} grid points but {len(seeds)} seeds")
@@ -753,7 +851,7 @@ def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
         return [KNNModel(hp, train_set.X, train_set.y, train_set.n_classes, seed)
                 for hp, seed in zip(hps, seeds)]
     if family == "MLP":
-        return _train_mlp(hps, train_set, seeds)
+        return _train_mlp_stacks(hps, train_set, seeds)
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -239,8 +239,8 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
     converged = np.zeros(k, dtype=bool)
     active, Fa, a = np.arange(k), FT, alpha.copy()
     for it in range(1, max_iter + 1):
-        mix = np.matmul(a[:, None, :], Fa)[:, 0, :]
-        L = np.log(mix).sum(axis=1)
+        if it <= EM_WARM_STEPS + 1:     # else the line search computed them
+            mix, L = _mixture(Fa, a)
         w = 1.0 / mix
         g = np.matmul(Fa, w[:, :, None])[:, :, 0]      # the gradient of L
         if it <= EM_WARM_STEPS:
@@ -253,7 +253,7 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
             Q = np.matmul(GT, GT.transpose(0, 2, 1))
             d = _newton_direction(Q, g, a, m)
             size = np.abs(d).sum(axis=1)
-            new, moved = _line_search(Fa, a, d, L, size, tol)
+            new, moved, mix, L = _line_search(Fa, a, d, L, size, tol)
             done = size < tol
             stop = done | ~moved
         a = new
@@ -262,17 +262,20 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
             iterations[active[stop]] = it
             converged[active[stop]] = done[stop]
             active, Fa, a = active[~stop], Fa[~stop], a[~stop]
+            mix, L = mix[~stop], L[~stop]
             if not active.size:
                 break
     alpha[active] = a
     return alpha, iterations, converged
 
 
-def _log_likelihood(FT: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_x log (F a)_x per problem, from the (k, n, m) stack F^T; -inf
-    where a mixture density is 0."""
+def _mixture(FT: np.ndarray, a: np.ndarray):
+    """The mixture densities F a, (k, m), and the log-likelihood sum_x log
+    (F a)_x per problem, from the (k, n, m) stack F^T; the log-likelihood is
+    -inf where a mixture density is 0."""
+    mix = np.matmul(a[:, None, :], FT)[:, 0, :]
     with np.errstate(divide="ignore"):
-        return np.log(np.matmul(a[:, None, :], FT)[:, 0, :]).sum(axis=1)
+        return mix, np.log(mix).sum(axis=1)
 
 
 def _newton_direction(Q: np.ndarray, g: np.ndarray, a: np.ndarray, mu):
@@ -342,9 +345,11 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
     t0/2, t0/4, ... (see :func:`_simplex_step`) whose log-likelihood is no
     lower than L. Halving stops once a step's L1 norm is below `tol`; a
     problem with no acceptable step by then keeps its weights. Returns (new
-    weights, moved)."""
+    weights, moved, and where moved, the :func:`_mixture` of the new
+    weights)."""
     new, t = _simplex_step(a, d)
-    moved = _log_likelihood(FT, new) >= L
+    mix, L_new = _mixture(FT, new)
+    moved = L_new >= L
     # the problems whose full step failed halve it, all at the same scale
     todo = np.flatnonzero(~moved)
     new[todo] = a[todo]
@@ -352,11 +357,13 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
     while True:
         todo = todo[0.5 * t * size[todo] >= tol]
         if not todo.size:
-            return new, moved
+            return new, moved, mix, L_new
         scale *= 0.5
         trial, t = _simplex_step(a[todo], d[todo], scale)
-        ok = _log_likelihood(FT[todo], trial) >= L[todo]
-        new[todo[ok]] = trial[ok]
+        trial_mix, trial_L = _mixture(FT[todo], trial)
+        ok = trial_L >= L[todo]
+        new[todo[ok]], mix[todo[ok]] = trial[ok], trial_mix[ok]
+        L_new[todo[ok]] = trial_L[ok]
         moved[todo[ok]] = True
         todo, t = todo[~ok], t[~ok]
 

@@ -1,4 +1,10 @@
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -609,6 +615,121 @@ def test_mlp_divergence_stays_in_its_entry(two_blobs, monkeypatch):
     assert [e.model_id for e in reg.entries] == [0, 2]
     assert len(reg.warnings) == 1
     assert reg.warnings[0].startswith("model 1 (MLP[alpha=100000000.0")
+
+
+def test_mlp_grid_trains_the_same_in_one_or_two_processes(two_blobs,
+                                                         monkeypatch):
+    lset = two_blobs.all_instances()
+    grid = build_grid("MLP", 2)
+    seeds = list(range(len(grid)))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert classifiers.mlp_workers(len(grid)) == cpus
+        runs.append(train_grid("MLP", grid, lset, seeds))
+    for a, b in zip(*runs, strict=True):
+        _assert_same_mlp(a, b)
+
+
+def test_mlp_divergence_in_a_worker_keeps_its_last_state(two_blobs,
+                                                         monkeypatch):
+    # two processes: points 0 and 1 train here, the diverging point 2 in
+    # the forked worker
+    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+    lset = two_blobs.all_instances()
+    grid = [HyperParams.make("MLP", alpha=1e-4, learning_rate="constant"),
+            HyperParams.make("MLP", alpha=1e-2, learning_rate="adaptive"),
+            HyperParams.make("MLP", alpha=1e8, learning_rate="constant")]
+    results = train_grid("MLP", grid, lset, [0, 1, 2])
+    solo = train_grid("MLP", [grid[2]], lset, [2])[0]
+    assert isinstance(results[2], TrainingError)
+    assert isinstance(solo, TrainingError)
+    assert str(results[2]) == str(solo)
+    assert results[2].last_state["epoch"] == solo.last_state["epoch"]
+    for got, want in zip(results[2].last_state["params"],
+                         solo.last_state["params"], strict=True):
+        assert np.array_equal(got, want)
+    for i in (0, 1):
+        _assert_same_mlp(results[i], train_grid("MLP", [grid[i]], lset, [i])[0])
+
+
+def test_mlp_gather_chunks_equal_one_chunk(two_blobs, monkeypatch):
+    # a budget of one value per chunk leaves one whole batch per chunk
+    lset = two_blobs.all_instances()        # 80 rows: a partial last batch
+    grid, seeds = build_grid("MLP", 2)[:4], [0, 1, 2, 3]
+    one_chunk = train_grid("MLP", grid, lset, seeds)
+    monkeypatch.setattr(classifiers, "MLP_CHUNK_ELEMENTS", 1)
+    for a, b in zip(one_chunk, train_grid("MLP", grid, lset, seeds),
+                    strict=True):
+        _assert_same_mlp(a, b)
+
+
+def test_training_error_survives_pickle():
+    params = [np.arange(3.0), np.ones((2, 2))]
+    err = pickle.loads(pickle.dumps(TrainingError(
+        "non-finite loss", last_state={"params": params, "epoch": 7})))
+    assert type(err) is TrainingError and str(err) == "non-finite loss"
+    assert err.last_state["epoch"] == 7
+    for got, want in zip(err.last_state["params"], params, strict=True):
+        assert np.array_equal(got, want)
+
+
+class _Failure(Exception):
+    pass
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raises TimeoutError inside the block after `seconds`, so that a wait
+    that never ends fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("where", ["caller", "worker", "worker exits"])
+def test_mlp_workers_are_joined_and_their_failures_raised(where, two_blobs,
+                                                          monkeypatch):
+    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+    lset = two_blobs.all_instances()
+    grid, seeds = build_grid("MLP", 2)[:2], [0, 1]
+    assert len(train_grid("MLP", grid, lset, seeds)) == 2
+    assert multiprocessing.active_children() == []
+    caller, real = os.getpid(), classifiers._train_mlp
+
+    def failing(hps, train_set, seeds):
+        if (os.getpid() == caller) == (where == "caller"):
+            if where == "worker exits":
+                os._exit(3)
+            raise _Failure(where)
+        return real(hps, train_set, seeds)
+    monkeypatch.setattr(classifiers, "_train_mlp", failing)
+    expected = ((RuntimeError, "exited with code 3") if where == "worker exits"
+                else (_Failure, where))
+    with pytest.raises(expected[0], match=expected[1]), _deadline(60):
+        train_grid("MLP", grid, lset, seeds)
+    assert multiprocessing.active_children() == []
+
+
+def test_mlp_grid_forks_no_worker_beside_other_threads(monkeypatch):
+    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+    assert classifiers.mlp_workers(10) == 2
+    assert classifiers.mlp_workers(1) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert classifiers.mlp_workers(10) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def _no_bound(params, alpha, x_norm):

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from shiftselect import evalcli
-from shiftselect.classifiers import MLP_MAX_EPOCHS
+from shiftselect.classifiers import MLP_MAX_EPOCHS, mlp_workers
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  StageError, accuracy_matrix, config_from_dict,
                                  _prepare, emit_report, load_config,
@@ -800,10 +800,13 @@ def test_cli_train_and_run_write_timings(tmp_path):
                               .read_text(encoding="utf-8"))
         epochs = [e["model"]["meta"]["epochs"] for e in registry["entries"]
                   if e["model"]["family"] == "MLP"]
+        # and counts the processes the grid trained in, one per usable CPU
         assert timings["mlp"] == {
             "models": len(epochs), "epochs": sum(epochs),
-            "stopped_early": sum(e < MLP_MAX_EPOCHS for e in epochs)}
+            "stopped_early": sum(e < MLP_MAX_EPOCHS for e in epochs),
+            "workers": mlp_workers(10)}
         assert len(epochs) == 10
+        assert 1 <= timings["mlp"]["workers"] <= len(epochs)
         stages = {"dataset", "split", "registry"}
         if command == "run":
             stages |= {"protocol", "evaluate", "report"}

@@ -253,11 +253,15 @@ def test_line_search_halves_a_step_that_would_lower_the_likelihood():
     a = np.array([[0.2, 0.8]])
     d = np.array([[0.75, -0.75]])
     L = np.log(a).sum(axis=1)
-    new, moved = _line_search(FT, a, d, L, np.abs(d).sum(axis=1), 1e-6)
+    new, moved, mix, L_new = _line_search(FT, a, d, L,
+                                          np.abs(d).sum(axis=1), 1e-6)
     assert moved[0]
     assert np.allclose(new, [[0.575, 0.425]], atol=1e-15)
+    # the accepted step's mixture densities and log-likelihood come along
+    assert np.array_equal(mix, new)
+    assert np.array_equal(L_new, np.log(new).sum(axis=1))
     # a direction along which L only falls is refused outright
-    new, moved = _line_search(FT, a, -d, L, np.abs(d).sum(axis=1), 1e-6)
+    new, moved, _, _ = _line_search(FT, a, -d, L, np.abs(d).sum(axis=1), 1e-6)
     assert not moved[0] and np.array_equal(new, a)
 
 
@@ -294,7 +298,7 @@ def reference_line_search(FT, a, d, L, size, tol):
     todo = np.arange(len(a))
     while todo.size:
         trial, t = quantifiers._simplex_step(a[todo], d[todo], scale[todo])
-        ok = quantifiers._log_likelihood(FT[todo], trial) >= L[todo]
+        ok = quantifiers._mixture(FT[todo], trial)[1] >= L[todo]
         new[todo[ok]] = trial[ok]
         moved[todo[ok]] = True
         todo, t = todo[~ok], t[~ok]
@@ -321,12 +325,16 @@ def test_solver_steps_equal_their_reference(seed, k, n, m):
     d = quantifiers._newton_direction(Q, g, a, mu)
     assert np.array_equal(d, reference_newton_direction(Q, g, a, mu))
     FT = rng.random((k, n, m)) + 1e-3
-    L = quantifiers._log_likelihood(FT, a) + rng.choice([-1.0, 0.0, 1e-3], k)
+    L = quantifiers._mixture(FT, a)[1] + rng.choice([-1.0, 0.0, 1e-3], k)
     size = np.abs(d).sum(axis=1)
     for tol in (1e-6, 1e-2):
-        new, moved = _line_search(FT, a, d, L, size, tol)
+        new, moved, mix, L_new = _line_search(FT, a, d, L, size, tol)
         ref_new, ref_moved = reference_line_search(FT, a, d, L, size, tol)
         assert np.array_equal(new, ref_new) and np.array_equal(moved, ref_moved)
+        # where a step is taken, the mixture of the new weights, bit for bit
+        want_mix, want_L = quantifiers._mixture(FT[moved], new[moved])
+        assert np.array_equal(mix[moved], want_mix)
+        assert np.array_equal(L_new[moved], want_L)
 
 
 @settings(max_examples=60, deadline=None)
