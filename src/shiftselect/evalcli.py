@@ -15,17 +15,18 @@ same config and seed, a run produces byte-identical output files:
 
 The last three reduce one strategies × bags :func:`accuracy_matrix`.
 
-Selection never sees labels. The harness computes every model's true
-accuracy on a bag once, from the test-set label cache, and each strategy's
-``true_acc`` is one entry of that vector; the oracle, an evaluation upper
-bound, is its argmax. ``shiftselect train`` writes the run's manifest.json
-and ``registry/manifest.json``, the whole registry in one document (see
-:func:`selection.save_registry`). Both ``train`` and ``run`` also write
-``timings.json`` next to manifest.json: wall times per stage and per
-family's training (for ``run``, also inside evaluate: test-set posteriors,
-quantifier rows and the bag loop), the LR solver's step counts, the MLP
-epochs and the number of processes the MLP grid trained in (see
-:func:`_timings`).
+Selection never sees labels. Before any strategy runs, the harness
+computes one models × bags matrix of true accuracies from the test-set
+label cache; each strategy is one model position per bag, its ``true_acc``
+that entry of the matrix, and the oracle, an evaluation upper bound, the
+argmax of each bag's column. ``shiftselect train`` writes the run's
+manifest.json and ``registry/manifest.json``, the whole registry in one
+document (see :func:`selection.save_registry`). Both ``train`` and ``run``
+also write ``timings.json`` next to manifest.json: wall times per stage and
+per family's training (for ``run``, also inside evaluate: test-set
+posteriors, quantifier rows and the strategies), the LR solver's step
+counts, the MLP epochs and the number of processes the MLP grid trained in
+(see :func:`_timings`).
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
 
@@ -58,9 +59,9 @@ from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, build_grid, mlp_workers,
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
-from .selection import (ModelRegistry, best_position, build_registry,
-                        default_select, fingerprint, ims_select, tms_select,
-                        write_json)
+from .selection import (SOLVER_FLAGS, ModelRegistry, best_position,
+                        build_registry, default_select, fingerprint,
+                        ims_select, tms_select, write_json)
 
 ENV_SEED = "SHIFTSELECT_SEED"
 WILCOXON_EXACT_MAX = 12
@@ -494,13 +495,15 @@ def _train_registry(config: RunConfig, proper, validation, manifest,
 
 
 def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultTable:
-    """Execute the full pipeline and return one row per (strategy, bag).
+    """Execute the full pipeline and return one row per (strategy, bag)
+    (see :func:`_evaluate`).
 
     Pass a prebuilt `registry` (say, one `load_registry` read back from
     `shiftselect train`) to skip training; it must have been trained on this
     config's proper-train and validation data, or the "registry" stage fails.
     Partial rows are flushed to results.csv if a later stage fails. The
-    table's meta holds the run's timings (see :func:`_timings`).
+    table's meta holds the run's timings (see :func:`_timings`) and a
+    warning per model and solver that stopped early, counting bags.
     """
     outdir = config.outdir
     seconds = {}
@@ -524,12 +527,13 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     run_id = manifest["run_id"]
     rows = []
-    diagnostics = {"nonconverged": Counter(), "em_nonconverged": Counter()}
+    flagged = {name: set() for name in SOLVER_FLAGS}
     evaluate_s = {}
     try:
         with _stage("evaluate", seconds):
-            for row in _evaluate(config, registry, test, bags, proper, run_id,
-                                 ds.name, diagnostics, evaluate_s):
+            for row in _evaluate(config, registry, test, bags,
+                                 proper.prevalence(), run_id, ds.name,
+                                 flagged, evaluate_s):
                 rows.append(row)
     except StageError:
         _write_results_csv(rows, os.path.join(outdir, "results.csv"))
@@ -538,7 +542,7 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     meta = {"run_id": run_id, "dataset": ds.name, "n_bins": config.n_bins,
             "alpha": config.alpha,
             "warnings": list(registry.warnings)
-            + _diagnostic_warnings(diagnostics, len(bags)),
+            + _diagnostic_warnings(flagged, len(bags)),
             "timings": _timings(seconds, registry, evaluate_s)}
     return ResultTable(rows, meta)
 
@@ -552,7 +556,7 @@ def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
     processes the MLP grid trained in (`workers`, see
     :func:`classifiers.mlp_workers`; 0 when the run trained no MLP grid).
     After an evaluate stage, `evaluate_s` splits its seconds into the
-    test-set posteriors, the quantifier rows and the bag loop (see
+    test-set posteriors, the quantifier rows and the strategies (see
     :func:`_evaluate`)."""
     lr = [e.model.meta for e in registry.entries if e.family == "LR"]
     epochs = [e.model.meta["epochs"] for e in registry.entries
@@ -574,22 +578,22 @@ def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
     return timings
 
 
-def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
-              diagnostics, seconds=None):
-    """Yield one ResultRow per (bag, strategy); incremental so that partial
-    progress survives a mid-run failure.
+def _evaluate(config, registry, test, bags, train_prevalence, run_id,
+              dataset_name, flagged, seconds=None):
+    """Yield one ResultRow per (strategy, bag), strategy by strategy, so
+    that partial progress survives a mid-run failure.
 
-    Every model's true accuracy on a bag is computed once, from the test-set
-    label cache, and each row's `true_acc` is one entry of that vector: the
-    fixed model of a default or IMS strategy, the model TMS picks, or, for
-    the oracle, the argmax of the vector itself (the evaluation upper bound,
-    under the same NaN and lowest-model-id tie rule as TMS).
-
-    `diagnostics` maps "nonconverged" and "em_nonconverged" to Counters of
-    model id, counting the bags on which TMS saw that model's accuracy solver
-    or mixture solver stop before converging. A `seconds` dict receives the
-    wall seconds of the test-set posteriors, the quantifier rows and the bag
-    loop, under "test_posteriors", "quantifier_rows" and "bags"."""
+    A (models, bags) matrix of true accuracies (labels read through
+    :func:`protocol.reveal_labels`) is built before any strategy runs, and
+    each strategy is one model position per bag: a default or IMS model
+    resolved once; for the oracle, the argmax of each column under
+    :func:`selection.best_position`; for TMS, one :func:`tms_select` call
+    per bag on slices of the test-set caches. `flagged` maps each
+    :data:`selection.SOLVER_FLAGS` name to a set of (model id, bag id)
+    pairs, one per bag on which a TMS scope saw that model's solver stop
+    early. A `seconds` dict receives the wall seconds of the test-set
+    posteriors, the quantifier rows and the rest, under "test_posteriors",
+    "quantifier_rows" and "bags"."""
     seconds = {} if seconds is None else seconds
     # Posteriors and quantifier rows (the KDE log densities) over the whole
     # test set are computed once per model and stacked along
@@ -601,65 +605,47 @@ def _evaluate(config, registry, test, bags, proper, run_id, dataset_name,
     start = time.perf_counter()
     rows_test = registry.caps.rows(posteriors_test)
     seconds["quantifier_rows"] = time.perf_counter() - start
-    labels_test = np.argmax(posteriors_test, axis=2)
-    position = {e.model_id: i for i, e in enumerate(registry.entries)}
-    train_prevalence = proper.prevalence()
-
-    plan = [(strat, *_parse_strategy(strat, config.families))
-            for strat in config.strategies]
-    # a default or IMS strategy's model, as (model id, position, validation
-    # accuracy), resolved once for every bag
-    static = {}
-    for strat, kind, scope in plan:
-        if kind == "default":
-            mid = default_select(registry, scope)
-        elif kind == "IMS":
-            mid = ims_select(registry, scope)
-        else:
-            continue
-        static[strat] = (mid, position[mid],
-                         registry.entries[position[mid]].val_accuracy)
-
     start = time.perf_counter()
-    for bag_id, bag in enumerate(bags):
-        true_acc = (labels_test[:, bag.indices]
-                    == reveal_labels(bag)).mean(axis=1)
-        shift = l1_shift(train_prevalence, bag.realized_prevalence)
-        P = posteriors_test[:, bag.indices]
-        F = rows_test[:, bag.indices]
-        flagged = {name: set() for name in diagnostics}
+    labels_test = np.argmax(posteriors_test, axis=2)
+    true = np.stack([(labels_test[:, bag.indices] == reveal_labels(bag))
+                     .mean(axis=1) for bag in bags], axis=1)
+    shifts = [l1_shift(train_prevalence, bag.realized_prevalence)
+              for bag in bags]
+    ids = [e.model_id for e in registry.entries]
 
-        for strat, kind, scope in plan:
-            if strat in static:
-                mid, at, est = static[strat]
-            elif kind == "TMS":
-                outcome = tms_select(registry, scope, bag, posteriors=P,
-                                     rows=F)
-                mid = outcome.model_id
-                at = position[mid]
-                est = outcome.estimated_accuracy
-                flagged["nonconverged"].update(outcome.nonconverged)
-                flagged["em_nonconverged"].update(outcome.em_nonconverged)
-            else:  # oracle
-                at = best_position(
-                    true_acc, registry.entries,
-                    f"the oracle on a bag of {bag.size} instances")
-                mid = registry.entries[at].model_id
-                est = None
-            yield ResultRow(run_id, dataset_name, strat, bag_id, shift,
-                            float(true_acc[at]), est, mid)
-        for name, ids in flagged.items():
-            diagnostics[name].update(ids)
+    def tms_picks(scope):
+        for bag_id, bag in enumerate(bags):
+            outcome = tms_select(registry, scope, bag,
+                                 posteriors=posteriors_test[:, bag.indices],
+                                 rows=rows_test[:, bag.indices])
+            for name, pairs in flagged.items():
+                pairs.update((mid, bag_id) for mid in getattr(outcome, name))
+            yield ids.index(outcome.model_id), outcome.estimated_accuracy
+
+    for strat in config.strategies:
+        kind, scope = _parse_strategy(strat, config.families)
+        if kind == "TMS":
+            picks = tms_picks(scope)
+        elif kind == "oracle":
+            picks = zip(best_position(true, "a bag"), [None] * len(bags))
+        else:
+            select = default_select if kind == "default" else ims_select
+            at = ids.index(select(registry, scope))
+            picks = [(at, registry.entries[at].val_accuracy)] * len(bags)
+        for bag_id, (at, est) in enumerate(picks):
+            yield ResultRow(run_id, dataset_name, strat, bag_id,
+                            shifts[bag_id], float(true[at, bag_id]), est,
+                            ids[at])
     seconds["bags"] = time.perf_counter() - start
 
 
-def _diagnostic_warnings(diagnostics: dict, n_bags: int) -> list:
-    """One summary line per model and kind of numerical trouble."""
-    what = {"nonconverged": "accuracy solver did not converge",
-            "em_nonconverged": "mixture solver did not converge"}
-    return [f"model {mid}: {what[name]} on {count} of {n_bags} bags"
-            for name in what
-            for mid, count in sorted(diagnostics[name].items())]
+def _diagnostic_warnings(flagged: dict, n_bags: int) -> list:
+    """One summary line per model and solver that stopped early, counting
+    its bags in `flagged` (see :func:`_evaluate`)."""
+    return [f"model {mid}: {what} did not converge on {count} of {n_bags} bags"
+            for name, what in SOLVER_FLAGS.items()
+            for mid, count in sorted(Counter(
+                mid for mid, _ in flagged[name]).items())]
 
 
 # ---------------------------------------------------------------------------

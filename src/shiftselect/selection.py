@@ -7,20 +7,21 @@
 * defaults: the fixed default configuration of each family.
 
 IMS is bag-independent by construction; TMS may pick a different model for
-every bag. A scope is a family name or ``"All"``, and the models in it are
-the positions :meth:`ModelRegistry.scope_positions` gives in the registry's
-entries. The registry stacks every entry's accuracy predictor once
+every bag. Each is an argmax under :func:`best_position`: a NaN value never
+wins, and a tie goes to the first position, which is the lowest model id, as
+a :class:`ModelRegistry` holds its entries sorted by id. A scope is a family
+name or ``"All"``, and the models in it are the positions
+:meth:`ModelRegistry.scope_positions` gives in the registry's entries. The
+registry stacks every entry's accuracy predictor once
 (:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
 goes stale), and a scope's predictors are the rows at its positions
 (:meth:`cap.CapStack.take`). TMS predicts the accuracy of every in-scope
-model on the bag in one batched pass (:func:`cap.predict_batch`) and takes
-the argmax of that vector (:func:`best_position`: a NaN estimate never wins,
-and ties always break toward the lowest model id). It accepts the bag's
-per-model posteriors and quantifier rows precomputed, stacked along a model
-axis aligned with ``registry.entries``; without them it computes both from
-the bag's features. No function here takes labels: the oracle, which reads a
-bag's true labels, is an evaluation upper bound and lives in the harness
-(:mod:`evalcli`).
+model on the bag in one batched pass (:func:`cap.predict_batch`). It accepts
+the bag's per-model posteriors and quantifier rows precomputed, stacked
+along a model axis aligned with ``registry.entries``; without them it
+computes both from the bag's features. No function here takes labels: the
+oracle, an evaluation upper bound, is the argmax of a models × bags matrix
+of true accuracies in the harness (:mod:`evalcli`).
 
 A registry is saved as one document, ``manifest.json``: its meta, its
 training warnings, and per entry the model id, the validation accuracy, the
@@ -61,6 +62,8 @@ class RegistryEntry:
 
 @dataclass(frozen=True)
 class ModelRegistry:
+    """Trained entries, held as a tuple sorted by model id; a repeated id
+    raises ValueError."""
     entries: tuple
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
@@ -68,7 +71,11 @@ class ModelRegistry:
     train_s: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        entries = tuple(sorted(self.entries, key=lambda e: e.model_id))
+        for a, b in zip(entries, entries[1:]):
+            if a.model_id == b.model_id:
+                raise ValueError(f"model id {a.model_id} is repeated")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self):
         return len(self.entries)
@@ -96,6 +103,11 @@ class ModelRegistry:
         return stack_caps([e.cap for e in self.entries])
 
 
+# each solver flag of a SelectionOutcome, and the solver it names
+SOLVER_FLAGS = {"nonconverged": "accuracy solver",
+                "em_nonconverged": "mixture solver"}
+
+
 @dataclass
 class SelectionOutcome:
     strategy: str
@@ -111,9 +123,8 @@ class SelectionOutcome:
         """One line per model whose accuracy solver or mixture solver
         stopped early on this bag."""
         return tuple(f"model {mid}: {what} did not converge"
-                     for what, ids in (("accuracy solver", self.nonconverged),
-                                       ("mixture solver", self.em_nonconverged))
-                     for mid in ids)
+                     for name, what in SOLVER_FLAGS.items()
+                     for mid in getattr(self, name))
 
 
 def _entry_seed(seed: int, model_id: int) -> int:
@@ -194,24 +205,26 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     return registry
 
 
-def best_position(values, entries, where: str) -> int:
-    """Position of the highest value; NaN never wins, ties go to the lowest
-    model id. `where` names the scope (and bag) for the error raised when
-    every value is NaN."""
+def best_position(values, where: str):
+    """First position along the first axis that holds the highest non-NaN
+    value: an int for a vector, one per column for a (models, bags) matrix.
+    Over a registry's entries the first position is the lowest model id.
+    `where` names the scope (and bag) for the error raised when every value
+    (of some column) is NaN."""
     values = np.asarray(values, dtype=float)
     valid = ~np.isnan(values)
-    if not valid.any():
+    if not valid.any(axis=0).all():
         raise ValueError(f"every accuracy in {where} is NaN")
-    ties = np.flatnonzero(values == values[valid].max())
-    return min(ties, key=lambda i: entries[i].model_id)
+    top = values.max(axis=0, where=valid, initial=-np.inf)
+    return np.argmax(values == top, axis=0)
 
 
 def ims_select(registry: ModelRegistry, scope) -> int:
     """Id of the in-scope model with the best validation accuracy."""
-    entries = [registry.entries[i] for i in registry.scope_positions(scope)]
-    best = best_position([e.val_accuracy for e in entries], entries,
+    positions = registry.scope_positions(scope)
+    best = best_position([registry.entries[i].val_accuracy for i in positions],
                          f"scope {scope!r}")
-    return entries[best].model_id
+    return registry.entries[positions[best]].model_id
 
 
 def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
@@ -235,7 +248,7 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
         P = np.asarray(posteriors)[positions]
     rows = caps.rows(P) if rows is None else np.asarray(rows)[positions]
     batch = predict_batch(caps, P, rows)
-    best = best_position(batch.accuracy, entries,
+    best = best_position(batch.accuracy,
                          f"scope {scope!r} on a bag of {bag.size} instances")
     nonconverged, em_nonconverged = (
         tuple(entries[i].model_id for i in np.flatnonzero(~flags))

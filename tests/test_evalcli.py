@@ -11,13 +11,16 @@ import pytest
 import scipy.stats
 
 from shiftselect import evalcli
-from shiftselect.classifiers import MLP_MAX_EPOCHS, mlp_workers
+from shiftselect.classifiers import (MLP_MAX_EPOCHS, mlp_workers,
+                                    predict_posteriors_batch)
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  StageError, accuracy_matrix, config_from_dict,
                                  _prepare, emit_report, load_config,
                                  read_results_csv, run_experiment, summarize,
                                  wilcoxon_signed_rank, main)
-from shiftselect.protocol import bin_by_shift
+from shiftselect.protocol import (app_generate, bin_by_shift, l1_shift,
+                                  reveal_labels)
+from shiftselect.selection import default_select, ims_select, tms_select
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -500,6 +503,75 @@ def test_run_reports_solver_nonconvergence_once_per_model(tmp_path,
     summary = (tmp_path / "summary.txt").read_text()
     assert summary.count("did not converge") == 2
     assert "warning: model 5: accuracy solver did not converge" in summary
+
+
+def test_run_counts_solver_warnings_by_bag_across_tms_scopes(tmp_path,
+                                                              strangle):
+    from shiftselect import cap
+    # on a KNN registry both scopes hold every entry, so each bag's two
+    # TMS calls flag model 3 twice; the warning still counts bags
+    config = small_config(tmp_path, strategies=("TMS-All", "TMS-KNN"))
+    _, proper, validation, _, manifest = evalcli._prepare(config)
+    registry = evalcli._train_registry(config, proper, validation, manifest)
+    strangle(cap, "leap_solve_batch", [i for i, e in enumerate(
+        registry.entries) if e.model_id == 3], max_iter=1)
+    table = run_experiment(config, registry=registry)
+    assert table.meta["warnings"] == [
+        "model 3: accuracy solver did not converge on 10 of 10 bags"]
+    emit_report(table, config.outdir)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "warning: model 3: accuracy solver did not converge on 10 of 10 " \
+        "bags" in summary
+    assert "of 20 bags" not in summary
+
+
+def reference_rows(config, registry, proper, test):
+    """(strategy, bag id) -> (model id, true_acc, est_acc, l1_shift) by a
+    plain loop over bags and strategies: the selection functions on slices
+    of the test-set caches, and for the oracle the lowest-id argmax of the
+    bag's true-accuracy vector."""
+    _, _, _, _, manifest = _prepare(config)
+    bags = app_generate(test, config.r, config.s,
+                        manifest["derived_seeds"]["protocol"])
+    posteriors = predict_posteriors_batch([e.model for e in registry.entries],
+                                          test.X)
+    rows = registry.caps.rows(posteriors)
+    ids = [e.model_id for e in registry.entries]
+    expected = {}
+    for bag_id, bag in enumerate(bags):
+        truth = reveal_labels(bag)
+        true = [float((np.argmax(P[bag.indices], axis=1) == truth).mean())
+                for P in posteriors]
+        shift = l1_shift(proper.prevalence(), bag.realized_prevalence)
+        for strat in config.strategies:
+            kind, _, scope = strat.partition("-")
+            est = None
+            if kind == "oracle":
+                mid = max(ids, key=lambda i: (true[ids.index(i)], -i))
+            elif kind == "TMS":
+                outcome = tms_select(registry, scope, bag,
+                                     posteriors=posteriors[:, bag.indices],
+                                     rows=rows[:, bag.indices])
+                mid, est = outcome.model_id, outcome.estimated_accuracy
+            else:
+                select = default_select if kind == "default" else ims_select
+                mid = select(registry, scope)
+                est = registry.entry(mid).val_accuracy
+            expected[strat, bag_id] = (mid, true[ids.index(mid)], est, shift)
+    return expected
+
+
+def test_run_rows_equal_a_per_bag_reference_loop(tmp_path):
+    config = small_config(tmp_path, families=("LR", "KNN"), strategies=(
+        "default-LR", "default-KNN", "IMS-KNN", "IMS-All", "TMS-All",
+        "TMS-LR", "oracle"))
+    _, proper, validation, test, manifest = _prepare(config)
+    registry = evalcli._train_registry(config, proper, validation, manifest)
+    table = run_experiment(config, registry=registry)
+    got = {(r.strategy, r.bag_id): (r.model_id, r.true_acc, r.est_acc,
+                                    r.l1_shift) for r in table.rows}
+    assert len(got) == len(table.rows) == config.r * len(config.strategies)
+    assert got == reference_rows(config, registry, proper, test)
 
 
 def test_run_rejects_a_registry_trained_on_other_data(tmp_path):

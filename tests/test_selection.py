@@ -1,6 +1,5 @@
 import json
 import os
-from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -53,9 +52,9 @@ def oracle_rows(registry, splits, bags):
     """The evaluation harness's oracle row for each bag, in bag order."""
     proper, _, test = splits
     config = evalcli.RunConfig(strategies=("oracle",))
-    diagnostics = {"nonconverged": Counter(), "em_nonconverged": Counter()}
-    return list(evalcli._evaluate(config, registry, test, bags, proper,
-                                  "run", "data", diagnostics))
+    flagged = {name: set() for name in selection.SOLVER_FLAGS}
+    return list(evalcli._evaluate(config, registry, test, bags,
+                                  proper.prevalence(), "run", "data", flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,8 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "KDEyML without support",
                                     "CC with support",
                                     "unknown model family",
-                                    "model array missing"])
+                                    "model array missing",
+                                    "a repeated model id"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -166,6 +166,10 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         manifest["entries"][1]["model"]["family"] = "SVM"
     elif damage == "model array missing":
         del manifest["entries"][0]["model"]["arrays"]["b"]
+    elif damage == "a repeated model id":
+        # a valid third entry that reuses the first one's id
+        first, second = manifest["entries"]
+        manifest["entries"].append(dict(second, model_id=first["model_id"]))
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
@@ -285,6 +289,44 @@ def test_ims_all_is_best_of_family_winners(registry):
 def test_ims_single_entry_scope(registry):
     solo = ModelRegistry([registry.entries[4]])
     assert ims_select(solo, "All") == registry.entries[4].model_id
+
+
+def test_registry_holds_entries_sorted_by_model_id(registry):
+    from dataclasses import replace
+    entry = registry.entries[0]
+    twins = ModelRegistry([replace(entry, model_id=7),
+                           replace(entry, model_id=3)])
+    assert [e.model_id for e in twins.entries] == [3, 7]
+
+
+def test_registry_rejects_a_repeated_model_id(registry):
+    from dataclasses import replace
+    first, second = registry.entries[:2]
+    with pytest.raises(ValueError, match=f"model id {first.model_id} is "
+                                         "repeated"):
+        ModelRegistry([first, second,
+                       replace(second, model_id=first.model_id)])
+
+
+def test_best_position_takes_the_first_max_and_skips_nan():
+    nan, inf = np.nan, np.inf
+    assert selection.best_position([nan, 0.5, 0.5], "x") == 1
+    assert selection.best_position([0.2, nan, 0.7, 0.7], "x") == 2
+    # NaN is not a low value: a NaN before -inf does not win
+    assert selection.best_position([nan, -inf], "x") == 1
+    # a (models, bags) matrix: one position per column
+    columns = np.array([[0.5, nan, 0.1],
+                        [0.9, 0.3, 0.1],
+                        [0.9, 0.4, nan]])
+    assert selection.best_position(columns, "x").tolist() == [1, 2, 0]
+
+
+def test_best_position_all_nan_raises_with_where():
+    with pytest.raises(ValueError, match="scope 'LR' on a bag"):
+        selection.best_position([np.nan, np.nan], "scope 'LR' on a bag")
+    with pytest.raises(ValueError, match="a bag"):
+        selection.best_position(np.array([[0.5, np.nan], [0.1, np.nan]]),
+                                "a bag")
 
 
 def test_ims_tie_breaks_to_lowest_id():
