@@ -7,8 +7,9 @@ objective, the optimizer, and the analytic gradients are fully pinned down and
 testable against finite differences. Models are immutable after training.
 :func:`train_grid` fits the grid points of one family on one training set and
 returns a model or a `TrainingError` per point; the MLP points train as one
-stack per usable CPU, with one stacked minibatch step per batch, and each
-equals the point trained alone (a one-point grid) bit for bit.
+stack per usable CPU (:func:`parallel.fork_map`), with one stacked minibatch
+step per batch, and each equals the point trained alone (a one-point grid)
+bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
 rows; KNN models with equal training sets share one neighbour search there.
 A posterior row is bit-identical whatever other rows it is predicted with
@@ -19,14 +20,12 @@ A posterior row is bit-identical whatever other rows it is predicted with
 from __future__ import annotations
 
 import base64
-import multiprocessing
-import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataspace import LabelledSet, as_prevalence
+from .parallel import fork_map
 
 FAMILIES = ("LR", "KNN", "MLP")
 
@@ -740,95 +739,19 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     return out
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on (1 where the platform
-    cannot tell)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def mlp_workers(k: int) -> int:
-    """How many sub-stacks :func:`train_grid` trains an MLP grid of k points
-    as: one per usable CPU, at most k. It is 1 where this process should
-    not fork: without the `fork` start method, in a daemonic process, which
-    multiprocessing allows no children, and beside other Python threads,
-    one of which may hold a lock that the worker would inherit held."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(_usable_cpus(), k))
-
-
-def _train_mlp_stacks(hps, train: LabelledSet, seeds) -> list:
-    """:func:`_train_mlp` over contiguous sub-stacks of the grid, one per
-    :func:`mlp_workers`: the first in this process, each other one in a
-    forked worker that sends its results back by pickle. The results are
-    concatenated in grid order; since each network trains alone bit for bit
-    in any stack, they equal one stack's. Every worker is joined before
-    this returns or raises: a worker's exception is raised here, a worker
-    that dies is a RuntimeError, and when this process's own sub-stack
-    raises, the workers are terminated."""
-    parts = np.array_split(np.arange(len(hps)), mlp_workers(len(hps)))
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for part in parts[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            with sender:        # closed here: the worker's exit ends the pipe
-                worker = context.Process(
-                    target=_mlp_worker, daemon=True,
-                    args=(sender, [hps[i] for i in part], train,
-                          [seeds[i] for i in part]))
-                worker.start()  # flushes sys.stdout and sys.stderr first
-            workers.append((worker, receiver))
-        out = _train_mlp([hps[i] for i in parts[0]], train,
-                         [seeds[i] for i in parts[0]])
-        for worker, receiver in workers:
-            try:
-                result = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"an MLP training worker exited with code "
-                    f"{worker.exitcode} before sending its models") from None
-            if isinstance(result, BaseException):
-                raise result
-            out += result
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, receiver in workers:
-            worker.join()
-            receiver.close()
-    return out
-
-
-def _mlp_worker(sender, hps, train, seeds):
-    """A forked worker's body: trains its sub-stack and sends back the
-    results, or the exception that training raised."""
-    try:
-        result = _train_mlp(hps, train, seeds)
-    except BaseException as exc:
-        result = exc
-    sender.send(result)
-
-
-def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
+def train_grid(family: str, hps, train_set: LabelledSet, seeds,
+               workers=None) -> list:
     """Fit grid points of one family on `train_set`, grid point i with
     `seeds[i]`. Deterministic given the seeds.
 
     Returns one :class:`TrainedModel` or one :class:`TrainingError` per grid
     point, in grid order, so a failing point does not stop the others. LR
     and KNN fit each point on its own. MLP points train as contiguous
-    sub-stacks, one per usable CPU (:func:`mlp_workers`): the first in this
-    process, the others in forked workers, all joined before this returns.
-    Each result equals that point trained alone bit for bit, so the models
-    do not depend on the number of CPUs.
+    sub-stacks through :func:`parallel.fork_map`, one per usable CPU: the
+    first in this process, the others in forked workers, all joined before
+    this returns. Each result equals that point trained alone bit for bit,
+    so the models do not depend on the number of CPUs. A `workers` dict
+    receives under `family` the number of processes the grid trained in.
     """
     if len(hps) != len(seeds):
         raise ValueError(f"{len(hps)} grid points but {len(seeds)} seeds")
@@ -839,6 +762,7 @@ def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
         raise ValueError("empty training set")
     if np.unique(train_set.y).size != train_set.n_classes:
         raise ValueError("training set must contain every class")
+    processes = 1
     if family == "LR":
         out = []
         for hp, seed in zip(hps, seeds):
@@ -846,13 +770,18 @@ def train_grid(family: str, hps, train_set: LabelledSet, seeds) -> list:
                 out.append(_train_lr(hp, train_set, seed))
             except TrainingError as exc:
                 out.append(exc)
-        return out
-    if family == "KNN":
-        return [KNNModel(hp, train_set.X, train_set.y, train_set.n_classes, seed)
-                for hp, seed in zip(hps, seeds)]
-    if family == "MLP":
-        return _train_mlp_stacks(hps, train_set, seeds)
-    raise ValueError(f"unknown family {family!r}")
+    elif family == "KNN":
+        out = [KNNModel(hp, train_set.X, train_set.y, train_set.n_classes, seed)
+               for hp, seed in zip(hps, seeds)]
+    elif family == "MLP":
+        out, processes = fork_map(
+            lambda part: _train_mlp([hps[i] for i in part], train_set,
+                                    [seeds[i] for i in part]), len(hps))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if workers is not None:
+        workers[family] = processes
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,18 @@ Selection never sees labels. Before any strategy runs, the harness
 computes one models × bags matrix of true accuracies from the test-set
 label cache; each strategy is one model position per bag, its ``true_acc``
 that entry of the matrix, and the oracle, an evaluation upper bound, the
-argmax of each bag's column. ``shiftselect train`` writes the run's
-manifest.json and ``registry/manifest.json``, the whole registry in one
-document (see :func:`selection.save_registry`). Both ``train`` and ``run``
+argmax of each bag's column. A bag's TMS pick depends on that bag alone, so
+the bags are labelled on every usable CPU (:func:`parallel.fork_map`, the
+helper that also trains the MLP grid), with the same output on any number
+of CPUs. ``shiftselect train`` writes the run's manifest.json and
+``registry/manifest.json``, the whole registry in one document (see
+:func:`selection.save_registry`). Both ``train`` and ``run``
 also write ``timings.json`` next to manifest.json: wall times per stage and
 per family's training (for ``run``, also inside evaluate: test-set
 posteriors, quantifier rows and the strategies), the LR solver's step
-counts, the MLP epochs and the number of processes the MLP grid trained in
-(see :func:`_timings`).
+counts, the MLP epochs, the number of processes the MLP grid trained in and,
+for ``run``, the number each TMS strategy's picks ran in (see
+:func:`_timings`).
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
 
@@ -54,8 +58,9 @@ import numpy as np
 from .dataspace import (Dataset, apply_scaler, as_prevalence, fit_scaler,
                         load_csv, stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
-from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, build_grid, mlp_workers,
+from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, build_grid,
                           predict_posteriors_batch)
+from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
@@ -528,12 +533,12 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     run_id = manifest["run_id"]
     rows = []
     flagged = {name: set() for name in SOLVER_FLAGS}
-    evaluate_s = {}
+    evaluate_s, tms_workers = {}, {}
     try:
         with _stage("evaluate", seconds):
             for row in _evaluate(config, registry, test, bags,
                                  proper.prevalence(), run_id, ds.name,
-                                 flagged, evaluate_s):
+                                 flagged, evaluate_s, tms_workers):
                 rows.append(row)
     except StageError:
         _write_results_csv(rows, os.path.join(outdir, "results.csv"))
@@ -543,26 +548,27 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
             "alpha": config.alpha,
             "warnings": list(registry.warnings)
             + _diagnostic_warnings(flagged, len(bags)),
-            "timings": _timings(seconds, registry, evaluate_s)}
+            "timings": _timings(seconds, registry, evaluate_s, tms_workers)}
     return ResultTable(rows, meta)
 
 
-def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
+def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None,
+             tms_workers=None) -> dict:
     """What timings.json holds: the wall seconds of each pipeline stage and
     of each family's train_grid call (none for a prebuilt registry), the LR
     models' Newton steps and conjugate-gradient steps (Hessian-vector
     products), and the MLP models' epochs and how many stopped before
     MLP_MAX_EPOCHS, all read from the models' meta, and the number of
-    processes the MLP grid trained in (`workers`, see
-    :func:`classifiers.mlp_workers`; 0 when the run trained no MLP grid).
-    After an evaluate stage, `evaluate_s` splits its seconds into the
-    test-set posteriors, the quantifier rows and the strategies (see
-    :func:`_evaluate`)."""
+    processes the MLP grid trained in (`mlp.workers`, as
+    :func:`parallel.fork_map` reported it to the registry; 0 when the run
+    trained no MLP grid). After an evaluate stage, `evaluate_s` splits its
+    seconds into the test-set posteriors, the quantifier rows and the
+    strategies, and `evaluate.workers` maps each TMS strategy to the
+    number of processes its picks ran in (see :func:`_evaluate`)."""
     lr = [e.model.meta for e in registry.entries if e.family == "LR"]
     epochs = [e.model.meta["epochs"] for e in registry.entries
               if e.family == "MLP"]
-    workers = (mlp_workers(registry.meta["grid_sizes"]["MLP"])
-               if "MLP" in registry.train_s else 0)
+    workers = registry.train_workers.get("MLP", 0)
     timings = {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
                "lr": {"models": len(lr),
                       "newton_steps": sum(m.get("iterations", 0) for m in lr),
@@ -575,11 +581,12 @@ def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None) -> dict:
                        "workers": workers}}
     if evaluate_s is not None:
         timings["evaluate_s"] = evaluate_s
+        timings["evaluate"] = {"workers": tms_workers}
     return timings
 
 
 def _evaluate(config, registry, test, bags, train_prevalence, run_id,
-              dataset_name, flagged, seconds=None):
+              dataset_name, flagged, seconds=None, workers=None):
     """Yield one ResultRow per (strategy, bag), strategy by strategy, so
     that partial progress survives a mid-run failure.
 
@@ -588,13 +595,20 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     each strategy is one model position per bag: a default or IMS model
     resolved once; for the oracle, the argmax of each column under
     :func:`selection.best_position`; for TMS, one :func:`tms_select` call
-    per bag on slices of the test-set caches. `flagged` maps each
+    per bag on slices of the test-set caches. A bag's TMS pick depends on
+    that bag alone, so each TMS strategy splits the bags into contiguous
+    chunks through :func:`parallel.fork_map`: the first chunk is labelled
+    in this process, each other one in a forked worker that inherits the
+    caches and sends back only each bag's pick, estimate and solver flags.
+    The picks do not depend on the number of workers. `flagged` maps each
     :data:`selection.SOLVER_FLAGS` name to a set of (model id, bag id)
     pairs, one per bag on which a TMS scope saw that model's solver stop
     early. A `seconds` dict receives the wall seconds of the test-set
     posteriors, the quantifier rows and the rest, under "test_posteriors",
-    "quantifier_rows" and "bags"."""
+    "quantifier_rows" and "bags", and a `workers` dict the number of
+    processes each TMS strategy's picks ran in."""
     seconds = {} if seconds is None else seconds
+    workers = {} if workers is None else workers
     # Posteriors and quantifier rows (the KDE log densities) over the whole
     # test set are computed once per model and stacked along
     # registry.entries; a bag's rows are then slices, which keeps TMS cheap.
@@ -613,26 +627,33 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
               for bag in bags]
     ids = [e.model_id for e in registry.entries]
 
-    def tms_picks(scope):
-        for bag_id, bag in enumerate(bags):
+    def label(scope, part):
+        out = []
+        for bag_id in part:
+            bag = bags[bag_id]
             outcome = tms_select(registry, scope, bag,
                                  posteriors=posteriors_test[:, bag.indices],
                                  rows=rows_test[:, bag.indices])
-            for name, pairs in flagged.items():
-                pairs.update((mid, bag_id) for mid in getattr(outcome, name))
-            yield ids.index(outcome.model_id), outcome.estimated_accuracy
+            out.append((ids.index(outcome.model_id),
+                        outcome.estimated_accuracy,
+                        [getattr(outcome, name) for name in flagged]))
+        return out
 
     for strat in config.strategies:
         kind, scope = _parse_strategy(strat, config.families)
         if kind == "TMS":
-            picks = tms_picks(scope)
+            picks, workers[strat] = fork_map(
+                lambda part: label(scope, part), len(bags))
+            for bag_id, (_, _, flags) in enumerate(picks):
+                for pairs, mids in zip(flagged.values(), flags):
+                    pairs.update((mid, bag_id) for mid in mids)
         elif kind == "oracle":
             picks = zip(best_position(true, "a bag"), [None] * len(bags))
         else:
             select = default_select if kind == "default" else ims_select
             at = ids.index(select(registry, scope))
             picks = [(at, registry.entries[at].val_accuracy)] * len(bags)
-        for bag_id, (at, est) in enumerate(picks):
+        for bag_id, (at, est, *_) in enumerate(picks):
             yield ResultRow(run_id, dataset_name, strat, bag_id,
                             shifts[bag_id], float(true[at, bag_id]), est,
                             ids[at])

@@ -15,11 +15,12 @@ name or ``"All"``, and the models in it are the positions
 registry stacks every entry's accuracy predictor once
 (:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
 goes stale), and a scope's predictors are the rows at its positions
-(:meth:`cap.CapStack.take`). TMS predicts the accuracy of every in-scope
-model on the bag in one batched pass (:func:`cap.predict_batch`). It accepts
-the bag's per-model posteriors and quantifier rows precomputed, stacked
-along a model axis aligned with ``registry.entries``; without them it
-computes both from the bag's features. No function here takes labels: the
+(:meth:`cap.CapStack.take`), taken once per scope
+(:meth:`ModelRegistry.scope_stack`). TMS predicts the accuracy of every
+in-scope model on the bag in one batched pass (:func:`cap.predict_batch`).
+It accepts the bag's per-model posteriors and quantifier rows precomputed,
+stacked along a model axis aligned with ``registry.entries``; without them
+it computes both from the bag's features. No function here takes labels: the
 oracle, an evaluation upper bound, is the argmax of a models × bags matrix
 of true accuracies in the harness (:mod:`evalcli`).
 
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataspace import LabelledSet
+from .dataspace import LabelledSet, _frozen
 from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
                           decode_array, default_model, encode_array,
                           model_from_record, model_to_record,
@@ -67,8 +68,10 @@ class ModelRegistry:
     entries: tuple
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    # wall seconds of each family's train_grid call; not saved
+    # wall seconds of each family's train_grid call, and the processes it
+    # ran in; not saved
     train_s: dict = field(default_factory=dict)
+    train_workers: dict = field(default_factory=dict)
 
     def __post_init__(self):
         entries = tuple(sorted(self.entries, key=lambda e: e.model_id))
@@ -101,6 +104,18 @@ class ModelRegistry:
         """Every entry's accuracy predictor, stacked (:func:`cap.stack_caps`)
         on first use; neither saved nor compared."""
         return stack_caps([e.cap for e in self.entries])
+
+    @cached_property
+    def _scopes(self) -> dict:
+        return {}
+
+    def scope_stack(self, scope) -> tuple:
+        """The scope's :meth:`scope_positions` and the predictors at them
+        (``caps.take``), resolved on the scope's first use and kept."""
+        if scope not in self._scopes:
+            positions = self.scope_positions(scope)
+            self._scopes[scope] = _frozen(positions), self.caps.take(positions)
+        return self._scopes[scope]
 
 
 # each solver flag of a SelectionOutcome, and the solver it names
@@ -156,17 +171,19 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
     accuracy, rate matrix and quantifier. Pass `out_dir` to persist the
-    registry. Each family's training time is kept in `train_s`.
+    registry. Each family's training time is kept in `train_s`, and the
+    number of processes it trained in in `train_workers`.
     """
     n_classes = Ltr.n_classes
-    trained, warnings, train_s = [], [], {}
+    trained, warnings, train_s, train_workers = [], [], {}, {}
     model_id = 0
     for family in families:
         grid = build_grid(family, n_classes)
         ids = range(model_id, model_id + len(grid))
         start = time.perf_counter()
         results = train_grid(family, grid, Ltr,
-                             [_entry_seed(seed, i) for i in ids])
+                             [_entry_seed(seed, i) for i in ids],
+                             workers=train_workers)
         train_s[family] = time.perf_counter() - start
         for i, hp, result in zip(ids, grid, results):
             if isinstance(result, TrainingError):
@@ -199,7 +216,7 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         "n_classes": n_classes,
         "data_fingerprint": fingerprint(Ltr.X, Ltr.y, Lva.X, Lva.y),
     }
-    registry = ModelRegistry(entries, warnings, meta, train_s)
+    registry = ModelRegistry(entries, warnings, meta, train_s, train_workers)
     if out_dir is not None:
         save_registry(registry, out_dir)
     return registry
@@ -239,9 +256,8 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     caches. Without them the in-scope models' posteriors and rows are
     computed from the bag's features; an empty bag raises DataError.
     """
-    positions = registry.scope_positions(scope)
+    positions, caps = registry.scope_stack(scope)
     entries = [registry.entries[i] for i in positions]
-    caps = registry.caps.take(positions)
     if posteriors is None:
         P = predict_posteriors_batch([e.model for e in entries], bag.features)
     else:

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,22 @@ def em_trace():
             values.append(float(np.log(F @ alpha).sum() + top.sum()))
         return values
     return trace
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) is a context manager that raises TimeoutError inside
+    its block after `seconds`, so that a wait that never ends fails the
+    test."""
+    @contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"no result within {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return within

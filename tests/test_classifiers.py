@@ -2,15 +2,13 @@ import json
 import multiprocessing
 import os
 import pickle
-import signal
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect import classifiers
+from shiftselect import classifiers, parallel
 from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, LR_GRAD_TOL,
                                      MLP_HIDDEN_UNITS, MLP_MAX_EPOCHS,
                                      MLP_MIN_STEP, ClassWeights, HyperParams,
@@ -624,9 +622,11 @@ def test_mlp_grid_trains_the_same_in_one_or_two_processes(two_blobs,
     seeds = list(range(len(grid)))
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda cpus=cpus: cpus)
-        assert classifiers.mlp_workers(len(grid)) == cpus
-        runs.append(train_grid("MLP", grid, lset, seeds))
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert parallel.worker_count(len(grid)) == cpus
+        workers = {}
+        runs.append(train_grid("MLP", grid, lset, seeds, workers=workers))
+        assert workers == {"MLP": cpus}
     for a, b in zip(*runs, strict=True):
         _assert_same_mlp(a, b)
 
@@ -635,7 +635,7 @@ def test_mlp_divergence_in_a_worker_keeps_its_last_state(two_blobs,
                                                          monkeypatch):
     # two processes: points 0 and 1 train here, the diverging point 2 in
     # the forked worker
-    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     lset = two_blobs.all_instances()
     grid = [HyperParams.make("MLP", alpha=1e-4, learning_rate="constant"),
             HyperParams.make("MLP", alpha=1e-2, learning_rate="adaptive"),
@@ -678,25 +678,11 @@ class _Failure(Exception):
     pass
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raises TimeoutError inside the block after `seconds`, so that a wait
-    that never ends fails the test."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("where", ["caller", "worker", "worker exits"])
 def test_mlp_workers_are_joined_and_their_failures_raised(where, two_blobs,
-                                                          monkeypatch):
-    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+                                                          monkeypatch,
+                                                          deadline):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     lset = two_blobs.all_instances()
     grid, seeds = build_grid("MLP", 2)[:2], [0, 1]
     assert len(train_grid("MLP", grid, lset, seeds)) == 2
@@ -712,20 +698,26 @@ def test_mlp_workers_are_joined_and_their_failures_raised(where, two_blobs,
     monkeypatch.setattr(classifiers, "_train_mlp", failing)
     expected = ((RuntimeError, "exited with code 3") if where == "worker exits"
                 else (_Failure, where))
-    with pytest.raises(expected[0], match=expected[1]), _deadline(60):
+    with pytest.raises(expected[0], match=expected[1]), deadline(60):
         train_grid("MLP", grid, lset, seeds)
     assert multiprocessing.active_children() == []
 
 
-def test_mlp_grid_forks_no_worker_beside_other_threads(monkeypatch):
-    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
-    assert classifiers.mlp_workers(10) == 2
-    assert classifiers.mlp_workers(1) == 1
+def test_mlp_grid_forks_no_worker_beside_other_threads(two_blobs,
+                                                       monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    assert parallel.worker_count(10) == 2
+    assert parallel.worker_count(1) == 1
+    lset = two_blobs.all_instances()
+    grid, seeds = build_grid("MLP", 2)[:2], [0, 1]
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert classifiers.mlp_workers(10) == 1
+        assert parallel.worker_count(10) == 1
+        workers = {}
+        train_grid("MLP", grid, lset, seeds, workers=workers)
+        assert workers == {"MLP": 1}
     finally:
         release.set()
         other.join(timeout=10)

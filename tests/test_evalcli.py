@@ -2,7 +2,10 @@ import csv
 import filecmp
 import importlib.util
 import json
+import multiprocessing
 import os
+import threading
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,9 +13,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from shiftselect import evalcli
-from shiftselect.classifiers import (MLP_MAX_EPOCHS, mlp_workers,
-                                    predict_posteriors_batch)
+from shiftselect import evalcli, parallel
+from shiftselect.classifiers import MLP_MAX_EPOCHS, predict_posteriors_batch
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  StageError, accuracy_matrix, config_from_dict,
                                  _prepare, emit_report, load_config,
@@ -487,7 +489,8 @@ def test_run_flushes_partial_rows_on_failure(tmp_path, monkeypatch):
 
 
 def test_run_reports_solver_nonconvergence_once_per_model(tmp_path,
-                                                          strangle):
+                                                          strangle,
+                                                          monkeypatch):
     from shiftselect import cap
     config = small_config(tmp_path)
     _, proper, validation, _, manifest = evalcli._prepare(config)
@@ -495,18 +498,23 @@ def test_run_reports_solver_nonconvergence_once_per_model(tmp_path,
     # TMS-All solves one batch over every entry: stop models 2 and 5 early
     strangle(cap, "leap_solve_batch", [i for i, e in enumerate(
         registry.entries) if e.model_id in (2, 5)], max_iter=1)
-    table = run_experiment(config, registry=registry)
-    assert table.meta["warnings"] == [
-        f"model {mid}: accuracy solver did not converge on 10 of 10 bags"
-        for mid in (2, 5)]
-    emit_report(table, config.outdir)
-    summary = (tmp_path / "summary.txt").read_text()
-    assert summary.count("did not converge") == 2
-    assert "warning: model 5: accuracy solver did not converge" in summary
+    for cpus in (1, 2):     # forked workers inherit the wrapped solver
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
+        table = run_experiment(config, registry=registry)
+        assert table.meta["timings"]["evaluate"] == {
+            "workers": {"TMS-All": cpus}}
+        assert table.meta["warnings"] == [
+            f"model {mid}: accuracy solver did not converge on 10 of 10 bags"
+            for mid in (2, 5)]
+        emit_report(table, config.outdir)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert summary.count("did not converge") == 2
+        assert "warning: model 5: accuracy solver did not converge" in summary
 
 
 def test_run_counts_solver_warnings_by_bag_across_tms_scopes(tmp_path,
-                                                              strangle):
+                                                              strangle,
+                                                              monkeypatch):
     from shiftselect import cap
     # on a KNN registry both scopes hold every entry, so each bag's two
     # TMS calls flag model 3 twice; the warning still counts bags
@@ -515,14 +523,18 @@ def test_run_counts_solver_warnings_by_bag_across_tms_scopes(tmp_path,
     registry = evalcli._train_registry(config, proper, validation, manifest)
     strangle(cap, "leap_solve_batch", [i for i, e in enumerate(
         registry.entries) if e.model_id == 3], max_iter=1)
-    table = run_experiment(config, registry=registry)
-    assert table.meta["warnings"] == [
-        "model 3: accuracy solver did not converge on 10 of 10 bags"]
-    emit_report(table, config.outdir)
-    summary = (tmp_path / "summary.txt").read_text()
-    assert "warning: model 3: accuracy solver did not converge on 10 of 10 " \
-        "bags" in summary
-    assert "of 20 bags" not in summary
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
+        table = run_experiment(config, registry=registry)
+        assert table.meta["timings"]["evaluate"] == {
+            "workers": {"TMS-All": cpus, "TMS-KNN": cpus}}
+        assert table.meta["warnings"] == [
+            "model 3: accuracy solver did not converge on 10 of 10 bags"]
+        emit_report(table, config.outdir)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "warning: model 3: accuracy solver did not converge on 10 " \
+            "of 10 bags" in summary
+        assert "of 20 bags" not in summary
 
 
 def reference_rows(config, registry, proper, test):
@@ -574,6 +586,85 @@ def test_run_rows_equal_a_per_bag_reference_loop(tmp_path):
     assert got == reference_rows(config, registry, proper, test)
 
 
+THREE_FAMILIES = ("LR", "KNN", "MLP")
+REPORT_FILES = ("manifest.json", "results.csv", "summary.csv",
+                "shift_curve.csv", "summary.txt")
+
+
+@pytest.fixture(scope="module")
+def three_family_registry(tmp_path_factory):
+    config = small_config(tmp_path_factory.mktemp("three"),
+                          families=THREE_FAMILIES)
+    _, proper, validation, _, manifest = _prepare(config)
+    return evalcli._train_registry(config, proper, validation, manifest)
+
+
+@pytest.mark.parametrize("strategies", [
+    evalcli.DEFAULT_STRATEGIES,
+    ("IMS-All", "TMS-All", "TMS-LR", "TMS-KNN", "TMS-MLP", "oracle")])
+def test_run_gives_the_same_outputs_on_one_or_two_workers(
+        strategies, three_family_registry, tmp_path, monkeypatch):
+    # 11 bags: the caller labels 6 of them and the worker 5
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
+        config = small_config(tmp_path / str(cpus), r=11,
+                              families=THREE_FAMILIES, strategies=strategies)
+        table = run_experiment(config, registry=three_family_registry)
+        assert table.meta["timings"]["evaluate"] == {"workers": {
+            strat: cpus for strat in strategies if strat.startswith("TMS-")}}
+        emit_report(table, config.outdir)
+        outputs.append((table.rows, table.meta["warnings"],
+                        [(tmp_path / str(cpus) / name).read_bytes()
+                         for name in REPORT_FILES]))
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["caller", "worker", "worker exits"])
+def test_run_evaluate_failure_in_any_process_is_a_stage_error(
+        where, tmp_path, monkeypatch, deadline):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    config = small_config(tmp_path)
+    caller, real = os.getpid(), evalcli.tms_select
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            if where == "worker exits":
+                os._exit(3)
+            raise RuntimeError(f"failure in the {where}")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evalcli, "tms_select", failing)
+    with pytest.raises(StageError) as err, deadline(60):
+        run_experiment(config)
+    assert err.value.stage == "evaluate"
+    assert ("exited with code 3" if where == "worker exits"
+            else f"failure in the {where}") in str(err.value)
+    assert multiprocessing.active_children() == []
+    # the strategies before TMS-All were flushed, and none after it
+    with open(tmp_path / "results.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(Counter(r["strategy"] for r in rows).items()) == [
+        ("IMS-KNN", config.r), ("default-KNN", config.r)]
+
+
+def test_run_forks_no_worker_beside_other_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    config = small_config(tmp_path, families=("KNN", "MLP"),
+                          strategies=("TMS-All", "TMS-MLP", "oracle"))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        timings = run_experiment(config).meta["timings"]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert timings["mlp"]["workers"] == 1
+    assert timings["evaluate"] == {"workers": {"TMS-All": 1, "TMS-MLP": 1}}
+
+
 def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
     config = small_config(tmp_path)
     other = small_config(tmp_path, seed=6)
@@ -590,7 +681,8 @@ def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
 
 
 def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
-                                                           strangle):
+                                                           strangle,
+                                                           monkeypatch):
     from shiftselect import quantifiers
     config = small_config(tmp_path)
     _, proper, validation, _, manifest = evalcli._prepare(config)
@@ -598,14 +690,18 @@ def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
     # TMS-All reduces one stack over every entry: stop models 1 and 4 early
     strangle(quantifiers, "em_weights_batch", [i for i, e in enumerate(
         registry.entries) if e.model_id in (1, 4)], max_iter=2)
-    table = run_experiment(config, registry=registry)
-    assert table.meta["warnings"] == [
-        f"model {mid}: mixture solver did not converge on 10 of 10 bags"
-        for mid in (1, 4)]
-    emit_report(table, config.outdir)
-    summary = (tmp_path / "summary.txt").read_text()
-    assert summary.count("did not converge") == 2
-    assert "warning: model 4: mixture solver did not converge" in summary
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
+        table = run_experiment(config, registry=registry)
+        assert table.meta["timings"]["evaluate"] == {
+            "workers": {"TMS-All": cpus}}
+        assert table.meta["warnings"] == [
+            f"model {mid}: mixture solver did not converge on 10 of 10 bags"
+            for mid in (1, 4)]
+        emit_report(table, config.outdir)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert summary.count("did not converge") == 2
+        assert "warning: model 4: mixture solver did not converge" in summary
 
 
 def test_run_at_a_small_bandwidth_needs_no_warning(tmp_path):
@@ -876,7 +972,7 @@ def test_cli_train_and_run_write_timings(tmp_path):
         assert timings["mlp"] == {
             "models": len(epochs), "epochs": sum(epochs),
             "stopped_early": sum(e < MLP_MAX_EPOCHS for e in epochs),
-            "workers": mlp_workers(10)}
+            "workers": parallel.worker_count(10)}
         assert len(epochs) == 10
         assert 1 <= timings["mlp"]["workers"] <= len(epochs)
         stages = {"dataset", "split", "registry"}
@@ -889,8 +985,12 @@ def test_cli_train_and_run_write_timings(tmp_path):
             assert set(inside) == {"test_posteriors", "quantifier_rows", "bags"}
             assert all(t >= 0 for t in inside.values())
             assert sum(inside.values()) <= timings["stage_s"]["evaluate"]
+            # the processes TMS-All's picks ran in, one per usable CPU
+            assert timings["evaluate"] == {
+                "workers": {"TMS-All": parallel.worker_count(5)}}
         else:
             assert "evaluate_s" not in timings
+            assert "evaluate" not in timings
     assert not (tmp_path / "train" / "registry" / "timings.json").exists()
 
 

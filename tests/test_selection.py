@@ -216,8 +216,8 @@ def test_registry_skips_failed_configs(splits, monkeypatch):
     from shiftselect import classifiers as cl
     real_train_grid = cl.train_grid
 
-    def flaky_train_grid(family, hps, train_set, seeds):
-        results = real_train_grid(family, hps, train_set, seeds)
+    def flaky_train_grid(family, hps, train_set, seeds, **kwargs):
+        results = real_train_grid(family, hps, train_set, seeds, **kwargs)
         return [TrainingError("synthetic failure")
                 if family == "MLP" and hp["alpha"] == 1e-3 else result
                 for hp, result in zip(hps, results)]
@@ -509,6 +509,29 @@ def test_taken_scope_stack_equals_stacking_the_scope(registry):
         assert not taken.quantifiers.flags.writeable
     one = registry.caps.take(np.array([3]))
     assert one.quantifiers.tolist() == [registry.entries[3].cap.quantifier]
+
+
+def test_scope_stack_is_taken_once_per_scope(registry, splits):
+    _, _, test = splits
+    bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(43))
+    fresh = ModelRegistry(list(registry.entries))
+    for scope in ("All", "LR", "KNN", "MLP"):
+        positions, taken = fresh.scope_stack(scope)
+        assert fresh.scope_stack(scope)[1] is taken
+        assert np.array_equal(positions, fresh.scope_positions(scope))
+        assert not positions.flags.writeable
+        want = fresh.caps.take(positions)
+        for name in ("M", "Q", "diagonal", "weight"):
+            assert getattr(taken, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+        # TMS through the kept sub-stack is the uncached pass, bit for bit
+        P = predict_posteriors_batch([fresh.entries[i].model
+                                      for i in positions], bag.features)
+        batch = predict_batch(want, P, want.rows(P))
+        best = int(np.argmax(batch.accuracy))
+        got = tms_select(fresh, scope, bag)
+        assert got.model_id == fresh.entries[positions[best]].model_id
+        assert got.estimated_accuracy == float(batch.accuracy[best])
 
 
 def test_empty_scope_rejected(registry):
