@@ -15,21 +15,22 @@ same config and seed, a run produces byte-identical output files:
 
 The last three reduce one strategies × bags :func:`accuracy_matrix`.
 
-Selection never sees labels. Before any strategy runs, the harness
-computes one models × bags matrix of true accuracies from the test-set
-label cache; each strategy is one model position per bag, its ``true_acc``
-that entry of the matrix, and the oracle, an evaluation upper bound, the
-argmax of each bag's column. A bag's TMS pick depends on that bag alone, so
-the bags are labelled on every usable CPU (:func:`parallel.fork_map`, the
-helper that also trains the MLP grid), with the same output on any number
-of CPUs. ``shiftselect train`` writes the run's manifest.json and
-``registry/manifest.json``, the whole registry in one document (see
-:func:`selection.save_registry`). Both ``train`` and ``run``
-also write ``timings.json`` next to manifest.json: wall times per stage and
-per family's training (for ``run``, also inside evaluate: test-set
-posteriors, quantifier rows and the strategies), the LR solver's step
-counts, the MLP epochs, the number of processes the MLP grid trained in and,
-for ``run``, the number each TMS strategy's picks ran in (see
+Selection never sees labels. Every strategy is one model position per bag,
+its ``true_acc`` that entry of a models × bags matrix of true accuracies,
+computed from the test-set label cache before any strategy runs. The
+oracle, an evaluation upper bound, is the argmax of each bag's column, and
+each TMS scope the argmax of its rows of a models × bags matrix of
+estimated accuracies, from one :func:`selection.tms_select` solve per bag.
+A bag's solve depends on that bag alone, so the bags are solved on every
+usable CPU (:func:`parallel.fork_map`, the helper that also trains the MLP
+grid), with the same output on any number of CPUs. ``shiftselect train``
+writes the run's manifest.json and ``registry/manifest.json``, the whole
+registry in one document (see :func:`selection.save_registry`). Both
+``train`` and ``run`` also write ``timings.json`` next to manifest.json:
+wall times per stage and per family's training (for ``run``, also inside
+evaluate: test-set posteriors, quantifier rows and the strategies), the LR
+solver's step counts, the MLP epochs, the number of processes the MLP grid
+trained in and, for ``run``, the number the bags' TMS solves ran in (see
 :func:`_timings`).
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
@@ -505,7 +506,8 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     Pass a prebuilt `registry` (say, one `load_registry` read back from
     `shiftselect train`) to skip training; it must have been trained on this
-    config's proper-train and validation data, or the "registry" stage fails.
+    config's proper-train and validation data, with its families, quantifier,
+    bandwidth and solver weight, or the "registry" stage fails.
     Partial rows are flushed to results.csv if a later stage fails. The
     table's meta holds the run's timings (see :func:`_timings`) and a
     warning per model and solver that stopped early, counting bags.
@@ -518,13 +520,19 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
                                    seconds=seconds)
     else:
         with _stage("registry", seconds):
-            expected = fingerprint(proper.X, proper.y, validation.X, validation.y)
-            found = registry.meta.get("data_fingerprint")
-            if found != expected:
-                raise ValueError(
-                    f"registry data fingerprint {found} does not match this "
-                    f"config's training data ({expected}): it was trained on "
-                    "other data")
+            expected = {"data_fingerprint": fingerprint(
+                            proper.X, proper.y, validation.X, validation.y),
+                        "families": list(config.families),
+                        "quantifier": config.quantifier,
+                        "bandwidth": config.bandwidth,
+                        "cap_weight": config.cap_weight}
+            for key, want in expected.items():
+                found = registry.meta.get(key)
+                if found != want:
+                    raise ValueError(
+                        f"registry {key} {found!r} does not match this "
+                        f"config's {want!r}: it was trained on other data "
+                        "or under another config")
 
     with _stage("protocol", seconds):
         bags = app_generate(test, config.r, config.s,
@@ -532,13 +540,13 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     run_id = manifest["run_id"]
     rows = []
-    flagged = {name: set() for name in SOLVER_FLAGS}
-    evaluate_s, tms_workers = {}, {}
+    flagged = {name: Counter() for name in SOLVER_FLAGS}
+    evaluated = {}
     try:
         with _stage("evaluate", seconds):
             for row in _evaluate(config, registry, test, bags,
                                  proper.prevalence(), run_id, ds.name,
-                                 flagged, evaluate_s, tms_workers):
+                                 flagged, evaluated):
                 rows.append(row)
     except StageError:
         _write_results_csv(rows, os.path.join(outdir, "results.csv"))
@@ -546,14 +554,15 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     meta = {"run_id": run_id, "dataset": ds.name, "n_bins": config.n_bins,
             "alpha": config.alpha,
-            "warnings": list(registry.warnings)
-            + _diagnostic_warnings(flagged, len(bags)),
-            "timings": _timings(seconds, registry, evaluate_s, tms_workers)}
+            "warnings": list(registry.warnings) + [
+                f"model {mid}: {what} did not converge on {count} of "
+                f"{len(bags)} bags" for name, what in SOLVER_FLAGS.items()
+                for mid, count in sorted(flagged[name].items())],
+            "timings": {**_timings(seconds, registry), **evaluated}}
     return ResultTable(rows, meta)
 
 
-def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None,
-             tms_workers=None) -> dict:
+def _timings(seconds: dict, registry: ModelRegistry) -> dict:
     """What timings.json holds: the wall seconds of each pipeline stage and
     of each family's train_grid call (none for a prebuilt registry), the LR
     models' Newton steps and conjugate-gradient steps (Hessian-vector
@@ -561,54 +570,44 @@ def _timings(seconds: dict, registry: ModelRegistry, evaluate_s=None,
     MLP_MAX_EPOCHS, all read from the models' meta, and the number of
     processes the MLP grid trained in (`mlp.workers`, as
     :func:`parallel.fork_map` reported it to the registry; 0 when the run
-    trained no MLP grid). After an evaluate stage, `evaluate_s` splits its
-    seconds into the test-set posteriors, the quantifier rows and the
-    strategies, and `evaluate.workers` maps each TMS strategy to the
-    number of processes its picks ran in (see :func:`_evaluate`)."""
+    trained no MLP grid). A run adds the `evaluate_s` and `evaluate` blocks
+    (see :func:`_evaluate`)."""
     lr = [e.model.meta for e in registry.entries if e.family == "LR"]
     epochs = [e.model.meta["epochs"] for e in registry.entries
               if e.family == "MLP"]
     workers = registry.train_workers.get("MLP", 0)
-    timings = {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
-               "lr": {"models": len(lr),
-                      "newton_steps": sum(m.get("iterations", 0) for m in lr),
-                      "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
-                      "unconverged": sum(not m.get("converged", True)
-                                         for m in lr)},
-               "mlp": {"models": len(epochs), "epochs": sum(epochs),
-                       "stopped_early": sum(n < MLP_MAX_EPOCHS
-                                            for n in epochs),
-                       "workers": workers}}
-    if evaluate_s is not None:
-        timings["evaluate_s"] = evaluate_s
-        timings["evaluate"] = {"workers": tms_workers}
-    return timings
+    return {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
+            "lr": {"models": len(lr),
+                   "newton_steps": sum(m.get("iterations", 0) for m in lr),
+                   "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
+                   "unconverged": sum(not m.get("converged", True)
+                                      for m in lr)},
+            "mlp": {"models": len(epochs), "epochs": sum(epochs),
+                    "stopped_early": sum(n < MLP_MAX_EPOCHS
+                                         for n in epochs),
+                    "workers": workers}}
 
 
 def _evaluate(config, registry, test, bags, train_prevalence, run_id,
-              dataset_name, flagged, seconds=None, workers=None):
+              dataset_name, flagged, timings):
     """Yield one ResultRow per (strategy, bag), strategy by strategy, so
     that partial progress survives a mid-run failure.
 
-    A (models, bags) matrix of true accuracies (labels read through
-    :func:`protocol.reveal_labels`) is built before any strategy runs, and
-    each strategy is one model position per bag: a default or IMS model
-    resolved once; for the oracle, the argmax of each column under
-    :func:`selection.best_position`; for TMS, one :func:`tms_select` call
-    per bag on slices of the test-set caches. A bag's TMS pick depends on
-    that bag alone, so each TMS strategy splits the bags into contiguous
-    chunks through :func:`parallel.fork_map`: the first chunk is labelled
-    in this process, each other one in a forked worker that inherits the
-    caches and sends back only each bag's pick, estimate and solver flags.
-    The picks do not depend on the number of workers. `flagged` maps each
-    :data:`selection.SOLVER_FLAGS` name to a set of (model id, bag id)
-    pairs, one per bag on which a TMS scope saw that model's solver stop
-    early. A `seconds` dict receives the wall seconds of the test-set
-    posteriors, the quantifier rows and the rest, under "test_posteriors",
-    "quantifier_rows" and "bags", and a `workers` dict the number of
-    processes each TMS strategy's picks ran in."""
-    seconds = {} if seconds is None else seconds
-    workers = {} if workers is None else workers
+    Each strategy is one model position per bag: a default or IMS model
+    resolved once, and for the oracle and each TMS scope the argmax
+    (:func:`selection.best_position`) of its rows of the true and of the
+    estimated (models, bags) matrix. The estimates are one
+    :func:`tms_select` call per bag, on slices of the test-set caches and on
+    the roster's only TMS scope or else on ``"All"``, made when the roster
+    reaches its first TMS strategy through one :func:`parallel.fork_map`
+    call; a worker sends back each bag's estimates and solver flags.
+    `flagged` maps each :data:`selection.SOLVER_FLAGS` name to a Counter of
+    the bags on which a model of some TMS scope of the roster stopped
+    early. The `timings` dict receives timings.json's `evaluate_s` block (the
+    seconds of the test-set posteriors, the quantifier rows and the bags)
+    and `evaluate` block (`workers`: the solves' processes, or 0)."""
+    seconds = timings["evaluate_s"] = {}
+    evaluate = timings["evaluate"] = {"workers": 0}
     # Posteriors and quantifier rows (the KDE log densities) over the whole
     # test set are computed once per model and stacked along
     # registry.entries; a bag's rows are then slices, which keeps TMS cheap.
@@ -626,47 +625,49 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     shifts = [l1_shift(train_prevalence, bag.realized_prevalence)
               for bag in bags]
     ids = [e.model_id for e in registry.entries]
+    scopes = [scope for kind, scope in (_parse_strategy(strat, config.families)
+              for strat in config.strategies) if kind == "TMS"]
+    solved = scopes[0] if len(scopes) == 1 else "All"
+    estimated = None
 
-    def label(scope, part):
+    def solve(part):
         out = []
         for bag_id in part:
             bag = bags[bag_id]
-            outcome = tms_select(registry, scope, bag,
+            outcome = tms_select(registry, solved, bag,
                                  posteriors=posteriors_test[:, bag.indices],
                                  rows=rows_test[:, bag.indices])
-            out.append((ids.index(outcome.model_id),
-                        outcome.estimated_accuracy,
+            out.append((outcome.estimates,
                         [getattr(outcome, name) for name in flagged]))
         return out
 
     for strat in config.strategies:
         kind, scope = _parse_strategy(strat, config.families)
         if kind == "TMS":
-            picks, workers[strat] = fork_map(
-                lambda part: label(scope, part), len(bags))
-            for bag_id, (_, _, flags) in enumerate(picks):
-                for pairs, mids in zip(flagged.values(), flags):
-                    pairs.update((mid, bag_id) for mid in mids)
+            if estimated is None:
+                solves, evaluate["workers"] = fork_map(solve, len(bags))
+                estimated = np.full(true.shape, np.nan)
+                estimated[registry.scope_positions(solved)] = np.transpose(
+                    [estimates for estimates, _ in solves])
+                covered = {ids[i] for s in scopes
+                           for i in registry.scope_positions(s)}
+                for _, flags in solves:
+                    for counts, mids in zip(flagged.values(), flags):
+                        counts.update(mid for mid in mids if mid in covered)
+            at = registry.scope_positions(scope)
+            at = at[best_position(estimated[at], f"scope {scope!r} on a bag")]
+            picks = zip(at, estimated[at, range(len(bags))].tolist())
         elif kind == "oracle":
             picks = zip(best_position(true, "a bag"), [None] * len(bags))
         else:
             select = default_select if kind == "default" else ims_select
             at = ids.index(select(registry, scope))
             picks = [(at, registry.entries[at].val_accuracy)] * len(bags)
-        for bag_id, (at, est, *_) in enumerate(picks):
+        for bag_id, (at, est) in enumerate(picks):
             yield ResultRow(run_id, dataset_name, strat, bag_id,
                             shifts[bag_id], float(true[at, bag_id]), est,
                             ids[at])
     seconds["bags"] = time.perf_counter() - start
-
-
-def _diagnostic_warnings(flagged: dict, n_bags: int) -> list:
-    """One summary line per model and solver that stopped early, counting
-    its bags in `flagged` (see :func:`_evaluate`)."""
-    return [f"model {mid}: {what} did not converge on {count} of {n_bags} bags"
-            for name, what in SOLVER_FLAGS.items()
-            for mid, count in sorted(Counter(
-                mid for mid, _ in flagged[name]).items())]
 
 
 # ---------------------------------------------------------------------------

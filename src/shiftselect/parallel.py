@@ -5,7 +5,7 @@
 each other part in a forked daemonic worker, and returns the parts' results
 in item order. A forked worker inherits the caller's memory, so only its
 result crosses a pipe. Two callers use it: the MLP grid's sub-stacks
-(:func:`classifiers.train_grid`) and the TMS picks of an experiment's bags
+(:func:`classifiers.train_grid`) and the TMS solves of an experiment's bags
 (:func:`evalcli._evaluate`). Both give the same output on any number of
 workers.
 """

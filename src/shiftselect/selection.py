@@ -17,12 +17,13 @@ registry stacks every entry's accuracy predictor once
 goes stale), and a scope's predictors are the rows at its positions
 (:meth:`cap.CapStack.take`), taken once per scope
 (:meth:`ModelRegistry.scope_stack`). TMS predicts the accuracy of every
-in-scope model on the bag in one batched pass (:func:`cap.predict_batch`).
-It accepts the bag's per-model posteriors and quantifier rows precomputed,
-stacked along a model axis aligned with ``registry.entries``; without them
-it computes both from the bag's features. No function here takes labels: the
-oracle, an evaluation upper bound, is the argmax of a models × bags matrix
-of true accuracies in the harness (:mod:`evalcli`).
+in-scope model on the bag in one batched pass (:func:`cap.predict_batch`)
+and returns these estimates with its pick. It accepts the bag's per-model
+posteriors and quantifier rows precomputed, stacked along a model axis
+aligned with ``registry.entries``; without them it computes both from the
+bag's features. No function here takes labels: the harness (:mod:`evalcli`)
+takes each TMS scope and the oracle, an evaluation upper bound, as argmaxes
+over models × bags matrices of estimated and of true accuracies.
 
 A registry is saved as one document, ``manifest.json``: its meta, its
 training warnings, and per entry the model id, the validation accuracy, the
@@ -129,6 +130,8 @@ class SelectionOutcome:
     model_id: int
     predicted_labels: np.ndarray
     estimated_accuracy: float
+    # every in-scope model's estimate, in scope_positions(scope) order
+    estimates: np.ndarray
     # ids of models whose accuracy solver / mixture solver stopped early
     nonconverged: tuple = ()
     em_nonconverged: tuple = ()
@@ -247,7 +250,8 @@ def ims_select(registry: ModelRegistry, scope) -> int:
 def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
                rows=None) -> SelectionOutcome:
     """Pick the model with the highest predicted accuracy on this bag and
-    label the bag with it.
+    label the bag with it; the outcome's `estimates` hold every in-scope
+    model's predicted accuracy, aligned with ``scope_positions(scope)``.
 
     `posteriors` may supply the bag's posterior rows under every registry
     entry's model, shape (len(registry.entries), m, n), and `rows` the
@@ -274,6 +278,7 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
         model_id=entries[best].model_id,
         predicted_labels=np.argmax(P[best], axis=1),
         estimated_accuracy=float(batch.accuracy[best]),
+        estimates=batch.accuracy,
         nonconverged=nonconverged,
         em_nonconverged=em_nonconverged)
 

@@ -501,8 +501,7 @@ def test_run_reports_solver_nonconvergence_once_per_model(tmp_path,
     for cpus in (1, 2):     # forked workers inherit the wrapped solver
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {
-            "workers": {"TMS-All": cpus}}
+        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
         assert table.meta["warnings"] == [
             f"model {mid}: accuracy solver did not converge on 10 of 10 bags"
             for mid in (2, 5)]
@@ -516,8 +515,8 @@ def test_run_counts_solver_warnings_by_bag_across_tms_scopes(tmp_path,
                                                               strangle,
                                                               monkeypatch):
     from shiftselect import cap
-    # on a KNN registry both scopes hold every entry, so each bag's two
-    # TMS calls flag model 3 twice; the warning still counts bags
+    # on a KNN registry both scopes hold every entry; each bag's one solve,
+    # on "All", flags model 3 once, and the warning counts bags
     config = small_config(tmp_path, strategies=("TMS-All", "TMS-KNN"))
     _, proper, validation, _, manifest = evalcli._prepare(config)
     registry = evalcli._train_registry(config, proper, validation, manifest)
@@ -526,8 +525,7 @@ def test_run_counts_solver_warnings_by_bag_across_tms_scopes(tmp_path,
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {
-            "workers": {"TMS-All": cpus, "TMS-KNN": cpus}}
+        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
         assert table.meta["warnings"] == [
             "model 3: accuracy solver did not converge on 10 of 10 bags"]
         emit_report(table, config.outdir)
@@ -611,14 +609,79 @@ def test_run_gives_the_same_outputs_on_one_or_two_workers(
         config = small_config(tmp_path / str(cpus), r=11,
                               families=THREE_FAMILIES, strategies=strategies)
         table = run_experiment(config, registry=three_family_registry)
-        assert table.meta["timings"]["evaluate"] == {"workers": {
-            strat: cpus for strat in strategies if strat.startswith("TMS-")}}
+        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
         emit_report(table, config.outdir)
         outputs.append((table.rows, table.meta["warnings"],
                         [(tmp_path / str(cpus) / name).read_bytes()
                          for name in REPORT_FILES]))
     assert outputs[0] == outputs[1]
     assert multiprocessing.active_children() == []
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its positional arguments
+    to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("strategies, scope", [
+    (("IMS-All", "TMS-All", "TMS-LR", "TMS-KNN", "TMS-MLP", "oracle"), "All"),
+    (("TMS-LR", "TMS-KNN"), "All"),
+    (("TMS-KNN", "oracle"), "KNN"),
+    (("IMS-All", "oracle"), None)])
+def test_run_solves_each_bag_once_in_one_fork_map_call(
+        strategies, scope, three_family_registry, tmp_path, monkeypatch):
+    # one process, so that every tms_select call is made and counted here
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    selects = count_calls(monkeypatch, evalcli, "tms_select")
+    forks = count_calls(monkeypatch, evalcli, "fork_map")
+    config = small_config(tmp_path, families=THREE_FAMILIES,
+                          strategies=strategies)
+    table = run_experiment(config, registry=three_family_registry)
+    assert len(table.rows) == config.r * len(strategies)
+    forked = int(scope is not None)
+    assert [args[1] for args in selects] == [scope] * config.r * forked
+    assert len(forks) == forked
+    assert table.meta["timings"]["evaluate"] == {"workers": forked}
+
+
+def test_run_rows_of_family_scopes_without_tms_all_equal_their_own_solves(
+        three_family_registry, tmp_path):
+    config = small_config(tmp_path, families=THREE_FAMILIES,
+                          strategies=("TMS-LR", "TMS-KNN"))
+    _, proper, _, test, _ = _prepare(config)
+    table = run_experiment(config, registry=three_family_registry)
+    got = {(r.strategy, r.bag_id): (r.model_id, r.true_acc, r.est_acc,
+                                    r.l1_shift) for r in table.rows}
+    assert len(got) == len(table.rows) == config.r * len(config.strategies)
+    assert got == reference_rows(config, three_family_registry, proper, test)
+
+
+def test_run_warns_only_of_models_in_a_tms_scope_of_the_roster(
+        three_family_registry, tmp_path, strangle, monkeypatch):
+    from shiftselect import cap
+    registry = three_family_registry
+    config = small_config(tmp_path, families=THREE_FAMILIES,
+                          strategies=("TMS-LR", "TMS-KNN"))
+    # the roster's two scopes are solved as one "All" batch over every
+    # entry: stop an MLP model, outside both scopes, and an LR model early
+    family = {e.model_id: e.family for e in registry.entries}
+    mlp, lr = (min(m for m, f in family.items() if f == name)
+               for name in ("MLP", "LR"))
+    strangle(cap, "leap_solve_batch", [i for i, e in enumerate(
+        registry.entries) if e.model_id in (mlp, lr)], max_iter=1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
+        table = run_experiment(config, registry=registry)
+        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
+        assert table.meta["warnings"] == [
+            f"model {lr}: accuracy solver did not converge on 10 of 10 bags"]
 
 
 @pytest.mark.parametrize("where", ["caller", "worker", "worker exits"])
@@ -662,7 +725,7 @@ def test_run_forks_no_worker_beside_other_threads(tmp_path, monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert timings["mlp"]["workers"] == 1
-    assert timings["evaluate"] == {"workers": {"TMS-All": 1, "TMS-MLP": 1}}
+    assert timings["evaluate"] == {"workers": 1}
 
 
 def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
@@ -680,6 +743,24 @@ def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
         config.r * len(config.strategies)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("families", ("KNN", "LR")), ("quantifier", "CC"), ("bandwidth", 0.5),
+    ("cap_weight", 2.0)])
+def test_run_rejects_a_registry_trained_under_another_config(field, value,
+                                                             tmp_path):
+    config = small_config(tmp_path, strategies=("TMS-All", "oracle"))
+    _, proper, validation, _, manifest = evalcli._prepare(config)
+    registry = evalcli._train_registry(config, proper, validation, manifest)
+    other = small_config(tmp_path, strategies=("TMS-All", "oracle"),
+                         **{field: value})
+    with pytest.raises(StageError) as err:
+        run_experiment(other, registry=registry)
+    assert err.value.stage == "registry"
+    assert f"registry {field} " in str(err.value)
+    assert "under another config" in str(err.value)
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
                                                            strangle,
                                                            monkeypatch):
@@ -693,8 +774,7 @@ def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {
-            "workers": {"TMS-All": cpus}}
+        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
         assert table.meta["warnings"] == [
             f"model {mid}: mixture solver did not converge on 10 of 10 bags"
             for mid in (1, 4)]
@@ -985,9 +1065,9 @@ def test_cli_train_and_run_write_timings(tmp_path):
             assert set(inside) == {"test_posteriors", "quantifier_rows", "bags"}
             assert all(t >= 0 for t in inside.values())
             assert sum(inside.values()) <= timings["stage_s"]["evaluate"]
-            # the processes TMS-All's picks ran in, one per usable CPU
+            # the processes the bags' TMS solves ran in, one per usable CPU
             assert timings["evaluate"] == {
-                "workers": {"TMS-All": parallel.worker_count(5)}}
+                "workers": parallel.worker_count(5)}
         else:
             assert "evaluate_s" not in timings
             assert "evaluate" not in timings

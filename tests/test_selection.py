@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -52,9 +53,10 @@ def oracle_rows(registry, splits, bags):
     """The evaluation harness's oracle row for each bag, in bag order."""
     proper, _, test = splits
     config = evalcli.RunConfig(strategies=("oracle",))
-    flagged = {name: set() for name in selection.SOLVER_FLAGS}
+    flagged = {name: Counter() for name in selection.SOLVER_FLAGS}
     return list(evalcli._evaluate(config, registry, test, bags,
-                                  proper.prevalence(), "run", "data", flagged))
+                                  proper.prevalence(), "run", "data", flagged,
+                                  {}))
 
 
 # ---------------------------------------------------------------------------
