@@ -10,12 +10,12 @@ test suite -- multi-dataset replications run offline.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from shiftselect.evalcli import (ConfigError, accuracy_matrix, config_from_dict,
-                                 emit_report, run_experiment, summarize)
+                                 emit_report, read_config, run_experiment,
+                                 summarize)
 
 
 def main(argv=None):
@@ -27,11 +27,6 @@ def main(argv=None):
                         help="base config JSON; its dataset/outdir are ignored")
     args = parser.parse_args(argv)
 
-    base = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-
     csv_paths = sorted(Path(args.data_dir).glob("*.csv"))
     if not csv_paths:
         print(f"no CSV files under {args.data_dir}", file=sys.stderr)
@@ -39,8 +34,7 @@ def main(argv=None):
 
     # every dataset's config is checked before any dataset runs
     try:
-        if not isinstance(base, dict):
-            raise ConfigError(f"a config must be a JSON object, got {base!r}")
+        base = read_config(args.config) if args.config else {}
         configs = [(path.stem, config_from_dict({
             **base,
             "dataset": {"kind": "csv", "path": str(path),

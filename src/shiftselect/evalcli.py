@@ -250,19 +250,24 @@ def _parse_strategy(name: str, families):
     raise ConfigError(f"unknown strategy {name!r}")
 
 
-def load_config(path) -> RunConfig:
-    """Read a JSON config file, apply defaults and the env seed override."""
+def read_config(path) -> dict:
+    """The JSON object in a config file, or a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {raw!r}")
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    """Read a JSON config file, apply defaults and the env seed override."""
+    return config_from_dict(read_config(path))
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"a config must be a JSON object, got {raw!r}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -484,17 +489,22 @@ def _prepare(config: RunConfig, outdir=None, seconds=None):
     return ds, proper, validation, test, manifest
 
 
+def _fit_settings(config: RunConfig) -> dict:
+    """The predictors' fit settings, as build_registry takes them and the
+    registry's meta records them."""
+    return {key: getattr(config, key)
+            for key in ("quantifier", "bandwidth", "cap_weight", "smoothing")}
+
+
 def _train_registry(config: RunConfig, proper, validation, manifest,
                     out_dir=None, seconds=None) -> ModelRegistry:
     """Build the config's registry; fails when no configuration trains."""
     with _stage("registry", seconds):
         registry = build_registry(
             config.families, proper, validation,
-            quantifier_kind=config.quantifier,
             seed=manifest["derived_seeds"]["registry"],
-            bandwidth=config.bandwidth, cap_weight=config.cap_weight,
-            smoothing=config.smoothing, run_id=manifest["run_id"],
-            out_dir=out_dir)
+            run_id=manifest["run_id"], out_dir=out_dir,
+            **_fit_settings(config))
         if not registry.entries:
             raise RuntimeError("every configuration failed to train")
     return registry
@@ -505,9 +515,9 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     (see :func:`_evaluate`).
 
     Pass a prebuilt `registry` (say, one `load_registry` read back from
-    `shiftselect train`) to skip training; it must have been trained on this
-    config's proper-train and validation data, with its families, quantifier,
-    bandwidth and solver weight, or the "registry" stage fails.
+    `shiftselect train`) to skip training; its meta must record this
+    config's proper-train and validation data, families and
+    :func:`_fit_settings`, or the "registry" stage fails.
     Partial rows are flushed to results.csv if a later stage fails. The
     table's meta holds the run's timings (see :func:`_timings`) and a
     warning per model and solver that stopped early, counting bags.
@@ -523,9 +533,7 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
             expected = {"data_fingerprint": fingerprint(
                             proper.X, proper.y, validation.X, validation.y),
                         "families": list(config.families),
-                        "quantifier": config.quantifier,
-                        "bandwidth": config.bandwidth,
-                        "cap_weight": config.cap_weight}
+                        **_fit_settings(config)}
             for key, want in expected.items():
                 found = registry.meta.get(key)
                 if found != want:
@@ -572,9 +580,9 @@ def _timings(seconds: dict, registry: ModelRegistry) -> dict:
     :func:`parallel.fork_map` reported it to the registry; 0 when the run
     trained no MLP grid). A run adds the `evaluate_s` and `evaluate` blocks
     (see :func:`_evaluate`)."""
-    lr = [e.model.meta for e in registry.entries if e.family == "LR"]
+    lr = [e.model.meta for e in registry.entries if e.model.family == "LR"]
     epochs = [e.model.meta["epochs"] for e in registry.entries
-              if e.family == "MLP"]
+              if e.model.family == "MLP"]
     workers = registry.train_workers.get("MLP", 0)
     return {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
             "lr": {"models": len(lr),
@@ -822,10 +830,11 @@ def _cmd_train(args) -> int:
     for warning in registry.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for e in registry.entries:
-        if e.family == "LR" and not e.model.meta["converged"]:
-            print(f"warning: model {e.model_id} ({e.hyperparams.label()}): "
+        model = e.model
+        if model.family == "LR" and not model.meta["converged"]:
+            print(f"warning: model {e.model_id} ({model.hyperparams.label()}): "
                   f"LR training stopped unconverged after "
-                  f"{e.model.meta['iterations']} Newton steps", file=sys.stderr)
+                  f"{model.meta['iterations']} Newton steps", file=sys.stderr)
     return 0
 
 

@@ -14,9 +14,8 @@ name or ``"All"``, and the models in it are the positions
 :meth:`ModelRegistry.scope_positions` gives in the registry's entries. The
 registry stacks every entry's accuracy predictor once
 (:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
-goes stale), and a scope's predictors are the rows at its positions
-(:meth:`cap.CapStack.take`), taken once per scope
-(:meth:`ModelRegistry.scope_stack`). TMS predicts the accuracy of every
+goes stale), and TMS takes a scope's predictors as the rows at its positions
+(:meth:`cap.CapStack.take`) on each call. It predicts the accuracy of every
 in-scope model on the bag in one batched pass (:func:`cap.predict_batch`)
 and returns these estimates with its pick. It accepts the bag's per-model
 posteriors and quantifier rows precomputed, stacked along a model axis
@@ -25,10 +24,12 @@ bag's features. No function here takes labels: the harness (:mod:`evalcli`)
 takes each TMS scope and the oracle, an evaluation upper bound, as argmaxes
 over models × bags matrices of estimated and of true accuracies.
 
-A registry is saved as one document, ``manifest.json``: its meta, its
-training warnings, and per entry the model id, the validation accuracy, the
-model record (:func:`classifiers.model_to_record`) and the accuracy-predictor
-record (rate matrix, quantifier and solver weight).
+A registry is saved as one document, ``manifest.json``: its meta (the one
+record of the settings every predictor was fitted under), its training
+warnings, and per entry the model id, the validation accuracy, the model
+record (:func:`classifiers.model_to_record`; it holds the family and
+hyperparameters) and the accuracy-predictor record (the rate matrix and, for
+KDEy-ML, the KDE supports).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataspace import LabelledSet, _frozen
-from .classifiers import (HyperParams, TrainedModel, TrainingError, build_grid,
+from .dataspace import LabelledSet
+from .classifiers import (TrainedModel, TrainingError, build_grid,
                           decode_array, default_model, encode_array,
                           model_from_record, model_to_record,
                           predict_posteriors_batch, train_grid)
@@ -55,8 +56,6 @@ from .cap import (CapPredictor, CapStack, RateMatrix, fit_cap, predict_batch,
 @dataclass(frozen=True)
 class RegistryEntry:
     model_id: int
-    family: str
-    hyperparams: HyperParams
     model: TrainedModel
     val_accuracy: float
     cap: CapPredictor
@@ -94,7 +93,7 @@ class ModelRegistry:
         """Positions in `entries` of the models in scope, as an int array;
         a scope without models raises ValueError."""
         positions = np.array([i for i, e in enumerate(self.entries)
-                              if scope == "All" or e.family == scope],
+                              if scope == "All" or e.model.family == scope],
                              dtype=int)
         if not positions.size:
             raise ValueError(f"no models in scope {scope!r}")
@@ -105,18 +104,6 @@ class ModelRegistry:
         """Every entry's accuracy predictor, stacked (:func:`cap.stack_caps`)
         on first use; neither saved nor compared."""
         return stack_caps([e.cap for e in self.entries])
-
-    @cached_property
-    def _scopes(self) -> dict:
-        return {}
-
-    def scope_stack(self, scope) -> tuple:
-        """The scope's :meth:`scope_positions` and the predictors at them
-        (``caps.take``), resolved on the scope's first use and kept."""
-        if scope not in self._scopes:
-            positions = self.scope_positions(scope)
-            self._scopes[scope] = _frozen(positions), self.caps.take(positions)
-        return self._scopes[scope]
 
 
 # each solver flag of a SelectionOutcome, and the solver it names
@@ -158,7 +145,7 @@ def fingerprint(*arrays) -> str:
 
 
 def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
-                   quantifier_kind: str = "KDEyML", seed: int = 0,
+                   quantifier: str = "KDEyML", seed: int = 0,
                    bandwidth: float = 0.1, cap_weight: float = 1.0,
                    smoothing: float = 0.0, run_id=None,
                    out_dir=None) -> ModelRegistry:
@@ -173,7 +160,8 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     continues. Model ids follow grid enumeration order and stay
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
-    accuracy, rate matrix and quantifier. Pass `out_dir` to persist the
+    accuracy, rate matrix and quantifier. `meta` records the four fit
+    settings under their keywords' names. Pass `out_dir` to persist the
     registry. Each family's training time is kept in `train_s`, and the
     number of processes it trained in in `train_workers`.
     """
@@ -192,30 +180,30 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
             if isinstance(result, TrainingError):
                 warnings.append(f"model {i} ({hp.label()}) failed: {result}")
             else:
-                trained.append((i, family, hp, result))
+                trained.append((i, hp, result))
         model_id += len(grid)
     entries = []
     if trained:
         posteriors = predict_posteriors_batch([t[-1] for t in trained], Lva.X)
-        for (model_id, family, hp, model), P in zip(trained, posteriors):
+        for (model_id, hp, model), P in zip(trained, posteriors):
             val_acc = float((np.argmax(P, axis=1) == Lva.y).mean())
             try:
-                cap = fit_cap(P, Lva, quantifier_kind=quantifier_kind,
+                cap = fit_cap(P, Lva, quantifier_kind=quantifier,
                               bandwidth=bandwidth, weight=cap_weight,
                               smoothing=smoothing)
             except ValueError as exc:   # DataError and LinAlgError among them
                 warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
                 continue
-            entries.append(RegistryEntry(model_id, family, hp, model,
-                                         val_acc, cap))
+            entries.append(RegistryEntry(model_id, model, val_acc, cap))
     meta = {
         "run_id": run_id,
         "seed": seed,
         "families": list(families),
         "grid_sizes": {fam: len(build_grid(fam, n_classes)) for fam in families},
-        "quantifier": quantifier_kind,
+        "quantifier": quantifier,
         "bandwidth": bandwidth,
         "cap_weight": cap_weight,
+        "smoothing": smoothing,
         "n_classes": n_classes,
         "data_fingerprint": fingerprint(Ltr.X, Ltr.y, Lva.X, Lva.y),
     }
@@ -260,7 +248,8 @@ def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
     caches. Without them the in-scope models' posteriors and rows are
     computed from the bag's features; an empty bag raises DataError.
     """
-    positions, caps = registry.scope_stack(scope)
+    positions = registry.scope_positions(scope)
+    caps = registry.caps.take(positions)
     entries = [registry.entries[i] for i in positions]
     if posteriors is None:
         P = predict_posteriors_batch([e.model for e in entries], bag.features)
@@ -287,7 +276,7 @@ def default_select(registry: ModelRegistry, family: str) -> int:
     """Id of the registry entry holding the family's default configuration."""
     target = default_model(family)
     for e in registry.entries:
-        if e.family == family and e.hyperparams == target:
+        if e.model.family == family and e.model.hyperparams == target:
             return e.model_id
     raise ValueError(f"default {family} configuration not in registry")
 
@@ -305,18 +294,13 @@ def write_json(out_dir, name: str, doc: dict) -> None:
 
 
 def save_registry(registry: ModelRegistry, out_dir) -> None:
-    """Write the registry as out_dir/manifest.json, its only file."""
+    """Write the registry as out_dir/manifest.json, its only file; the fit
+    settings are saved once, in `meta`."""
     entries = []
     for e in registry.entries:
-        cap = {
-            "rate_matrix": encode_array(e.cap.rates.m),
-            "quantifier_kind": e.cap.quantifier.kind,
-            "weight": e.cap.weight,
-        }
-        q = e.cap.quantifier
-        if isinstance(q, ClassDensities):
-            cap["bandwidth"] = q.bandwidth
-            cap["support"] = [encode_array(S) for S in q.support]
+        cap = {"rate_matrix": encode_array(e.cap.rates.m)}
+        if isinstance(e.cap.quantifier, ClassDensities):
+            cap["support"] = [encode_array(S) for S in e.cap.quantifier.support]
         entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
                         "model": model_to_record(e.model), "cap": cap})
     write_json(out_dir, "manifest.json", {"meta": registry.meta,
@@ -325,38 +309,37 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
 
 
 def load_registry(out_dir) -> ModelRegistry:
-    """Read a registry that :func:`save_registry` wrote. A manifest in an
-    older layout, with missing or mistyped keys, whose entries mix quantifier
-    kinds or hold a model or rate matrix of another class count than the
-    registry's, or that is not JSON, raises a ValueError that says to retrain
-    it."""
+    """Read a registry that :func:`save_registry` wrote, building every
+    predictor under `meta`'s quantifier, bandwidth and solver weight (an
+    entry's own copies, which older manifests hold, are ignored). A manifest
+    in an older layout, with missing or mistyped keys, an unknown quantifier
+    or entries that do not fit it, or a model or rate matrix of another class
+    count than the registry's, or that is not JSON, raises a ValueError that
+    says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
         manifest = json.loads(text)   # a JSONDecodeError is a ValueError
-        n_classes = manifest["meta"]["n_classes"]
+        meta = manifest["meta"]
+        n_classes = meta["n_classes"]
+        quantifier = QUANTIFIERS[meta["quantifier"]]
         entries = []
         for rec in manifest["entries"]:
             model, cap = model_from_record(rec["model"]), rec["cap"]
             # a KDEy-ML record's densities; a CC quantifier takes no fields
             kde = {"support": tuple(decode_array(S) for S in cap["support"]),
-                   "bandwidth": cap["bandwidth"],
+                   "bandwidth": meta["bandwidth"],
                    "n_classes": model.n_classes} if "support" in cap else {}
             predictor = CapPredictor(
                 RateMatrix(decode_array(cap["rate_matrix"])),
-                QUANTIFIERS[cap["quantifier_kind"]](**kde),
-                weight=cap["weight"])
+                quantifier(**kde), weight=meta["cap_weight"])
             if not model.n_classes == predictor.rates.n_classes == n_classes:
                 raise ValueError(f"model {rec['model_id']} or its rate matrix "
                                  f"does not have the registry's {n_classes} "
                                  "classes")
-            entries.append(RegistryEntry(
-                rec["model_id"], model.family, model.hyperparams, model,
-                rec["val_accuracy"], predictor))
-        kinds = {e.cap.quantifier.kind for e in entries}
-        if len(kinds) > 1:
-            raise ValueError(f"entries mix quantifier kinds {sorted(kinds)}")
-        return ModelRegistry(entries, manifest["warnings"], manifest["meta"])
+            entries.append(RegistryEntry(rec["model_id"], model,
+                                         rec["val_accuracy"], predictor))
+        return ModelRegistry(entries, manifest["warnings"], meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{out_dir} does not hold a registry in the current format "

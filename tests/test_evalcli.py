@@ -671,7 +671,7 @@ def test_run_warns_only_of_models_in_a_tms_scope_of_the_roster(
                           strategies=("TMS-LR", "TMS-KNN"))
     # the roster's two scopes are solved as one "All" batch over every
     # entry: stop an MLP model, outside both scopes, and an LR model early
-    family = {e.model_id: e.family for e in registry.entries}
+    family = {e.model_id: e.model.family for e in registry.entries}
     mlp, lr = (min(m for m, f in family.items() if f == name)
                for name in ("MLP", "LR"))
     strangle(cap, "leap_solve_batch", [i for i, e in enumerate(
@@ -745,7 +745,7 @@ def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("families", ("KNN", "LR")), ("quantifier", "CC"), ("bandwidth", 0.5),
-    ("cap_weight", 2.0)])
+    ("cap_weight", 2.0), ("smoothing", 0.5)])
 def test_run_rejects_a_registry_trained_under_another_config(field, value,
                                                              tmp_path):
     config = small_config(tmp_path, strategies=("TMS-All", "oracle"))
@@ -1084,6 +1084,26 @@ def test_cli_train_and_run_write_identical_manifests(tmp_path):
     assert trained == (tmp_path / "run" / "manifest.json").read_bytes()
 
 
+@pytest.mark.parametrize("quantifier", ["KDEyML", "CC"])
+def test_run_on_a_loaded_registry_equals_the_cli_run(quantifier, tmp_path):
+    # the benchmark's grid-bags path: `shiftselect train`, `load_registry`,
+    # then run_experiment on the loaded registry
+    from shiftselect.selection import load_registry
+    config_path = write_config(tmp_path, families=list(THREE_FAMILIES),
+                               quantifier=quantifier)
+    assert main(["train", "--config", str(config_path),
+                 "--outdir", str(tmp_path / "train")]) == 0
+    assert main(["run", "--config", str(config_path),
+                 "--outdir", str(tmp_path / "run")]) == 0
+    config = load_config(config_path)
+    config.outdir = str(tmp_path / "loaded")
+    registry = load_registry(tmp_path / "train" / "registry")
+    emit_report(run_experiment(config, registry=registry), config.outdir)
+    for name in REPORT_FILES:
+        assert filecmp.cmp(tmp_path / "run" / name, tmp_path / "loaded" / name,
+                           shallow=False), name
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"r": 0}), encoding="utf-8")
@@ -1122,9 +1142,9 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert main(["run", "--config", str(config_path)]) == 2
 
 
-@pytest.mark.parametrize("base", [5, {"r": 0}])
-def test_csv_batch_rejects_a_bad_base_config_before_any_dataset(base, tmp_path,
-                                                               capsys):
+def assert_csv_batch_rejects_base_config(config, tmp_path, capsys):
+    """scripts/run_csv_batch.py with base config file `config` exits 1 with
+    one `config error:` line, before any dataset runs."""
     spec = importlib.util.spec_from_file_location(
         "run_csv_batch", REPO / "scripts" / "run_csv_batch.py")
     script = importlib.util.module_from_spec(spec)
@@ -1132,11 +1152,26 @@ def test_csv_batch_rejects_a_bad_base_config_before_any_dataset(base, tmp_path,
     data = tmp_path / "data"
     data.mkdir()
     (data / "one.csv").write_text("x,label\n0.5,a\n", encoding="utf-8")
-    config = tmp_path / "base.json"
-    config.write_text(json.dumps(base), encoding="utf-8")
     assert script.main(["--data-dir", str(data), "--label-column", "label",
                         "--outdir", str(tmp_path / "out"),
                         "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base", [5, {"r": 0}])
+def test_csv_batch_rejects_a_bad_base_config_before_any_dataset(base, tmp_path,
+                                                               capsys):
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps(base), encoding="utf-8")
+    assert_csv_batch_rejects_base_config(config, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text", ['{"r": 3', None],
+                         ids=["truncated", "missing"])
+def test_csv_batch_reports_an_unreadable_base_config(text, tmp_path, capsys):
+    config = tmp_path / "base.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    assert_csv_batch_rejects_base_config(config, tmp_path, capsys)

@@ -2,6 +2,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ def bag_posteriors(registry, test):
     return rows_for
 
 
+def scored_entry(model_id, val_accuracy):
+    """An entry that holds only a validation accuracy, over a stand-in for
+    the default LR model."""
+    model = SimpleNamespace(family="LR", hyperparams=default_model("LR"))
+    return RegistryEntry(model_id, model, val_accuracy, None)
+
+
 def oracle_rows(registry, splits, bags):
     """The evaluation harness's oracle row for each bag, in bag order."""
     proper, _, test = splits
@@ -77,6 +85,8 @@ def test_registry_full_zoo_size(registry):
 def test_registry_meta_records_provenance(registry):
     assert registry.meta["grid_sizes"] == {"LR": 30, "KNN": 10, "MLP": 10}
     assert registry.meta["quantifier"] == "KDEyML"
+    assert (registry.meta["bandwidth"], registry.meta["cap_weight"],
+            registry.meta["smoothing"]) == (0.1, 1.0, 0.0)
     assert len(registry.meta["data_fingerprint"]) == 12
 
 
@@ -95,16 +105,23 @@ def test_registry_round_trip(registry, splits, tmp_path):
         [e.val_accuracy for e in registry.entries]
     bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(1))
     for orig, redo in zip(registry.entries[:6], loaded.entries[:6]):
-        assert orig.hyperparams == redo.hyperparams
+        assert orig.model.hyperparams == redo.model.hyperparams
         assert np.array_equal(orig.model.predict_posteriors(bag.features),
                               redo.model.predict_posteriors(bag.features))
         assert predicted_accuracy(orig, bag) == pytest.approx(
             predicted_accuracy(redo, bag), abs=1e-12)
     # the manifest is the whole registry, and it restores every entry exactly
     assert os.listdir(tmp_path / "reg") == ["manifest.json"]
+    # the fit settings are recorded once, in the meta; an entry's predictor
+    # record holds its rate matrix and KDE supports only
+    manifest = json.loads((tmp_path / "reg" / "manifest.json").read_text())
+    assert manifest["meta"]["smoothing"] == 0.0
+    assert all(set(rec["cap"]) == {"rate_matrix", "support"}
+               for rec in manifest["entries"])
     assert loaded.warnings == registry.warnings
     for orig, redo in zip(registry.entries, loaded.entries, strict=True):
-        assert (redo.family, redo.hyperparams) == (orig.family, orig.hyperparams)
+        assert (redo.model.family, redo.model.hyperparams) == \
+            (orig.model.family, orig.model.hyperparams)
         assert np.array_equal(orig.cap.rates.m, redo.cap.rates.m)
         for S, T in zip(orig.cap.quantifier.support,
                         redo.cap.quantifier.support, strict=True):
@@ -120,7 +137,7 @@ def test_registry_round_trip(registry, splits, tmp_path):
 @pytest.mark.parametrize("damage", ["old layout", "missing key", "truncated",
                                     "entries an object",
                                     "an entry not an object",
-                                    "mixed quantifier kinds",
+                                    "unknown quantifier kind",
                                     "rate matrix of another size",
                                     "KDEyML without support",
                                     "CC with support",
@@ -148,11 +165,8 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
                                for rec in manifest["entries"]}
     elif damage == "an entry not an object":
         manifest["entries"][1] = [manifest["entries"][1]]
-    elif damage == "mixed quantifier kinds":
-        # each entry is a valid record, but TMS stacks predictors of one kind
-        cap = manifest["entries"][1]["cap"]
-        cap["quantifier_kind"] = "CC"
-        del cap["support"], cap["bandwidth"]
+    elif damage == "unknown quantifier kind":
+        manifest["meta"]["quantifier"] = "EMQ"
     elif damage == "rate matrix of another size":
         # a valid rate matrix, but TMS stacks them and each model's
         # posteriors have the registry's class count
@@ -161,9 +175,8 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     elif damage == "KDEyML without support":
         del manifest["entries"][0]["cap"]["support"]
     elif damage == "CC with support":
-        # every entry counts, so no kinds mix, but each keeps its densities
-        for rec in manifest["entries"]:
-            rec["cap"]["quantifier_kind"] = "CC"
+        # the registry counts, but every entry keeps its densities
+        manifest["meta"]["quantifier"] = "CC"
     elif damage == "unknown model family":
         manifest["entries"][1]["model"]["family"] = "SVM"
     elif damage == "model array missing":
@@ -199,13 +212,53 @@ def test_load_registry_ignores_per_entry_solver_settings(registry, tmp_path):
         assert np.array_equal(redo.cap.rates.m, orig.cap.rates.m)
 
 
+def test_load_registry_reads_manifests_with_per_entry_fit_settings(
+        registry, splits, tmp_path):
+    # manifests once repeated the quantifier kind, solver weight and KDE
+    # bandwidth in every entry, and their meta had no smoothing; they load
+    # to the same predictors, built from the meta
+    proper, validation, test = splits
+    counting = build_registry(("KNN",), proper, validation, quantifier="CC",
+                              seed=0)
+    bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(5))
+    for source in (ModelRegistry(registry.entries[:2], [], registry.meta),
+                   counting):
+        regdir = tmp_path / source.meta["quantifier"]
+        save_registry(source, regdir)
+        manifest = json.loads((regdir / "manifest.json").read_text())
+        del manifest["meta"]["smoothing"]
+        for rec, e in zip(manifest["entries"], source.entries, strict=True):
+            rec["cap"].update(quantifier_kind=e.cap.quantifier.kind,
+                              weight=e.cap.weight)
+            if "support" in rec["cap"]:
+                rec["cap"]["bandwidth"] = e.cap.quantifier.bandwidth
+        (regdir / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_registry(regdir)
+        assert loaded.meta == manifest["meta"]
+        for orig, redo in zip(source.entries, loaded.entries, strict=True):
+            q, r = orig.cap.quantifier, redo.cap.quantifier
+            assert type(r) is type(q)
+            assert getattr(r, "bandwidth", None) == getattr(q, "bandwidth",
+                                                            None)
+            for S, T in zip(getattr(q, "support", ()), getattr(r, "support", ()),
+                            strict=True):
+                assert np.array_equal(S, T)
+            assert redo.cap.weight == orig.cap.weight
+            assert np.array_equal(redo.cap.rates.m, orig.cap.rates.m)
+            assert predicted_accuracy(redo, bag) == predicted_accuracy(orig,
+                                                                       bag)
+
+
 def test_registry_round_trip_counting_quantifier(splits, tmp_path):
     proper, validation, test = splits
     counting = build_registry(("KNN",), proper, validation,
-                              quantifier_kind="CC", seed=0)
+                              quantifier="CC", seed=0)
     save_registry(counting, tmp_path / "cc")
     loaded = load_registry(tmp_path / "cc")
     assert loaded.meta["quantifier"] == "CC"
+    manifest = json.loads((tmp_path / "cc" / "manifest.json").read_text())
+    assert all(set(rec["cap"]) == {"rate_matrix"}
+               for rec in manifest["entries"])
     bag = draw_bag(test, [0.3, 0.7], 50, np.random.default_rng(2))
     for orig, redo in zip(counting.entries, loaded.entries, strict=True):
         assert type(redo.cap.quantifier) is type(orig.cap.quantifier)
@@ -277,7 +330,7 @@ def test_ims_matches_brute_force_table_scan(registry):
     # per family too
     for family in ("LR", "KNN", "MLP"):
         chosen = ims_select(registry, family)
-        fam = [e for e in registry.entries if e.family == family]
+        fam = [e for e in registry.entries if e.model.family == family]
         assert chosen == max(fam, key=lambda e: (e.val_accuracy, -e.model_id)).model_id
 
 
@@ -332,18 +385,15 @@ def test_best_position_all_nan_raises_with_where():
 
 
 def test_ims_tie_breaks_to_lowest_id():
-    def entry(mid, acc):
-        return RegistryEntry(mid, "LR", default_model("LR"), None, acc, None)
-    reg = ModelRegistry([entry(3, 0.9), entry(5, 0.9), entry(7, 0.8)])
+    reg = ModelRegistry([scored_entry(3, 0.9), scored_entry(5, 0.9),
+                         scored_entry(7, 0.8)])
     assert ims_select(reg, "All") == 3
 
 
 def test_ims_argmax_invariant_to_positive_rescaling():
-    def entry(mid, acc):
-        return RegistryEntry(mid, "LR", default_model("LR"), None, acc, None)
     accs = [0.61, 0.87, 0.44]
-    reg1 = ModelRegistry([entry(i, a) for i, a in enumerate(accs)])
-    reg2 = ModelRegistry([entry(i, 0.5 * a) for i, a in enumerate(accs)])
+    reg1 = ModelRegistry([scored_entry(i, a) for i, a in enumerate(accs)])
+    reg2 = ModelRegistry([scored_entry(i, 0.5 * a) for i, a in enumerate(accs)])
     assert ims_select(reg1, "All") == ims_select(reg2, "All") == 1
 
 
@@ -403,7 +453,7 @@ def test_tms_family_scope_restricts_candidates(registry, splits):
     bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(10))
     outcome = tms_select(registry, "KNN", bag)
     assert outcome.strategy == "TMS-KNN"
-    assert registry.entry(outcome.model_id).family == "KNN"
+    assert registry.entry(outcome.model_id).model.family == "KNN"
 
 
 def test_tms_propagates_solver_warnings(registry, splits, strangle):
@@ -480,7 +530,7 @@ def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
             positions = warm.scope_positions(scope)
             assert [registry.entries[i].model_id for i in positions] == [
                 e.model_id for e in registry.entries
-                if scope == "All" or e.family == scope]
+                if scope == "All" or e.model.family == scope]
             batch = predict_batch(built.take(positions), P[positions],
                                   F[positions])
             for j, i in enumerate(positions):
@@ -513,35 +563,12 @@ def test_taken_scope_stack_equals_stacking_the_scope(registry):
     assert one.quantifiers.tolist() == [registry.entries[3].cap.quantifier]
 
 
-def test_scope_stack_is_taken_once_per_scope(registry, splits):
-    _, _, test = splits
-    bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(43))
-    fresh = ModelRegistry(list(registry.entries))
-    for scope in ("All", "LR", "KNN", "MLP"):
-        positions, taken = fresh.scope_stack(scope)
-        assert fresh.scope_stack(scope)[1] is taken
-        assert np.array_equal(positions, fresh.scope_positions(scope))
-        assert not positions.flags.writeable
-        want = fresh.caps.take(positions)
-        for name in ("M", "Q", "diagonal", "weight"):
-            assert getattr(taken, name).tobytes() == \
-                getattr(want, name).tobytes(), name
-        # TMS through the kept sub-stack is the uncached pass, bit for bit
-        P = predict_posteriors_batch([fresh.entries[i].model
-                                      for i in positions], bag.features)
-        batch = predict_batch(want, P, want.rows(P))
-        best = int(np.argmax(batch.accuracy))
-        got = tms_select(fresh, scope, bag)
-        assert got.model_id == fresh.entries[positions[best]].model_id
-        assert got.estimated_accuracy == float(batch.accuracy[best])
-
-
 def test_empty_scope_rejected(registry):
     for scope in ("All", "LR"):
         with pytest.raises(ValueError, match="no models in scope"):
             ModelRegistry([]).scope_positions(scope)
     knn_only = ModelRegistry([e for e in registry.entries
-                              if e.family == "KNN"])
+                              if e.model.family == "KNN"])
     with pytest.raises(ValueError, match="no models in scope 'LR'"):
         tms_select(knn_only, "LR", None)
 
@@ -794,11 +821,12 @@ def test_default_select_finds_declared_defaults(registry):
     for family in ("LR", "KNN", "MLP"):
         mid = default_select(registry, family)
         entry = registry.entry(mid)
-        assert entry.hyperparams == default_model(family)
-        assert entry.family == family
+        assert entry.model.hyperparams == default_model(family)
+        assert entry.model.family == family
 
 
 def test_default_select_missing_family_rejected(registry):
-    lr_only = ModelRegistry([e for e in registry.entries if e.family == "LR"])
+    lr_only = ModelRegistry([e for e in registry.entries
+                             if e.model.family == "LR"])
     with pytest.raises(ValueError):
         default_select(lr_only, "MLP")
