@@ -26,6 +26,7 @@ case of the same calls.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,12 @@ class CapPredictor:
     quantifier: object
     weight: float = 1.0
 
+    def __post_init__(self):
+        if not (isinstance(self.weight, numbers.Real)
+                and 0 < self.weight < np.inf):
+            raise ValueError("weight must be a positive finite number, got "
+                             f"{self.weight!r}")
+
 
 def fit_cap(posteriors: np.ndarray, validation: LabelledSet,
             quantifier_kind: str = "KDEyML", bandwidth: float = 0.1,
@@ -185,16 +192,14 @@ class CapStack:
 
 def stack_caps(caps) -> CapStack:
     """Stack the accuracy predictors `caps` for :func:`predict_batch` and
-    :func:`leap_solve_batch`. There must be at least one, their quantifiers
-    must share one type, and every solver weight must be positive."""
+    :func:`leap_solve_batch`. There must be at least one, and their
+    quantifiers must share one type."""
     quantifiers = np.fromiter((c.quantifier for c in caps), dtype=object)
     types = {type(q) for q in quantifiers}
     if len(types) != 1:
         raise ValueError("need predictors whose quantifiers share one type, "
                          f"got types {sorted(t.__name__ for t in types)}")
     weight = np.array([c.weight for c in caps], dtype=float)
-    if (weight <= 0).any():
-        raise ValueError("weight must be positive")
     M = np.stack([c.rates.m for c in caps])
     Q = np.matmul(M.transpose(0, 2, 1), M) \
         + weight[:, None, None] * np.eye(M.shape[1])

@@ -176,29 +176,21 @@ class LabelledSet:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _is_missing(cell: str) -> bool:
-    return cell.strip() == ""
-
-
-def _try_float(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def load_csv(path, label_column, header: bool = True, name=None) -> Dataset:
     """Load a comma-separated file into a :class:`Dataset`.
 
-    `label_column` is a header name (requires `header=True`) or a 0-based
-    column index. Non-label columns are numeric or categorical; categoricals
-    are one-hot encoded in first-occurrence order. Label values are remapped
-    to contiguous class ids in first-occurrence order, recorded in
-    `class_map`. Missing cells are rejected with the offending row/column.
+    `label_column` is a 0-based column index or a column name: a header name,
+    stripped of surrounding whitespace, or with `header=False` the index as
+    a string. A feature column whose every cell parses as a Python float
+    (surrounding whitespace allowed) is numeric; any other is categorical,
+    one-hot encoded by its cells as written, in first-occurrence order.
+    Labels are stripped and remapped to contiguous class ids in
+    first-occurrence order, recorded in `class_map`. A blank cell is
+    rejected with its line and column: feature columns are checked in file
+    order, then the labels.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(f"{path}: empty file", line=1)
 
@@ -229,58 +221,42 @@ def load_csv(path, label_column, header: bool = True, name=None) -> Dataset:
             raise ParseError(f"{path}: label column {label_column!r} not found")
         label_idx = colnames.index(label_column)
 
-    feature_cols = [j for j in range(ncols) if j != label_idx]
-
-    # Column typing: numeric iff every cell parses as a float.
-    numeric = {}
-    for j in feature_cols:
-        numeric[j] = all(_try_float(row[j]) is not None
-                         for row in rows if not _is_missing(row[j]))
-
+    columns = list(zip(*rows))
     blocks = []
-    for j in feature_cols:
-        colname = colnames[j]
-        cells = [row[j] for row in rows]
+    for j, cells in enumerate(columns):
+        if j == label_idx:
+            continue
         for i, cell in enumerate(cells):
-            if _is_missing(cell):
+            if not cell.strip():
                 raise ParseError(
                     f"{path}: missing value at line {first_data_line + i}, "
-                    f"column {colname!r}",
-                    line=first_data_line + i, column=colname,
+                    f"column {colnames[j]!r}",
+                    line=first_data_line + i, column=colnames[j],
                 )
-        if numeric[j]:
+        try:
             blocks.append(np.array([float(c) for c in cells])[:, None])
-        else:
-            categories = {}
-            for c in cells:
-                if c not in categories:
-                    categories[c] = len(categories)
-            onehot = np.zeros((len(cells), len(categories)))
-            for i, c in enumerate(cells):
-                onehot[i, categories[c]] = 1.0
-            blocks.append(onehot)
+        except ValueError:
+            categories = {c: k for k, c in enumerate(dict.fromkeys(cells))}
+            codes = np.array([categories[c] for c in cells])
+            blocks.append((codes[:, None] == np.arange(len(categories)))
+                          .astype(float))
 
-    class_map = {}
-    labels = np.empty(len(rows), dtype=int)
-    for i, row in enumerate(rows):
-        raw = row[label_idx].strip()
-        if _is_missing(raw):
+    labels = [cell.strip() for cell in columns[label_idx]]
+    for i, label in enumerate(labels):
+        if not label:
             raise ParseError(
                 f"{path}: missing label at line {first_data_line + i}",
                 line=first_data_line + i, column=colnames[label_idx],
             )
-        if raw not in class_map:
-            class_map[raw] = len(class_map)
-        labels[i] = class_map[raw]
-
+    class_map = {c: k for k, c in enumerate(dict.fromkeys(labels))}
     if len(class_map) < 2:
         raise DataError(f"{path}: a single class is present; need at least two")
 
     features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
     if name is None:
         name = str(path)
-    return Dataset(features, labels, n_classes=len(class_map),
-                   name=name, class_map=class_map)
+    return Dataset(features, [class_map[c] for c in labels],
+                   n_classes=len(class_map), name=name, class_map=class_map)
 
 
 # ---------------------------------------------------------------------------

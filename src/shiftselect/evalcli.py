@@ -390,25 +390,19 @@ def _stage(name, seconds=None):
 
 
 def _load_dataset(config: RunConfig) -> Dataset:
+    """The dataset of a spec that :meth:`RunConfig.validate` has checked."""
     spec = config.dataset
-    if spec["kind"] == "synthetic":
-        spec = {**DEFAULT_DATASET, **spec}
-        n_classes = int(spec["n_classes"])
-        prevalence = spec.get("prevalence")
-        if prevalence is None:
-            prevalence = uniform_prevalence(n_classes)
-        return synth_gaussian_pps(
-            n_classes=n_classes,
-            dims=int(spec["dims"]),
-            prevalence=prevalence,
-            n=int(spec["n"]),
-            class_separation=float(spec["class_separation"]),
-            seed=int(spec.get("seed", config.seed)),
-            name=spec.get("name"),
-        )
-    return load_csv(spec["path"], spec["label_column"],
-                    header=bool(spec.get("header", True)),
-                    name=spec.get("name"))
+    if spec["kind"] == "csv":
+        return load_csv(spec["path"], spec["label_column"],
+                        header=spec.get("header", True), name=spec.get("name"))
+    spec = {**DEFAULT_DATASET, **spec}
+    prevalence = spec["prevalence"]
+    if prevalence is None:
+        prevalence = uniform_prevalence(spec["n_classes"])
+    return synth_gaussian_pps(spec["n_classes"], spec["dims"], prevalence,
+                              spec["n"], spec["class_separation"],
+                              spec.get("seed", config.seed),
+                              name=spec.get("name"))
 
 
 def _derived_seeds(seed: int) -> dict:
@@ -535,6 +529,10 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
                         "families": list(config.families),
                         **_fit_settings(config)}
             for key, want in expected.items():
+                if key not in registry.meta:
+                    raise ValueError(
+                        f"registry predates its {key} record: retrain it "
+                        "with `shiftselect train`")
                 found = registry.meta.get(key)
                 if found != want:
                     raise ValueError(

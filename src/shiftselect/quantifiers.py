@@ -73,8 +73,9 @@ class ClassDensities:
     kind: ClassVar[str] = "KDEyML"
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be a positive finite number, "
+                             f"got {self.bandwidth!r}")
         if len(self.support) != self.n_classes:
             raise ValueError("one support set per class required")
         for j, S in enumerate(self.support):

@@ -213,9 +213,10 @@ def test_leap_weight_limits():
     assert np.allclose(light, theta0, atol=1e-3)
 
 
-def test_leap_rejects_bad_weight():
-    with pytest.raises(ValueError):
-        solve_one(RateMatrix(np.eye(2)), [0.5, 0.5], [0.5, 0.5], weight=0.0)
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+def test_leap_rejects_bad_weight(weight):
+    with pytest.raises(ValueError, match="positive finite"):
+        solve_one(RateMatrix(np.eye(2)), [0.5, 0.5], [0.5, 0.5], weight=weight)
 
 
 def test_leap_nonconvergence_returns_best_iterate_with_flag():

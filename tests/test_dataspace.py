@@ -131,6 +131,64 @@ def test_load_csv_label_by_index_no_header(tmp_path):
     assert ds.features.shape == (2, 2)
 
 
+def test_load_csv_strips_numbers_names_and_labels_not_categories(tmp_path):
+    # " red" and "red" are two categories; " a" and "a " one label
+    path = _write(tmp_path, " x ,colour, label \n 1.5,red, a\n-2 , red,b\n"
+                            "3,red,a \n")
+    ds = load_csv(path, "label")
+    assert ds.features.tolist() == [[1.5, 1.0, 0.0], [-2.0, 0.0, 1.0],
+                                    [3.0, 1.0, 0.0]]
+    assert ds.class_map == {"a": 0, "b": 1}
+    assert ds.labels.tolist() == [0, 1, 0]
+    assert ds.name == str(path)
+
+
+def test_load_csv_headerless_label_column_in_the_middle(tmp_path):
+    path = _write(tmp_path, "1.0,b,x\n 2.5,a,y\n3.0, b ,x\n")
+    ds = load_csv(path, 1, header=False, name="middle")
+    # the first line is data, so every row counts; the label column is
+    # dropped from the features and the columns around it keep their order
+    assert ds.features.tolist() == [[1.0, 1.0, 0.0], [2.5, 0.0, 1.0],
+                                    [3.0, 1.0, 0.0]]
+    assert ds.class_map == {"b": 0, "a": 1}
+    assert ds.labels.tolist() == [0, 1, 0]
+    assert ds.name == "middle"
+
+
+def test_load_csv_label_column_alone_gives_no_features(tmp_path):
+    path = _write(tmp_path, "label\na\nb\na\n")
+    ds = load_csv(path, "label")
+    assert ds.features.shape == (3, 0)
+    assert ds.labels.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("text, label_column, header, message, line, column", [
+    # blank feature cells are reported column by column in file order, and
+    # before any blank label
+    ("f1,f2,label\n1,, \n,2,b\n", "label", True,
+     "missing value at line 3, column 'f1'", 3, "f1"),
+    ("f1,f2,label\n1,2, \n3,,b\n", "label", True,
+     "missing value at line 3, column 'f2'", 3, "f2"),
+    ("f1,label\n1,a\n2,\t\n", "label", True, "missing label at line 3", 3,
+     "label"),
+    ("f1,label\n1,a\n2,b,c\n", "label", True,
+     "line 3 has 3 cells, expected 2", 3, None),
+    ("1,a\n2\n", 1, False, "line 2 has 1 cells, expected 2", 2, None),
+    ("f1,label\n1,a\n2,b\n", "y", True, "label column 'y' not found", None,
+     None),
+    ("1,a\n2,b\n", 2, False, "label column index 2 out of range", None, None),
+    ("", "label", True, "empty file", 1, None),
+    ("f1,label\n", "label", True, "no data rows", 2, None),
+])
+def test_load_csv_errors_name_line_and_column(tmp_path, text, label_column,
+                                              header, message, line, column):
+    path = _write(tmp_path, text)
+    with pytest.raises(ParseError) as err:
+        load_csv(path, label_column, header=header)
+    assert str(err.value) == f"{path}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 # ---------------------------------------------------------------------------
 # stratified splitting
 # ---------------------------------------------------------------------------

@@ -761,6 +761,19 @@ def test_run_rejects_a_registry_trained_under_another_config(field, value,
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_run_asks_to_retrain_a_registry_that_predates_its_smoothing(tmp_path):
+    # registries saved before the meta recorded the smoothing lack the key
+    config = small_config(tmp_path, strategies=("TMS-All", "oracle"))
+    _, proper, validation, _, manifest = evalcli._prepare(config)
+    registry = evalcli._train_registry(config, proper, validation, manifest)
+    del registry.meta["smoothing"]
+    with pytest.raises(StageError) as err:
+        run_experiment(config, registry=registry)
+    assert err.value.stage == "registry"
+    assert "predates its smoothing record" in str(err.value)
+    assert "retrain" in str(err.value)
+
+
 def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
                                                            strangle,
                                                            monkeypatch):

@@ -143,7 +143,11 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "CC with support",
                                     "unknown model family",
                                     "model array missing",
-                                    "a repeated model id"])
+                                    "a repeated model id",
+                                    "cap_weight 0", "cap_weight -1",
+                                    "cap_weight x", "cap_weight None",
+                                    "cap_weight nan", "bandwidth nan",
+                                    "bandwidth inf"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -185,6 +189,12 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         # a valid third entry that reuses the first one's id
         first, second = manifest["entries"]
         manifest["entries"].append(dict(second, model_id=first["model_id"]))
+    elif damage.startswith(("cap_weight ", "bandwidth ")):
+        # unchecked at load, such a weight or bandwidth would fail only in
+        # the first TMS solve, with a message that does not say to retrain
+        key, value = damage.split()
+        manifest["meta"][key] = {"0": 0, "-1": -1, "x": "x", "None": None,
+                                 "nan": np.nan, "inf": np.inf}[value]
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
