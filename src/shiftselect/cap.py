@@ -12,8 +12,7 @@ any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
 a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
-quantifiers share one type into a :class:`CapStack` once; :meth:`CapStack.take`
-picks a sub-stack by position without stacking again, and
+quantifiers share one type into a :class:`CapStack` once, and
 :meth:`CapStack.rows` turns the k models' posteriors into the quantifiers'
 stacked rows. :func:`predict_batch` then predicts the accuracy of all k on
 one bag in one pass: label counts, one ``reduce`` of the rows, then one
@@ -175,13 +174,6 @@ class CapStack:
 
     def __len__(self):
         return len(self.M)
-
-    def take(self, positions) -> "CapStack":
-        """The sub-stack of the predictors at `positions`, an int array: the
-        rows of every field are copied, none is computed again."""
-        return CapStack(*(_frozen(a.take(positions, axis=0))
-                          for a in (self.quantifiers, self.M, self.Q,
-                                    self.diagonal, self.weight)))
 
     def rows(self, posteriors: np.ndarray) -> np.ndarray:
         """Each quantifier's ``q.rows(...)`` of its model's posterior rows,

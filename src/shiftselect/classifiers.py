@@ -832,10 +832,15 @@ def model_to_record(model: TrainedModel) -> dict:
 
 def model_from_record(rec: dict) -> TrainedModel:
     """The model :func:`model_to_record` saved; an unknown family or a
-    missing array raises KeyError."""
+    missing array raises KeyError, and hyperparameters of another family
+    than the record's a ValueError."""
     if rec["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported record version {rec['format_version']}")
     cls = MODEL_TYPES[rec["family"]]
-    return cls(hyperparams_from_dict(rec["hyperparams"]),
+    hyperparams = hyperparams_from_dict(rec["hyperparams"])
+    if hyperparams.family != cls.family:
+        raise ValueError(f"{cls.family} model with {hyperparams.family} "
+                         "hyperparameters")
+    return cls(hyperparams,
                *(decode_array(rec["arrays"][k]) for k in cls.arrays),
                rec["n_classes"], rec["seed"], rec.get("meta", {}))

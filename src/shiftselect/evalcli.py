@@ -65,9 +65,9 @@ from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
 from .quantifiers import QUANTIFIERS
-from .selection import (SOLVER_FLAGS, ModelRegistry, best_position,
-                        build_registry, default_select, fingerprint,
-                        ims_select, tms_select, write_json)
+from .selection import (ModelRegistry, best_position, build_registry,
+                        default_select, fingerprint, ims_select, tms_select,
+                        write_json)
 
 ENV_SEED = "SHIFTSELECT_SEED"
 WILCOXON_EXACT_MAX = 12
@@ -546,24 +546,20 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     run_id = manifest["run_id"]
     rows = []
-    flagged = {name: Counter() for name in SOLVER_FLAGS}
+    warnings = list(registry.warnings)
     evaluated = {}
     try:
         with _stage("evaluate", seconds):
             for row in _evaluate(config, registry, test, bags,
                                  proper.prevalence(), run_id, ds.name,
-                                 flagged, evaluated):
+                                 warnings, evaluated):
                 rows.append(row)
     except StageError:
         _write_results_csv(rows, os.path.join(outdir, "results.csv"))
         raise
 
     meta = {"run_id": run_id, "dataset": ds.name, "n_bins": config.n_bins,
-            "alpha": config.alpha,
-            "warnings": list(registry.warnings) + [
-                f"model {mid}: {what} did not converge on {count} of "
-                f"{len(bags)} bags" for name, what in SOLVER_FLAGS.items()
-                for mid, count in sorted(flagged[name].items())],
+            "alpha": config.alpha, "warnings": warnings,
             "timings": {**_timings(seconds, registry), **evaluated}}
     return ResultTable(rows, meta)
 
@@ -595,7 +591,7 @@ def _timings(seconds: dict, registry: ModelRegistry) -> dict:
 
 
 def _evaluate(config, registry, test, bags, train_prevalence, run_id,
-              dataset_name, flagged, timings):
+              dataset_name, warnings, timings):
     """Yield one ResultRow per (strategy, bag), strategy by strategy, so
     that partial progress survives a mid-run failure.
 
@@ -603,15 +599,15 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     resolved once, and for the oracle and each TMS scope the argmax
     (:func:`selection.best_position`) of its rows of the true and of the
     estimated (models, bags) matrix. The estimates are one
-    :func:`tms_select` call per bag, on slices of the test-set caches and on
-    the roster's only TMS scope or else on ``"All"``, made when the roster
-    reaches its first TMS strategy through one :func:`parallel.fork_map`
-    call; a worker sends back each bag's estimates and solver flags.
-    `flagged` maps each :data:`selection.SOLVER_FLAGS` name to a Counter of
-    the bags on which a model of some TMS scope of the roster stopped
-    early. The `timings` dict receives timings.json's `evaluate_s` block (the
-    seconds of the test-set posteriors, the quantifier rows and the bags)
-    and `evaluate` block (`workers`: the solves' processes, or 0)."""
+    :func:`tms_select` call per bag on ``"All"``, on slices of the test-set
+    caches, made when the roster reaches its first TMS strategy through one
+    :func:`parallel.fork_map` call; a worker sends back each bag's estimates
+    and the two solvers' convergence flags, which are stacked the same way.
+    `warnings` receives one line per model of some TMS scope of the roster
+    and solver that stopped early, counting bags. The `timings` dict
+    receives timings.json's `evaluate_s` block (the seconds of the test-set
+    posteriors, the quantifier rows and the bags) and `evaluate` block
+    (`workers`: the solves' processes, or 0)."""
     seconds = timings["evaluate_s"] = {}
     evaluate = timings["evaluate"] = {"workers": 0}
     # Posteriors and quantifier rows (the KDE log densities) over the whole
@@ -633,18 +629,16 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     ids = [e.model_id for e in registry.entries]
     scopes = [scope for kind, scope in (_parse_strategy(strat, config.families)
               for strat in config.strategies) if kind == "TMS"]
-    solved = scopes[0] if len(scopes) == 1 else "All"
     estimated = None
 
     def solve(part):
         out = []
         for bag_id in part:
             bag = bags[bag_id]
-            outcome = tms_select(registry, solved, bag,
-                                 posteriors=posteriors_test[:, bag.indices],
-                                 rows=rows_test[:, bag.indices])
-            out.append((outcome.estimates,
-                        [getattr(outcome, name) for name in flagged]))
+            batch = tms_select(registry, "All", bag,
+                               posteriors=posteriors_test[:, bag.indices],
+                               rows=rows_test[:, bag.indices]).batch
+            out.append((batch.accuracy, batch.converged, batch.em_converged))
         return out
 
     for strat in config.strategies:
@@ -652,14 +646,18 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
         if kind == "TMS":
             if estimated is None:
                 solves, evaluate["workers"] = fork_map(solve, len(bags))
-                estimated = np.full(true.shape, np.nan)
-                estimated[registry.scope_positions(solved)] = np.transpose(
-                    [estimates for estimates, _ in solves])
-                covered = {ids[i] for s in scopes
-                           for i in registry.scope_positions(s)}
-                for _, flags in solves:
-                    for counts, mids in zip(flagged.values(), flags):
-                        counts.update(mid for mid in mids if mid in covered)
+                estimated, converged, em_converged = (
+                    np.stack(column, axis=1) for column in zip(*solves))
+                in_scope = np.unique(np.concatenate(
+                    [registry.scope_positions(s) for s in scopes]))
+                warnings.extend(
+                    f"model {ids[i]}: {what} did not converge on {count} of "
+                    f"{len(bags)} bags"
+                    for what, flags in (("accuracy solver", converged),
+                                        ("mixture solver", em_converged))
+                    for i, count in zip(in_scope,
+                                        (~flags[in_scope]).sum(axis=1))
+                    if count)
             at = registry.scope_positions(scope)
             at = at[best_position(estimated[at], f"scope {scope!r} on a bag")]
             picks = zip(at, estimated[at, range(len(bags))].tolist())

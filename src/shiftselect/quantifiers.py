@@ -219,12 +219,13 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
     Newton steps on the face of the simplex that its active set picks (see
     :func:`_newton_direction` and :func:`_line_search`); no step lowers L. A
     problem stops when the L1 norm of its step (the full Newton step, before
-    damping) falls below `tol` (converged), when no step along its Newton
-    direction keeps L from falling (not converged), or after `max_iter`
-    steps. A stopped problem leaves the active set, so the others run on
-    without it and every problem gets the iterates a single-matrix run would
-    give. `max_iter` only bounds the loop, so the iterate after t steps is
-    the result of a run with max_iter=t.
+    damping) falls below `tol` (converged; an EM step also needs the
+    gradient to meet the KKT conditions to a relative `tol`), when no step
+    along its Newton direction keeps L from falling (not converged), or
+    after `max_iter` steps. A stopped problem leaves the active set, so the
+    others run on without it and every problem gets the iterates a
+    single-matrix run would give. `max_iter` only bounds the loop, so the
+    iterate after t steps is the result of a run with max_iter=t.
 
     Returns (alpha (k, n), iterations (k,), converged (k,)).
     """
@@ -247,7 +248,10 @@ def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,
         if it <= EM_WARM_STEPS:
             new = a * g
             new /= new.sum(axis=1, keepdims=True)
-            done = stop = np.abs(new - a).sum(axis=1) < tol
+            # an EM step is also small at a weight that is merely near 0, so
+            # it ends a problem only where a meets the KKT conditions
+            kkt = (np.where(a > 0, np.abs(g - m), g - m) < tol * m).all(axis=1)
+            done = stop = kkt & (np.abs(new - a).sum(axis=1) < tol)
         else:
             # the Hessian of L is -G^T G with G = F / mix; a . g = m
             GT = Fa * w[:, None, :]

@@ -14,15 +14,15 @@ name or ``"All"``, and the models in it are the positions
 :meth:`ModelRegistry.scope_positions` gives in the registry's entries. The
 registry stacks every entry's accuracy predictor once
 (:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
-goes stale), and TMS takes a scope's predictors as the rows at its positions
-(:meth:`cap.CapStack.take`) on each call. It predicts the accuracy of every
-in-scope model on the bag in one batched pass (:func:`cap.predict_batch`)
-and returns these estimates with its pick. It accepts the bag's per-model
-posteriors and quantifier rows precomputed, stacked along a model axis
-aligned with ``registry.entries``; without them it computes both from the
-bag's features. No function here takes labels: the harness (:mod:`evalcli`)
-takes each TMS scope and the oracle, an evaluation upper bound, as argmaxes
-over models × bags matrices of estimated and of true accuracies.
+goes stale). TMS predicts the accuracy of every entry's model on the bag in
+one batched pass over that stack (:func:`cap.predict_batch`), whatever the
+scope, and the scope restricts only the argmax and the solver warnings to
+its rows. It accepts the bag's per-model posteriors and quantifier rows
+precomputed, stacked along a model axis aligned with ``registry.entries``;
+without them it computes both from the bag's features. No function here
+takes labels: the harness (:mod:`evalcli`) takes each TMS scope and the
+oracle, an evaluation upper bound, as argmaxes over models × bags matrices
+of estimated and of true accuracies.
 
 A registry is saved as one document, ``manifest.json``: its meta (the one
 record of the settings every predictor was fitted under), its training
@@ -49,8 +49,8 @@ from .classifiers import (TrainedModel, TrainingError, build_grid,
                           model_from_record, model_to_record,
                           predict_posteriors_batch, train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import (CapPredictor, CapStack, RateMatrix, fit_cap, predict_batch,
-                  stack_caps)
+from .cap import (CapBatch, CapPredictor, CapStack, RateMatrix, fit_cap,
+                  predict_batch, stack_caps)
 
 
 @dataclass(frozen=True)
@@ -106,30 +106,16 @@ class ModelRegistry:
         return stack_caps([e.cap for e in self.entries])
 
 
-# each solver flag of a SelectionOutcome, and the solver it names
-SOLVER_FLAGS = {"nonconverged": "accuracy solver",
-                "em_nonconverged": "mixture solver"}
-
-
 @dataclass
 class SelectionOutcome:
-    strategy: str
     model_id: int
     predicted_labels: np.ndarray
     estimated_accuracy: float
-    # every in-scope model's estimate, in scope_positions(scope) order
-    estimates: np.ndarray
-    # ids of models whose accuracy solver / mixture solver stopped early
-    nonconverged: tuple = ()
-    em_nonconverged: tuple = ()
-
-    @property
-    def warnings(self) -> tuple:
-        """One line per model whose accuracy solver or mixture solver
-        stopped early on this bag."""
-        return tuple(f"model {mid}: {what} did not converge"
-                     for name, what in SOLVER_FLAGS.items()
-                     for mid in getattr(self, name))
+    # every entry's prediction on the bag, in registry.entries order
+    batch: CapBatch
+    # one line per in-scope model whose accuracy solver or mixture solver
+    # stopped early on this bag
+    warnings: tuple
 
 
 def _entry_seed(seed: int, model_id: int) -> int:
@@ -237,39 +223,38 @@ def ims_select(registry: ModelRegistry, scope) -> int:
 
 def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
                rows=None) -> SelectionOutcome:
-    """Pick the model with the highest predicted accuracy on this bag and
-    label the bag with it; the outcome's `estimates` hold every in-scope
-    model's predicted accuracy, aligned with ``scope_positions(scope)``.
+    """Pick the in-scope model with the highest predicted accuracy on this
+    bag and label the bag with it. Every entry's accuracy is predicted, in
+    one :func:`cap.predict_batch` over ``registry.caps``; the scope restricts
+    the argmax and the warnings to its rows, ``scope_positions(scope)``.
 
     `posteriors` may supply the bag's posterior rows under every registry
     entry's model, shape (len(registry.entries), m, n), and `rows` the
     matching quantifier rows (:meth:`cap.CapStack.rows` of
     ``registry.caps``); the evaluation harness slices both from test-set
-    caches. Without them the in-scope models' posteriors and rows are
-    computed from the bag's features; an empty bag raises DataError.
+    caches. Without them both are computed from the bag's features; an empty
+    bag raises DataError.
     """
     positions = registry.scope_positions(scope)
-    caps = registry.caps.take(positions)
-    entries = [registry.entries[i] for i in positions]
     if posteriors is None:
-        P = predict_posteriors_batch([e.model for e in entries], bag.features)
-    else:
-        P = np.asarray(posteriors)[positions]
-    rows = caps.rows(P) if rows is None else np.asarray(rows)[positions]
-    batch = predict_batch(caps, P, rows)
-    best = best_position(batch.accuracy,
-                         f"scope {scope!r} on a bag of {bag.size} instances")
-    nonconverged, em_nonconverged = (
-        tuple(entries[i].model_id for i in np.flatnonzero(~flags))
-        for flags in (batch.converged, batch.em_converged))
+        posteriors = predict_posteriors_batch(
+            [e.model for e in registry.entries], bag.features)
+    if rows is None:
+        rows = registry.caps.rows(posteriors)
+    batch = predict_batch(registry.caps, posteriors, rows)
+    best = positions[best_position(
+        batch.accuracy[positions],
+        f"scope {scope!r} on a bag of {bag.size} instances")]
     return SelectionOutcome(
-        strategy=f"TMS-{scope}",
-        model_id=entries[best].model_id,
-        predicted_labels=np.argmax(P[best], axis=1),
+        model_id=registry.entries[best].model_id,
+        predicted_labels=np.argmax(posteriors[best], axis=1),
         estimated_accuracy=float(batch.accuracy[best]),
-        estimates=batch.accuracy,
-        nonconverged=nonconverged,
-        em_nonconverged=em_nonconverged)
+        batch=batch,
+        warnings=tuple(
+            f"model {registry.entries[i].model_id}: {what} did not converge"
+            for what, converged in (("accuracy solver", batch.converged),
+                                    ("mixture solver", batch.em_converged))
+            for i in positions[~converged[positions]]))
 
 
 def default_select(registry: ModelRegistry, family: str) -> int:
@@ -313,9 +298,10 @@ def load_registry(out_dir) -> ModelRegistry:
     predictor under `meta`'s quantifier, bandwidth and solver weight (an
     entry's own copies, which older manifests hold, are ignored). A manifest
     in an older layout, with missing or mistyped keys, an unknown quantifier
-    or entries that do not fit it, or a model or rate matrix of another class
-    count than the registry's, or that is not JSON, raises a ValueError that
-    says to retrain it."""
+    or entries that do not fit it, a model or rate matrix of another class
+    count than the registry's, a model record with another family's
+    hyperparameters, or that is not JSON, raises a ValueError that says to
+    retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:

@@ -633,7 +633,7 @@ def count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("strategies, scope", [
     (("IMS-All", "TMS-All", "TMS-LR", "TMS-KNN", "TMS-MLP", "oracle"), "All"),
     (("TMS-LR", "TMS-KNN"), "All"),
-    (("TMS-KNN", "oracle"), "KNN"),
+    (("TMS-KNN", "oracle"), "All"),
     (("IMS-All", "oracle"), None)])
 def test_run_solves_each_bag_once_in_one_fork_map_call(
         strategies, scope, three_family_registry, tmp_path, monkeypatch):

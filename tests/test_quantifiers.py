@@ -435,6 +435,9 @@ def newton_polish(F, a, steps=20):
 @example(seed=144, m=15, n=3, faint=0)
 # 10,000 plain EM steps on the optimum's support stop 1.5e-6 short of it
 @example(seed=3210901, m=5, n=5, faint=0)
+# an EM warm-up step falls below the tolerance with the faint weight at
+# 3.4e-10, where its gradient is 0.007 against m = 10
+@example(seed=3, m=10, n=2, faint=1)
 def test_solver_meets_kkt_and_beats_tight_em(seed, m, n, faint, em_trace):
     rng = np.random.default_rng(seed)
     F = rng.uniform(0.05, 3.0, size=(m, n))

@@ -1,6 +1,5 @@
 import json
 import os
-from collections import Counter
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
@@ -10,7 +9,8 @@ import pytest
 from shiftselect import evalcli, selection
 from shiftselect.cap import predict_batch, stack_caps
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
-                                    encode_array, predict_posteriors_batch)
+                                    encode_array, hyperparams_to_dict,
+                                    predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
@@ -61,10 +61,8 @@ def oracle_rows(registry, splits, bags):
     """The evaluation harness's oracle row for each bag, in bag order."""
     proper, _, test = splits
     config = evalcli.RunConfig(strategies=("oracle",))
-    flagged = {name: Counter() for name in selection.SOLVER_FLAGS}
     return list(evalcli._evaluate(config, registry, test, bags,
-                                  proper.prevalence(), "run", "data", flagged,
-                                  {}))
+                                  proper.prevalence(), "run", "data", [], {}))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +140,7 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "KDEyML without support",
                                     "CC with support",
                                     "unknown model family",
+                                    "hyperparameters of another family",
                                     "model array missing",
                                     "a repeated model id",
                                     "cap_weight 0", "cap_weight -1",
@@ -183,6 +182,10 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         manifest["meta"]["quantifier"] = "CC"
     elif damage == "unknown model family":
         manifest["entries"][1]["model"]["family"] = "SVM"
+    elif damage == "hyperparameters of another family":
+        # an LR model whose hyperparameters are the default MLP's
+        manifest["entries"][1]["model"]["hyperparams"] = \
+            hyperparams_to_dict(default_model("MLP"))
     elif damage == "model array missing":
         del manifest["entries"][0]["model"]["arrays"]["b"]
     elif damage == "a repeated model id":
@@ -462,8 +465,40 @@ def test_tms_family_scope_restricts_candidates(registry, splits):
     _, _, test = splits
     bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(10))
     outcome = tms_select(registry, "KNN", bag)
-    assert outcome.strategy == "TMS-KNN"
+    # every entry is predicted, and the pick is the best of the KNN rows
+    assert len(outcome.batch.accuracy) == len(registry.entries)
     assert registry.entry(outcome.model_id).model.family == "KNN"
+    knn = registry.scope_positions("KNN")
+    assert outcome.estimated_accuracy == outcome.batch.accuracy[knn].max()
+
+
+def test_tms_scope_is_the_argmax_of_its_rows_of_the_all_batch(
+        registry, splits, strangle):
+    from shiftselect import cap
+    _, _, test = splits
+    bag = draw_bag(test, [0.6, 0.4], 50, np.random.default_rng(13))
+    every = tms_select(registry, "All", bag).batch
+    for scope in ("All", "LR", "KNN", "MLP"):
+        positions = registry.scope_positions(scope)
+        outcome = tms_select(registry, scope, bag)
+        best = positions[selection.best_position(every.accuracy[positions],
+                                                 scope)]
+        assert outcome.model_id == registry.entries[best].model_id
+        assert outcome.estimated_accuracy == every.accuracy[best]
+        assert np.array_equal(outcome.batch.accuracy, every.accuracy)
+    # stop the first model of each family early: a scope warns only of its
+    # own, in model id order
+    first = {}
+    for i, e in enumerate(registry.entries):
+        first.setdefault(e.model.family, i)
+    strangle(cap, "leap_solve_batch", sorted(first.values()), max_iter=1)
+    for scope in ("LR", "KNN", "MLP"):
+        mid = registry.entries[first[scope]].model_id
+        assert tms_select(registry, scope, bag).warnings == (
+            f"model {mid}: accuracy solver did not converge",)
+    assert tms_select(registry, "All", bag).warnings == tuple(
+        f"model {registry.entries[i].model_id}: accuracy solver did not "
+        "converge" for i in sorted(first.values()))
 
 
 def test_tms_propagates_solver_warnings(registry, splits, strangle):
@@ -530,47 +565,42 @@ def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
             fresh = tms_select(ModelRegistry(list(registry.entries)), scope,
                                bag, posteriors=P, rows=F)
             assert warm.caps is built
-            assert (got.model_id, got.estimated_accuracy, got.nonconverged,
-                    got.em_nonconverged) == (
-                fresh.model_id, fresh.estimated_accuracy, fresh.nonconverged,
-                fresh.em_nonconverged)
+            assert (got.model_id, got.estimated_accuracy, got.warnings) == (
+                fresh.model_id, fresh.estimated_accuracy, fresh.warnings)
             assert np.array_equal(got.predicted_labels, fresh.predicted_labels)
-            # the scope's sub-stack is the models' k=1 predictions, bit for
-            # bit, and TMS takes its argmax
+            # the scope's rows of the one batch over every entry are its
+            # models' k=1 predictions, bit for bit, and TMS takes their argmax
             positions = warm.scope_positions(scope)
             assert [registry.entries[i].model_id for i in positions] == [
                 e.model_id for e in registry.entries
                 if scope == "All" or e.model.family == scope]
-            batch = predict_batch(built.take(positions), P[positions],
-                                  F[positions])
-            for j, i in enumerate(positions):
+            batch = got.batch
+            for i in positions:
                 one = predict_batch(stack_caps([registry.entries[i].cap]),
                                     P[i:i + 1], F[i:i + 1])
                 for name in fields:
-                    assert np.array_equal(getattr(batch, name)[j],
+                    assert np.array_equal(getattr(batch, name)[i],
                                           getattr(one, name)[0]), name
-            best = int(np.argmax(batch.accuracy))
+            best = positions[int(np.argmax(batch.accuracy[positions]))]
             assert got.estimated_accuracy == batch.accuracy[best]
-            assert got.model_id == registry.entries[positions[best]].model_id
+            assert got.model_id == registry.entries[best].model_id
     assert len(stacked) == 1 + len(bags) * len(scopes)   # one per fresh
 
 
-def test_taken_scope_stack_equals_stacking_the_scope(registry):
-    for scope in ("All", "LR", "KNN", "MLP"):
-        positions = registry.scope_positions(scope)
-        taken = registry.caps.take(positions)
-        stacked = stack_caps([registry.entries[i].cap for i in positions])
-        for name in ("M", "Q", "diagonal", "weight"):
-            a, b = getattr(taken, name), getattr(stacked, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-            assert not a.flags.writeable, name
-        assert len(taken.quantifiers) == len(stacked.quantifiers)
-        assert all(q is r for q, r in zip(taken.quantifiers,
-                                          stacked.quantifiers))
-        assert not taken.quantifiers.flags.writeable
-    one = registry.caps.take(np.array([3]))
-    assert one.quantifiers.tolist() == [registry.entries[3].cap.quantifier]
+def test_registry_stack_is_read_only(registry):
+    stack = registry.caps
+    k, n = len(registry.entries), registry.meta["n_classes"]
+    for name, shape in (("M", (k, n, n)), ("Q", (k, n, n)),
+                        ("diagonal", (k, n)), ("weight", (k,))):
+        a = getattr(stack, name)
+        assert a.dtype == np.float64 and a.shape == shape, name
+        assert not a.flags.writeable, name
+    assert all(np.array_equal(M, e.cap.rates.m)
+               for M, e in zip(stack.M, registry.entries))
+    assert len(stack.quantifiers) == k
+    assert all(q is e.cap.quantifier
+               for q, e in zip(stack.quantifiers, registry.entries))
+    assert not stack.quantifiers.flags.writeable
 
 
 def test_empty_scope_rejected(registry):
