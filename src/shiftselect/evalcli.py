@@ -364,6 +364,10 @@ class ResultRow:
     model_id: int
 
 
+# results.csv's header, which `shiftselect report` requires
+RESULTS_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 @dataclass
 class ResultTable:
     rows: list
@@ -689,9 +693,7 @@ def _write_csv(path, header, rows):
 
 def _write_results_csv(rows, path):
     ordered = sorted(rows, key=lambda r: (r.strategy, r.bag_id))
-    _write_csv(path,
-               ["run_id", "dataset", "strategy", "bag_id", "l1_shift",
-                "true_acc", "est_acc", "model_id"],
+    _write_csv(path, RESULTS_COLUMNS,
                [(r.run_id, r.dataset, r.strategy, r.bag_id, r.l1_shift,
                  r.true_acc, r.est_acc, r.model_id) for r in ordered])
 
@@ -790,9 +792,19 @@ def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
 
 
 def read_results_csv(path) -> ResultTable:
+    """The table a results.csv holds; a file that does not start with
+    :data:`RESULTS_COLUMNS` as its header raises ValueError."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        if header != list(RESULTS_COLUMNS):
+            missing = [c for c in RESULTS_COLUMNS if c not in header]
+            raise ValueError(
+                f"{path} does not have results.csv's header "
+                f"{','.join(RESULTS_COLUMNS)}; missing columns: "
+                f"{', '.join(missing) or 'none'}")
+        for rec in reader:
             rows.append(ResultRow(
                 run_id=rec["run_id"],
                 dataset=rec["dataset"],

@@ -300,8 +300,9 @@ def load_registry(out_dir) -> ModelRegistry:
     in an older layout, with missing or mistyped keys, an unknown quantifier
     or entries that do not fit it, a model or rate matrix of another class
     count than the registry's, a model record with another family's
-    hyperparameters, or that is not JSON, raises a ValueError that says to
-    retrain it."""
+    hyperparameters, a model id that is not an int or a validation accuracy
+    that is not a number in [0, 1], or that is not JSON, raises a ValueError
+    that says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -311,6 +312,14 @@ def load_registry(out_dir) -> ModelRegistry:
         quantifier = QUANTIFIERS[meta["quantifier"]]
         entries = []
         for rec in manifest["entries"]:
+            model_id, val_accuracy = rec["model_id"], rec["val_accuracy"]
+            # the registry sorts by id, and IMS takes an argmax of accuracies
+            if type(model_id) is not int:
+                raise ValueError(f"model id {model_id!r} is not an int")
+            if not (type(val_accuracy) in (int, float)
+                    and 0 <= val_accuracy <= 1):
+                raise ValueError(f"model {model_id}: validation accuracy "
+                                 f"{val_accuracy!r} is not in [0, 1]")
             model, cap = model_from_record(rec["model"]), rec["cap"]
             # a KDEy-ML record's densities; a CC quantifier takes no fields
             kde = {"support": tuple(decode_array(S) for S in cap["support"]),
@@ -320,11 +329,11 @@ def load_registry(out_dir) -> ModelRegistry:
                 RateMatrix(decode_array(cap["rate_matrix"])),
                 quantifier(**kde), weight=meta["cap_weight"])
             if not model.n_classes == predictor.rates.n_classes == n_classes:
-                raise ValueError(f"model {rec['model_id']} or its rate matrix "
+                raise ValueError(f"model {model_id} or its rate matrix "
                                  f"does not have the registry's {n_classes} "
                                  "classes")
-            entries.append(RegistryEntry(rec["model_id"], model,
-                                         rec["val_accuracy"], predictor))
+            entries.append(RegistryEntry(model_id, model, val_accuracy,
+                                         predictor))
         return ModelRegistry(entries, manifest["warnings"], meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(

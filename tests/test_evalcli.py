@@ -6,7 +6,7 @@ import multiprocessing
 import os
 import threading
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ REPO = Path(__file__).resolve().parents[1]
 SMALL_DATASET = {"kind": "synthetic", "n_classes": 2, "dims": 2, "n": 400,
                  "class_separation": 2.5, "prevalence": [0.6, 0.4]}
 CSV_SPEC = {"kind": "csv", "path": "data.csv", "label_column": "y"}
+# the files a rerun must write byte for byte: all a run writes but timings.json
+REPORT_FILES = ("manifest.json", "results.csv", "summary.csv",
+                "shift_curve.csv", "summary.txt")
 
 
 def small_config(outdir, **overrides):
@@ -422,7 +425,7 @@ def test_run_determinism_byte_identical(tmp_path):
     emit_report(table1, out1)
     table2 = run_experiment(small_config(out2, r=6))
     emit_report(table2, out2)
-    for name in ("results.csv", "summary.csv", "shift_curve.csv"):
+    for name in REPORT_FILES:
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
         assert b1 == b2, name
@@ -585,8 +588,6 @@ def test_run_rows_equal_a_per_bag_reference_loop(tmp_path):
 
 
 THREE_FAMILIES = ("LR", "KNN", "MLP")
-REPORT_FILES = ("manifest.json", "results.csv", "summary.csv",
-                "shift_curve.csv", "summary.txt")
 
 
 @pytest.fixture(scope="module")
@@ -653,14 +654,17 @@ def test_run_solves_each_bag_once_in_one_fork_map_call(
 
 def test_run_rows_of_family_scopes_without_tms_all_equal_their_own_solves(
         three_family_registry, tmp_path):
-    config = small_config(tmp_path, families=THREE_FAMILIES,
-                          strategies=("TMS-LR", "TMS-KNN"))
-    _, proper, _, test, _ = _prepare(config)
-    table = run_experiment(config, registry=three_family_registry)
-    got = {(r.strategy, r.bag_id): (r.model_id, r.true_acc, r.est_acc,
-                                    r.l1_shift) for r in table.rows}
-    assert len(got) == len(table.rows) == config.r * len(config.strategies)
-    assert got == reference_rows(config, three_family_registry, proper, test)
+    # two family scopes, and one family scope as the roster's only TMS scope
+    for strategies in (("TMS-LR", "TMS-KNN"), ("TMS-KNN", "oracle")):
+        config = small_config(tmp_path / strategies[0], families=THREE_FAMILIES,
+                              strategies=strategies)
+        _, proper, _, test, _ = _prepare(config)
+        table = run_experiment(config, registry=three_family_registry)
+        got = {(r.strategy, r.bag_id): (r.model_id, r.true_acc, r.est_acc,
+                                        r.l1_shift) for r in table.rows}
+        assert len(got) == len(table.rows) == config.r * len(strategies)
+        assert got == reference_rows(config, three_family_registry, proper,
+                                     test)
 
 
 def test_run_warns_only_of_models_in_a_tms_scope_of_the_roster(
@@ -1001,6 +1005,31 @@ def test_cli_report_rejects_a_repeated_strategy_bag_row(small_run, tmp_path,
     assert not (tmp_path / "re").exists()
 
 
+@pytest.mark.parametrize("columns", [
+    (), tuple(c for c in evalcli.RESULTS_COLUMNS if c != "true_acc")],
+    ids=["empty file", "no true_acc"])
+def test_cli_report_rejects_a_file_without_the_results_header(
+        columns, small_run, tmp_path, capsys):
+    # an empty run writes the header alone, and that reports
+    emit_report(ResultTable([]), tmp_path / "empty")
+    assert main(["report", "--results", str(tmp_path / "empty" / "results.csv"),
+                 "--outdir", str(tmp_path / "empty-re")]) == 0
+    _, table = small_run
+    results = tmp_path / "results.csv"
+    with open(results, "w", newline="", encoding="utf-8") as fh:
+        if columns:
+            writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(asdict(r) for r in table.rows)
+    assert main(["report", "--results", str(results), "--outdir",
+                 str(tmp_path / "re")]) == 2
+    missing = [c for c in evalcli.RESULTS_COLUMNS if c not in columns]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(
+        "missing columns: " + ", ".join(missing) + "\n"), err
+    assert not (tmp_path / "re").exists()
+
+
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_cli_report_rejects_fewer_than_one_bin_before_writing(bins, tmp_path,
                                                               capsys):
@@ -1155,13 +1184,19 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert main(["run", "--config", str(config_path)]) == 2
 
 
-def assert_csv_batch_rejects_base_config(config, tmp_path, capsys):
-    """scripts/run_csv_batch.py with base config file `config` exits 1 with
-    one `config error:` line, before any dataset runs."""
+def csv_batch_script():
+    """scripts/run_csv_batch.py, imported as a module."""
     spec = importlib.util.spec_from_file_location(
         "run_csv_batch", REPO / "scripts" / "run_csv_batch.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def assert_csv_batch_rejects_base_config(config, tmp_path, capsys):
+    """scripts/run_csv_batch.py with base config file `config` exits 1 with
+    one `config error:` line, before any dataset runs."""
+    script = csv_batch_script()
     data = tmp_path / "data"
     data.mkdir()
     (data / "one.csv").write_text("x,label\n0.5,a\n", encoding="utf-8")

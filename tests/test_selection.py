@@ -146,7 +146,11 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "cap_weight 0", "cap_weight -1",
                                     "cap_weight x", "cap_weight None",
                                     "cap_weight nan", "bandwidth nan",
-                                    "bandwidth inf"])
+                                    "bandwidth inf",
+                                    "val_accuracy high", "val_accuracy None",
+                                    "val_accuracy 7.5", "val_accuracy -0.5",
+                                    "val_accuracy nan", "val_accuracy True",
+                                    "model_id 3.5", "model_id True"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     regdir = tmp_path / "reg"
     save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
@@ -198,6 +202,13 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         key, value = damage.split()
         manifest["meta"][key] = {"0": 0, "-1": -1, "x": "x", "None": None,
                                  "nan": np.nan, "inf": np.inf}[value]
+    elif damage.startswith(("val_accuracy ", "model_id ")):
+        # unchecked at load, an accuracy would fail only in ims_select, or
+        # win IMS above 1, and a fractional id would sort between two others
+        key, value = damage.split()
+        manifest["entries"][1][key] = {
+            "high": "high", "None": None, "7.5": 7.5, "-0.5": -0.5,
+            "nan": np.nan, "True": True, "3.5": 3.5}[value]
     text = json.dumps(manifest)
     if damage == "truncated":
         text = text[:len(text) // 2]
