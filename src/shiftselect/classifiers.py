@@ -50,8 +50,9 @@ LR_MAX_HALVINGS = 40    # of the Newton step, in its line search
 KNN_DIST_EPS = 1e-9
 
 BLAS_PANEL = 8      # rows per BLAS panel (see panel_rows)
-KNN_CHUNK_ELEMENTS = 1 << 20   # distances per chunk of query rows (8 MiB)
-MLP_CHUNK_ELEMENTS = 1 << 20   # gathered rows' values per chunk of an MLP epoch
+# values per chunk of a chunked product (8 MiB of float64): KNN distances,
+# an MLP epoch's gathered rows, KDE kernel values
+CHUNK_ELEMENTS = 1 << 20
 
 FORMAT_VERSION = 1
 
@@ -470,7 +471,7 @@ def _knn_posteriors(models, X) -> list:
     the features in the same order whatever other queries it is computed
     with (see :func:`panel_rows`), where the row layout summed the ragged
     tail of training columns differently per query count. The query rows are
-    taken in chunks of whole BLAS panels, at most KNN_CHUNK_ELEMENTS distances
+    taken in chunks of whole BLAS panels, at most CHUNK_ELEMENTS distances
     each, which bounds the memory and so leaves the result unchanged.
     """
     X_train = models[0].X_train
@@ -478,7 +479,7 @@ def _knn_posteriors(models, X) -> list:
     train_sq = (X_train * X_train).sum(axis=1)[None, :]
     ks = [min(m.hyperparams["n_neighbors"], n_train) for m in models]
     out = [np.zeros((X.shape[0], m.n_classes)) for m in models]
-    width = max(KNN_CHUNK_ELEMENTS // n_train // BLAS_PANEL, 1) * BLAS_PANEL
+    width = max(CHUNK_ELEMENTS // n_train // BLAS_PANEL, 1) * BLAS_PANEL
     for lo in range(0, X.shape[0], width):
         Xc = X[lo:lo + width]
         d2 = ((Xc * Xc).sum(axis=1)[:, None] + train_sq
@@ -645,7 +646,7 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     training; a network leaves the stack when it stops or diverges, and every
     result equals that network trained alone bit for bit. Each epoch gathers
     every network's permuted rows of X and of the one-hot labels once, in
-    chunks of whole batches of at most MLP_CHUNK_ELEMENTS gathered values,
+    chunks of whole batches of at most CHUNK_ELEMENTS gathered values,
     and each batch is a view of its chunk.
 
     The epoch loss is evaluated per network, over the full set, in one
@@ -672,7 +673,7 @@ def _train_mlp(hps, train: LabelledSet, seeds) -> list:
     H_full = np.empty((n, MLP_HIDDEN_UNITS))
     x_norm = np.sqrt((X * X).sum(axis=1).max())
     onehot = np.eye(n_classes)[y]
-    chunk = max(MLP_CHUNK_ELEMENTS // (k * (X.shape[1] + n_classes))
+    chunk = max(CHUNK_ELEMENTS // (k * (X.shape[1] + n_classes))
                 // MLP_BATCH_SIZE, 1) * MLP_BATCH_SIZE
     active = np.arange(k)       # grid positions of the stacked networks
     out = [None] * k
@@ -799,6 +800,10 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(rec: dict) -> np.ndarray:
+    """The array :func:`encode_array` wrote; any dtype but the two it
+    writes raises ValueError."""
+    if rec["dtype"] not in ("<f8", "<i8"):
+        raise ValueError(f"array dtype {rec['dtype']!r} is not <f8 or <i8")
     raw = base64.b64decode(rec["data"])
     return np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
 

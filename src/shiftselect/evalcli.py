@@ -5,7 +5,9 @@ source, split fractions, protocol parameters, the classifier families, the
 quantifier, the accuracy-predictor knobs, and the strategy roster. Given the
 same config and seed, a run produces byte-identical output files:
 
-* ``manifest.json``  resolved configuration, split sizes, grid sizes;
+* ``manifest.json``  the run's config record (see :func:`config_record`),
+  which reruns the run, and what the run derives from it: the dataset's
+  fingerprint and sizes, the scaler, split and grid sizes, derived seeds;
 * ``results.csv``    one row per (strategy, bag);
 * ``summary.csv``    per-strategy mean/std plus significance vs the best,
   paired by bag;
@@ -35,7 +37,6 @@ trained in and, for ``run``, the number the bags' TMS solves ran in (see
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
 
-The environment variable ``SHIFTSELECT_SEED`` overrides the config seed.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
@@ -69,7 +70,6 @@ from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
                         write_json)
 
-ENV_SEED = "SHIFTSELECT_SEED"
 WILCOXON_EXACT_MAX = 12
 
 DEFAULT_STRATEGIES = (
@@ -107,6 +107,16 @@ FIELD_KINDS = {"int": ("an integer", numbers.Integral),
                "str": ("a string", str),
                "dict": ("an object", dict),
                "tuple": ("a list of strings", tuple)}
+
+
+def _plain(value):
+    """`value` with each numpy number or array in it, in dicts and lists
+    too, as the Python number or list that a JSON config would hold."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, np.ndarray)):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.number) else value
 
 
 def _of_kind(value, kind: str) -> bool:
@@ -158,7 +168,8 @@ class RunConfig:
 
     def validate(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = _plain(getattr(self, f.name))
+            setattr(self, f.name, value)
             if not _of_kind(value, f.type):
                 raise ConfigError(
                     f"{f.name} must be {FIELD_KINDS[f.type][0]}, got {value!r}")
@@ -263,7 +274,7 @@ def read_config(path) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    """Read a JSON config file, apply defaults and the env seed override."""
+    """Read a JSON config file and apply defaults."""
     return config_from_dict(read_config(path))
 
 
@@ -277,12 +288,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
     config = RunConfig(**kwargs)
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            config.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED}={env_seed!r} is not an integer") from exc
     config.validate()
     return config
 
@@ -415,13 +420,14 @@ def _derived_seeds(seed: int) -> dict:
     return {name: int(s) for name, s in zip(names, state)}
 
 
-def _run_id(config: RunConfig) -> str:
-    # the output directory is not part of the experiment identity: the same
-    # config run into two directories must produce byte-identical files
-    payload = asdict(config)
-    payload.pop("outdir", None)
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def config_record(config: RunConfig) -> dict:
+    """The config as manifest.json records it and the run id hashes it:
+    every field but `outdir`, which is not part of the experiment, so the
+    same config run into two directories writes byte-identical files. The
+    record with an `outdir` added is a config that reruns the run."""
+    record = asdict(config)
+    del record["outdir"]
+    return record
 
 
 def _prepare(config: RunConfig, outdir=None, seconds=None):
@@ -444,13 +450,15 @@ def _prepare(config: RunConfig, outdir=None, seconds=None):
             scaled = Dataset(apply_scaler(scaler, ds.features), ds.labels,
                              ds.n_classes, ds.name, ds.class_map,
                              require_all_classes=ds.require_all_classes)
-            labelled = LabelledSet(scaled, labelled.indices)
             test = LabelledSet(scaled, test.indices)
             proper = LabelledSet(scaled, proper.indices)
             validation = LabelledSet(scaled, validation.indices)
 
+    record = config_record(config)
     manifest = {
-        "run_id": _run_id(config),
+        "run_id": hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()).hexdigest()[:12],
+        "config": record,
         "dataset": {
             "name": ds.name,
             "fingerprint": fingerprint(ds.features, ds.labels),
@@ -464,22 +472,13 @@ def _prepare(config: RunConfig, outdir=None, seconds=None):
             "std": scaler.std_.tolist(),
         },
         "splits": {
-            "train_fraction": config.train_fraction,
-            "proper_fraction": config.proper_fraction,
             "labelled": len(labelled),
             "proper_train": len(proper),
             "validation": len(validation),
             "test": len(test),
         },
-        "protocol": {"r": config.r, "s": config.s, "seed": config.seed,
-                     "n_bins": config.n_bins},
-        "families": list(config.families),
         "grid_sizes": {fam: len(build_grid(fam, ds.n_classes))
                        for fam in config.families},
-        "quantifier": {"kind": config.quantifier, "bandwidth": config.bandwidth},
-        "cap": {"weight": config.cap_weight, "smoothing": config.smoothing},
-        "strategies": list(config.strategies),
-        "standardize": config.standardize,
         "derived_seeds": seeds,
     }
     if outdir is not None:

@@ -51,14 +51,14 @@ from typing import ClassVar
 import numpy as np
 
 from .dataspace import DataError, LabelledSet
-from .classifiers import BLAS_PANEL, argmax_rows, max_rows, panel_rows
+from .classifiers import (BLAS_PANEL, CHUNK_ELEMENTS, argmax_rows, max_rows,
+                          panel_rows)
 
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
 EM_MAX_ITER = 1000
 EM_WARM_STEPS = 3       # EM steps before the first Newton step
 NEWTON_RIDGE = 1e-12    # relative ridge on the Newton system
-KDE_CHUNK_ELEMENTS = 1 << 17   # kernel values per chunk of query points (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class ClassDensities:
         down its block of rows, every column in the same order, and the
         points are padded to whole BLAS panels (see
         :func:`classifiers.panel_rows`). The points are taken in chunks of at
-        most KDE_CHUNK_ELEMENTS kernel values, which bounds the memory and,
+        most CHUNK_ELEMENTS kernel values, which bounds the memory and,
         by the same invariance, leaves the result unchanged."""
         P = np.asarray(points, dtype=float)
         At, blocks = self._stacked
@@ -130,7 +130,7 @@ class ClassDensities:
         Ph = P / h2
         pp = 0.5 * (P * Ph).sum(axis=1)
         out = np.empty((m, n))
-        width = max(KDE_CHUNK_ELEMENTS // len(At) // BLAS_PANEL, 1) * BLAS_PANEL
+        width = max(CHUNK_ELEMENTS // len(At) // BLAS_PANEL, 1) * BLAS_PANEL
         for lo in range(0, m, width):
             chunk = panel_rows(Ph[lo:lo + width])
             c = min(width, m - lo)

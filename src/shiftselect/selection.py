@@ -299,10 +299,11 @@ def load_registry(out_dir) -> ModelRegistry:
     entry's own copies, which older manifests hold, are ignored). A manifest
     in an older layout, with missing or mistyped keys, an unknown quantifier
     or entries that do not fit it, a model or rate matrix of another class
-    count than the registry's, a model record with another family's
-    hyperparameters, a model id that is not an int or a validation accuracy
-    that is not a number in [0, 1], or that is not JSON, raises a ValueError
-    that says to retrain it."""
+    count than the registry's, models of different feature counts, an array
+    of a dtype that :func:`classifiers.encode_array` does not write, a model
+    record with another family's hyperparameters, a model id that is not an
+    int or a validation accuracy that is not a number in [0, 1], or that is
+    not JSON, raises a ValueError that says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -334,6 +335,9 @@ def load_registry(out_dir) -> ModelRegistry:
                                  "classes")
             entries.append(RegistryEntry(model_id, model, val_accuracy,
                                          predictor))
+        features = sorted({e.model.n_features for e in entries})
+        if len(features) > 1:
+            raise ValueError(f"models take {features} features, not one count")
         return ModelRegistry(entries, manifest["warnings"], meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(

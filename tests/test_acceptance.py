@@ -371,13 +371,13 @@ def test_criterion_09_determinism(tmp_path):
 
 def test_criterion_10_protocol_constants(tmp_path):
     manifest = _prepare(RunConfig(outdir=str(tmp_path)), tmp_path)[-1]
-    ok = (manifest["protocol"]["r"] == 1000
-          and manifest["protocol"]["s"] == 100
-          and manifest["splits"]["train_fraction"] == 0.7
+    ok = (manifest["config"]["r"] == 1000
+          and manifest["config"]["s"] == 100
+          and manifest["config"]["train_fraction"] == 0.7
           and manifest["splits"]["labelled"]
           == round(0.7 * manifest["dataset"]["n_instances"])
           and manifest["splits"]["proper_train"] == manifest["splits"]["validation"])
     report(10, ok,
-           f"r={manifest['protocol']['r']} s={manifest['protocol']['s']} "
+           f"r={manifest['config']['r']} s={manifest['config']['s']} "
            f"split {manifest['splits']['proper_train']}/"
            f"{manifest['splits']['validation']}/{manifest['splits']['test']}")

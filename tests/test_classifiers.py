@@ -420,9 +420,9 @@ def test_knn_chunks_equal_one_pass(two_blobs, monkeypatch, m, panels):
                                                   weights=w)], lset, [0])[0]
               for k in (5, 13) for w in ("uniform", "distance")]
     X = np.random.default_rng(m).normal(2.0, 2.0, size=(m, 2))
-    monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS", 1 << 40)
+    monkeypatch.setattr(classifiers, "CHUNK_ELEMENTS", 1 << 40)
     whole = predict_posteriors_batch(models, X)
-    monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS",
+    monkeypatch.setattr(classifiers, "CHUNK_ELEMENTS",
                         panels * BLAS_PANEL * len(lset))
     assert np.array_equal(predict_posteriors_batch(models, X), whole)
 
@@ -658,7 +658,7 @@ def test_mlp_gather_chunks_equal_one_chunk(two_blobs, monkeypatch):
     lset = two_blobs.all_instances()        # 80 rows: a partial last batch
     grid, seeds = build_grid("MLP", 2)[:4], [0, 1, 2, 3]
     one_chunk = train_grid("MLP", grid, lset, seeds)
-    monkeypatch.setattr(classifiers, "MLP_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(classifiers, "CHUNK_ELEMENTS", 1)
     for a, b in zip(one_chunk, train_grid("MLP", grid, lset, seeds),
                     strict=True):
         _assert_same_mlp(a, b)

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import importlib.util
 import json
 import multiprocessing
@@ -98,17 +99,14 @@ def test_config_validation_rejects(patch):
     ({"seed": -1}, "seed"),
     ({"dataset": {"kind": "synthetic", "seed": -3}}, "dataset.seed"),
 ])
-def test_config_negative_seed_names_its_field(patch, name, monkeypatch):
-    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+def test_config_negative_seed_names_its_field(patch, name):
     with pytest.raises(ConfigError, match=f"^{name} must be non-negative"):
         config_from_dict(patch)
 
 
 @pytest.mark.parametrize("key, value", [("dims", 0), ("n", -5), ("n", 2)])
-def test_config_synthetic_sizes_name_their_field(key, value, tmp_path,
-                                                 monkeypatch):
+def test_config_synthetic_sizes_name_their_field(key, value, tmp_path):
     # n must cover the default three classes
-    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
     dataset = {"kind": "synthetic", key: value}
     with pytest.raises(ConfigError, match=rf"^dataset\.{key} must be at least"):
         config_from_dict({"dataset": dataset})
@@ -129,8 +127,7 @@ def test_config_synthetic_sizes_name_their_field(key, value, tmp_path,
     {"dataset": None}, {"strategies": [5]}, {"strategies": "oracle"},
     {"families": ["LR", None]}, {"families": 3},
 ])
-def test_config_rejects_mistyped_numbers(patch, tmp_path, monkeypatch):
-    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+def test_config_rejects_mistyped_numbers(patch, tmp_path):
     name = next(iter(patch))
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         config_from_dict(patch)
@@ -148,9 +145,7 @@ def test_config_rejects_mistyped_numbers(patch, tmp_path, monkeypatch):
     ("path", 5), ("path", None), ("label_column", ["y"]),
     ("label_column", True), ("header", "no"), ("name", {"a": 1}),
 ])
-def test_config_rejects_mistyped_dataset_fields(name, value, tmp_path,
-                                                monkeypatch):
-    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+def test_config_rejects_mistyped_dataset_fields(name, value, tmp_path):
     if name in ("path", "label_column", "header"):
         dataset = {"kind": "csv", "path": "data.csv", "label_column": "y"}
     else:
@@ -181,8 +176,7 @@ def test_config_rejects_mistyped_dataset_fields(name, value, tmp_path,
 ], ids=["misspelt synthetic key", "misspelt csv key", "csv prevalence",
         "prevalence length", "prevalence sum", "prevalence entries"])
 def test_config_rejects_unknown_dataset_keys_and_a_misfit_prevalence(
-        dataset, message, tmp_path, monkeypatch):
-    monkeypatch.delenv("SHIFTSELECT_SEED", raising=False)
+        dataset, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
         config_from_dict({"dataset": dataset})
     path = tmp_path / "config.json"
@@ -217,29 +211,25 @@ def test_config_rejects_duplicate_names(patch):
         config_from_dict(patch)
 
 
-def test_config_accepts_numpy_numbers():
+def test_config_accepts_numpy_numbers(tmp_path):
     config_from_dict({"r": np.int64(10), "bandwidth": np.float64(0.2),
                       "alpha": 0.05, "smoothing": 0})
-
-
-def test_config_env_seed_override(monkeypatch, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"seed": 3}), encoding="utf-8")
-    monkeypatch.setenv("SHIFTSELECT_SEED", "99")
-    assert load_config(path).seed == 99
-    monkeypatch.delenv("SHIFTSELECT_SEED")
-    assert load_config(path).seed == 3
-
-
-def test_config_env_seed_must_be_integer(monkeypatch, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text("{}", encoding="utf-8")
-    monkeypatch.setenv("SHIFTSELECT_SEED", "not-a-number")
-    with pytest.raises(ConfigError):
-        load_config(path)
-    monkeypatch.setenv("SHIFTSELECT_SEED", "-1")
-    with pytest.raises(ConfigError, match="^seed must be non-negative"):
-        load_config(path)
+    # numpy numbers, in the config and in its dataset spec, run as the
+    # Python numbers they hold: the same run id and the same files
+    plain = small_config(tmp_path / "plain", r=3)
+    numbers = config_from_dict({
+        **asdict(plain), "r": np.int64(3), "s": np.int64(50),
+        "seed": np.int64(5), "bandwidth": np.float64(0.1),
+        "cap_weight": np.float32(1.0),
+        "outdir": str(tmp_path / "numpy"),
+        "dataset": {**SMALL_DATASET, "n_classes": np.int64(2),
+                    "n": np.int64(400),
+                    "prevalence": np.array([0.6, 0.4])}})
+    for config in (plain, numbers):
+        emit_report(run_experiment(config), config.outdir)
+    for name in REPORT_FILES:
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "numpy" / name).read_bytes(), name
 
 
 def test_strategy_parsing():
@@ -394,17 +384,40 @@ def test_run_writes_manifest(small_run):
     config, _ = small_run
     with open(os.path.join(config.outdir, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    assert manifest["protocol"]["r"] == config.r
-    assert manifest["protocol"]["s"] == config.s
+    assert manifest["config"]["r"] == config.r
+    assert manifest["config"]["s"] == config.s
     assert manifest["splits"]["proper_train"] == manifest["splits"]["validation"]
     assert manifest["grid_sizes"] == {"KNN": 10}
+    # the config is recorded once, under "config"; the rest is derived
+    assert set(manifest["config"]) == {f.name for f in fields(RunConfig)} \
+        - {"outdir"}
+    assert set(manifest) == {"run_id", "config", "dataset", "scaler",
+                             "splits", "grid_sizes", "derived_seeds"}
+    assert set(manifest["splits"]) == {"labelled", "proper_train",
+                                       "validation", "test"}
+
+
+def test_a_run_reruns_from_its_manifest_config(tmp_path):
+    config = small_config(tmp_path / "first", r=5)
+    emit_report(run_experiment(config), config.outdir)
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_bytes())
+    blob = json.dumps(manifest["config"], sort_keys=True).encode()
+    assert manifest["run_id"] == hashlib.sha256(blob).hexdigest()[:12]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**manifest["config"],
+                                "outdir": str(tmp_path / "second")}),
+                    encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "first" / name).read_bytes() == \
+            (tmp_path / "second" / name).read_bytes(), name
 
 
 def test_default_manifest_constants(tmp_path):
     manifest = _prepare(RunConfig(outdir=str(tmp_path)))[-1]
-    assert manifest["protocol"]["r"] == 1000
-    assert manifest["protocol"]["s"] == 100
-    assert manifest["splits"]["train_fraction"] == 0.7
+    assert manifest["config"]["r"] == 1000
+    assert manifest["config"]["s"] == 100
+    assert manifest["config"]["train_fraction"] == 0.7
     total = manifest["dataset"]["n_instances"]
     labelled = manifest["splits"]["labelled"]
     assert labelled == round(0.7 * total)

@@ -136,7 +136,7 @@ def test_kde_matches_logsumexp_and_is_invariant_per_row(seed, n, bandwidth,
         assert np.array_equal(dens.evaluate(P[idx]), got[idx])
     N = int(sizes.sum())
     for budget in (1, 16 * N):     # chunks of 8 and 16 columns
-        with mock.patch.object(quantifiers, "KDE_CHUNK_ELEMENTS", budget):
+        with mock.patch.object(quantifiers, "CHUNK_ELEMENTS", budget):
             assert np.array_equal(dens.evaluate(P), got)
 
 
@@ -152,7 +152,7 @@ def test_kde_rows_are_bit_identical_in_large_evaluations():
     for k in (1, 3, 100, 997):
         idx = rng.integers(0, len(P), size=k)
         assert np.array_equal(dens.evaluate(P[idx]), got[idx])
-    with mock.patch.object(quantifiers, "KDE_CHUNK_ELEMENTS", 1 << 30):
+    with mock.patch.object(quantifiers, "CHUNK_ELEMENTS", 1 << 30):
         assert np.array_equal(dens.evaluate(P), got)    # one chunk
 
 

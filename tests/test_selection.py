@@ -142,6 +142,8 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "unknown model family",
                                     "hyperparameters of another family",
                                     "model array missing",
+                                    "array of another dtype",
+                                    "models of other feature counts",
                                     "a repeated model id",
                                     "cap_weight 0", "cap_weight -1",
                                     "cap_weight x", "cap_weight None",
@@ -192,6 +194,16 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
             hyperparams_to_dict(default_model("MLP"))
     elif damage == "model array missing":
         del manifest["entries"][0]["model"]["arrays"]["b"]
+    elif damage == "array of another dtype":
+        # the same bytes read as twice as many float32 values: a model of
+        # twice the feature count
+        W = manifest["entries"][0]["model"]["arrays"]["W"]
+        W["dtype"], W["shape"][0] = "<f4", 2 * W["shape"][0]
+    elif damage == "models of other feature counts":
+        # a valid model, but TMS stacks every model's posteriors on one bag
+        W = manifest["entries"][1]["model"]["arrays"]["W"]
+        manifest["entries"][1]["model"]["arrays"]["W"] = encode_array(
+            np.zeros((W["shape"][0] + 1, W["shape"][1])))
     elif damage == "a repeated model id":
         # a valid third entry that reuses the first one's id
         first, second = manifest["entries"]
