@@ -13,9 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from shiftselect.evalcli import (ConfigError, accuracy_matrix, config_from_dict,
-                                 emit_report, read_config, run_experiment,
-                                 summarize)
+from shiftselect.evalcli import (ConfigError, accuracy_matrix, claims,
+                                 config_from_dict, emit_report, read_config,
+                                 run_experiment, summarize)
 
 
 def main(argv=None):
@@ -58,6 +58,8 @@ def main(argv=None):
         strategies, _, acc = accuracy_matrix(table.rows)
         for strat, _, mean, std, *_ in summarize(strategies, acc, config.alpha):
             print(f"  {strat:<14} {mean:.4f} +- {std:.4f}")
+        for claim in claims(strategies, acc):
+            print(f"  {claim}")
     return 2 if failures else 0
 
 

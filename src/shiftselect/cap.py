@@ -12,7 +12,7 @@ any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
 a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
-quantifiers share one type into a :class:`CapStack` once, and
+quantifiers share one type into a :class:`CapStack` under one weight, and
 :meth:`CapStack.rows` turns the k models' posteriors into the quantifiers'
 stacked rows. :func:`predict_batch` then predicts the accuracy of all k on
 one bag in one pass: label counts, one ``reduce`` of the rows, then one
@@ -40,30 +40,8 @@ SOLVER_MAX_ITER = 10_000
 AUTO_SMOOTHING = 1e-6
 
 
-@dataclass(frozen=True)
-class RateMatrix:
-    """Estimated conditional rates m[i][j] = P(predicted=i | true=j); columns
-    are points on the simplex."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.m, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"rate matrix must be square, got {M.shape}")
-        try:
-            as_prevalence(M.T, M.shape[0], stacked=True)
-        except DataError as exc:
-            raise DataError(f"rate matrix columns: {exc}") from exc
-        object.__setattr__(self, "m", _frozen(M.copy()))
-
-    @property
-    def n_classes(self) -> int:
-        return self.m.shape[0]
-
-
 def estimate_rate_matrix(posteriors: np.ndarray, validation: LabelledSet,
-                         smoothing: float = 0.0) -> RateMatrix:
+                         smoothing: float = 0.0) -> np.ndarray:
     """Estimate the conditional rate matrix from a model's posterior rows
     `posteriors` for the validation instances.
 
@@ -82,30 +60,29 @@ def estimate_rate_matrix(posteriors: np.ndarray, validation: LabelledSet,
     np.add.at(joint, (pred, y), 1.0)
     if smoothing == 0.0 and (joint.sum(axis=1) == 0).any():
         smoothing = AUTO_SMOOTHING
-    M = (joint + smoothing) / (counts[None, :] + n * smoothing)
-    return RateMatrix(M)
+    return (joint + smoothing) / (counts[None, :] + n * smoothing)
 
 
 def leap_solve_batch(stack, rho, qhat, tol: float = SOLVER_TOL,
                      max_iter: int = SOLVER_MAX_ITER):
     """Solve the k LEAP problems of a :class:`CapStack` at once.
 
-    Problem i minimizes ||M_i theta - rho_i||^2 + weight_i * ||theta -
-    qhat_i||^2 over the simplex, a strictly convex quadratic with Hessian 2Q,
-    Q = M^T M + w I. From theta = qhat_i, each iteration takes the Newton
-    direction d on the active face (see quantifiers._newton_direction) and
-    steps to its end or to the simplex boundary, pinning the blocking
-    weight to 0, so the method ends at the exact optimum. A problem stops
-    when ||d||_1 < tol (converged) or after max_iter iterations; with
-    max_iter 0 every problem returns qhat unconverged. `rho` and `qhat` are
-    (k, n). A stopped problem leaves the active set, so every problem gets
-    the iterates a single-problem run would give.
+    Problem i minimizes ||M_i theta - rho_i||^2 + w * ||theta - qhat_i||^2
+    over the simplex (w the stack's weight), a strictly convex quadratic
+    with Hessian 2Q, Q = M^T M + w I. From theta = qhat_i, each iteration
+    takes the Newton direction d on the active face (see
+    quantifiers._newton_direction) and steps to its end or to the simplex
+    boundary, pinning the blocking weight to 0, so the method ends at the
+    exact optimum. A problem stops when ||d||_1 < tol (converged) or after
+    max_iter iterations; with max_iter 0 every problem returns qhat
+    unconverged. `rho` and `qhat` are (k, n). A stopped problem leaves the
+    active set, so every problem gets the iterates a single-problem run would give.
 
     Returns (theta (k, n), iterations (k,), converged (k,)).
     """
     k = len(stack)
     b = np.matmul(rho[:, None, :], stack.M)[:, 0, :] \
-        + stack.weight[:, None] * qhat
+        + stack.weight * qhat
     theta = np.array(qhat, dtype=float)
     iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
@@ -131,31 +108,42 @@ def leap_solve_batch(stack, rho, qhat, tol: float = SOLVER_TOL,
 
 @dataclass(frozen=True)
 class CapPredictor:
-    """Per-model accuracy estimator: rate matrix plus quantifier, both fitted
-    on the same validation data as the model's accuracy reference. The
+    """Per-model accuracy estimator: rate matrix (read-only, (n, n), m[i][j] =
+    P(predicted=i | true=j), columns on the simplex) plus quantifier, both
+    fitted on the same validation data as the model's accuracy reference. The
     quantifier is any object with `rows(posteriors)` and a `reduce(rows)` over
     a stack of them (see :func:`predict_batch`)."""
 
-    rates: RateMatrix
+    rates: np.ndarray
     quantifier: object
-    weight: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.weight, numbers.Real)
-                and 0 < self.weight < np.inf):
-            raise ValueError("weight must be a positive finite number, got "
-                             f"{self.weight!r}")
+        M = np.asarray(self.rates, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"rate matrix must be square, got {M.shape}")
+        try:
+            as_prevalence(M.T, M.shape[0], stacked=True)
+        except DataError as exc:
+            raise DataError(f"rate matrix columns: {exc}") from exc
+        object.__setattr__(self, "rates", _frozen(M.copy()))
+
+
+def check_weight(weight) -> None:
+    """Raise ValueError unless the solver weight is a positive finite number."""
+    if not (isinstance(weight, numbers.Real) and 0 < weight < np.inf):
+        raise ValueError("weight must be a positive finite number, got "
+                         f"{weight!r}")
 
 
 def fit_cap(posteriors: np.ndarray, validation: LabelledSet,
             quantifier_kind: str = "KDEyML", bandwidth: float = 0.1,
-            smoothing: float = 0.0, weight: float = 1.0) -> CapPredictor:
+            smoothing: float = 0.0) -> CapPredictor:
     """Fit the rate matrix and the quantifier on the same validation set,
     from a model's posterior rows `posteriors` for its instances."""
     rates = estimate_rate_matrix(posteriors, validation, smoothing=smoothing)
     quantifier = fit_quantifier(quantifier_kind, posteriors, validation,
                                 bandwidth=bandwidth)
-    return CapPredictor(rates, quantifier, weight=weight)
+    return CapPredictor(rates, quantifier)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +151,14 @@ class CapStack:
     """The solver inputs of k predictors, stacked once by :func:`stack_caps`
     and shared by every bag they predict: the quantifiers (an object array,
     all of one type), the rate matrices M (k, n, n), Q = M^T M + w I, the
-    diagonals of M (k, n), and each predictor's solver weight (k,). Every
+    diagonals of M (k, n), and the solver weight w of every problem. Every
     array is read-only."""
 
     quantifiers: np.ndarray
     M: np.ndarray
     Q: np.ndarray
     diagonal: np.ndarray
-    weight: np.ndarray
+    weight: float
 
     def __len__(self):
         return len(self.M)
@@ -182,21 +170,20 @@ class CapStack:
                          for q, P in zip(self.quantifiers, posteriors)])
 
 
-def stack_caps(caps) -> CapStack:
+def stack_caps(caps, weight: float) -> CapStack:
     """Stack the accuracy predictors `caps` for :func:`predict_batch` and
-    :func:`leap_solve_batch`. There must be at least one, and their
-    quantifiers must share one type."""
+    :func:`leap_solve_batch` under one solver `weight` (see check_weight).
+    There must be at least one, and their quantifiers must share one type."""
+    check_weight(weight)
     quantifiers = np.fromiter((c.quantifier for c in caps), dtype=object)
     types = {type(q) for q in quantifiers}
     if len(types) != 1:
         raise ValueError("need predictors whose quantifiers share one type, "
                          f"got types {sorted(t.__name__ for t in types)}")
-    weight = np.array([c.weight for c in caps], dtype=float)
-    M = np.stack([c.rates.m for c in caps])
-    Q = np.matmul(M.transpose(0, 2, 1), M) \
-        + weight[:, None, None] * np.eye(M.shape[1])
+    M = np.stack([c.rates for c in caps])
+    Q = np.matmul(M.transpose(0, 2, 1), M) + weight * np.eye(M.shape[1])
     return CapStack(*map(_frozen, (
-        quantifiers, M, Q, np.diagonal(M, axis1=1, axis2=2).copy(), weight)))
+        quantifiers, M, Q, np.diagonal(M, axis1=1, axis2=2).copy())), weight)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ same config and seed, a run produces byte-identical output files:
 * ``summary.csv``    per-strategy mean/std plus significance vs the best,
   paired by bag;
 * ``shift_curve.csv``  per-shift-bin mean accuracy per strategy;
-* ``summary.txt``    human-readable digest, with one warning line per model
-  whose accuracy solver or KDEy-ML mixture solver stopped early.
+* ``summary.txt``    human-readable digest, with one line per TMS scope
+  against the IMS strategy of the same scope (the paper's claim, see
+  :func:`claims`) and one warning line per model whose accuracy solver or
+  KDEy-ML mixture solver stopped early.
 
 The last three reduce one strategies × bags :func:`accuracy_matrix`.
 
@@ -32,8 +34,8 @@ registry in one document (see :func:`selection.save_registry`). Both
 wall times per stage and per family's training (for ``run``, also inside
 evaluate: test-set posteriors, quantifier rows and the strategies), the LR
 solver's step counts, the MLP epochs, the number of processes the MLP grid
-trained in and, for ``run``, the number the bags' TMS solves ran in (see
-:func:`_timings`).
+trained in and, for ``run``, the number the bags' TMS solves ran in and the
+KDE kernel values of the quantifier rows (see :func:`_timings`).
 It is the one output that differs between reruns. ``train`` prints a
 warning line for each LR model whose training stopped unconverged.
 
@@ -402,8 +404,13 @@ def _load_dataset(config: RunConfig) -> Dataset:
     """The dataset of a spec that :meth:`RunConfig.validate` has checked."""
     spec = config.dataset
     if spec["kind"] == "csv":
-        return load_csv(spec["path"], spec["label_column"],
-                        header=spec.get("header", True), name=spec.get("name"))
+        try:
+            return load_csv(spec["path"], spec["label_column"],
+                            header=spec.get("header", True), name=spec.get("name"))
+        except FileNotFoundError as exc:
+            raise FileNotFoundError(
+                f"no CSV file at {os.path.abspath(spec['path'])} (a relative "
+                "CSV path is read from the working directory)") from exc
     spec = {**DEFAULT_DATASET, **spec}
     prevalence = spec["prevalence"]
     if prevalence is None:
@@ -494,14 +501,14 @@ def _fit_settings(config: RunConfig) -> dict:
 
 
 def _train_registry(config: RunConfig, proper, validation, manifest,
-                    out_dir=None, seconds=None) -> ModelRegistry:
-    """Build the config's registry; fails when no configuration trains."""
+                    seconds=None, **kwargs) -> ModelRegistry:
+    """Build the config's registry (`kwargs`, such as `out_dir`, go to
+    build_registry); fails when no configuration trains."""
     with _stage("registry", seconds):
         registry = build_registry(
             config.families, proper, validation,
             seed=manifest["derived_seeds"]["registry"],
-            run_id=manifest["run_id"], out_dir=out_dir,
-            **_fit_settings(config))
+            run_id=manifest["run_id"], **kwargs, **_fit_settings(config))
         if not registry.entries:
             raise RuntimeError("every configuration failed to train")
     return registry
@@ -520,11 +527,11 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
     warning per model and solver that stopped early, counting bags.
     """
     outdir = config.outdir
-    seconds = {}
+    seconds, train_s, workers = {}, {}, {}
     ds, proper, validation, test, manifest = _prepare(config, outdir, seconds)
     if registry is None:
         registry = _train_registry(config, proper, validation, manifest,
-                                   seconds=seconds)
+                                   seconds, train_s=train_s, workers=workers)
     else:
         with _stage("registry", seconds):
             expected = {"data_fingerprint": fingerprint(
@@ -563,25 +570,24 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
 
     meta = {"run_id": run_id, "dataset": ds.name, "n_bins": config.n_bins,
             "alpha": config.alpha, "warnings": warnings,
-            "timings": {**_timings(seconds, registry), **evaluated}}
+            "timings": {**_timings(seconds, registry, train_s, workers), **evaluated}}
     return ResultTable(rows, meta)
 
 
-def _timings(seconds: dict, registry: ModelRegistry) -> dict:
+def _timings(seconds, registry, train_s, workers) -> dict:
     """What timings.json holds: the wall seconds of each pipeline stage and
-    of each family's train_grid call (none for a prebuilt registry), the LR
-    models' Newton steps and conjugate-gradient steps (Hessian-vector
-    products), and the MLP models' epochs and how many stopped before
-    MLP_MAX_EPOCHS, all read from the models' meta, and the number of
-    processes the MLP grid trained in (`mlp.workers`, as
-    :func:`parallel.fork_map` reported it to the registry; 0 when the run
+    of each family's train_grid call (`train_s`; empty for a prebuilt
+    registry), the LR models' Newton steps and conjugate-gradient steps
+    (Hessian-vector products), and the MLP models' epochs and how many
+    stopped before MLP_MAX_EPOCHS, all read from the models' meta, and the
+    number of processes the MLP grid trained in (`mlp.workers`, as
+    :func:`parallel.fork_map` reported it into `workers`; 0 when the run
     trained no MLP grid). A run adds the `evaluate_s` and `evaluate` blocks
     (see :func:`_evaluate`)."""
     lr = [e.model.meta for e in registry.entries if e.model.family == "LR"]
     epochs = [e.model.meta["epochs"] for e in registry.entries
               if e.model.family == "MLP"]
-    workers = registry.train_workers.get("MLP", 0)
-    return {"stage_s": seconds, "train_grid_s": dict(registry.train_s),
+    return {"stage_s": seconds, "train_grid_s": train_s,
             "lr": {"models": len(lr),
                    "newton_steps": sum(m.get("iterations", 0) for m in lr),
                    "cg_steps": sum(m.get("cg_iterations", 0) for m in lr),
@@ -590,7 +596,7 @@ def _timings(seconds: dict, registry: ModelRegistry) -> dict:
             "mlp": {"models": len(epochs), "epochs": sum(epochs),
                     "stopped_early": sum(n < MLP_MAX_EPOCHS
                                          for n in epochs),
-                    "workers": workers}}
+                    "workers": workers.get("MLP", 0)}}
 
 
 def _evaluate(config, registry, test, bags, train_prevalence, run_id,
@@ -610,9 +616,14 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     and solver that stopped early, counting bags. The `timings` dict
     receives timings.json's `evaluate_s` block (the seconds of the test-set
     posteriors, the quantifier rows and the bags) and `evaluate` block
-    (`workers`: the solves' processes, or 0)."""
+    (`workers`: the solves' processes, or 0; `kde_kernel_values`: the
+    kernel values of the quantifier rows, test rows times KDE support rows
+    summed over the KDEy-ML predictors, 0 for CC)."""
     seconds = timings["evaluate_s"] = {}
-    evaluate = timings["evaluate"] = {"workers": 0}
+    supports = sum(len(S) for q in registry.caps.quantifiers
+                   for S in getattr(q, "support", ()))
+    evaluate = timings["evaluate"] = {"workers": 0,
+                                      "kde_kernel_values": len(test) * supports}
     # Posteriors and quantifier rows (the KDE log densities) over the whole
     # test set are computed once per model and stacked along
     # registry.entries; a bag's rows are then slices, which keeps TMS cheap.
@@ -742,12 +753,58 @@ def summarize(strategies, acc, alpha: float = 0.01) -> list:
     return summary_rows
 
 
+@dataclass(frozen=True)
+class Claim:
+    """The paper's claim on one scope: TMS against IMS, paired by bag over
+    the bags both strategies have. `mean_diff` is the mean of TMS's accuracy
+    minus IMS's; a win is a bag where TMS is more accurate. `p_value` is
+    :func:`wilcoxon_signed_rank`'s, None when fewer than 5 differences are
+    nonzero."""
+    tms: str
+    ims: str
+    mean_diff: float
+    wins: int
+    ties: int
+    losses: int
+    p_value: float | None
+
+    def __str__(self):
+        p = "n/a" if self.p_value is None else f"{self.p_value:.2g}"
+        return (f"{self.tms} vs {self.ims}: mean diff {self.mean_diff:+.4f}, "
+                f"wins/ties/losses {self.wins}/{self.ties}/{self.losses}, "
+                f"p {p}")
+
+
+def claims(strategies, acc) -> list:
+    """One :class:`Claim` per TMS scope whose IMS strategy of the same scope
+    is in `strategies` and shares a bag with it, from
+    :func:`accuracy_matrix`'s strategies and matrix."""
+    out = []
+    for i, tms in enumerate(strategies):
+        ims = "IMS-" + tms[len("TMS-"):]
+        if not tms.startswith("TMS-") or ims not in strategies:
+            continue
+        a, b = acc[i], acc[strategies.index(ims)]
+        both = ~np.isnan(a) & ~np.isnan(b)
+        if not both.any():
+            continue
+        d = a[both] - b[both]
+        try:
+            p = wilcoxon_signed_rank(a[both], b[both]).p_value
+        except ValueError:   # fewer than 5 nonzero differences
+            p = None
+        out.append(Claim(tms, ims, float(d.mean()), int((d > 0).sum()),
+                         int((d == 0).sum()), int((d < 0).sum()), p))
+    return out
+
+
 def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
     """Write results.csv, summary.csv, shift_curve.csv, and summary.txt.
 
     The last three reduce one :func:`accuracy_matrix`, built before any file
     is written; a shift curve row is a strategy's mean over the bags it has
-    in one populated shift bin (see :func:`protocol.bin_by_shift`).
+    in one populated shift bin (see :func:`protocol.bin_by_shift`), and
+    summary.txt states each of the run's :func:`claims` on one line.
     """
     n_bins = n_bins if n_bins is not None else table.meta.get("n_bins", DEFAULT_SHIFT_BINS)
     alpha = alpha if alpha is not None else table.meta.get("alpha", 0.01)
@@ -784,6 +841,7 @@ def emit_report(table: ResultTable, outdir, n_bins=None, alpha=None):
     for strat, n, mean, std, flag_best, dagger, _ in summary_rows:
         marks = ("best" if flag_best else "") + ("+" if dagger and not flag_best else "")
         lines.append(f"{strat:<16} {mean:8.4f} {std:8.4f}  {marks}")
+    lines.extend(map(str, claims(strategies, acc)))
     for warning in table.meta.get("warnings", []):
         lines.append(f"warning: {warning}")
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
@@ -826,13 +884,13 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     if args.outdir:
         config.outdir = args.outdir
-    seconds = {}
+    seconds, train_s, workers = {}, {}, {}
     _, proper, validation, _, manifest = _prepare(config, config.outdir,
                                                   seconds)
     registry_dir = os.path.join(config.outdir, "registry")
-    registry = _train_registry(config, proper, validation, manifest,
-                               out_dir=registry_dir, seconds=seconds)
-    write_json(config.outdir, "timings.json", _timings(seconds, registry))
+    registry = _train_registry(config, proper, validation, manifest, seconds,
+                               out_dir=registry_dir, train_s=train_s, workers=workers)
+    write_json(config.outdir, "timings.json", _timings(seconds, registry, train_s, workers))
     print(f"trained {len(registry)} models into {registry_dir}")
     for warning in registry.warnings:
         print(f"warning: {warning}", file=sys.stderr)

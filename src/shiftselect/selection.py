@@ -49,7 +49,7 @@ from .classifiers import (TrainedModel, TrainingError, build_grid,
                           model_from_record, model_to_record,
                           predict_posteriors_batch, train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import (CapBatch, CapPredictor, CapStack, RateMatrix, fit_cap,
+from .cap import (CapBatch, CapPredictor, CapStack, check_weight, fit_cap,
                   predict_batch, stack_caps)
 
 
@@ -63,15 +63,12 @@ class RegistryEntry:
 
 @dataclass(frozen=True)
 class ModelRegistry:
-    """Trained entries, held as a tuple sorted by model id; a repeated id
-    raises ValueError."""
+    """Trained entries, held as a tuple sorted by model id (a repeated id
+    raises ValueError), training warnings and meta (by default, a LEAP
+    weight of 1 only)."""
     entries: tuple
     warnings: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    # wall seconds of each family's train_grid call, and the processes it
-    # ran in; not saved
-    train_s: dict = field(default_factory=dict)
-    train_workers: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=lambda: {"cap_weight": 1.0})
 
     def __post_init__(self):
         entries = tuple(sorted(self.entries, key=lambda e: e.model_id))
@@ -102,8 +99,8 @@ class ModelRegistry:
     @cached_property
     def caps(self) -> CapStack:
         """Every entry's accuracy predictor, stacked (:func:`cap.stack_caps`)
-        on first use; neither saved nor compared."""
-        return stack_caps([e.cap for e in self.entries])
+        under the meta's `cap_weight` on first use; neither saved nor compared."""
+        return stack_caps([e.cap for e in self.entries], self.meta["cap_weight"])
 
 
 @dataclass
@@ -133,8 +130,8 @@ def fingerprint(*arrays) -> str:
 def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
                    quantifier: str = "KDEyML", seed: int = 0,
                    bandwidth: float = 0.1, cap_weight: float = 1.0,
-                   smoothing: float = 0.0, run_id=None,
-                   out_dir=None) -> ModelRegistry:
+                   smoothing: float = 0.0, run_id=None, out_dir=None,
+                   train_s=None, workers=None) -> ModelRegistry:
     """Train every grid point of every family, score it on validation data,
     and fit its accuracy predictor on the same validation data.
 
@@ -147,12 +144,13 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
     accuracy, rate matrix and quantifier. `meta` records the four fit
-    settings under their keywords' names. Pass `out_dir` to persist the
-    registry. Each family's training time is kept in `train_s`, and the
-    number of processes it trained in in `train_workers`.
+    settings under their keywords' names; a bad `cap_weight` fails before any
+    training. Pass `out_dir` to persist the registry. `train_s` and `workers`
+    dicts receive each family's training seconds and process count.
     """
+    check_weight(cap_weight)
     n_classes = Ltr.n_classes
-    trained, warnings, train_s, train_workers = [], [], {}, {}
+    trained, warnings = [], []
     model_id = 0
     for family in families:
         grid = build_grid(family, n_classes)
@@ -160,8 +158,9 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         start = time.perf_counter()
         results = train_grid(family, grid, Ltr,
                              [_entry_seed(seed, i) for i in ids],
-                             workers=train_workers)
-        train_s[family] = time.perf_counter() - start
+                             workers=workers)
+        if train_s is not None:
+            train_s[family] = time.perf_counter() - start
         for i, hp, result in zip(ids, grid, results):
             if isinstance(result, TrainingError):
                 warnings.append(f"model {i} ({hp.label()}) failed: {result}")
@@ -175,8 +174,7 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
             val_acc = float((np.argmax(P, axis=1) == Lva.y).mean())
             try:
                 cap = fit_cap(P, Lva, quantifier_kind=quantifier,
-                              bandwidth=bandwidth, weight=cap_weight,
-                              smoothing=smoothing)
+                              bandwidth=bandwidth, smoothing=smoothing)
             except ValueError as exc:   # DataError and LinAlgError among them
                 warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
                 continue
@@ -193,7 +191,7 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         "n_classes": n_classes,
         "data_fingerprint": fingerprint(Ltr.X, Ltr.y, Lva.X, Lva.y),
     }
-    registry = ModelRegistry(entries, warnings, meta, train_s, train_workers)
+    registry = ModelRegistry(entries, warnings, meta)
     if out_dir is not None:
         save_registry(registry, out_dir)
     return registry
@@ -283,7 +281,7 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
     settings are saved once, in `meta`."""
     entries = []
     for e in registry.entries:
-        cap = {"rate_matrix": encode_array(e.cap.rates.m)}
+        cap = {"rate_matrix": encode_array(e.cap.rates)}
         if isinstance(e.cap.quantifier, ClassDensities):
             cap["support"] = [encode_array(S) for S in e.cap.quantifier.support]
         entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
@@ -295,15 +293,16 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
 
 def load_registry(out_dir) -> ModelRegistry:
     """Read a registry that :func:`save_registry` wrote, building every
-    predictor under `meta`'s quantifier, bandwidth and solver weight (an
-    entry's own copies, which older manifests hold, are ignored). A manifest
-    in an older layout, with missing or mistyped keys, an unknown quantifier
-    or entries that do not fit it, a model or rate matrix of another class
-    count than the registry's, models of different feature counts, an array
-    of a dtype that :func:`classifiers.encode_array` does not write, a model
-    record with another family's hyperparameters, a model id that is not an
-    int or a validation accuracy that is not a number in [0, 1], or that is
-    not JSON, raises a ValueError that says to retrain it."""
+    predictor under `meta`'s quantifier and bandwidth, and their stack under
+    its solver weight (an entry's own copies, which older manifests hold,
+    are ignored). A manifest in an older layout, with missing or mistyped
+    keys, a bad solver weight, no entries, an unknown quantifier or entries
+    that do not fit it, a model or rate matrix of another class count than
+    the registry's, models of different feature counts, an array of a dtype
+    that :func:`classifiers.encode_array` does not write, a model record with
+    another family's hyperparameters, a model id that is not an int or a
+    validation accuracy that is not a number in [0, 1], or that is not JSON,
+    raises a ValueError that says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -326,10 +325,9 @@ def load_registry(out_dir) -> ModelRegistry:
             kde = {"support": tuple(decode_array(S) for S in cap["support"]),
                    "bandwidth": meta["bandwidth"],
                    "n_classes": model.n_classes} if "support" in cap else {}
-            predictor = CapPredictor(
-                RateMatrix(decode_array(cap["rate_matrix"])),
-                quantifier(**kde), weight=meta["cap_weight"])
-            if not model.n_classes == predictor.rates.n_classes == n_classes:
+            predictor = CapPredictor(decode_array(cap["rate_matrix"]),
+                                     quantifier(**kde))
+            if not model.n_classes == len(predictor.rates) == n_classes:
                 raise ValueError(f"model {model_id} or its rate matrix "
                                  f"does not have the registry's {n_classes} "
                                  "classes")
@@ -338,7 +336,9 @@ def load_registry(out_dir) -> ModelRegistry:
         features = sorted({e.model.n_features for e in entries})
         if len(features) > 1:
             raise ValueError(f"models take {features} features, not one count")
-        return ModelRegistry(entries, manifest["warnings"], meta)
+        registry = ModelRegistry(entries, manifest["warnings"], meta)
+        registry.caps   # so that a bad saved weight fails here
+        return registry
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{out_dir} does not hold a registry in the current format "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shiftselect.evalcli as evalcli_mod
-from shiftselect.cap import (CapPredictor, RateMatrix, leap_solve_batch,
+from shiftselect.cap import (CapPredictor, leap_solve_batch,
                              pps_accuracy_identity, predict_batch, stack_caps)
 from shiftselect.classifiers import (default_model, lr_loss_grad,
                                      mlp_loss_grad, train_grid)
@@ -110,7 +110,7 @@ def test_criterion_03_leap_oracle_exactness():
     pred1 = [[0.0, 1.0]]
     features = pred0 * 56 + pred1 * 14 + pred1 * 27 + pred0 * 3
     bag = _FixedBag(features, [0.7, 0.3])
-    stack = stack_caps([CapPredictor(RateMatrix(M), _OracleQuantifier(bag))])
+    stack = stack_caps([CapPredictor(M, _OracleQuantifier(bag))], 1.0)
     posteriors = _PassThrough(2).predict_posteriors(bag.features)
     # predict_batch's label shares and oracle prevalence, solved to 1e-13
     batch = predict_batch(stack, posteriors[None],
@@ -126,7 +126,7 @@ def test_criterion_03_leap_oracle_exactness():
     for _ in range(20):
         M4 = rng.dirichlet(np.ones(4), size=4).T
         theta = rng.dirichlet(np.ones(4))
-        leap = stack_caps([CapPredictor(RateMatrix(M4), CCQuantifier())])
+        leap = stack_caps([CapPredictor(M4, CCQuantifier())], 1.0)
         solved, _, _ = leap_solve_batch(leap, (M4 @ theta)[None], theta[None],
                                         **TIGHT)
         err4 = max(err4, abs(float(np.trace(M4 * solved[0][None, :]))
@@ -150,7 +150,7 @@ def test_criterion_04_leap_vs_grid_search():
         M = rng.dirichlet(np.ones(2), size=2).T
         rho = rng.dirichlet(np.ones(2))
         qhat = rng.dirichlet(np.ones(2))
-        leap = stack_caps([CapPredictor(RateMatrix(M), CCQuantifier())])
+        leap = stack_caps([CapPredictor(M, CCQuantifier())], 1.0)
         solved, _, _ = leap_solve_batch(leap, rho[None], qhat[None])
         objective = ((thetas @ M.T - rho) ** 2).sum(axis=1) \
             + ((thetas - qhat) ** 2).sum(axis=1)

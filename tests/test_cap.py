@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.cap import (CapPredictor, RateMatrix, estimate_rate_matrix,
-                             fit_cap, leap_solve_batch, predict_batch,
+from shiftselect.cap import (CapPredictor, estimate_rate_matrix, fit_cap,
+                             leap_solve_batch, predict_batch,
                              pps_accuracy_identity, stack_caps)
 from shiftselect.classifiers import default_model, train_grid
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
@@ -36,11 +36,9 @@ class OracleQuantifier:
 
 
 def leap_stack(rates, weight=1.0):
-    """LEAP problems with these rate matrices, stacked by stack_caps;
-    `weight` is a scalar or one value per problem."""
-    return stack_caps([
-        CapPredictor(r, CCQuantifier(), weight=float(w))
-        for r, w in zip(rates, np.broadcast_to(weight, (len(rates),)))])
+    """LEAP problems with these rate matrices, stacked by stack_caps under
+    the one `weight`."""
+    return stack_caps([CapPredictor(r, CCQuantifier()) for r in rates], weight)
 
 
 def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
@@ -50,13 +48,13 @@ def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
     theta, iterations, converged = leap_solve_batch(
         leap_stack([rates], weight), np.asarray(rho, dtype=float)[None],
         np.asarray(qhat, dtype=float)[None], **kwargs)
-    return (theta[0], rates.m * theta[0][None, :], int(iterations[0]),
+    return (theta[0], rates * theta[0][None, :], int(iterations[0]),
             bool(converged[0]))
 
 
 def predict_one(psi, model, bag):
     """One predictor on one bag through the batched API."""
-    stack = stack_caps([psi])
+    stack = stack_caps([psi], 1.0)
     posteriors = model.predict_posteriors(bag.features)[None]
     return predict_batch(stack, posteriors, stack.rows(posteriors))
 
@@ -77,7 +75,7 @@ def test_rate_matrix_perfect_classifier_is_identity():
     labels = [0] * 5 + [1] * 7
     ds = posterior_dataset(rows, labels)
     m = estimate_rate_matrix(ds.features, ds.all_instances())
-    assert np.array_equal(m.m, np.eye(2))
+    assert np.array_equal(m, np.eye(2))
 
 
 def test_rate_matrix_counts_tpr():
@@ -86,9 +84,9 @@ def test_rate_matrix_counts_tpr():
     labels = [1] * 10 + [0] * 5
     ds = posterior_dataset(rows, labels)
     m = estimate_rate_matrix(ds.features, ds.all_instances())
-    assert m.m[1, 1] == pytest.approx(0.9)
-    assert m.m[0, 1] == pytest.approx(0.1)
-    assert m.m[0, 0] == pytest.approx(1.0)
+    assert m[1, 1] == pytest.approx(0.9)
+    assert m[0, 1] == pytest.approx(0.1)
+    assert m[0, 0] == pytest.approx(1.0)
 
 
 def test_rate_matrix_columns_sum_to_one_random_fixtures():
@@ -100,8 +98,8 @@ def test_rate_matrix_columns_sum_to_one_random_fixtures():
         rows = rng.dirichlet(np.ones(n), size=size)
         ds = posterior_dataset(rows, labels)
         m = estimate_rate_matrix(ds.features, ds.all_instances())
-        assert np.allclose(m.m.sum(axis=0), 1.0, atol=1e-12)
-        assert (m.m >= 0).all()
+        assert np.allclose(m.sum(axis=0), 1.0, atol=1e-12)
+        assert (m >= 0).all()
 
 
 def test_rate_matrix_missing_class_rejected():
@@ -119,19 +117,19 @@ def test_rate_matrix_auto_smooths_never_predicted_class():
     labels = [0] * 4 + [1] * 4
     ds = posterior_dataset(rows, labels)
     m = estimate_rate_matrix(ds.features, ds.all_instances())
-    assert (m.m > 0).all()
-    assert np.allclose(m.m.sum(axis=0), 1.0)
+    assert (m > 0).all()
+    assert np.allclose(m.sum(axis=0), 1.0)
 
 
 def test_rate_matrix_rejects_columns_off_the_simplex():
     off = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-6]])   # column 1 sums to 1 + 1e-6
     with pytest.raises(DataError, match="rate matrix columns"):
-        RateMatrix(off)
+        CapPredictor(off, CCQuantifier())
     with pytest.raises(ValueError):
-        RateMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        CapPredictor(np.array([[1.0, np.nan], [0.0, 1.0]]), CCQuantifier())
     with pytest.raises(ValueError):
-        RateMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
-    RateMatrix(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-10]]))
+        CapPredictor(np.array([[1.1, 0.0], [-0.1, 1.0]]), CCQuantifier())
+    CapPredictor(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-10]]), CCQuantifier())
 
 
 def test_fit_cap_with_precomputed_posteriors_matches_features():
@@ -144,7 +142,7 @@ def test_fit_cap_with_precomputed_posteriors_matches_features():
     shared = fit_cap(P, validation)
     fresh_rates = estimate_rate_matrix(P, validation)
     fresh_quantifier = fit_kdey(P, validation)
-    assert np.array_equal(fresh_rates.m, shared.rates.m)
+    assert np.array_equal(fresh_rates, shared.rates)
     for a, b in zip(fresh_quantifier.support, shared.quantifier.support,
                     strict=True):
         assert np.array_equal(a, b)
@@ -155,8 +153,7 @@ def test_fit_cap_with_precomputed_posteriors_matches_features():
 # ---------------------------------------------------------------------------
 
 def test_leap_consistent_system_identity():
-    m = RateMatrix(np.eye(2))
-    theta, table, _, converged = solve_one(m, [0.3, 0.7], [0.3, 0.7])
+    theta, table, _, converged = solve_one(np.eye(2), [0.3, 0.7], [0.3, 0.7])
     assert converged
     assert np.allclose(theta, [0.3, 0.7], atol=1e-6)
     assert np.allclose(table, np.diag([0.3, 0.7]), atol=1e-6)
@@ -167,7 +164,7 @@ def test_leap_consistent_two_class_accuracy():
     M = np.array([[tnr, 1 - tpr], [1 - tnr, tpr]])
     theta = np.array([0.7, 0.3])
     rho = M @ theta
-    _, table, _, _ = solve_one(RateMatrix(M), rho, theta)
+    _, table, _, _ = solve_one(M, rho, theta)
     assert np.trace(table) == pytest.approx(tnr * 0.7 + tpr * 0.3, abs=1e-6)
     assert np.trace(table) == pytest.approx(0.83, abs=1e-6)
 
@@ -176,7 +173,7 @@ def test_leap_table_columns_sum_to_theta():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = rng.integers(2, 5)
-        M = RateMatrix(rng.dirichlet(np.ones(n), size=n).T)
+        M = rng.dirichlet(np.ones(n), size=n).T
         rho = rng.dirichlet(np.ones(n))
         qhat = rng.dirichlet(np.ones(n))
         theta, table, _, _ = solve_one(M, rho, qhat)
@@ -193,7 +190,7 @@ def test_leap_matches_grid_search_on_inconsistent_instances():
         M = rng.dirichlet(np.ones(2), size=2).T
         rho = rng.dirichlet(np.ones(2))
         qhat = rng.dirichlet(np.ones(2))
-        theta, _, _, _ = solve_one(RateMatrix(M), rho, qhat)
+        theta, _, _, _ = solve_one(M, rho, qhat)
         objective = ((thetas @ M.T - rho) ** 2).sum(axis=1) \
             + ((thetas - qhat) ** 2).sum(axis=1)
         best = grid[np.argmin(objective)]
@@ -206,21 +203,21 @@ def test_leap_weight_limits():
     rho = M @ theta0
     qhat = np.array([0.25, 0.75])
     # weight -> inf: the quantifier equation dominates, theta -> qhat
-    heavy, _, _, _ = solve_one(RateMatrix(M), rho, qhat, weight=1e6)
+    heavy, _, _, _ = solve_one(M, rho, qhat, weight=1e6)
     assert np.allclose(heavy, qhat, atol=1e-4)
     # weight -> 0: the classifier-count equations dominate, theta -> M^-1 rho
-    light, _, _, _ = solve_one(RateMatrix(M), rho, qhat, weight=1e-6)
+    light, _, _, _ = solve_one(M, rho, qhat, weight=1e-6)
     assert np.allclose(light, theta0, atol=1e-3)
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
 def test_leap_rejects_bad_weight(weight):
     with pytest.raises(ValueError, match="positive finite"):
-        solve_one(RateMatrix(np.eye(2)), [0.5, 0.5], [0.5, 0.5], weight=weight)
+        solve_one(np.eye(2), [0.5, 0.5], [0.5, 0.5], weight=weight)
 
 
 def test_leap_nonconvergence_returns_best_iterate_with_flag():
-    M = RateMatrix(np.array([[0.6, 0.4], [0.4, 0.6]]))
+    M = np.array([[0.6, 0.4], [0.4, 0.6]])
     _, table, iterations, converged = solve_one(M, [0.9, 0.1], [0.1, 0.9],
                                                 max_iter=1)
     assert not converged
@@ -238,19 +235,19 @@ def test_leap_nonconvergence_returns_best_iterate_with_flag():
        max_iter=st.sampled_from([0, 1, 3, 40, 10_000]))
 def test_leap_batch_equals_scalar_calls(seed, k, n, tol, max_iter):
     rng = np.random.default_rng(seed)
-    rates = [RateMatrix(rng.dirichlet(np.ones(n), size=n).T) for _ in range(k)]
+    rates = [rng.dirichlet(np.ones(n), size=n).T for _ in range(k)]
     rho = rng.dirichlet(np.ones(n), size=k)
     qhat = rng.dirichlet(np.ones(n), size=k)
     # row 0 starts at its optimum: identity rates, rho == qhat
-    rates[0] = RateMatrix(np.eye(n))
+    rates[0] = np.eye(n)
     rho[0] = qhat[0]
-    weight = rng.uniform(0.05, 5.0, size=k)
+    weight = rng.uniform(0.05, 5.0)   # one weight per stack
     theta, iterations, converged = leap_solve_batch(
         leap_stack(rates, weight=weight), rho, qhat, tol=tol,
         max_iter=max_iter)
     for i in range(k):
         theta_i, _, iterations_i, converged_i = solve_one(
-            rates[i], rho[i], qhat[i], weight=weight[i], tol=tol,
+            rates[i], rho[i], qhat[i], weight=weight, tol=tol,
             max_iter=max_iter)
         assert np.abs(theta[i] - theta_i).max() <= 1e-12
         assert iterations[i] == iterations_i
@@ -301,16 +298,16 @@ def test_leap_matches_brute_force_on_every_support(seed, k, n):
     Ms = [rng.dirichlet(np.full(n, 0.5), size=n).T for _ in range(k)]
     rho = sparse_simplex_rows(rng, k, n)
     qhat = sparse_simplex_rows(rng, k, n)
-    weight = rng.uniform(0.05, 5.0, size=k)
-    theta, _, converged = leap_solve_batch(
-        leap_stack([RateMatrix(M) for M in Ms], weight=weight), rho, qhat)
+    weight = rng.uniform(0.05, 5.0)   # one weight per stack
+    theta, _, converged = leap_solve_batch(leap_stack(Ms, weight=weight), rho,
+                                           qhat)
     assert converged.all()
     for i, M in enumerate(Ms):
         assert np.abs(theta[i] - brute_force_leap(
-            M, rho[i], qhat[i], weight[i])).max() <= 1e-12
+            M, rho[i], qhat[i], weight)).max() <= 1e-12
         # KKT: g_j = mu on the support, g_j <= mu off it
-        g = M.T @ rho[i] + weight[i] * qhat[i] \
-            - (M.T @ M + weight[i] * np.eye(n)) @ theta[i]
+        g = M.T @ rho[i] + weight * qhat[i] \
+            - (M.T @ M + weight * np.eye(n)) @ theta[i]
         mu = theta[i] @ g
         support = theta[i] > 0
         assert np.abs(g[support] - mu).max() <= 1e-12
@@ -326,7 +323,8 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
                                                 kind):
     rng = np.random.default_rng(seed)
     caps = []
-    # predictors of one quantifier kind, each with its own solver weight
+    # predictors of one quantifier kind, solved under the stack's one weight
+    weight = rng.uniform(0.05, 5.0)
     for _ in range(k):
         if kind == "CC":
             quantifier = CCQuantifier()
@@ -334,14 +332,13 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
             support = tuple(rng.dirichlet(np.ones(n), size=rng.integers(1, 6))
                             for _ in range(n))
             quantifier = ClassDensities(support, bandwidth, n)
-        caps.append(CapPredictor(
-            RateMatrix(rng.dirichlet(np.ones(n), size=n).T), quantifier,
-            weight=rng.uniform(0.05, 5.0)))
+        caps.append(CapPredictor(rng.dirichlet(np.ones(n), size=n).T,
+                                 quantifier))
     posteriors = rng.dirichlet(np.ones(n), size=(k, m))
-    stack = stack_caps(caps)
+    stack = stack_caps(caps, weight)
     batch = predict_batch(stack, posteriors, stack.rows(posteriors))
     for i, psi in enumerate(caps):
-        one_stack = stack_caps([psi])
+        one_stack = stack_caps([psi], weight)
         one = predict_batch(one_stack, posteriors[i:i + 1],
                             one_stack.rows(posteriors[i:i + 1]))
         for name in ("accuracy", "theta", "rho", "qhat", "iterations",
@@ -352,26 +349,26 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
 
 def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
     density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1, 2)
-    mixed = [CapPredictor(RateMatrix(np.eye(2)), CCQuantifier()),
-             CapPredictor(RateMatrix(np.eye(2)), density)]
+    mixed = [CapPredictor(np.eye(2), CCQuantifier()),
+             CapPredictor(np.eye(2), density)]
     with pytest.raises(ValueError, match="share one type"):
-        stack_caps(mixed)
+        stack_caps(mixed, 1.0)
     with pytest.raises(ValueError, match="share one type"):
-        stack_caps([])
+        stack_caps([], 1.0)
 
 
 def test_predict_batch_rejects_an_empty_bag():
-    psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
+    psi = CapPredictor(np.eye(2), CCQuantifier())
     empty = np.zeros((1, 0, 2))
     with pytest.raises(DataError, match="empty bag"):
-        predict_batch(stack_caps([psi]), empty, empty)
+        predict_batch(stack_caps([psi], 1.0), empty, empty)
 
 
 def test_predict_batch_rejects_posteriors_of_other_models():
-    psi = CapPredictor(RateMatrix(np.eye(2)), CCQuantifier())
+    psi = CapPredictor(np.eye(2), CCQuantifier())
     posteriors = np.full((2, 3, 2), 0.5)
     with pytest.raises(ValueError, match="posteriors for 2 models"):
-        predict_batch(stack_caps([psi]), posteriors, posteriors)
+        predict_batch(stack_caps([psi], 1.0), posteriors, posteriors)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +380,9 @@ def test_accuracy_is_the_trace():
     rows = [[0.9, 0.1]] * 3 + [[0.2, 0.8]] * 7
     bag = draw_bag(posterior_dataset(rows, [0] * 3 + [1] * 7).all_instances(),
                    [0.3, 0.7], 10, np.random.default_rng(0))
-    caps = [CapPredictor(RateMatrix(M), OracleQuantifier(bag))
+    caps = [CapPredictor(M, OracleQuantifier(bag))
             for M in (np.eye(2), np.full((2, 2), 0.5))]
-    stack = stack_caps(caps)
+    stack = stack_caps(caps, 1.0)
     posteriors = np.stack([bag.features] * 2)
     batch = predict_batch(stack, posteriors, stack.rows(posteriors))
     # tables diag(0.3, 0.7) and 0.5 * theta in every row: traces 1 and 0.5
@@ -456,7 +453,7 @@ def test_cap_detailed_reports_solver_state(overlapping_pipeline):
     pred = predict_one(psi, model, bag)
     assert 0.0 <= pred.accuracy[0] <= 1.0
     assert pred.converged[0]
-    table = psi.rates.m * pred.theta[0][None, :]
+    table = psi.rates * pred.theta[0][None, :]
     assert np.allclose(table.sum(axis=0), pred.theta[0], atol=1e-9)
 
 

@@ -102,6 +102,30 @@ def test_a_rerun_over_three_families_and_90_test_rows_writes_the_same_bytes(
     assert differing(smoke.root / "run", smoke.root / "rerun") == []
 
 
+def test_a_relative_csv_path_reruns_from_its_own_working_directory_only(
+        smoke, tmp_path, monkeypatch, capsys):
+    # the manifest keeps the path as written, which the run id hashes; from
+    # another directory the rerun fails and names the file it tried
+    monkeypatch.chdir(smoke.root / "data")
+    config = write_config(tmp_path / "relative.json", r=3, dataset={
+        "kind": "csv", "path": "three.csv", "label_column": "label"})
+    cli("run", "--config", config, "--outdir", tmp_path / "first")
+    record = json.loads((tmp_path / "first" / "manifest.json").read_bytes())[
+        "config"]
+    assert record["dataset"]["path"] == "three.csv"
+    rerun = write_config(tmp_path / "rerun.json",
+                         **{**record, "outdir": str(tmp_path / "again")})
+    cli("run", "--config", rerun)
+    assert differing(tmp_path / "first", tmp_path / "again") == []
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(rerun)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'dataset' failed: no CSV file at " \
+        f"{os.path.join(os.getcwd(), 'three.csv')} " in err
+    assert "a relative CSV path is read from the working directory" in err
+
+
 def test_a_headerless_csv_labelled_by_index_runs_and_reruns_the_same(
         smoke, tmp_path):
     config = write_config(tmp_path / "headerless.json", r=3, dataset={
@@ -148,7 +172,11 @@ def test_one_usable_cpu_trains_and_runs_in_one_process_to_the_same_bytes(
         timings = json.loads(
             (tmp_path / command / "timings.json").read_bytes())
         assert timings["mlp"]["workers"] == 1, command
-    assert timings["evaluate"] == {"workers": 1}   # the run's
+    splits = json.loads((tmp_path / "run" / "manifest.json").read_bytes())[
+        "splits"]
+    assert timings["evaluate"] == {   # the run's
+        "workers": 1,
+        "kde_kernel_values": splits["test"] * splits["validation"] * 45}
     assert registry_bytes(tmp_path / "train") == \
         registry_bytes(smoke.root / "train")
     assert differing(smoke.root / "run", tmp_path / "run") == []

@@ -17,8 +17,9 @@ import scipy.stats
 from shiftselect import evalcli, parallel
 from shiftselect.classifiers import MLP_MAX_EPOCHS, predict_posteriors_batch
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
-                                 StageError, accuracy_matrix, config_from_dict,
-                                 _prepare, emit_report, load_config,
+                                 StageError, accuracy_matrix, claims,
+                                 config_from_dict, _prepare, emit_report,
+                                 load_config,
                                  read_results_csv, run_experiment, summarize,
                                  wilcoxon_signed_rank, main)
 from shiftselect.protocol import (app_generate, bin_by_shift, l1_shift,
@@ -517,7 +518,7 @@ def test_run_reports_solver_nonconvergence_once_per_model(tmp_path,
     for cpus in (1, 2):     # forked workers inherit the wrapped solver
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
+        assert table.meta["timings"]["evaluate"]["workers"] == cpus
         assert table.meta["warnings"] == [
             f"model {mid}: accuracy solver did not converge on 10 of 10 bags"
             for mid in (2, 5)]
@@ -541,7 +542,7 @@ def test_run_counts_solver_warnings_by_bag_across_tms_scopes(tmp_path,
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
+        assert table.meta["timings"]["evaluate"]["workers"] == cpus
         assert table.meta["warnings"] == [
             "model 3: accuracy solver did not converge on 10 of 10 bags"]
         emit_report(table, config.outdir)
@@ -623,7 +624,7 @@ def test_run_gives_the_same_outputs_on_one_or_two_workers(
         config = small_config(tmp_path / str(cpus), r=11,
                               families=THREE_FAMILIES, strategies=strategies)
         table = run_experiment(config, registry=three_family_registry)
-        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
+        assert table.meta["timings"]["evaluate"]["workers"] == cpus
         emit_report(table, config.outdir)
         outputs.append((table.rows, table.meta["warnings"],
                         [(tmp_path / str(cpus) / name).read_bytes()
@@ -662,7 +663,7 @@ def test_run_solves_each_bag_once_in_one_fork_map_call(
     forked = int(scope is not None)
     assert [args[1] for args in selects] == [scope] * config.r * forked
     assert len(forks) == forked
-    assert table.meta["timings"]["evaluate"] == {"workers": forked}
+    assert table.meta["timings"]["evaluate"]["workers"] == forked
 
 
 def test_run_rows_of_family_scopes_without_tms_all_equal_their_own_solves(
@@ -696,7 +697,7 @@ def test_run_warns_only_of_models_in_a_tms_scope_of_the_roster(
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
+        assert table.meta["timings"]["evaluate"]["workers"] == cpus
         assert table.meta["warnings"] == [
             f"model {lr}: accuracy solver did not converge on 10 of 10 bags"]
 
@@ -742,7 +743,7 @@ def test_run_forks_no_worker_beside_other_threads(tmp_path, monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert timings["mlp"]["workers"] == 1
-    assert timings["evaluate"] == {"workers": 1}
+    assert timings["evaluate"]["workers"] == 1
 
 
 def test_run_rejects_a_registry_trained_on_other_data(tmp_path):
@@ -804,7 +805,7 @@ def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)
         table = run_experiment(config, registry=registry)
-        assert table.meta["timings"]["evaluate"] == {"workers": cpus}
+        assert table.meta["timings"]["evaluate"]["workers"] == cpus
         assert table.meta["warnings"] == [
             f"model {mid}: mixture solver did not converge on 10 of 10 bags"
             for mid in (1, 4)]
@@ -942,6 +943,41 @@ def test_summary_and_curve_pair_ragged_results_by_bag(tmp_path):
     assert [r["n_bags"] for r in curve.values()] == ["30", "30"]
     assert float(curve["best"]["mean_true_acc"]) == np.mean(acc[1:])
     assert float(curve["other"]["mean_true_acc"]) == np.mean(acc[:29] - 0.01)
+
+
+def test_summary_states_tms_against_ims_of_each_scope(tmp_path):
+    # the paper's claim, one line per scope with both strategies: TMS-All
+    # against IMS-All over the 29 bags both have (IMS-All lacks bag 0),
+    # TMS-KNN against IMS-KNN with 3 nonzero differences (p n/a), and no
+    # line for TMS-LR, whose IMS strategy is not in the roster
+    rng = np.random.default_rng(8)
+    ims, knn = rng.uniform(0.6, 0.9, size=(2, 30))
+    tms = ims + rng.choice([-0.02, 0.0, 0.03], size=30)
+    knn_tms = knn.copy()
+    knn_tms[:3] += 0.01
+    acc = {"IMS-All": ims, "TMS-All": tms, "IMS-KNN": knn,
+           "TMS-KNN": knn_tms, "TMS-LR": tms}
+    rows = [ResultRow("rid", "ds", strat, bag_id, 0.1, a[bag_id], None, 0)
+            for strat, a in acc.items() for bag_id in range(30)
+            if (strat, bag_id) != ("IMS-All", 0)]
+    strategies, _, matrix = accuracy_matrix(rows)
+    found = claims(strategies, matrix)
+    assert [(c.tms, c.ims) for c in found] == [("TMS-All", "IMS-All"),
+                                                ("TMS-KNN", "IMS-KNN")]
+    full, knn_claim = found
+    d = tms[1:] - ims[1:]
+    assert full.wins + full.ties + full.losses == 29
+    assert (full.wins, full.ties, full.losses) == (
+        (d > 0).sum(), (d == 0).sum(), (d < 0).sum())
+    assert full.ties > 0 and full.mean_diff == d.mean()
+    assert full.p_value == wilcoxon_signed_rank(tms[1:], ims[1:]).p_value
+    assert (knn_claim.wins, knn_claim.ties, knn_claim.losses,
+            knn_claim.p_value) == (3, 27, 0, None)
+    assert str(knn_claim).endswith("p n/a")
+    emit_report(ResultTable(rows), tmp_path)
+    lines = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if " vs " in line] == [str(full),
+                                                          str(knn_claim)]
 
 
 def test_results_csv_round_trip(small_run, tmp_path):
@@ -1120,9 +1156,16 @@ def test_cli_train_and_run_write_timings(tmp_path):
             assert set(inside) == {"test_posteriors", "quantifier_rows", "bags"}
             assert all(t >= 0 for t in inside.values())
             assert sum(inside.values()) <= timings["stage_s"]["evaluate"]
-            # the processes the bags' TMS solves ran in, one per usable CPU
+            # the processes the bags' TMS solves ran in, one per usable CPU,
+            # and the KDE's kernel values: test rows times support rows (the
+            # validation rows) for each KDEy-ML predictor
+            splits = json.loads((outdir / "manifest.json")
+                                .read_text(encoding="utf-8"))["splits"]
             assert timings["evaluate"] == {
-                "workers": parallel.worker_count(5)}
+                "workers": parallel.worker_count(5),
+                "kde_kernel_values": splits["test"] * splits["validation"]
+                * len(registry["entries"])}
+            assert timings["evaluate"]["kde_kernel_values"] > 0
         else:
             assert "evaluate_s" not in timings
             assert "evaluate" not in timings
@@ -1153,7 +1196,13 @@ def test_run_on_a_loaded_registry_equals_the_cli_run(quantifier, tmp_path):
     config = load_config(config_path)
     config.outdir = str(tmp_path / "loaded")
     registry = load_registry(tmp_path / "train" / "registry")
-    emit_report(run_experiment(config, registry=registry), config.outdir)
+    table = run_experiment(config, registry=registry)
+    emit_report(table, config.outdir)
+    # a prebuilt registry trains nothing, and CC evaluates no kernel
+    timings = table.meta["timings"]
+    assert timings["train_grid_s"] == {} and timings["mlp"]["workers"] == 0
+    assert (timings["evaluate"]["kde_kernel_values"] == 0) == \
+        (quantifier == "CC")
     for name in REPORT_FILES:
         assert filecmp.cmp(tmp_path / "run" / name, tmp_path / "loaded" / name,
                            shallow=False), name

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from shiftselect import quantifiers
-from shiftselect.cap import CapPredictor, RateMatrix, predict_batch, stack_caps
+from shiftselect.cap import CapPredictor, predict_batch, stack_caps
 from shiftselect.classifiers import argmax_rows, default_model, max_rows, train_grid
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
@@ -43,7 +43,7 @@ def em_one(logF, **kwargs):
 def one_stack(quantifier, n, k=1):
     """k copies of `quantifier` with identity rate matrices, stacked; the
     rate matrix does not enter a prevalence estimate."""
-    return stack_caps([CapPredictor(RateMatrix(np.eye(n)), quantifier)] * k)
+    return stack_caps([CapPredictor(np.eye(n), quantifier)] * k, 1.0)
 
 
 def estimate_one(quantifier, model, bag, rows=None):

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +10,7 @@ from shiftselect import evalcli, selection
 from shiftselect.cap import predict_batch, stack_caps
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
                                     encode_array, hyperparams_to_dict,
-                                    predict_posteriors_batch)
+                                    model_to_record, predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
@@ -32,10 +32,11 @@ def registry(splits):
     return build_registry(("LR", "KNN", "MLP"), proper, validation, seed=3)
 
 
-def predicted_accuracy(entry, bag):
-    """The entry's predicted accuracy on the bag, through the batched API."""
+def predicted_accuracy(entry, bag, weight=1.0):
+    """The entry's predicted accuracy on the bag, through the batched API,
+    under the LEAP `weight` (the registries here are built under 1)."""
     posteriors = entry.model.predict_posteriors(bag.features)[None]
-    stack = stack_caps([entry.cap])
+    stack = stack_caps([entry.cap], weight)
     return predict_batch(stack, posteriors,
                          stack.rows(posteriors)).accuracy[0]
 
@@ -88,16 +89,53 @@ def test_registry_meta_records_provenance(registry):
     assert len(registry.meta["data_fingerprint"]) == 12
 
 
+def test_a_heavy_cap_weight_predicts_the_plug_in_accuracy(splits):
+    # as the LEAP weight grows, theta tends to the mixture estimate qhat, so
+    # each model's estimate tends to sum_j M_jj qhat_j; the registry's meta
+    # is the weight's one home, and its stack solves under it
+    proper, validation, test = splits
+    bag = draw_bag(test, [0.3, 0.7], 60, np.random.default_rng(9))
+    gaps = {}
+    for weight in (1e6, 1.0):
+        reg = build_registry(("LR", "KNN"), proper, validation, seed=0,
+                             cap_weight=weight)
+        assert reg.caps.weight == reg.meta["cap_weight"] == weight
+        batch = tms_select(reg, "All", bag).batch
+        diagonals = np.array([np.diag(e.cap.rates) for e in reg.entries])
+        plug_in = (diagonals * batch.qhat).sum(axis=1)
+        gaps[weight] = np.abs(batch.accuracy - plug_in).max()
+    assert gaps[1e6] <= 1e-5
+    assert gaps[1.0] > 1e-5
+
+
+@pytest.mark.parametrize("weight", [0, -1.0, np.nan, np.inf, "x", None])
+def test_build_registry_rejects_a_bad_cap_weight_before_training(
+        splits, monkeypatch, weight):
+    proper, validation, _ = splits
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the weight was checked")
+
+    monkeypatch.setattr(selection, "train_grid", no_training)
+    with pytest.raises(ValueError, match="positive finite"):
+        build_registry(("KNN",), proper, validation, cap_weight=weight)
+
+
 def test_registry_round_trip(registry, splits, tmp_path):
     _, _, test = splits
     save_registry(registry, tmp_path / "reg")
     loaded = load_registry(tmp_path / "reg")
-    # loading builds no stacked KDE support and no stacked predictors: the
-    # first evaluation and the first tms_select do
+    # loading builds no stacked KDE support, which the first evaluation
+    # does, but it stacks the predictors, so a bad saved weight fails there
     assert not any("_stacked" in vars(e.cap.quantifier)
                    for e in loaded.entries)
-    assert "caps" not in vars(loaded)
+    assert "caps" in vars(loaded)
+    assert loaded.caps.weight == registry.meta["cap_weight"]
     assert loaded.meta == registry.meta
+    # a built registry and its loaded copy hold the same three fields
+    for r in (registry, loaded):
+        assert [f.name for f in fields(r)] == ["entries", "warnings", "meta"]
+        assert set(vars(r)) - {"caps"} == {"entries", "warnings", "meta"}
     assert [e.model_id for e in loaded.entries] == [e.model_id for e in registry.entries]
     assert [e.val_accuracy for e in loaded.entries] == \
         [e.val_accuracy for e in registry.entries]
@@ -120,10 +158,15 @@ def test_registry_round_trip(registry, splits, tmp_path):
     for orig, redo in zip(registry.entries, loaded.entries, strict=True):
         assert (redo.model.family, redo.model.hyperparams) == \
             (orig.model.family, orig.model.hyperparams)
-        assert np.array_equal(orig.cap.rates.m, redo.cap.rates.m)
+        assert np.array_equal(orig.cap.rates, redo.cap.rates)
         for S, T in zip(orig.cap.quantifier.support,
                         redo.cap.quantifier.support, strict=True):
             assert np.array_equal(S, T)
+        # the whole entry: id, accuracy, model and predictor
+        assert (redo.model_id, redo.val_accuracy) == \
+            (orig.model_id, orig.val_accuracy)
+        assert model_to_record(redo.model) == model_to_record(orig.model)
+        assert redo.cap.quantifier.bandwidth == orig.cap.quantifier.bandwidth
     rows_for = bag_posteriors(registry, test)
     P = rows_for(bag)
     assert np.array_equal(P, bag_posteriors(loaded, test)(bag))
@@ -144,7 +187,7 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "model array missing",
                                     "array of another dtype",
                                     "models of other feature counts",
-                                    "a repeated model id",
+                                    "a repeated model id", "no entries",
                                     "cap_weight 0", "cap_weight -1",
                                     "cap_weight x", "cap_weight None",
                                     "cap_weight nan", "bandwidth nan",
@@ -208,6 +251,9 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         # a valid third entry that reuses the first one's id
         first, second = manifest["entries"]
         manifest["entries"].append(dict(second, model_id=first["model_id"]))
+    elif damage == "no entries":
+        # nothing to stack, and nothing to select from
+        manifest["entries"] = []
     elif damage.startswith(("cap_weight ", "bandwidth ")):
         # unchecked at load, such a weight or bandwidth would fail only in
         # the first TMS solve, with a message that does not say to retrain
@@ -243,9 +289,9 @@ def test_load_registry_ignores_per_entry_solver_settings(registry, tmp_path):
         rec["cap"].update(solver_tol=1e-8, solver_max_iter=10_000)
     (regdir / "manifest.json").write_text(json.dumps(manifest))
     loaded = load_registry(regdir)
+    assert loaded.caps.weight == registry.caps.weight
     for orig, redo in zip(registry.entries[:2], loaded.entries, strict=True):
-        assert redo.cap.weight == orig.cap.weight
-        assert np.array_equal(redo.cap.rates.m, orig.cap.rates.m)
+        assert np.array_equal(redo.cap.rates, orig.cap.rates)
 
 
 def test_load_registry_reads_manifests_with_per_entry_fit_settings(
@@ -265,12 +311,13 @@ def test_load_registry_reads_manifests_with_per_entry_fit_settings(
         del manifest["meta"]["smoothing"]
         for rec, e in zip(manifest["entries"], source.entries, strict=True):
             rec["cap"].update(quantifier_kind=e.cap.quantifier.kind,
-                              weight=e.cap.weight)
+                              weight=source.meta["cap_weight"])
             if "support" in rec["cap"]:
                 rec["cap"]["bandwidth"] = e.cap.quantifier.bandwidth
         (regdir / "manifest.json").write_text(json.dumps(manifest))
         loaded = load_registry(regdir)
         assert loaded.meta == manifest["meta"]
+        assert loaded.caps.weight == source.caps.weight
         for orig, redo in zip(source.entries, loaded.entries, strict=True):
             q, r = orig.cap.quantifier, redo.cap.quantifier
             assert type(r) is type(q)
@@ -279,8 +326,7 @@ def test_load_registry_reads_manifests_with_per_entry_fit_settings(
             for S, T in zip(getattr(q, "support", ()), getattr(r, "support", ()),
                             strict=True):
                 assert np.array_equal(S, T)
-            assert redo.cap.weight == orig.cap.weight
-            assert np.array_equal(redo.cap.rates.m, orig.cap.rates.m)
+            assert np.array_equal(redo.cap.rates, orig.cap.rates)
             assert predicted_accuracy(redo, bag) == predicted_accuracy(orig,
                                                                        bag)
 
@@ -569,9 +615,9 @@ def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
     stacked = []
     real_stack_caps = selection.stack_caps
 
-    def counting(caps):
+    def counting(caps, weight):
         stacked.append(len(caps))
-        return real_stack_caps(caps)
+        return real_stack_caps(caps, weight)
 
     monkeypatch.setattr(selection, "stack_caps", counting)
     for scope in scopes:
@@ -599,8 +645,9 @@ def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
                 if scope == "All" or e.model.family == scope]
             batch = got.batch
             for i in positions:
-                one = predict_batch(stack_caps([registry.entries[i].cap]),
-                                    P[i:i + 1], F[i:i + 1])
+                one = predict_batch(
+                    stack_caps([registry.entries[i].cap], warm.caps.weight),
+                    P[i:i + 1], F[i:i + 1])
                 for name in fields:
                     assert np.array_equal(getattr(batch, name)[i],
                                           getattr(one, name)[0]), name
@@ -614,11 +661,13 @@ def test_registry_stack_is_read_only(registry):
     stack = registry.caps
     k, n = len(registry.entries), registry.meta["n_classes"]
     for name, shape in (("M", (k, n, n)), ("Q", (k, n, n)),
-                        ("diagonal", (k, n)), ("weight", (k,))):
+                        ("diagonal", (k, n))):
         a = getattr(stack, name)
         assert a.dtype == np.float64 and a.shape == shape, name
         assert not a.flags.writeable, name
-    assert all(np.array_equal(M, e.cap.rates.m)
+    # one weight for the stack, the registry's
+    assert stack.weight == registry.meta["cap_weight"]
+    assert all(np.array_equal(M, e.cap.rates)
                for M, e in zip(stack.M, registry.entries))
     assert len(stack.quantifiers) == k
     assert all(q is e.cap.quantifier
@@ -650,7 +699,7 @@ def test_registry_entries_cannot_change_so_a_stack_is_kept(registry, splits):
             (fresh.model_id, fresh.estimated_accuracy)
         stack = kept.caps
         assert len(stack) == len(kept.entries)
-        assert all(q is e.cap.quantifier and np.array_equal(M, e.cap.rates.m)
+        assert all(q is e.cap.quantifier and np.array_equal(M, e.cap.rates)
                    for q, M, e in zip(stack.quantifiers, stack.M,
                                       kept.entries))
         return stack
@@ -675,7 +724,7 @@ def test_predictions_from_features_equal_sliced_test_set_caches(registry,
     caps = [e.cap for e in registry.entries]
     models = [e.model for e in registry.entries]
     posteriors = predict_posteriors_batch(models, test.X)
-    caps = stack_caps(caps)
+    caps = stack_caps(caps, registry.meta["cap_weight"])
     rows = caps.rows(posteriors)
     rng = np.random.default_rng(31)
     for target, size in (([0.9, 0.1], 60), ([0.5, 0.5], 100), ([0.2, 0.8], 33),
