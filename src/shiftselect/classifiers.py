@@ -54,8 +54,6 @@ BLAS_PANEL = 8      # rows per BLAS panel (see panel_rows)
 # an MLP epoch's gathered rows, KDE kernel values
 CHUNK_ELEMENTS = 1 << 20
 
-FORMAT_VERSION = 1
-
 
 class TrainingError(RuntimeError):
     """Training hit a non-finite loss; carries the last finite state."""
@@ -416,6 +414,9 @@ class LRModel(TrainedModel):
     arrays = ("W", "b")
 
     def __init__(self, hyperparams, W, b, n_classes, seed, meta=None):
+        if W.ndim != 2 or W.shape[1] != n_classes or b.shape != (n_classes,):
+            raise ValueError(f"LR arrays {W.shape}, {b.shape} do not fit "
+                             f"{n_classes} classes")
         super().__init__(hyperparams, n_classes, W.shape[0], seed, meta)
         self.W = W
         self.b = b
@@ -430,6 +431,11 @@ class KNNModel(TrainedModel):
     arrays = ("X_train", "y_train")
 
     def __init__(self, hyperparams, X_train, y_train, n_classes, seed, meta=None):
+        if (X_train.ndim != 2 or y_train.shape != (len(X_train),)
+                or y_train.dtype.kind != "i" or y_train.min() < 0
+                or y_train.max() >= n_classes):
+            raise ValueError(f"KNN arrays {X_train.shape}, {y_train.shape} "
+                             f"hold no label in range({n_classes}) per row")
         super().__init__(hyperparams, n_classes, X_train.shape[1], seed, meta)
         self.X_train = X_train
         self.y_train = y_train
@@ -506,6 +512,11 @@ class MLPModel(TrainedModel):
     arrays = ("W1", "b1", "W2", "b2")
 
     def __init__(self, hyperparams, W1, b1, W2, b2, n_classes, seed, meta=None):
+        if (W1.ndim != 2 or b1.shape != W1.shape[1:]
+                or W2.shape != (W1.shape[1], n_classes)
+                or b2.shape != (n_classes,)):
+            raise ValueError(f"MLP arrays {W1.shape}, {b1.shape}, {W2.shape}, "
+                             f"{b2.shape} do not fit {n_classes} classes")
         super().__init__(hyperparams, n_classes, W1.shape[0], seed, meta)
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
 
@@ -808,44 +819,28 @@ def decode_array(rec: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
 
 
-def hyperparams_to_dict(hp: HyperParams) -> dict:
-    return {"family": hp.family,
-            "params": {k: asdict(v) if isinstance(v, ClassWeights) else v
-                       for k, v in hp.values}}
-
-
-def hyperparams_from_dict(rec: dict) -> HyperParams:
-    return HyperParams.make(rec["family"], **{
-        k: ClassWeights(**v) if k == "class_weight" else v
-        for k, v in rec["params"].items()})
-
-
 MODEL_TYPES = {cls.family: cls for cls in (LRModel, KNNModel, MLPModel)}
 
 
 def model_to_record(model: TrainedModel) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
         "family": model.family,
-        "hyperparams": hyperparams_to_dict(model.hyperparams),
-        "n_classes": model.n_classes,
+        "params": {k: asdict(v) if isinstance(v, ClassWeights) else v
+                   for k, v in model.hyperparams.values},
         "seed": model.seed,
         "meta": model.meta,
         "arrays": {k: encode_array(getattr(model, k)) for k in model.arrays},
     }
 
 
-def model_from_record(rec: dict) -> TrainedModel:
-    """The model :func:`model_to_record` saved; an unknown family or a
-    missing array raises KeyError, and hyperparameters of another family
-    than the record's a ValueError."""
-    if rec["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported record version {rec['format_version']}")
+def model_from_record(rec: dict, n_classes: int) -> TrainedModel:
+    """The model of `n_classes` classes that :func:`model_to_record` saved;
+    an unknown family or a missing array raises KeyError, and parameters of
+    another family or arrays that do not fit the class count a ValueError."""
     cls = MODEL_TYPES[rec["family"]]
-    hyperparams = hyperparams_from_dict(rec["hyperparams"])
-    if hyperparams.family != cls.family:
-        raise ValueError(f"{cls.family} model with {hyperparams.family} "
-                         "hyperparameters")
+    hyperparams = HyperParams.make(cls.family, **{
+        k: ClassWeights(**v) if k == "class_weight" else v
+        for k, v in rec["params"].items()})
     return cls(hyperparams,
                *(decode_array(rec["arrays"][k]) for k in cls.arrays),
-               rec["n_classes"], rec["seed"], rec.get("meta", {}))
+               n_classes, rec["seed"], rec["meta"])

@@ -539,10 +539,6 @@ def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultT
                         "families": list(config.families),
                         **_fit_settings(config)}
             for key, want in expected.items():
-                if key not in registry.meta:
-                    raise ValueError(
-                        f"registry predates its {key} record: retrain it "
-                        "with `shiftselect train`")
                 found = registry.meta.get(key)
                 if found != want:
                     raise ValueError(

@@ -69,17 +69,14 @@ class ClassDensities:
 
     support: tuple          # one (m_j, n_classes) array per class
     bandwidth: float
-    n_classes: int
     kind: ClassVar[str] = "KDEyML"
 
     def __post_init__(self):
         if not 0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be a positive finite number, "
                              f"got {self.bandwidth!r}")
-        if len(self.support) != self.n_classes:
-            raise ValueError("one support set per class required")
         for j, S in enumerate(self.support):
-            if S.ndim != 2 or S.shape[0] == 0 or S.shape[1] != self.n_classes:
+            if S.ndim != 2 or not len(S) or S.shape[1] != len(self.support):
                 raise ValueError(f"class {j} has invalid support shape {S.shape}")
 
     @cached_property
@@ -89,7 +86,7 @@ class ClassDensities:
         each class's block of rows as a slice. Built on the first
         :meth:`evaluate`, so loading a registry does no work for it."""
         S = np.concatenate(self.support)
-        n = self.n_classes
+        n = len(self.support)
         sizes = [len(Sj) for Sj in self.support]
         At = np.zeros((len(S), 2 * n + 1))
         At[:, :n] = S
@@ -123,7 +120,7 @@ class ClassDensities:
         by the same invariance, leaves the result unchanged."""
         P = np.asarray(points, dtype=float)
         At, blocks = self._stacked
-        m, n = P.shape[0], self.n_classes
+        m, n = P.shape[0], len(self.support)
         h2 = self.bandwidth ** 2
         log_norm = -0.5 * n * np.log(2.0 * np.pi * h2)
         sizes = np.array([b.stop - b.start for b in blocks], dtype=float)
@@ -204,7 +201,7 @@ def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
         if S.shape[0] == 0:
             raise DataError(f"class {j} missing from validation data")
         support.append(S)
-    return ClassDensities(tuple(support), float(bandwidth), validation.n_classes)
+    return ClassDensities(tuple(support), float(bandwidth))
 
 
 def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,

@@ -24,12 +24,12 @@ takes labels: the harness (:mod:`evalcli`) takes each TMS scope and the
 oracle, an evaluation upper bound, as argmaxes over models × bags matrices
 of estimated and of true accuracies.
 
-A registry is saved as one document, ``manifest.json``: its meta (the one
-record of the settings every predictor was fitted under), its training
-warnings, and per entry the model id, the validation accuracy, the model
-record (:func:`classifiers.model_to_record`; it holds the family and
-hyperparameters) and the accuracy-predictor record (the rate matrix and, for
-KDEy-ML, the KDE supports).
+A registry is saved as one document, ``manifest.json``: its format version,
+its meta (the one record of the class count and of the settings every
+predictor was fitted under), its training warnings, and per entry the model
+id, the validation accuracy, the model record
+(:func:`classifiers.model_to_record`) and the accuracy-predictor record (the
+rate matrix and, for KDEy-ML, the KDE supports).
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ from .classifiers import (TrainedModel, TrainingError, build_grid,
 from .quantifiers import QUANTIFIERS, ClassDensities
 from .cap import (CapBatch, CapPredictor, CapStack, check_weight, fit_cap,
                   predict_batch, stack_caps)
+
+FORMAT_VERSION = 2      # of the saved registry document
+META_KEYS = {"run_id", "seed", "families", "quantifier", "bandwidth",
+             "cap_weight", "smoothing", "n_classes", "data_fingerprint"}
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,11 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     continues. Model ids follow grid enumeration order and stay
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
-    accuracy, rate matrix and quantifier. `meta` records the four fit
-    settings under their keywords' names; a bad `cap_weight` fails before any
-    training. Pass `out_dir` to persist the registry. `train_s` and `workers`
-    dicts receive each family's training seconds and process count.
+    accuracy, rate matrix and quantifier. `meta` (keys META_KEYS) records
+    the class count and the four fit settings under their keywords' names; a
+    bad `cap_weight` fails before any training. Pass `out_dir` to persist
+    the registry. `train_s` and `workers` dicts receive each family's
+    training seconds and process count.
     """
     check_weight(cap_weight)
     n_classes = Ltr.n_classes
@@ -183,7 +188,6 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
         "run_id": run_id,
         "seed": seed,
         "families": list(families),
-        "grid_sizes": {fam: len(build_grid(fam, n_classes)) for fam in families},
         "quantifier": quantifier,
         "bandwidth": bandwidth,
         "cap_weight": cap_weight,
@@ -277,8 +281,8 @@ def write_json(out_dir, name: str, doc: dict) -> None:
 
 
 def save_registry(registry: ModelRegistry, out_dir) -> None:
-    """Write the registry as out_dir/manifest.json, its only file; the fit
-    settings are saved once, in `meta`."""
+    """Write the registry as out_dir/manifest.json, its only file; the format
+    version, the fit settings and the class count are saved once each."""
     entries = []
     for e in registry.entries:
         cap = {"rate_matrix": encode_array(e.cap.rates)}
@@ -286,28 +290,36 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
             cap["support"] = [encode_array(S) for S in e.cap.quantifier.support]
         entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
                         "model": model_to_record(e.model), "cap": cap})
-    write_json(out_dir, "manifest.json", {"meta": registry.meta,
-                                          "warnings": registry.warnings,
-                                          "entries": entries})
+    write_json(out_dir, "manifest.json", {
+        "format_version": FORMAT_VERSION, "meta": registry.meta,
+        "warnings": registry.warnings, "entries": entries})
 
 
 def load_registry(out_dir) -> ModelRegistry:
     """Read a registry that :func:`save_registry` wrote, building every
     predictor under `meta`'s quantifier and bandwidth, and their stack under
-    its solver weight (an entry's own copies, which older manifests hold,
-    are ignored). A manifest in an older layout, with missing or mistyped
-    keys, a bad solver weight, no entries, an unknown quantifier or entries
-    that do not fit it, a model or rate matrix of another class count than
-    the registry's, models of different feature counts, an array of a dtype
-    that :func:`classifiers.encode_array` does not write, a model record with
-    another family's hyperparameters, a model id that is not an int or a
-    validation accuracy that is not a number in [0, 1], or that is not JSON,
-    raises a ValueError that says to retrain it."""
+    its solver weight. A document of another format version (so any saved
+    before version 2), with missing or mistyped keys, meta keys other than
+    META_KEYS, warnings that are not a list of strings, a bad solver weight, no
+    entries, an unknown quantifier or entries that do not fit it, model arrays
+    that do not fit each other or the registry's class count, a rate matrix or
+    KDE supports of another class count, models of different feature counts, an
+    array of a dtype that :func:`classifiers.encode_array` does not write, a
+    model record with another family's parameters, a model id that is not an
+    int or a validation accuracy that is not a number in [0, 1], or that is not
+    JSON, raises a ValueError that says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
         manifest = json.loads(text)   # a JSONDecodeError is a ValueError
-        meta = manifest["meta"]
+        if manifest["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"format version {manifest['format_version']!r}")
+        meta, warnings = manifest["meta"], manifest["warnings"]
+        if set(meta) != META_KEYS:
+            raise ValueError(f"meta keys {sorted(meta)}, not "
+                             f"{sorted(META_KEYS)}")
+        if type(warnings) is not list or {type(w) for w in warnings} - {str}:
+            raise ValueError(f"warnings {warnings!r}: not a list of strings")
         n_classes = meta["n_classes"]
         quantifier = QUANTIFIERS[meta["quantifier"]]
         entries = []
@@ -320,23 +332,22 @@ def load_registry(out_dir) -> ModelRegistry:
                     and 0 <= val_accuracy <= 1):
                 raise ValueError(f"model {model_id}: validation accuracy "
                                  f"{val_accuracy!r} is not in [0, 1]")
-            model, cap = model_from_record(rec["model"]), rec["cap"]
+            model, cap = model_from_record(rec["model"], n_classes), rec["cap"]
             # a KDEy-ML record's densities; a CC quantifier takes no fields
             kde = {"support": tuple(decode_array(S) for S in cap["support"]),
-                   "bandwidth": meta["bandwidth"],
-                   "n_classes": model.n_classes} if "support" in cap else {}
+                   "bandwidth": meta["bandwidth"]} if "support" in cap else {}
             predictor = CapPredictor(decode_array(cap["rate_matrix"]),
                                      quantifier(**kde))
-            if not model.n_classes == len(predictor.rates) == n_classes:
-                raise ValueError(f"model {model_id} or its rate matrix "
-                                 f"does not have the registry's {n_classes} "
-                                 "classes")
+            if not (len(predictor.rates) == n_classes
+                    == len(kde.get("support", predictor.rates))):
+                raise ValueError(f"model {model_id}: rate matrix or KDE "
+                                 f"supports not of {n_classes} classes")
             entries.append(RegistryEntry(model_id, model, val_accuracy,
                                          predictor))
         features = sorted({e.model.n_features for e in entries})
         if len(features) > 1:
             raise ValueError(f"models take {features} features, not one count")
-        registry = ModelRegistry(entries, manifest["warnings"], meta)
+        registry = ModelRegistry(entries, warnings, meta)
         registry.caps   # so that a bad saved weight fails here
         return registry
     except (KeyError, TypeError, ValueError) as exc:

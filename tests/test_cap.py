@@ -331,7 +331,7 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
         else:
             support = tuple(rng.dirichlet(np.ones(n), size=rng.integers(1, 6))
                             for _ in range(n))
-            quantifier = ClassDensities(support, bandwidth, n)
+            quantifier = ClassDensities(support, bandwidth)
         caps.append(CapPredictor(rng.dirichlet(np.ones(n), size=n).T,
                                  quantifier))
     posteriors = rng.dirichlet(np.ones(n), size=(k, m))
@@ -348,7 +348,7 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
 
 
 def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
-    density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1, 2)
+    density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1)
     mixed = [CapPredictor(np.eye(2), CCQuantifier()),
              CapPredictor(np.eye(2), density)]
     with pytest.raises(ValueError, match="share one type"):

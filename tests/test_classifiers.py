@@ -359,7 +359,7 @@ def test_batch_posteriors_equal_per_model_calls(smooth_models, seed, n_a, n_b,
         hp = HyperParams.make("KNN", n_neighbors=k, weights=weights)
         model = train_grid("KNN", [hp], sets[which], [0])[0]
         # a reloaded model holds its own copy of the training set
-        models.append(model_from_record(model_to_record(model)) if reload else model)
+        models.append(model_from_record(model_to_record(model), 2) if reload else model)
     models = [models[i] for i in rng.permutation(len(models))]
     X = np.vstack([rng.integers(-3, 4, size=(6, 2)).astype(float),
                    sets[0].X[:2]])
@@ -818,7 +818,8 @@ def test_model_records_round_trip_bit_exact(two_blobs):
     queries = rng.normal(size=(20, 2))
     for family in ("LR", "KNN", "MLP"):
         model = train_grid(family, [default_model(family)], lset, [99])[0]
-        loaded = model_from_record(json.loads(json.dumps(model_to_record(model))))
+        loaded = model_from_record(
+            json.loads(json.dumps(model_to_record(model))), model.n_classes)
         assert loaded.family == model.family
         assert loaded.hyperparams == model.hyperparams
         assert loaded.n_classes == model.n_classes
@@ -831,8 +832,32 @@ def test_record_arrays_are_little_endian_floats(two_blobs):
     model = train_grid("LR", [default_model("LR")], two_blobs.all_instances(),
                        [0])[0]
     rec = model_to_record(model)
-    assert rec["format_version"] == 1
     assert rec["arrays"]["W"]["dtype"] == "<f8"
-    clone = model_from_record(rec)
+    clone = model_from_record(rec, model.n_classes)
     assert np.array_equal(clone.W, model.W)
     assert clone.W.dtype == np.float64
+
+
+@pytest.mark.parametrize("arrays", [
+    ("LR", np.zeros((2, 3)), np.zeros(3)),                  # 3 classes
+    ("LR", np.zeros((2, 2)), np.zeros(5)),
+    ("LR", np.zeros(2), np.zeros(2)),
+    ("KNN", np.zeros((4, 2)), np.array([0, 1, 7, 1])),
+    ("KNN", np.zeros((4, 2)), np.array([0, 1, -1, 1])),
+    ("KNN", np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])),
+    ("KNN", np.zeros((4, 2)), np.array([0, 1])),
+    ("MLP", np.zeros((2, 5)), np.zeros(5), np.zeros((4, 2)), np.zeros(2)),
+    ("MLP", np.zeros((2, 5)), np.zeros(4), np.zeros((5, 2)), np.zeros(2)),
+    ("MLP", np.zeros((2, 5)), np.zeros(5), np.zeros((5, 3)), np.zeros(3))])
+def test_models_reject_arrays_that_do_not_fit_each_other_or_two_classes(
+        arrays):
+    family, *arrays = arrays
+    cls = classifiers.MODEL_TYPES[family]
+    with pytest.raises(ValueError, match=f"{family} arrays"):
+        cls(default_model(family), *arrays, 2, 0)
+    # the same constructor takes arrays that fit
+    fit = {"LR": (np.zeros((2, 2)), np.zeros(2)),
+           "KNN": (np.zeros((4, 2)), np.array([0, 1, 0, 1])),
+           "MLP": (np.zeros((2, 5)), np.zeros(5), np.zeros((5, 2)),
+                   np.zeros(2))}[family]
+    assert cls(default_model(family), *fit, 2, 0).n_features == 2

@@ -24,7 +24,8 @@ from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  wilcoxon_signed_rank, main)
 from shiftselect.protocol import (app_generate, bin_by_shift, l1_shift,
                                   reveal_labels)
-from shiftselect.selection import default_select, ims_select, tms_select
+from shiftselect.selection import (default_select, ims_select, load_registry,
+                                   tms_select)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -779,17 +780,26 @@ def test_run_rejects_a_registry_trained_under_another_config(field, value,
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_run_asks_to_retrain_a_registry_that_predates_its_smoothing(tmp_path):
-    # registries saved before the meta recorded the smoothing lack the key
+def test_a_registry_without_its_smoothing_record_is_refused(tmp_path):
+    # a saved document whose meta lacks the smoothing (as registries saved
+    # before the meta recorded it do) is refused at load, with the advice to
+    # retrain; an in-memory registry without it fails the registry stage
     config = small_config(tmp_path, strategies=("TMS-All", "oracle"))
     _, proper, validation, _, manifest = evalcli._prepare(config)
-    registry = evalcli._train_registry(config, proper, validation, manifest)
+    regdir = tmp_path / "registry"
+    registry = evalcli._train_registry(config, proper, validation, manifest,
+                                       out_dir=regdir)
+    doc = json.loads((regdir / "manifest.json").read_text())
+    del doc["meta"]["smoothing"]
+    (regdir / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="retrain") as err:
+        load_registry(regdir)
+    assert "meta keys" in str(err.value)
     del registry.meta["smoothing"]
     with pytest.raises(StageError) as err:
         run_experiment(config, registry=registry)
     assert err.value.stage == "registry"
-    assert "predates its smoothing record" in str(err.value)
-    assert "retrain" in str(err.value)
+    assert "registry smoothing None does not match" in str(err.value)
 
 
 def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
@@ -1096,7 +1106,6 @@ def test_cli_train_persists_registry(tmp_path):
     regdir = tmp_path / "out" / "registry"
     # the registry is one document
     assert os.listdir(regdir) == ["manifest.json"]
-    from shiftselect.selection import load_registry
     assert len(load_registry(regdir)) == 10
 
 
@@ -1186,7 +1195,6 @@ def test_cli_train_and_run_write_identical_manifests(tmp_path):
 def test_run_on_a_loaded_registry_equals_the_cli_run(quantifier, tmp_path):
     # the benchmark's grid-bags path: `shiftselect train`, `load_registry`,
     # then run_experiment on the loaded registry
-    from shiftselect.selection import load_registry
     config_path = write_config(tmp_path, families=list(THREE_FAMILIES),
                                quantifier=quantifier)
     assert main(["train", "--config", str(config_path),

@@ -72,8 +72,7 @@ def fitted_pipeline():
 
 def test_singleton_kde_is_a_bump_at_the_support_point():
     center = np.array([[0.9, 0.1]])
-    dens = ClassDensities((center, np.array([[0.2, 0.8]])), bandwidth=0.1,
-                          n_classes=2)
+    dens = ClassDensities((center, np.array([[0.2, 0.8]])), bandwidth=0.1)
     h = 0.1
     peak = np.exp(dens.evaluate(center)[0, 0])
     assert peak == pytest.approx((2 * np.pi * h * h) ** -1, rel=1e-12)
@@ -87,7 +86,7 @@ def test_kde_segment_mass_matches_quadrature():
     # quadrature along the segment must recover the full line mass 1/(sqrt(2 pi) h)
     h = 0.05
     support = np.array([[0.3, 0.7]])
-    dens = ClassDensities((support, support.copy()), bandwidth=h, n_classes=2)
+    dens = ClassDensities((support, support.copy()), bandwidth=h)
     t = np.linspace(0.0, 1.0, 10001)
     points = np.column_stack([t, 1.0 - t])
     f = np.exp(dens.evaluate(points)[:, 0])
@@ -109,7 +108,7 @@ def test_kde_matches_logsumexp_and_is_invariant_per_row(seed, n, bandwidth,
     if singleton:
         sizes[rng.integers(n)] = 1
     support = tuple(rng.dirichlet(np.full(n, 0.5), size=s) for s in sizes)
-    dens = ClassDensities(support, bandwidth, n)
+    dens = ClassDensities(support, bandwidth)
     # m is not a multiple of the 8-column chunks below: a ragged last chunk
     m = 8 * chunks + ragged
     P = rng.dirichlet(np.full(n, 0.5), size=m)
@@ -146,7 +145,7 @@ def test_kde_rows_are_bit_identical_in_large_evaluations():
     rng = np.random.default_rng(14)
     n = 5
     support = tuple(rng.dirichlet(np.ones(n), size=s) for s in (700, 1, 500, 650, 90))
-    dens = ClassDensities(support, 0.05, n)
+    dens = ClassDensities(support, 0.05)
     P = rng.dirichlet(np.ones(n), size=1003)
     got = dens.evaluate(P)
     for k in (1, 3, 100, 997):
@@ -169,6 +168,19 @@ def test_fit_kdey_rejects_bad_bandwidth(fitted_pipeline):
         with pytest.raises(ValueError, match="positive finite"):
             fit_kdey(model.predict_posteriors(rest.X), rest,
                      bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("support", [
+    (np.array([0.9, 0.1]), np.array([[0.2, 0.8]])),     # a 1-D support
+    (np.array([[0.9, 0.1]]), np.zeros((0, 2))),         # an empty class
+    (np.array([[0.9, 0.1, 0.0]]), np.array([[0.2, 0.8, 0.0]])),  # 3 wide
+    (np.array([[0.9, 0.1]]),) * 3])                     # 3 classes, 2 wide
+def test_class_densities_reject_supports_that_do_not_count_the_classes(
+        support):
+    # the class count is the number of supports, and every support holds
+    # at least one posterior row of that width
+    with pytest.raises(ValueError, match="invalid support shape"):
+        ClassDensities(support, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +252,7 @@ def test_em_log_domain_handles_vanishing_densities(em_trace):
 def test_kde_log_density_stays_finite_far_from_support():
     h = 1e-3
     support = np.array([[0.9, 0.1]])
-    dens = ClassDensities((support, support.copy()), bandwidth=h, n_classes=2)
+    dens = ClassDensities((support, support.copy()), bandwidth=h)
     point = np.array([[0.1, 0.9]])
     d2 = ((point - support) ** 2).sum()
     expected = -np.log(2 * np.pi * h * h) - d2 / (2 * h * h)

@@ -9,7 +9,7 @@ import pytest
 from shiftselect import evalcli, selection
 from shiftselect.cap import predict_batch, stack_caps
 from shiftselect.classifiers import (TrainingError, build_grid, default_model,
-                                    encode_array, hyperparams_to_dict,
+                                    decode_array, encode_array,
                                     model_to_record, predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
@@ -82,7 +82,7 @@ def test_registry_full_zoo_size(registry):
 
 
 def test_registry_meta_records_provenance(registry):
-    assert registry.meta["grid_sizes"] == {"LR": 30, "KNN": 10, "MLP": 10}
+    assert registry.meta["n_classes"] == 2
     assert registry.meta["quantifier"] == "KDEyML"
     assert (registry.meta["bandwidth"], registry.meta["cap_weight"],
             registry.meta["smoothing"]) == (0.1, 1.0, 0.0)
@@ -175,7 +175,11 @@ def test_registry_round_trip(registry, splits, tmp_path):
         predict_batch(loaded.caps, P, loaded.caps.rows(P)).accuracy)
 
 
-@pytest.mark.parametrize("damage", ["old layout", "missing key", "truncated",
+@pytest.mark.parametrize("damage", ["old layout", "format_version 1",
+                                    "format_version 3",
+                                    "missing key", "truncated",
+                                    "meta without smoothing",
+                                    "warnings a string", "warning not a string",
                                     "entries an object",
                                     "an entry not an object",
                                     "unknown quantifier kind",
@@ -185,6 +189,12 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "unknown model family",
                                     "hyperparameters of another family",
                                     "model array missing",
+                                    "LR arrays of one class more",
+                                    "LR bias of another length",
+                                    "KNN labels out of range",
+                                    "KNN labels fewer than rows",
+                                    "MLP hidden layers that differ",
+                                    "KDE supports of another class count",
                                     "array of another dtype",
                                     "models of other feature counts",
                                     "a repeated model id", "no entries",
@@ -197,21 +207,45 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "val_accuracy nan", "val_accuracy True",
                                     "model_id 3.5", "model_id True"])
 def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
+    # two LR entries, then one KNN and one MLP entry
     regdir = tmp_path / "reg"
-    save_registry(ModelRegistry(registry.entries[:2], [], registry.meta),
-                  regdir)
+    entries = registry.entries[:2] + tuple(
+        next(e for e in registry.entries if e.model.family == family)
+        for family in ("KNN", "MLP"))
+    save_registry(ModelRegistry(entries, [], registry.meta), regdir)
     manifest = json.loads((regdir / "manifest.json").read_text())
+    n = manifest["meta"]["n_classes"]
+    arrays = [rec["model"]["arrays"] for rec in manifest["entries"]]
     if damage == "old layout":
         # one manifest entry per model, with its model and accuracy predictor
         # in per-entry files beside it
         for rec in manifest["entries"]:
             model = rec.pop("model")
-            rec["family"], rec["hyperparams"] = model["family"], model["hyperparams"]
+            rec["family"], rec["params"] = model["family"], model["params"]
             for name, part in (("model", model), ("cap", rec.pop("cap"))):
                 (regdir / f"{name}_{rec['model_id']:04d}.json").write_text(
                     json.dumps(part))
+    elif damage == "format_version 1":
+        # the layout saved before version 2: no version at the top, and a
+        # version, a class count and a second family in every model record
+        del manifest["format_version"]
+        manifest["meta"]["grid_sizes"] = {"LR": 30, "KNN": 10, "MLP": 10}
+        for rec in manifest["entries"]:
+            model = rec["model"]
+            model.update(format_version=1, n_classes=n, hyperparams={
+                "family": model["family"], "params": model.pop("params")})
+    elif damage == "format_version 3":
+        manifest["format_version"] = 3
     elif damage == "missing key":
         del manifest["warnings"]
+    elif damage == "meta without smoothing":
+        # every fit setting is checked against the config of a run
+        del manifest["meta"]["smoothing"]
+    elif damage == "warnings a string":
+        # a run would report one warning per character
+        manifest["warnings"] = "abc"
+    elif damage == "warning not a string":
+        manifest["warnings"] = ["model 3 failed", 7]
     elif damage == "entries an object":
         manifest["entries"] = {str(rec["model_id"]): rec
                                for rec in manifest["entries"]}
@@ -223,7 +257,7 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         # a valid rate matrix, but TMS stacks them and each model's
         # posteriors have the registry's class count
         manifest["entries"][1]["cap"]["rate_matrix"] = encode_array(
-            np.eye(manifest["meta"]["n_classes"] + 1))
+            np.eye(n + 1))
     elif damage == "KDEyML without support":
         del manifest["entries"][0]["cap"]["support"]
     elif damage == "CC with support":
@@ -232,24 +266,43 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     elif damage == "unknown model family":
         manifest["entries"][1]["model"]["family"] = "SVM"
     elif damage == "hyperparameters of another family":
-        # an LR model whose hyperparameters are the default MLP's
-        manifest["entries"][1]["model"]["hyperparams"] = \
-            hyperparams_to_dict(default_model("MLP"))
+        # an LR model whose hyperparameters are an MLP's
+        manifest["entries"][1]["model"]["params"] = \
+            manifest["entries"][3]["model"]["params"]
     elif damage == "model array missing":
-        del manifest["entries"][0]["model"]["arrays"]["b"]
+        del arrays[0]["b"]
+    elif damage == "LR arrays of one class more":
+        # W and b fit each other, but not the registry's class count
+        W = decode_array(arrays[0]["W"])
+        arrays[0]["W"] = encode_array(np.hstack([W, W[:, :1]]))
+        arrays[0]["b"] = encode_array(np.zeros(n + 1))
+    elif damage == "LR bias of another length":
+        arrays[1]["b"] = encode_array(np.zeros(5))
+    elif damage == "KNN labels out of range":
+        y = decode_array(arrays[2]["y_train"])
+        arrays[2]["y_train"] = encode_array(np.full_like(y, 7))
+    elif damage == "KNN labels fewer than rows":
+        arrays[2]["y_train"] = encode_array(
+            decode_array(arrays[2]["y_train"])[:10])
+    elif damage == "MLP hidden layers that differ":
+        arrays[3]["W1"] = encode_array(decode_array(arrays[3]["W1"])[:, :50])
+    elif damage == "KDE supports of another class count":
+        # supports that fit each other: one row per class, n + 1 wide
+        manifest["entries"][0]["cap"]["support"] = [
+            encode_array(np.full((1, n + 1), 1 / (n + 1)))] * (n + 1)
     elif damage == "array of another dtype":
         # the same bytes read as twice as many float32 values: a model of
         # twice the feature count
-        W = manifest["entries"][0]["model"]["arrays"]["W"]
+        W = arrays[0]["W"]
         W["dtype"], W["shape"][0] = "<f4", 2 * W["shape"][0]
     elif damage == "models of other feature counts":
         # a valid model, but TMS stacks every model's posteriors on one bag
-        W = manifest["entries"][1]["model"]["arrays"]["W"]
-        manifest["entries"][1]["model"]["arrays"]["W"] = encode_array(
+        W = arrays[1]["W"]
+        arrays[1]["W"] = encode_array(
             np.zeros((W["shape"][0] + 1, W["shape"][1])))
     elif damage == "a repeated model id":
         # a valid third entry that reuses the first one's id
-        first, second = manifest["entries"]
+        first, second = manifest["entries"][:2]
         manifest["entries"].append(dict(second, model_id=first["model_id"]))
     elif damage == "no entries":
         # nothing to stack, and nothing to select from
@@ -294,41 +347,21 @@ def test_load_registry_ignores_per_entry_solver_settings(registry, tmp_path):
         assert np.array_equal(redo.cap.rates, orig.cap.rates)
 
 
-def test_load_registry_reads_manifests_with_per_entry_fit_settings(
-        registry, splits, tmp_path):
-    # manifests once repeated the quantifier kind, solver weight and KDE
-    # bandwidth in every entry, and their meta had no smoothing; they load
-    # to the same predictors, built from the meta
-    proper, validation, test = splits
-    counting = build_registry(("KNN",), proper, validation, quantifier="CC",
-                              seed=0)
-    bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(5))
-    for source in (ModelRegistry(registry.entries[:2], [], registry.meta),
-                   counting):
-        regdir = tmp_path / source.meta["quantifier"]
-        save_registry(source, regdir)
-        manifest = json.loads((regdir / "manifest.json").read_text())
-        del manifest["meta"]["smoothing"]
-        for rec, e in zip(manifest["entries"], source.entries, strict=True):
-            rec["cap"].update(quantifier_kind=e.cap.quantifier.kind,
-                              weight=source.meta["cap_weight"])
-            if "support" in rec["cap"]:
-                rec["cap"]["bandwidth"] = e.cap.quantifier.bandwidth
-        (regdir / "manifest.json").write_text(json.dumps(manifest))
-        loaded = load_registry(regdir)
-        assert loaded.meta == manifest["meta"]
-        assert loaded.caps.weight == source.caps.weight
-        for orig, redo in zip(source.entries, loaded.entries, strict=True):
-            q, r = orig.cap.quantifier, redo.cap.quantifier
-            assert type(r) is type(q)
-            assert getattr(r, "bandwidth", None) == getattr(q, "bandwidth",
-                                                            None)
-            for S, T in zip(getattr(q, "support", ()), getattr(r, "support", ()),
-                            strict=True):
-                assert np.array_equal(S, T)
-            assert np.array_equal(redo.cap.rates, orig.cap.rates)
-            assert predicted_accuracy(redo, bag) == predicted_accuracy(orig,
-                                                                       bag)
+def test_saved_registry_states_each_fact_once(registry, tmp_path):
+    # one format version, at the top; the meta holds the fit settings and
+    # the class count, which each model record's arrays and each rate
+    # matrix carry in their shapes
+    save_registry(registry, tmp_path / "reg")
+    doc = json.loads((tmp_path / "reg" / "manifest.json").read_text())
+    assert set(doc) == {"format_version", "meta", "warnings", "entries"}
+    assert doc["format_version"] == selection.FORMAT_VERSION == 2
+    assert set(doc["meta"]) == set(registry.meta) == selection.META_KEYS == {
+        "run_id", "seed", "families", "quantifier", "bandwidth",
+        "cap_weight", "smoothing", "n_classes", "data_fingerprint"}
+    for rec in doc["entries"]:
+        assert set(rec) == {"model_id", "val_accuracy", "model", "cap"}
+        assert set(rec["model"]) == {"family", "params", "seed", "meta",
+                                     "arrays"}
 
 
 def test_registry_round_trip_counting_quantifier(splits, tmp_path):
