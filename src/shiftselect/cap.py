@@ -14,13 +14,13 @@ any accuracy measure; vanilla accuracy is its trace.
 a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
 quantifiers share one type into a :class:`CapStack` under one weight, and
 :meth:`CapStack.rows` turns the k models' posteriors into the quantifiers'
-stacked rows. :func:`predict_batch` then predicts the accuracy of all k on
-one bag in one pass: label counts, one ``reduce`` of the rows, then one
-batched LEAP solve (:func:`leap_solve_batch`, the active-set Newton steps of
-the KDEy-ML mixture solver over a (k, n) stack of thetas, each leaving the
-batch once it converges). Every problem has the same tolerance and iteration
-cap, SOLVER_TOL and SOLVER_MAX_ITER. One predictor or one problem is the k=1
-case of the same calls.
+stacked rows. A bag takes two calls: :meth:`CapStack.prevalences` reduces
+the rows of any of the models to qhat, and :meth:`CapStack.accuracies` solves
+LEAP from their predicted labels and a qhat each (:func:`leap_solve_batch`,
+the active-set Newton steps of the KDEy-ML mixture solver over a (k, n) stack
+of thetas, each leaving the batch once it converges). Every problem has the
+same tolerance and iteration cap, SOLVER_TOL and SOLVER_MAX_ITER. One
+predictor or one problem is the k=1 case of the same calls.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import argmax_rows
 from .dataspace import DataError, LabelledSet, _frozen, as_prevalence
 from .quantifiers import (_newton_direction, _simplex_step, fit_quantifier,
                           label_shares)
@@ -112,7 +111,7 @@ class CapPredictor:
     P(predicted=i | true=j), columns on the simplex) plus quantifier, both
     fitted on the same validation data as the model's accuracy reference. The
     quantifier is any object with `rows(posteriors)` and a `reduce(rows)` over
-    a stack of them (see :func:`predict_batch`)."""
+    a stack of them (see :meth:`CapStack.prevalences`)."""
 
     rates: np.ndarray
     quantifier: object
@@ -130,7 +129,8 @@ class CapPredictor:
 
 def check_weight(weight) -> None:
     """Raise ValueError unless the solver weight is a positive finite number."""
-    if not (isinstance(weight, numbers.Real) and 0 < weight < np.inf):
+    if not (isinstance(weight, numbers.Real) and not isinstance(weight, bool)
+            and 0 < weight < np.inf):
         raise ValueError("weight must be a positive finite number, got "
                          f"{weight!r}")
 
@@ -169,11 +169,37 @@ class CapStack:
         return np.stack([q.rows(P)
                          for q, P in zip(self.quantifiers, posteriors)])
 
+    def prevalences(self, rows: np.ndarray):
+        """(qhat, iterations, converged) of one ``reduce`` of the
+        quantifiers' type (0 and True for CC) over the (j, m, n) rows of any
+        j stacked models; each row depends on its own rows only. m = 0
+        raises DataError."""
+        if rows.shape[1] == 0:
+            raise DataError("empty bag")
+        qhat, iterations, converged = type(self.quantifiers[0]).reduce(rows)
+        return (as_prevalence(qhat, self.M.shape[1], stacked=True),
+                iterations, converged)
+
+    def accuracies(self, labels: np.ndarray, qhat: np.ndarray):
+        """(accuracy, theta, iterations, converged) of the k models from
+        their (k, m) predicted labels and a (k, n) qhat: the LEAP solve from
+        the label shares, and the trace of each table m[i][j] * theta_j.
+        Labels of another number of models raise ValueError, m = 0
+        DataError."""
+        if len(labels) != len(self):
+            raise ValueError(f"labels of {len(labels)} models, "
+                             f"{len(self)} predictors")
+        if labels.shape[1] == 0:
+            raise DataError("empty bag")
+        rho = label_shares(labels, self.M.shape[1])
+        theta, iterations, converged = leap_solve_batch(self, rho, qhat)
+        return (self.diagonal * theta).sum(axis=1), theta, iterations, converged
+
 
 def stack_caps(caps, weight: float) -> CapStack:
-    """Stack the accuracy predictors `caps` for :func:`predict_batch` and
-    :func:`leap_solve_batch` under one solver `weight` (see check_weight).
-    There must be at least one, and their quantifiers must share one type."""
+    """Stack the accuracy predictors `caps` under one solver `weight` (see
+    check_weight). There must be at least one, and their quantifiers must
+    share one type."""
     check_weight(weight)
     quantifiers = np.fromiter((c.quantifier for c in caps), dtype=object)
     types = {type(q) for q in quantifiers}
@@ -184,47 +210,6 @@ def stack_caps(caps, weight: float) -> CapStack:
     Q = np.matmul(M.transpose(0, 2, 1), M) + weight * np.eye(M.shape[1])
     return CapStack(*map(_frozen, (
         quantifiers, M, Q, np.diagonal(M, axis1=1, axis2=2).copy())), weight)
-
-
-@dataclass(frozen=True)
-class CapBatch:
-    """Accuracy predictions of k predictors on one bag, one row per
-    predictor: estimated accuracy, solved theta, the two prevalence views, the
-    LEAP solver's iterations and convergence, and the same two counters of
-    the quantifier's mixture solver (0 and True for CC)."""
-
-    accuracy: np.ndarray
-    theta: np.ndarray
-    rho: np.ndarray
-    qhat: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    em_iterations: np.ndarray
-    em_converged: np.ndarray
-
-
-def predict_batch(stack: CapStack, posteriors: np.ndarray,
-                  rows: np.ndarray) -> CapBatch:
-    """Predicted accuracy of each stacked predictor's model on one
-    (unlabelled) bag.
-
-    `posteriors` stacks each model's posterior rows for the bag, shape
-    (k, m, n), and m = 0 raises DataError; `rows` stacks each quantifier's
-    rows for them (:meth:`CapStack.rows`).
-    """
-    if len(posteriors) != len(stack):
-        raise ValueError(f"posteriors for {len(posteriors)} models, "
-                         f"{len(stack)} predictors")
-    if posteriors.shape[1] == 0:
-        raise DataError("empty bag")
-    n = stack.M.shape[1]
-    qhat, em_iterations, em_converged = type(stack.quantifiers[0]).reduce(rows)
-    qhat = as_prevalence(qhat, n, stacked=True)
-    rho = label_shares(argmax_rows(posteriors), n)
-    theta, iterations, converged = leap_solve_batch(stack, rho, qhat)
-    # accuracy is the trace of each table c[i][j] = m[i][j] * theta_j
-    return CapBatch((stack.diagonal * theta).sum(axis=1), theta, rho, qhat,
-                    iterations, converged, em_iterations, em_converged)
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

@@ -19,7 +19,7 @@ same config and seed, a run produces byte-identical output files:
 
 The last three reduce one strategies × bags :func:`accuracy_matrix`.
 
-Selection never sees labels. Every strategy is one model position per bag,
+Selection never sees true labels. Every strategy is one model position per bag,
 its ``true_acc`` that entry of a models × bags matrix of true accuracies,
 computed from the test-set label cache before any strategy runs. The
 oracle, an evaluation upper bound, is the argmax of each bag's column, and
@@ -62,7 +62,7 @@ import numpy as np
 from .dataspace import (Dataset, apply_scaler, as_prevalence, fit_scaler,
                         load_csv, stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
-from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, build_grid,
+from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, argmax_rows, build_grid,
                           predict_posteriors_batch)
 from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
@@ -620,9 +620,9 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
                    for S in getattr(q, "support", ()))
     evaluate = timings["evaluate"] = {"workers": 0,
                                       "kde_kernel_values": len(test) * supports}
-    # Posteriors and quantifier rows (the KDE log densities) over the whole
-    # test set are computed once per model and stacked along
-    # registry.entries; a bag's rows are then slices, which keeps TMS cheap.
+    # Predicted labels and quantifier rows (the KDE log densities) over the
+    # whole test set are computed once per model and stacked along
+    # registry.entries; a bag's are then slices, which keeps TMS cheap.
     start = time.perf_counter()
     posteriors_test = predict_posteriors_batch(
         [e.model for e in registry.entries], test.X)
@@ -631,7 +631,7 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     rows_test = registry.caps.rows(posteriors_test)
     seconds["quantifier_rows"] = time.perf_counter() - start
     start = time.perf_counter()
-    labels_test = np.argmax(posteriors_test, axis=2)
+    labels_test = argmax_rows(posteriors_test)
     true = np.stack([(labels_test[:, bag.indices] == reveal_labels(bag))
                      .mean(axis=1) for bag in bags], axis=1)
     shifts = [l1_shift(train_prevalence, bag.realized_prevalence)
@@ -645,10 +645,11 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
         out = []
         for bag_id in part:
             bag = bags[bag_id]
-            batch = tms_select(registry, "All", bag,
-                               posteriors=posteriors_test[:, bag.indices],
-                               rows=rows_test[:, bag.indices]).batch
-            out.append((batch.accuracy, batch.converged, batch.em_converged))
+            outcome = tms_select(registry, "All", bag,
+                                 labels=labels_test[:, bag.indices],
+                                 rows=rows_test[:, bag.indices])
+            out.append((outcome.estimates, outcome.converged,
+                        outcome.em_converged))
         return out
 
     for strat in config.strategies:

@@ -19,7 +19,7 @@ from one test set evaluates them once per model over the whole set and slices
 out each bag; a row's value does not depend on the rows evaluated with it, so
 the slice equals the bag evaluated on its own, bit for bit.
 :meth:`cap.CapStack.rows` stacks the rows of the quantifiers of one type,
-:func:`cap.predict_batch` reduces them for one bag, and
+:meth:`cap.CapStack.prevalences` reduces them for one bag, and
 :func:`em_weights_batch` is the one mixture solver; one quantifier or one
 density matrix is the k=1 case of the same calls.
 
@@ -72,7 +72,7 @@ class ClassDensities:
     kind: ClassVar[str] = "KDEyML"
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
+        if isinstance(self.bandwidth, bool) or not 0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be a positive finite number, "
                              f"got {self.bandwidth!r}")
         for j, S in enumerate(self.support):

@@ -14,15 +14,14 @@ name or ``"All"``, and the models in it are the positions
 :meth:`ModelRegistry.scope_positions` gives in the registry's entries. The
 registry stacks every entry's accuracy predictor once
 (:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
-goes stale). TMS predicts the accuracy of every entry's model on the bag in
-one batched pass over that stack (:func:`cap.predict_batch`), whatever the
-scope, and the scope restricts only the argmax and the solver warnings to
-its rows. It accepts the bag's per-model posteriors and quantifier rows
-precomputed, stacked along a model axis aligned with ``registry.entries``;
-without them it computes both from the bag's features. No function here
-takes labels: the harness (:mod:`evalcli`) takes each TMS scope and the
-oracle, an evaluation upper bound, as argmaxes over models × bags matrices
-of estimated and of true accuracies.
+goes stale). TMS predicts the accuracy of every entry's model on the bag
+over that stack, whatever the scope, from each model's predicted labels and
+quantifier rows for the bag, which it takes precomputed (stacked along
+``registry.entries``) or computes from the bag's features. The scope
+restricts only the argmax and the solver warnings to its rows. No function
+here takes true labels: the harness (:mod:`evalcli`) takes each TMS scope
+and the oracle, an evaluation upper bound, as argmaxes over models × bags
+matrices of estimated and of true accuracies.
 
 A registry is saved as one document, ``manifest.json``: its format version,
 its meta (the one record of the class count and of the settings every
@@ -44,13 +43,12 @@ from functools import cached_property
 import numpy as np
 
 from .dataspace import LabelledSet
-from .classifiers import (TrainedModel, TrainingError, build_grid,
-                          decode_array, default_model, encode_array,
-                          model_from_record, model_to_record,
+from .classifiers import (TrainedModel, TrainingError, argmax_rows,
+                          build_grid, decode_array, default_model,
+                          encode_array, model_from_record, model_to_record,
                           predict_posteriors_batch, train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import (CapBatch, CapPredictor, CapStack, check_weight, fit_cap,
-                  predict_batch, stack_caps)
+from .cap import CapPredictor, CapStack, check_weight, fit_cap, stack_caps
 
 FORMAT_VERSION = 2      # of the saved registry document
 META_KEYS = {"run_id", "seed", "families", "quantifier", "bandwidth",
@@ -112,8 +110,11 @@ class SelectionOutcome:
     model_id: int
     predicted_labels: np.ndarray
     estimated_accuracy: float
-    # every entry's prediction on the bag, in registry.entries order
-    batch: CapBatch
+    # in registry.entries order: every entry's estimated accuracy, and
+    # whether its accuracy solver and its mixture solver converged
+    estimates: np.ndarray
+    converged: np.ndarray
+    em_converged: np.ndarray
     # one line per in-scope model whose accuracy solver or mixture solver
     # stopped early on this bag
     warnings: tuple
@@ -223,40 +224,41 @@ def ims_select(registry: ModelRegistry, scope) -> int:
     return registry.entries[positions[best]].model_id
 
 
-def tms_select(registry: ModelRegistry, scope, bag, posteriors=None,
+def tms_select(registry: ModelRegistry, scope, bag, labels=None,
                rows=None) -> SelectionOutcome:
     """Pick the in-scope model with the highest predicted accuracy on this
-    bag and label the bag with it. Every entry's accuracy is predicted, in
-    one :func:`cap.predict_batch` over ``registry.caps``; the scope restricts
-    the argmax and the warnings to its rows, ``scope_positions(scope)``.
+    bag and label the bag with it. Every entry's accuracy is predicted over
+    ``registry.caps`` (:meth:`cap.CapStack.prevalences`, then
+    :meth:`cap.CapStack.accuracies`); the scope restricts the argmax and the
+    warnings to its rows, ``scope_positions(scope)``.
 
-    `posteriors` may supply the bag's posterior rows under every registry
-    entry's model, shape (len(registry.entries), m, n), and `rows` the
-    matching quantifier rows (:meth:`cap.CapStack.rows` of
-    ``registry.caps``); the evaluation harness slices both from test-set
-    caches. Without them both are computed from the bag's features; an empty
-    bag raises DataError.
+    `labels` may supply the bag's predicted labels under every entry's model,
+    shape (len(registry.entries), m), and `rows` their quantifier rows
+    (:meth:`cap.CapStack.rows`); the evaluation harness slices both from
+    test-set caches. What is not supplied is computed from the bag's
+    features; an empty bag raises DataError.
     """
     positions = registry.scope_positions(scope)
-    if posteriors is None:
+    if labels is None or rows is None:
         posteriors = predict_posteriors_batch(
             [e.model for e in registry.entries], bag.features)
-    if rows is None:
-        rows = registry.caps.rows(posteriors)
-    batch = predict_batch(registry.caps, posteriors, rows)
+        labels = argmax_rows(posteriors) if labels is None else labels
+        rows = registry.caps.rows(posteriors) if rows is None else rows
+    qhat, _, em_converged = registry.caps.prevalences(rows)
+    estimates, _, _, converged = registry.caps.accuracies(labels, qhat)
     best = positions[best_position(
-        batch.accuracy[positions],
+        estimates[positions],
         f"scope {scope!r} on a bag of {bag.size} instances")]
     return SelectionOutcome(
         model_id=registry.entries[best].model_id,
-        predicted_labels=np.argmax(posteriors[best], axis=1),
-        estimated_accuracy=float(batch.accuracy[best]),
-        batch=batch,
+        predicted_labels=labels[best],
+        estimated_accuracy=float(estimates[best]),
+        estimates=estimates, converged=converged, em_converged=em_converged,
         warnings=tuple(
             f"model {registry.entries[i].model_id}: {what} did not converge"
-            for what, converged in (("accuracy solver", batch.converged),
-                                    ("mixture solver", batch.em_converged))
-            for i in positions[~converged[positions]]))
+            for what, flags in (("accuracy solver", converged),
+                                ("mixture solver", em_converged))
+            for i in positions[~flags[positions]]))
 
 
 def default_select(registry: ModelRegistry, family: str) -> int:
@@ -280,9 +282,16 @@ def write_json(out_dir, name: str, doc: dict) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
+def _check_meta_keys(meta) -> None:
+    if set(meta) != META_KEYS:
+        raise ValueError(f"meta keys {sorted(meta)}, not {sorted(META_KEYS)}")
+
+
 def save_registry(registry: ModelRegistry, out_dir) -> None:
     """Write the registry as out_dir/manifest.json, its only file; the format
-    version, the fit settings and the class count are saved once each."""
+    version, the fit settings and the class count are saved once each. Meta
+    keys other than META_KEYS (a hand-built registry's) raise ValueError."""
+    _check_meta_keys(registry.meta)
     entries = []
     for e in registry.entries:
         cap = {"rate_matrix": encode_array(e.cap.rates)}
@@ -315,9 +324,7 @@ def load_registry(out_dir) -> ModelRegistry:
         if manifest["format_version"] != FORMAT_VERSION:
             raise ValueError(f"format version {manifest['format_version']!r}")
         meta, warnings = manifest["meta"], manifest["warnings"]
-        if set(meta) != META_KEYS:
-            raise ValueError(f"meta keys {sorted(meta)}, not "
-                             f"{sorted(META_KEYS)}")
+        _check_meta_keys(meta)
         if type(warnings) is not list or {type(w) for w in warnings} - {str}:
             raise ValueError(f"warnings {warnings!r}: not a list of strings")
         n_classes = meta["n_classes"]

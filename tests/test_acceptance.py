@@ -10,15 +10,16 @@ import pytest
 
 import shiftselect.evalcli as evalcli_mod
 from shiftselect.cap import (CapPredictor, leap_solve_batch,
-                             pps_accuracy_identity, predict_batch, stack_caps)
-from shiftselect.classifiers import (default_model, lr_loss_grad,
+                             pps_accuracy_identity, stack_caps)
+from shiftselect.classifiers import (argmax_rows, default_model, lr_loss_grad,
                                      mlp_loss_grad, train_grid)
 from shiftselect.dataspace import stratified_split, synth_gaussian_pps
 from shiftselect.evalcli import (RunConfig, _prepare, accuracy_matrix,
                                  emit_report, run_experiment,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
-from shiftselect.quantifiers import CCQuantifier, em_weights_batch, fit_kdey
+from shiftselect.quantifiers import (CCQuantifier, em_weights_batch, fit_kdey,
+                                     label_shares)
 
 
 def report(criterion, ok, detail):
@@ -111,11 +112,11 @@ def test_criterion_03_leap_oracle_exactness():
     features = pred0 * 56 + pred1 * 14 + pred1 * 27 + pred0 * 3
     bag = _FixedBag(features, [0.7, 0.3])
     stack = stack_caps([CapPredictor(M, _OracleQuantifier(bag))], 1.0)
-    posteriors = _PassThrough(2).predict_posteriors(bag.features)
-    # predict_batch's label shares and oracle prevalence, solved to 1e-13
-    batch = predict_batch(stack, posteriors[None],
-                          stack.rows(posteriors[None]))
-    theta, _, _ = leap_solve_batch(stack, batch.rho, batch.qhat, **TIGHT)
+    posteriors = _PassThrough(2).predict_posteriors(bag.features)[None]
+    # the label shares and oracle prevalence, solved to 1e-13
+    rho = label_shares(argmax_rows(posteriors), 2)
+    qhat, _, _ = stack.prevalences(stack.rows(posteriors))
+    theta, _, _ = leap_solve_batch(stack, rho, qhat, **TIGHT)
     estimate = float((stack.diagonal * theta).sum())
     closed_form = tpr * q + tnr * (1 - q)
     err2 = abs(estimate - closed_form)

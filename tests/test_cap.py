@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftselect.cap import (CapPredictor, estimate_rate_matrix, fit_cap,
-                             leap_solve_batch, predict_batch,
-                             pps_accuracy_identity, stack_caps)
-from shiftselect.classifiers import default_model, train_grid
+                             leap_solve_batch, pps_accuracy_identity,
+                             stack_caps)
+from shiftselect.classifiers import argmax_rows, default_model, train_grid
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
-from shiftselect.quantifiers import CCQuantifier, ClassDensities, fit_kdey
+from shiftselect.quantifiers import (CCQuantifier, ClassDensities, fit_kdey,
+                                     label_shares)
 
 
 class PassThroughModel:
@@ -52,11 +53,19 @@ def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
             bool(converged[0]))
 
 
+def predict(stack, posteriors):
+    """The stack's predictions on one bag from its (k, m, n) posteriors, as
+    selection.tms_select composes them: (accuracy, theta, iterations,
+    converged) of CapStack.accuracies, each of shape (k, ...)."""
+    qhat, _, _ = stack.prevalences(stack.rows(posteriors))
+    return stack.accuracies(argmax_rows(posteriors), qhat)
+
+
 def predict_one(psi, model, bag):
-    """One predictor on one bag through the batched API."""
-    stack = stack_caps([psi], 1.0)
+    """One predictor on one bag through the batched API: (accuracy, theta,
+    iterations, converged) of the k=1 stack, for its one model."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    return predict_batch(stack, posteriors, stack.rows(posteriors))
+    return tuple(a[0] for a in predict(stack_caps([psi], 1.0), posteriors))
 
 
 def posterior_dataset(posterior_rows, labels):
@@ -210,7 +219,7 @@ def test_leap_weight_limits():
     assert np.allclose(light, theta0, atol=1e-3)
 
 
-@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf, True])
 def test_leap_rejects_bad_weight(weight):
     with pytest.raises(ValueError, match="positive finite"):
         solve_one(np.eye(2), [0.5, 0.5], [0.5, 0.5], weight=weight)
@@ -319,8 +328,7 @@ def test_leap_matches_brute_force_on_every_support(seed, k, n):
        m=st.integers(1, 30), n=st.integers(2, 4),
        bandwidth=st.sampled_from([0.01, 0.1, 0.5]),
        kind=st.sampled_from(["CC", "KDEyML"]))
-def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
-                                                kind):
+def test_stack_calls_equal_one_cap_calls(seed, k, m, n, bandwidth, kind):
     rng = np.random.default_rng(seed)
     caps = []
     # predictors of one quantifier kind, solved under the stack's one weight
@@ -336,15 +344,29 @@ def test_predict_batch_rows_equal_one_cap_calls(seed, k, m, n, bandwidth,
                                  quantifier))
     posteriors = rng.dirichlet(np.ones(n), size=(k, m))
     stack = stack_caps(caps, weight)
-    batch = predict_batch(stack, posteriors, stack.rows(posteriors))
+    rows, labels = stack.rows(posteriors), argmax_rows(posteriors)
+    # each call's fields, by name: prevalences, then accuracies
+    names = ("qhat", "em_iterations", "em_converged",
+             "accuracy", "theta", "iterations", "converged")
+    prevalences = stack.prevalences(rows)
+    every = dict(zip(names, prevalences + stack.accuracies(labels,
+                                                           prevalences[0])))
+    rho = label_shares(labels, n)
     for i, psi in enumerate(caps):
         one_stack = stack_caps([psi], weight)
-        one = predict_batch(one_stack, posteriors[i:i + 1],
-                            one_stack.rows(posteriors[i:i + 1]))
-        for name in ("accuracy", "theta", "rho", "qhat", "iterations",
-                     "converged", "em_iterations", "em_converged"):
-            assert np.array_equal(getattr(batch, name)[i],
-                                  getattr(one, name)[0]), name
+        one_prevalences = one_stack.prevalences(one_stack.rows(
+            posteriors[i:i + 1]))
+        one = dict(zip(names, one_prevalences + one_stack.accuracies(
+            labels[i:i + 1], one_prevalences[0])))
+        for name in names:
+            assert np.array_equal(every[name][i], one[name][0]), name
+        assert np.array_equal(rho[i], label_shares(labels[i:i + 1], n)[0])
+    # the prevalences of any subset of the stacked models' rows are those
+    # rows of the prevalences of all of them, bit for bit
+    subset = np.sort(rng.choice(k, size=rng.integers(1, k + 1),
+                                replace=False))
+    for whole, part in zip(prevalences, stack.prevalences(rows[subset])):
+        assert np.array_equal(whole[subset], part)
 
 
 def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
@@ -357,18 +379,18 @@ def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
         stack_caps([], 1.0)
 
 
-def test_predict_batch_rejects_an_empty_bag():
-    psi = CapPredictor(np.eye(2), CCQuantifier())
-    empty = np.zeros((1, 0, 2))
+def test_stack_calls_reject_an_empty_bag():
+    stack = stack_caps([CapPredictor(np.eye(2), CCQuantifier())], 1.0)
     with pytest.raises(DataError, match="empty bag"):
-        predict_batch(stack_caps([psi], 1.0), empty, empty)
+        stack.prevalences(np.zeros((1, 0, 2)))
+    with pytest.raises(DataError, match="empty bag"):
+        stack.accuracies(np.zeros((1, 0), dtype=int), np.full((1, 2), 0.5))
 
 
-def test_predict_batch_rejects_posteriors_of_other_models():
-    psi = CapPredictor(np.eye(2), CCQuantifier())
-    posteriors = np.full((2, 3, 2), 0.5)
-    with pytest.raises(ValueError, match="posteriors for 2 models"):
-        predict_batch(stack_caps([psi], 1.0), posteriors, posteriors)
+def test_accuracies_reject_labels_of_other_models():
+    stack = stack_caps([CapPredictor(np.eye(2), CCQuantifier())], 1.0)
+    with pytest.raises(ValueError, match="labels of 2 models"):
+        stack.accuracies(np.zeros((2, 3), dtype=int), np.full((1, 2), 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +405,10 @@ def test_accuracy_is_the_trace():
     caps = [CapPredictor(M, OracleQuantifier(bag))
             for M in (np.eye(2), np.full((2, 2), 0.5))]
     stack = stack_caps(caps, 1.0)
-    posteriors = np.stack([bag.features] * 2)
-    batch = predict_batch(stack, posteriors, stack.rows(posteriors))
+    accuracy, _, _, _ = predict(stack, np.stack([bag.features] * 2))
     # tables diag(0.3, 0.7) and 0.5 * theta in every row: traces 1 and 0.5
-    assert batch.accuracy[0] == 1.0
-    assert batch.accuracy[1] == 0.5
+    assert accuracy[0] == 1.0
+    assert accuracy[1] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +423,7 @@ def test_cap_perfect_classifier_with_oracle_quantifier_gives_one():
     rates = estimate_rate_matrix(ds.features, ds.all_instances())
     bag = draw_bag(ds.all_instances(), [0.5, 0.5], 40, np.random.default_rng(0))
     psi = CapPredictor(rates, OracleQuantifier(bag))
-    assert predict_one(psi, model, bag).accuracy[0] == pytest.approx(1.0, abs=1e-9)
+    assert predict_one(psi, model, bag)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -428,7 +449,7 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
         target = rng.dirichlet([1.0, 1.0])
         bag = draw_bag(test, target, s, rng)
         psi = CapPredictor(rates, OracleQuantifier(bag))
-        estimate = predict_one(psi, model, bag).accuracy[0]
+        estimate = predict_one(psi, model, bag)[0]
         true_acc = (np.argmax(model.predict_posteriors(bag.features), axis=1)
                     == reveal_labels(bag)).mean()
         if abs(estimate - true_acc) <= bound:
@@ -443,18 +464,18 @@ def test_cap_zero_shift_matches_validation_accuracy(overlapping_pipeline):
                == validation.y).mean()
     rng = np.random.default_rng(8)
     bag = draw_bag(test, train_set.prevalence(), 500, rng)
-    assert abs(predict_one(psi, model, bag).accuracy[0] - val_acc) <= 0.05
+    assert abs(predict_one(psi, model, bag)[0] - val_acc) <= 0.05
 
 
 def test_cap_detailed_reports_solver_state(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     psi = fit_cap(model.predict_posteriors(validation.X), validation)
     bag = draw_bag(test, [0.3, 0.7], 100, np.random.default_rng(9))
-    pred = predict_one(psi, model, bag)
-    assert 0.0 <= pred.accuracy[0] <= 1.0
-    assert pred.converged[0]
-    table = psi.rates * pred.theta[0][None, :]
-    assert np.allclose(table.sum(axis=0), pred.theta[0], atol=1e-9)
+    accuracy, theta, _, converged = predict_one(psi, model, bag)
+    assert 0.0 <= accuracy <= 1.0
+    assert converged
+    table = psi.rates * theta[None, :]
+    assert np.allclose(table.sum(axis=0), theta, atol=1e-9)
 
 
 def test_fit_cap_rejects_unknown_quantifier(overlapping_pipeline):
@@ -469,7 +490,7 @@ def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     psi = fit_cap(model.predict_posteriors(validation.X), validation,
                   quantifier_kind="CC")
     bag = draw_bag(test, [0.4, 0.6], 200, np.random.default_rng(10))
-    estimate = predict_one(psi, model, bag).accuracy[0]
+    estimate = predict_one(psi, model, bag)[0]
     assert 0.0 <= estimate <= 1.0
     true_acc = (np.argmax(model.predict_posteriors(bag.features), axis=1)
                 == reveal_labels(bag)).mean()

@@ -15,7 +15,8 @@ import pytest
 import scipy.stats
 
 from shiftselect import evalcli, parallel
-from shiftselect.classifiers import MLP_MAX_EPOCHS, predict_posteriors_batch
+from shiftselect.classifiers import (MLP_MAX_EPOCHS, argmax_rows,
+                                    predict_posteriors_batch)
 from shiftselect.evalcli import (ConfigError, ResultRow, ResultTable, RunConfig,
                                  StageError, accuracy_matrix, claims,
                                  config_from_dict, _prepare, emit_report,
@@ -563,7 +564,7 @@ def reference_rows(config, registry, proper, test):
                         manifest["derived_seeds"]["protocol"])
     posteriors = predict_posteriors_batch([e.model for e in registry.entries],
                                           test.X)
-    rows = registry.caps.rows(posteriors)
+    rows, labels = registry.caps.rows(posteriors), argmax_rows(posteriors)
     ids = [e.model_id for e in registry.entries]
     expected = {}
     for bag_id, bag in enumerate(bags):
@@ -578,7 +579,7 @@ def reference_rows(config, registry, proper, test):
                 mid = max(ids, key=lambda i: (true[ids.index(i)], -i))
             elif kind == "TMS":
                 outcome = tms_select(registry, scope, bag,
-                                     posteriors=posteriors[:, bag.indices],
+                                     labels=labels[:, bag.indices],
                                      rows=rows[:, bag.indices])
                 mid, est = outcome.model_id, outcome.estimated_accuracy
             else:

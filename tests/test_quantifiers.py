@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from shiftselect import quantifiers
-from shiftselect.cap import CapPredictor, predict_batch, stack_caps
+from shiftselect.cap import CapPredictor, stack_caps
 from shiftselect.classifiers import argmax_rows, default_model, max_rows, train_grid
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
@@ -48,12 +48,13 @@ def one_stack(quantifier, n, k=1):
 
 def estimate_one(quantifier, model, bag, rows=None):
     """One quantifier's prevalence estimate on one bag through
-    cap.predict_batch, from the stack's own rows unless `rows` is given."""
+    cap.CapStack.prevalences, from the stack's own rows unless `rows` is
+    given."""
     posteriors = model.predict_posteriors(bag.features)[None]
     stack = one_stack(quantifier, posteriors.shape[2])
     if rows is None:
         rows = stack.rows(posteriors)
-    return predict_batch(stack, posteriors, rows).qhat[0]
+    return stack.prevalences(rows)[0][0]
 
 
 @pytest.fixture(scope="module")

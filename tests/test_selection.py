@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from shiftselect import evalcli, selection
-from shiftselect.cap import predict_batch, stack_caps
-from shiftselect.classifiers import (TrainingError, build_grid, default_model,
-                                    decode_array, encode_array,
+from shiftselect.cap import CapStack, stack_caps
+from shiftselect.classifiers import (TrainingError, argmax_rows, build_grid,
+                                    default_model, decode_array, encode_array,
                                     model_to_record, predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
+from shiftselect.quantifiers import label_shares
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
                                    default_select, ims_select, load_registry,
                                    save_registry, tms_select)
@@ -37,8 +38,18 @@ def predicted_accuracy(entry, bag, weight=1.0):
     under the LEAP `weight` (the registries here are built under 1)."""
     posteriors = entry.model.predict_posteriors(bag.features)[None]
     stack = stack_caps([entry.cap], weight)
-    return predict_batch(stack, posteriors,
-                         stack.rows(posteriors)).accuracy[0]
+    return stack_fields(stack, argmax_rows(posteriors),
+                        stack.rows(posteriors))["accuracy"][0]
+
+
+def stack_fields(stack, labels, rows):
+    """Every output of a stack's two calls on one bag, by name, composed as
+    tms_select composes them, and the label shares the solve reads."""
+    prevalences = stack.prevalences(rows)
+    return dict(zip(("qhat", "em_iterations", "em_converged", "accuracy",
+                     "theta", "iterations", "converged"),
+                    prevalences + stack.accuracies(labels, prevalences[0])),
+                rho=label_shares(labels, stack.M.shape[1]))
 
 
 def bag_posteriors(registry, test):
@@ -49,6 +60,17 @@ def bag_posteriors(registry, test):
     def rows_for(bag):
         return cache[:, bag.indices]
     return rows_for
+
+
+def bag_caches(registry, test):
+    """bag -> tms_select's cache keywords for the bag: the predicted labels
+    and quantifier rows under every registry model, sliced from test-set
+    caches stacked along registry.entries."""
+    posteriors = predict_posteriors_batch([e.model for e in registry.entries],
+                                          test.X)
+    labels, rows = argmax_rows(posteriors), registry.caps.rows(posteriors)
+    return lambda bag: {"labels": labels[:, bag.indices],
+                        "rows": rows[:, bag.indices]}
 
 
 def scored_entry(model_id, val_accuracy):
@@ -100,10 +122,13 @@ def test_a_heavy_cap_weight_predicts_the_plug_in_accuracy(splits):
         reg = build_registry(("LR", "KNN"), proper, validation, seed=0,
                              cap_weight=weight)
         assert reg.caps.weight == reg.meta["cap_weight"] == weight
-        batch = tms_select(reg, "All", bag).batch
+        outcome = tms_select(reg, "All", bag)
+        P = predict_posteriors_batch([e.model for e in reg.entries],
+                                     bag.features)
+        qhat, _, _ = reg.caps.prevalences(reg.caps.rows(P))
         diagonals = np.array([np.diag(e.cap.rates) for e in reg.entries])
-        plug_in = (diagonals * batch.qhat).sum(axis=1)
-        gaps[weight] = np.abs(batch.accuracy - plug_in).max()
+        plug_in = (diagonals * qhat).sum(axis=1)
+        gaps[weight] = np.abs(outcome.estimates - plug_in).max()
     assert gaps[1e6] <= 1e-5
     assert gaps[1.0] > 1e-5
 
@@ -170,9 +195,9 @@ def test_registry_round_trip(registry, splits, tmp_path):
     rows_for = bag_posteriors(registry, test)
     P = rows_for(bag)
     assert np.array_equal(P, bag_posteriors(loaded, test)(bag))
-    assert np.array_equal(
-        predict_batch(registry.caps, P, registry.caps.rows(P)).accuracy,
-        predict_batch(loaded.caps, P, loaded.caps.rows(P)).accuracy)
+    assert np.array_equal(*(
+        tms_select(r, "All", bag, labels=argmax_rows(P),
+                   rows=r.caps.rows(P)).estimates for r in (registry, loaded)))
 
 
 @pytest.mark.parametrize("damage", ["old layout", "format_version 1",
@@ -200,8 +225,9 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "a repeated model id", "no entries",
                                     "cap_weight 0", "cap_weight -1",
                                     "cap_weight x", "cap_weight None",
-                                    "cap_weight nan", "bandwidth nan",
-                                    "bandwidth inf",
+                                    "cap_weight nan", "cap_weight True",
+                                    "bandwidth nan", "bandwidth inf",
+                                    "bandwidth True",
                                     "val_accuracy high", "val_accuracy None",
                                     "val_accuracy 7.5", "val_accuracy -0.5",
                                     "val_accuracy nan", "val_accuracy True",
@@ -312,7 +338,8 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
         # the first TMS solve, with a message that does not say to retrain
         key, value = damage.split()
         manifest["meta"][key] = {"0": 0, "-1": -1, "x": "x", "None": None,
-                                 "nan": np.nan, "inf": np.inf}[value]
+                                 "nan": np.nan, "inf": np.inf,
+                                 "True": True}[value]
     elif damage.startswith(("val_accuracy ", "model_id ")):
         # unchecked at load, an accuracy would fail only in ims_select, or
         # win IMS above 1, and a fractional id would sort between two others
@@ -362,6 +389,17 @@ def test_saved_registry_states_each_fact_once(registry, tmp_path):
         assert set(rec) == {"model_id", "val_accuracy", "model", "cap"}
         assert set(rec["model"]) == {"family", "params", "seed", "meta",
                                      "arrays"}
+
+
+def test_save_registry_refuses_what_load_registry_refuses(registry,
+                                                          tmp_path):
+    # a hand-built registry carries the default meta, the LEAP weight only;
+    # it still solves, but load_registry would refuse its document
+    hand_built = ModelRegistry(registry.entries[:3])
+    assert hand_built.meta == {"cap_weight": 1.0}
+    with pytest.raises(ValueError, match="meta keys"):
+        save_registry(hand_built, tmp_path / "reg")
+    assert not (tmp_path / "reg" / "manifest.json").exists()
 
 
 def test_registry_round_trip_counting_quantifier(splits, tmp_path):
@@ -540,7 +578,7 @@ def test_tms_rejects_an_empty_bag(registry, splits):
     P = predict_posteriors_batch([e.model for e in registry.entries], test.X)
     F = registry.caps.rows(P)
     # from the bag's features, and from slices of test-set caches
-    for cached in ({}, {"posteriors": P[:, bag.indices],
+    for cached in ({}, {"labels": argmax_rows(P)[:, bag.indices],
                         "rows": F[:, bag.indices]}):
         with pytest.raises(DataError, match="empty bag"):
             tms_select(registry, "All", bag, **cached)
@@ -568,10 +606,10 @@ def test_tms_family_scope_restricts_candidates(registry, splits):
     bag = draw_bag(test, [0.4, 0.6], 50, np.random.default_rng(10))
     outcome = tms_select(registry, "KNN", bag)
     # every entry is predicted, and the pick is the best of the KNN rows
-    assert len(outcome.batch.accuracy) == len(registry.entries)
+    assert len(outcome.estimates) == len(registry.entries)
     assert registry.entry(outcome.model_id).model.family == "KNN"
     knn = registry.scope_positions("KNN")
-    assert outcome.estimated_accuracy == outcome.batch.accuracy[knn].max()
+    assert outcome.estimated_accuracy == outcome.estimates[knn].max()
 
 
 def test_tms_scope_is_the_argmax_of_its_rows_of_the_all_batch(
@@ -579,15 +617,14 @@ def test_tms_scope_is_the_argmax_of_its_rows_of_the_all_batch(
     from shiftselect import cap
     _, _, test = splits
     bag = draw_bag(test, [0.6, 0.4], 50, np.random.default_rng(13))
-    every = tms_select(registry, "All", bag).batch
+    every = tms_select(registry, "All", bag).estimates
     for scope in ("All", "LR", "KNN", "MLP"):
         positions = registry.scope_positions(scope)
         outcome = tms_select(registry, scope, bag)
-        best = positions[selection.best_position(every.accuracy[positions],
-                                                 scope)]
+        best = positions[selection.best_position(every[positions], scope)]
         assert outcome.model_id == registry.entries[best].model_id
-        assert outcome.estimated_accuracy == every.accuracy[best]
-        assert np.array_equal(outcome.batch.accuracy, every.accuracy)
+        assert outcome.estimated_accuracy == every[best]
+        assert np.array_equal(outcome.estimates, every)
     # stop the first model of each family early: a scope warns only of its
     # own, in model id order
     first = {}
@@ -618,13 +655,13 @@ def test_tms_precomputed_test_set_rows_match_features(registry, splits):
     _, _, test = splits
     posteriors = np.stack([e.model.predict_posteriors(test.X)
                            for e in registry.entries])
-    rows = registry.caps.rows(posteriors)
+    rows, labels = registry.caps.rows(posteriors), argmax_rows(posteriors)
     rng = np.random.default_rng(12)
     for target in ([0.9, 0.1], [0.5, 0.5], [0.1, 0.9]):
         bag = draw_bag(test, target, 60, rng)
         for scope in ("All", "KNN"):
             cached = tms_select(registry, scope, bag,
-                                posteriors=posteriors[:, bag.indices],
+                                labels=labels[:, bag.indices],
                                 rows=rows[:, bag.indices])
             direct = tms_select(registry, scope, bag)
             assert cached.model_id == direct.model_id
@@ -639,7 +676,7 @@ def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
     _, _, test = splits
     posteriors = predict_posteriors_batch([e.model for e in registry.entries],
                                           test.X)
-    rows = registry.caps.rows(posteriors)
+    rows, labels = registry.caps.rows(posteriors), argmax_rows(posteriors)
     warm = ModelRegistry(list(registry.entries))
     rng = np.random.default_rng(40)
     bags = [draw_bag(test, target, 50, rng)
@@ -658,34 +695,36 @@ def test_warm_registry_stack_equals_a_fresh_registry_and_one_model_calls(
     # every scope's first call shares one stack over all entries
     assert stacked == [len(registry.entries)]
     built = warm.caps
-    fields = ("accuracy", "theta", "rho", "qhat", "iterations", "converged",
-              "em_iterations", "em_converged")
     for bag in bags:
-        P, F = posteriors[:, bag.indices], rows[:, bag.indices]
+        L, F = labels[:, bag.indices], rows[:, bag.indices]
+        every = stack_fields(warm.caps, L, F)
         for scope in scopes:
-            got = tms_select(warm, scope, bag, posteriors=P, rows=F)
+            got = tms_select(warm, scope, bag, labels=L, rows=F)
             fresh = tms_select(ModelRegistry(list(registry.entries)), scope,
-                               bag, posteriors=P, rows=F)
+                               bag, labels=L, rows=F)
             assert warm.caps is built
             assert (got.model_id, got.estimated_accuracy, got.warnings) == (
                 fresh.model_id, fresh.estimated_accuracy, fresh.warnings)
             assert np.array_equal(got.predicted_labels, fresh.predicted_labels)
-            # the scope's rows of the one batch over every entry are its
-            # models' k=1 predictions, bit for bit, and TMS takes their argmax
+            # the outcome holds three outputs of the two calls over every
+            # entry; the scope's rows of each output are its models' k=1
+            # outputs, bit for bit, and TMS takes their argmax
+            for name, held in (("accuracy", got.estimates),
+                               ("converged", got.converged),
+                               ("em_converged", got.em_converged)):
+                assert np.array_equal(held, every[name]), name
             positions = warm.scope_positions(scope)
             assert [registry.entries[i].model_id for i in positions] == [
                 e.model_id for e in registry.entries
                 if scope == "All" or e.model.family == scope]
-            batch = got.batch
             for i in positions:
-                one = predict_batch(
+                one = stack_fields(
                     stack_caps([registry.entries[i].cap], warm.caps.weight),
-                    P[i:i + 1], F[i:i + 1])
-                for name in fields:
-                    assert np.array_equal(getattr(batch, name)[i],
-                                          getattr(one, name)[0]), name
-            best = positions[int(np.argmax(batch.accuracy[positions]))]
-            assert got.estimated_accuracy == batch.accuracy[best]
+                    L[i:i + 1], F[i:i + 1])
+                for name in one:
+                    assert np.array_equal(every[name][i], one[name][0]), name
+            best = positions[int(np.argmax(got.estimates[positions]))]
+            assert got.estimated_accuracy == got.estimates[best]
             assert got.model_id == registry.entries[best].model_id
     assert len(stacked) == 1 + len(bags) * len(scopes)   # one per fresh
 
@@ -763,12 +802,12 @@ def test_predictions_from_features_equal_sliced_test_set_caches(registry,
     for target, size in (([0.9, 0.1], 60), ([0.5, 0.5], 100), ([0.2, 0.8], 33),
                          ([0.0, 1.0], 8), ([0.6, 0.4], 1)):
         bag = draw_bag(test, target, size, rng)
-        cached = predict_batch(caps, posteriors[:, bag.indices],
-                               rows[:, bag.indices])
+        cached = stack_fields(caps, argmax_rows(posteriors)[:, bag.indices],
+                              rows[:, bag.indices])
         P = predict_posteriors_batch(models, bag.features)
-        direct = predict_batch(caps, P, caps.rows(P))
+        direct = stack_fields(caps, argmax_rows(P), caps.rows(P))
         for name in ("accuracy", "iterations", "em_iterations"):
-            assert np.array_equal(getattr(cached, name), getattr(direct, name))
+            assert np.array_equal(cached[name], direct[name])
 
 
 def test_loaded_registry_shares_one_neighbour_search_per_bag(registry, splits,
@@ -828,16 +867,15 @@ def test_tms_and_oracle_exact_tie_goes_to_lowest_model_id(registry, splits):
 
 
 def _with_accuracies(monkeypatch, make):
-    """Route tms_select through predict_batch with its accuracy vector
+    """Route tms_select through CapStack.accuracies with its accuracy vector
     replaced by make(accuracy)."""
-    from dataclasses import replace
-    real = selection.predict_batch
+    real = CapStack.accuracies
 
-    def patched(*args, **kwargs):
-        batch = real(*args, **kwargs)
-        return replace(batch, accuracy=make(batch.accuracy.copy()))
+    def patched(self, labels, qhat):
+        accuracy, *rest = real(self, labels, qhat)
+        return (make(accuracy.copy()), *rest)
 
-    monkeypatch.setattr(selection, "predict_batch", patched)
+    monkeypatch.setattr(CapStack, "accuracies", patched)
 
 
 def test_tms_nan_estimate_never_wins(registry, splits, monkeypatch):
@@ -870,12 +908,12 @@ def test_tms_all_nan_scope_is_rejected(registry, splits, monkeypatch):
 def test_tms_adapts_across_opposite_vertex_bags(registry, splits):
     _, _, test = splits
     rng = np.random.default_rng(5)
-    rows_for = bag_posteriors(registry, test)
+    caches = bag_caches(registry, test)
     chosen = set()
     for _ in range(30):
         for target in ([0.95, 0.05], [0.05, 0.95]):
             bag = draw_bag(test, target, 100, rng)
-            outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
+            outcome = tms_select(registry, "All", bag, **caches(bag))
             chosen.add(outcome.model_id)
     assert len(chosen) >= 2
 
@@ -892,12 +930,12 @@ def test_tms_beats_ims_under_extreme_shift(registry, splits):
     proper, _, test = splits
     rng = np.random.default_rng(6)
     ims_id = ims_select(registry, "All")
-    rows_for = bag_posteriors(registry, test)
+    caches = bag_caches(registry, test)
     tms_accs, ims_accs = [], []
     for _ in range(60):
         bag = draw_bag(test, [0.05, 0.95], 100, rng)
         truth = reveal_labels(bag)
-        outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
+        outcome = tms_select(registry, "All", bag, **caches(bag))
         tms_accs.append((outcome.predicted_labels == truth).mean())
         ims_labels = np.argmax(
             registry.entry(ims_id).model.predict_posteriors(bag.features),
@@ -910,12 +948,12 @@ def test_tms_matches_ims_under_zero_shift(registry, splits):
     proper, _, test = splits
     rng = np.random.default_rng(7)
     ims_id = ims_select(registry, "All")
-    rows_for = bag_posteriors(registry, test)
+    caches = bag_caches(registry, test)
     tms_accs, ims_accs = [], []
     for _ in range(30):
         bag = draw_bag(test, proper.prevalence(), 200, rng)
         truth = reveal_labels(bag)
-        outcome = tms_select(registry, "All", bag, posteriors=rows_for(bag))
+        outcome = tms_select(registry, "All", bag, **caches(bag))
         tms_accs.append((outcome.predicted_labels == truth).mean())
         ims_labels = np.argmax(
             registry.entry(ims_id).model.predict_posteriors(bag.features),
@@ -932,11 +970,11 @@ def test_oracle_dominates_every_strategy(registry, splits):
     _, _, test = splits
     bags = app_generate(test, r=10, s=80, seed=8)
     ims_id = ims_select(registry, "All")
-    rows_for = bag_posteriors(registry, test)
+    caches = bag_caches(registry, test)
     for bag, oracle in zip(bags, oracle_rows(registry, splits, bags),
                            strict=True):
         truth = reveal_labels(bag)
-        tms = tms_select(registry, "All", bag, posteriors=rows_for(bag))
+        tms = tms_select(registry, "All", bag, **caches(bag))
         tms_acc = (tms.predicted_labels == truth).mean()
         ims_acc = (np.argmax(registry.entry(ims_id).model.predict_posteriors(
             bag.features), axis=1) == truth).mean()
