@@ -10,17 +10,18 @@ minimizes ||M theta - rho||^2 + weight * ||theta - qhat||^2 over the simplex,
 and the estimated contingency table c[i][j] = m[i][j] * theta_j then yields
 any accuracy measure; vanilla accuracy is its trace.
 
-:func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus quantifier) on
-a model's validation posteriors. :func:`stack_caps` stacks k predictors whose
-quantifiers share one type into a :class:`CapStack` under one weight, and
-:meth:`CapStack.rows` turns the k models' posteriors into the quantifiers'
-stacked rows. A bag takes two calls: :meth:`CapStack.prevalences` reduces
-the rows of any of the models to qhat, and :meth:`CapStack.accuracies` solves
-LEAP from their predicted labels and a qhat each (:func:`leap_solve_batch`,
-the active-set Newton steps of the KDEy-ML mixture solver over a (k, n) stack
-of thetas, each leaving the batch once it converges). Every problem has the
-same tolerance and iteration cap, SOLVER_TOL and SOLVER_MAX_ITER. One
-predictor or one problem is the k=1 case of the same calls.
+:func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus, under
+KDEy-ML, the KDE densities) on a model's validation posteriors, under the
+settings :func:`check_fit_settings` checks. :func:`stack_caps` stacks k
+predictors of one quantifier kind into a :class:`CapStack` under one weight.
+A bag takes two calls: :meth:`CapStack.prevalences` turns the quantifier
+rows of any of the models (:meth:`CapStack.rows`) into qhat, and
+:meth:`CapStack.accuracies` solves LEAP from their predicted labels and a
+qhat each (:func:`leap_solve_batch`, the active-set Newton steps of the
+KDEy-ML mixture solver over a (k, n) stack of thetas, each leaving the batch
+once it converges). Every problem has the same tolerance and iteration cap,
+SOLVER_TOL and SOLVER_MAX_ITER. One predictor or one problem is the k=1 case
+of the same calls.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import argmax_rows
 from .dataspace import DataError, LabelledSet, _frozen, as_prevalence
-from .quantifiers import (_newton_direction, _simplex_step, fit_quantifier,
+from .quantifiers import (QUANTIFIERS, ClassDensities, _newton_direction,
+                          _simplex_step, em_weights_batch, fit_kdey,
                           label_shares)
 
 SOLVER_TOL = 1e-8
@@ -108,13 +111,12 @@ def leap_solve_batch(stack, rho, qhat, tol: float = SOLVER_TOL,
 @dataclass(frozen=True)
 class CapPredictor:
     """Per-model accuracy estimator: rate matrix (read-only, (n, n), m[i][j] =
-    P(predicted=i | true=j), columns on the simplex) plus quantifier, both
-    fitted on the same validation data as the model's accuracy reference. The
-    quantifier is any object with `rows(posteriors)` and a `reduce(rows)` over
-    a stack of them (see :meth:`CapStack.prevalences`)."""
+    P(predicted=i | true=j), columns on the simplex) plus the KDEy-ML
+    densities, or None under CC, both fitted on the same validation data as
+    the model's accuracy reference."""
 
     rates: np.ndarray
-    quantifier: object
+    densities: ClassDensities | None
 
     def __post_init__(self):
         M = np.asarray(self.rates, dtype=float)
@@ -127,34 +129,50 @@ class CapPredictor:
         object.__setattr__(self, "rates", _frozen(M.copy()))
 
 
-def check_weight(weight) -> None:
-    """Raise ValueError unless the solver weight is a positive finite number."""
-    if not (isinstance(weight, numbers.Real) and not isinstance(weight, bool)
-            and 0 < weight < np.inf):
-        raise ValueError("weight must be a positive finite number, got "
-                         f"{weight!r}")
+def check_number(name: str, value, nonnegative: bool = False) -> None:
+    """Raise ValueError unless `value` is a finite real number, not a bool,
+    that is positive (or, with `nonnegative`, at least 0)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (0 <= value if nonnegative else 0 < value) and value < np.inf):
+        raise ValueError(f"{name} must be a "
+                         f"{'nonnegative' if nonnegative else 'positive'} "
+                         f"finite number, got {value!r}")
+
+
+def check_fit_settings(quantifier, bandwidth, cap_weight, smoothing) -> None:
+    """Raise ValueError unless `quantifier` is one of QUANTIFIERS, the KDE
+    `bandwidth` and the solver weight `cap_weight` are positive finite
+    numbers and the rate `smoothing` is a nonnegative finite one."""
+    if quantifier not in QUANTIFIERS:
+        raise ValueError(f"unknown quantifier {quantifier!r}")
+    check_number("bandwidth", bandwidth)
+    check_number("cap_weight", cap_weight)
+    check_number("smoothing", smoothing, nonnegative=True)
 
 
 def fit_cap(posteriors: np.ndarray, validation: LabelledSet,
             quantifier_kind: str = "KDEyML", bandwidth: float = 0.1,
             smoothing: float = 0.0) -> CapPredictor:
-    """Fit the rate matrix and the quantifier on the same validation set,
-    from a model's posterior rows `posteriors` for its instances."""
+    """Fit the rate matrix and, under KDEy-ML, the KDE densities on the same
+    validation set, from a model's posterior rows `posteriors` for its
+    instances; a kind not in QUANTIFIERS raises ValueError."""
+    if quantifier_kind not in QUANTIFIERS:
+        raise ValueError(f"unknown quantifier {quantifier_kind!r}")
     rates = estimate_rate_matrix(posteriors, validation, smoothing=smoothing)
-    quantifier = fit_quantifier(quantifier_kind, posteriors, validation,
-                                bandwidth=bandwidth)
-    return CapPredictor(rates, quantifier)
+    densities = fit_kdey(posteriors, validation, bandwidth=bandwidth) \
+        if quantifier_kind == "KDEyML" else None
+    return CapPredictor(rates, densities)
 
 
 @dataclass(frozen=True, eq=False)
 class CapStack:
     """The solver inputs of k predictors, stacked once by :func:`stack_caps`
-    and shared by every bag they predict: the quantifiers (an object array,
-    all of one type), the rate matrices M (k, n, n), Q = M^T M + w I, the
+    and shared by every bag they predict: the KDE densities (a tuple of k, or
+    None for a CC stack), the rate matrices M (k, n, n), Q = M^T M + w I, the
     diagonals of M (k, n), and the solver weight w of every problem. Every
     array is read-only."""
 
-    quantifiers: np.ndarray
+    densities: tuple | None
     M: np.ndarray
     Q: np.ndarray
     diagonal: np.ndarray
@@ -164,19 +182,30 @@ class CapStack:
         return len(self.M)
 
     def rows(self, posteriors: np.ndarray) -> np.ndarray:
-        """Each quantifier's ``q.rows(...)`` of its model's posterior rows,
-        from a (k, m, n) stack of them; shape (k, m, n)."""
-        return np.stack([q.rows(P)
-                         for q, P in zip(self.quantifiers, posteriors)])
+        """The quantifier rows of the k models from the (k, m, n) stack of
+        their posterior rows: each model's KDE class log densities
+        (:meth:`quantifiers.ClassDensities.evaluate`), shape (k, m, n), or
+        under CC the posteriors themselves."""
+        if self.densities is None:
+            return posteriors
+        return np.stack([d.evaluate(P)
+                         for d, P in zip(self.densities, posteriors)])
 
     def prevalences(self, rows: np.ndarray):
-        """(qhat, iterations, converged) of one ``reduce`` of the
-        quantifiers' type (0 and True for CC) over the (j, m, n) rows of any
-        j stacked models; each row depends on its own rows only. m = 0
+        """(qhat, iterations, converged) over the (j, m, n) rows of any j
+        stacked models: the mixture solver's (:func:`em_weights_batch`), or
+        under CC the shares of the rows' argmax labels, with 0 iterations
+        and converged. Each model's qhat depends on its own rows only. m = 0
         raises DataError."""
         if rows.shape[1] == 0:
             raise DataError("empty bag")
-        qhat, iterations, converged = type(self.quantifiers[0]).reduce(rows)
+        if self.densities is None:
+            j = len(rows)
+            qhat, iterations, converged = (
+                label_shares(argmax_rows(rows), rows.shape[2]),
+                np.zeros(j, dtype=int), np.ones(j, dtype=bool))
+        else:
+            qhat, iterations, converged = em_weights_batch(rows)
         return (as_prevalence(qhat, self.M.shape[1], stacked=True),
                 iterations, converged)
 
@@ -197,19 +226,19 @@ class CapStack:
 
 
 def stack_caps(caps, weight: float) -> CapStack:
-    """Stack the accuracy predictors `caps` under one solver `weight` (see
-    check_weight). There must be at least one, and their quantifiers must
-    share one type."""
-    check_weight(weight)
-    quantifiers = np.fromiter((c.quantifier for c in caps), dtype=object)
-    types = {type(q) for q in quantifiers}
-    if len(types) != 1:
+    """Stack the accuracy predictors `caps` under one solver `weight`, a
+    positive finite number. There must be at least one, and they must be all
+    KDEy-ML or all CC."""
+    check_number("weight", weight)
+    n_cc = sum(c.densities is None for c in caps)
+    if not caps or n_cc not in (0, len(caps)):
         raise ValueError("need predictors whose quantifiers share one type, "
-                         f"got types {sorted(t.__name__ for t in types)}")
+                         f"got {len(caps) - n_cc} KDEyML and {n_cc} CC")
     M = np.stack([c.rates for c in caps])
     Q = np.matmul(M.transpose(0, 2, 1), M) + weight * np.eye(M.shape[1])
-    return CapStack(*map(_frozen, (
-        quantifiers, M, Q, np.diagonal(M, axis1=1, axis2=2).copy())), weight)
+    diagonal = np.diagonal(M, axis1=1, axis2=2).copy()
+    densities = None if n_cc else tuple(c.densities for c in caps)
+    return CapStack(densities, *map(_frozen, (M, Q, diagonal)), weight)
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

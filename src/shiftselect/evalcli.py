@@ -67,7 +67,7 @@ from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, argmax_rows, build_grid,
 from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
-from .quantifiers import QUANTIFIERS
+from .cap import check_fit_settings
 from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
                         write_json)
@@ -185,12 +185,10 @@ class RunConfig:
             raise ConfigError("r and s must be at least 1")
         if self.n_bins < 1:
             raise ConfigError("n_bins must be at least 1")
-        if self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.cap_weight <= 0:
-            raise ConfigError("cap_weight must be positive")
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be nonnegative")
+        try:
+            check_fit_settings(**_fit_settings(self))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         check_alpha(self.alpha)
         for key, item in (("families", "family"), ("strategies", "strategy")):
             if not getattr(self, key):
@@ -198,8 +196,6 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown family {fam!r}")
-        if self.quantifier not in QUANTIFIERS:
-            raise ConfigError(f"unknown quantifier {self.quantifier!r}")
         kind = self.dataset.get("kind")
         if kind not in DATASET_FIELDS:
             raise ConfigError(f"dataset.kind must be 'synthetic' or 'csv', got {kind!r}")
@@ -503,15 +499,12 @@ def _fit_settings(config: RunConfig) -> dict:
 def _train_registry(config: RunConfig, proper, validation, manifest,
                     seconds=None, **kwargs) -> ModelRegistry:
     """Build the config's registry (`kwargs`, such as `out_dir`, go to
-    build_registry); fails when no configuration trains."""
+    build_registry), which fails when no configuration trains."""
     with _stage("registry", seconds):
-        registry = build_registry(
+        return build_registry(
             config.families, proper, validation,
             seed=manifest["derived_seeds"]["registry"],
             run_id=manifest["run_id"], **kwargs, **_fit_settings(config))
-        if not registry.entries:
-            raise RuntimeError("every configuration failed to train")
-    return registry
 
 
 def run_experiment(config: RunConfig, registry: ModelRegistry = None) -> ResultTable:
@@ -616,8 +609,8 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     kernel values of the quantifier rows, test rows times KDE support rows
     summed over the KDEy-ML predictors, 0 for CC)."""
     seconds = timings["evaluate_s"] = {}
-    supports = sum(len(S) for q in registry.caps.quantifiers
-                   for S in getattr(q, "support", ()))
+    supports = sum(len(S) for d in registry.caps.densities or ()
+                   for S in d.support)
     evaluate = timings["evaluate"] = {"workers": 0,
                                       "kde_kernel_values": len(test) * supports}
     # Predicted labels and quantifier rows (the KDE log densities) over the

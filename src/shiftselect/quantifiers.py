@@ -1,35 +1,27 @@
 """Class-prevalence estimation on unlabelled bags.
 
-Two quantifier types, each fed by the posterior outputs of one trained
-classifier:
+Two quantifier kinds, :data:`QUANTIFIERS`, each fed by the posterior outputs
+of one trained classifier:
 
-* :class:`CCQuantifier` (classify-and-count): the empirical distribution of
-  predicted labels;
-* :class:`ClassDensities` (KDEy-ML): per-class Gaussian KDEs fitted on the
-  posterior vectors of validation instances, with mixture weights chosen to
-  maximize the likelihood of the bag's posteriors.
+* ``"CC"`` (classify-and-count): the shares of predicted labels
+  (:func:`label_shares`); it has no fitted state;
+* ``"KDEyML"``: per-class Gaussian KDEs fitted on the posterior vectors of
+  validation instances (:class:`ClassDensities`, :func:`fit_kdey`), with
+  mixture weights chosen to maximize the likelihood of the bag's posteriors
+  (:func:`em_weights_batch`).
 
-Model selection estimates every model's prevalence on one bag at once, so each
-type splits its estimate in two: ``rows(posteriors)`` gives the per-instance
-rows it reduces (the KDE class log densities for KDEy-ML, the posteriors
-themselves for CC), and ``reduce(rows)`` turns a ``(k, m, n)`` stack of them
-into ``k`` prevalences at once (the batched mixture solver, or label counts).
-Rows depend on the instances only, so a caller that labels many bags drawn
-from one test set evaluates them once per model over the whole set and slices
-out each bag; a row's value does not depend on the rows evaluated with it, so
-the slice equals the bag evaluated on its own, bit for bit.
-:meth:`cap.CapStack.rows` stacks the rows of the quantifiers of one type,
-:meth:`cap.CapStack.prevalences` reduces them for one bag, and
-:func:`em_weights_batch` is the one mixture solver; one quantifier or one
-density matrix is the k=1 case of the same calls.
+Model selection estimates every model's prevalence on one bag at once
+(:meth:`cap.CapStack.prevalences`), over the (k, m, n) stack of the models'
+class log densities, or under CC of their posteriors
+(:meth:`cap.CapStack.rows`). A row's densities depend on the instance only,
+so a caller that labels many bags drawn from one test set evaluates them
+once per model over the whole set and slices out each bag; the slice equals
+the bag evaluated on its own, bit for bit.
 
 A model's KDE rows are two GEMMs over the stacked supports of all classes,
 with the log-sum-exp shift folded into the second, and the query points along
 the columns in chunks under a fixed element budget (see
 :meth:`ClassDensities.evaluate`).
-
-:data:`QUANTIFIERS` maps each kind name to its type and is the only list of
-valid kinds; :func:`fit_quantifier` fits one by name.
 
 The objective L(a) = sum_x log sum_j a_j f_j(s(x)) is concave in the mixture
 weights, so its maximum over the simplex is global and is characterized by
@@ -46,30 +38,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
 from .dataspace import DataError, LabelledSet
-from .classifiers import (BLAS_PANEL, CHUNK_ELEMENTS, argmax_rows, max_rows,
-                          panel_rows)
+from .classifiers import BLAS_PANEL, CHUNK_ELEMENTS, max_rows, panel_rows
 
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
 EM_MAX_ITER = 1000
 EM_WARM_STEPS = 3       # EM steps before the first Newton step
 NEWTON_RIDGE = 1e-12    # relative ridge on the Newton system
+QUANTIFIERS = ("KDEyML", "CC")      # the quantifier kinds
 
 
 @dataclass(frozen=True)
 class ClassDensities:
     """The KDEy-ML quantifier: per-class KDE support points (posterior rows)
-    and a shared bandwidth. Its rows are the class log densities
-    (:meth:`evaluate`), which the mixture solver reduces."""
+    and a shared bandwidth. Its class log densities (:meth:`evaluate`) are
+    the rows that the mixture solver reduces."""
 
     support: tuple          # one (m_j, n_classes) array per class
     bandwidth: float
-    kind: ClassVar[str] = "KDEyML"
 
     def __post_init__(self):
         if isinstance(self.bandwidth, bool) or not 0 < self.bandwidth < np.inf:
@@ -148,47 +138,6 @@ class ClassDensities:
                               + np.log(sums[:, :c].T / sizes))
         return out
 
-    def rows(self, posteriors: np.ndarray) -> np.ndarray:
-        return self.evaluate(posteriors)
-
-    @staticmethod
-    def reduce(rows: np.ndarray):
-        """(prevalences (k, n), iterations (k,), converged (k,)) of the
-        mixture solver on a (k, m, n) log-density stack."""
-        return em_weights_batch(rows)
-
-
-@dataclass(frozen=True)
-class CCQuantifier:
-    """Classify-and-count over the posteriors of the classifier that feeds it."""
-
-    kind: ClassVar[str] = "CC"
-
-    def rows(self, posteriors: np.ndarray) -> np.ndarray:
-        return posteriors
-
-    @staticmethod
-    def reduce(rows: np.ndarray):
-        """(prevalences (k, n), iterations (k,), converged (k,)) from a
-        (k, m, n) posterior stack; counting takes no iterations."""
-        k = rows.shape[0]
-        return (label_shares(argmax_rows(rows), rows.shape[2]),
-                np.zeros(k, dtype=int), np.ones(k, dtype=bool))
-
-
-QUANTIFIERS = {q.kind: q for q in (ClassDensities, CCQuantifier)}
-
-
-def fit_quantifier(kind: str, posteriors: np.ndarray, validation: LabelledSet,
-                   bandwidth: float):
-    """Fit the quantifier named `kind` (a key of QUANTIFIERS) on a model's
-    validation posterior rows `posteriors`."""
-    if kind == CCQuantifier.kind:
-        return CCQuantifier()
-    if kind == ClassDensities.kind:
-        return fit_kdey(posteriors, validation, bandwidth=bandwidth)
-    raise ValueError(f"unknown quantifier kind {kind!r}")
-
 
 def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
              bandwidth: float = DEFAULT_BANDWIDTH) -> ClassDensities:
@@ -201,7 +150,7 @@ def fit_kdey(posteriors: np.ndarray, validation: LabelledSet,
         if S.shape[0] == 0:
             raise DataError(f"class {j} missing from validation data")
         support.append(S)
-    return ClassDensities(tuple(support), float(bandwidth))
+    return ClassDensities(tuple(support), bandwidth)
 
 
 def em_weights_batch(logF: np.ndarray, tol: float = EM_TOL,

@@ -48,7 +48,8 @@ from .classifiers import (TrainedModel, TrainingError, argmax_rows,
                           encode_array, model_from_record, model_to_record,
                           predict_posteriors_batch, train_grid)
 from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import CapPredictor, CapStack, check_weight, fit_cap, stack_caps
+from .cap import (CapPredictor, CapStack, check_fit_settings, fit_cap,
+                  stack_caps)
 
 FORMAT_VERSION = 2      # of the saved registry document
 META_KEYS = {"run_id", "seed", "families", "quantifier", "bandwidth",
@@ -145,16 +146,18 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
     `TrainingError`, or whose accuracy predictor cannot be fitted (a
     `ValueError`, such as a `DataError` from the rate estimate or a
     `LinAlgError`), is recorded as a warning and skipped; the rest of the run
-    continues. Model ids follow grid enumeration order and stay
+    continues; a RuntimeError is raised, before anything is saved, when no
+    configuration trains. Model ids follow grid enumeration order and stay
     stable even when entries fail. Every trained model's validation
     posteriors are computed once, in one batch, and feed its validation
-    accuracy, rate matrix and quantifier. `meta` (keys META_KEYS) records
-    the class count and the four fit settings under their keywords' names; a
-    bad `cap_weight` fails before any training. Pass `out_dir` to persist
-    the registry. `train_s` and `workers` dicts receive each family's
-    training seconds and process count.
+    accuracy, rate matrix and KDE densities. `meta` (keys META_KEYS) records
+    the class count and the four fit settings under their keywords' names;
+    bad settings (:func:`cap.check_fit_settings`) raise ValueError before
+    any training. Pass `out_dir` to persist the registry. `train_s` and
+    `workers` dicts receive each family's training seconds and process
+    count.
     """
-    check_weight(cap_weight)
+    check_fit_settings(quantifier, bandwidth, cap_weight, smoothing)
     n_classes = Ltr.n_classes
     trained, warnings = [], []
     model_id = 0
@@ -185,6 +188,8 @@ def build_registry(families, Ltr: LabelledSet, Lva: LabelledSet,
                 warnings.append(f"model {model_id} ({hp.label()}) failed: {exc}")
                 continue
             entries.append(RegistryEntry(model_id, model, val_acc, cap))
+    if not entries:
+        raise RuntimeError("every configuration failed to train")
     meta = {
         "run_id": run_id,
         "seed": seed,
@@ -290,13 +295,16 @@ def _check_meta_keys(meta) -> None:
 def save_registry(registry: ModelRegistry, out_dir) -> None:
     """Write the registry as out_dir/manifest.json, its only file; the format
     version, the fit settings and the class count are saved once each. Meta
-    keys other than META_KEYS (a hand-built registry's) raise ValueError."""
+    keys other than META_KEYS (a hand-built registry's) or no entries raise
+    ValueError, before anything is written."""
     _check_meta_keys(registry.meta)
+    if not registry.entries:
+        raise ValueError("a registry with no entries")
     entries = []
     for e in registry.entries:
         cap = {"rate_matrix": encode_array(e.cap.rates)}
-        if isinstance(e.cap.quantifier, ClassDensities):
-            cap["support"] = [encode_array(S) for S in e.cap.quantifier.support]
+        if e.cap.densities is not None:
+            cap["support"] = [encode_array(S) for S in e.cap.densities.support]
         entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
                         "model": model_to_record(e.model), "cap": cap})
     write_json(out_dir, "manifest.json", {
@@ -310,7 +318,8 @@ def load_registry(out_dir) -> ModelRegistry:
     its solver weight. A document of another format version (so any saved
     before version 2), with missing or mistyped keys, meta keys other than
     META_KEYS, warnings that are not a list of strings, a bad solver weight, no
-    entries, an unknown quantifier or entries that do not fit it, model arrays
+    entries, an unknown quantifier or cap records that do not fit it (KDE
+    supports missing under KDEy-ML or present under CC), model arrays
     that do not fit each other or the registry's class count, a rate matrix or
     KDE supports of another class count, models of different feature counts, an
     array of a dtype that :func:`classifiers.encode_array` does not write, a
@@ -327,8 +336,11 @@ def load_registry(out_dir) -> ModelRegistry:
         _check_meta_keys(meta)
         if type(warnings) is not list or {type(w) for w in warnings} - {str}:
             raise ValueError(f"warnings {warnings!r}: not a list of strings")
-        n_classes = meta["n_classes"]
-        quantifier = QUANTIFIERS[meta["quantifier"]]
+        n_classes, kind = meta["n_classes"], meta["quantifier"]
+        if kind not in QUANTIFIERS:
+            raise ValueError(f"unknown quantifier {kind!r}")
+        if not manifest["entries"]:
+            raise ValueError("no entries")
         entries = []
         for rec in manifest["entries"]:
             model_id, val_accuracy = rec["model_id"], rec["val_accuracy"]
@@ -340,13 +352,18 @@ def load_registry(out_dir) -> ModelRegistry:
                 raise ValueError(f"model {model_id}: validation accuracy "
                                  f"{val_accuracy!r} is not in [0, 1]")
             model, cap = model_from_record(rec["model"], n_classes), rec["cap"]
-            # a KDEy-ML record's densities; a CC quantifier takes no fields
-            kde = {"support": tuple(decode_array(S) for S in cap["support"]),
-                   "bandwidth": meta["bandwidth"]} if "support" in cap else {}
+            kde = kind == "KDEyML"
+            if ("support" in cap) != kde:
+                raise ValueError(f"model {model_id}: KDE supports "
+                                 f"{'missing' if kde else 'present'} "
+                                 f"under {kind}")
+            densities = ClassDensities(
+                tuple(decode_array(S) for S in cap["support"]),
+                meta["bandwidth"]) if kde else None
             predictor = CapPredictor(decode_array(cap["rate_matrix"]),
-                                     quantifier(**kde))
-            if not (len(predictor.rates) == n_classes
-                    == len(kde.get("support", predictor.rates))):
+                                     densities)
+            if len(predictor.rates) != n_classes or (
+                    densities and len(densities.support) != n_classes):
                 raise ValueError(f"model {model_id}: rate matrix or KDE "
                                  f"supports not of {n_classes} classes")
             entries.append(RegistryEntry(model_id, model, val_accuracy,

@@ -18,8 +18,7 @@ from shiftselect.evalcli import (RunConfig, _prepare, accuracy_matrix,
                                  emit_report, run_experiment,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
-from shiftselect.quantifiers import (CCQuantifier, em_weights_batch, fit_kdey,
-                                     label_shares)
+from shiftselect.quantifiers import em_weights_batch, fit_kdey, label_shares
 
 
 def report(criterion, ok, detail):
@@ -77,21 +76,6 @@ class _PassThrough:
         return np.asarray(X, dtype=float)
 
 
-class _OracleQuantifier:
-    """Every row is one bag's true prevalence; the reduction reads the first."""
-
-    def __init__(self, bag):
-        self.prevalence = bag.realized_prevalence
-
-    def rows(self, posteriors):
-        return np.tile(self.prevalence, (len(posteriors), 1))
-
-    @staticmethod
-    def reduce(rows):
-        return (rows[:, 0], np.zeros(len(rows), dtype=int),
-                np.ones(len(rows), dtype=bool))
-
-
 class _FixedBag:
     def __init__(self, features, realized):
         self.features = np.asarray(features, dtype=float)
@@ -111,11 +95,11 @@ def test_criterion_03_leap_oracle_exactness():
     pred1 = [[0.0, 1.0]]
     features = pred0 * 56 + pred1 * 14 + pred1 * 27 + pred0 * 3
     bag = _FixedBag(features, [0.7, 0.3])
-    stack = stack_caps([CapPredictor(M, _OracleQuantifier(bag))], 1.0)
+    stack = stack_caps([CapPredictor(M, None)], 1.0)
     posteriors = _PassThrough(2).predict_posteriors(bag.features)[None]
     # the label shares and oracle prevalence, solved to 1e-13
     rho = label_shares(argmax_rows(posteriors), 2)
-    qhat, _, _ = stack.prevalences(stack.rows(posteriors))
+    qhat = np.asarray(bag.realized_prevalence, dtype=float)[None]
     theta, _, _ = leap_solve_batch(stack, rho, qhat, **TIGHT)
     estimate = float((stack.diagonal * theta).sum())
     closed_form = tpr * q + tnr * (1 - q)
@@ -127,7 +111,7 @@ def test_criterion_03_leap_oracle_exactness():
     for _ in range(20):
         M4 = rng.dirichlet(np.ones(4), size=4).T
         theta = rng.dirichlet(np.ones(4))
-        leap = stack_caps([CapPredictor(M4, CCQuantifier())], 1.0)
+        leap = stack_caps([CapPredictor(M4, None)], 1.0)
         solved, _, _ = leap_solve_batch(leap, (M4 @ theta)[None], theta[None],
                                         **TIGHT)
         err4 = max(err4, abs(float(np.trace(M4 * solved[0][None, :]))
@@ -151,7 +135,7 @@ def test_criterion_04_leap_vs_grid_search():
         M = rng.dirichlet(np.ones(2), size=2).T
         rho = rng.dirichlet(np.ones(2))
         qhat = rng.dirichlet(np.ones(2))
-        leap = stack_caps([CapPredictor(M, CCQuantifier())], 1.0)
+        leap = stack_caps([CapPredictor(M, None)], 1.0)
         solved, _, _ = leap_solve_batch(leap, rho[None], qhat[None])
         objective = ((thetas @ M.T - rho) ** 2).sum(axis=1) \
             + ((thetas - qhat) ** 2).sum(axis=1)

@@ -8,8 +8,7 @@ from shiftselect.cap import (CapPredictor, estimate_rate_matrix, fit_cap,
 from shiftselect.classifiers import argmax_rows, default_model, train_grid
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
-from shiftselect.quantifiers import (CCQuantifier, ClassDensities, fit_kdey,
-                                     label_shares)
+from shiftselect.quantifiers import ClassDensities, fit_kdey, label_shares
 
 
 class PassThroughModel:
@@ -20,26 +19,16 @@ class PassThroughModel:
         return np.asarray(X, dtype=float)
 
 
-class OracleQuantifier:
-    """Feeds one bag's true prevalence to the solver (test harness only):
-    every row is that prevalence, and the reduction reads the first."""
-
-    def __init__(self, bag):
-        self.prevalence = np.asarray(bag.realized_prevalence, dtype=float)
-
-    def rows(self, posteriors):
-        return np.tile(self.prevalence, (len(posteriors), 1))
-
-    @staticmethod
-    def reduce(rows):
-        return (rows[:, 0], np.zeros(len(rows), dtype=int),
-                np.ones(len(rows), dtype=bool))
+def oracle_qhat(bag, k=1):
+    """One bag's true prevalence as the qhat of each of k models, in place of
+    a quantifier's estimate (test harness only)."""
+    return np.tile(np.asarray(bag.realized_prevalence, dtype=float), (k, 1))
 
 
 def leap_stack(rates, weight=1.0):
     """LEAP problems with these rate matrices, stacked by stack_caps under
     the one `weight`."""
-    return stack_caps([CapPredictor(r, CCQuantifier()) for r in rates], weight)
+    return stack_caps([CapPredictor(r, None) for r in rates], weight)
 
 
 def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
@@ -53,19 +42,22 @@ def solve_one(rates, rho, qhat, weight=1.0, **kwargs):
             bool(converged[0]))
 
 
-def predict(stack, posteriors):
+def predict(stack, posteriors, qhat=None):
     """The stack's predictions on one bag from its (k, m, n) posteriors, as
     selection.tms_select composes them: (accuracy, theta, iterations,
-    converged) of CapStack.accuracies, each of shape (k, ...)."""
-    qhat, _, _ = stack.prevalences(stack.rows(posteriors))
+    converged) of CapStack.accuracies, each of shape (k, ...). A given
+    `qhat` replaces the stack's prevalence estimates."""
+    if qhat is None:
+        qhat, _, _ = stack.prevalences(stack.rows(posteriors))
     return stack.accuracies(argmax_rows(posteriors), qhat)
 
 
-def predict_one(psi, model, bag):
+def predict_one(psi, model, bag, qhat=None):
     """One predictor on one bag through the batched API: (accuracy, theta,
     iterations, converged) of the k=1 stack, for its one model."""
     posteriors = model.predict_posteriors(bag.features)[None]
-    return tuple(a[0] for a in predict(stack_caps([psi], 1.0), posteriors))
+    return tuple(a[0] for a in predict(stack_caps([psi], 1.0), posteriors,
+                                       qhat))
 
 
 def posterior_dataset(posterior_rows, labels):
@@ -133,12 +125,12 @@ def test_rate_matrix_auto_smooths_never_predicted_class():
 def test_rate_matrix_rejects_columns_off_the_simplex():
     off = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-6]])   # column 1 sums to 1 + 1e-6
     with pytest.raises(DataError, match="rate matrix columns"):
-        CapPredictor(off, CCQuantifier())
+        CapPredictor(off, None)
     with pytest.raises(ValueError):
-        CapPredictor(np.array([[1.0, np.nan], [0.0, 1.0]]), CCQuantifier())
+        CapPredictor(np.array([[1.0, np.nan], [0.0, 1.0]]), None)
     with pytest.raises(ValueError):
-        CapPredictor(np.array([[1.1, 0.0], [-0.1, 1.0]]), CCQuantifier())
-    CapPredictor(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-10]]), CCQuantifier())
+        CapPredictor(np.array([[1.1, 0.0], [-0.1, 1.0]]), None)
+    CapPredictor(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-10]]), None)
 
 
 def test_fit_cap_with_precomputed_posteriors_matches_features():
@@ -152,7 +144,7 @@ def test_fit_cap_with_precomputed_posteriors_matches_features():
     fresh_rates = estimate_rate_matrix(P, validation)
     fresh_quantifier = fit_kdey(P, validation)
     assert np.array_equal(fresh_rates, shared.rates)
-    for a, b in zip(fresh_quantifier.support, shared.quantifier.support,
+    for a, b in zip(fresh_quantifier.support, shared.densities.support,
                     strict=True):
         assert np.array_equal(a, b)
 
@@ -335,7 +327,7 @@ def test_stack_calls_equal_one_cap_calls(seed, k, m, n, bandwidth, kind):
     weight = rng.uniform(0.05, 5.0)
     for _ in range(k):
         if kind == "CC":
-            quantifier = CCQuantifier()
+            quantifier = None
         else:
             support = tuple(rng.dirichlet(np.ones(n), size=rng.integers(1, 6))
                             for _ in range(n))
@@ -371,7 +363,7 @@ def test_stack_calls_equal_one_cap_calls(seed, k, m, n, bandwidth, kind):
 
 def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
     density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1)
-    mixed = [CapPredictor(np.eye(2), CCQuantifier()),
+    mixed = [CapPredictor(np.eye(2), None),
              CapPredictor(np.eye(2), density)]
     with pytest.raises(ValueError, match="share one type"):
         stack_caps(mixed, 1.0)
@@ -380,7 +372,7 @@ def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
 
 
 def test_stack_calls_reject_an_empty_bag():
-    stack = stack_caps([CapPredictor(np.eye(2), CCQuantifier())], 1.0)
+    stack = stack_caps([CapPredictor(np.eye(2), None)], 1.0)
     with pytest.raises(DataError, match="empty bag"):
         stack.prevalences(np.zeros((1, 0, 2)))
     with pytest.raises(DataError, match="empty bag"):
@@ -388,7 +380,7 @@ def test_stack_calls_reject_an_empty_bag():
 
 
 def test_accuracies_reject_labels_of_other_models():
-    stack = stack_caps([CapPredictor(np.eye(2), CCQuantifier())], 1.0)
+    stack = stack_caps([CapPredictor(np.eye(2), None)], 1.0)
     with pytest.raises(ValueError, match="labels of 2 models"):
         stack.accuracies(np.zeros((2, 3), dtype=int), np.full((1, 2), 0.5))
 
@@ -398,14 +390,14 @@ def test_accuracies_reject_labels_of_other_models():
 # ---------------------------------------------------------------------------
 
 def test_accuracy_is_the_trace():
-    # the oracle quantifier pins theta to (0.3, 0.7) on both predictors
+    # the oracle qhat pins theta to (0.3, 0.7) on both predictors
     rows = [[0.9, 0.1]] * 3 + [[0.2, 0.8]] * 7
     bag = draw_bag(posterior_dataset(rows, [0] * 3 + [1] * 7).all_instances(),
                    [0.3, 0.7], 10, np.random.default_rng(0))
-    caps = [CapPredictor(M, OracleQuantifier(bag))
-            for M in (np.eye(2), np.full((2, 2), 0.5))]
+    caps = [CapPredictor(M, None) for M in (np.eye(2), np.full((2, 2), 0.5))]
     stack = stack_caps(caps, 1.0)
-    accuracy, _, _, _ = predict(stack, np.stack([bag.features] * 2))
+    accuracy, _, _, _ = predict(stack, np.stack([bag.features] * 2),
+                                oracle_qhat(bag, 2))
     # tables diag(0.3, 0.7) and 0.5 * theta in every row: traces 1 and 0.5
     assert accuracy[0] == 1.0
     assert accuracy[1] == 0.5
@@ -422,8 +414,9 @@ def test_cap_perfect_classifier_with_oracle_quantifier_gives_one():
     model = PassThroughModel(2)
     rates = estimate_rate_matrix(ds.features, ds.all_instances())
     bag = draw_bag(ds.all_instances(), [0.5, 0.5], 40, np.random.default_rng(0))
-    psi = CapPredictor(rates, OracleQuantifier(bag))
-    assert predict_one(psi, model, bag)[0] == pytest.approx(1.0, abs=1e-9)
+    psi = CapPredictor(rates, None)
+    assert predict_one(psi, model, bag, oracle_qhat(bag))[0] \
+        == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -448,8 +441,8 @@ def test_cap_monte_carlo_error_bound(overlapping_pipeline):
     for _ in range(n_bags):
         target = rng.dirichlet([1.0, 1.0])
         bag = draw_bag(test, target, s, rng)
-        psi = CapPredictor(rates, OracleQuantifier(bag))
-        estimate = predict_one(psi, model, bag)[0]
+        psi = CapPredictor(rates, None)
+        estimate = predict_one(psi, model, bag, oracle_qhat(bag))[0]
         true_acc = (np.argmax(model.predict_posteriors(bag.features), axis=1)
                     == reveal_labels(bag)).mean()
         if abs(estimate - true_acc) <= bound:
@@ -489,6 +482,7 @@ def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     model, _, validation, test = overlapping_pipeline
     psi = fit_cap(model.predict_posteriors(validation.X), validation,
                   quantifier_kind="CC")
+    assert psi.densities is None
     bag = draw_bag(test, [0.4, 0.6], 200, np.random.default_rng(10))
     estimate = predict_one(psi, model, bag)[0]
     assert 0.0 <= estimate <= 1.0

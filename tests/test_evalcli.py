@@ -806,12 +806,12 @@ def test_a_registry_without_its_smoothing_record_is_refused(tmp_path):
 def test_run_reports_mixture_nonconvergence_once_per_model(tmp_path,
                                                            strangle,
                                                            monkeypatch):
-    from shiftselect import quantifiers
+    from shiftselect import cap
     config = small_config(tmp_path)
     _, proper, validation, _, manifest = evalcli._prepare(config)
     registry = evalcli._train_registry(config, proper, validation, manifest)
     # TMS-All reduces one stack over every entry: stop models 1 and 4 early
-    strangle(quantifiers, "em_weights_batch", [i for i, e in enumerate(
+    strangle(cap, "em_weights_batch", [i for i, e in enumerate(
         registry.entries) if e.model_id in (1, 4)], max_iter=2)
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda cpus=cpus: cpus)

@@ -10,8 +10,8 @@ from shiftselect.cap import CapPredictor, stack_caps
 from shiftselect.classifiers import argmax_rows, default_model, max_rows, train_grid
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag
-from shiftselect.quantifiers import (CCQuantifier, ClassDensities,
-                                     _line_search, em_weights_batch, fit_kdey)
+from shiftselect.quantifiers import (ClassDensities, _line_search,
+                                     em_weights_batch, fit_kdey)
 
 
 class FakeBag:
@@ -41,8 +41,9 @@ def em_one(logF, **kwargs):
 
 
 def one_stack(quantifier, n, k=1):
-    """k copies of `quantifier` with identity rate matrices, stacked; the
-    rate matrix does not enter a prevalence estimate."""
+    """k copies of `quantifier` (KDE densities, or None for CC) with identity
+    rate matrices, stacked; the rate matrix does not enter a prevalence
+    estimate."""
     return stack_caps([CapPredictor(np.eye(n), quantifier)] * k, 1.0)
 
 
@@ -545,7 +546,7 @@ def test_kdey_absent_class_gets_exactly_zero_weight():
                                ([0.0, 0.2, 0.8], [0]),
                                ([1.0, 0.0, 0.0], [1, 2])):
         bag = draw_bag(rest, prevalence, 200, rng)
-        logF = quantifier.rows(model.predict_posteriors(bag.features))
+        logF = quantifier.evaluate(model.predict_posteriors(bag.features))
         alpha, _, converged = em_one(logF)
         assert converged
         assert (alpha[absent] == 0.0).all()
@@ -575,7 +576,7 @@ def test_small_bandwidth_estimate_tends_to_nearest_support_share():
     assert np.abs(estimates[0.01] - share).max() <= 0.02
     for bandwidth in (1e-3, 1e-4):
         assert np.abs(estimates[bandwidth] - share).max() <= 1e-3
-    assert np.exp(fit_kdey(V, validation, bandwidth=1e-4).rows(P)).max() \
+    assert np.exp(fit_kdey(V, validation, bandwidth=1e-4).evaluate(P)).max() \
         == 0.0
 
 
@@ -584,7 +585,7 @@ def test_kdey_precomputed_posteriors_match(fitted_pipeline):
     rng = np.random.default_rng(14)
     bag = draw_bag(rest, [0.4, 0.6], 100, rng)
     direct = estimate_one(quantifier, model, bag)
-    rows = quantifier.rows(model.predict_posteriors(bag.features))[None]
+    rows = quantifier.evaluate(model.predict_posteriors(bag.features))[None]
     cached = estimate_one(quantifier, model, bag, rows=rows)
     assert np.array_equal(direct, cached)
 
@@ -613,7 +614,7 @@ def test_kdey_detailed_reports_monotone_trace(fitted_pipeline, em_trace):
 def test_cc_counts_predictions():
     model = PassThroughModel(2)
     features = np.repeat([[0.9, 0.1], [0.1, 0.9]], [40, 60], axis=0)
-    est = estimate_one(CCQuantifier(), model, FakeBag(features))
+    est = estimate_one(None, model, FakeBag(features))
     assert np.allclose(est, [0.4, 0.6])
 
 
@@ -625,7 +626,7 @@ def test_cc_perfect_classifier_recovers_prevalence_exactly():
             == rest.y).mean() == 1.0
     rng = np.random.default_rng(5)
     bag = draw_bag(rest, [0.35, 0.65], 100, rng)
-    est = estimate_one(CCQuantifier(), model, bag)
+    est = estimate_one(None, model, bag)
     assert np.allclose(est, bag.realized_prevalence)
 
 
@@ -633,7 +634,7 @@ def test_cc_equals_column_sums_of_prediction_cross_tab(fitted_pipeline):
     model, _, rest = fitted_pipeline
     rng = np.random.default_rng(16)
     bag = draw_bag(rest, [0.5, 0.5], 120, rng)
-    est = estimate_one(CCQuantifier(), model, bag)
+    est = estimate_one(None, model, bag)
     pred = np.argmax(model.predict_posteriors(bag.features), axis=1)
     truth = rest.y[np.searchsorted(np.arange(len(rest)), bag.indices)]
     cross = np.zeros((2, 2))
@@ -643,7 +644,7 @@ def test_cc_equals_column_sums_of_prediction_cross_tab(fitted_pipeline):
 
 def test_cc_rejects_empty_bag():
     with pytest.raises(DataError):
-        estimate_one(CCQuantifier(), PassThroughModel(2),
+        estimate_one(None, PassThroughModel(2),
                      FakeBag(np.zeros((0, 2))))
 
 
@@ -652,12 +653,14 @@ def test_quantifier_estimate_dispatch(fitted_pipeline):
     rng = np.random.default_rng(17)
     bag = draw_bag(rest, [0.6, 0.4], 80, rng)
     posteriors = np.stack([model.predict_posteriors(bag.features)] * 2)
-    # a stack of one type is reduced by that type: the mixture solver for
+    # a stack of one kind is reduced by that kind: the mixture solver for
     # KDEy-ML, label counts for CC
-    for quantifier, solves in ((kdey, True), (CCQuantifier(), False)):
+    for quantifier, solves in ((kdey, True), (None, False)):
         rows = one_stack(quantifier, 2, k=2).rows(posteriors)
-        assert np.array_equal(rows[1], quantifier.rows(posteriors[1]))
-        qhat, iterations, converged = type(quantifier).reduce(rows)
+        assert np.array_equal(rows[1], posteriors[1] if quantifier is None
+                              else quantifier.evaluate(posteriors[1]))
+        qhat, iterations, converged = one_stack(quantifier, 2).prevalences(
+            rows)
         for row in qhat:
             assert np.array_equal(row, estimate_one(quantifier, model, bag))
         assert ((iterations > 0) if solves else (iterations == 0)).all()

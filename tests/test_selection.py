@@ -152,7 +152,7 @@ def test_registry_round_trip(registry, splits, tmp_path):
     loaded = load_registry(tmp_path / "reg")
     # loading builds no stacked KDE support, which the first evaluation
     # does, but it stacks the predictors, so a bad saved weight fails there
-    assert not any("_stacked" in vars(e.cap.quantifier)
+    assert not any("_stacked" in vars(e.cap.densities)
                    for e in loaded.entries)
     assert "caps" in vars(loaded)
     assert loaded.caps.weight == registry.meta["cap_weight"]
@@ -184,14 +184,14 @@ def test_registry_round_trip(registry, splits, tmp_path):
         assert (redo.model.family, redo.model.hyperparams) == \
             (orig.model.family, orig.model.hyperparams)
         assert np.array_equal(orig.cap.rates, redo.cap.rates)
-        for S, T in zip(orig.cap.quantifier.support,
-                        redo.cap.quantifier.support, strict=True):
+        for S, T in zip(orig.cap.densities.support,
+                        redo.cap.densities.support, strict=True):
             assert np.array_equal(S, T)
         # the whole entry: id, accuracy, model and predictor
         assert (redo.model_id, redo.val_accuracy) == \
             (orig.model_id, orig.val_accuracy)
         assert model_to_record(redo.model) == model_to_record(orig.model)
-        assert redo.cap.quantifier.bandwidth == orig.cap.quantifier.bandwidth
+        assert redo.cap.densities.bandwidth == orig.cap.densities.bandwidth
     rows_for = bag_posteriors(registry, test)
     P = rows_for(bag)
     assert np.array_equal(P, bag_posteriors(loaded, test)(bag))
@@ -414,7 +414,7 @@ def test_registry_round_trip_counting_quantifier(splits, tmp_path):
                for rec in manifest["entries"])
     bag = draw_bag(test, [0.3, 0.7], 50, np.random.default_rng(2))
     for orig, redo in zip(counting.entries, loaded.entries, strict=True):
-        assert type(redo.cap.quantifier) is type(orig.cap.quantifier)
+        assert redo.cap.densities is orig.cap.densities is None
         assert predicted_accuracy(orig, bag) == pytest.approx(
             predicted_accuracy(redo, bag), abs=1e-12)
 
@@ -438,6 +438,50 @@ def test_registry_skips_failed_configs(splits, monkeypatch):
     ids = [e.model_id for e in reg.entries]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bandwidth", True), ("bandwidth", -1.0), ("bandwidth", np.nan),
+    ("quantifier", "PACC"), ("smoothing", -1.0), ("smoothing", np.nan),
+    ("cap_weight", 0)])
+def test_build_registry_checks_every_fit_setting_before_training(
+        splits, monkeypatch, tmp_path, key, value):
+    # each of these once trained every model, then saved a registry that
+    # load_registry refuses
+    proper, validation, _ = splits
+
+    def no_training(*args, **kwargs):
+        pytest.fail("trained before the fit settings were checked")
+
+    monkeypatch.setattr(selection, "train_grid", no_training)
+    with pytest.raises(ValueError, match=key):
+        build_registry(("KNN",), proper, validation,
+                       out_dir=tmp_path / "reg", **{key: value})
+    assert not os.listdir(tmp_path)
+
+
+def test_no_registry_without_entries_is_written_or_read(
+        registry, splits, monkeypatch, tmp_path):
+    proper, validation, _ = splits
+
+    def every_point_fails(family, hps, *args, **kwargs):
+        return [TrainingError("synthetic failure") for _ in hps]
+
+    monkeypatch.setattr(selection, "train_grid", every_point_fails)
+    with pytest.raises(RuntimeError, match="every configuration failed"):
+        build_registry(("KNN",), proper, validation, out_dir=tmp_path / "a")
+    empty = ModelRegistry([], [], registry.meta)
+    with pytest.raises(ValueError, match="no entries"):
+        save_registry(empty, tmp_path / "b")
+    assert not os.listdir(tmp_path)
+    # a manifest without entries, written by hand, is refused on load
+    save_registry(ModelRegistry(registry.entries[:1], [], registry.meta),
+                  tmp_path / "c")
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    manifest["entries"] = []
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"\(ValueError: no entries\)"):
+        load_registry(tmp_path / "c")
 
 
 @pytest.mark.parametrize("error", [DataError("class 1 missing"),
@@ -741,10 +785,10 @@ def test_registry_stack_is_read_only(registry):
     assert stack.weight == registry.meta["cap_weight"]
     assert all(np.array_equal(M, e.cap.rates)
                for M, e in zip(stack.M, registry.entries))
-    assert len(stack.quantifiers) == k
-    assert all(q is e.cap.quantifier
-               for q, e in zip(stack.quantifiers, registry.entries))
-    assert not stack.quantifiers.flags.writeable
+    assert len(stack.densities) == k
+    assert all(d is e.cap.densities
+               for d, e in zip(stack.densities, registry.entries))
+    assert type(stack.densities) is tuple
 
 
 def test_empty_scope_rejected(registry):
@@ -771,8 +815,8 @@ def test_registry_entries_cannot_change_so_a_stack_is_kept(registry, splits):
             (fresh.model_id, fresh.estimated_accuracy)
         stack = kept.caps
         assert len(stack) == len(kept.entries)
-        assert all(q is e.cap.quantifier and np.array_equal(M, e.cap.rates)
-                   for q, M, e in zip(stack.quantifiers, stack.M,
+        assert all(d is e.cap.densities and np.array_equal(M, e.cap.rates)
+                   for d, M, e in zip(stack.densities, stack.M,
                                       kept.entries))
         return stack
 
