@@ -15,7 +15,8 @@ KDEy-ML, the KDE densities) on a model's validation posteriors, under the
 settings :func:`check_fit_settings` checks. :func:`stack_caps` stacks k
 predictors of one quantifier kind into a :class:`CapStack` under one weight.
 A bag takes two calls: :meth:`CapStack.prevalences` turns the quantifier
-rows of any of the models (:meth:`CapStack.rows`) into qhat, and
+rows of any of the models (:meth:`CapStack.rows`, one KDE evaluation per
+distinct posterior row of each model) into qhat, and
 :meth:`CapStack.accuracies` solves LEAP from their predicted labels and a
 qhat each (:func:`leap_solve_batch`, the active-set Newton steps of the
 KDEy-ML mixture solver over a (k, n) stack of thetas, each leaving the batch
@@ -40,6 +41,7 @@ from .quantifiers import (QUANTIFIERS, ClassDensities, _newton_direction,
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
 AUTO_SMOOTHING = 1e-6
+ROW_HASH = np.uint64(0x9E3779B97F4A7C15)   # odd, so no column is hashed away
 
 
 def estimate_rate_matrix(posteriors: np.ndarray, validation: LabelledSet,
@@ -185,11 +187,23 @@ class CapStack:
         """The quantifier rows of the k models from the (k, m, n) stack of
         their posterior rows: each model's KDE class log densities
         (:meth:`quantifiers.ClassDensities.evaluate`), shape (k, m, n), or
-        under CC the posteriors themselves."""
+        under CC the posteriors themselves.
+
+        Each model's KDE is evaluated once per distinct row of its own
+        posteriors (:func:`distinct_rows`) and the result scattered back to
+        every row that repeats it. That is bit-identical to evaluating every
+        row, since a row's densities do not depend on the rows evaluated
+        with it."""
         if self.densities is None:
             return posteriors
-        return np.stack([d.evaluate(P)
-                         for d, P in zip(self.densities, posteriors)])
+        flat = posteriors.reshape(-1, posteriors.shape[2])
+        picks, counts, inverse = distinct_rows(posteriors)
+        distinct = np.take(flat, picks, axis=0)
+        out = np.empty_like(distinct)
+        stops = np.cumsum(counts)
+        for d, lo, hi in zip(self.densities, stops - counts, stops):
+            out[lo:hi] = d.evaluate(distinct[lo:hi])
+        return np.take(out, inverse, axis=0)
 
     def prevalences(self, rows: np.ndarray):
         """(qhat, iterations, converged) over the (j, m, n) rows of any j
@@ -223,6 +237,45 @@ class CapStack:
         rho = label_shares(labels, self.M.shape[1])
         theta, iterations, converged = leap_solve_batch(self, rho, qhat)
         return (self.diagonal * theta).sum(axis=1), theta, iterations, converged
+
+
+def distinct_rows(posteriors: np.ndarray):
+    """The distinct rows of each model's (m, n) slice of a (k, m, n) stack,
+    found in one pass over the stack. Returns (picks, counts, inverse):
+    `picks` indexes the stack's rows flattened to (k * m, n), model by
+    model, one row per distinct row of that model; `counts` (k,) is the
+    number of each model's distinct rows; `inverse` (k, m) is the position in
+    `picks` of the row that each row repeats.
+
+    Rows are compared by bit pattern, so -0.0 and 0.0 stay apart, and so do
+    NaNs of different payloads. Each slice's rows are sorted by a hash of
+    their bits (ROW_HASH), and a row repeats the row before it when both
+    hash and bits are equal. A row whose equal rows a hash collision
+    separates is counted as distinct, which costs an evaluation and never a
+    wrong merge."""
+    bits = np.ascontiguousarray(posteriors, dtype=float).view(np.uint64)
+    k, m, n = bits.shape
+    key = bits[..., 0].copy()
+    for j in range(1, n):
+        key *= ROW_HASH
+        key ^= bits[..., j]
+    order = np.argsort(key, axis=1)
+    order += m * np.arange(k)[:, None]      # positions in the flat rows
+    order = order.ravel()
+    key = key.ravel()[order]
+    same = key[1:] == key[:-1]
+    same[m - 1::max(m, 1)] = False          # no row repeats another model's
+    j = np.flatnonzero(same)
+    rows, a, b = bits.reshape(k * m, n), order[j + 1], order[j]
+    equal = rows[a, 0] == rows[b, 0]
+    for c in range(1, n):
+        equal &= rows[a, c] == rows[b, c]
+    first = np.ones(k * m, dtype=bool)
+    first[j + 1] = ~equal
+    inverse = np.empty(k * m, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], first.reshape(k, m).sum(axis=1), \
+        inverse.reshape(k, m)
 
 
 def stack_caps(caps, weight: float) -> CapStack:

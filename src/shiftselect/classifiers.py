@@ -11,9 +11,12 @@ stack per usable CPU (:func:`parallel.fork_map`), with one stacked minibatch
 step per batch, and each equals the point trained alone (a one-point grid)
 bit for bit.
 :func:`predict_posteriors_batch` asks many models for posteriors on the same
-rows; KNN models with equal training sets share one neighbour search there.
-A posterior row is bit-identical whatever other rows it is predicted with
-(see :func:`panel_rows`). A model record names its family, and
+rows in one stacked pass per family: one stacked product and one softmax for
+the LR models, one stacked two-layer pass for the MLP models, and one
+neighbour search per KNN training set. A model's own `predict_posteriors` is
+the one-model case of the same pass, and each slice of a stack equals it bit
+for bit. A posterior row is bit-identical whatever other rows it is
+predicted with (see :func:`panel_rows`). A model record names its family, and
 :data:`MODEL_TYPES` maps that to the class whose `arrays` it saves.
 """
 
@@ -239,8 +242,9 @@ def panel_rows(X: np.ndarray) -> np.ndarray:
     last panel, or when there is one row (a matrix-vector product). With the
     padding, a bag labelled on its own gets the posteriors and KDE rows that
     the test-set caches hold for its rows wherever the kernel's order of
-    summation depends on nothing else. Checked on OpenBLAS (Haswell kernels):
-    each column of ``A @ panel_rows(X).T`` (the KNN distances, the KDE and
+    summation depends on nothing else. Checked on OpenBLAS's SkylakeX
+    kernels (the invariance tests also pass under its Haswell and Sandybridge
+    kernels, set by OPENBLAS_CORETYPE): each column of ``A @ panel_rows(X).T`` (the KNN distances, the KDE and
     the MLP's first layer, ``W1.T @ panel_rows(X).T``) at 2-512 features and
     300-1,001 rows of A (2-64 features against the MLP's 100 hidden units),
     and each row of ``panel_rows(X) @ W`` for the LR weights and the MLP's
@@ -255,9 +259,11 @@ def panel_rows(X: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis; a stack of logit matrices gives each
+    matrix's rows bit for bit."""
     z = logits - max_rows(logits)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -406,7 +412,9 @@ class TrainedModel:
         return X
 
     def predict_posteriors(self, X) -> np.ndarray:
-        raise NotImplementedError
+        """Posterior rows of the rows X, shape (m, n): the one-model case of
+        :func:`predict_posteriors_batch`."""
+        return predict_posteriors_batch([self], X)[0]
 
 
 class LRModel(TrainedModel):
@@ -421,9 +429,15 @@ class LRModel(TrainedModel):
         self.W = W
         self.b = b
 
-    def predict_posteriors(self, X):
-        X = self._check_features(X)
-        return softmax((panel_rows(X) @ self.W)[:len(X)] + self.b)
+
+def _lr_posteriors(models, X) -> np.ndarray:
+    """Posterior rows (k, m, n) of LR models whose weights have one shape:
+    one stacked product ``panel_rows(X) @ W`` and one softmax. Each slice of
+    a stacked matmul is the 2-D product of that model alone, so every slice
+    equals a one-model call bit for bit."""
+    W = np.stack([m.W for m in models])
+    b = np.stack([m.b for m in models])[:, None]
+    return softmax(np.matmul(panel_rows(X), W)[:, :len(X)] + b)
 
 
 class KNNModel(TrainedModel):
@@ -440,9 +454,6 @@ class KNNModel(TrainedModel):
         self.X_train = X_train
         self.y_train = y_train
 
-    def predict_posteriors(self, X):
-        return _knn_posteriors([self], self._check_features(X))[0]
-
 
 def nearest_order(d2: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of the stable argsort of each row of d2: the k
@@ -454,7 +465,8 @@ def nearest_order(d2: np.ndarray, k: int) -> np.ndarray:
     if k >= d2.shape[1]:
         return np.argsort(d2, axis=1, kind="stable")
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(d2 <= kth)      # row by row, columns ascending
+    # row by row, columns ascending (np.nonzero's order, without its 2-D cost)
+    rows, cols = np.divmod(np.flatnonzero(d2 <= kth), d2.shape[1])
     width = np.bincount(rows, minlength=d2.shape[0])
     slot = np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)
     candidates = np.zeros((d2.shape[0], width.max(initial=k)), dtype=np.intp)
@@ -465,8 +477,8 @@ def nearest_order(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(candidates, first, axis=1)
 
 
-def _knn_posteriors(models, X) -> list:
-    """Posterior rows of KNN models that share one training set.
+def _knn_posteriors(models, X) -> np.ndarray:
+    """Posterior rows (k, m, n) of KNN models that share one training set.
 
     The squared distances and the stable order of the nearest neighbours are
     computed once; each model reads its own k-prefix of that order and applies
@@ -478,32 +490,35 @@ def _knn_posteriors(models, X) -> list:
     with (see :func:`panel_rows`), where the row layout summed the ragged
     tail of training columns differently per query count. The query rows are
     taken in chunks of whole BLAS panels, at most CHUNK_ELEMENTS distances
-    each, which bounds the memory and so leaves the result unchanged.
+    each, which bounds the memory and so leaves the result unchanged. A
+    model's votes are one (m, n, k) array summed over its last axis, so each
+    (row, class) sums its neighbours in numpy's pairwise order.
     """
     X_train = models[0].X_train
     n_train = X_train.shape[0]
     train_sq = (X_train * X_train).sum(axis=1)[None, :]
     ks = [min(m.hyperparams["n_neighbors"], n_train) for m in models]
-    out = [np.zeros((X.shape[0], m.n_classes)) for m in models]
+    out = np.empty((len(models), X.shape[0], models[0].n_classes))
     width = max(CHUNK_ELEMENTS // n_train // BLAS_PANEL, 1) * BLAS_PANEL
     for lo in range(0, X.shape[0], width):
         Xc = X[lo:lo + width]
-        d2 = ((Xc * Xc).sum(axis=1)[:, None] + train_sq
-              - (X_train @ panel_rows(2.0 * Xc).T)[:, :len(Xc)].T)
+        d2 = (Xc * Xc).sum(axis=1)[:, None] + train_sq
+        # one contiguous copy of the transposed product, read once
+        d2 -= np.ascontiguousarray(
+            (X_train @ panel_rows(2.0 * Xc).T)[:, :len(Xc)].T)
         np.maximum(d2, 0.0, out=d2)
         order = nearest_order(d2, max(ks))
         for model, k, posteriors in zip(models, ks, out):
             nearest = order[:, :k]
-            neigh_labels = model.y_train[nearest]
-            if model.hyperparams["weights"] == "uniform":
-                w = np.ones_like(neigh_labels, dtype=float)
-            else:
+            w = 1.0
+            if model.hyperparams["weights"] == "distance":
                 d = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
-                w = 1.0 / (d + KNN_DIST_EPS)
-            chunk = posteriors[lo:lo + len(Xc)]
-            for j in range(model.n_classes):
-                chunk[:, j] = np.where(neigh_labels == j, w, 0.0).sum(axis=1)
-            chunk /= chunk.sum(axis=1, keepdims=True)
+                w = (1.0 / (d + KNN_DIST_EPS))[:, None, :]
+            classes = np.arange(model.n_classes)[:, None]
+            votes = np.where(model.y_train[nearest][:, None, :] == classes,
+                             w, 0.0).sum(axis=2)
+            votes /= votes.sum(axis=1, keepdims=True)
+            posteriors[lo:lo + len(Xc)] = votes
     return out
 
 
@@ -520,40 +535,59 @@ class MLPModel(TrainedModel):
         super().__init__(hyperparams, n_classes, W1.shape[0], seed, meta)
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
 
-    def predict_posteriors(self, X):
-        X = self._check_features(X)
-        # the first layer with the rows along the columns keeps each row's
-        # hidden units independent of the other rows on wide data; the
-        # output layer takes them C-contiguous, since a transposed H would
-        # change its GEMM and move the posteriors by ulps
-        Z = np.ascontiguousarray((self.W1.T @ panel_rows(X).T).T)
-        H = np.tanh(Z + self.b1)
-        return softmax((H @ self.W2)[:len(X)] + self.b2)
+
+def _mlp_posteriors(models, X) -> np.ndarray:
+    """Posterior rows (k, m, n) of MLP models whose arrays have one shape:
+    one stacked two-layer pass, each slice that model's one-model pass bit
+    for bit (see :func:`_lr_posteriors`)."""
+    W1, b1, W2, b2 = (np.stack([getattr(m, a) for m in models])
+                      for a in MLPModel.arrays)
+    # the first layer with the rows along the columns keeps each row's
+    # hidden units independent of the other rows on wide data; the output
+    # layer takes them C-contiguous, since a transposed H would change its
+    # GEMM and move the posteriors by ulps
+    H = np.ascontiguousarray(
+        np.matmul(W1.transpose(0, 2, 1), panel_rows(X).T).transpose(0, 2, 1))
+    H += b1[:, None]
+    np.tanh(H, out=H)
+    return softmax(np.matmul(H, W2)[:, :len(X)] + b2[:, None])
+
+
+def _shares_pass(a: TrainedModel, b: TrainedModel) -> bool:
+    """Whether models a and b can share one stacked pass: the same family
+    and, for KNN, training sets equal in content (not merely the same
+    object: a loaded registry decodes one copy per model), else arrays of
+    the same shapes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, KNNModel):
+        return np.array_equal(a.X_train, b.X_train)
+    return all(getattr(a, name).shape == getattr(b, name).shape
+               for name in a.arrays)
 
 
 def predict_posteriors_batch(models, X) -> np.ndarray:
     """Posterior rows of every model on the same rows X, shape (k, m, n).
 
-    KNN models whose training sets are equal in content (not merely the same
-    object: a loaded registry decodes one copy per model) share one neighbour
-    search; the other models answer their own `predict_posteriors`. Each slice
-    equals that model's `predict_posteriors(X)` bit for bit.
+    The models are grouped into one stacked pass each (:func:`_shares_pass`):
+    one for the LR models, one for the MLP models, and one neighbour search
+    per KNN training set. The stacks are built per call. Each slice equals
+    that model's `predict_posteriors(X)` bit for bit.
     """
+    passes = {"LR": _lr_posteriors, "KNN": _knn_posteriors,
+              "MLP": _mlp_posteriors}
     out = [None] * len(models)
-    groups = []  # positions of the KNN models sharing one training set
+    groups = []  # positions of the models sharing one stacked pass
     for i, model in enumerate(models):
-        if not isinstance(model, KNNModel):
-            out[i] = model.predict_posteriors(X)
-            continue
         for members in groups:
-            if np.array_equal(models[members[0]].X_train, model.X_train):
+            if _shares_pass(models[members[0]], model):
                 members.append(i)
                 break
         else:
             groups.append([i])
     for members in groups:
         group = [models[i] for i in members]
-        rows = _knn_posteriors(group, group[0]._check_features(X))
+        rows = passes[group[0].family](group, group[0]._check_features(X))
         for i, P in zip(members, rows):
             out[i] = P
     return np.stack(out)

@@ -67,7 +67,7 @@ from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, argmax_rows, build_grid,
 from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
-from .cap import check_fit_settings
+from .cap import check_fit_settings, distinct_rows
 from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
                         write_json)
@@ -606,13 +606,11 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     receives timings.json's `evaluate_s` block (the seconds of the test-set
     posteriors, the quantifier rows and the bags) and `evaluate` block
     (`workers`: the solves' processes, or 0; `kde_kernel_values`: the
-    kernel values of the quantifier rows, test rows times KDE support rows
-    summed over the KDEy-ML predictors, 0 for CC)."""
+    kernel values the KDE evaluated for the quantifier rows, each model's
+    distinct test posterior rows (:func:`cap.distinct_rows`) times its KDE
+    support rows, summed over the KDEy-ML predictors, 0 for CC)."""
     seconds = timings["evaluate_s"] = {}
-    supports = sum(len(S) for d in registry.caps.densities or ()
-                   for S in d.support)
-    evaluate = timings["evaluate"] = {"workers": 0,
-                                      "kde_kernel_values": len(test) * supports}
+    evaluate = timings["evaluate"] = {"workers": 0, "kde_kernel_values": 0}
     # Predicted labels and quantifier rows (the KDE log densities) over the
     # whole test set are computed once per model and stacked along
     # registry.entries; a bag's are then slices, which keeps TMS cheap.
@@ -623,6 +621,10 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     start = time.perf_counter()
     rows_test = registry.caps.rows(posteriors_test)
     seconds["quantifier_rows"] = time.perf_counter() - start
+    if registry.caps.densities is not None:
+        evaluate["kde_kernel_values"] = int(sum(
+            count * sum(len(S) for S in d.support) for d, count in zip(
+                registry.caps.densities, distinct_rows(posteriors_test)[1])))
     start = time.perf_counter()
     labels_test = argmax_rows(posteriors_test)
     true = np.stack([(labels_test[:, bag.indices] == reveal_labels(bag))

@@ -13,10 +13,11 @@ of one trained classifier:
 Model selection estimates every model's prevalence on one bag at once
 (:meth:`cap.CapStack.prevalences`), over the (k, m, n) stack of the models'
 class log densities, or under CC of their posteriors
-(:meth:`cap.CapStack.rows`). A row's densities depend on the instance only,
-so a caller that labels many bags drawn from one test set evaluates them
-once per model over the whole set and slices out each bag; the slice equals
-the bag evaluated on its own, bit for bit.
+(:meth:`cap.CapStack.rows`). A row's densities depend on that row only, so
+a model's KDE is evaluated once per distinct posterior row of the bag, and
+a caller that labels many bags drawn from one test set evaluates them once
+per model over the whole set and slices out each bag; both equal the bag
+evaluated row by row, bit for bit.
 
 A model's KDE rows are two GEMMs over the stacked supports of all classes,
 with the log-sum-exp shift folded into the second, and the query points along

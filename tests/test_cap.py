@@ -361,6 +361,66 @@ def test_stack_calls_equal_one_cap_calls(seed, k, m, n, bandwidth, kind):
         assert np.array_equal(whole[subset], part)
 
 
+def _row_stacks(rng, k, m, n):
+    """(k, m, n) posterior stacks whose rows repeat in every way a bag's
+    can: by name."""
+    def repeated(pool):
+        return pool[:, rng.integers(0, len(pool[0]), size=m)] if m else \
+            pool[:, :0]
+    signed = np.full((k, m, n), 1.0 / (n - 1))
+    signed[:, :, 0] = 0.0
+    signed[:, 1::2, 0] = -0.0          # a 0.0/-0.0 pair wherever m > 1
+    return {
+        "repeated": repeated(rng.dirichlet(np.ones(n), size=(k, 5))),
+        "all equal": np.tile(rng.dirichlet(np.ones(n)), (k, m, 1)),
+        "all distinct": rng.dirichlet(np.ones(n), size=(k, m)),
+        # a KNN model's vote shares over its 5 or 13 nearest neighbours
+        "knn votes": np.stack([label_shares(
+            rng.integers(0, n, size=(m, votes)), n) for votes in
+            rng.choice([5, 13], size=k)]),
+        "signed zeros": signed,
+    }
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 100])
+def test_stack_rows_equal_each_row_evaluated_alone(m, monkeypatch):
+    # a model's KDE is evaluated once per distinct row, compared by bits,
+    # and scattered back: bit-identical to evaluating each row on its own,
+    # also when a hash collision (every key forced to the last column)
+    # keeps equal rows apart
+    from shiftselect import cap
+    rng = np.random.default_rng(m)
+    k, n = 4, 3
+    stack = stack_caps([CapPredictor(np.eye(n), ClassDensities(
+        tuple(rng.dirichlet(np.ones(n), size=6) for _ in range(n)), 0.1))
+        for _ in range(k)], 1.0)
+    for name, posteriors in _row_stacks(rng, k, m, n).items():
+        alone = np.zeros((k, m, n))
+        for i, d in enumerate(stack.densities):
+            for row in range(m):
+                alone[i, row] = d.evaluate(posteriors[i, row:row + 1])[0]
+        bits = [len(np.unique(P.view(np.uint64), axis=0)) for P in posteriors]
+        if name == "signed zeros" and m > 1:
+            assert bits == [2] * k      # so -0.0 must not merge with 0.0
+        for collide in (False, True):
+            if collide:
+                monkeypatch.setattr(cap, "ROW_HASH", np.uint64(0))
+            rows = stack.rows(posteriors)
+            assert rows.view(np.uint64).tobytes() == \
+                alone.view(np.uint64).tobytes(), (name, collide)
+            picks, counts, inverse = cap.distinct_rows(posteriors)
+            flat = posteriors.reshape(-1, n)
+            assert np.array_equal(flat[picks][inverse].view(np.uint64),
+                                  posteriors.view(np.uint64)), name
+            # each model's evaluations: its distinct rows by bits, or more
+            # where a collision hides a repeat
+            assert (counts >= bits).all() if collide else \
+                counts.tolist() == bits, (name, collide)
+            assert (np.repeat(np.arange(k), counts)
+                    == picks // max(m, 1)).all(), name
+        monkeypatch.undo()
+
+
 def test_stack_caps_rejects_mixed_quantifier_types_and_no_predictors():
     density = ClassDensities((np.eye(2)[:1], np.eye(2)[1:]), 0.1)
     mixed = [CapPredictor(np.eye(2), None),

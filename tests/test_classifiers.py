@@ -12,14 +12,15 @@ from shiftselect import classifiers, parallel
 from shiftselect.classifiers import (BLAS_PANEL, KNN_DIST_EPS, LR_GRAD_TOL,
                                      MLP_HIDDEN_UNITS, MLP_MAX_EPOCHS,
                                      MLP_MIN_STEP, ClassWeights, HyperParams,
-                                     MLPModel,
+                                     LRModel, MLPModel,
                                      TrainingError, build_grid,
                                      class_weight_candidates, default_model,
                                      lr_hessian_vector, lr_loss_grad,
                                      mlp_loss_grad,
                                      model_from_record, model_to_record,
-                                     nearest_order, predict_posteriors_batch,
-                                     softmax, train_grid)
+                                     nearest_order, panel_rows,
+                                     predict_posteriors_batch, softmax,
+                                     train_grid)
 from shiftselect.dataspace import Dataset
 
 
@@ -318,10 +319,23 @@ def _reference_knn_posteriors(model, X):
     return P / P.sum(axis=1, keepdims=True)
 
 
-def _lattice(rng, n):
+def _reference_lr_posteriors(model, X):
+    """One LR model's posteriors as a 2-D product of its own."""
+    return softmax((panel_rows(X) @ model.W)[:len(X)] + model.b)
+
+
+def _reference_mlp_posteriors(model, X):
+    """One MLP model's posteriors as 2-D products of its own, the first
+    layer with the rows along the columns."""
+    Z = np.ascontiguousarray((model.W1.T @ panel_rows(X).T).T)
+    H = np.tanh(Z + model.b1)
+    return softmax((H @ model.W2)[:len(X)] + model.b2)
+
+
+def _lattice(rng, n, dims=2):
     """Integer points, so duplicates and equidistant neighbours are common;
     alternating labels keep both classes present."""
-    X = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    X = rng.integers(-2, 3, size=(n, dims)).astype(float)
     return Dataset(X, np.arange(n) % 2, 2).all_instances()
 
 
@@ -343,31 +357,42 @@ def smooth_models(two_blobs):
             for fam in ("LR", "MLP")]
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(2, 9),
-       n_b=st.integers(2, 9),
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([2, 20, 64]), seed=st.integers(0, 2**32 - 1),
+       n_a=st.integers(2, 9),
+       n_b=st.integers(2, 9), n_lr=st.integers(1, 5), n_mlp=st.integers(1, 4),
        knn=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12),
                               st.sampled_from(("uniform", "distance")),
                               st.booleans()),
                     min_size=1, max_size=6))
-def test_batch_posteriors_equal_per_model_calls(smooth_models, seed, n_a, n_b,
-                                                knn):
+def test_batch_posteriors_equal_per_model_calls(smooth_models, dims, seed, n_a,
+                                                n_b, n_lr, n_mlp, knn):
+    # several LR and MLP models, stacked per family, among KNN models on two
+    # training sets, all in shuffled order
     rng = np.random.default_rng(seed)
-    sets = (_lattice(rng, n_a), _lattice(rng, n_b))
-    models = list(smooth_models)
+    sets = (_lattice(rng, n_a, dims), _lattice(rng, n_b, dims))
+    models = list(smooth_models) if dims == 2 else []
+    models += [LRModel(default_model("LR"), rng.normal(size=(dims, 2)),
+                       rng.normal(size=2), 2, seed=0) for _ in range(n_lr)]
+    models += [MLPModel(default_model("MLP"),
+                        rng.normal(size=(dims, MLP_HIDDEN_UNITS)),
+                        rng.normal(size=MLP_HIDDEN_UNITS),
+                        rng.normal(size=(MLP_HIDDEN_UNITS, 2)),
+                        rng.normal(size=2), 2, seed=0) for _ in range(n_mlp)]
     for which, k, weights, reload in knn:
         hp = HyperParams.make("KNN", n_neighbors=k, weights=weights)
         model = train_grid("KNN", [hp], sets[which], [0])[0]
         # a reloaded model holds its own copy of the training set
         models.append(model_from_record(model_to_record(model), 2) if reload else model)
     models = [models[i] for i in rng.permutation(len(models))]
-    X = np.vstack([rng.integers(-3, 4, size=(6, 2)).astype(float),
+    X = np.vstack([rng.integers(-3, 4, size=(6, dims)).astype(float),
                    sets[0].X[:2]])
     batch = predict_posteriors_batch(models, X)
     assert np.array_equal(batch, np.stack([m.predict_posteriors(X) for m in models]))
+    reference = {"LR": _reference_lr_posteriors, "MLP": _reference_mlp_posteriors,
+                 "KNN": _reference_knn_posteriors}
     for m, P in zip(models, batch):
-        if m.family == "KNN":
-            assert np.array_equal(P, _reference_knn_posteriors(m, X))
+        assert np.array_equal(P, reference[m.family](m, X)), m.family
 
 
 def test_knn_rows_on_wide_data_equal_one_batch():

@@ -174,9 +174,12 @@ def test_one_usable_cpu_trains_and_runs_in_one_process_to_the_same_bytes(
         assert timings["mlp"]["workers"] == 1, command
     splits = json.loads((tmp_path / "run" / "manifest.json").read_bytes())[
         "splits"]
+    two_cpus = json.loads((smoke.root / "run" / "timings.json").read_bytes())
     assert timings["evaluate"] == {   # the run's
         "workers": 1,
-        "kde_kernel_values": splits["test"] * splits["validation"] * 45}
+        "kde_kernel_values": two_cpus["evaluate"]["kde_kernel_values"]}
+    assert 0 < timings["evaluate"]["kde_kernel_values"] <= \
+        splits["test"] * splits["validation"] * 45
     assert registry_bytes(tmp_path / "train") == \
         registry_bytes(smoke.root / "train")
     assert differing(smoke.root / "run", tmp_path / "run") == []

@@ -1167,15 +1167,22 @@ def test_cli_train_and_run_write_timings(tmp_path):
             assert all(t >= 0 for t in inside.values())
             assert sum(inside.values()) <= timings["stage_s"]["evaluate"]
             # the processes the bags' TMS solves ran in, one per usable CPU,
-            # and the KDE's kernel values: test rows times support rows (the
-            # validation rows) for each KDEy-ML predictor
+            # and the KDE's kernel values: each model's distinct test
+            # posterior rows, bit for bit, times its support rows (the
+            # validation rows), for each KDEy-ML predictor
             splits = json.loads((outdir / "manifest.json")
                                 .read_text(encoding="utf-8"))["splits"]
+            test = _prepare(load_config(config_path))[3]
+            posteriors = predict_posteriors_batch(
+                [e.model for e in load_registry(
+                    tmp_path / "train" / "registry").entries], test.X)
+            distinct = sum(len(np.unique(P.view(np.uint64), axis=0))
+                           for P in posteriors)
             assert timings["evaluate"] == {
                 "workers": parallel.worker_count(5),
-                "kde_kernel_values": splits["test"] * splits["validation"]
-                * len(registry["entries"])}
-            assert timings["evaluate"]["kde_kernel_values"] > 0
+                "kde_kernel_values": distinct * splits["validation"]}
+            # KNN vote shares repeat, so fewer than every test row
+            assert 0 < distinct < splits["test"] * len(registry["entries"])
         else:
             assert "evaluate_s" not in timings
             assert "evaluate" not in timings

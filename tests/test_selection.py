@@ -886,17 +886,21 @@ def test_registry_computes_validation_posteriors_once_per_model(splits,
                                                                 monkeypatch):
     from shiftselect import classifiers
     proper, validation, _ = splits
-    calls = []
-    for cls in (classifiers.LRModel, classifiers.MLPModel):
-        real = cls.predict_posteriors
+    calls, passes = [], []
+    for name in ("_lr_posteriors", "_mlp_posteriors"):
+        real = getattr(classifiers, name)
 
-        def counting(self, X, real=real):
-            calls.append(id(self))
-            return real(self, X)
+        def counting(models, X, real=real):
+            calls.extend(id(m) for m in models)
+            passes.append(len(models))
+            return real(models, X)
 
-        monkeypatch.setattr(cls, "predict_posteriors", counting)
+        monkeypatch.setattr(classifiers, name, counting)
     reg = build_registry(("LR", "MLP"), proper, validation, seed=0)
     assert sorted(calls) == sorted(id(e.model) for e in reg.entries)
+    # one stacked pass per family
+    assert passes == [sum(e.model.family == family for e in reg.entries)
+                      for family in ("LR", "MLP")]
 
 
 def test_tms_and_oracle_exact_tie_goes_to_lowest_model_id(registry, splits):
