@@ -12,17 +12,19 @@ any accuracy measure; vanilla accuracy is its trace.
 
 :func:`fit_cap` fits a :class:`CapPredictor` (rate matrix plus, under
 KDEy-ML, the KDE densities) on a model's validation posteriors, under the
-settings :func:`check_fit_settings` checks. :func:`stack_caps` stacks k
-predictors of one quantifier kind into a :class:`CapStack` under one weight.
-A bag takes two calls: :meth:`CapStack.prevalences` turns the quantifier
-rows of any of the models (:meth:`CapStack.rows`, one KDE evaluation per
-distinct posterior row of each model) into qhat, and
-:meth:`CapStack.accuracies` solves LEAP from their predicted labels and a
-qhat each (:func:`leap_solve_batch`, the active-set Newton steps of the
-KDEy-ML mixture solver over a (k, n) stack of thetas, each leaving the batch
-once it converges). Every problem has the same tolerance and iteration cap,
-SOLVER_TOL and SOLVER_MAX_ITER. One predictor or one problem is the k=1 case
-of the same calls.
+settings :func:`check_fit_settings` checks. Every decision that depends on
+the quantifier kind (:data:`QUANTIFIERS`) is made here: the fit, the saved
+record (:func:`cap_to_record`, :func:`cap_from_record`), the quantifier rows
+and qhat. :func:`stack_caps` stacks k predictors of one quantifier kind into
+a :class:`CapStack` under one weight. A bag takes two calls:
+:meth:`CapStack.prevalences` turns the quantifier rows of any of the models
+(:meth:`CapStack.rows`, one KDE evaluation per distinct posterior row of each
+model) into qhat, and :meth:`CapStack.accuracies` solves LEAP from their
+predicted labels and a qhat each (:func:`leap_solve_batch`, the active-set
+Newton steps of the KDEy-ML mixture solver over a (k, n) stack of thetas,
+each leaving the batch once it converges). Every problem has the same
+tolerance and iteration cap, SOLVER_TOL and SOLVER_MAX_ITER. One predictor or
+one problem is the k=1 case of the same calls.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import argmax_rows
+from .classifiers import argmax_rows, decode_array, encode_array
 from .dataspace import DataError, LabelledSet, _frozen, as_prevalence
-from .quantifiers import (QUANTIFIERS, ClassDensities, _newton_direction,
-                          _simplex_step, em_weights_batch, fit_kdey,
-                          label_shares)
+from .quantifiers import (ClassDensities, _newton_direction, _simplex_step,
+                          em_weights_batch, fit_kdey)
 
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
 AUTO_SMOOTHING = 1e-6
+QUANTIFIERS = ("KDEyML", "CC")      # the quantifier kinds
 ROW_HASH = np.uint64(0x9E3779B97F4A7C15)   # odd, so no column is hashed away
 
 
@@ -166,6 +168,34 @@ def fit_cap(posteriors: np.ndarray, validation: LabelledSet,
     return CapPredictor(rates, densities)
 
 
+def cap_to_record(cap: CapPredictor) -> dict:
+    """The saved record of a predictor: its rate matrix and, under KDEy-ML,
+    its KDE supports; the registry's meta records the fit settings."""
+    record = {"rate_matrix": encode_array(cap.rates)}
+    if cap.densities is not None:
+        record["support"] = [encode_array(S) for S in cap.densities.support]
+    return record
+
+
+def cap_from_record(record: dict, n_classes: int, quantifier: str,
+                    bandwidth) -> CapPredictor:
+    """The predictor of `n_classes` classes that :func:`cap_to_record` saved
+    under `quantifier` and `bandwidth`. KDE supports missing under KDEy-ML or
+    present under CC, or of another class count, raise ValueError."""
+    kde = quantifier == "KDEyML"
+    if ("support" in record) != kde:
+        raise ValueError(f"KDE supports {'missing' if kde else 'present'} "
+                         f"under {quantifier}")
+    densities = ClassDensities(tuple(map(decode_array, record["support"])),
+                               bandwidth) if kde else None
+    cap = CapPredictor(decode_array(record["rate_matrix"]), densities)
+    if len(cap.rates) != n_classes or (
+            densities and len(densities.support) != n_classes):
+        raise ValueError(f"rate matrix or KDE supports not of {n_classes} "
+                         "classes")
+    return cap
+
+
 @dataclass(frozen=True, eq=False)
 class CapStack:
     """The solver inputs of k predictors, stacked once by :func:`stack_caps`
@@ -183,7 +213,7 @@ class CapStack:
     def __len__(self):
         return len(self.M)
 
-    def rows(self, posteriors: np.ndarray) -> np.ndarray:
+    def rows(self, posteriors: np.ndarray, stats=None) -> np.ndarray:
         """The quantifier rows of the k models from the (k, m, n) stack of
         their posterior rows: each model's KDE class log densities
         (:meth:`quantifiers.ClassDensities.evaluate`), shape (k, m, n), or
@@ -193,7 +223,9 @@ class CapStack:
         posteriors (:func:`distinct_rows`) and the result scattered back to
         every row that repeats it. That is bit-identical to evaluating every
         row, since a row's densities do not depend on the rows evaluated
-        with it."""
+        with it. Under KDEy-ML, a `stats` dict receives the number of
+        kernel values evaluated, each model's distinct rows times its
+        support rows, as `kde_kernel_values`."""
         if self.densities is None:
             return posteriors
         flat = posteriors.reshape(-1, posteriors.shape[2])
@@ -203,6 +235,9 @@ class CapStack:
         stops = np.cumsum(counts)
         for d, lo, hi in zip(self.densities, stops - counts, stops):
             out[lo:hi] = d.evaluate(distinct[lo:hi])
+        if stats is not None:
+            stats["kde_kernel_values"] = int(counts @ [
+                sum(map(len, d.support)) for d in self.densities])
         return np.take(out, inverse, axis=0)
 
     def prevalences(self, rows: np.ndarray):
@@ -292,6 +327,14 @@ def stack_caps(caps, weight: float) -> CapStack:
     diagonal = np.diagonal(M, axis1=1, axis2=2).copy()
     densities = None if n_cc else tuple(c.densities for c in caps)
     return CapStack(densities, *map(_frozen, (M, Q, diagonal)), weight)
+
+
+def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Share of each class in each row of a (k, m) matrix of labels in
+    range(n_classes); shape (k, n_classes). One bincount over all rows."""
+    k, m = labels.shape
+    flat = (labels + n_classes * np.arange(k)[:, None]).ravel()
+    return np.bincount(flat, minlength=k * n_classes).reshape(k, n_classes) / m
 
 
 def pps_accuracy_identity(tpr: float, tnr: float, p: float, q: float):

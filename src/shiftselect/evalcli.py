@@ -67,7 +67,7 @@ from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, argmax_rows, build_grid,
 from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
-from .cap import check_fit_settings, distinct_rows
+from .cap import check_fit_settings
 from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
                         write_json)
@@ -606,9 +606,8 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     receives timings.json's `evaluate_s` block (the seconds of the test-set
     posteriors, the quantifier rows and the bags) and `evaluate` block
     (`workers`: the solves' processes, or 0; `kde_kernel_values`: the
-    kernel values the KDE evaluated for the quantifier rows, each model's
-    distinct test posterior rows (:func:`cap.distinct_rows`) times its KDE
-    support rows, summed over the KDEy-ML predictors, 0 for CC)."""
+    kernel values the KDE evaluated for the test set's quantifier rows, as
+    :meth:`cap.CapStack.rows` counts them)."""
     seconds = timings["evaluate_s"] = {}
     evaluate = timings["evaluate"] = {"workers": 0, "kde_kernel_values": 0}
     # Predicted labels and quantifier rows (the KDE log densities) over the
@@ -619,12 +618,8 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
         [e.model for e in registry.entries], test.X)
     seconds["test_posteriors"] = time.perf_counter() - start
     start = time.perf_counter()
-    rows_test = registry.caps.rows(posteriors_test)
+    rows_test = registry.caps.rows(posteriors_test, stats=evaluate)
     seconds["quantifier_rows"] = time.perf_counter() - start
-    if registry.caps.densities is not None:
-        evaluate["kde_kernel_values"] = int(sum(
-            count * sum(len(S) for S in d.support) for d, count in zip(
-                registry.caps.densities, distinct_rows(posteriors_test)[1])))
     start = time.perf_counter()
     labels_test = argmax_rows(posteriors_test)
     true = np.stack([(labels_test[:, bag.indices] == reveal_labels(bag))

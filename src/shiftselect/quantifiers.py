@@ -1,23 +1,13 @@
-"""Class-prevalence estimation on unlabelled bags.
+"""The KDEy-ML quantifier and the mixture solver, for class-prevalence
+estimation on unlabelled bags.
 
-Two quantifier kinds, :data:`QUANTIFIERS`, each fed by the posterior outputs
-of one trained classifier:
-
-* ``"CC"`` (classify-and-count): the shares of predicted labels
-  (:func:`label_shares`); it has no fitted state;
-* ``"KDEyML"``: per-class Gaussian KDEs fitted on the posterior vectors of
-  validation instances (:class:`ClassDensities`, :func:`fit_kdey`), with
-  mixture weights chosen to maximize the likelihood of the bag's posteriors
-  (:func:`em_weights_batch`).
-
-Model selection estimates every model's prevalence on one bag at once
-(:meth:`cap.CapStack.prevalences`), over the (k, m, n) stack of the models'
-class log densities, or under CC of their posteriors
-(:meth:`cap.CapStack.rows`). A row's densities depend on that row only, so
-a model's KDE is evaluated once per distinct posterior row of the bag, and
-a caller that labels many bags drawn from one test set evaluates them once
-per model over the whole set and slices out each bag; both equal the bag
-evaluated row by row, bit for bit.
+:class:`ClassDensities` (:func:`fit_kdey`) holds per-class Gaussian KDEs
+fitted on the posterior vectors of validation instances, and
+:func:`em_weights_batch` the mixture weights that maximize the likelihood of
+a bag's rows under them. Which quantifier a predictor holds, and so what its
+rows are, is :mod:`cap`'s decision (:meth:`cap.CapStack.rows`). A row's
+densities depend on that row only, so each row is evaluated once however
+many bags or repeats hold it, bit for bit as if alone.
 
 A model's KDE rows are two GEMMs over the stacked supports of all classes,
 with the log-sum-exp shift folded into the second, and the query points along
@@ -50,7 +40,6 @@ EM_TOL = 1e-6
 EM_MAX_ITER = 1000
 EM_WARM_STEPS = 3       # EM steps before the first Newton step
 NEWTON_RIDGE = 1e-12    # relative ridge on the Newton system
-QUANTIFIERS = ("KDEyML", "CC")      # the quantifier kinds
 
 
 @dataclass(frozen=True)
@@ -69,6 +58,8 @@ class ClassDensities:
         for j, S in enumerate(self.support):
             if S.ndim != 2 or not len(S) or S.shape[1] != len(self.support):
                 raise ValueError(f"class {j} has invalid support shape {S.shape}")
+            if not np.isfinite(S).all():
+                raise ValueError(f"class {j} has a non-finite support value")
 
     @cached_property
     def _stacked(self):
@@ -318,11 +309,3 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
         L_new[todo[ok]] = trial_L[ok]
         moved[todo[ok]] = True
         todo, t = todo[~ok], t[~ok]
-
-
-def label_shares(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Share of each class in each row of a (k, m) matrix of labels in
-    range(n_classes); shape (k, n_classes). One bincount over all rows."""
-    k, m = labels.shape
-    flat = (labels + n_classes * np.arange(k)[:, None]).ravel()
-    return np.bincount(flat, minlength=k * n_classes).reshape(k, n_classes) / m

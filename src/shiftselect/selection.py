@@ -26,9 +26,8 @@ matrices of estimated and of true accuracies.
 A registry is saved as one document, ``manifest.json``: its format version,
 its meta (the one record of the class count and of the settings every
 predictor was fitted under), its training warnings, and per entry the model
-id, the validation accuracy, the model record
-(:func:`classifiers.model_to_record`) and the accuracy-predictor record (the
-rate matrix and, for KDEy-ML, the KDE supports).
+id, the validation accuracy, and the model and accuracy-predictor records
+(:func:`classifiers.model_to_record`, :func:`cap.cap_to_record`).
 """
 
 from __future__ import annotations
@@ -44,12 +43,11 @@ import numpy as np
 
 from .dataspace import LabelledSet
 from .classifiers import (TrainedModel, TrainingError, argmax_rows,
-                          build_grid, decode_array, default_model,
-                          encode_array, model_from_record, model_to_record,
-                          predict_posteriors_batch, train_grid)
-from .quantifiers import QUANTIFIERS, ClassDensities
-from .cap import (CapPredictor, CapStack, check_fit_settings, fit_cap,
-                  stack_caps)
+                          build_grid, default_model, model_from_record,
+                          model_to_record, predict_posteriors_batch,
+                          train_grid)
+from .cap import (CapPredictor, CapStack, cap_from_record, cap_to_record,
+                  check_fit_settings, fit_cap, stack_caps)
 
 FORMAT_VERSION = 2      # of the saved registry document
 META_KEYS = {"run_id", "seed", "families", "quantifier", "bandwidth",
@@ -300,32 +298,24 @@ def save_registry(registry: ModelRegistry, out_dir) -> None:
     _check_meta_keys(registry.meta)
     if not registry.entries:
         raise ValueError("a registry with no entries")
-    entries = []
-    for e in registry.entries:
-        cap = {"rate_matrix": encode_array(e.cap.rates)}
-        if e.cap.densities is not None:
-            cap["support"] = [encode_array(S) for S in e.cap.densities.support]
-        entries.append({"model_id": e.model_id, "val_accuracy": e.val_accuracy,
-                        "model": model_to_record(e.model), "cap": cap})
+    entries = [{"model_id": e.model_id, "val_accuracy": e.val_accuracy,
+                "model": model_to_record(e.model), "cap": cap_to_record(e.cap)}
+               for e in registry.entries]
     write_json(out_dir, "manifest.json", {
         "format_version": FORMAT_VERSION, "meta": registry.meta,
         "warnings": registry.warnings, "entries": entries})
 
 
 def load_registry(out_dir) -> ModelRegistry:
-    """Read a registry that :func:`save_registry` wrote, building every
-    predictor under `meta`'s quantifier and bandwidth, and their stack under
-    its solver weight. A document of another format version (so any saved
-    before version 2), with missing or mistyped keys, meta keys other than
-    META_KEYS, warnings that are not a list of strings, a bad solver weight, no
-    entries, an unknown quantifier or cap records that do not fit it (KDE
-    supports missing under KDEy-ML or present under CC), model arrays
-    that do not fit each other or the registry's class count, a rate matrix or
-    KDE supports of another class count, models of different feature counts, an
-    array of a dtype that :func:`classifiers.encode_array` does not write, a
-    model record with another family's parameters, a model id that is not an
-    int or a validation accuracy that is not a number in [0, 1], or that is not
-    JSON, raises a ValueError that says to retrain it."""
+    """Read a registry that :func:`save_registry` wrote: each predictor by
+    :func:`cap.cap_from_record` under `meta`'s fit settings, and their stack
+    under its solver weight. A document that is not JSON or not of format
+    version 2, or with missing or mistyped keys, meta keys other than
+    META_KEYS, fit settings that :func:`cap.check_fit_settings` refuses,
+    warnings that are not a list of strings, no entries, a model id that is
+    not an int, a validation accuracy that is not a number in [0, 1], a model
+    or predictor record that its reader refuses, or models of different
+    feature counts, raises a ValueError that says to retrain it."""
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -336,9 +326,8 @@ def load_registry(out_dir) -> ModelRegistry:
         _check_meta_keys(meta)
         if type(warnings) is not list or {type(w) for w in warnings} - {str}:
             raise ValueError(f"warnings {warnings!r}: not a list of strings")
-        n_classes, kind = meta["n_classes"], meta["quantifier"]
-        if kind not in QUANTIFIERS:
-            raise ValueError(f"unknown quantifier {kind!r}")
+        check_fit_settings(meta["quantifier"], meta["bandwidth"],
+                           meta["cap_weight"], meta["smoothing"])
         if not manifest["entries"]:
             raise ValueError("no entries")
         entries = []
@@ -351,28 +340,18 @@ def load_registry(out_dir) -> ModelRegistry:
                     and 0 <= val_accuracy <= 1):
                 raise ValueError(f"model {model_id}: validation accuracy "
                                  f"{val_accuracy!r} is not in [0, 1]")
-            model, cap = model_from_record(rec["model"], n_classes), rec["cap"]
-            kde = kind == "KDEyML"
-            if ("support" in cap) != kde:
-                raise ValueError(f"model {model_id}: KDE supports "
-                                 f"{'missing' if kde else 'present'} "
-                                 f"under {kind}")
-            densities = ClassDensities(
-                tuple(decode_array(S) for S in cap["support"]),
-                meta["bandwidth"]) if kde else None
-            predictor = CapPredictor(decode_array(cap["rate_matrix"]),
-                                     densities)
-            if len(predictor.rates) != n_classes or (
-                    densities and len(densities.support) != n_classes):
-                raise ValueError(f"model {model_id}: rate matrix or KDE "
-                                 f"supports not of {n_classes} classes")
-            entries.append(RegistryEntry(model_id, model, val_accuracy,
-                                         predictor))
+            model = model_from_record(rec["model"], meta["n_classes"])
+            try:
+                cap = cap_from_record(rec["cap"], meta["n_classes"],
+                                      meta["quantifier"], meta["bandwidth"])
+            except ValueError as exc:
+                raise ValueError(f"model {model_id}: {exc}") from exc
+            entries.append(RegistryEntry(model_id, model, val_accuracy, cap))
         features = sorted({e.model.n_features for e in entries})
         if len(features) > 1:
             raise ValueError(f"models take {features} features, not one count")
         registry = ModelRegistry(entries, warnings, meta)
-        registry.caps   # so that a bad saved weight fails here
+        registry.caps   # stacked at load, not in the first bag's solve
         return registry
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(

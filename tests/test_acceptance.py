@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shiftselect.evalcli as evalcli_mod
-from shiftselect.cap import (CapPredictor, leap_solve_batch,
+from shiftselect.cap import (CapPredictor, label_shares, leap_solve_batch,
                              pps_accuracy_identity, stack_caps)
 from shiftselect.classifiers import (argmax_rows, default_model, lr_loss_grad,
                                      mlp_loss_grad, train_grid)
@@ -18,7 +18,7 @@ from shiftselect.evalcli import (RunConfig, _prepare, accuracy_matrix,
                                  emit_report, run_experiment,
                                  wilcoxon_signed_rank)
 from shiftselect.protocol import bin_by_shift, draw_bag, kraemer_sample
-from shiftselect.quantifiers import em_weights_batch, fit_kdey, label_shares
+from shiftselect.quantifiers import em_weights_batch, fit_kdey
 
 
 def report(criterion, ok, detail):

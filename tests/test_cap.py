@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftselect.cap import (CapPredictor, estimate_rate_matrix, fit_cap,
+from shiftselect.cap import (CapPredictor, cap_from_record, cap_to_record,
+                             estimate_rate_matrix, fit_cap, label_shares,
                              leap_solve_batch, pps_accuracy_identity,
                              stack_caps)
-from shiftselect.classifiers import argmax_rows, default_model, train_grid
+from shiftselect.classifiers import (argmax_rows, default_model, encode_array,
+                                     train_grid)
 from shiftselect.dataspace import DataError, Dataset, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import draw_bag, reveal_labels
-from shiftselect.quantifiers import ClassDensities, fit_kdey, label_shares
+from shiftselect.quantifiers import ClassDensities, fit_kdey
 
 
 class PassThroughModel:
@@ -405,10 +409,13 @@ def test_stack_rows_equal_each_row_evaluated_alone(m, monkeypatch):
         for collide in (False, True):
             if collide:
                 monkeypatch.setattr(cap, "ROW_HASH", np.uint64(0))
-            rows = stack.rows(posteriors)
+            stats = {}
+            rows = stack.rows(posteriors, stats)
             assert rows.view(np.uint64).tobytes() == \
                 alone.view(np.uint64).tobytes(), (name, collide)
             picks, counts, inverse = cap.distinct_rows(posteriors)
+            # the kernel values evaluated: 18 support rows per distinct row
+            assert stats == {"kde_kernel_values": 18 * int(counts.sum())}
             flat = posteriors.reshape(-1, n)
             assert np.array_equal(flat[picks][inverse].view(np.uint64),
                                   posteriors.view(np.uint64)), name
@@ -549,6 +556,37 @@ def test_fit_cap_with_counting_quantifier(overlapping_pipeline):
     true_acc = (np.argmax(model.predict_posteriors(bag.features), axis=1)
                 == reveal_labels(bag)).mean()
     assert abs(estimate - true_acc) <= 0.25   # coarse but sane ablation baseline
+
+
+@pytest.mark.parametrize("kind", ["KDEyML", "CC"])
+def test_cap_record_round_trips_bit_for_bit(overlapping_pipeline, kind):
+    # the record is a saved registry entry's "cap": the rate matrix and,
+    # under KDEy-ML only, the supports, as format version 2 lays them out
+    model, _, validation, _ = overlapping_pipeline
+    psi = fit_cap(model.predict_posteriors(validation.X), validation,
+                  quantifier_kind=kind, bandwidth=0.05)
+    record = json.loads(json.dumps(cap_to_record(psi)))
+    layout = {"rate_matrix": encode_array(psi.rates)}
+    if kind == "KDEyML":
+        layout["support"] = [encode_array(S) for S in psi.densities.support]
+    assert record == layout
+    redo = cap_from_record(record, 2, kind, 0.05)
+    assert redo.rates.tobytes() == psi.rates.tobytes()
+    if kind == "CC":
+        assert redo.densities is psi.densities is None
+    else:
+        assert redo.densities.bandwidth == 0.05
+        for S, T in zip(psi.densities.support, redo.densities.support,
+                        strict=True):
+            assert S.shape == T.shape and S.tobytes() == T.tobytes()
+    # the record is read under the registry's kind and class count
+    other = "CC" if kind == "KDEyML" else "KDEyML"
+    with pytest.raises(ValueError, match=f"KDE supports "
+                       f"{'present' if other == 'CC' else 'missing'} "
+                       f"under {other}"):
+        cap_from_record(record, 2, other, 0.05)
+    with pytest.raises(ValueError, match="not of 3 classes"):
+        cap_from_record(record, 3, kind, 0.05)
 
 
 # ---------------------------------------------------------------------------

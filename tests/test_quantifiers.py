@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from shiftselect import quantifiers
+from shiftselect import cap, quantifiers
 from shiftselect.cap import CapPredictor, stack_caps
 from shiftselect.classifiers import argmax_rows, default_model, max_rows, train_grid
 from shiftselect.dataspace import DataError, LabelledSet, stratified_split, synth_gaussian_pps
@@ -182,6 +182,15 @@ def test_class_densities_reject_supports_that_do_not_count_the_classes(
     # the class count is the number of supports, and every support holds
     # at least one posterior row of that width
     with pytest.raises(ValueError, match="invalid support shape"):
+        ClassDensities(support, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_class_densities_reject_a_non_finite_support(bad):
+    # fitted or loaded, such a support would fail every mixture solve with
+    # a message that names no cause
+    support = (np.array([[0.9, 0.1], [bad, 0.5]]), np.array([[0.2, 0.8]]))
+    with pytest.raises(ValueError, match="class 0 has a non-finite support"):
         ClassDensities(support, 0.1)
 
 
@@ -374,7 +383,7 @@ def test_row_max_and_label_shares_equal_numpy(seed, k, m, n):
         assert np.array_equal(argmax_rows(rows), np.argmax(rows, axis=-1))
     labels = np.argmax(X, axis=2)
     counts = (labels[..., None] == np.arange(n)).sum(axis=1)
-    assert np.array_equal(quantifiers.label_shares(labels, n), counts / m)
+    assert np.array_equal(cap.label_shares(labels, n), counts / m)
 
 
 def em_on_every_support(F, tol=1e-14, max_iter=10_000):

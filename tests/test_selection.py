@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from shiftselect import evalcli, selection
-from shiftselect.cap import CapStack, stack_caps
+from shiftselect.cap import CapStack, label_shares, stack_caps
 from shiftselect.classifiers import (TrainingError, argmax_rows, build_grid,
                                     default_model, decode_array, encode_array,
                                     model_to_record, predict_posteriors_batch)
 from shiftselect.dataspace import DataError, stratified_split, synth_gaussian_pps
 from shiftselect.protocol import Bag, app_generate, draw_bag, reveal_labels
-from shiftselect.quantifiers import label_shares
 from shiftselect.selection import (ModelRegistry, RegistryEntry, build_registry,
                                    default_select, ims_select, load_registry,
                                    save_registry, tms_select)
@@ -228,6 +227,10 @@ def test_registry_round_trip(registry, splits, tmp_path):
                                     "cap_weight nan", "cap_weight True",
                                     "bandwidth nan", "bandwidth inf",
                                     "bandwidth True",
+                                    "CC bandwidth abc", "CC bandwidth -3.0",
+                                    "CC smoothing -1.0",
+                                    "smoothing -1.0", "smoothing x",
+                                    "KDE support nan", "KDE support inf",
                                     "val_accuracy high", "val_accuracy None",
                                     "val_accuracy 7.5", "val_accuracy -0.5",
                                     "val_accuracy nan", "val_accuracy True",
@@ -333,13 +336,28 @@ def test_load_registry_rejects_other_layouts(registry, tmp_path, damage):
     elif damage == "no entries":
         # nothing to stack, and nothing to select from
         manifest["entries"] = []
-    elif damage.startswith(("cap_weight ", "bandwidth ")):
+    elif damage.startswith(("cap_weight ", "bandwidth ", "smoothing ",
+                            "CC ")):
         # unchecked at load, such a weight or bandwidth would fail only in
-        # the first TMS solve, with a message that does not say to retrain
-        key, value = damage.split()
+        # the first TMS solve, with a message that does not say to retrain;
+        # every fit setting that build_registry refuses is refused, also
+        # where the kind does not use it (a CC registry's bandwidth)
+        *cc, key, value = damage.split()
+        if cc:      # a CC registry: the same records without KDE supports
+            manifest["meta"]["quantifier"] = "CC"
+            for rec in manifest["entries"]:
+                del rec["cap"]["support"]
         manifest["meta"][key] = {"0": 0, "-1": -1, "x": "x", "None": None,
                                  "nan": np.nan, "inf": np.inf,
-                                 "True": True}[value]
+                                 "True": True, "abc": "abc", "-3.0": -3.0,
+                                 "-1.0": -1.0}[value]
+    elif damage.startswith("KDE support "):
+        # such a support would fail every TMS solve, with a message that
+        # does not say to retrain
+        supports = manifest["entries"][0]["cap"]["support"]
+        S = decode_array(supports[0])
+        S[0, 0] = float(damage.split()[-1])
+        supports[0] = encode_array(S)
     elif damage.startswith(("val_accuracy ", "model_id ")):
         # unchecked at load, an accuracy would fail only in ims_select, or
         # win IMS above 1, and a fractional id would sort between two others
