@@ -43,6 +43,10 @@ SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 10_000
 AUTO_SMOOTHING = 1e-6
 QUANTIFIERS = ("KDEyML", "CC")      # the quantifier kinds
+# a rate matrix whose smallest singular value is below this cannot tell the
+# classes apart: M theta = rho holds along a whole line of thetas, and LEAP
+# returns about qhat, however arbitrary the model's qhat is
+RANK_TOL = 1e-6
 ROW_HASH = np.uint64(0x9E3779B97F4A7C15)   # odd, so no column is hashed away
 
 

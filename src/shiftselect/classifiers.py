@@ -10,14 +10,16 @@ returns a model or a `TrainingError` per point; the MLP points train as one
 stack per usable CPU (:func:`parallel.fork_map`), with one stacked minibatch
 step per batch, and each equals the point trained alone (a one-point grid)
 bit for bit.
-:func:`predict_posteriors_batch` asks many models for posteriors on the same
-rows in one stacked pass per family: one stacked product and one softmax for
-the LR models, one stacked two-layer pass for the MLP models, and one
-neighbour search per KNN training set. A model's own `predict_posteriors` is
-the one-model case of the same pass, and each slice of a stack equals it bit
-for bit. A posterior row is bit-identical whatever other rows it is
-predicted with (see :func:`panel_rows`). A model record names its family, and
-:data:`MODEL_TYPES` maps that to the class whose `arrays` it saves.
+:func:`stack_models` stacks many models once into one pass per family, whose
+:meth:`ModelStack.posteriors` predicts them all on the same rows: one stacked
+product and one softmax for the LR models, one stacked two-layer pass for the
+MLP models, and one neighbour search and one neighbour-label table per KNN
+training set. :func:`predict_posteriors_batch` and a model's own
+`predict_posteriors` stack their models for one call; each slice of a stack
+equals the one-model call bit for bit. A posterior row is bit-identical
+whatever other rows it is predicted with (see :func:`panel_rows`). A model
+record names its family, and :data:`MODEL_TYPES` maps that to the class whose
+`arrays` it saves.
 """
 
 from __future__ import annotations
@@ -430,14 +432,14 @@ class LRModel(TrainedModel):
         self.b = b
 
 
-def _lr_posteriors(models, X) -> np.ndarray:
-    """Posterior rows (k, m, n) of LR models whose weights have one shape:
-    one stacked product ``panel_rows(X) @ W`` and one softmax. Each slice of
-    a stacked matmul is the 2-D product of that model alone, so every slice
-    equals a one-model call bit for bit."""
+def _stack_lr(models):
+    """The posterior pass of LR models whose weights have one shape: X ->
+    rows (k, m, n), one stacked product ``panel_rows(X) @ W`` and one
+    softmax. Each slice of a stacked matmul is the 2-D product of that model
+    alone, so every slice equals a one-model call bit for bit."""
     W = np.stack([m.W for m in models])
     b = np.stack([m.b for m in models])[:, None]
-    return softmax(np.matmul(panel_rows(X), W)[:, :len(X)] + b)
+    return lambda X: softmax(np.matmul(panel_rows(X), W)[:, :len(X)] + b)
 
 
 class KNNModel(TrainedModel):
@@ -477,14 +479,17 @@ def nearest_order(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(candidates, first, axis=1)
 
 
-def _knn_posteriors(models, X) -> np.ndarray:
-    """Posterior rows (k, m, n) of KNN models that share one training set.
+def _stack_knn(models):
+    """The posterior pass of KNN models that share one training set (rows
+    and labels): X -> rows (k, m, n). The training set is held once, with
+    its squared norms.
 
-    The squared distances and the stable order of the nearest neighbours are
-    computed once; each model reads its own k-prefix of that order and applies
-    its own labels and vote weights, so every result equals a one-model call
-    bit for bit. The distance product has the queries along its columns,
-    ``X_train @ panel_rows(2 Xc).T``, as in
+    The squared distances and the stable order of the nearest neighbours
+    for the largest k are computed once, and so are the neighbours' one-hot
+    labels and, if some model weights by distance, their vote weights; each
+    model reads its own k-prefix of that table, so every result equals a
+    one-model call bit for bit. The distance product has the queries along
+    its columns, ``X_train @ panel_rows(2 Xc).T``, as in
     :meth:`quantifiers.ClassDensities.evaluate`: each query's column then sums
     the features in the same order whatever other queries it is computed
     with (see :func:`panel_rows`), where the row layout summed the ragged
@@ -494,32 +499,37 @@ def _knn_posteriors(models, X) -> np.ndarray:
     model's votes are one (m, n, k) array summed over its last axis, so each
     (row, class) sums its neighbours in numpy's pairwise order.
     """
-    X_train = models[0].X_train
-    n_train = X_train.shape[0]
+    X_train, y_train = models[0].X_train, models[0].y_train
+    n_train, n_classes = X_train.shape[0], models[0].n_classes
     train_sq = (X_train * X_train).sum(axis=1)[None, :]
     ks = [min(m.hyperparams["n_neighbors"], n_train) for m in models]
-    out = np.empty((len(models), X.shape[0], models[0].n_classes))
-    width = max(CHUNK_ELEMENTS // n_train // BLAS_PANEL, 1) * BLAS_PANEL
-    for lo in range(0, X.shape[0], width):
-        Xc = X[lo:lo + width]
-        d2 = (Xc * Xc).sum(axis=1)[:, None] + train_sq
-        # one contiguous copy of the transposed product, read once
-        d2 -= np.ascontiguousarray(
-            (X_train @ panel_rows(2.0 * Xc).T)[:, :len(Xc)].T)
-        np.maximum(d2, 0.0, out=d2)
-        order = nearest_order(d2, max(ks))
-        for model, k, posteriors in zip(models, ks, out):
-            nearest = order[:, :k]
-            w = 1.0
-            if model.hyperparams["weights"] == "distance":
-                d = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
-                w = (1.0 / (d + KNN_DIST_EPS))[:, None, :]
-            classes = np.arange(model.n_classes)[:, None]
-            votes = np.where(model.y_train[nearest][:, None, :] == classes,
-                             w, 0.0).sum(axis=2)
-            votes /= votes.sum(axis=1, keepdims=True)
-            posteriors[lo:lo + len(Xc)] = votes
-    return out
+    distance = [m.hyperparams["weights"] == "distance" for m in models]
+    classes = np.arange(n_classes)[:, None]
+
+    def posteriors(X):
+        out = np.empty((len(models), X.shape[0], n_classes))
+        width = max(CHUNK_ELEMENTS // n_train // BLAS_PANEL, 1) * BLAS_PANEL
+        for lo in range(0, X.shape[0], width):
+            Xc = X[lo:lo + width]
+            d2 = (Xc * Xc).sum(axis=1)[:, None] + train_sq
+            # one contiguous copy of the transposed product, read once
+            d2 -= np.ascontiguousarray(
+                (X_train @ panel_rows(2.0 * Xc).T)[:, :len(Xc)].T)
+            np.maximum(d2, 0.0, out=d2)
+            order = nearest_order(d2, max(ks))
+            hits = y_train[order][:, None, :] == classes     # (m, n, max k)
+            if any(distance):
+                w = 1.0 / (np.sqrt(np.take_along_axis(d2, order, axis=1))
+                           + KNN_DIST_EPS)[:, None, :]
+            for k, by_distance, rows in zip(ks, distance, out):
+                votes = np.where(hits[:, :, :k],
+                                 w[:, :, :k] if by_distance else 1.0,
+                                 0.0).sum(axis=2)
+                votes /= votes.sum(axis=1, keepdims=True)
+                rows[lo:lo + len(Xc)] = votes
+        return out
+
+    return posteriors
 
 
 class MLPModel(TrainedModel):
@@ -536,47 +546,72 @@ class MLPModel(TrainedModel):
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
 
 
-def _mlp_posteriors(models, X) -> np.ndarray:
-    """Posterior rows (k, m, n) of MLP models whose arrays have one shape:
-    one stacked two-layer pass, each slice that model's one-model pass bit
-    for bit (see :func:`_lr_posteriors`)."""
+def _stack_mlp(models):
+    """The posterior pass of MLP models whose arrays have one shape: X ->
+    rows (k, m, n), one stacked two-layer pass, each slice that model's
+    one-model pass bit for bit (see :func:`_stack_lr`)."""
     W1, b1, W2, b2 = (np.stack([getattr(m, a) for m in models])
                       for a in MLPModel.arrays)
-    # the first layer with the rows along the columns keeps each row's
-    # hidden units independent of the other rows on wide data; the output
-    # layer takes them C-contiguous, since a transposed H would change its
-    # GEMM and move the posteriors by ulps
-    H = np.ascontiguousarray(
-        np.matmul(W1.transpose(0, 2, 1), panel_rows(X).T).transpose(0, 2, 1))
-    H += b1[:, None]
-    np.tanh(H, out=H)
-    return softmax(np.matmul(H, W2)[:, :len(X)] + b2[:, None])
+    W1T, b1, b2 = W1.transpose(0, 2, 1), b1[:, None], b2[:, None]
+
+    def posteriors(X):
+        # the first layer with the rows along the columns keeps each row's
+        # hidden units independent of the other rows on wide data; the
+        # output layer takes them C-contiguous, since a transposed H would
+        # change its GEMM and move the posteriors by ulps
+        H = np.ascontiguousarray(
+            np.matmul(W1T, panel_rows(X).T).transpose(0, 2, 1))
+        H += b1
+        np.tanh(H, out=H)
+        return softmax(np.matmul(H, W2)[:, :len(X)] + b2)
+
+    return posteriors
 
 
 def _shares_pass(a: TrainedModel, b: TrainedModel) -> bool:
     """Whether models a and b can share one stacked pass: the same family
-    and, for KNN, training sets equal in content (not merely the same
-    object: a loaded registry decodes one copy per model), else arrays of
-    the same shapes."""
+    and, for KNN, the same class count and training sets equal in content
+    (not merely the same object: a loaded registry decodes one copy per
+    model), else arrays of the same shapes."""
     if type(a) is not type(b):
         return False
     if isinstance(a, KNNModel):
-        return np.array_equal(a.X_train, b.X_train)
+        return (a.n_classes == b.n_classes
+                and np.array_equal(a.X_train, b.X_train)
+                and np.array_equal(a.y_train, b.y_train))
     return all(getattr(a, name).shape == getattr(b, name).shape
                for name in a.arrays)
 
 
-def predict_posteriors_batch(models, X) -> np.ndarray:
-    """Posterior rows of every model on the same rows X, shape (k, m, n).
+class ModelStack:
+    """k models grouped by :func:`stack_models` into stacked passes, built
+    once and shared by every set of rows they predict."""
 
-    The models are grouped into one stacked pass each (:func:`_shares_pass`):
+    def __init__(self, size, groups):
+        self.size = size
+        # (positions, a member, its pass) per stacked pass
+        self.groups = groups
+
+    def posteriors(self, X) -> np.ndarray:
+        """Posterior rows of every model on the same rows X, shape (k, m, n);
+        each slice equals that model's `predict_posteriors(X)` bit for bit.
+        Rows of a feature count other than a model's raise ValueError."""
+        out = None
+        for positions, model, rows in self.groups:
+            P = rows(model._check_features(X))
+            if out is None:
+                out = np.empty((self.size,) + P.shape[1:])
+            out[positions] = P
+        return out
+
+
+def stack_models(models) -> ModelStack:
+    """Group the models into one stacked pass each (:func:`_shares_pass`):
     one for the LR models, one for the MLP models, and one neighbour search
-    per KNN training set. The stacks are built per call. Each slice equals
-    that model's `predict_posteriors(X)` bit for bit.
-    """
-    passes = {"LR": _lr_posteriors, "KNN": _knn_posteriors,
-              "MLP": _mlp_posteriors}
-    out = [None] * len(models)
+    per KNN training set, each built once. No models raise ValueError."""
+    if not models:
+        raise ValueError("no models to stack")
+    stackers = {"LR": _stack_lr, "KNN": _stack_knn, "MLP": _stack_mlp}
     groups = []  # positions of the models sharing one stacked pass
     for i, model in enumerate(models):
         for members in groups:
@@ -585,12 +620,17 @@ def predict_posteriors_batch(models, X) -> np.ndarray:
                 break
         else:
             groups.append([i])
-    for members in groups:
-        group = [models[i] for i in members]
-        rows = passes[group[0].family](group, group[0]._check_features(X))
-        for i, P in zip(members, rows):
-            out[i] = P
-    return np.stack(out)
+    return ModelStack(len(models), [
+        (np.array(members), models[members[0]],
+         stackers[models[members[0]].family]([models[i] for i in members]))
+        for members in groups])
+
+
+def predict_posteriors_batch(models, X) -> np.ndarray:
+    """Posterior rows of every model on the same rows X, shape (k, m, n):
+    ``stack_models(models).posteriors(X)``, stacked for this call alone.
+    Each slice equals that model's `predict_posteriors(X)` bit for bit."""
+    return stack_models(models).posteriors(X)
 
 
 # ---------------------------------------------------------------------------

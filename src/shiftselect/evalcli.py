@@ -62,12 +62,11 @@ import numpy as np
 from .dataspace import (Dataset, apply_scaler, as_prevalence, fit_scaler,
                         load_csv, stratified_split, synth_gaussian_pps,
                         uniform_prevalence, LabelledSet)
-from .classifiers import (FAMILIES, MLP_MAX_EPOCHS, argmax_rows, build_grid,
-                          predict_posteriors_batch)
+from .classifiers import FAMILIES, MLP_MAX_EPOCHS, argmax_rows, build_grid
 from .parallel import fork_map
 from .protocol import (app_generate, bin_by_shift, l1_shift, reveal_labels,
                        DEFAULT_SHIFT_BINS)
-from .cap import check_fit_settings
+from .cap import RANK_TOL, check_fit_settings
 from .selection import (ModelRegistry, best_position, build_registry,
                         default_select, fingerprint, ims_select, tms_select,
                         write_json)
@@ -602,7 +601,9 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     :func:`parallel.fork_map` call; a worker sends back each bag's estimates
     and the two solvers' convergence flags, which are stacked the same way.
     `warnings` receives one line per model of some TMS scope of the roster
-    and solver that stopped early, counting bags. The `timings` dict
+    and solver that stopped early, and one per TMS strategy and pick whose
+    rate matrix is rank-deficient (smallest singular value below
+    :data:`cap.RANK_TOL`), each counting bags. The `timings` dict
     receives timings.json's `evaluate_s` block (the seconds of the test-set
     posteriors, the quantifier rows and the bags) and `evaluate` block
     (`workers`: the solves' processes, or 0; `kde_kernel_values`: the
@@ -614,8 +615,7 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
     # whole test set are computed once per model and stacked along
     # registry.entries; a bag's are then slices, which keeps TMS cheap.
     start = time.perf_counter()
-    posteriors_test = predict_posteriors_batch(
-        [e.model for e in registry.entries], test.X)
+    posteriors_test = registry.models.posteriors(test.X)
     seconds["test_posteriors"] = time.perf_counter() - start
     start = time.perf_counter()
     rows_test = registry.caps.rows(posteriors_test, stats=evaluate)
@@ -649,6 +649,8 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
                 solves, evaluate["workers"] = fork_map(solve, len(bags))
                 estimated, converged, em_converged = (
                     np.stack(column, axis=1) for column in zip(*solves))
+                sigma_min = np.linalg.svd(registry.caps.M,
+                                          compute_uv=False)[:, -1]
                 in_scope = np.unique(np.concatenate(
                     [registry.scope_positions(s) for s in scopes]))
                 warnings.extend(
@@ -661,6 +663,13 @@ def _evaluate(config, registry, test, bags, train_prevalence, run_id,
                     if count)
             at = registry.scope_positions(scope)
             at = at[best_position(estimated[at], f"scope {scope!r} on a bag")]
+            picked, count = np.unique(at, return_counts=True)
+            warnings.extend(
+                f"{strat} picked model {ids[i]} on {n} of {len(bags)} bags, "
+                f"whose rate matrix is rank-deficient (smallest singular "
+                f"value {sigma_min[i]:.3g} < {RANK_TOL:g}), so its "
+                "estimate rests on its own qhat"
+                for i, n in zip(picked, count) if sigma_min[i] < RANK_TOL)
             picks = zip(at, estimated[at, range(len(bags))].tolist())
         elif kind == "oracle":
             picks = zip(best_position(true, "a bag"), [None] * len(bags))

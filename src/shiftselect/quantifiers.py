@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataspace import DataError, LabelledSet
-from .classifiers import BLAS_PANEL, CHUNK_ELEMENTS, max_rows, panel_rows
+from .classifiers import BLAS_PANEL, CHUNK_ELEMENTS, max_rows
 
 DEFAULT_BANDWIDTH = 0.1
 EM_TOL = 1e-6
@@ -63,10 +63,12 @@ class ClassDensities:
 
     @cached_property
     def _stacked(self):
-        """(At, blocks): the supports of all classes stacked into one matrix
-        At = [S, -|s|^2 / (2 h^2), one-hot(class)] of shape (N, 2n + 1), and
-        each class's block of rows as a slice. Built on the first
-        :meth:`evaluate`, so loading a registry does no work for it."""
+        """The bag-independent parts of :meth:`evaluate`, built on its first
+        call, so loading a registry does no work for them: the supports of
+        all classes stacked into one matrix At = [S, -|s|^2 / (2 h^2),
+        one-hot(class)] of shape (N, 2n + 1), its first n + 1 columns (a
+        view), each class's block of rows as a slice, the class sizes and the
+        log normalizer."""
         S = np.concatenate(self.support)
         n = len(self.support)
         sizes = [len(Sj) for Sj in self.support]
@@ -75,7 +77,10 @@ class ClassDensities:
         At[:, n] = (-0.5 / self.bandwidth ** 2) * (S * S).sum(axis=1)
         At[np.arange(len(S)), n + 1 + np.repeat(np.arange(n), sizes)] = 1.0
         stops = np.cumsum(sizes)
-        return At, [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+        blocks = [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+        log_norm = -0.5 * n * np.log(2.0 * np.pi * self.bandwidth ** 2)
+        return (At, At[:, :n + 1], blocks, np.array(sizes, dtype=float),
+                log_norm)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Log density of each class's KDE at each query row; shape
@@ -96,28 +101,25 @@ class ClassDensities:
         so a bag's rows equal the matching rows of a test-set evaluation:
         with the points along the columns, each class's maximum and sum run
         down its block of rows, every column in the same order, and the
-        points are padded to whole BLAS panels (see
-        :func:`classifiers.panel_rows`). The points are taken in chunks of at
-        most CHUNK_ELEMENTS kernel values, which bounds the memory and,
-        by the same invariance, leaves the result unchanged."""
+        scaled points are written into Pa^T zero-padded to whole BLAS panels
+        (as :func:`classifiers.panel_rows` pads rows). The points are taken
+        in chunks of at most CHUNK_ELEMENTS kernel values, which bounds the
+        memory and, by the same invariance, leaves the result unchanged."""
         P = np.asarray(points, dtype=float)
-        At, blocks = self._stacked
+        At, At_head, blocks, sizes, log_norm = self._stacked
         m, n = P.shape[0], len(self.support)
         h2 = self.bandwidth ** 2
-        log_norm = -0.5 * n * np.log(2.0 * np.pi * h2)
-        sizes = np.array([b.stop - b.start for b in blocks], dtype=float)
         Ph = P / h2
         pp = 0.5 * (P * Ph).sum(axis=1)
         out = np.empty((m, n))
         width = max(CHUNK_ELEMENTS // len(At) // BLAS_PANEL, 1) * BLAS_PANEL
         for lo in range(0, m, width):
-            chunk = panel_rows(Ph[lo:lo + width])
             c = min(width, m - lo)
-            PaT = np.empty((2 * n + 1, len(chunk)))
-            PaT[:n] = chunk.T
+            PaT = np.zeros((2 * n + 1, -(-c // BLAS_PANEL) * BLAS_PANEL))
+            PaT[:n, :c] = Ph[lo:lo + c].T
             PaT[n] = 1.0
-            ET = At[:, :n + 1] @ PaT[:n + 1]
-            top = np.empty((n, len(chunk)))
+            ET = At_head @ PaT[:n + 1]
+            top = np.empty((n, PaT.shape[1]))
             for j, b in enumerate(blocks):
                 ET[b].max(axis=0, out=top[j])
             np.negative(top, out=PaT[n + 1:])
@@ -236,8 +238,11 @@ def _newton_direction(Q: np.ndarray, g: np.ndarray, a: np.ndarray, mu):
     NEWTON_RIDGE keeps Q invertible when it is singular; it does not move
     the fixed point.
     """
-    free = (a > 0) | (g > mu)
+    positive = a > 0
+    free = positive | (g > mu)
     d = _free_direction(Q, g, free)
+    if positive.all():      # no weight at 0, so none can point outward
+        return d
     # only the problems with a weight at 0 pointing outward are solved again
     outward = free & (a == 0) & (d < 0)
     again = outward.any(axis=1)
@@ -293,6 +298,8 @@ def _line_search(FT: np.ndarray, a: np.ndarray, d: np.ndarray, L: np.ndarray,
     new, t = _simplex_step(a, d)
     mix, L_new = _mixture(FT, new)
     moved = L_new >= L
+    if moved.all():         # every full step is taken
+        return new, moved, mix, L_new
     # the problems whose full step failed halve it, all at the same scale
     todo = np.flatnonzero(~moved)
     new[todo] = a[todo]

@@ -12,12 +12,13 @@ wins, and a tie goes to the first position, which is the lowest model id, as
 a :class:`ModelRegistry` holds its entries sorted by id. A scope is a family
 name or ``"All"``, and the models in it are the positions
 :meth:`ModelRegistry.scope_positions` gives in the registry's entries. The
-registry stacks every entry's accuracy predictor once
-(:attr:`ModelRegistry.caps`; a registry is immutable, so the stack never
-goes stale). TMS predicts the accuracy of every entry's model on the bag
-over that stack, whatever the scope, from each model's predicted labels and
-quantifier rows for the bag, which it takes precomputed (stacked along
-``registry.entries``) or computes from the bag's features. The scope
+registry stacks every entry's model (:attr:`ModelRegistry.models`) and
+accuracy predictor (:attr:`ModelRegistry.caps`) once each; a registry is
+immutable, so neither stack goes stale. TMS predicts the accuracy of every
+entry's model on the bag over those stacks, whatever the scope, from each
+model's predicted labels and quantifier rows for the bag, which it takes
+precomputed (stacked along ``registry.entries``) or computes from the bag's
+features. The scope
 restricts only the argmax and the solver warnings to its rows. No function
 here takes true labels: the harness (:mod:`evalcli`) takes each TMS scope
 and the oracle, an evaluation upper bound, as argmaxes over models × bags
@@ -42,10 +43,10 @@ from functools import cached_property
 import numpy as np
 
 from .dataspace import LabelledSet
-from .classifiers import (TrainedModel, TrainingError, argmax_rows,
-                          build_grid, default_model, model_from_record,
-                          model_to_record, predict_posteriors_batch,
-                          train_grid)
+from .classifiers import (ModelStack, TrainedModel, TrainingError,
+                          argmax_rows, build_grid, default_model,
+                          model_from_record, model_to_record,
+                          predict_posteriors_batch, stack_models, train_grid)
 from .cap import (CapPredictor, CapStack, cap_from_record, cap_to_record,
                   check_fit_settings, fit_cap, stack_caps)
 
@@ -96,6 +97,12 @@ class ModelRegistry:
         if not positions.size:
             raise ValueError(f"no models in scope {scope!r}")
         return positions
+
+    @cached_property
+    def models(self) -> ModelStack:
+        """Every entry's model, stacked (:func:`classifiers.stack_models`) on
+        first use, never at load; neither saved nor compared."""
+        return stack_models([e.model for e in self.entries])
 
     @cached_property
     def caps(self) -> CapStack:
@@ -239,12 +246,12 @@ def tms_select(registry: ModelRegistry, scope, bag, labels=None,
     shape (len(registry.entries), m), and `rows` their quantifier rows
     (:meth:`cap.CapStack.rows`); the evaluation harness slices both from
     test-set caches. What is not supplied is computed from the bag's
-    features; an empty bag raises DataError.
+    features, over the registry's model stack (``registry.models``, built by
+    the first call that needs it); an empty bag raises DataError.
     """
     positions = registry.scope_positions(scope)
     if labels is None or rows is None:
-        posteriors = predict_posteriors_batch(
-            [e.model for e in registry.entries], bag.features)
+        posteriors = registry.models.posteriors(bag.features)
         labels = argmax_rows(posteriors) if labels is None else labels
         rows = registry.caps.rows(posteriors) if rows is None else rows
     qhat, _, em_converged = registry.caps.prevalences(rows)

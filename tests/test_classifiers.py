@@ -367,10 +367,13 @@ def smooth_models(two_blobs):
                     min_size=1, max_size=6))
 def test_batch_posteriors_equal_per_model_calls(smooth_models, dims, seed, n_a,
                                                 n_b, n_lr, n_mlp, knn):
-    # several LR and MLP models, stacked per family, among KNN models on two
-    # training sets, all in shuffled order
+    # several LR and MLP models, stacked per family, among KNN models on
+    # three training sets, all in shuffled order; the third holds the whole
+    # KNN grid (every k from 5 to 13, both weight modes), which shares one
+    # neighbour table, some of it reloaded
     rng = np.random.default_rng(seed)
-    sets = (_lattice(rng, n_a, dims), _lattice(rng, n_b, dims))
+    sets = (_lattice(rng, n_a, dims), _lattice(rng, n_b, dims),
+            _lattice(rng, 30, dims))
     models = list(smooth_models) if dims == 2 else []
     models += [LRModel(default_model("LR"), rng.normal(size=(dims, 2)),
                        rng.normal(size=2), 2, seed=0) for _ in range(n_lr)]
@@ -384,9 +387,12 @@ def test_batch_posteriors_equal_per_model_calls(smooth_models, dims, seed, n_a,
         model = train_grid("KNN", [hp], sets[which], [0])[0]
         # a reloaded model holds its own copy of the training set
         models.append(model_from_record(model_to_record(model), 2) if reload else model)
+    for hp, reload in zip(build_grid("KNN", 2), rng.integers(0, 2, size=10)):
+        model = train_grid("KNN", [hp], sets[2], [0])[0]
+        models.append(model_from_record(model_to_record(model), 2) if reload else model)
     models = [models[i] for i in rng.permutation(len(models))]
     X = np.vstack([rng.integers(-3, 4, size=(6, dims)).astype(float),
-                   sets[0].X[:2]])
+                   sets[0].X[:2], sets[2].X[:3]])
     batch = predict_posteriors_batch(models, X)
     assert np.array_equal(batch, np.stack([m.predict_posteriors(X) for m in models]))
     reference = {"LR": _reference_lr_posteriors, "MLP": _reference_mlp_posteriors,

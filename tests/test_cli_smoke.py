@@ -102,6 +102,18 @@ def test_a_rerun_over_three_families_and_90_test_rows_writes_the_same_bytes(
     assert differing(smoke.root / "run", smoke.root / "rerun") == []
 
 
+def test_the_run_warns_of_a_pick_whose_rate_matrix_is_rank_deficient(smoke):
+    # model 15 predicts one class for every row: its rate matrix has rank 1,
+    # and TMS-All picks it on two of the three bags
+    summary = (smoke.root / "run" / "summary.txt").read_text(encoding="utf-8")
+    warned = [line for line in summary.splitlines()
+              if "rank-deficient" in line]
+    assert len(warned) == 1, warned
+    assert warned[0].startswith(
+        "warning: TMS-All picked model 15 on 2 of 3 bags, whose rate matrix "
+        "is rank-deficient")
+
+
 def test_a_relative_csv_path_reruns_from_its_own_working_directory_only(
         smoke, tmp_path, monkeypatch, capsys):
     # the manifest keeps the path as written, which the run id hashes; from

@@ -242,16 +242,23 @@ def test_em_matches_grid_search_two_classes(fitted_pipeline):
 
 def test_em_log_domain_handles_vanishing_densities(em_trace):
     # every density here underflows to 0 as a float; shifting a row's log
-    # densities by a constant moves L by that constant and not the weights
+    # densities by a constant moves L by that constant and not the weights.
+    # The log densities are multiples of 2^-40 and the shifts multiples of
+    # 2^-10 below 2^11 in size, so every sum logF + shift is exact and the
+    # row-max rescaling gives logF - max back bit for bit: the two solves
+    # then see the same densities on any BLAS kernel
     rng = np.random.default_rng(18)
-    logF = np.log(rng.uniform(0.05, 3.0, size=(30, 3)))
-    shift = rng.uniform(-2000.0, -800.0, size=(30, 1))
+    logF = np.round(np.log(rng.uniform(0.05, 3.0, size=(30, 3))) * 2.0 ** 40) \
+        / 2.0 ** 40
+    shift = np.round(rng.uniform(-2000.0, -800.0, size=(30, 1)) * 2.0 ** 10) \
+        / 2.0 ** 10
+    assert np.array_equal(logF + shift - shift, logF)
     assert (np.exp(logF + shift) == 0.0).all()
     alpha, _, converged = em_one(logF)
     alpha_shifted, _, converged_shifted = em_one(logF + shift)
     trace, trace_shifted = em_trace(logF), em_trace(logF + shift)
     assert converged and converged_shifted
-    assert np.abs(alpha - alpha_shifted).max() <= 1e-9
+    assert np.array_equal(alpha, alpha_shifted)
     assert trace_shifted[-1] == pytest.approx(trace[-1] + shift.sum(),
                                               rel=1e-12)
     # a row where every class density is 0 has no maximum: it fails loudly

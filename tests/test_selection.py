@@ -887,17 +887,45 @@ def test_loaded_registry_shares_one_neighbour_search_per_bag(registry, splits,
     assert np.array_equal(
         classifiers.predict_posteriors_batch(models, bags[0].features),
         np.stack([m.predict_posteriors(bags[0].features) for m in models]))
-    sizes = []
-    real = classifiers._knn_posteriors
+    sizes, searches = [], []
+    real = classifiers._stack_knn
 
-    def counting(group, X):
+    def counting(group):
         sizes.append(len(group))
-        return real(group, X)
+        rows = real(group)
 
-    monkeypatch.setattr(classifiers, "_knn_posteriors", counting)
+        def search(X):
+            searches.append(len(X))
+            return rows(X)
+
+        return search
+
+    monkeypatch.setattr(classifiers, "_stack_knn", counting)
     for bag in bags:
         tms_select(loaded, "All", bag)
-    assert sizes == [len(knn)] * len(bags)
+    # the ten models share one stack, built once, and one search per bag
+    assert sizes == [len(knn)]
+    assert searches == [bag.size for bag in bags]
+
+
+def test_registry_stacks_its_models_once_on_first_use(registry, splits,
+                                                     tmp_path, monkeypatch):
+    _, _, test = splits
+    save_registry(registry, tmp_path / "reg")
+    built = []
+    real = selection.stack_models
+
+    def counting(models):
+        built.append(len(models))
+        return real(models)
+
+    monkeypatch.setattr(selection, "stack_models", counting)
+    loaded = load_registry(tmp_path / "reg")
+    assert built == [] and "models" not in vars(loaded)
+    rng = np.random.default_rng(21)
+    for target in ([0.7, 0.3], [0.3, 0.7]):
+        tms_select(loaded, "All", draw_bag(test, target, 30, rng))
+    assert built == [len(loaded.entries)]
 
 
 def test_registry_computes_validation_posteriors_once_per_model(splits,
@@ -905,13 +933,18 @@ def test_registry_computes_validation_posteriors_once_per_model(splits,
     from shiftselect import classifiers
     proper, validation, _ = splits
     calls, passes = [], []
-    for name in ("_lr_posteriors", "_mlp_posteriors"):
+    for name in ("_stack_lr", "_stack_mlp"):
         real = getattr(classifiers, name)
 
-        def counting(models, X, real=real):
-            calls.extend(id(m) for m in models)
-            passes.append(len(models))
-            return real(models, X)
+        def counting(models, real=real):
+            rows = real(models)
+
+            def posteriors(X):
+                calls.extend(id(m) for m in models)
+                passes.append(len(models))
+                return rows(X)
+
+            return posteriors
 
         monkeypatch.setattr(classifiers, name, counting)
     reg = build_registry(("LR", "MLP"), proper, validation, seed=0)
